@@ -5,7 +5,11 @@ by a fixed minimal gallery of w, with [u_i, u_j] prescribed by the
 blueprint as a product of generators strictly between i and j.  Elements
 are bitmasks: bit i set means u_{i+1} occurs in the normal form
 u_1^e1 ... u_k^ek.  Multiplication is collection from the left (see
-coxkit.wordops).
+coxkit.wordops).  Up to TABLE_CAP elements the product table is built
+from the k generator rows u_i * y alone: every other row follows by
+composing them, since x = u_low * x' with low the lowest set bit of x is
+already a normal form (collection from the left as a permutation action;
+Leedham-Green & Soicher 1990).
 
 Order certification: collection terminates (well-founded measure) and
 only uses relation consequences, so |U_w| <= 2^k; the left-regular
@@ -73,8 +77,7 @@ class BlueprintGroup:
         self._comm = self._build_comm()
         self._table: list | None = None
         if self.order <= TABLE_CAP:
-            self._table = [[self._mul_raw(x, y) for y in range(self.order)]
-                           for x in range(self.order)]
+            self._table = self._build_table()
 
     def _build_comm(self) -> bytes:
         k = self.k
@@ -92,26 +95,29 @@ class BlueprintGroup:
                     comm[base + 1 + tix] = p
         return bytes(comm)
 
+    def _build_table(self) -> list:
+        k = self.k
+        rows = [[wordops.collect_mul(1 << i, y, k, self._comm, self.check_measure)
+                 for y in range(self.order)] for i in range(k)]
+        table = [list(range(self.order))]
+        for x in range(1, self.order):
+            low = (x & -x).bit_length() - 1
+            row = rows[low]
+            table.append([row[v] for v in table[x ^ (1 << low)]])
+        return table
+
     def __repr__(self) -> str:
         return f"U({self.w!r} via {self.gallery.type_word!r}, order {self.order})"
 
     # -- group operations -------------------------------------------------
 
-    def _mul_raw(self, x: int, y: int) -> int:
-        return wordops.collect_mul(x, y, self.k, self._comm, self.check_measure)
-
     def mul(self, x: int, y: int) -> int:
         if self._table is not None:
             return self._table[x][y]
-        return self._mul_raw(x, y)
+        return wordops.collect_mul(x, y, self.k, self._comm, self.check_measure)
 
     def inv(self, x: int) -> int:
         return wordops.collect_inv(x, self.k, self._comm, self.check_measure)
-
-    def collect(self, letters) -> int:
-        """Normal form of an arbitrary generator word (0-based positions)."""
-        return wordops.collect_seq(list(letters), self.k, self._comm,
-                                   self.check_measure)
 
     def elements(self) -> range:
         return range(self.order)

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from coxkit import suites
-from coxkit.cache import load as cache_load, save as cache_save
 from coxkit.coxeter import standard_coxeter
 
 MAX_RADIUS = 10
@@ -249,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification workbench for (4,4,4) Coxeter combinatorics, "
                     "blueprint 2-groups, the rank-2 twin building over F2 and "
                     "tree products")
-    parser.add_argument("--cache-dir", default=os.environ.get("COXKIT_CACHE_DIR"),
-                        help="advisory normal-form cache directory "
-                             "(env COXKIT_CACHE_DIR)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for suite runs")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -287,17 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    ctx = standard_coxeter()
-    if args.cache_dir:
-        cache_load(ctx, args.cache_dir)
     try:
-        code = args.fn(args)
+        return args.fn(args)
     except Exception as exc:   # noqa: BLE001 - fail loudly but with exit 1
         print(f"internal failure: {exc}", file=sys.stderr)
         raise
-    if args.cache_dir:
-        cache_save(ctx, args.cache_dir)
-    return code
 
 
 if __name__ == "__main__":

@@ -83,10 +83,7 @@ class Coxeter:
         return c
 
     def reduced_words(self, w: str) -> frozenset:
-        """All reduced expressions of w (given in canonical form).
-
-        Computed on demand even when the canonical form arrived from the
-        advisory cache, which only seeds the word-to-canonical table."""
+        """All reduced expressions of w (given in canonical form)."""
         got = self._closure.get(w)
         if got is None:
             got = wordops.braid_closure(w)

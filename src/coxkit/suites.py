@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 
 import coxkit
-from coxkit import lemmas, wordops
+from coxkit import lemmas
 from coxkit.blueprint import GroupCache, gallery_independence
 from coxkit.coxeter import Coxeter
 from coxkit.pipeline import section4_pipeline
@@ -126,7 +126,6 @@ SUITE_RUNNERS = {
 def emit_report(results: dict, config: dict) -> dict:
     return {
         "tool": f"coxkit {coxkit.__version__}",
-        "kernel": wordops.IMPL,
         "config": {k: config[k] for k in sorted(config)},
         "suites": {k: results[k] for k in sorted(results)},
         "pass": all(r.get("pass") for r in results.values()),

@@ -1,25 +1,121 @@
-"""Kernel selector: compiled extension if built, pure Python otherwise.
+"""Word kernels: braid-move closure and collection.
 
-Set ``COXKIT_PURE_PY=1`` to force the fallback (used by the benchmark and
-the parity tests).
+Both operate on plain data (str words, int letter sequences, int
+bitmasks).
+
+Collection commutator tables are passed flattened: ``comm[(i*k + j)*3]``
+is the number of inserted letters (0..2) for the ordered pair i < j and
+the next two bytes are the letters themselves.
 """
 
 from __future__ import annotations
 
-import os
 
-if os.environ.get("COXKIT_PURE_PY"):
-    from coxkit import _wordops_py as _impl
-else:
-    try:
-        from coxkit import _wordops_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from coxkit import _wordops_py as _impl
+class CollectionOrderError(ValueError):
+    """An inserted commutator letter was not strictly between the swapped pair."""
 
-IMPL = _impl.IMPL
-braid_closure = _impl.braid_closure
-collect_seq = _impl.collect_seq
-collect_mul = _impl.collect_mul
-collect_inv = _impl.collect_inv
 
-from coxkit._wordops_py import CollectionOrderError  # noqa: E402  (shared error type)
+class CollectionMeasureError(ValueError):
+    """A collection step failed to decrease the termination measure."""
+
+
+def braid_closure(word: str) -> frozenset[str]:
+    """All words reachable from ``word`` by braid moves abab <-> baba.
+
+    For a reduced input this is the full set of reduced expressions of the
+    element (Tits' word theorem; every m equals 4 here).
+    """
+    seen = {word}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        n = len(w)
+        for i in range(n - 3):
+            a = w[i]
+            b = w[i + 1]
+            if a != b and w[i + 2] == a and w[i + 3] == b:
+                v = w[:i] + b + a + b + a + w[i + 4:]
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return frozenset(seen)
+
+
+def _measure(word: list[int], k: int) -> tuple:
+    # lexicographic termination measure: (I_{k-1}, ..., I_1, len), where
+    # I_a counts inversions whose left (larger) letter is a
+    inv = [0] * k
+    n = len(word)
+    for p in range(n):
+        a = word[p]
+        for q in range(p + 1, n):
+            if word[q] < a:
+                inv[a] += 1
+    return tuple(inv[k - 1:0:-1]) + (n,)
+
+
+def _collect(word: list[int], k: int, comm: bytes, check: bool) -> int:
+    # the loop behind collect_seq, collect_mul and collect_inv, shared
+    # privately so that wrapping one public name (as a tracer does) never
+    # sees calls made through another; rewrites ``word`` in place
+    prev = _measure(word, k) if check else None
+    while True:
+        n = len(word)
+        pos = -1
+        for i in range(n - 1):
+            if word[i] >= word[i + 1]:
+                pos = i
+                break
+        if pos < 0:
+            break
+        a = word[pos]
+        b = word[pos + 1]
+        if a == b:
+            del word[pos:pos + 2]
+        else:
+            base = (b * k + a) * 3
+            cnt = comm[base]
+            mid = [comm[base + 1 + t] for t in range(cnt)]
+            for m in mid:
+                if not (b < m < a):
+                    raise CollectionOrderError(
+                        f"insertion {m} not strictly between {b} and {a}")
+            word[pos:pos + 2] = [b, *mid, a]
+        if check:
+            cur = _measure(word, k)
+            if not cur < prev:
+                raise CollectionMeasureError(
+                    f"collection measure failed to decrease: {prev} -> {cur}")
+            prev = cur
+    mask = 0
+    for a in word:
+        mask |= 1 << a
+    return mask
+
+
+def collect_seq(seq, k: int, comm: bytes, check: bool = False) -> int:
+    """Normal-form bitmask of a product of involutive generators.
+
+    Letters are generator indices 0..k-1 ordered by the crossing order of
+    the underlying gallery.  Rules: adjacent equal letters cancel; an
+    adjacent descent (j, i) with j > i rewrites to (i, m..., j) where m is
+    the commutator insertion for the pair (i, j).  The leftmost violation
+    is always rewritten first, which makes the termination measure
+    strictly decrease; under ``check`` every step is verified and a
+    failure raises CollectionMeasureError.
+    """
+    return _collect(list(seq), k, comm, check)
+
+
+def _mask_letters(mask: int, k: int) -> list[int]:
+    return [i for i in range(k) if mask >> i & 1]
+
+
+def collect_mul(x: int, y: int, k: int, comm: bytes, check: bool = False) -> int:
+    """Product of two normal-form masks."""
+    return _collect(_mask_letters(x, k) + _mask_letters(y, k), k, comm, check)
+
+
+def collect_inv(x: int, k: int, comm: bytes, check: bool = False) -> int:
+    """Inverse of a normal-form mask (reverse the letters; all are involutions)."""
+    return _collect(_mask_letters(x, k)[::-1], k, comm, check)

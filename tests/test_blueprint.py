@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from coxkit import wordops
 from coxkit.blueprint import (BlueprintError, GroupCache, GroupMono,
                               gallery_independence, intersect_subgroups,
                               subgroup)
@@ -60,6 +61,16 @@ def test_cb3_and_bijection(ctx, cache):
         grp.certify_order(all_galleries=True)
 
 
+def test_tables_match_direct_collection(ctx, cache):
+    groups = [cache.group(w) for w in ctx.ball(5)]
+    # the galleries gallery_independence compares against the canonical one
+    groups += [cache.group("stst", h) for h in ctx.min_galleries("stst")]
+    for g in groups:
+        for x in g.elements():
+            for y in g.elements():
+                assert g.mul(x, y) == wordops.collect_mul(x, y, g.k, g._comm)
+
+
 def test_collection_checked_mode(ctx):
     from coxkit.roots import RootSystem
     checked = GroupCache(ctx, RootSystem(ctx), check_measure=True)
@@ -68,6 +79,7 @@ def test_collection_checked_mode(ctx):
     for _ in range(200):
         x, y = rng.randrange(g.order), rng.randrange(g.order)
         assert g.mul(g.mul(x, y), g.inv(y)) == x
+        assert g.mul(x, g.inv(x)) == g.mul(g.inv(x), x) == g.identity
 
 
 def test_gallery_independence(ctx, cache):

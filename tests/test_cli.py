@@ -89,32 +89,3 @@ def test_verify_quadrangle_and_report_determinism(tmp_path, capsys):
     d2 = strip(json.loads(out2.read_text()))
     assert d1 == d2
 
-
-def test_cache_roundtrip(tmp_path, capsys):
-    cachedir = tmp_path / "cache"
-    assert run_cli(["--cache-dir", str(cachedir), "reduce",
-                    "--word", "u_sr,u_t"]) == 0
-    assert (cachedir / "normal_forms.tsv").exists()
-    first = capsys.readouterr().out
-    # second run seeded from the cache gives identical output
-    assert run_cli(["--cache-dir", str(cachedir), "reduce",
-                    "--word", "u_sr,u_t"]) == 0
-    assert capsys.readouterr().out == first
-    # and results are identical with the cache deleted
-    (cachedir / "normal_forms.tsv").unlink()
-    assert run_cli(["reduce", "--word", "u_sr,u_t"]) == 0
-    assert capsys.readouterr().out == first
-
-
-def test_cache_format(tmp_path):
-    from coxkit.cache import load, save
-    from coxkit.coxeter import Coxeter
-    ctx = Coxeter()
-    ctx.normalize("tsts")
-    path = save(ctx, str(tmp_path))
-    lines = open(path).read().splitlines()
-    assert lines[0].startswith("coxkit-normal-forms\tv1\torder=rst")
-    assert any("\t" in line for line in lines[1:])
-    fresh = Coxeter()
-    assert load(fresh, str(tmp_path)) > 0
-    assert fresh.normalize("tsts") == ctx.normalize("tsts")

@@ -1,36 +1,34 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from coxkit import _wordops_py as py
+from coxkit import wordops
 from coxkit.wordops import CollectionOrderError
-
-try:
-    from coxkit import _wordops_c as cc
-except ImportError:
-    cc = None
 
 
 def test_braid_closure_dihedral():
-    assert py.braid_closure("stst") == frozenset({"stst", "tsts"})
-    assert py.braid_closure("st") == frozenset({"st"})
-    assert py.braid_closure("") == frozenset({""})
+    assert wordops.braid_closure("stst") == frozenset({"stst", "tsts"})
+    assert wordops.braid_closure("st") == frozenset({"st"})
+    assert wordops.braid_closure("") == frozenset({""})
 
 
 def test_braid_closure_rank3():
-    closure = py.braid_closure("rst")
+    closure = wordops.braid_closure("rst")
     assert closure == frozenset({"rst"})
     # one move deep inside a longer word
-    assert "tstsr" in py.braid_closure("ststr")
+    assert "tstsr" in wordops.braid_closure("ststr")
 
 
 NOCOMM = bytes(3 * 4 * 4)
 
 
 def test_collect_cancellation():
-    assert py.collect_seq([0, 0], 4, NOCOMM) == 0
-    assert py.collect_seq([1, 0, 0, 1], 4, NOCOMM) == 0
-    assert py.collect_seq([2, 1], 4, NOCOMM) == 0b110
+    assert wordops.collect_seq([0, 0], 4, NOCOMM) == 0
+    assert wordops.collect_seq([1, 0, 0, 1], 4, NOCOMM) == 0
+    assert wordops.collect_seq([2, 1], 4, NOCOMM) == 0b110
 
 
 def test_collect_insertion():
@@ -41,11 +39,11 @@ def test_collect_insertion():
     comm[base + 1] = 1
     comm[base + 2] = 2
     comm = bytes(comm)
-    assert py.collect_seq([3, 0], 4, comm) == 0b1111
-    assert py.collect_seq([0, 3], 4, comm) == 0b1001
+    assert wordops.collect_seq([3, 0], 4, comm) == 0b1111
+    assert wordops.collect_seq([0, 3], 4, comm) == 0b1001
     # involution squares away
-    x = py.collect_seq([3, 0, 3, 0], 4, comm)
-    assert py.collect_seq(
+    x = wordops.collect_seq([3, 0, 3, 0], 4, comm)
+    assert wordops.collect_seq(
         [i for i in range(4) if x >> i & 1] * 2, 4, comm) == 0
 
 
@@ -55,7 +53,7 @@ def test_collect_order_violation():
     comm[base] = 1
     comm[base + 1] = 3   # not strictly between 0 and 1
     with pytest.raises(CollectionOrderError):
-        py.collect_seq([1, 0], 4, bytes(comm))
+        wordops.collect_seq([1, 0], 4, bytes(comm))
 
 
 def test_collect_measure_assertions():
@@ -67,19 +65,29 @@ def test_collect_measure_assertions():
     rng = random.Random(1)
     for _ in range(300):
         seq = [rng.randrange(4) for _ in range(rng.randint(0, 10))]
-        assert py.collect_seq(seq, 4, bytes(comm), check=True) \
-            == py.collect_seq(seq, 4, bytes(comm), check=False)
+        assert wordops.collect_seq(seq, 4, bytes(comm), check=True) \
+            == wordops.collect_seq(seq, 4, bytes(comm), check=False)
 
 
-@pytest.mark.skipif(cc is None, reason="compiled kernel not built")
-def test_kernel_parity(ctx, cache):
-    rng = random.Random(5)
-    for w in ctx.ball(6):
-        assert py.braid_closure(w) == cc.braid_closure(w)
-        g = cache.group(w)
-        for _ in range(40):
-            x, y = rng.randrange(g.order), rng.randrange(g.order)
-            assert py.collect_mul(x, y, g.k, g._comm) \
-                == cc.collect_mul(x, y, g.k, g._comm)
-            assert py.collect_inv(x, g.k, g._comm) \
-                == cc.collect_inv(x, g.k, g._comm)
+# run under -O, where an assert would be stripped: a measure that never
+# decreases must still stop the collection
+MEASURE_UNDER_O = """
+import sys
+from coxkit import wordops
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+wordops._measure = lambda word, k: (0,)
+try:
+    wordops.collect_seq([1, 0], 4, bytes(48), check=True)
+except wordops.CollectionMeasureError:
+    print("raised")
+"""
+
+
+def test_collect_measure_survives_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-O", "-c", MEASURE_UNDER_O],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         stdout=subprocess.PIPE, text=True, timeout=60)
+    assert out.returncode == 0 and out.stdout.strip() == "raised"
