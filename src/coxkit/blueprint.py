@@ -21,11 +21,10 @@ of order >= 2^k.  Both together pin |U_w| = 2^k exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from coxkit import wordops
 from coxkit.coxeter import Coxeter, Gallery
 from coxkit.roots import Root, RootSystem
+from coxkit.treeprod import Subgroup, closure_words
 
 TABLE_CAP = 256
 
@@ -122,9 +121,6 @@ class BlueprintGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def key(self, x: int):
-        return x
-
     def generator(self, i: int) -> int:
         return 1 << i
 
@@ -190,38 +186,15 @@ class BlueprintGroup:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    ambient: BlueprintGroup
-    elements: frozenset
-    gens: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.elements
-
-
-def subgroup(ambient: BlueprintGroup, gen_masks) -> Subgroup:
-    gens = tuple(gen_masks)
-    elems = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = ambient.mul(g, x)
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    return Subgroup(ambient, frozenset(elems), gens)
+def subgroup(ambient: BlueprintGroup, gen_masks, name: str = "") -> Subgroup:
+    return Subgroup(ambient, closure_words(ambient.mul, ambient.identity,
+                                           tuple(gen_masks)), name)
 
 
 def intersect_subgroups(a: Subgroup, b: Subgroup) -> Subgroup:
-    if a.ambient is not b.ambient:
+    if a.parent is not b.parent:
         raise ValueError("subgroup intersection requires a common ambient group")
-    return Subgroup(a.ambient, a.elements & b.elements, ())
+    return Subgroup(a.parent, [x for x in a.elements() if x in b])
 
 
 class GroupMono:
@@ -306,7 +279,8 @@ class GroupCache:
                 raise ValueError(f"{gate!r} is not the gate of a {u}{v}-residue")
         ambient = self.group(ctx.mult(gate, ctx.longest({u, v})))
         gen_roots = set(self.phi(ctx.mult(gate, u))) | set(self.phi(ctx.mult(gate, v)))
-        return subgroup(ambient, [ambient.root_mask(root) for root in gen_roots])
+        return subgroup(ambient, [ambient.root_mask(root) for root in gen_roots],
+                        f"V[{gate}|{u}{v}]")
 
 
 def gallery_independence(cache: GroupCache, w: str) -> bool:

@@ -223,7 +223,7 @@ def cmd_nf(args) -> int:
     try:
         builder, specs, product = _parse_tree_file(args.tree)
         letters = _parse_nf_word(builder, specs, args.word)
-    except (UsageError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:   # UsageError, bad tree files
         print(f"error: {exc}", file=sys.stderr)
         return 2
     el = product.eval_word(letters)

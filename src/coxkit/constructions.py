@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from coxkit.blueprint import BlueprintGroup, GroupCache
 from coxkit.certs import Certificate
 from coxkit.coxeter import Coxeter, Residue
-from coxkit.treeprod import Edge, SubgroupAsGroup, TreeOfGroups
+from coxkit.treeprod import Edge, Subgroup, TreeOfGroups, closure_words
 
 KINDS = ("V_R", "O_R", "V_Rs", "O_Rs", "H_R", "K_Rs")
 
@@ -112,32 +112,22 @@ class Builder:
         key = (gate, u, v)
         got = self._vgroup_cache.get(key)
         if got is None:
-            ambient = self.cache.group(ctx.mult(gate, ctx.longest({u, v})))
+            grp = self.cache.v_subgroup(gate, (u, v))
+            if grp.order * 2 != grp.parent.order:
+                raise PreconditionError(f"{grp.name} does not have index 2")
             roots = (frozenset(self.cache.phi(ctx.mult(gate, u)))
                      | frozenset(self.cache.phi(ctx.mult(gate, v))))
-            elems = self.subgroup_in(ambient, roots)
-            grp = SubgroupAsGroup(ambient, elems, f"V[{gate}|{u}{v}]")
-            assert grp.order * 2 == ambient.order, "V must have index 2"
-            got = (grp, ambient, roots)
+            got = (grp, roots)
             self._vgroup_cache[key] = got
-        grp, ambient, roots = got
-        return VertexSpec(name, grp.name, grp, ambient, roots)
+        grp, roots = got
+        return VertexSpec(name, grp.name, grp, grp.parent, roots)
 
     def subgroup_in(self, ambient: BlueprintGroup, roots) -> frozenset:
         key = (id(ambient), frozenset(roots))
         got = self._subgroup_cache.get(key)
         if got is None:
             gens = [ambient.root_mask(root) for root in roots]
-            elems = {0}
-            frontier = [0]
-            while frontier:
-                x = frontier.pop()
-                for gmask in gens:
-                    y = ambient.mul(gmask, x)
-                    if y not in elems:
-                        elems.add(y)
-                        frontier.append(y)
-            got = frozenset(elems)
+            got = frozenset(closure_words(ambient.mul, ambient.identity, gens))
             self._subgroup_cache[key] = got
         return got
 
@@ -159,35 +149,24 @@ class Builder:
             raise PreconditionError(
                 f"no common generating roots between {a.label} and {b.label}")
         gens = sorted(common, key=lambda root: (root.refl, root.positive))
-        amask = [a.ambient.root_mask(root) for root in gens]
-        bmask = [b.ambient.root_mask(root) for root in gens]
-        words = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gi, gmask in enumerate(amask):
-                    y = a.ambient.mul(x, gmask)
-                    if y not in words:
-                        words[y] = words[x] + (gi,)
-                        nxt.append(y)
-            frontier = sorted(nxt)
-        elems = sorted(words)
-        group = SubgroupAsGroup(a.ambient, elems,
-                                f"E[{a.label}^{b.label}]")
+        amb_a, amb_b = a.ambient, b.ambient
+        words = closure_words(amb_a.mul, amb_a.identity,
+                              [amb_a.root_mask(root) for root in gens])
+        group = Subgroup(amb_a, words, f"E[{a.label}^{b.label}]")
+        bmask = [amb_b.root_mask(root) for root in gens]
         into_a = {}
         into_b = {}
-        for x in elems:
+        for x in group.elements():
             into_a[x] = x
-            acc = 0
+            acc = amb_b.identity
             for gi in words[x]:
-                acc = b.ambient.mul(acc, bmask[gi])
+                acc = amb_b.mul(acc, bmask[gi])
             into_b[x] = acc
-        for x in elems:
-            if hasattr(a.group, "__contains__"):
-                assert into_a[x] in a.group, "edge not inside left vertex group"
-            if hasattr(b.group, "__contains__"):
-                assert into_b[x] in b.group, "edge not inside right vertex group"
+        for side, mapping in ((a, into_a), (b, into_b)):
+            if hasattr(side.group, "__contains__") and \
+                    any(y not in side.group for y in mapping.values()):
+                raise PreconditionError(
+                    f"edge {group.name} is not inside {side.label}")
         return Edge(a.name, b.name, group, into_a, into_b)
 
     # -- the constructions ---------------------------------------------------

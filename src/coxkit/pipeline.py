@@ -18,8 +18,9 @@ from coxkit.constructions import (Builder, PreconditionError, classify_residue,
                                   harvest_relations, pair_labelings,
                                   residue_letters, roots_violated)
 from coxkit.coxeter import Residue
-from coxkit.treeprod import (Edge, SubgroupAsGroup, TreeOfGroups, TreeProduct,
-                             check_subtree_conditions, contract, fold)
+from coxkit.treeprod import (Edge, Subgroup, TreeOfGroups, TreeProduct,
+                             check_subtree_conditions, closure_words, contract,
+                             fold)
 
 SAMPLES = 400
 
@@ -89,9 +90,9 @@ class Section4:
                         continue
                     if prev is not None:
                         e = tog.edge_between(prev, v)
-                        banned = {product.key(product.include(v, y))
+                        banned = {product.include(v, y)
                                   for y in e.endpoint_map(v).values()}
-                        if product.key(product.include(v, x)) in banned:
+                        if product.include(v, x) in banned:
                             continue
                     pool.append(x)
                 if not pool:
@@ -204,7 +205,7 @@ class Section4:
         # chain A: fold V_{R,s} at U[w_R sr], contract the rest to V_R
         u_gsds = vrs.specs[0].group
         h_elems = b.image_of_u(m(g, s, d), u_gsds)
-        H = SubgroupAsGroup(u_gsds, h_elems, f"U[{m(g, s, d)}]")
+        H = Subgroup(u_gsds, h_elems, f"U[{m(g, s, d)}]")
         edge_img = frozenset(
             vrs.tog.edges[0].into_u[c]
             for c in vrs.tog.edges[0].group.elements())
@@ -231,13 +232,13 @@ class Section4:
             groups[id(H)] = "v0"
             for grp, val in outer.flatten(el2, deep=True):
                 back.append((groups[id(grp)], val))
-            if full.key(full.eval_word(back)) != full.key(el):
+            if full.eval_word(back) != el:
                 ok = False
                 break
         cert.check("fold/contract translation round-trips on sampled words", ok)
         # chain B for O_{R,s}
         u0 = ors.specs[0].group
-        H2 = SubgroupAsGroup(u0, b.image_of_u(m(g, s, d), u0), f"U[{m(g,s,d)}]")
+        H2 = Subgroup(u0, b.image_of_u(m(g, s, d), u0), f"U[{m(g,s,d)}]")
         tog2b = fold(ors.tog, "v0", "v1", H2, "x")
         tog3b, nameb, subb = contract(tog2b, {"x", "v1", "v2", "v3"})
         cert.check("contract the folded tail of O_Rs to an O_R-shaped product",
@@ -457,7 +458,7 @@ class Section4:
         sts_img = b.image_of_u(m(g, s, t, s), amb2)
         cert.check("U[w_R st] <= U[w_R sts] inside U[w_R r_J]",
                    b.image_of_u(m(g, s, t), amb2) <= sts_img)
-        H = SubgroupAsGroup(ors.specs[2].group, sts_img, f"U[{m(g,s,t,s)}]")
+        H = Subgroup(ors.specs[2].group, sts_img, f"U[{m(g,s,t,s)}]")
         tog2 = fold(ors.tog, "v2", "v1", H, "x")
         tog3, vtname, vtsub = contract(tog2, {"v0", "v1", "x"})
         cert.check("contracting the folded head of O_Rs gives a V_T-shaped "
@@ -521,23 +522,13 @@ class Section4:
         out = []
         amb0 = krs.specs[0].ambient
         srt_img = b.image_of_u(m(g, s, d, t), amb0)
-        eg = SubgroupAsGroup(amb0, srt_img, f"U[{m(g,s,d,t)}]")
+        eg = Subgroup(amb0, srt_img, f"U[{m(g,s,d,t)}]")
         # map srt-image into the V[w_R sr|st] ambient by matching roots
         roots = sorted(self.cache.phi(m(g, s, d, t)),
                        key=lambda root: (root.refl, root.positive))
-        amask = [amb0.root_mask(root) for root in roots]
+        words = closure_words(amb0.mul, amb0.identity,
+                              [amb0.root_mask(root) for root in roots])
         bmask = [vsd.ambient.root_mask(root) for root in roots]
-        words = {0: ()}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gi, gm in enumerate(amask):
-                    y = amb0.mul(x, gm)
-                    if y not in words:
-                        words[y] = words[x] + (gi,)
-                        nxt.append(y)
-            frontier = sorted(nxt)
         into_k = {}
         into_v = {}
         for x in sorted(words):
@@ -772,7 +763,7 @@ class Section4:
             rhs = prod.identity
             for c in mids:
                 rhs = prod.mul(rhs, prod.include(*root_home[c]))
-            if prod.key(lhs) != prod.key(rhs):
+            if lhs != rhs:
                 ok = False
                 break
         cert.check("every harvested relation of the U_w, w <= srs or tr, "

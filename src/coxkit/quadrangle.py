@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from coxkit.coxeter import Coxeter, standard_coxeter
 from coxkit.lemmas import SweepReport
+from coxkit.treeprod import closure_words
 
 # 4x4 matrices over F2 as 16-bit ints, row-major, row i = bits 4i..4i+3.
 IDENT = 0x8421  # rows 1000 0100 0010 0001 -> bits: e_i in column i
@@ -165,18 +166,6 @@ class TwinModel:
                         return
         raise CalibrationError("no generator labeling satisfies the diagram")
 
-    def _closure(self, gens) -> set:
-        out = {IDENT}
-        frontier = [IDENT]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = mat_mul(x, g)
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
-        return out
-
     def _diagram_holds(self) -> bool:
         try:
             rep = self._verify_diagram_raw()
@@ -288,22 +277,10 @@ class TwinModel:
         return mat_mul(w, mat_mul(self.u_of(letter), self.inv[w]))
 
     def v_group_words(self) -> dict:
-        """All elements of <u_s, u_t> keyed by matrix, valued by a word
-        over the two letters reaching them (BFS, shortest first)."""
-        s, t = self.letters
-        gens = {s: self._u0, t: self._u1}
-        words = {IDENT: ""}
-        frontier = [IDENT]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for ch, g in gens.items():
-                    y = mat_mul(m, g)
-                    if y not in words:
-                        words[y] = words[m] + ch
-                        nxt.append(y)
-            frontier = nxt
-        return words
+        """All elements of <u_s, u_t> keyed by matrix, valued by a shortest
+        word over the two letters reaching them."""
+        words = closure_words(mat_mul, IDENT, (self._u0, self._u1))
+        return {m: "".join(self.letters[i] for i in w) for m, w in words.items()}
 
     def v_element(self, word: str) -> int:
         m = IDENT
@@ -376,7 +353,7 @@ class TwinModel:
         t0 = time.perf_counter()
         s, t = self.letters
         us, ut = self._u0, self._u1
-        v_elems = self._closure((us, ut))
+        v_elems = closure_words(mat_mul, IDENT, (us, ut))
         rep.tuples_checked += 1
         if len(v_elems) != 8:
             rep.violations.append({"check": "order of <u_s,u_t>",

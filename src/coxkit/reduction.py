@@ -19,7 +19,7 @@ from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate
 from coxkit.coxeter import standard_coxeter
 from coxkit.quadrangle import build_model, mat_mul
-from coxkit.treeprod import Edge, SubgroupAsGroup, TreeOfGroups, TreeProduct
+from coxkit.treeprod import Edge, TreeOfGroups, TreeProduct, closure_words
 
 SR, TR, RT, RTTR = "u_sr", "u_tr", "u_rt", "u_rt*u_tr"
 G_LETTERS = (SR, TR, RT, RTTR)
@@ -39,6 +39,10 @@ class TraceError(RuntimeError):
     pass
 
 
+class ReductionError(RuntimeError):
+    """The rewriting broke one of its invariants."""
+
+
 class TheoremSetup:
     """Groups, tree product and model data for the standard labeling."""
 
@@ -49,8 +53,7 @@ class TheoremSetup:
         self.U_sr = cache.group("sr")
         self.U_trt = cache.group("trt")
         self.ambientV = cache.group("stst")
-        vsub = cache.v_subgroup("", "st")
-        self.V = SubgroupAsGroup(self.ambientV, vsub.elements, "V")
+        self.V = cache.v_subgroup("", "st")
         amb = self.ambientV
         self.us = amb.root_mask(amb.roots[0])
         self.ut = amb.root_mask(amb.roots[3])
@@ -68,28 +71,18 @@ class TheoremSetup:
         self.tog = TreeOfGroups({"0": self.U_sr, "1": self.V, "2": self.U_trt},
                                 [e1, e2])
         self.product = TreeProduct(self.tog, name="U_sr*V*U_trt")
-        # commutations the rewriting relies on, asserted once
-        assert self.U_sr.mul(self.u_sr, self.U_sr.root_mask(self.U_sr.roots[0])) \
-            == self.U_sr.mul(self.U_sr.root_mask(self.U_sr.roots[0]), self.u_sr)
-        for g in (self.u_tr, self.u_rt):
-            assert self.U_trt.mul(g, self.u_t_trt) == self.U_trt.mul(self.u_t_trt, g)
-        assert self.U_trt.mul(self.u_tr, self.u_rt) == self.U_trt.mul(self.u_rt, self.u_tr)
-        self._v_words = self._build_v_words()
-
-    def _build_v_words(self) -> dict:
-        words = {0: ""}
-        frontier = [0]
-        gens = {"s": self.us, "t": self.ut}
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for ch, g in gens.items():
-                    y = self.ambientV.mul(m, g)
-                    if y not in words:
-                        words[y] = words[m] + ch
-                        nxt.append(y)
-            frontier = nxt
-        return words
+        # commutations the rewriting relies on, checked once
+        u_s_sr = self.U_sr.root_mask(self.U_sr.roots[0])
+        for grp, x, y in ((self.U_sr, self.u_sr, u_s_sr),
+                          (self.U_trt, self.u_tr, self.u_t_trt),
+                          (self.U_trt, self.u_rt, self.u_t_trt),
+                          (self.U_trt, self.u_tr, self.u_rt)):
+            if grp.mul(x, y) != grp.mul(y, x):
+                raise ReductionError(
+                    f"the rewriting needs {x} and {y} to commute in {grp!r}")
+        words = closure_words(self.ambientV.mul, self.ambientV.identity,
+                              (self.us, self.ut))
+        self._v_words = {m: "".join("st"[i] for i in w) for m, w in words.items()}
 
     # -- words -------------------------------------------------------------
 
@@ -137,10 +130,11 @@ class TheoremSetup:
 
     def reduce(self, word):
         """Rewrite to constrained form; the pair count drops every step and
-        the image in the tree product never changes (asserted)."""
+        the image in the tree product never changes (checked, raising
+        ReductionError)."""
         h0, pairs = word
         pairs = list(pairs)
-        before = self.product.key(self.eval_word((h0, tuple(pairs))))
+        before = self.eval_word((h0, tuple(pairs)))
         V = self.ambientV
         steps = 0
         while True:
@@ -177,8 +171,10 @@ class TheoremSetup:
                 pairs[i:i + 2] = [(gg, h2)]
             steps += 1
         out = (h0, tuple(pairs))
-        assert self.product.key(self.eval_word(out)) == before, "reduction changed the element"
-        assert self.constrained(out)
+        if self.eval_word(out) != before:
+            raise ReductionError("reduction changed the element")
+        if not self.constrained(out):
+            raise ReductionError("reduction left the word unconstrained")
         return out, steps
 
     def enumerate_constrained(self, max_pairs: int):

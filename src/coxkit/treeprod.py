@@ -1,15 +1,21 @@
 """Trees of finite groups and the word problem in their tree products.
 
-Vertex groups are "computable groups": objects with identity, mul, inv,
-key (a deterministic string token) and, when finite, elements().  Edge
-groups must be finite.  A tree product is realized by contracting edges
-one at a time, each contraction an amalgamated product whose elements are
-canonical normal forms c * t1 * ... * tn with alternating transversal
-letters; uniqueness is the classical normal form theorem, and it needs
-nothing beyond a canonical coset representative per edge-group coset,
-chosen here as the key-least element (preferring a designated priority
-subgroup when one is installed, which is what makes membership in a
-compatible subgroup family readable off the letters).
+Vertex groups are "computable groups": objects with identity, mul, inv
+and, when finite, elements().  Their elements are canonical and hashable
+(ints for the blueprint groups and their subgroups, ("nf", carry,
+letters) tuples for amalgams and tree products), so equal elements
+compare equal and every element is its own dict key.  Edge groups must be
+finite.  A tree product is realized by contracting edges one at a time,
+each contraction an amalgamated product whose elements are canonical
+normal forms c * t1 * ... * tn with alternating transversal letters;
+uniqueness is the classical normal form theorem, and it needs nothing
+beyond a canonical coset representative per edge-group coset, chosen here
+as the least element in the fixed order of _rank (preferring a designated
+priority subgroup when one is installed, which is what makes membership
+in a compatible subgroup family readable off the letters).
+
+closure_words enumerates a finite subgroup from generators, and Subgroup
+promotes a finite subset of a group to a computable group of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 __all__ = [
-    "SubgroupAsGroup", "Edge", "TreeOfGroups", "Amalgam", "TreeProduct",
+    "Subgroup", "closure_words", "Edge", "TreeOfGroups", "Amalgam", "TreeProduct",
     "contract", "fold", "check_subtree_conditions", "ball_intersection",
     "TreeError",
 ]
@@ -28,20 +34,50 @@ class TreeError(ValueError):
     pass
 
 
-class SubgroupAsGroup:
-    """A finite subgroup handle promoted to a standalone computable group."""
+def closure_words(mul, identity, gens) -> dict:
+    """Every element of the finite group generated by gens, mapped to a
+    shortest word: a tuple of indices into gens whose product, multiplied
+    on the right starting from the identity, is that element.
+
+    Breadth first, each level in discovery order and the generators tried
+    in the given order, so each element gets the first shortest word in
+    that order and the dict lists the elements in that order.
+    """
+    words = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i, g in enumerate(gens):
+                y = mul(x, g)
+                if y not in words:
+                    words[y] = words[x] + (i,)
+                    nxt.append(y)
+        frontier = nxt
+    return words
+
+
+class Subgroup:
+    """A finite subgroup of a computable group, itself a computable group.
+
+    Construction checks that elems hold the identity and are closed under
+    inverses and products, and raises TreeError otherwise.
+    """
 
     def __init__(self, parent, elems, name: str = ""):
         self.parent = parent
-        self._elems = tuple(sorted(elems, key=parent.key))
-        self._set = frozenset(self._elems)
+        self._set = frozenset(elems)
+        self._elems = tuple(sorted(self._set))
         self.name = name
         self.identity = parent.identity
-        assert self.identity in self._set
+        if self.identity not in self._set:
+            raise TreeError(f"{self!r} does not contain the identity")
         for x in self._elems:
-            assert parent.inv(x) in self._set
+            if parent.inv(x) not in self._set:
+                raise TreeError(f"{self!r} is not closed under inverses")
             for y in self._elems:
-                assert parent.mul(x, y) in self._set, "not closed"
+                if parent.mul(x, y) not in self._set:
+                    raise TreeError(f"{self!r} is not closed under products")
 
     @property
     def order(self) -> int:
@@ -56,20 +92,23 @@ class SubgroupAsGroup:
     def inv(self, x):
         return self.parent.inv(x)
 
-    def key(self, x) -> str:
-        return self.parent.key(x) if isinstance(self.parent.key(x), str) \
-            else repr(self.parent.key(x))
-
     def __contains__(self, x) -> bool:
         return x in self._set
 
     def __repr__(self) -> str:
-        return self.name or f"SubgroupAsGroup(order {self.order})"
+        return self.name or f"Subgroup(order {self.order})"
 
 
-def _key_of(group, x) -> str:
-    k = group.key(x)
-    return k if isinstance(k, str) else repr(k)
+def _rank(x) -> str:
+    """The fixed order in which the least coset element is chosen: repr
+    for an int, the letters' ranks joined for an ("nf", carry, letters)
+    normal form."""
+    if isinstance(x, tuple):
+        _, carry, letters = x
+        parts = [_rank(carry)]
+        parts.extend(f"{side}:{_rank(v)}" for side, v in letters)
+        return "nf[" + "|".join(parts) + "]"
+    return repr(x)
 
 
 @dataclass
@@ -133,13 +172,13 @@ class TreeOfGroups:
                     issues.append(f"boundary map {e.u}-{e.v} into {vertex}: "
                                   "domain mismatch")
                     continue
-                if len({_key_of(G, mapping[c]) for c in elems}) != len(elems):
+                if len({mapping[c] for c in elems}) != len(elems):
                     issues.append(f"boundary map into {vertex} not injective")
                 for c in elems:
                     for d in elems:
                         lhs = mapping[e.group.mul(c, d)]
                         rhs = G.mul(mapping[c], mapping[d])
-                        if _key_of(G, lhs) != _key_of(G, rhs):
+                        if lhs != rhs:
                             issues.append(
                                 f"boundary map into {vertex} not a homomorphism")
                             break
@@ -163,10 +202,8 @@ class Amalgam:
         self.C = C
         self.embed_maps = (c_into_a, c_into_b)
         self.priority = priority   # per side: None or rank callable -> tuple
-        self._unembed = (
-            {_key_of(A, v): c for c, v in c_into_a.items()},
-            {_key_of(B, v): c for c, v in c_into_b.items()},
-        )
+        self._unembed = tuple({v: c for c, v in m.items()}
+                              for m in (c_into_a, c_into_b))
         self._decomp_cache: dict = {}
         self.identity = ("nf", C.identity, ())
 
@@ -176,20 +213,19 @@ class Amalgam:
     def _decompose(self, side: int, x):
         """x = embed(c) * tau with tau the canonical rep of the coset Cx."""
         G = self.sides[side]
-        cache_key = (side, _key_of(G, x))
-        got = self._decomp_cache.get(cache_key)
+        got = self._decomp_cache.get((side, x))
         if got is None:
             rank_fn = self.priority[side]
             best = None
             for c in self.C.elements():
                 tau = G.mul(self.embed(c, side), x)
                 rank = ((rank_fn(tau) if rank_fn is not None else ()),
-                        _key_of(G, tau))
+                        _rank(tau))
                 if best is None or rank < best[0]:
                     best = (rank, c, tau)
             _, c, tau = best
             got = (self.C.inv(c), tau)
-            self._decomp_cache[cache_key] = got
+            self._decomp_cache[(side, x)] = got
         return got
 
     def nf(self, letters) -> tuple:
@@ -208,10 +244,9 @@ class Amalgam:
             while True:
                 if stack and stack[-1][0] == side:
                     x = G.mul(x, stack.pop()[1])
-                key = _key_of(G, x)
-                if key == _key_of(G, G.identity):
+                if x == G.identity:
                     break
-                un = self._unembed[side].get(key)
+                un = self._unembed[side].get(x)
                 if un is not None:
                     carry = un
                     break
@@ -237,13 +272,6 @@ class Amalgam:
         for side, v in reversed(self.letters_of(x)):
             out.append((side, self.sides[side].inv(v)))
         return self.nf(out)
-
-    def key(self, x) -> str:
-        tag, carry, letters = x
-        parts = [_key_of(self.C, carry)]
-        parts.extend(f"{side}:{_key_of(self.sides[side], v)}"
-                     for side, v in letters)
-        return "nf[" + "|".join(parts) + "]"
 
     def include(self, side: int, x):
         return self.nf([(side, x)])
@@ -360,11 +388,8 @@ class TreeProduct:
     def inv(self, x):
         return self.group.inv(x)
 
-    def key(self, x) -> str:
-        return _key_of(self.group, x)
-
     def is_identity(self, x) -> bool:
-        return self.key(x) == _key_of(self.group, self.identity)
+        return x == self.identity
 
     def elements(self):
         raise TreeError("tree products are not enumerable")
@@ -376,20 +401,19 @@ class TreeProduct:
             if deep and isinstance(group, TreeProduct):
                 group._flatten(group.group, el, out, deep)
                 return
-            if _key_of(group, el) != _key_of(group, group.identity):
+            if el != group.identity:
                 out.append((group, el))
             return
         if isinstance(group, Amalgam):
             tag, carry, letters = el
-            if _key_of(group.C, carry) != _key_of(group.C, group.C.identity):
+            if carry != group.C.identity:
                 self._flatten(group.sides[0], group.embed(carry, 0), out, deep)
             for side, v in letters:
                 self._flatten(group.sides[side], v, out, deep)
         elif isinstance(group, TreeProduct):
             group._flatten(group.group, el, out, deep)
-        else:
-            if _key_of(group, el) != _key_of(group, group.identity):
-                out.append((group, el))
+        elif el != group.identity:
+            out.append((group, el))
 
     def flatten(self, el, deep: bool = False) -> list:
         """Nontrivial vertex-group letters whose product is el.
@@ -402,7 +426,7 @@ class TreeProduct:
         for group, v in out:
             if merged and merged[-1][0] is group:
                 v = group.mul(merged.pop()[1], v)
-            if _key_of(group, v) != _key_of(group, group.identity):
+            if v != group.identity:
                 merged.append((group, v))
         return merged
 
@@ -469,10 +493,9 @@ class TreeProduct:
         images = self._vertex_images.get(vertex)
         if images is None:
             G = self.tog.vertices[vertex]
-            images = {self.key(self.include(vertex, x)): x
-                      for x in G.elements()}
+            images = {self.include(vertex, x): x for x in G.elements()}
             self._vertex_images[vertex] = images
-        return images.get(self.key(el))
+        return images.get(el)
 
     # -- batteries ----------------------------------------------------------
 
@@ -488,11 +511,10 @@ class TreeProduct:
             G = tog.vertices[v]
             elems = list(G.elements())
             if prev is None:
-                banned = {_key_of(G, G.identity)}
+                banned = {G.identity}
             else:
-                e = tog.edge_between(prev, v)
-                banned = {_key_of(G, x) for x in e.endpoint_map(v).values()}
-            pool = [x for x in elems if _key_of(G, x) not in banned]
+                banned = set(tog.edge_between(prev, v).endpoint_map(v).values())
+            pool = [x for x in elems if x not in banned]
             if not pool:
                 break
             word.append((v, rng.choice(pool)))
@@ -539,14 +561,12 @@ def contract(tog: TreeOfGroups, sub, name: str | None = None,
 def fold(tog: TreeOfGroups, a: str, b: str, H, new_vertex: str):
     """Subdivide the edge a-b at an intermediate subgroup H of G_a.
 
-    H is a SubgroupAsGroup over G_a containing the a-side image of the
-    edge group; the new vertex carries H, its edge toward a carries H
-    itself and its edge toward b carries the old edge group.
+    H is a Subgroup of G_a containing the a-side image of the edge group;
+    the new vertex carries H, its edge toward a carries H itself and its
+    edge toward b carries the old edge group.
     """
     e = tog.edge_between(a, b)
-    img = {_key_of(tog.vertices[a], x) for x in e.endpoint_map(a).values()}
-    hkeys = {_key_of(tog.vertices[a], x) for x in H.elements()}
-    if not img <= hkeys:
+    if not set(e.endpoint_map(a).values()) <= set(H.elements()):
         raise TreeError("H does not contain the edge-group image")
     vertices = dict(tog.vertices)
     vertices[new_vertex] = H
@@ -580,14 +600,12 @@ def ball_intersection(tog: TreeOfGroups, a_vertices, b_vertices,
             if all(vs[i] != vs[i + 1] for i in range(len(vs) - 1)):
                 yield vs
 
-    found = {}
+    found = set()
     count = 0
     exhaustive = True
     for length in range(syllables + 1):
         for vs in vertex_walks(length):
-            pools = [sorted(tog.vertices[v].elements(),
-                            key=lambda x, g=tog.vertices[v]: _key_of(g, x))
-                     for v in vs]
+            pools = [sorted(tog.vertices[v].elements(), key=_rank) for v in vs]
             for letters in itertools.product(*pools):
                 count += 1
                 if count > cap:
@@ -596,14 +614,14 @@ def ball_intersection(tog: TreeOfGroups, a_vertices, b_vertices,
                 el = product.eval_word(list(zip(vs, letters)))
                 val = product.subproduct_value(el, b_vertices)
                 if val is not None:
-                    found[product.key(el)] = el
+                    found.add(el)
             if not exhaustive:
                 break
         if not exhaustive:
             break
     if not exhaustive:
         rng = random.Random(seed)
-        found = {}
+        found = set()
         for _ in range(cap):
             length = rng.randint(1, syllables)
             vs = [rng.choice(names)]
@@ -611,12 +629,11 @@ def ball_intersection(tog: TreeOfGroups, a_vertices, b_vertices,
                 nxt = rng.choice(names)
                 if nxt != vs[-1]:
                     vs.append(nxt)
-            word = [(v, rng.choice(sorted(
-                tog.vertices[v].elements(),
-                key=lambda x, g=tog.vertices[v]: _key_of(g, x)))) for v in vs]
+            word = [(v, rng.choice(sorted(tog.vertices[v].elements(), key=_rank)))
+                    for v in vs]
             el = product.eval_word(word)
             if product.subproduct_value(el, b_vertices) is not None:
-                found[product.key(el)] = el
+                found.add(el)
     return {"mode": "exhaustive" if exhaustive else "sampled",
             "elements": found, "product": product, "words_seen": count}
 
@@ -635,11 +652,7 @@ def check_subtree_conditions(tog: TreeOfGroups, sub, members: dict,
 
     def belongs(v, x):
         m = members[v]
-        if callable(m):
-            return m(x)
-        G = tog.vertices[v]
-        keys = {_key_of(G, y) for y in m}
-        return _key_of(G, x) in keys
+        return m(x) if callable(m) else x in m
 
     for v in sub:
         G = tog.vertices[v]
@@ -658,17 +671,14 @@ def check_subtree_conditions(tog: TreeOfGroups, sub, members: dict,
             continue
         pre_u = {c for c in e.group.elements() if belongs(e.u, e.into_u[c])}
         pre_v = {c for c in e.group.elements() if belongs(e.v, e.into_v[c])}
-        keyed_u = {_key_of(e.group, c) for c in pre_u}
-        keyed_v = {_key_of(e.group, c) for c in pre_v}
-        entry = {"edge": (e.u, e.v), "preimage_size": len(keyed_u),
-                 "preimages_equal": keyed_u == keyed_v}
+        entry = {"edge": (e.u, e.v), "preimage_size": len(pre_u),
+                 "preimages_equal": pre_u == pre_v}
         if not entry["preimages_equal"]:
             report["pass"] = False
         if edge_groups is not None:
             claimed = edge_groups.get(frozenset((e.u, e.v)))
             if claimed is not None:
-                ck = {_key_of(e.group, c) for c in claimed}
-                entry["matches_claimed_edge_group"] = ck == keyed_u
+                entry["matches_claimed_edge_group"] = set(claimed) == pre_u
                 if not entry["matches_claimed_edge_group"]:
                     report["pass"] = False
         report["edges"].append(entry)

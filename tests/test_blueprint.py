@@ -99,7 +99,7 @@ def test_v_subgroup_listing(cache):
     assert lhs == rhs
     expected = {0, us, ut, g.mul(us, ut), g.mul(ut, us),
                 g.mul(g.mul(us, ut), us), g.mul(g.mul(ut, us), ut), lhs}
-    assert v.elements == frozenset(expected)
+    assert frozenset(v.elements()) == frozenset(expected)
 
 
 def test_v_subgroup_general_gate(ctx, cache):
@@ -146,10 +146,10 @@ def test_intersections(ctx, cache):
     b = subgroup(amb, [amb.root_mask(r) for r in cache.phi("st")])
     c = intersect_subgroups(a, b)
     expect = subgroup(amb, [amb.root_mask(r) for r in cache.phi("s")])
-    assert c.elements == expect.elements
-    assert intersect_subgroups(a, a).elements == a.elements
+    assert c.elements() == expect.elements()
+    assert intersect_subgroups(a, a).elements() == a.elements()
     trivial = subgroup(amb, [])
-    assert intersect_subgroups(trivial, a).elements == frozenset({0})
+    assert intersect_subgroups(trivial, a).elements() == (0,)
 
 
 def test_group_mono_rejects_non_hom(cache):

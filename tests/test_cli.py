@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from coxkit.cli import main
 
 TREE_FILE = """\
@@ -65,6 +67,22 @@ def test_nf_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["identity"] is True
     assert run_cli(["nf", "--tree", str(tree), "--word", "u_xy"]) == 2
+
+
+BAD_TREES = {
+    "unknown-generator": "vertex v0 U sq\n",
+    "unknown-v-type": "vertex v1 V :sx\n",
+    "no-common-roots": "vertex v0 U st\nvertex v1 V t:rs\nedge v0 v1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TREES))
+def test_nf_bad_tree_file(tmp_path, capsys, name):
+    tree = tmp_path / "tree.txt"
+    tree.write_text(BAD_TREES[name])
+    assert run_cli(["nf", "--tree", str(tree), "--word", "u_s"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_report_requires_out(capsys):

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from coxkit.quadrangle import mat_mul, verify_rt_relabel
+from coxkit.quadrangle import IDENT, mat_mul, verify_rt_relabel
+from coxkit.treeprod import closure_words
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -40,7 +41,7 @@ def test_simple_root_elements(st_model):
     m = st_model
     us, ut = m.simple_root_elements()
     assert mat_mul(us, us) == mat_mul(ut, ut)   # both involutions -> identity
-    closure = m._closure((us, ut))
+    closure = closure_words(mat_mul, IDENT, (us, ut))
     assert len(closure) == 8
     moved = m.act(m.c_minus, us)
     assert moved != m.c_minus

@@ -104,3 +104,21 @@ def test_trace_all_short_words(theorem_setup):
         cert = trace_word(s, word)
         assert cert.passed, s.format_word(word)
         assert not s.product.is_identity(s.eval_word(word))
+
+
+# a wrong Klein product makes rule b.ii change the element; under -O an
+# assert would let that through
+KLEIN_UNDER_O = """
+from coxkit import reduction
+reduction._KLEIN_MUL = {pair: reduction.TR for pair in reduction._KLEIN_MUL}
+setup = reduction.TheoremSetup()
+try:
+    setup.reduce(setup.parse("u_tr,1,u_rt"))
+except reduction.ReductionError:
+    print("raised")
+"""
+
+
+def test_reduction_check_survives_optimize(run_optimized):
+    out = run_optimized(KLEIN_UNDER_O)
+    assert out.returncode == 0 and out.stdout.strip() == "raised"

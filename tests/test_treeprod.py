@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from coxkit.treeprod import (Edge, SubgroupAsGroup, TreeError, TreeOfGroups,
+from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions, contract,
                              fold)
 
@@ -12,7 +12,7 @@ from coxkit.treeprod import (Edge, SubgroupAsGroup, TreeError, TreeOfGroups,
 def z2_free(cache):
     A = cache.group("s", cache.ctx.gallery("s"))
     B = cache.group("t", cache.ctx.gallery("t"))
-    triv = SubgroupAsGroup(A, {0}, "1")
+    triv = Subgroup(A, {0}, "1")
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0})])
     return tog, TreeProduct(tog)
@@ -23,7 +23,7 @@ def theorem_tree(cache):
     ctx = cache.ctx
     U_sr, U_trt = cache.group("sr"), cache.group("trt")
     amb = cache.group("stst")
-    V = SubgroupAsGroup(amb, cache.v_subgroup("", "st").elements, "V")
+    V = Subgroup(amb, cache.v_subgroup("", "st").elements(), "V")
     us, ut = amb.root_mask(amb.roots[0]), amb.root_mask(amb.roots[3])
     e1 = Edge("0", "1", cache.group("s"),
               {0: 0, 1: U_sr.root_mask(U_sr.roots[0])}, {0: 0, 1: us})
@@ -52,7 +52,7 @@ def test_validate_rejects_kernel(cache):
 
 def test_validate_rejects_cycles(cache):
     A, B = cache.group("s", cache.ctx.gallery("s")), cache.group("t")
-    triv = SubgroupAsGroup(A, {0}, "1")
+    triv = Subgroup(A, {0}, "1")
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0}),
                         Edge("b", "a", triv, {0: 0}, {0: 0})])
@@ -66,7 +66,7 @@ def test_collapsing_word(theorem_tree, cache):
     u_sr = U_sr.root_mask(U_sr.roots[1])
     us = amb.root_mask(amb.roots[0])
     el = H.eval_word([("0", u_sr), ("1", us), ("0", u_sr)])
-    assert H.key(el) == H.key(H.include("1", us))
+    assert el == H.include("1", us)
     assert H.syllables(el) == 1
 
 
@@ -85,7 +85,7 @@ def test_batteries(theorem_tree):
         b = H.eval_word(H.random_word(rng, rng.randint(1, 4)))
         # normal forms respect multiplication: recombining the normal
         # forms gives the same element as multiplying directly
-        assert H.key(H.mul(a, b)) == H.key(H.mul(H.mul(a, H.identity), b))
+        assert H.mul(a, b) == H.mul(H.mul(a, H.identity), b)
 
 
 def _count_ball(product, tog, bound, vertex_names, translate=None):
@@ -100,7 +100,7 @@ def _count_ball(product, tog, bound, vertex_names, translate=None):
                 word = list(zip(vs, letters))
                 if translate:
                     word = translate(word)
-                seen.add(product.key(product.eval_word(word)))
+                seen.add(product.eval_word(word))
     return len(seen)
 
 
@@ -146,10 +146,10 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
               for v, x in word]
         el2 = P2.eval_word(w2)
         back = [(groups[id(g)], x) for g, x in P2.flatten(el2, deep=True)]
-        assert H.key(H.eval_word(back)) == H.key(el)
+        assert H.eval_word(back) == el
     # fold the first edge at its own edge-group image (redundant vertex)
     U_sr = tog.vertices["0"]
-    Hsub = SubgroupAsGroup(U_sr, {0, U_sr.root_mask(U_sr.roots[0])}, "U_s")
+    Hsub = Subgroup(U_sr, {0, U_sr.root_mask(U_sr.roots[0])}, "U_s")
     tog3 = fold(tog, "0", "1", Hsub, "x")
     assert not tog3.validate()
     P3 = TreeProduct(tog3)
@@ -160,13 +160,13 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
         el = H.eval_word(word)
         el3 = P3.eval_word(word)
         back = [(groups3[id(g)], x) for g, x in P3.flatten(el3, deep=True)]
-        assert H.key(H.eval_word(back)) == H.key(el)
+        assert H.eval_word(back) == el
 
 
 def test_fold_counts_match(z2_free, cache):
     tog, P = z2_free
     A = tog.vertices["a"]
-    Hsub = SubgroupAsGroup(A, {0, 1}, "all-of-A")
+    Hsub = Subgroup(A, {0, 1}, "all-of-A")
     tog2 = fold(tog, "a", "b", Hsub, "x")
     P2 = TreeProduct(tog2)
     bound = 4
@@ -178,7 +178,7 @@ def test_fold_counts_match(z2_free, cache):
 def test_fold_requires_intermediate(theorem_tree, cache):
     tog, _ = theorem_tree
     U_sr = tog.vertices["0"]
-    bad = SubgroupAsGroup(U_sr, {0}, "1")
+    bad = Subgroup(U_sr, {0}, "1")
     with pytest.raises(TreeError):
         fold(tog, "0", "1", bad, "x")
 
@@ -186,7 +186,7 @@ def test_fold_requires_intermediate(theorem_tree, cache):
 def test_fold_with_full_vertex(theorem_tree):
     tog, H = theorem_tree
     U_sr = tog.vertices["0"]
-    full = SubgroupAsGroup(U_sr, set(U_sr.elements()), "U_sr")
+    full = Subgroup(U_sr, set(U_sr.elements()), "U_sr")
     tog2 = fold(tog, "0", "1", full, "x")
     assert not tog2.validate()
 
@@ -198,7 +198,7 @@ def test_check_subtree_conditions(theorem_tree, cache):
     ok = check_subtree_conditions(
         tog, {"0", "1", "2"},
         {"0": frozenset(cache.group("sr").elements()),
-         "1": frozenset(cache.v_subgroup("", "st").elements),
+         "1": frozenset(cache.v_subgroup("", "st").elements()),
          "2": frozenset(cache.group("trt").elements())})
     assert ok["pass"]
     # deliberately enlarged edge subgroup fails condition (iii)
@@ -240,7 +240,7 @@ def test_ball_intersection_vertex_cases(theorem_tree, cache):
     amb = cache.group("stst")
     us = amb.root_mask(amb.roots[0])
     P = got["product"]
-    expect = {P.key(P.include("1", x)) for x in (0, us)}
+    expect = {P.include("1", x) for x in (0, us)}
     assert set(got["elements"]) == expect
     # A cap A = A
     got = ball_intersection(tog, {"0"}, {"0"}, 2)
@@ -252,7 +252,7 @@ def test_ball_intersection_full_edge(cache):
     # a segment whose edge group is everything: the two sides coincide
     A = cache.group("s", cache.ctx.gallery("s"))
     B = cache.group("t", cache.ctx.gallery("t"))
-    full = SubgroupAsGroup(A, {0, 1}, "C")
+    full = Subgroup(A, {0, 1}, "C")
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", full, {0: 0, 1: 1}, {0: 0, 1: 1})])
     got = ball_intersection(tog, {"a"}, {"b"}, 3)
@@ -264,3 +264,22 @@ def test_ball_intersection_sampling_cap(theorem_tree):
     tog, _ = theorem_tree
     got = ball_intersection(tog, {"0", "1", "2"}, {"1"}, 4, cap=50)
     assert got["mode"] == "sampled"
+
+
+# {0, 1, 2} in U_sr (order 4) misses the product 1 * 2 = 3; under -O an
+# assert would let the non-subgroup through
+SUBGROUP_UNDER_O = """
+from coxkit.blueprint import GroupCache
+from coxkit.coxeter import standard_coxeter
+from coxkit.treeprod import Subgroup, TreeError
+cache = GroupCache(standard_coxeter())
+try:
+    Subgroup(cache.group("sr"), {0, 1, 2})
+except TreeError:
+    print("raised")
+"""
+
+
+def test_subgroup_check_survives_optimize(run_optimized):
+    out = run_optimized(SUBGROUP_UNDER_O)
+    assert out.returncode == 0 and out.stdout.strip() == "raised"

@@ -1,7 +1,4 @@
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -72,10 +69,7 @@ def test_collect_measure_assertions():
 # run under -O, where an assert would be stripped: a measure that never
 # decreases must still stop the collection
 MEASURE_UNDER_O = """
-import sys
 from coxkit import wordops
-if not sys.flags.optimize:
-    sys.exit("not running under -O")
 wordops._measure = lambda word, k: (0,)
 try:
     wordops.collect_seq([1, 0], 4, bytes(48), check=True)
@@ -84,10 +78,6 @@ except wordops.CollectionMeasureError:
 """
 
 
-def test_collect_measure_survives_optimize():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-O", "-c", MEASURE_UNDER_O],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         stdout=subprocess.PIPE, text=True, timeout=60)
+def test_collect_measure_survives_optimize(run_optimized):
+    out = run_optimized(MEASURE_UNDER_O)
     assert out.returncode == 0 and out.stdout.strip() == "raised"
