@@ -278,9 +278,15 @@ class GroupCache:
             if len(ctx.mult(gate, x)) != len(gate) + 1:
                 raise ValueError(f"{gate!r} is not the gate of a {u}{v}-residue")
         ambient = self.group(ctx.mult(gate, ctx.longest({u, v})))
-        gen_roots = set(self.phi(ctx.mult(gate, u))) | set(self.phi(ctx.mult(gate, v)))
-        return subgroup(ambient, [ambient.root_mask(root) for root in gen_roots],
+        return subgroup(ambient, [ambient.root_mask(root)
+                                  for root in self.v_roots(gate, types)],
                         f"V[{gate}|{u}{v}]")
+
+    def v_roots(self, gate: str, types) -> frozenset:
+        """Phi(gate*u) | Phi(gate*v), the generating roots of V at this gate."""
+        u, v = sorted(types)
+        return (frozenset(self.phi(self.ctx.mult(gate, u)))
+                | frozenset(self.phi(self.ctx.mult(gate, v))))
 
 
 def gallery_independence(cache: GroupCache, w: str) -> bool:

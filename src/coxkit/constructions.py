@@ -115,9 +115,7 @@ class Builder:
             grp = self.cache.v_subgroup(gate, (u, v))
             if grp.order * 2 != grp.parent.order:
                 raise PreconditionError(f"{grp.name} does not have index 2")
-            roots = (frozenset(self.cache.phi(ctx.mult(gate, u)))
-                     | frozenset(self.cache.phi(ctx.mult(gate, v))))
-            got = (grp, roots)
+            got = (grp, self.cache.v_roots(gate, (u, v)))
             self._vgroup_cache[key] = got
         grp, roots = got
         return VertexSpec(name, grp.name, grp, grp.parent, roots)
@@ -135,11 +133,7 @@ class Builder:
         return self.subgroup_in(ambient, self.cache.phi(self.ctx.normalize(w)))
 
     def image_of_v(self, gate: str, types, ambient: BlueprintGroup) -> frozenset:
-        ctx = self.ctx
-        u, v = sorted(types)
-        roots = (frozenset(self.cache.phi(ctx.mult(gate, u)))
-                 | frozenset(self.cache.phi(ctx.mult(gate, v))))
-        return self.subgroup_in(ambient, roots)
+        return self.subgroup_in(ambient, self.cache.v_roots(gate, types))
 
     # -- edges ------------------------------------------------------------
 
@@ -263,8 +257,8 @@ def build_colimit(cache: GroupCache, kind: str) -> ColimitPresentation:
     rels = frozenset(harvest_relations(cache, C))
     gen_set = set(gens)
     for a, b, mids in rels:
-        assert a in gen_set and b in gen_set
-        assert all(c in gen_set for c in mids)
+        if not gen_set.issuperset((a, b, *mids)):
+            raise PreconditionError(f"a {kind} relation leaves the generators")
     return ColimitPresentation(kind, C, d_set(ctx, C), gens, rels)
 
 

@@ -27,6 +27,10 @@ class ResourceLimit(RuntimeError):
     """A ball/sweep radius exceeded the configured maximum."""
 
 
+class ResidueError(RuntimeError):
+    """A residue has no unique gate, or a chamber no unique projection."""
+
+
 def _check_letters(word: str) -> None:
     for ch in word:
         if ch not in GENS:
@@ -216,7 +220,8 @@ class Coxeter:
         types = frozenset(types)
         members = [self.mult(x, u) for u in self.parabolic(types)]
         gate = min(members, key=len)
-        assert sum(1 for m in members if len(m) == len(gate)) == 1
+        if sum(1 for m in members if len(m) == len(gate)) != 1:
+            raise ResidueError(f"the {sorted(types)} residue of {x!r} has no unique gate")
         return Residue(types, gate)
 
     def chambers(self, res: Residue) -> tuple[str, ...]:
@@ -234,7 +239,8 @@ class Coxeter:
                 best, best_len, ties = z, d, 1
             elif d == best_len:
                 ties += 1
-        assert ties == 1, "projection minimizer must be unique"
+        if ties != 1:
+            raise ResidueError(f"no unique chamber of {res} nearest to {x!r}")
         return best
 
     def gate(self, res: Residue) -> str:

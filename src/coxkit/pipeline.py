@@ -81,6 +81,10 @@ class Section4:
             for _ in range(rng.randint(1, 4)):
                 G = tog.vertices[v]
                 allowed = members.get(v)
+                if prev is not None:
+                    e = tog.edge_between(prev, v)
+                    banned = {product.include(v, y)
+                              for y in e.endpoint_map(v).values()}
                 pool = []
                 for x in (allowed if allowed is not None and not callable(allowed)
                           else G.elements()):
@@ -88,12 +92,8 @@ class Section4:
                         continue
                     if x == G.identity:
                         continue
-                    if prev is not None:
-                        e = tog.edge_between(prev, v)
-                        banned = {product.include(v, y)
-                                  for y in e.endpoint_map(v).values()}
-                        if product.include(v, x) in banned:
-                            continue
+                    if prev is not None and product.include(v, x) in banned:
+                        continue
                     pool.append(x)
                 if not pool:
                     break

@@ -9,6 +9,12 @@ distance of a pair is the Bruhat class of a*b^-1 and the codistance the
 Birkhoff class; the building and twinning axioms are checked
 exhaustively by the test suite, not assumed.
 
+The group is generated by B_+ and two permutation matrices.  Each model
+fills one 45x45 table of Weyl words per sign pair, so weyl_distance,
+codistance and panel are table reads; a failed construction fact (group
+or Borel order, chamber count, double cosets, panel size) raises
+CalibrationError.
+
 The two simple-root one-parameter groups each have a single nontrivial
 element over F2.  Which matrix node type carries which letter is not
 canonical, so the constructor searches the (at most two) labelings and
@@ -18,7 +24,9 @@ action diagram holds, then freezes the choice.
 
 from __future__ import annotations
 
+import itertools
 import time
+from functools import reduce
 from dataclasses import dataclass
 
 from coxkit.coxeter import Coxeter, standard_coxeter
@@ -71,9 +79,18 @@ def is_symplectic(m: int) -> bool:
     return mat_mul(m, mat_mul(FORM, mat_transpose(m))) == FORM
 
 
+def mat_inv(m: int) -> int:
+    """Inverse of a symplectic matrix: m F m^T = F and F F = 1 give F m^T F."""
+    return mat_mul(FORM, mat_mul(mat_transpose(m), FORM))
+
+
 def _perm_matrix(perm) -> int:
     # perm maps basis index i to perm[i]
     return _from_rows([1 << perm[i] for i in range(4)])
+
+
+PERM_A = _perm_matrix([1, 0, 3, 2])   # swaps e1<->e2, e3<->e4
+PERM_B = _perm_matrix([0, 2, 1, 3])   # swaps e2<->e3
 
 
 def _is_upper(m: int) -> bool:
@@ -86,6 +103,10 @@ def _is_lower(m: int) -> bool:
                for i in range(4))
 
 
+# sign pair of (x, y) -> the Bruhat/Birkhoff label kind of x*y^-1
+_KINDS = {(-1, -1): "--", (1, 1): "++", (1, -1): "+-", (-1, 1): "-+"}
+
+
 @dataclass(frozen=True)
 class TwinChamber:
     sign: int   # +1 or -1
@@ -96,7 +117,8 @@ class TwinChamber:
 
 
 class CalibrationError(RuntimeError):
-    """No labeling of the transvection generators satisfies the diagram."""
+    """The group or its chambers are not the expected ones, or no labeling
+    of the transvection generators satisfies the diagram."""
 
 
 class TwinModel:
@@ -112,20 +134,30 @@ class TwinModel:
     # -- group enumeration ---------------------------------------------------
 
     def _build_group(self) -> None:
-        elems = [m for m in range(1 << 16) if is_symplectic(m)]
-        assert len(elems) == 720
-        self.elems = sorted(elems)
-        self.index = {m: i for i, m in enumerate(self.elems)}
-        self.inv = {}
-        for m in self.elems:
-            # involutions and small orders make a search loop cheap
-            x = m
-            while mat_mul(m, x) != IDENT:
-                x = mat_mul(x, m)
-            self.inv[m] = x
+        unitriangular = [_from_rows([1 | a << 1, 2 | b << 2, 4 | c << 3, 8])
+                         for a in range(8) for b in range(4) for c in range(2)]
+        gens = [m for m in unitriangular if is_symplectic(m)] + [PERM_A, PERM_B]
+        self.elems = sorted(closure_words(mat_mul, IDENT, gens))
+        if len(self.elems) != 720 or not all(map(is_symplectic, self.elems)):
+            raise CalibrationError("the generators do not give Sp(4,2)")
         self.borel_plus = frozenset(m for m in self.elems if _is_upper(m))
         self.borel_minus = frozenset(m for m in self.elems if _is_lower(m))
-        assert len(self.borel_plus) == len(self.borel_minus) == 16
+        self._borel = {1: self.borel_plus, -1: self.borel_minus}
+        # chamber i of a half is the i-th Borel orbit met in sorted order,
+        # represented by its least element
+        self._coset_id = {1: {}, -1: {}}
+        self._coset_rep = {1: [], -1: []}
+        for sign, borel in self._borel.items():
+            if len(borel) != 16:
+                raise CalibrationError(f"Borel of sign {sign:+d} has order {len(borel)}")
+            ids, reps = self._coset_id[sign], self._coset_rep[sign]
+            for m in self.elems:
+                if m not in ids:
+                    for b in borel:
+                        ids[mat_mul(b, m)] = len(reps)
+                    reps.append(m)
+            if len(reps) != 45:
+                raise CalibrationError(f"{len(reps)} chambers of sign {sign:+d}")
 
     # -- Weyl group of the model ---------------------------------------------
 
@@ -134,75 +166,50 @@ class TwinModel:
 
     def weyl_rep(self, word: str) -> int:
         reps = {self.letters[0]: self._rep0, self.letters[1]: self._rep1}
-        m = IDENT
-        for ch in word:
-            m = mat_mul(m, reps[ch])
-        return m
+        return reduce(mat_mul, (reps[ch] for ch in word), IDENT)
 
     # -- calibration -------------------------------------------------------
 
-    def _candidate_u(self, srep: int) -> list:
-        """Nontrivial u in B_+ moving c_- within the srep-labeled panel."""
-        out = []
-        for u in sorted(self.borel_plus):
-            if u == IDENT or u in self.borel_minus:
-                continue
-            # u*c_- srep-adjacent but distinct: u in B_- srep B_- minus B_-
-            if any(mat_mul(b1, mat_mul(srep, b2)) == u
-                   for b1 in self.borel_minus for b2 in self.borel_minus):
-                out.append(u)
-        return out
-
     def _calibrate(self) -> None:
-        perm_a = _perm_matrix([1, 0, 3, 2])   # swaps e1<->e2, e3<->e4
-        perm_b = _perm_matrix([0, 2, 1, 3])   # swaps e2<->e3
-        for rep0, rep1 in ((perm_a, perm_b), (perm_b, perm_a)):
+        for rep0, rep1 in ((PERM_A, PERM_B), (PERM_B, PERM_A)):
             self._rep0, self._rep1 = rep0, rep1
             self._build_tables()
-            for u0 in self._candidate_u(rep0):
-                for u1 in self._candidate_u(rep1):
-                    self._u0, self._u1 = u0, u1
-                    if self._diagram_holds():
-                        return
+            # u in B_+ moving c_- within its letter-panel: u in B_- rep B_-
+            candidates = [[u for u in sorted(self.borel_plus)
+                           if self._label["--"][u] == letter]
+                          for letter in self.letters]
+            for u0, u1 in itertools.product(*candidates):
+                self._u0, self._u1 = u0, u1
+                if self.verify_diagram().passed:
+                    return
         raise CalibrationError("no generator labeling satisfies the diagram")
-
-    def _diagram_holds(self) -> bool:
-        try:
-            rep = self._verify_diagram_raw()
-        except AssertionError:
-            return False
-        return rep.passed
 
     # -- chambers and distances -----------------------------------------------
 
     def _build_tables(self) -> None:
-        self._coset_id = {1: {}, -1: {}}
-        self._coset_rep = {1: [], -1: []}
-        for sign, borel in ((1, self.borel_plus), (-1, self.borel_minus)):
-            seen = {}
-            for m in self.elems:
-                key = min(self.index[mat_mul(b, m)] for b in borel)
-                if key not in seen:
-                    seen[key] = len(seen)
-                    self._coset_rep[sign].append(self.elems[key])
-                self._coset_id[sign][m] = seen[key]
-            assert len(seen) == 45
-        # double-coset labels
+        # double-coset labels: x*y^-1 in B_x w B_y for chambers x, y
         self._label = {}
-        for kind, left, right in (
-                ("--", self.borel_minus, self.borel_minus),
-                ("++", self.borel_plus, self.borel_plus),
-                ("+-", self.borel_plus, self.borel_minus),
-                ("-+", self.borel_minus, self.borel_plus)):
+        for (sx, sy), kind in _KINDS.items():
             table = {}
             for w in self.weyl_elements():
                 rep = self.weyl_rep(w)
-                for b1 in left:
+                for b1 in self._borel[sx]:
                     x = mat_mul(b1, rep)
-                    for b2 in right:
+                    for b2 in self._borel[sy]:
                         table[mat_mul(x, b2)] = w
-            assert len(table) == 720, f"{kind} double cosets do not partition"
+            if len(table) != 720:
+                raise CalibrationError(f"{kind} double cosets do not cover the group")
             self._label[kind] = table
+        # one 45x45 Weyl-word table per sign pair
+        inverses = {sign: [mat_inv(r) for r in reps]
+                    for sign, reps in self._coset_rep.items()}
+        self._delta = {
+            (sx, sy): [[self._label[kind][mat_mul(x, yi)] for yi in inverses[sy]]
+                       for x in self._coset_rep[sx]]
+            for (sx, sy), kind in _KINDS.items()}
+        if any(sum(w in ("", letter) for w in row) != 3 for letter in self.letters
+               for sign in (1, -1) for row in self._delta[sign, sign]):
+            raise CalibrationError("a panel does not have 3 chambers")
 
     # -- public chamber interface ----------------------------------------------
 
@@ -226,28 +233,25 @@ class TwinModel:
     def weyl_distance(self, x: TwinChamber, y: TwinChamber) -> str:
         if x.sign != y.sign:
             raise ValueError("weyl_distance needs chambers of the same sign")
-        kind = "--" if x.sign < 0 else "++"
-        return self._label[kind][mat_mul(self.rep(x), self.inv[self.rep(y)])]
+        return self._delta[x.sign, y.sign][x.coset][y.coset]
 
     def codistance(self, x: TwinChamber, y: TwinChamber) -> str:
         if x.sign == y.sign:
             raise ValueError("codistance needs chambers of opposite signs")
-        kind = "+-" if x.sign > 0 else "-+"
-        return self._label[kind][mat_mul(self.rep(x), self.inv[self.rep(y)])]
+        return self._delta[x.sign, y.sign][x.coset][y.coset]
 
     def dist(self, x: TwinChamber, y: TwinChamber) -> int:
         return len(self.weyl_distance(x, y))
 
     def panel(self, c: TwinChamber, letter: str) -> tuple:
-        out = [d for d in self.chambers(c.sign)
-               if self.weyl_distance(c, d) in ("", letter)]
-        assert len(out) == 3
-        return tuple(out)
+        row = self._delta[c.sign, c.sign][c.coset]
+        return tuple(TwinChamber(c.sign, i) for i, w in enumerate(row)
+                     if w == "" or w == letter)
 
     def proj_panel(self, members, x: TwinChamber) -> TwinChamber:
-        best = min(members, key=lambda zc: (self.dist(x, zc), zc.coset))
-        ties = [zc for zc in members if self.dist(x, zc) == self.dist(x, best)]
-        assert len(ties) == 1
+        best = min(members, key=lambda zc: self.dist(x, zc))
+        if sum(self.dist(x, zc) == self.dist(x, best) for zc in members) != 1:
+            raise ValueError(f"no unique chamber of {members} nearest to {x}")
         return best
 
     # -- distinguished data ------------------------------------------------
@@ -274,7 +278,7 @@ class TwinModel:
         """Generator of the root group at (prefix)*alpha_letter: the
         conjugate of the simple element by the Weyl representative."""
         w = self.weyl_rep(prefix)
-        return mat_mul(w, mat_mul(self.u_of(letter), self.inv[w]))
+        return mat_mul(w, mat_mul(self.u_of(letter), mat_inv(w)))
 
     def v_group_words(self) -> dict:
         """All elements of <u_s, u_t> keyed by matrix, valued by a shortest
@@ -283,10 +287,7 @@ class TwinModel:
         return {m: "".join(self.letters[i] for i in w) for m, w in words.items()}
 
     def v_element(self, word: str) -> int:
-        m = IDENT
-        for ch in word:
-            m = mat_mul(m, self.u_of(ch))
-        return m
+        return reduce(mat_mul, map(self.u_of, word), IDENT)
 
     # -- verification sweeps -------------------------------------------------
 
@@ -348,7 +349,7 @@ class TwinModel:
         rep.elapsed = time.perf_counter() - t0
         return rep
 
-    def _verify_diagram_raw(self) -> SweepReport:
+    def verify_diagram(self) -> SweepReport:
         rep = SweepReport("uplus_action_diagram", 0)
         t0 = time.perf_counter()
         s, t = self.letters
@@ -366,16 +367,13 @@ class TwinModel:
         c = self.c_minus
         cs, ct = self.c_adjacent(s), self.c_adjacent(t)
 
-        def low(word: str) -> TwinChamber:
-            return self.act(c, self.v_element(word))
-
-        def up(base: TwinChamber, word: str) -> TwinChamber:
+        def at(base: TwinChamber, word: str) -> TwinChamber:
             return self.act(base, self.v_element(word))
 
-        lower = [low(t + s + t + s), low(s + t + s), low(t + s), low(s),
-                 c, low(t), low(s + t), low(t + s + t), low(s + t + s + t)]
-        upper = [up(ct, s + t + s), up(cs, t + s), up(ct, s), cs,
-                 ct, up(cs, t), up(ct, s + t), up(cs, t + s + t)]
+        lower = [at(c, t + s + t + s), at(c, s + t + s), at(c, t + s), at(c, s),
+                 c, at(c, t), at(c, s + t), at(c, t + s + t), at(c, s + t + s + t)]
+        upper = [at(ct, s + t + s), at(cs, t + s), at(ct, s), cs,
+                 ct, at(cs, t), at(ct, s + t), at(cs, t + s + t)]
         rep.tuples_checked += 1
         if lower[0] != lower[8]:
             rep.violations.append({"check": "left and right lower corners agree"})
@@ -403,9 +401,6 @@ class TwinModel:
         rep.elapsed = time.perf_counter() - t0
         return rep
 
-    def verify_diagram(self) -> SweepReport:
-        return self._verify_diagram_raw()
-
     def verify_lemma_uplus(self) -> SweepReport:
         """Assertions (a)-(f) of the rank-2 action lemma, exhaustively,
         plus the itemized distance values of its proof."""
@@ -418,9 +413,7 @@ class TwinModel:
         us, ut = self._u0, self._u1
         V = list(words)
 
-        def ell(x, y):
-            return self.dist(x, y)
-
+        ell = self.dist
         for h in V:
             hw = words[h]
             if h not in (IDENT, us):
@@ -529,11 +522,9 @@ _MODELS: dict[tuple, TwinModel] = {}
 
 
 def build_model(letters: tuple[str, str] = ("s", "t")) -> TwinModel:
-    model = _MODELS.get(letters)
-    if model is None:
-        model = TwinModel(letters)
-        _MODELS[letters] = model
-    return model
+    if letters not in _MODELS:
+        _MODELS[letters] = TwinModel(letters)
+    return _MODELS[letters]
 
 
 def verify_rt_relabel() -> SweepReport:

@@ -99,3 +99,22 @@ def test_descents(ctx):
     assert ctx.has_left_descent("stst", "s")
     assert not ctx.has_left_descent("st", "t")
     assert ctx.last_letters("stst") == {"s", "t"}
+
+
+# with every chamber listed twice no projection is unique; under -O an
+# assert would return the first minimizer
+PROJ_UNDER_O = """
+from coxkit.coxeter import Coxeter, ResidueError
+chambers = Coxeter.chambers
+Coxeter.chambers = lambda self, res: chambers(self, res) * 2
+ctx = Coxeter()
+try:
+    ctx.proj(ctx.residue("st", ""), "r")
+except ResidueError:
+    print("raised")
+"""
+
+
+def test_projection_check_survives_optimize(run_optimized):
+    out = run_optimized(PROJ_UNDER_O)
+    assert out.returncode == 0 and out.stdout.strip() == "raised"

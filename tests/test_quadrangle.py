@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from coxkit.quadrangle import IDENT, mat_mul, verify_rt_relabel
+from coxkit.quadrangle import (IDENT, build_model, is_symplectic, mat_inv,
+                               mat_mul, verify_rt_relabel)
 from coxkit.treeprod import closure_words
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -166,3 +167,65 @@ def test_trace_v_map_is_multiplicative(st_model, theorem_setup):
         for y in masks:
             assert to_model[s.ambientV.mul(x, y)] == mat_mul(
                 to_model[x], to_model[y])
+
+
+def test_elems_are_the_symplectic_group(st_model):
+    # the group comes from generators; the full filter lives on only here
+    assert st_model.elems == [x for x in range(1 << 16) if is_symplectic(x)]
+
+
+def test_mat_inv_is_two_sided(st_model):
+    for g in st_model.elems:
+        assert mat_mul(g, mat_inv(g)) == IDENT == mat_mul(mat_inv(g), g)
+
+
+@pytest.mark.parametrize("letters", [("s", "t"), ("r", "t"), ("r", "s")])
+def test_tables_match_double_cosets(letters):
+    # every distance-table entry against double cosets B w B listed
+    # element by element, without the model's label maps
+    m = build_model(letters)
+    borel = {1: m.borel_plus, -1: m.borel_minus}
+    for sx, sy in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+        cells = {w: {mat_mul(mat_mul(b1, m.weyl_rep(w)), b2)
+                     for b1 in borel[sx] for b2 in borel[sy]}
+                 for w in m.weyl_elements()}
+        read = m.weyl_distance if sx == sy else m.codistance
+        for x in m.chambers(sx):
+            for y in m.chambers(sy):
+                g = mat_mul(m.rep(x), mat_inv(m.rep(y)))
+                assert [w for w, cell in cells.items() if g in cell] == [read(x, y)]
+
+
+# two chambers of an s-panel are both at distance 1 from the third; under
+# -O an assert would let min() pick one of them
+PROJ_TIE_UNDER_O = """
+from coxkit.quadrangle import build_model
+m = build_model(("s", "t"))
+a, b, c = m.panel(m.c_minus, "s")
+try:
+    m.proj_panel([b, c], a)
+except ValueError:
+    print("raised")
+"""
+
+
+def test_proj_panel_tie_survives_optimize(run_optimized):
+    out = run_optimized(PROJ_TIE_UNDER_O)
+    assert out.returncode == 0 and out.stdout.strip() == "raised"
+
+
+# a lower Borel of order 1 must be caught where it is built, not later
+# as a calibration that finds no generators
+BOREL_UNDER_O = """
+from coxkit import quadrangle
+quadrangle._is_lower = lambda m: m == quadrangle.IDENT
+try:
+    quadrangle.TwinModel(("s", "t"))
+except quadrangle.CalibrationError as exc:
+    print(exc)
+"""
+
+
+def test_borel_check_survives_optimize(run_optimized):
+    out = run_optimized(BOREL_UNDER_O)
+    assert out.returncode == 0 and out.stdout.strip() == "Borel of sign -1 has order 1"
