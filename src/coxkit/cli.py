@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from coxkit import suites
 from coxkit.coxeter import standard_coxeter
@@ -40,18 +39,7 @@ def _parse_residue(text: str):
     return (types, word)
 
 
-def _suite_worker(args):
-    name, config = args
-    ctx = standard_coxeter()
-    return name, suites.SUITE_RUNNERS[name](ctx, config)
-
-
-def _run_suites(names, config: dict, jobs: int) -> dict:
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(_suite_worker,
-                                  [(n, config) for n in names]))
-        return dict(pairs)
+def _run_suites(names, config: dict) -> dict:
     ctx = standard_coxeter()
     return {n: suites.SUITE_RUNNERS[n](ctx, config) for n in names}
 
@@ -104,7 +92,7 @@ def cmd_verify(args) -> int:
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    results = _run_suites([args.target], config, args.jobs)
+    results = _run_suites([args.target], config)
     result = results[args.target]
     print(f"suite {args.target}: {'pass' if result['pass'] else 'FAIL'}")
     if args.target == "coxeter":
@@ -125,7 +113,7 @@ def cmd_report(args) -> int:
         print("error: report requires --out <path>", file=sys.stderr)
         return 2
     config = {"radius": 8, "max_length": 7}
-    results = _run_suites(DEFAULT_SUITES, config, args.jobs)
+    results = _run_suites(DEFAULT_SUITES, config)
     return _emit(args, results, config)
 
 
@@ -247,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification workbench for (4,4,4) Coxeter combinatorics, "
                     "blueprint 2-groups, the rank-2 twin building over F2 and "
                     "tree products")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for suite runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="run a verification suite")

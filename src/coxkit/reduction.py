@@ -14,6 +14,7 @@ the ambient blueprint group at stst.
 from __future__ import annotations
 
 import time
+from functools import cached_property
 
 from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate
@@ -88,6 +89,12 @@ class TheoremSetup:
 
     def v_word(self, mask: int) -> str:
         return self._v_words[mask]
+
+    @cached_property
+    def st_v_elements(self) -> dict:
+        """Each element of V, by mask, as a matrix of the st twin model."""
+        st = build_model(("s", "t"))
+        return {m: st.v_element(w) for m, w in self._v_words.items()}
 
     def v_mask(self, word: str) -> int:
         m = 0
@@ -282,7 +289,7 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         return "B"
 
     def model_h(h_mask: int):
-        return st.v_element(setup.v_word(h_mask))
+        return setup.st_v_elements[h_mask]
 
     def panel_t_of(h_mask: int):
         return st.panel(st.act(st.c_minus, model_h(h_mask)), "t")

@@ -50,6 +50,10 @@ class IntervalNotExact(RuntimeError):
     """Raised when an exact interval is requested for an infinite-order pair."""
 
 
+class RootSystemError(RuntimeError):
+    """The exact root geometry contradicted itself."""
+
+
 class RootSystem:
     def __init__(self, ctx: Coxeter):
         self.ctx = ctx
@@ -59,12 +63,13 @@ class RootSystem:
 
     def _register(self, root: Root, vec: z2.Vector) -> Root:
         want = 1 if root.positive else -1
-        assert z2.vector_sign(vec) == want, "vector/side mismatch"
+        if z2.vector_sign(vec) != want:
+            raise RootSystemError(f"vector/side mismatch for {root!r}")
         old = self._vectors.get(root)
         if old is None:
             self._vectors[root] = vec
-        else:
-            assert old == vec, "inconsistent vector for canonical root"
+        elif old != vec:
+            raise RootSystemError(f"inconsistent vector for {root!r}")
         return root
 
     def act_vec(self, u: str, vec: z2.Vector) -> z2.Vector:
@@ -152,9 +157,10 @@ class RootSystem:
                 return PairClass(kind="finite", order=2)
             if c in ((0, 1), (0, -1)):
                 return PairClass(kind="finite", order=4)
-            raise AssertionError(f"impossible form value {c} in type (4,4,4)")
+            raise RootSystemError(f"impossible form value {c} in type (4,4,4)")
         side = z2.sign(z2.form(self.vector(b), self._wall_point(a)))
-        assert side != 0, "wall point landed on the second wall"
+        if side == 0:
+            raise RootSystemError(f"wall point of {a!r} landed on the wall of {b!r}")
         if z2.sign(c) > 0:
             if side > 0:
                 return PairClass(kind="nested", contained=a, container=b)
@@ -175,8 +181,10 @@ class RootSystem:
         prefixes = ctx.gallery_chambers(g)
         roots = tuple(self.root_from(prefixes[i], g.type_word[i])
                       for i in range(len(g.type_word)))
-        assert len(set(roots)) == len(roots)
-        assert all(a.positive for a in roots)
+        if len(set(roots)) != len(roots):
+            raise RootSystemError(f"gallery {g!r} crosses a wall twice")
+        if not all(a.positive for a in roots):
+            raise RootSystemError(f"gallery {g!r} has a negative inversion root")
         return roots
 
     def _in_cone(self, v: z2.Vector, va: z2.Vector, vb: z2.Vector) -> bool:
@@ -195,7 +203,7 @@ class RootSystem:
                         return False
                 sd = z2.sign(det)
                 return z2.sign(lam) * sd >= 0 and z2.sign(mu) * sd >= 0
-        raise AssertionError("independent roots must have a nonzero minor")
+        raise RootSystemError("independent roots must have a nonzero minor")
 
     def interval(self, a: Root, b: Root, g: Gallery) -> tuple[Root, ...]:
         """Closed interval [a, b] ordered by the gallery's crossing order.
@@ -218,7 +226,8 @@ class RootSystem:
                 "exact intervals are only computed for finite-order pairs")
         va, vb = self.vector(a), self.vector(b)
         out = [c for c in roots if self._in_cone(self.vector(c), va, vb)]
-        assert a in out and b in out
+        if a not in out or b not in out:
+            raise RootSystemError(f"interval [{a!r}, {b!r}] misses an endpoint")
         out.sort(key=lambda c: order[c])
         return tuple(out)
 

@@ -14,14 +14,22 @@ as the least element in the fixed order of _rank (preferring a designated
 priority subgroup when one is installed, which is what makes membership
 in a compatible subgroup family readable off the letters).
 
+The contraction order is kept as one cluster tree: each contracted vertex
+set maps to the two clusters it was amalgamated from.  Evaluating a word
+splits it into runs by half, recursively, with one normal form per
+cluster; flattening, family membership and subproduct extraction walk
+the same tree.
+
 closure_words enumerates a finite subgroup from generators, and Subgroup
 promotes a finite subset of a group to a computable group of its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 __all__ = [
     "Subgroup", "closure_words", "Edge", "TreeOfGroups", "Amalgam", "TreeProduct",
@@ -109,6 +117,20 @@ def _rank(x) -> str:
         parts.extend(f"{side}:{_rank(v)}" for side, v in letters)
         return "nf[" + "|".join(parts) + "]"
     return repr(x)
+
+
+def _merged(letters, group_of) -> list:
+    """The (key, element) letters with adjacent letters under one key
+    multiplied together and trivial products dropped; group_of maps a key
+    to the group its elements lie in."""
+    merged: list = []
+    for key, x in letters:
+        G = group_of(key)
+        if merged and merged[-1][0] == key:
+            x = G.mul(merged.pop()[1], x)
+        if x != G.identity:
+            merged.append((key, x))
+    return merged
 
 
 @dataclass
@@ -273,9 +295,6 @@ class Amalgam:
             out.append((side, self.sides[side].inv(v)))
         return self.nf(out)
 
-    def include(self, side: int, x):
-        return self.nf([(side, x)])
-
     def side_value(self, el, side: int):
         """The side-group element el represents, or None."""
         tag, carry, letters = el
@@ -292,6 +311,10 @@ class Amalgam:
 
 class TreeProduct:
     """Tree product realized by contracting edges in a deterministic order.
+
+    _halves maps each contracted cluster (a vertex set) to the two
+    clusters it was amalgamated from, clusters maps every cluster to its
+    group (the vertex group or an Amalgam) and _top is the whole vertex set.
 
     inner, when given, names a connected vertex set contracted first, so
     that subproduct_value can extract elements supported on it.  priority
@@ -319,68 +342,83 @@ class TreeProduct:
                 raise TreeError("priority must cover all vertices with "
                                 "equally many levels")
         self._vertex_images: dict = {}
-        plan = self._plan(tog, frozenset(inner or ()))
-        self._build(plan)
-
-    @staticmethod
-    def _plan(tog: TreeOfGroups, inner: frozenset) -> list:
-        ranked = sorted(tog.edges,
-                        key=lambda e: (not ({e.u, e.v} <= inner),
-                                       min(e.u, e.v), max(e.u, e.v)))
-        return ranked
+        inner = frozenset(inner or ())
+        self._build(sorted(tog.edges, key=lambda e: (
+            not ({e.u, e.v} <= inner), min(e.u, e.v), max(e.u, e.v))))
 
     def _build(self, plan) -> None:
-        tog = self.tog
-        cluster_of = {v: frozenset([v]) for v in tog.vertices}
-        group_of = {frozenset([v]): g for v, g in tog.vertices.items()}
-        self.clusters = group_of   # shared, so rank closures see new clusters
-        emb = {v: (lambda x: x) for v in tog.vertices}
+        cluster_of = {v: frozenset([v]) for v in self.tog.vertices}
+        self.clusters = {frozenset([v]): g for v, g in self.tog.vertices.items()}
+        self._halves: dict = {}
         for e in plan:
             ca, cb = cluster_of[e.u], cluster_of[e.v]
-            A, B = group_of[ca], group_of[cb]
-            emb_u, emb_v = emb[e.u], emb[e.v]
-            into_a = {c: emb_u(x) for c, x in e.into_u.items()}
-            into_b = {c: emb_v(x) for c, x in e.into_v.items()}
-            pred_a = self._family_pred(ca, emb)
-            pred_b = self._family_pred(cb, emb)
-            am = Amalgam(A, B, e.group, into_a, into_b, (pred_a, pred_b))
+            into_a = {c: self._eval(ca, [(e.u, x)]) for c, x in e.into_u.items()}
+            into_b = {c: self._eval(cb, [(e.v, x)]) for c, x in e.into_v.items()}
+            am = Amalgam(self.clusters[ca], self.clusters[cb], e.group,
+                         into_a, into_b,
+                         (self._family_rank(ca), self._family_rank(cb)))
             cu = ca | cb
-            group_of[cu] = am
-            for v in ca:
-                old = emb[v]
-                emb[v] = (lambda x, f=old, a=am: a.include(0, f(x)))
-                cluster_of[v] = cu
-            for v in cb:
-                old = emb[v]
-                emb[v] = (lambda x, f=old, a=am: a.include(1, f(x)))
-                cluster_of[v] = cu
-        (top,) = {cluster_of[v] for v in tog.vertices}
-        self.group = group_of[top]
-        self._emb = emb
+            self.clusters[cu] = am
+            self._halves[cu] = (ca, cb)
+            cluster_of.update(dict.fromkeys(cu, cu))
+        self._top = frozenset(self.tog.vertices)
+        self.group = self.clusters[self._top]
         self.identity = self.group.identity
 
-    def _family_pred(self, cluster: frozenset, emb):
+    def _eval(self, cluster: frozenset, word):
+        """The element of the cluster's group equal to the product of the
+        (vertex, element) letters of word: each run of letters in one half
+        is evaluated in that half, then the runs are normalized at once."""
+        halves = self._halves.get(cluster)
+        if halves is None:
+            (vertex,) = cluster
+            G = self.tog.vertices[vertex]
+            for v, _ in word:
+                if v != vertex:
+                    raise KeyError(v)   # a letter at no vertex of the tree
+            return reduce(G.mul, (x for _, x in word)) if word else G.identity
+        ca = halves[0]
+        runs = itertools.groupby(word, key=lambda letter: 0 if letter[0] in ca else 1)
+        return self.clusters[cluster].nf(
+            [(side, self._eval(halves[side], list(run))) for side, run in runs])
+
+    def _letters(self, cluster: frozenset, el, out: list) -> None:
+        """Append the nontrivial (vertex, element) letters of el, an element
+        of the cluster's group, left to right."""
+        halves = self._halves.get(cluster)
+        if halves is None:
+            (vertex,) = cluster
+            if el != self.tog.vertices[vertex].identity:
+                out.append((vertex, el))
+            return
+        am = self.clusters[cluster]
+        _, carry, letters = el
+        if carry != am.C.identity:
+            self._letters(halves[0], am.embed(carry, 0), out)
+        for side, x in letters:
+            self._letters(halves[side], x, out)
+
+    def _in_level(self, letters, level: int) -> bool:
+        return all(self.priority[v][level](x) for v, x in letters)
+
+    def _family_rank(self, cluster: frozenset):
         if not self.priority:
             return None
-        levels = len(next(iter(self.priority.values())))
+        levels = range(len(next(iter(self.priority.values()))))
 
-        def rank(el, cluster=cluster):
-            return tuple(
-                0 if self._in_family_cluster(self.clusters[cluster], el, lvl)
-                else 1
-                for lvl in range(levels))
+        def rank(el):
+            out: list = []
+            self._letters(cluster, el, out)
+            return tuple(0 if self._in_level(out, lvl) else 1 for lvl in levels)
         return rank
 
     # -- elements ------------------------------------------------------------
 
     def include(self, vertex: str, x):
-        return self._emb[vertex](x)
+        return self._eval(self._top, [(vertex, x)])
 
     def eval_word(self, word):
-        acc = self.identity
-        for vertex, x in word:
-            acc = self.mul(acc, self.include(vertex, x))
-        return acc
+        return self._eval(self._top, list(word))
 
     def mul(self, x, y):
         return self.group.mul(x, y)
@@ -396,67 +434,39 @@ class TreeProduct:
 
     # -- structure queries ------------------------------------------------------
 
-    def _flatten(self, group, el, out, deep: bool) -> None:
-        if any(group is g for g in self.tog.vertices.values()):
-            if deep and isinstance(group, TreeProduct):
-                group._flatten(group.group, el, out, deep)
-                return
-            if el != group.identity:
-                out.append((group, el))
-            return
-        if isinstance(group, Amalgam):
-            tag, carry, letters = el
-            if carry != group.C.identity:
-                self._flatten(group.sides[0], group.embed(carry, 0), out, deep)
-            for side, v in letters:
-                self._flatten(group.sides[side], v, out, deep)
-        elif isinstance(group, TreeProduct):
-            group._flatten(group.group, el, out, deep)
-        elif el != group.identity:
-            out.append((group, el))
+    def _group_letters(self, el, deep: bool):
+        out: list = []
+        self._letters(self._top, el, out)
+        for vertex, x in out:
+            G = self.tog.vertices[vertex]
+            if deep and isinstance(G, TreeProduct):
+                yield from G._group_letters(x, deep)
+            else:
+                yield G, x
 
     def flatten(self, el, deep: bool = False) -> list:
-        """Nontrivial vertex-group letters whose product is el.
+        """Nontrivial (vertex group, element) letters whose product is el.
 
         With deep=True, letters at vertices that are themselves tree
         products are expanded down to their own leaves."""
-        out: list = []
-        self._flatten(self.group, el, out, deep)
-        merged: list = []
-        for group, v in out:
-            if merged and merged[-1][0] is group:
-                v = group.mul(merged.pop()[1], v)
-            if v != group.identity:
-                merged.append((group, v))
-        return merged
+        return _merged(self._group_letters(el, deep), lambda G: G)
 
     def syllables(self, el) -> int:
         return len(self.flatten(el))
 
-    def vertex_of_group(self, group) -> str:
-        for v, g in self.tog.vertices.items():
-            if g is group:
-                return v
-        raise KeyError(group)
-
     def flatten_word(self, el) -> list:
-        return [(self.vertex_of_group(g), v) for g, v in self.flatten(el)]
-
-    def _in_family_cluster(self, group, el, level: int) -> bool:
+        """Nontrivial (vertex, element) letters whose product is el."""
         out: list = []
-        self._flatten(group, el, out, deep=False)
-        for g, v in out:
-            vertex = self.vertex_of_group(g)
-            preds = self.priority.get(vertex)
-            if preds is None or not preds[level](v):
-                return False
-        return True
+        self._letters(self._top, el, out)
+        return _merged(out, self.tog.vertices.__getitem__)
 
     def in_family(self, el, level: int = 0) -> bool:
         """All letters lie in the installed priority subgroups at `level`."""
         if not self.priority:
             raise TreeError("no subgroup family installed")
-        return self._in_family_cluster(self.group, el, level)
+        out: list = []
+        self._letters(self._top, el, out)
+        return self._in_level(out, level)
 
     def subproduct_value(self, el, vertices):
         """The element of the sub tree product on `vertices` equal to el,
@@ -465,28 +475,15 @@ class TreeProduct:
         want = frozenset(vertices)
         if want not in self.clusters:
             raise TreeError(f"{sorted(want)} was not folded as a cluster")
-        group, current = self.group, el
-        while True:
-            if group is self.clusters[want]:
-                return current
-            if not isinstance(group, Amalgam):
+        cluster, current = self._top, el
+        while cluster != want:
+            halves = self._halves[cluster]
+            side = 0 if want <= halves[0] else 1
+            current = self.clusters[cluster].side_value(current, side)
+            if current is None:
                 return None
-            for side in (0, 1):
-                val = group.side_value(current, side)
-                if val is not None and self._contains_cluster(
-                        group.sides[side], want):
-                    group, current = group.sides[side], val
-                    break
-            else:
-                return None
-
-    def _contains_cluster(self, group, want: frozenset) -> bool:
-        if group is self.clusters.get(want):
-            return True
-        if isinstance(group, Amalgam):
-            return (self._contains_cluster(group.sides[0], want)
-                    or self._contains_cluster(group.sides[1], want))
-        return False
+            cluster = halves[side]
+        return current
 
     def vertex_value(self, el, vertex: str):
         """The G_vertex element equal to el, or None (finite groups only)."""
@@ -588,8 +585,6 @@ def ball_intersection(tog: TreeOfGroups, a_vertices, b_vertices,
     it switches to seeded sampling of the same word space and records the
     mode.  b_vertices must span a connected subtree (it is folded as a
     cluster so membership is decidable by extraction)."""
-    import itertools
-
     a_vertices = frozenset(a_vertices)
     b_vertices = frozenset(b_vertices)
     product = TreeProduct(tog, inner=b_vertices)

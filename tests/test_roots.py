@@ -170,3 +170,24 @@ def test_emptiness_certificate(ctx, rs):
              if rs.pair_class(a, b).kind == "nested"]
     assert any(not rs.open_interval_empty_certificate(a, b, g, 8)[0]
                for a, b in pairs)
+
+
+# the negative root s*alpha_s gets a vector that the patched sign calls
+# positive; under -O an assert would register it anyway
+ROOT_SIGN_UNDER_O = """
+from coxkit import zroot2
+from coxkit.coxeter import standard_coxeter
+from coxkit.roots import RootSystem, RootSystemError
+zroot2.vector_sign = lambda vec: 1
+rs = RootSystem(standard_coxeter())
+rs.simple("s")
+try:
+    rs.root_from("s", "s")
+except RootSystemError:
+    print("raised")
+"""
+
+
+def test_root_sign_check_survives_optimize(run_optimized):
+    out = run_optimized(ROOT_SIGN_UNDER_O)
+    assert out.returncode == 0 and out.stdout.strip() == "raised"

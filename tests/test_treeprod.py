@@ -1,8 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
 
+from coxkit.constructions import Builder
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions, contract,
                              fold)
@@ -70,6 +72,75 @@ def test_collapsing_word(theorem_tree, cache):
     assert H.syllables(el) == 1
 
 
+def _amalgam_letters(vertex_of, group, el, out):
+    """(vertex, element) letters of el read off the Amalgam objects alone
+    (sides, carry, letters), without the product's cluster tree."""
+    if id(group) in vertex_of:
+        if el != group.identity:
+            out.append((vertex_of[id(group)], el))
+        return
+    _, carry, letters = el
+    if carry != group.C.identity:
+        _amalgam_letters(vertex_of, group.sides[0], group.embed(carry, 0), out)
+    for side, x in letters:
+        _amalgam_letters(vertex_of, group.sides[side], x, out)
+
+
+def _amalgam_span(vertex_of, group) -> frozenset:
+    if id(group) in vertex_of:
+        return frozenset([vertex_of[id(group)]])
+    return _amalgam_span(vertex_of, group.sides[0]) | \
+        _amalgam_span(vertex_of, group.sides[1])
+
+
+def _amalgam_subproduct_value(vertex_of, group, el, want: frozenset):
+    """subproduct_value by descending the Amalgam objects alone."""
+    while _amalgam_span(vertex_of, group) != want:
+        side = 0 if want <= _amalgam_span(vertex_of, group.sides[0]) else 1
+        el = group.side_value(el, side)
+        if el is None:
+            return None
+        group = group.sides[side]
+    return el
+
+
+def _check_one_pass(P, words, inner=None):
+    """eval_word agrees with the letter-by-letter product of inclusions,
+    and in_family, flatten_word and subproduct_value with walks over the
+    Amalgam objects."""
+    vertex_of = {id(g): v for v, g in P.tog.vertices.items()}
+    levels = len(next(iter(P.priority.values()))) if P.priority else 0
+    for word in words:
+        el = P.eval_word(word)
+        folded = functools.reduce(
+            P.mul, (P.include(v, x) for v, x in word), P.identity)
+        assert el == folded
+        letters: list = []
+        _amalgam_letters(vertex_of, P.group, el, letters)
+        assert P.eval_word(letters) == el
+        assert P.eval_word(P.flatten_word(el)) == el
+        for level in range(levels):
+            assert P.in_family(el, level) == all(
+                P.priority[v][level](x) for v, x in letters)
+        if inner is not None:
+            assert P.subproduct_value(el, inner) == _amalgam_subproduct_value(
+                vertex_of, P.group, el, frozenset(inner))
+
+
+def _mixed_words(P, seed: int, count: int = 150) -> list:
+    """Reduced random words and words of arbitrary letters (identity and
+    edge-group images included)."""
+    rng = random.Random(seed)
+    verts = sorted(P.tog.vertices)
+    words = []
+    for _ in range(count):
+        words.append(P.random_word(rng, rng.randint(0, 6)))
+        words.append([(v, rng.choice(list(P.tog.vertices[v].elements())))
+                      for v in (rng.choice(verts)
+                                for _ in range(rng.randint(0, 6)))])
+    return words
+
+
 def test_batteries(theorem_tree):
     tog, H = theorem_tree
     rng = random.Random(0)
@@ -86,6 +157,47 @@ def test_batteries(theorem_tree):
         # normal forms respect multiplication: recombining the normal
         # forms gives the same element as multiplying directly
         assert H.mul(a, b) == H.mul(H.mul(a, H.identity), b)
+    _check_one_pass(H, _mixed_words(H, 21))
+    H2 = TreeProduct(tog, inner={"1", "2"})
+    _check_one_pass(H2, _mixed_words(H2, 22), inner={"1", "2"})
+
+
+def test_one_pass_eval_with_family_and_inner(cache):
+    b = Builder(cache)
+    ctx = b.ctx
+    orr = b.construction("O_R", ctx.residue("st", ""))
+    m = ctx.mult
+    members = {
+        "v0": b.image_of_u(m("s", "r"), orr.specs[0].ambient),
+        "v1": b.image_of_v("", ("s", "t"), orr.specs[1].ambient),
+        "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
+    }
+    # two levels: the V_R family, then every vertex group whole
+    priority = {v: ((lambda x, allowed=members[v]: x in allowed),
+                    (lambda x: True))
+                for v in orr.tog.vertices}
+    P = TreeProduct(orr.tog, priority=priority, inner={"v1", "v2"})
+    words = _mixed_words(P, 23)
+    # words inside the family, so in_family is also exercised where true
+    rng = random.Random(24)
+    for _ in range(50):
+        words.append([(v, rng.choice(sorted(members[v])))
+                      for v in (rng.choice(sorted(members))
+                                for _ in range(rng.randint(1, 5)))])
+    _check_one_pass(P, words, inner={"v1", "v2"})
+    assert any(P.in_family(P.eval_word(w)) for w in words if w)
+    assert not all(P.in_family(P.eval_word(w)) for w in words)
+
+
+def test_one_pass_eval_contracted_vertex(cache):
+    b = Builder(cache)
+    vr = b.construction("V_R", b.ctx.residue("st", ""))
+    tog2, name, sub = contract(vr.tog, {"v1", "v2"})
+    P = TreeProduct(tog2, inner={name})
+    words = [[(name, sub.include(v, x)) if v in ("v1", "v2") else (v, x)
+              for v, x in word]
+             for word in _mixed_words(TreeProduct(vr.tog), 25)]
+    _check_one_pass(P, words, inner={name})
 
 
 def _count_ball(product, tog, bound, vertex_names, translate=None):
