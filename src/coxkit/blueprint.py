@@ -127,9 +127,6 @@ class BlueprintGroup:
     def root_mask(self, root: Root) -> int:
         return 1 << self._pos[root]
 
-    def has_root(self, root: Root) -> bool:
-        return root in self._pos
-
     def word_of(self, x: int) -> tuple[Root, ...]:
         return tuple(self.roots[i] for i in range(self.k) if x >> i & 1)
 

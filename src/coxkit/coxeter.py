@@ -145,17 +145,11 @@ class Coxeter:
 
     # -- descents -------------------------------------------------------
 
-    def has_right_descent(self, w: str, g: str) -> bool:
-        return len(self.mult_gen(w, g)) < len(w)
-
     def has_left_descent(self, w: str, g: str) -> bool:
         return any(e.startswith(g) for e in self.reduced_words(w))
 
     def last_letters(self, w: str) -> set:
         return {e[-1] for e in self.reduced_words(w) if e}
-
-    def first_letters(self, w: str) -> set:
-        return {e[0] for e in self.reduced_words(w) if e}
 
     # -- balls ------------------------------------------------------------
 

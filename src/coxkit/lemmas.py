@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from coxkit.coxeter import Coxeter
-from coxkit.roots import RootSystem
+from coxkit.roots import RootSystem, ball_members
 
 LABELINGS = tuple("".join(p) for p in itertools.permutations("rst"))
 
@@ -140,8 +140,9 @@ def verify_mingallinrep(ctx: Coxeter, radius: int,
                         mutant: str | None = None) -> SweepReport:
     """For minimal galleries of type (r,s,t,r): the first crossed root
     (oriented to contain the start chamber) is strictly contained in the
-    third-step and fourth-step roots.  Checked both by membership on the
-    ball and by the exact form criterion; the two verdicts must agree."""
+    third-step and fourth-step roots.  Checked both by half-space bitsets
+    on the ball and by the exact form criterion; the two verdicts must
+    agree."""
     _unknown_mutant("mingallinrep", mutant)
     if radius < 4:
         raise ValueError("radius must be >= 4")
@@ -167,9 +168,9 @@ def verify_mingallinrep(ctx: Coxeter, radius: int,
                         {"labeling": lab, "d0": d0, "gamma": which,
                          "reason": "walls coincide"})
                     continue
-                counterexample = next(
-                    (x for x in ball
-                     if rs.member(x, small) and not rs.member(x, large)), None)
+                outside = (rs.halfspace(small, radius)
+                           & ~rs.halfspace(large, radius))
+                counterexample = next(ball_members(ball, outside), None)
                 pc = rs.pair_class(small, large)
                 form_nested = pc.kind == "nested" and pc.contained == small
                 if counterexample is not None or not form_nested:
@@ -206,15 +207,14 @@ def verify_subset_lemma(ctx: Coxeter, radius: int,
         target = rs.root_from(r_st, r)
         if mutant == "opposite_target":
             target = rs.opposite(target)
-        for w in ball:
-            rep.tuples_checked += 1
-            if not (rs.member(w, hyp1) and rs.member(w, hyp2)):
-                continue
-            if w == excluded:
-                boundary += 1
-                continue
-            if not rs.member(w, target):
-                rep.violations.append({"labeling": lab, "w": w})
+        rep.tuples_checked += len(ball)
+        hyps = rs.halfspace(hyp1, radius) & rs.halfspace(hyp2, radius)
+        excluded_bit = 1 << ball.index(excluded) if len(excluded) <= radius else 0
+        if hyps & excluded_bit:
+            boundary += 1
+        outside = hyps & ~excluded_bit & ~rs.halfspace(target, radius)
+        rep.violations.extend({"labeling": lab, "w": w}
+                              for w in ball_members(ball, outside))
     rep.notes["boundary_cases"] = boundary
     rep.elapsed = time.perf_counter() - t0
     return rep
@@ -226,9 +226,3 @@ SWEEPS = {
     "mingallinrep": (verify_mingallinrep, 8),
     "subset_lemma": (verify_subset_lemma, 10),
 }
-
-
-def run_all(ctx: Coxeter, radii: dict | None = None) -> list[SweepReport]:
-    radii = radii or {}
-    return [fn(ctx, radii.get(name, default))
-            for name, (fn, default) in SWEEPS.items()]

@@ -356,7 +356,7 @@ class Section4:
     def cert_generating_remark(self, R: Residue, radius: int = 8) -> Certificate:
         """Root containments behind the generator bookkeeping of the tree
         products: -w_R alpha_t is contained in w_R s alpha_r (and the s<->t
-        mirror), checked both by a ball membership sweep and by the exact
+        mirror), checked both by half-space bitsets on a ball and by the exact
         form criterion, plus the non-generator consequences."""
         b, ctx = self.b, self.ctx
         rsys = self.cache.rsys
@@ -365,7 +365,6 @@ class Section4:
         m = ctx.mult
         cert = Certificate(f"GeneratingRemark[{s}{t}@{g or '1'}]")
         t0 = time.perf_counter()
-        ball = ctx.ball(radius)
         pairs = [
             (rsys.opposite(rsys.root_from(g, t)), rsys.root_from(m(g, s), d),
              f"-w_R alpha_{t} <= w_R {s} alpha_{d}"),
@@ -377,8 +376,8 @@ class Section4:
              rsys.root_from(g, t), f"-w_R {s} alpha_{d} <= w_R alpha_{t}"),
         ]
         for small, large, label in pairs:
-            sweep_ok = all(rsys.member(w, large) for w in ball
-                           if rsys.member(w, small))
+            sweep_ok = not (rsys.halfspace(small, radius)
+                            & ~rsys.halfspace(large, radius))
             pc = rsys.pair_class(small, large)
             form_ok = pc.kind == "nested" and pc.contained == small
             cert.check(f"{label} (ball radius {radius} and form criterion agree)",

@@ -9,9 +9,15 @@ means nested half-spaces, B' <= -2 means disjoint-or-covering; for
 non-crossing walls the orientation is read off the sign of B' at a
 time-like point on one wall.
 
-Membership uses the length test: for positive alpha, w lies in alpha iff
-l(r_alpha * w) > l(w).  The vector test (w^-1 alpha positive) is kept as an
-independent oracle.
+Membership on a ball comes from inversion sets (Bjorner & Brenti, GTM 231,
+1.3-1.4 and 4.2): walking ball(R) in order, N(yg) = N(y) + {wall of y
+alpha_g} whenever l(yg) = l(y) + 1, with a wall named by its positive root
+vector, so no product ever leaves the ball.  Transposed, this gives one
+bitset per wall of the elements that cross it, and ``halfspace(a, R)`` is
+the ball minus that set (a positive) or the set itself (a negative); bit i
+is ball(R)[i].  For a single query, ``member`` uses the length test: for
+positive alpha, w lies in alpha iff l(r_alpha * w) > l(w).  The vector test
+``member_vec`` (w^-1 alpha positive) is the independent oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +31,19 @@ _IDX = {"r": 0, "s": 1, "t": 2}
 
 # forward time-like reference: B'(e_i, tau) = 2*sqrt(2) - 2 > 0 for all i
 _TAU = ((-1, 0), (-1, 0), (-1, 0))
+
+# _GRAM[j][k] = B'(e_j, e_k), so the reflection k sends e_j to
+# e_j - _GRAM[j][k] e_k
+_GRAM = tuple(tuple(z2.form(z2.basis(j), z2.basis(k)) for k in range(3))
+              for j in range(3))
+
+
+def ball_members(ball: tuple[str, ...], mask: int):
+    """The elements of ball whose bits are set in mask, in ball order."""
+    while mask:
+        low = mask & -mask
+        yield ball[low.bit_length() - 1]
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -58,6 +77,9 @@ class RootSystem:
     def __init__(self, ctx: Coxeter):
         self.ctx = ctx
         self._vectors: dict[Root, z2.Vector] = {}
+        self._roots_from: dict[tuple[str, str], Root] = {}
+        self._inversions: dict[Gallery, tuple[Root, ...]] = {}
+        self._crossed: dict[int, dict[z2.Vector, int]] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -81,10 +103,14 @@ class RootSystem:
         """The half-space v*alpha_s (it always contains v)."""
         ctx = self.ctx
         v = ctx.normalize(v)
-        refl = ctx.mult(v, s, ctx.inv(v))
-        positive = len(ctx.mult(v, s)) > len(v)
-        vec = self.act_vec(v, z2.basis(_IDX[s]))
-        return self._register(Root(refl, positive), vec)
+        got = self._roots_from.get((v, s))
+        if got is None:
+            refl = ctx.mult(v, s, ctx.inv(v))
+            positive = len(ctx.mult(v, s)) > len(v)
+            vec = self.act_vec(v, z2.basis(_IDX[s]))
+            got = self._register(Root(refl, positive), vec)
+            self._roots_from[v, s] = got
+        return got
 
     def simple(self, s: str) -> Root:
         return self.root_from("", s)
@@ -113,10 +139,6 @@ class RootSystem:
                 return self.root_from(e[:m], e[m])
         raise ValueError(f"{refl!r} has no palindromic reduced word; not a reflection?")
 
-    def from_reflection(self, refl: str, positive: bool = True) -> Root:
-        a = self._from_reflection(self.ctx.normalize(refl))
-        return a if positive else self.opposite(a)
-
     # -- membership and action -------------------------------------------
 
     def member(self, w: str, a: Root) -> bool:
@@ -128,6 +150,44 @@ class RootSystem:
         """Independent membership oracle: w^-1 * alpha is positive."""
         vec = self.act_vec(self.ctx.inv(w), self.vector(a))
         return z2.vector_sign(vec) == 1
+
+    def _crossings(self, radius: int) -> dict[z2.Vector, int]:
+        """Per wall, keyed by its positive root vector, the bitset of the
+        elements of ball(radius) whose inversion set contains it."""
+        got = self._crossed.get(radius)
+        if got is None:
+            ball = self.ctx.ball(radius)
+            index = {w: i for i, w in enumerate(ball)}
+            # images[i][k] is ball[i] * alpha_k, inversions[i] is N(ball[i])
+            images = [tuple(z2.basis(k) for k in range(3))]
+            inversions: list[tuple[z2.Vector, ...]] = [()]
+            for x in ball[1:]:
+                # x = y*g with l(x) = l(y) + 1: ShortLex forms are prefix-closed
+                y, k = index[x[:-1]], _IDX[x[-1]]
+                iy = images[y]
+                wall = iy[k]
+                if z2.vector_sign(wall) != 1:
+                    raise RootSystemError(f"{x!r} crosses a wall with a negative root")
+                images.append(tuple(z2.vsub(iy[j], z2.vscale(_GRAM[j][k], wall))
+                                    for j in range(3)))
+                inversions.append(inversions[y] + (wall,))
+            got = {}
+            for i, walls in enumerate(inversions):
+                for wall in walls:
+                    got[wall] = got.get(wall, 0) | 1 << i
+            self._crossed[radius] = got
+        return got
+
+    def halfspace(self, a: Root, radius: int) -> int:
+        """The elements of ball(radius) in a, as a bitset: bit i is ball[i].
+
+        Exactly ``member``'s predicate; a wall the ball never crosses gives
+        the whole ball or nothing."""
+        vec = self.vector(a)
+        if not a.positive:
+            return self._crossings(radius).get(z2.vneg(vec), 0)
+        full = (1 << len(self.ctx.ball(radius))) - 1
+        return full & ~self._crossings(radius).get(vec, 0)
 
     def act(self, u: str, a: Root) -> Root:
         ctx = self.ctx
@@ -177,14 +237,16 @@ class RootSystem:
     # -- inversion sequences and intervals -----------------------------------
 
     def inversion_sequence(self, g: Gallery) -> tuple[Root, ...]:
-        ctx = self.ctx
-        prefixes = ctx.gallery_chambers(g)
-        roots = tuple(self.root_from(prefixes[i], g.type_word[i])
-                      for i in range(len(g.type_word)))
-        if len(set(roots)) != len(roots):
-            raise RootSystemError(f"gallery {g!r} crosses a wall twice")
-        if not all(a.positive for a in roots):
-            raise RootSystemError(f"gallery {g!r} has a negative inversion root")
+        roots = self._inversions.get(g)
+        if roots is None:
+            prefixes = self.ctx.gallery_chambers(g)
+            roots = tuple(self.root_from(prefixes[i], g.type_word[i])
+                          for i in range(len(g.type_word)))
+            if len(set(roots)) != len(roots):
+                raise RootSystemError(f"gallery {g!r} crosses a wall twice")
+            if not all(a.positive for a in roots):
+                raise RootSystemError(f"gallery {g!r} has a negative inversion root")
+            self._inversions[g] = roots
         return roots
 
     def _in_cone(self, v: z2.Vector, va: z2.Vector, vb: z2.Vector) -> bool:
@@ -236,31 +298,20 @@ class RootSystem:
             return ()
         return tuple(c for c in self.interval(a, b, g) if c not in (a, b))
 
+    def _refutations(self, a: Root, b: Root, c: Root, radius: int) -> int:
+        """The elements of ball(radius) that keep c out of the interval
+        [a, b]: in a and b but not in c, or in c but in neither."""
+        in_a, in_b, in_c = (self.halfspace(x, radius) for x in (a, b, c))
+        return in_a & in_b & ~in_c | in_c & ~(in_a | in_b)
+
     def interval_ball(self, a: Root, b: Root, g: Gallery, radius: int):
         """Ball-approximate closed interval for any prenilpotent pair.
 
         Returns (roots, exact) where exact is False: candidates from Phi(G)
         that pass the defining containments on every element of the ball.
         """
-        roots = self.inversion_sequence(g)
-        ball = self.ctx.ball(radius)
-        out = []
-        for c in roots:
-            ok = True
-            for w in ball:
-                in_a, in_b = self.member(w, a), self.member(w, b)
-                in_c = self.member(w, c)
-                if in_a and in_b and not in_c:
-                    ok = False
-                    break
-                if not in_a and not in_b and in_c:
-                    ok = False
-                    break
-            if ok:
-                out.append(c)
-        order = {root: i for i, root in enumerate(roots)}
-        out.sort(key=lambda c: order[c])
-        return tuple(out), False
+        return tuple(c for c in self.inversion_sequence(g)
+                     if not self._refutations(a, b, c, radius)), False
 
     def open_interval_empty_certificate(self, a: Root, b: Root, g: Gallery,
                                         radius: int):
@@ -271,20 +322,14 @@ class RootSystem:
         refuted by an explicit ball witness.  Returns (True, witnesses) on
         success, (False, unrefuted-candidates) otherwise.
         """
-        roots = self.inversion_sequence(g)
         ball = self.ctx.ball(radius)
         witnesses = {}
         unrefuted = []
-        for c in roots:
+        for c in self.inversion_sequence(g):
             if c in (a, b):
                 continue
-            found = None
-            for w in ball:
-                in_a, in_b = self.member(w, a), self.member(w, b)
-                in_c = self.member(w, c)
-                if (in_a and in_b and not in_c) or (not in_a and not in_b and in_c):
-                    found = w
-                    break
+            found = next(ball_members(ball, self._refutations(a, b, c, radius)),
+                         None)
             if found is None:
                 unrefuted.append(c)
             else:

@@ -55,10 +55,6 @@ def is_zero(x: Scalar) -> bool:
     return x == ZERO
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return (add(u[0], v[0]), add(u[1], v[1]), add(u[2], v[2]))
-
-
 def vsub(u: Vector, v: Vector) -> Vector:
     return (sub(u[0], v[0]), sub(u[1], v[1]), sub(u[2], v[2]))
 

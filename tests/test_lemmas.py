@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coxkit import lemmas
+from coxkit.roots import RootSystem
 
 
 def test_wordsincoxetergroup_instance(ctx):
@@ -31,6 +32,24 @@ def test_every_mutant_fires_at_radius_4(ctx):
         for mutant in mutants:
             rep = fn(ctx, 4, mutant=mutant)
             assert len(rep.violations) >= 1, (name, mutant)
+
+
+def test_swap_containment_counterexamples_pinned(ctx):
+    # each counterexample is the first element of ball(6), in ball order,
+    # that lies in gamma and not in beta, found here by a member scan
+    rs = RootSystem(ctx)
+    ball = ctx.ball(6)
+    rep = lemmas.verify_mingallinrep(ctx, 6, mutant="swap_containment")
+    assert len(rep.violations) == rep.tuples_checked == 120
+    for v in rep.violations:
+        r, s, t = v["labeling"]
+        d2 = ctx.mult(v["d0"], r, s)
+        gamma = (rs.root_from(d2, t) if v["gamma"] == 0
+                 else rs.root_from(ctx.mult(d2, t), r))
+        beta = rs.root_from(v["d0"], r)
+        want = next(x for x in ball
+                    if rs.member(x, gamma) and not rs.member(x, beta))
+        assert v["ball_counterexample"] == want
 
 
 def test_unknown_mutant_rejected(ctx):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from coxkit.roots import IntervalNotExact, RootSystem
+from coxkit.roots import IntervalNotExact, RootSystem, ball_members
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,30 @@ def test_membership_cross_checks(ctx, rs):
     for w in ctx.ball(8):
         for a in small:
             assert rs.member(w, a) != rs.member(w, rs.opposite(a))
+
+
+def test_halfspace_agrees_with_member_and_oracle(ctx, rs):
+    # every root met from ball(6), the opposites, and a wall that ball(7)
+    # never crosses (rsrstrs*t, of length 8, crosses it)
+    roots = {rs.root_from(v, g) for v in ctx.ball(6) for g in "rst"}
+    roots |= {rs.opposite(a) for a in roots}
+    far = rs.root_from("rsrstrs", "t")
+    roots |= {far, rs.opposite(far)}
+    ball = ctx.ball(7)
+    for a in roots:
+        bits = rs.halfspace(a, 7)
+        assert bits >> len(ball) == 0
+        got = [bool(bits >> i & 1) for i in range(len(ball))]
+        assert got == [rs.member(w, a) for w in ball], a
+        assert got == [rs.member_vec(w, a) for w in ball], a
+    assert rs.halfspace(far, 7) == (1 << len(ball)) - 1
+    assert rs.halfspace(rs.opposite(far), 7) == 0
+
+
+def test_ball_members_in_ball_order(ctx):
+    ball = ctx.ball(2)
+    assert list(ball_members(ball, 0b1011)) == [ball[0], ball[1], ball[3]]
+    assert list(ball_members(ball, 0)) == []
 
 
 def test_action(ctx, rs):
