@@ -7,9 +7,9 @@ common generating roots of adjacent vertices, with boundary maps matched
 root-by-root, which is exactly the hat-star convention.
 
 The colimit side computes the prefix sets C and gate sets D that define
-the three direct limits, together with their generator counts; those
-groups have no word-problem oracle here and are carried as presentations
-plus the amalgam decompositions certified in coxkit.pipeline.
+the three direct limits, their generator roots and commutator relations;
+those groups have no word-problem oracle here and are carried as that
+data plus the amalgam decompositions certified in coxkit.pipeline.
 """
 
 from __future__ import annotations
@@ -221,45 +221,6 @@ class Builder:
 
 
 # -- colimit data ------------------------------------------------------------
-
-
-@dataclass
-class ColimitPresentation:
-    """Generators and relations of one of the three direct limits.
-
-    The group itself has no word-problem oracle here; this is the
-    bookkeeping object that the certificates compare against the explicit
-    gate lists and the generator counts."""
-
-    kind: str
-    C: frozenset
-    D: frozenset
-    generators: tuple
-    relations: frozenset
-
-    @property
-    def generator_count(self) -> int:
-        return len(self.generators)
-
-
-def build_colimit(cache: GroupCache, kind: str) -> ColimitPresentation:
-    ctx = cache.ctx
-    if kind == "G_st":
-        C = c_set_r(ctx, ("s", "t"))
-    elif kind == "G_-1":
-        C = c_set_minus1(ctx)
-    elif kind == "G_0":
-        C = c_set_0(ctx)
-    else:
-        raise ValueError(f"unknown colimit kind {kind!r}")
-    gens = tuple(sorted(roots_violated(cache, C),
-                        key=lambda root: (root.refl, root.positive)))
-    rels = frozenset(harvest_relations(cache, C))
-    gen_set = set(gens)
-    for a, b, mids in rels:
-        if not gen_set.issuperset((a, b, *mids)):
-            raise PreconditionError(f"a {kind} relation leaves the generators")
-    return ColimitPresentation(kind, C, d_set(ctx, C), gens, rels)
 
 
 def pair_labelings():

@@ -9,17 +9,25 @@ distance of a pair is the Bruhat class of a*b^-1 and the codistance the
 Birkhoff class; the building and twinning axioms are checked
 exhaustively by the test suite, not assumed.
 
-The group is generated by B_+ and two permutation matrices.  Each model
-fills one 45x45 table of Weyl words per sign pair, so weyl_distance,
+The group is generated by B_+ and two permutation matrices.
+build_model(("s", "t")) builds and calibrates it once per process, with
+one 45x45 table of Weyl words per sign pair, so weyl_distance,
 codistance and panel are table reads; a failed construction fact (group
 or Borel order, chamber count, double cosets, panel size) raises
 CalibrationError.
 
 The two simple-root one-parameter groups each have a single nontrivial
 element over F2.  Which matrix node type carries which letter is not
-canonical, so the constructor searches the (at most two) labelings and
+canonical, so the calibration searches the (at most two) labelings and
 the candidate generators until the configuration drawn in the rank-2
 action diagram holds, then freezes the choice.
+
+Every rank-2 residue of the (4,4,4) building is the same generalized
+quadrangle, so any other pair of letters (the {r,t} and {r,s} residues,
+or {s,t} read as (t,s)) is a letter map over that one build: it shares
+the group, the chambers and the calibration by reference, and its tables
+are the {s,t} tables with each Weyl word renamed letter by letter and
+normalized once, when the model is made.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import time
 from functools import reduce
 from dataclasses import dataclass
 
-from coxkit.coxeter import Coxeter, standard_coxeter
+from coxkit.coxeter import standard_coxeter
 from coxkit.lemmas import SweepReport
 from coxkit.treeprod import closure_words
 
@@ -121,15 +129,21 @@ class CalibrationError(RuntimeError):
     of the transvection generators satisfies the diagram."""
 
 
+# the labeling built from the group; every other one is a letter map over it
+BASE_LETTERS = ("s", "t")
+
+
 class TwinModel:
-    def __init__(self, letters: tuple[str, str] = ("s", "t"),
-                 ctx: Coxeter | None = None):
+    def __init__(self, letters: tuple[str, str] = BASE_LETTERS):
         if len(letters) != 2 or letters[0] == letters[1]:
             raise ValueError("need two distinct letters")
         self.letters = letters
-        self.ctx = ctx or standard_coxeter()
-        self._build_group()
-        self._calibrate()
+        self.ctx = standard_coxeter()
+        if letters == BASE_LETTERS:
+            self._build_group()
+            self._calibrate()
+        else:
+            self._relabel(build_model(BASE_LETTERS))
 
     # -- group enumeration ---------------------------------------------------
 
@@ -211,13 +225,30 @@ class TwinModel:
                for sign in (1, -1) for row in self._delta[sign, sign]):
             raise CalibrationError("a panel does not have 3 chambers")
 
+    def _relabel(self, base: TwinModel) -> None:
+        """Share base's group, chambers and calibration by reference; map
+        each of its Weyl words once through base.letters -> self.letters."""
+        self.elems = base.elems
+        self.borel_plus, self.borel_minus = base.borel_plus, base.borel_minus
+        self._borel, self._coset_id, self._coset_rep = \
+            base._borel, base._coset_id, base._coset_rep
+        self._u0, self._u1, self._rep0, self._rep1 = \
+            base._u0, base._u1, base._rep0, base._rep1
+        rename = dict(zip(base.letters, self.letters))
+        word = {w: self.ctx.normalize(rename[ch] for ch in w)
+                for w in base.weyl_elements()}
+        self._label = {kind: {g: word[w] for g, w in table.items()}
+                       for kind, table in base._label.items()}
+        self._delta = {pair: [[word[w] for w in row] for row in rows]
+                       for pair, rows in base._delta.items()}
+
     # -- public chamber interface ----------------------------------------------
 
     def chamber(self, sign: int, g: int = IDENT) -> TwinChamber:
         return TwinChamber(sign, self._coset_id[sign][g])
 
     def chambers(self, sign: int):
-        return [TwinChamber(sign, i) for i in range(45)]
+        return [TwinChamber(sign, i) for i in range(len(self._coset_rep[sign]))]
 
     def rep(self, c: TwinChamber) -> int:
         return self._coset_rep[c.sign][c.coset]
@@ -501,7 +532,9 @@ class TwinModel:
     def dump(self) -> str:
         """Deterministic text dump: chambers, panels, distance table."""
         lines = [f"twin model letters={self.letters[0]}{self.letters[1]} "
-                 f"group=720 borel=16 chambers=45 panel=3"]
+                 f"group={len(self.elems)} borel={len(self.borel_plus)} "
+                 f"chambers={len(self.chambers(-1))} "
+                 f"panel={len(self.panel(self.c_minus, self.letters[0]))}"]
         for sign, tag in ((1, "+"), (-1, "-")):
             for c in self.chambers(sign):
                 for letter in self.letters:

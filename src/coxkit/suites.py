@@ -85,11 +85,11 @@ def run_quadrangle() -> dict:
     out = {"suite": "quadrangle"}
     t0 = time.perf_counter()
     model = build_model(("s", "t"))
-    ok = (len(model.elems) == 720 and len(model.borel_plus) == 16
-          and len(model.chambers(-1)) == 45
-          and len(model.panel(model.c_minus, "s")) == 3)
-    out["model"] = {"group": len(model.elems), "borel": len(model.borel_plus),
-                    "chambers": 45, "panel": 3, "pass": ok}
+    facts = {"group": len(model.elems), "borel": len(model.borel_plus),
+             "chambers": len(model.chambers(-1)),
+             "panel": len(model.panel(model.c_minus, "s"))}
+    ok = facts == {"group": 720, "borel": 16, "chambers": 45, "panel": 3}
+    out["model"] = {**facts, "pass": ok}
     reports = {}
     for name, rep in (("axioms", model.verify_axioms()),
                       ("diagram", model.verify_diagram()),

@@ -2,8 +2,8 @@ import pytest
 
 from coxkit.constructions import (Builder, PreconditionError, c_set_0,
                                   c_set_minus1, c_set_r, classify_residue,
-                                  d_set, dset_certificate, pair_labelings,
-                                  roots_violated)
+                                  d_set, dset_certificate, harvest_relations,
+                                  pair_labelings, roots_violated)
 
 
 @pytest.fixture(scope="module")
@@ -102,12 +102,14 @@ def test_labelings_cover_all_pairs():
         frozenset("st"), frozenset("rs"), frozenset("rt")}
 
 
-def test_build_colimit(cache):
-    from coxkit.constructions import build_colimit
-    for kind, count in (("G_st", 7), ("G_-1", 9), ("G_0", 15)):
-        pres = build_colimit(cache, kind)
-        assert pres.generator_count == count
-        assert pres.relations
-    import pytest as _pytest
-    with _pytest.raises(ValueError):
-        build_colimit(cache, "G_1")
+def test_colimit_generators_and_relations(cache):
+    # generators of each direct limit are the roots some w in C violates;
+    # every harvested commutator relation stays among them
+    ctx = cache.ctx
+    for C, count in ((c_set_r(ctx, ("s", "t")), 7), (c_set_minus1(ctx), 9),
+                     (c_set_0(ctx), 15)):
+        gens = roots_violated(cache, C)
+        assert len(gens) == count
+        rels = harvest_relations(cache, C)
+        assert rels
+        assert all(gens.issuperset((a, b, *mids)) for a, b, mids in rels)

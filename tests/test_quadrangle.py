@@ -1,10 +1,12 @@
+import json
 import os
 import random
 
 import pytest
 
-from coxkit.quadrangle import (IDENT, build_model, is_symplectic, mat_inv,
-                               mat_mul, verify_rt_relabel)
+from coxkit import quadrangle
+from coxkit.quadrangle import (IDENT, TwinModel, build_model, is_symplectic,
+                               mat_inv, mat_mul, verify_rt_relabel)
 from coxkit.treeprod import closure_words
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -179,7 +181,7 @@ def test_mat_inv_is_two_sided(st_model):
         assert mat_mul(g, mat_inv(g)) == IDENT == mat_mul(mat_inv(g), g)
 
 
-@pytest.mark.parametrize("letters", [("s", "t"), ("r", "t"), ("r", "s")])
+@pytest.mark.parametrize("letters", [("s", "t"), ("r", "t"), ("r", "s"), ("t", "s")])
 def test_tables_match_double_cosets(letters):
     # every distance-table entry against double cosets B w B listed
     # element by element, without the model's label maps
@@ -194,6 +196,24 @@ def test_tables_match_double_cosets(letters):
             for y in m.chambers(sy):
                 g = mat_mul(m.rep(x), mat_inv(m.rep(y)))
                 assert [w for w, cell in cells.items() if g in cell] == [read(x, y)]
+
+
+def test_labelings_share_one_build(monkeypatch):
+    # asking for rt first still builds st once, and rs reuses it: one
+    # group enumeration and one calibration for every labeling
+    calls = []
+    for name in ("_build_group", "_calibrate"):
+        def counted(self, name=name, real=getattr(TwinModel, name)):
+            calls.append(name)
+            real(self)
+        monkeypatch.setattr(TwinModel, name, counted)
+    monkeypatch.setattr(quadrangle, "_MODELS", {})
+    rt, st, rs = (build_model(letters) for letters in (("r", "t"), ("s", "t"), ("r", "s")))
+    assert calls == ["_build_group", "_calibrate"]
+    for m in (rt, rs):
+        assert m.elems is st.elems and m._coset_rep is st._coset_rep
+        assert m.simple_root_elements() == st.simple_root_elements()
+        assert m.weyl_rep(m.letters[0]) == st.weyl_rep("s")
 
 
 # two chambers of an s-panel are both at distance 1 from the third; under
@@ -229,3 +249,25 @@ except quadrangle.CalibrationError as exc:
 def test_borel_check_survives_optimize(run_optimized):
     out = run_optimized(BOREL_UNDER_O)
     assert out.returncode == 0 and out.stdout.strip() == "Borel of sign -1 has order 1"
+
+
+# one corrupted codistance must fail the whole quadrangle suite, with
+# assert statements stripped
+CORRUPT_SUITE_UNDER_O = """
+import json
+from coxkit import suites
+from coxkit.quadrangle import build_model
+m = build_model(("s", "t"))
+row = m._delta[1, -1][3]
+row[7] = next(w for w in m.weyl_elements() if w != row[7])
+out = suites.run_quadrangle()
+axioms = out["reports"]["axioms"]
+print(json.dumps([out["pass"], axioms["pass"], len(axioms["violations"])]))
+"""
+
+
+def test_corrupted_codistance_fails_suite_under_optimize(run_optimized):
+    out = run_optimized(CORRUPT_SUITE_UNDER_O)
+    assert out.returncode == 0
+    suite_pass, axioms_pass, violations = json.loads(out.stdout)
+    assert suite_pass is False and axioms_pass is False and violations > 0
