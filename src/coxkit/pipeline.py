@@ -72,19 +72,18 @@ class Section4:
         """Random reduced words with letters in the family stay nontrivial."""
         rng = self.rng()
         tog = product.tog
+        verts = sorted(tog.vertices)
         ok = True
         for _ in range(rounds):
             word = []
             prev = None
-            verts = sorted(tog.vertices)
             v = rng.choice(verts)
             for _ in range(rng.randint(1, 4)):
                 G = tog.vertices[v]
                 allowed = members.get(v)
                 if prev is not None:
-                    e = tog.edge_between(prev, v)
-                    banned = {product.include(v, y)
-                              for y in e.endpoint_map(v).values()}
+                    # include(v, .) is injective, so the ban is tested in G_v
+                    banned = set(tog.edge_between(prev, v).endpoint_map(v).values())
                 pool = []
                 for x in (allowed if allowed is not None and not callable(allowed)
                           else G.elements()):
@@ -92,7 +91,7 @@ class Section4:
                         continue
                     if x == G.identity:
                         continue
-                    if prev is not None and product.include(v, x) in banned:
+                    if prev is not None and x in banned:
                         continue
                     pool.append(x)
                 if not pool:
@@ -221,6 +220,8 @@ class Section4:
         rng = self.rng()
         ok = True
         full = TreeProduct(vrs.tog)
+        groups = {id(sp.group): sp.name for sp in vrs.specs}
+        groups[id(H)] = "v0"
         for _ in range(SAMPLES):
             word = full.random_word(rng, rng.randint(1, 4))
             el = full.eval_word(word)
@@ -228,8 +229,6 @@ class Section4:
                           else (v, x) for v, x in word]
             el2 = outer.eval_word(translated)
             back = []
-            groups = {id(sp.group): sp.name for sp in vrs.specs}
-            groups[id(H)] = "v0"
             for grp, val in outer.flatten(el2, deep=True):
                 back.append((groups[id(grp)], val))
             if full.eval_word(back) != el:
@@ -552,16 +551,17 @@ class Section4:
                     and pre_k == b.image_of_u(m(g, s, d), amb0)))
         rng = self.rng()
         ok = True
-        or_members = self._krs_or_family(self.b.construction("K_Rs", R, s), R, s)
+        pools = {v: sorted(members)
+                 for v, members in self._krs_or_family(krs, R, s).items()}
+        srs_pool = sorted(srs_img)
         for _ in range(SAMPLES):
             word = []
             for _ in range(rng.randint(1, 4)):
                 if rng.random() < 0.5:
                     v = rng.choice(["v0", "v1", "v2", "v3"])
-                    pool = sorted(or_members[v])
-                    word.append(("K", kprod.include(v, rng.choice(pool))))
+                    word.append(("K", kprod.include(v, rng.choice(pools[v]))))
                 else:
-                    word.append(("W", rng.choice(sorted(srs_img))))
+                    word.append(("W", rng.choice(srs_pool)))
             el = z.eval_word(word)
             val = z.subproduct_value(el, {"K"})
             if val is not None and not in_or(val):

@@ -14,6 +14,17 @@ as the least element in the fixed order of _rank (preferring a designated
 priority subgroup when one is installed, which is what makes membership
 in a compatible subgroup family readable off the letters).
 
+Normal forms are computed right to left by one routine: a carry (an
+edge-group element) is pushed leftwards through the letters, and each
+letter is replaced by its coset representative.  Multiplying two normal
+forms starts that routine with the right factor's letters already in
+place and walks the left factor's letters only while something can
+change: once the carry is trivial and the next letter cannot merge with
+the one to its right, the rest of the left factor is canonical as it
+stands, because a representative is the least element of its own coset
+and so decomposes to itself.  The product thus costs the letters near
+the junction, not both factors in full.
+
 The contraction order is kept as one cluster tree: each contracted vertex
 set maps to the two clusters it was amalgamated from.  Evaluating a word
 splits it into runs by half, recursively, with one normal form per
@@ -216,6 +227,14 @@ class Amalgam:
     carry is an edge-group element; letters are (side, tau) with side 0
     for A and 1 for B, tau a canonical nontrivial coset representative,
     sides alternating.
+
+    nf, mul and inv share one right-to-left normalizer, _normalize.  mul
+    does not re-normalize its factors: it stacks the right factor's
+    letters, carries the right factor's carry into the left factor's
+    letters and stops at the first letter where the carry is trivial and
+    no merge is pending.  The stop is sound because a canonical letter is
+    the least element of its coset C*tau in the fixed _rank and priority
+    order, so _decompose would return it with trivial carry.
     """
 
     def __init__(self, A, B, C, c_into_a: dict, c_into_b: dict,
@@ -250,33 +269,50 @@ class Amalgam:
             self._decomp_cache[(side, x)] = got
         return got
 
+    def _normalize(self, letters, carry, stack: list, head=None) -> tuple:
+        """Normal form of letters * embed(carry) * stack, right to left.
+
+        stack holds canonical letters, rightmost first, with alternating
+        sides.  Each step folds the running carry into the next letter on
+        its left, merges it with the stack top when their sides agree, and
+        pushes the canonical representative of its coset, leaving the edge
+        part as the new carry.
+
+        head, when given, is an edge element standing left of letters,
+        which are then canonical (the letters of a normal form).  The walk
+        stops as soon as the carry is trivial and the next letter's side
+        differs from the stack top: nothing is left to merge, and each
+        remaining letter, being the canonical representative of its own
+        coset, would decompose to itself with trivial carry.  The result's
+        carry is then head itself.
+        """
+        identity = self.C.identity
+        for i in range(len(letters) - 1, -1, -1):
+            side, x = letters[i]
+            if head is not None and carry == identity and (
+                    not stack or stack[-1][0] != side):
+                return ("nf", head, letters[:i + 1] + tuple(reversed(stack)))
+            G = self.sides[side]
+            if carry != identity:
+                x = G.mul(x, self.embed(carry, side))
+            if stack and stack[-1][0] == side:
+                x = G.mul(x, stack.pop()[1])
+            if x == G.identity:
+                carry = identity
+                continue
+            un = self._unembed[side].get(x)
+            if un is not None:
+                carry = un
+                continue
+            carry, tau = self._decompose(side, x)
+            stack.append((side, tau))
+        if head is not None:
+            carry = self.C.mul(head, carry)
+        return ("nf", carry, tuple(reversed(stack)))
+
     def nf(self, letters) -> tuple:
         """Normal form of a word of (side, element) letters."""
-        merged = []
-        for side, x in letters:
-            if merged and merged[-1][0] == side:
-                x = self.sides[side].mul(merged.pop()[1], x)
-            merged.append((side, x))
-        stack = []  # letters right of the cursor, rightmost first
-        carry = self.C.identity
-        for side, x in reversed(merged):
-            G = self.sides[side]
-            x = G.mul(x, self.embed(carry, side))
-            carry = self.C.identity
-            while True:
-                if stack and stack[-1][0] == side:
-                    x = G.mul(x, stack.pop()[1])
-                if x == G.identity:
-                    break
-                un = self._unembed[side].get(x)
-                if un is not None:
-                    carry = un
-                    break
-                c, tau = self._decompose(side, x)
-                stack.append((side, tau))
-                carry = c
-                break
-        return ("nf", carry, tuple(reversed(stack)))
+        return self._normalize(letters, self.C.identity, [])
 
     # -- computable group interface ---------------------------------------
 
@@ -287,13 +323,17 @@ class Amalgam:
         return out
 
     def mul(self, x, y):
-        return self.nf(self.letters_of(x) + self.letters_of(y))
+        """x * y normalized at the junction: y's letters are already the
+        canonical stack, and x's letters are walked leftwards only until
+        nothing more can change."""
+        _, cx, xl = x
+        _, cy, yl = y
+        return self._normalize(xl, cy, list(reversed(yl)), head=cx)
 
     def inv(self, x):
-        out = []
-        for side, v in reversed(self.letters_of(x)):
-            out.append((side, self.sides[side].inv(v)))
-        return self.nf(out)
+        _, carry, letters = x
+        out = [(side, self.sides[side].inv(v)) for side, v in reversed(letters)]
+        return self._normalize(out, self.C.inv(carry), [])
 
     def side_value(self, el, side: int):
         """The side-group element el represents, or None."""

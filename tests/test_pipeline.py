@@ -66,3 +66,31 @@ def test_krs_gminus1_requires_gate_one(sec, ctx):
     from coxkit.constructions import PreconditionError
     with pytest.raises(PreconditionError):
         sec.cert_krs_gminus1(ctx.residue("st", "r"), "s")
+
+
+@pytest.mark.parametrize("kind", ["O_R", "K_Rs"])
+def test_battery_ban_is_read_in_the_vertex_group(sec, ctx, kind):
+    """The nonidentity battery bans x at v when x lies in the edge group's
+    image in G_v; that agrees with banning include(v, x) in the edge
+    group's image in the product because include is injective."""
+    R = ctx.residue("st", "")
+    s = "s"
+    cons = sec.b.construction(kind, R, s)
+    if kind == "O_R":
+        m = ctx.mult
+        members = {
+            "v0": sec.b.image_of_u(m("s", "r"), cons.specs[0].ambient),
+            "v1": sec.b.image_of_v("", ("s", "t"), cons.specs[1].ambient),
+            "v2": sec.b.image_of_u(m("t", "r"), cons.specs[2].ambient),
+        }
+    else:
+        members = sec._krs_or_family(cons, R, s)
+    product = sec._family_product(cons, members)
+    for e in cons.tog.edges:
+        images = {product.include(e.u, e.into_u[c]) for c in e.group.elements()}
+        assert images == {product.include(e.v, e.into_v[c])
+                          for c in e.group.elements()}
+        for v in (e.u, e.v):
+            G = cons.tog.vertices[v]
+            banned = {x for x in G.elements() if product.include(v, x) in images}
+            assert banned == set(e.endpoint_map(v).values())

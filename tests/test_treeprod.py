@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coxkit.constructions import Builder
-from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
+from coxkit.treeprod import (Amalgam, Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions, contract,
                              fold)
 
@@ -198,6 +198,81 @@ def test_one_pass_eval_contracted_vertex(cache):
               for v, x in word]
              for word in _mixed_words(TreeProduct(vr.tog), 25)]
     _check_one_pass(P, words, inner={name})
+
+
+def _amalgams(G, out: list) -> list:
+    """Every Amalgam reachable from G through sides and through vertices
+    that are themselves tree products."""
+    if isinstance(G, TreeProduct):
+        _amalgams(G.group, out)
+    elif isinstance(G, Amalgam):
+        out.append(G)
+        for side in G.sides:
+            _amalgams(side, out)
+    return out
+
+
+def _random_element(G, rng):
+    """A seeded element of G: in an Amalgam, the normal form of up to six
+    letters on alternating sides, about a quarter of them edge-group
+    images so that carries occur."""
+    if isinstance(G, TreeProduct):
+        return _random_element(G.group, rng)
+    if not isinstance(G, Amalgam):
+        return rng.choice(list(G.elements()))
+    letters = []
+    side = rng.randrange(2)
+    for _ in range(rng.randint(0, 6)):
+        side = 1 - side
+        if rng.random() < 0.25:
+            x = G.embed(rng.choice(list(G.C.elements())), side)
+        else:
+            x = _random_element(G.sides[side], rng)
+        letters.append((side, x))
+    return G.nf(letters)
+
+
+def _junction_products(cache, theorem_tree):
+    """(label, product) pairs, built one at a time, so that a wrong
+    multiplication fails on the small shapes before the later builds,
+    whose boundary-map checks multiply too, can raise."""
+    yield "U_sr*V*U_trt", theorem_tree[1]
+    b = Builder(cache)
+    ctx = b.ctx
+    R = ctx.residue("st", "")
+    m = ctx.mult
+    yield "V_R", TreeProduct(b.construction("V_R", R).tog)
+    orr = b.construction("O_R", R)
+    family = {
+        "v0": b.image_of_u(m("s", "r"), orr.specs[0].ambient),
+        "v1": b.image_of_v("", ("s", "t"), orr.specs[1].ambient),
+        "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
+    }
+    preds = {v: (lambda x, allowed=members: x in allowed,)
+             for v, members in family.items()}
+    yield "O_R", TreeProduct(orr.tog, priority=preds)
+    # Z shape: the V_R family's head contracted to a vertex that is a
+    # tree product with its own priority, the family ranked on top of it
+    tog2, name, sub = contract(orr.tog, {"v1", "v2"},
+                               priority={v: preds[v] for v in ("v1", "v2")})
+    yield "Z", TreeProduct(tog2, priority={name: (sub.in_family,),
+                                           "v0": preds["v0"]})
+
+
+def test_junction_mul_matches_full_normalization(cache, theorem_tree):
+    rng = random.Random(8)
+    for label, P in _junction_products(cache, theorem_tree):
+        for A in _amalgams(P, []):
+            pool = [_random_element(A, rng) for _ in range(16)]
+            # the same letters with trivial carry, so stops with nothing
+            # pending and stops beside a same-side merge both occur
+            pool += [("nf", A.C.identity, el[2]) for el in pool]
+            for x, y, z in ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
+                            for _ in range(120)):
+                xy = A.mul(x, y)
+                assert xy == A.nf(A.letters_of(x) + A.letters_of(y)), (label, A)
+                assert A.mul(xy, z) == A.mul(x, A.mul(y, z)), (label, A)
+                assert A.mul(x, A.inv(x)) == A.identity, (label, A)
 
 
 def _count_ball(product, tog, bound, vertex_names, translate=None):
