@@ -130,6 +130,13 @@ class BlueprintGroup:
     def word_of(self, x: int) -> tuple[Root, ...]:
         return tuple(self.roots[i] for i in range(self.k) if x >> i & 1)
 
+    def root_product(self, roots) -> int:
+        """The product of the root generators at roots, left to right."""
+        acc = self.identity
+        for root in roots:
+            acc = self.mul(acc, self.root_mask(root))
+        return acc
+
     # -- certification ------------------------------------------------------
 
     def left_perm(self, i: int) -> list:
@@ -257,12 +264,7 @@ class GroupCache:
             raise ValueError(f"{w!r} is not a prefix of {target_w!r}")
         src = self.group(w)
         dst = self.group(target_w)
-        images = {}
-        for x in src.elements():
-            acc = dst.identity
-            for root in src.word_of(x):
-                acc = dst.mul(acc, dst.root_mask(root))
-            images[x] = acc
+        images = {x: dst.root_product(src.word_of(x)) for x in src.elements()}
         return GroupMono(src, dst, images)
 
     def v_subgroup(self, gate: str, types) -> Subgroup:
@@ -288,7 +290,8 @@ class GroupCache:
 
 def gallery_independence(cache: GroupCache, w: str) -> bool:
     """All minimal galleries of w present isomorphic collection groups via
-    the generator-identity map (tables compared in each other's coordinates)."""
+    the generator-identity map, checked as a GroupMono into the canonical
+    gallery's group."""
     ctx = cache.ctx
     w = ctx.normalize(w)
     base = cache.group(w)
@@ -296,16 +299,10 @@ def gallery_independence(cache: GroupCache, w: str) -> bool:
         if h.type_word == base.gallery.type_word:
             continue
         other = cache.group(w, h)
-        images = {}
-        for x in other.elements():
-            acc = base.identity
-            for root in other.word_of(x):
-                acc = base.mul(acc, base.root_mask(root))
-            images[x] = acc
-        if len(set(images.values())) != other.order:
+        images = {x: base.root_product(other.word_of(x))
+                  for x in other.elements()}
+        try:
+            GroupMono(other, base, images)
+        except BlueprintError:
             return False
-        for x in other.elements():
-            for y in other.elements():
-                if images[other.mul(x, y)] != base.mul(images[x], images[y]):
-                    return False
     return True

@@ -199,11 +199,7 @@ def _parse_nf_word(builder, specs, text: str):
                 break
         if home is None:
             raise UsageError(f"no vertex group contains all of {token!r}")
-        sp = specs[home]
-        acc = sp.ambient.identity
-        for root in roots:
-            acc = sp.ambient.mul(acc, sp.ambient.root_mask(root))
-        letters.append((home, acc))
+        letters.append((home, specs[home].ambient.root_product(roots)))
     return letters
 
 

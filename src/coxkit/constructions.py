@@ -147,15 +147,9 @@ class Builder:
         words = closure_words(amb_a.mul, amb_a.identity,
                               [amb_a.root_mask(root) for root in gens])
         group = Subgroup(amb_a, words, f"E[{a.label}^{b.label}]")
-        bmask = [amb_b.root_mask(root) for root in gens]
-        into_a = {}
-        into_b = {}
-        for x in group.elements():
-            into_a[x] = x
-            acc = amb_b.identity
-            for gi in words[x]:
-                acc = amb_b.mul(acc, bmask[gi])
-            into_b[x] = acc
+        into_a = {x: x for x in group.elements()}
+        into_b = {x: amb_b.root_product(gens[i] for i in words[x])
+                  for x in group.elements()}
         for side, mapping in ((a, into_a), (b, into_b)):
             if hasattr(side.group, "__contains__") and \
                     any(y not in side.group for y in mapping.values()):

@@ -19,8 +19,7 @@ from coxkit.constructions import (Builder, PreconditionError, classify_residue,
                                   residue_letters, roots_violated)
 from coxkit.coxeter import Residue
 from coxkit.treeprod import (Edge, Subgroup, TreeOfGroups, TreeProduct,
-                             check_subtree_conditions, closure_words, contract,
-                             fold)
+                             check_subtree_conditions, contract, fold)
 
 SAMPLES = 400
 
@@ -148,14 +147,10 @@ class Section4:
                    f"in U[{ambC.w}]", lhs == b.image_of_u(m(g, t), ambC),
                    ambient=ambC.w)
         # subgroup-family conditions over O_R
-        members = {
-            "v0": b.image_of_u(m(g, s, d), amb0),
-            "v1": b.image_of_v(g, (s, t), orr.specs[1].ambient),
-            "v2": b.image_of_u(m(g, t, d), amb2),
-        }
+        members = self._or_family(orr, R, s)
         claimed = {
-            frozenset(("v0", "v1")): self._edge_claim(orr, 0, m(g, s)),
-            frozenset(("v1", "v2")): self._edge_claim(orr, 1, m(g, t)),
+            frozenset(("v0", "v1")): b.image_of_u(m(g, s), amb0),
+            frozenset(("v1", "v2")): b.image_of_u(m(g, t), orr.specs[1].ambient),
         }
         rep = check_subtree_conditions(orr.tog, set(orr.tog.vertices), members,
                                        claimed)
@@ -167,17 +162,20 @@ class Section4:
         cert.elapsed = time.perf_counter() - t0
         return cert
 
-    def _edge_claim(self, cons, i: int, w: str) -> frozenset:
-        """The image of U_w as a subset of the i-th edge group's elements."""
-        left = cons.specs[i]
-        return self.b.image_of_u(w, left.ambient)
+    def _or_family(self, orr, R: Residue, s: str) -> dict:
+        """The V_R family inside O_R: U[w_R sr], V[w_R|st] and U[w_R tr]."""
+        b, m = self.b, self.ctx.mult
+        s, t, d = residue_letters(R, s)
+        g = R.gate
+        return {
+            "v0": b.image_of_u(m(g, s, d), orr.specs[0].ambient),
+            "v1": b.image_of_v(g, (s, t), orr.specs[1].ambient),
+            "v2": b.image_of_u(m(g, t, d), orr.specs[2].ambient),
+        }
 
     @staticmethod
     def construction_roots(cons) -> frozenset:
-        out = set()
-        for sp in cons.specs:
-            out |= sp.roots
-        return frozenset(out)
+        return frozenset().union(*(sp.roots for sp in cons.specs))
 
     def family_from_roots(self, cons, roots) -> dict:
         """Per-vertex subgroups generated by the family's root support:
@@ -245,12 +243,8 @@ class Section4:
                    == sorted((H2.order,) + orr.orders()),
                    got=sorted(gg.order for gg in subb.tog.vertices.values()))
         # segment-level injectivity data: U[w_R sr]-preimage of V_R in O_R
-        orr_members = {
-            "v0": b.image_of_u(m(g, s, d), orr.specs[0].ambient),
-            "v1": b.image_of_v(g, (s, t), orr.specs[1].ambient),
-            "v2": b.image_of_u(m(g, t, d), orr.specs[2].ambient),
-        }
-        or_prod = self._family_product(orr, orr_members, name="O_R")
+        or_prod = self._family_product(orr, self._or_family(orr, R, s),
+                                       name="O_R")
         img = b.image_of_u(m(g, s, d), orr.specs[0].ambient)
         ok = all(or_prod.in_family(or_prod.include("v0", x)) for x in img)
         cert.check("U[w_R sr] lies inside the V_R family of O_R "
@@ -518,23 +512,10 @@ class Section4:
         g = R.gate
         m = ctx.mult
         out = []
-        amb0 = krs.specs[0].ambient
-        srt_img = b.image_of_u(m(g, s, d, t), amb0)
-        eg = Subgroup(amb0, srt_img, f"U[{m(g,s,d,t)}]")
-        # map srt-image into the V[w_R sr|st] ambient by matching roots
-        roots = sorted(self.cache.phi(m(g, s, d, t)),
-                       key=lambda root: (root.refl, root.positive))
-        words = closure_words(amb0.mul, amb0.identity,
-                              [amb0.root_mask(root) for root in roots])
-        bmask = [vsd.ambient.root_mask(root) for root in roots]
-        into_k = {}
-        into_v = {}
-        for x in sorted(words):
-            into_k[x] = kprod.include("v0", x)
-            acc = 0
-            for gi in words[x]:
-                acc = vsd.ambient.mul(acc, bmask[gi])
-            into_v[x] = acc
+        # the common roots of U[w_R s r_dt] and V[w_R sr|st] are Phi(w_R srt)
+        edge = b.edge(krs.specs[0], vsd)
+        eg, into_v = edge.group, edge.into_v
+        into_k = {c: kprod.include("v0", x) for c, x in edge.into_u.items()}
         ztog = TreeOfGroups({"K": kprod, "W": vsd.group},
                             [Edge("K", "W", eg, into_k, into_v)])
 
@@ -548,7 +529,7 @@ class Section4:
         out.append(("edge preimages of (O_R, U[w_R srs]) in U[w_R srt] agree "
                     "and equal U[w_R sr]",
                     pre_k == pre_v
-                    and pre_k == b.image_of_u(m(g, s, d), amb0)))
+                    and pre_k == b.image_of_u(m(g, s, d), krs.specs[0].ambient)))
         rng = self.rng()
         ok = True
         pools = {v: sorted(members)
@@ -727,21 +708,19 @@ class Section4:
         cert.check(f"srs and tr lie in C_r: {m(s,d,s)!r}, {m(t,d)!r}",
                    m(s, d, s) in C_r and m(t, d) in C_r)
         ors = b.construction("O_Rs", R, s)
-        ors_roots = set()
-        for sp in ors.specs:
-            ors_roots |= set(sp.roots)
+        ors_roots = self.construction_roots(ors)
         cert.check("O_{R,s} has seven generating roots", len(ors_roots) == 7,
                    got=len(ors_roots))
         gst_roots = roots_violated(self.cache, C_r)
         cert.check("the two-letter colimit has seven generating roots",
                    len(gst_roots) == 7)
-        overlap = ors_roots & set(gst_roots)
+        overlap = ors_roots & gst_roots
         cert.check("five shared generators between the two parts",
                    len(overlap) == 5, got=len(overlap))
-        union = ors_roots | set(gst_roots)
+        union = ors_roots | gst_roots
         m1_roots = roots_violated(self.cache, c_set_minus1(ctx))
         cert.check("the union is the nine-generator set of G_{-1}",
-                   union == set(m1_roots), got=len(union))
+                   union == m1_roots, got=len(union))
         # relator check: relations of every U_w, w a prefix of srs or tr,
         # hold in the O_{R,s} tree product
         prod = TreeProduct(ors.tog, name="O_Rs")
@@ -788,16 +767,13 @@ class Section4:
             cert.check(f"{kind} at R_(st)(r) is constructible "
                        f"(orders {cons.orders()})", True)
         # fresh generators per R_1 residue are pairwise distinct
-        m1_roots = set(roots_violated(self.cache, C_m1))
+        m1_roots = roots_violated(self.cache, C_m1)
         fresh = {}
         for pair in pair_labelings():
             (dd,) = set("rst") - set(pair)
             T = ctx.residue(set(pair), dd)
             otT = b.construction("O_R", T)
-            troots = set()
-            for sp in otT.specs:
-                troots |= set(sp.roots)
-            fresh[dd] = troots - m1_roots
+            fresh[dd] = self.construction_roots(otT) - m1_roots
         names = sorted(fresh)
         ok = all(not (fresh[a] & fresh[bb])
                  for i, a in enumerate(names) for bb in names[i + 1:])

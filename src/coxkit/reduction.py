@@ -8,7 +8,16 @@ Words are (h0, ((g1, h1), ..., (gn, hn))) with the g letters drawn from
 the four-symbol alphabet SR, TR, RT, RTTR (the generators at the roots
 s*alpha_r, t*alpha_r, r*alpha_t and the product of the last two, which
 commute) and the h letters elements of V = <u_s, u_t> given as masks of
-the ambient blueprint group at stst.
+the ambient blueprint group at stst.  TheoremSetup.blocked is the one
+statement of the constraint clauses; constrained, reduce and
+enumerate_constrained all read it.
+
+The replay is a fold: _trace_base turns the first pair into a counter
+and a state (kind, h), where kind = KIND[g] is A:s, A:t or B and h is
+one of V's 8 elements, so there are 24 states; _trace_step maps a state
+and the next pair to a proof case, a positive counter increment and the
+next state.  The bullet-A model chamber c_f.h is recomputed from the
+state, not carried in it.
 """
 
 from __future__ import annotations
@@ -25,6 +34,9 @@ from coxkit.treeprod import Edge, TreeOfGroups, TreeProduct, closure_words
 SR, TR, RT, RTTR = "u_sr", "u_tr", "u_rt", "u_rt*u_tr"
 G_LETTERS = (SR, TR, RT, RTTR)
 KLEIN = {TR, RT, RTTR}
+# the proof-state kind of each g letter: bullet A at s*alpha_r or
+# t*alpha_r, bullet B in the rt-Klein set
+KIND = {SR: "A:s", TR: "A:t", RT: "B", RTTR: "B"}
 _KLEIN_MUL = {
     frozenset((TR, RT)): RTTR,
     frozenset((TR, RTTR)): RT,
@@ -124,16 +136,17 @@ class TheoremSetup:
                 letters.append(("1", h))
         return self.product.eval_word(letters)
 
+    def blocked(self, g: str, h: int, g2: str) -> bool:
+        """The constraint clauses: g h g2 may not occur in a constrained
+        word, (a) two u_sr around 1 or u_s, (b) two letters of the
+        rt-Klein set around 1 or u_t."""
+        return ((g == g2 == SR and h in (0, self.us))
+                or (g in KLEIN and g2 in KLEIN and h in (0, self.ut)))
+
     def constrained(self, word) -> bool:
         _, pairs = word
-        for i in range(len(pairs) - 1):
-            g, h = pairs[i]
-            g2 = pairs[i + 1][0]
-            if g == g2 == SR and h in (0, self.us):
-                return False
-            if g in KLEIN and g2 in KLEIN and h in (0, self.ut):
-                return False
-        return True
+        return not any(self.blocked(g, h, g2)
+                       for (g, h), (g2, _) in zip(pairs, pairs[1:]))
 
     def reduce(self, word):
         """Rewrite to constrained form; the pair count drops every step and
@@ -145,37 +158,24 @@ class TheoremSetup:
         V = self.ambientV
         steps = 0
         while True:
-            hit = None
-            for i in range(len(pairs) - 1):
-                g, h = pairs[i]
-                g2, h2 = pairs[i + 1]
-                if g == g2 == SR and h in (0, self.us):
-                    hit = (i, "a")
-                    break
-                if g in KLEIN and g2 in KLEIN and h in (0, self.ut):
-                    hit = (i, "b.i" if g == g2 else "b.ii")
-                    break
-            if hit is None:
+            i = next((i for i in range(len(pairs) - 1)
+                      if self.blocked(*pairs[i], pairs[i + 1][0])), None)
+            if i is None:
                 break
-            i, rule = hit
             g, h = pairs[i]
             g2, h2 = pairs[i + 1]
-            if rule in ("a", "b.i"):
-                merged = V.mul(V.mul(h, h2), 0)
-                if i == 0:
-                    h0 = V.mul(h0, merged)
-                else:
-                    gp, hp = pairs[i - 1]
-                    pairs[i - 1] = (gp, V.mul(hp, merged))
-                del pairs[i:i + 2]
+            if g == g2:
+                # (a) and (b.i): the g letters cancel, h h2 moves left
+                carry, rest = V.mul(h, h2), []
             else:
-                gg = _KLEIN_MUL[frozenset((g, g2))]
-                if i == 0:
-                    h0 = V.mul(h0, h)
-                else:
-                    gp, hp = pairs[i - 1]
-                    pairs[i - 1] = (gp, V.mul(hp, h))
-                pairs[i:i + 2] = [(gg, h2)]
+                # (b.ii): two distinct Klein letters multiply, h moves left
+                carry, rest = h, [(_KLEIN_MUL[frozenset((g, g2))], h2)]
+            if i == 0:
+                h0 = V.mul(h0, carry)
+            else:
+                gp, hp = pairs[i - 1]
+                pairs[i - 1] = (gp, V.mul(hp, carry))
+            pairs[i:i + 2] = rest
             steps += 1
         out = (h0, tuple(pairs))
         if self.eval_word(out) != before:
@@ -194,13 +194,9 @@ class TheoremSetup:
             if n == 0:
                 return
             for g in G_LETTERS:
+                if pairs and self.blocked(*pairs[-1], g):
+                    continue
                 for h in V:
-                    if pairs:
-                        gp, hp = pairs[-1]
-                        if gp == g == SR and hp in (0, self.us):
-                            continue
-                        if gp in KLEIN and g in KLEIN and hp in (0, self.ut):
-                            continue
                     yield from extend(pairs + [(g, h)], n - 1)
 
         yield from extend([], max_pairs)
@@ -211,25 +207,19 @@ class TheoremSetup:
         tokens = [t.strip() for t in text.split(",") if t.strip()]
         h0 = 0
         pairs = []
-        expect_g = True
 
         def v_of(tok: str) -> int:
             if tok == "1":
                 return 0
-            m = 0
-            for part in tok.split("*"):
-                if part == "u_s":
-                    m = self.ambientV.mul(m, self.us)
-                elif part == "u_t":
-                    m = self.ambientV.mul(m, self.ut)
-                else:
+            parts = tok.split("*")
+            for part in parts:
+                if part not in ("u_s", "u_t"):
                     raise ConstraintError(f"unknown V token {part!r}")
-            return m
+            return self.v_mask("".join(part[2] for part in parts))
 
         for pos, tok in enumerate(tokens):
             if tok in G_LETTERS:
                 pairs.append([tok, 0])
-                expect_g = False
                 continue
             mask = v_of(tok)
             if pos == 0:
@@ -251,18 +241,144 @@ class TheoremSetup:
         return ",".join(out) if out else "1"
 
 
+def _trace_base(setup: TheoremSetup, cert: Certificate, g: str, h: int):
+    """The base case on the first pair (g, h): record its checks in cert
+    and return the certified distance counter and the state (kind, h)."""
+    ctx = setup.ctx
+    kind = KIND[g]
+    if kind == "B":
+        rt = build_model(("r", "t"))
+        u_rt_m = rt.root_group_element("r", "t")
+        u_tr_m = rt.root_group_element("t", "r")
+        gm = u_rt_m if g == RT else mat_mul(u_rt_m, u_tr_m)
+        dist = rt.weyl_distance(rt.c_minus, rt.act(rt.c_minus, gm))
+        cert.check("base B: delta(c, c.g1) in {rtr, r_rt}",
+                   dist in ("rtr", ctx.longest("rt")), got=dist)
+        q = rt.proj_panel(rt.panel(rt.c_minus, "t"), rt.act(rt.c_minus, gm))
+        dq = rt.weyl_distance(rt.act(rt.c_minus, gm), q)
+        cert.check("base B: delta(c.g1, q) = rtr for q = proj_Pt(c)(c.g1)",
+                   dq == "rtr", got=dq)
+        cert.check("base B: gate test l(rtr*u) = 4 for u in {s,t}",
+                   all(len(ctx.mult("rtr", u)) == 4 for u in "st"))
+        cert.check("base B: srs-invariant l(rtr*srs) = l(rtr)+3",
+                   len(ctx.mult("rtr", "srs")) == 6)
+        return 3, (kind, h)
+    f = kind[2]
+    # delta(c, c.u_{f alpha_r}) = frf, computed in the {f,r} model
+    model = build_model(tuple(sorted((f, "r"))))
+    ufr = model.root_group_element(f, "r")
+    d = model.weyl_distance(model.c_minus, model.act(model.c_minus, ufr))
+    cert.check(f"base A: delta(c, c.u_{f}r) = {f}r{f}",
+               d == ctx.normalize(f + "r" + f), got=d)
+    cf = model.c_adjacent(f)
+    dd = model.weyl_distance(model.act(model.c_minus, ufr), cf)
+    cert.check(f"base A: delta(c.g1, c_{f}) = {f}r", dd == ctx.normalize(f + "r"),
+               got=dd)
+    cert.check("base A: gate test l(fr*u) = 3 for u in {s,t}",
+               all(len(ctx.mult(dd, u)) == len(dd) + 1 for u in "st"))
+    return len(dd), (kind, h)
+
+
+def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, pair):
+    """One induction step from state (kind, h_prev) on the pair (g, h):
+    record the checks of the unique applicable proof case in cert (n only
+    labels them) and return (case, counter increment, next state)."""
+    st = build_model(("s", "t"))
+    kind, h_prev = state
+    g, h = pair
+    nxt = (KIND[g], h)
+    v_prev = setup.st_v_elements[h_prev]
+    if kind != "B":
+        f = kind[2]
+        chamber = st.act(st.c_adjacent(f), v_prev)   # c_f.h, exact
+        if nxt[0] != "B":
+            e = nxt[0][2]
+            lv = st.dist(chamber, st.c_adjacent(e))
+            if e == f:
+                cert.check(
+                    f"step {n} (b.i, e=f={f}): constraint h_{n-1} not in {{1,u_{f}}}",
+                    h_prev not in (0, setup.us if f == "s" else setup.ut))
+                cert.check(f"step {n}: Uplus(a) instance l(c_{f}.h, c_{e}) >= 3",
+                           lv >= 3, got=lv)
+            else:
+                cert.check(f"step {n}: Uplus(b) instance l(c_{f}.h, c_{e}) >= 2",
+                           lv >= 2, got=lv)
+            wprime = st.weyl_distance(chamber, st.c_adjacent(e))
+            cert.check(
+                f"step {n}: wordsincoxetergroup instance w'={wprime!r}, l >= 2",
+                len(wprime) >= 2 and set(wprime) <= {"s", "t"}, w_prime=wprime)
+            return "b.i", lv + 1, nxt
+        if f == "t":
+            cert.check(
+                f"step {n} (b.ii, f=t): constraint h_{n-1} not in {{1,u_t}}",
+                h_prev not in (0, setup.ut))
+            vals = [st.dist(chamber, p) for p in st.panel(st.c_minus, "t")]
+            cert.check(f"step {n}: Uplus(c) instance l(c_t.h, p) >= 2 for all p",
+                       all(v >= 2 for v in vals), got=vals)
+        else:
+            data = [(st.dist(chamber, p), st.weyl_distance(chamber, p))
+                    for p in st.panel(st.c_minus, "t")]
+            cert.check(
+                f"step {n}: Uplus(d) instance l(c_s.h, p) >= 2 or delta = s",
+                all(v >= 2 or d == "s" for v, d in data), got=data)
+            cert.check(
+                f"step {n}: not_both_down cited for the descent branch "
+                "(verified by sweep)", True)
+        cert.check(f"step {n}: case (a) delegation, srs-invariant "
+                   "l(delta(c.g,proj)srs) = l+3 restored", True)
+        return "b.ii", 2, nxt
+    # bullet B: the projection lies in the t-panel of c.h
+    panel_prev = st.panel(st.act(st.c_minus, v_prev), "t")
+    if g == TR:
+        cert.check(
+            f"step {n} (c.i): constraint h_{n-1} not in {{1,u_t}}",
+            h_prev not in (0, setup.ut))
+        vals = [st.dist(p, st.c_adjacent("t")) for p in panel_prev]
+        cert.check(f"step {n}: Uplus(c) translated instance "
+                   "l(p, c_t) >= 2 for all p in P_t(c.h)",
+                   all(v >= 2 for v in vals), got=vals)
+        return "c.i", min(vals) + 1, nxt
+    if nxt[0] == "B":
+        cert.check(
+            f"step {n} (c.ii): constraint h_{n-1} not in {{1,u_t}}",
+            h_prev not in (0, setup.ut))
+        data = []
+        ok = True
+        for p in panel_prev:
+            for q in st.panel(st.c_minus, "t"):
+                v, d = st.dist(p, q), st.weyl_distance(p, q)
+                data.append(v if d != "s" else "s")
+                if not (v >= 2 or d == "s"):
+                    ok = False
+        cert.check(f"step {n}: Uplus(e) instance l(p,q) >= 2 or delta = s",
+                   ok, got=data)
+        cert.check(f"step {n}: case (a) delegation, srs-invariant restored",
+                   True)
+        return "c.ii", 3, nxt
+    data = [(st.dist(p, st.c_adjacent("s")),
+             st.weyl_distance(p, st.c_adjacent("s"))) for p in panel_prev]
+    cert.check(f"step {n}: Uplus(f) instance l(p,c_s) >= 2 or delta = s",
+               all(v >= 2 or d == "s" for v, d in data), got=data)
+    cert.check(f"step {n}: wordsincoxetergroup / srs-invariant branch "
+               "cited (verified by sweep)", True)
+    return "c.iii", 2, nxt
+
+
 def trace_word(setup: TheoremSetup, word) -> Certificate:
     """Replay the inductive normal-form argument on a constrained word.
 
-    The state after each prefix is either bullet A (last g letter at a
-    root f*alpha_r: the projection to the st-residue is c_f.h, an exact
-    model chamber) or bullet B (last g letter in the rt-Klein set: the
-    projection lies in the t-panel of c.h and satisfies the srs-length
-    invariant).  Each step selects the unique applicable proof case,
-    recomputes the quoted panel distances in the rank-2 models, records
-    the concrete instances of the cited length lemmas, and advances a
+    The replay is a fold over the pairs (g, h).  Its state is (kind, h):
+    the kind of the last g letter (KIND) and the last V letter, one of
+    3 x 8 = 24 values.  Bullet A (kind A:f, g at the root f*alpha_r): the
+    projection to the st-residue is the exact model chamber c_f.h, which
+    each step recomputes from the state.  Bullet B (kind B, g in the
+    rt-Klein set): the projection lies in the t-panel of c.h and satisfies
+    the srs-length invariant.  _trace_base checks the first pair;
+    _trace_step then selects the unique applicable proof case, recomputes
+    the quoted panel distances in the rank-2 models, records the concrete
+    instances of the cited length lemmas, and returns the increment of a
     certified lower bound for the distance from the moved chamber to its
-    projection, which must increase strictly.
+    projection, which must be positive.
     """
     cert = Certificate("normal_form_trace")
     cert.data["header"] = (
@@ -277,158 +393,15 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         raise ConstraintError("trace needs at least one g letter")
     if not setup.constrained(word):
         raise ConstraintError("word violates the constraint clauses")
-    ctx = setup.ctx
-    st = build_model(("s", "t"))
-    rt = build_model(("r", "t"))
-
-    def bullet_of(g_sym: str) -> str:
-        if g_sym == SR:
-            return "A:s"
-        if g_sym == TR:
-            return "A:t"
-        return "B"
-
-    def model_h(h_mask: int):
-        return setup.st_v_elements[h_mask]
-
-    def panel_t_of(h_mask: int):
-        return st.panel(st.act(st.c_minus, model_h(h_mask)), "t")
-
-    c = st.c_minus
-    counter = 0
-    state = None   # ("A", f, chamber, h) or ("B", h)
-    for n, (g, h) in enumerate(pairs, start=1):
-        kind = bullet_of(g)
-        if n == 1:
-            if kind.startswith("A"):
-                f = kind[2]
-                # delta(c, c.u_{f alpha_r}) = frf, computed in the {f,r} model
-                model = build_model(tuple(sorted((f, "r"))))
-                ufr = model.root_group_element(f, "r")
-                d = model.weyl_distance(model.c_minus, model.act(model.c_minus, ufr))
-                cert.check(f"base A: delta(c, c.u_{f}r) = {f}r{f}",
-                           d == ctx.normalize(f + "r" + f), got=d)
-                cf = model.c_adjacent(f)
-                dd = model.weyl_distance(model.act(model.c_minus, ufr), cf)
-                cert.check(f"base A: delta(c.g1, c_{f}) = {f}r", dd == ctx.normalize(f + "r"),
-                           got=dd)
-                cert.check("base A: gate test l(fr*u) = 3 for u in {s,t}",
-                           all(len(ctx.mult(dd, u)) == len(dd) + 1 for u in "st"))
-                counter = len(dd)
-                chamber = st.act(st.c_adjacent(f), model_h(h))
-                state = ("A", f, chamber, h)
-            else:
-                u_rt_m = rt.root_group_element("r", "t")
-                u_tr_m = rt.root_group_element("t", "r")
-                gm = u_rt_m if g == RT else mat_mul(u_rt_m, u_tr_m)
-                dist = rt.weyl_distance(rt.c_minus, rt.act(rt.c_minus, gm))
-                cert.check("base B: delta(c, c.g1) in {rtr, r_rt}",
-                           dist in ("rtr", ctx.longest("rt")), got=dist)
-                q = rt.proj_panel(rt.panel(rt.c_minus, "t"), rt.act(rt.c_minus, gm))
-                dq = rt.weyl_distance(rt.act(rt.c_minus, gm), q)
-                cert.check("base B: delta(c.g1, q) = rtr for q = proj_Pt(c)(c.g1)",
-                           dq == "rtr", got=dq)
-                cert.check("base B: gate test l(rtr*u) = 4 for u in {s,t}",
-                           all(len(ctx.mult("rtr", u)) == 4 for u in "st"))
-                cert.check("base B: srs-invariant l(rtr*srs) = l(rtr)+3",
-                           len(ctx.mult("rtr", "srs")) == 6)
-                counter = 3
-                state = ("B", h)
-            cert.data.setdefault("counters", []).append(counter)
-            continue
-        prev_counter = counter
-        prev = state
-        if prev[0] == "A":
-            _, f, chamber, h_prev = prev
-            if kind.startswith("A"):
-                e = kind[2]
-                case = "b.i"
-                if e == f:
-                    cert.check(
-                        f"step {n} (b.i, e=f={f}): constraint h_{n-1} not in {{1,u_{f}}}",
-                        h_prev not in (0, setup.us if f == "s" else setup.ut))
-                    lv = st.dist(chamber, st.c_adjacent(e))
-                    cert.check(f"step {n}: Uplus(a) instance l(c_{f}.h, c_{e}) >= 3",
-                               lv >= 3, got=lv)
-                else:
-                    lv = st.dist(chamber, st.c_adjacent(e))
-                    cert.check(f"step {n}: Uplus(b) instance l(c_{f}.h, c_{e}) >= 2",
-                               lv >= 2, got=lv)
-                wprime = st.weyl_distance(chamber, st.c_adjacent(e))
-                cert.check(
-                    f"step {n}: wordsincoxetergroup instance w'={wprime!r}, l >= 2",
-                    len(wprime) >= 2 and set(wprime) <= {"s", "t"}, w_prime=wprime)
-                counter = prev_counter + lv + 1
-                state = ("A", e, st.act(st.c_adjacent(e), model_h(h)), h)
-            else:
-                case = "b.ii"
-                if f == "t":
-                    cert.check(
-                        f"step {n} (b.ii, f=t): constraint h_{n-1} not in {{1,u_t}}",
-                        h_prev not in (0, setup.ut))
-                    vals = [st.dist(chamber, p) for p in st.panel(st.c_minus, "t")]
-                    cert.check(f"step {n}: Uplus(c) instance l(c_t.h, p) >= 2 for all p",
-                               all(v >= 2 for v in vals), got=vals)
-                else:
-                    data = [(st.dist(chamber, p), st.weyl_distance(chamber, p))
-                            for p in st.panel(st.c_minus, "t")]
-                    cert.check(
-                        f"step {n}: Uplus(d) instance l(c_s.h, p) >= 2 or delta = s",
-                        all(v >= 2 or d == "s" for v, d in data), got=data)
-                    cert.check(
-                        f"step {n}: not_both_down cited for the descent branch "
-                        "(verified by sweep)", True)
-                cert.check(f"step {n}: case (a) delegation, srs-invariant "
-                           "l(delta(c.g,proj)srs) = l+3 restored", True)
-                counter = prev_counter + 2
-                state = ("B", h)
-        else:
-            _, h_prev = prev
-            panel_prev = panel_t_of(h_prev)
-            if g == TR:
-                case = "c.i"
-                cert.check(
-                    f"step {n} (c.i): constraint h_{n-1} not in {{1,u_t}}",
-                    h_prev not in (0, setup.ut))
-                vals = [st.dist(p, st.c_adjacent("t")) for p in panel_prev]
-                cert.check(f"step {n}: Uplus(c) translated instance "
-                           "l(p, c_t) >= 2 for all p in P_t(c.h)",
-                           all(v >= 2 for v in vals), got=vals)
-                counter = prev_counter + min(vals) + 1
-                state = ("A", "t", st.act(st.c_adjacent("t"), model_h(h)), h)
-            elif g in (RT, RTTR):
-                case = "c.ii"
-                cert.check(
-                    f"step {n} (c.ii): constraint h_{n-1} not in {{1,u_t}}",
-                    h_prev not in (0, setup.ut))
-                data = []
-                ok = True
-                for p in panel_prev:
-                    for q in st.panel(st.c_minus, "t"):
-                        v, d = st.dist(p, q), st.weyl_distance(p, q)
-                        data.append(v if d != "s" else "s")
-                        if not (v >= 2 or d == "s"):
-                            ok = False
-                cert.check(f"step {n}: Uplus(e) instance l(p,q) >= 2 or delta = s",
-                           ok, got=data)
-                cert.check(f"step {n}: case (a) delegation, srs-invariant restored",
-                           True)
-                counter = prev_counter + 3
-                state = ("B", h)
-            else:
-                case = "c.iii"
-                data = [(st.dist(p, st.c_adjacent("s")),
-                         st.weyl_distance(p, st.c_adjacent("s"))) for p in panel_prev]
-                cert.check(f"step {n}: Uplus(f) instance l(p,c_s) >= 2 or delta = s",
-                           all(v >= 2 or d == "s" for v, d in data), got=data)
-                cert.check(f"step {n}: wordsincoxetergroup / srs-invariant branch "
-                           "cited (verified by sweep)", True)
-                counter = prev_counter + 2
-                state = ("A", "s", st.act(st.c_adjacent("s"), model_h(h)), h)
-        if counter <= prev_counter:
+    counter, state = _trace_base(setup, cert, *pairs[0])
+    counters = cert.data["counters"] = [counter]
+    for n, pair in enumerate(pairs[1:], start=2):
+        case, increment, state = _trace_step(setup, cert, n, state, pair)
+        if increment <= 0:
             raise TraceError(f"distance counter failed to increase at step {n}")
+        counter += increment
         cert.data.setdefault("cases", []).append(case)
-        cert.data.setdefault("counters", []).append(counter)
+        counters.append(counter)
     cert.data["final_counter"] = counter
     cert.check("final distance counter > 0 (so the word is nontrivial)",
                counter > 0, counter=counter)

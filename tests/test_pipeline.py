@@ -76,15 +76,8 @@ def test_battery_ban_is_read_in_the_vertex_group(sec, ctx, kind):
     R = ctx.residue("st", "")
     s = "s"
     cons = sec.b.construction(kind, R, s)
-    if kind == "O_R":
-        m = ctx.mult
-        members = {
-            "v0": sec.b.image_of_u(m("s", "r"), cons.specs[0].ambient),
-            "v1": sec.b.image_of_v("", ("s", "t"), cons.specs[1].ambient),
-            "v2": sec.b.image_of_u(m("t", "r"), cons.specs[2].ambient),
-        }
-    else:
-        members = sec._krs_or_family(cons, R, s)
+    family = sec._or_family if kind == "O_R" else sec._krs_or_family
+    members = family(cons, R, s)
     product = sec._family_product(cons, members)
     for e in cons.tog.edges:
         images = {product.include(e.u, e.into_u[c]) for c in e.group.elements()}

@@ -1,9 +1,13 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
-from coxkit.reduction import (RT, RTTR, SR, TR, ConstraintError,
-                              trace_word)
+from coxkit.certs import Certificate
+from coxkit.reduction import (G_LETTERS, KLEIN, RT, RTTR, SR, TR,
+                              ConstraintError, _trace_step, trace_word)
 
 
 def test_tree_product_shape(theorem_setup):
@@ -104,6 +108,63 @@ def test_trace_all_short_words(theorem_setup):
         cert = trace_word(s, word)
         assert cert.passed, s.format_word(word)
         assert not s.product.is_identity(s.eval_word(word))
+
+
+def test_trace_certificates_digest(theorem_setup):
+    """Every certificate of the 896 constrained words with at most two
+    pairs, apart from its elapsed time, pinned byte for byte."""
+    s = theorem_setup
+    digest = hashlib.sha256()
+    count = 0
+    for word in s.enumerate_constrained(2):
+        doc = trace_word(s, word).to_dict()
+        del doc["elapsed"]
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+        count += 1
+    assert count == 896
+    assert digest.hexdigest() == (
+        "604b908efd5d66776e1379b2dd5b318e0a4389bb94959d50e75742ae7a8ed40f")
+
+
+def test_trace_step_is_a_finite_transition_table(theorem_setup):
+    """The proof step reads only its state (kind, h) and the next pair:
+    at positions 2 and 7 it gives the same case, increment, next state and
+    checks on each of the 656 allowed (state, letter) pairs of the 24
+    states, every increment is positive and every state is reached."""
+    s = theorem_setup
+    velems = sorted(s._v_words)
+    last_g = {"A:s": SR, "A:t": TR, "B": RT}
+    states = [(kind, h) for kind in last_g for h in velems]
+    reached = set()
+    transitions = 0
+    for (kind, h), pair in itertools.product(states,
+                                             itertools.product(G_LETTERS, velems)):
+        if s.blocked(last_g[kind], h, pair[0]):
+            continue
+        transitions += 1
+        runs = []
+        for n in (2, 7):
+            cert = Certificate("step")
+            case, increment, nxt = _trace_step(s, cert, n, (kind, h), pair)
+            runs.append((case, increment, nxt,
+                         [(c["status"], c.get("data")) for c in cert.checks]))
+        assert runs[0] == runs[1], ((kind, h), pair)
+        _, increment, nxt, checks = runs[0]
+        assert increment >= 1 and all(status for status, _ in checks)
+        reached.add(nxt)
+    assert transitions == 656
+    assert reached == set(states)
+
+
+def test_blocked_is_the_two_constraint_clauses(theorem_setup):
+    s = theorem_setup
+    count = 0
+    for g, h, g2 in itertools.product(G_LETTERS, sorted(s._v_words), G_LETTERS):
+        clause_a = g == g2 == SR and h in (0, s.us)
+        clause_b = g in KLEIN and g2 in KLEIN and h in (0, s.ut)
+        assert s.blocked(g, h, g2) == (clause_a or clause_b), (g, h, g2)
+        count += s.blocked(g, h, g2)
+    assert count == 2 + 9 * 2
 
 
 # a wrong Klein product makes rule b.ii change the element; under -O an
