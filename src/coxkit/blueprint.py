@@ -9,7 +9,9 @@ coxkit.wordops).  Up to TABLE_CAP elements the product table is built
 from the k generator rows u_i * y alone: every other row follows by
 composing them, since x = u_low * x' with low the lowest set bit of x is
 already a normal form (collection from the left as a permutation action;
-Leedham-Green & Soicher 1990).
+Leedham-Green & Soicher 1990).  The generator rows themselves follow by a
+recurrence over the pair products u_i * u_j, one collection per pair j < i;
+every other entry is a few reads of rows already filled.
 
 Order certification: collection terminates (well-founded measure) and
 only uses relation consequences, so |U_w| <= 2^k; the left-regular
@@ -53,8 +55,9 @@ class KacMoodyBlueprint:
             else:
                 got = frozenset()
             self._cache[key] = got
-        order = {root: i for i, root in enumerate(self.rsys.inversion_sequence(g))}
-        return tuple(sorted(got, key=lambda c: order[c]))
+        if not got:
+            return ()
+        return tuple(sorted(got, key=self.rsys.inversion_sequence(g).index))
 
 
 class BlueprintGroup:
@@ -95,9 +98,32 @@ class BlueprintGroup:
         return bytes(comm)
 
     def _build_table(self) -> list:
+        # generator row i is u_i * y for every normal form y, filled in
+        # increasing i and y.  With j the lowest letter of y below i,
+        # y = u_j * y' and u_i * u_j = u_j * z for a normal form z with
+        # letters in (j, i], so u_i * y = u_j * (z * y'): the rows of z's
+        # letters, highest first, applied to y' < y, all read from rows
+        # already filled.  z comes from one collection of the pair (i, j).
         k = self.k
-        rows = [[wordops.collect_mul(1 << i, y, k, self._comm, self.check_measure)
-                 for y in range(self.order)] for i in range(k)]
+        rows = []
+        for i in range(k):
+            bit = 1 << i
+            tails = []
+            for j in range(i):
+                z = wordops.collect_mul(bit, 1 << j, k, self._comm,
+                                        self.check_measure) ^ (1 << j)
+                tails.append([a for a in range(i, j, -1) if z >> a & 1])
+            row = [0] * self.order
+            rows.append(row)
+            for y in range(self.order):
+                low = y & -y
+                if low == 0 or low >= bit:
+                    row[y] = y ^ bit
+                    continue
+                v = y ^ low
+                for a in tails[low.bit_length() - 1]:
+                    v = rows[a][v]
+                row[y] = low | v
         table = [list(range(self.order))]
         for x in range(1, self.order):
             low = (x & -x).bit_length() - 1
@@ -228,7 +254,12 @@ class GroupMono:
 
 
 class GroupCache:
-    """Shared builder for the blueprint groups and V-subgroups of one context."""
+    """Shared builder for the blueprint groups and V-subgroups of one context.
+
+    With check_measure, the termination measure is checked on every
+    collection the groups make: the pair products their generator
+    rows are built from, inverses, and products above TABLE_CAP.
+    """
 
     def __init__(self, ctx: Coxeter, rsys: RootSystem | None = None,
                  check_measure: bool = False):

@@ -71,6 +71,31 @@ def test_tables_match_direct_collection(ctx, cache):
                 assert g.mul(x, y) == wordops.collect_mul(x, y, g.k, g._comm)
 
 
+def test_generator_rows_match_collection_for_report_groups(ctx, cache):
+    # every group the blueprint suite builds: ball(7) under canonical
+    # galleries and the other minimal galleries of ball(6)
+    groups = [cache.group(w) for w in ctx.ball(7)]
+    for w in ctx.ball(6):
+        canonical = cache.group(w).gallery.type_word
+        groups += [cache.group(w, h) for h in ctx.min_galleries(w)
+                   if h.type_word != canonical]
+    for g in groups:
+        for i in range(g.k):
+            assert g.left_perm(i) == [wordops.collect_mul(1 << i, y, g.k, g._comm)
+                                      for y in g.elements()], (g, i)
+
+
+def test_abelian_table_fails_certification(ctx, cache):
+    # a table derived with every insertion dropped presents the abelian
+    # group of the same order; the certificate, not the build, rejects it
+    g = cache.group("stst", ctx.gallery("stst"))
+    g._comm = bytes(len(g._comm))
+    g._table = g._build_table()
+    assert all(g.mul(x, y) == x ^ y for x in g.elements() for y in g.elements())
+    with pytest.raises(BlueprintError, match=r"relation \[u_0, u_3\] = \(1, 2\) fails"):
+        g.certify_order()
+
+
 def test_collection_checked_mode(ctx):
     from coxkit.roots import RootSystem
     checked = GroupCache(ctx, RootSystem(ctx), check_measure=True)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from coxkit.coxeter import Coxeter, ResourceLimit
@@ -118,3 +120,30 @@ except ResidueError:
 def test_projection_check_survives_optimize(run_optimized):
     out = run_optimized(PROJ_UNDER_O)
     assert out.returncode == 0 and out.stdout.strip() == "raised"
+
+
+def _series_quotient(num, den, n):
+    # the first n coefficients of num/den as power series, den[0] != 0
+    num = [Fraction(c) for c in num] + [Fraction(0)] * n
+    out = []
+    for d in range(n):
+        c = num[d] / den[0]
+        out.append(c)
+        for e, b in enumerate(den):
+            if d + e < len(num):
+                num[d + e] -= c * b
+    return out
+
+
+def test_ball_sizes_match_steinberg_series(ctx):
+    # Steinberg: 1/W(t) = 1 - 3t/(1+t) + 3t^4/((1+t)(1+t+t^2+t^3)) for the
+    # (4,4,4) triangle group, so W(t) = Q/P with Q = (1+t)(1+t+t^2+t^3)
+    # and P = Q - 3t(1+t+t^2+t^3) + 3t^4.  Computed without coxkit.
+    q = [1, 2, 2, 2, 1]
+    p = [a - 3 * b + 3 * c
+         for a, b, c in zip(q, [0, 1, 1, 1, 1], [0, 0, 0, 0, 1])]
+    coeffs = _series_quotient(q, p, 11)
+    assert all(c.denominator == 1 for c in coeffs)
+    sums = [int(sum(coeffs[:L + 1])) for L in range(11)]
+    assert sums == [1, 4, 10, 22, 43, 79, 142, 250, 436, 757, 1309]
+    assert [len(ctx.ball(L)) for L in range(11)] == sums
