@@ -221,12 +221,6 @@ def subgroup(ambient: BlueprintGroup, gen_masks, name: str = "") -> Subgroup:
                                            tuple(gen_masks)), name)
 
 
-def intersect_subgroups(a: Subgroup, b: Subgroup) -> Subgroup:
-    if a.parent is not b.parent:
-        raise ValueError("subgroup intersection requires a common ambient group")
-    return Subgroup(a.parent, [x for x in a.elements() if x in b])
-
-
 class GroupMono:
     """A verified injective homomorphism between blueprint-style groups."""
 

@@ -1,9 +1,34 @@
-"""Certificates: itemized finite-check records for the tree-product lemmas."""
+"""Verdict records and the one clock that times them.
+
+A Certificate itemizes the finite checks behind one tree-product lemma; a
+SweepReport lists the counterexample tuples of one exhaustive sweep.  The
+`elapsed` field of either record, and of a suite runner's dict, is set
+only by `timed`, which wraps the function that returns the record.
+"""
 
 from __future__ import annotations
 
-import json
+import functools
+import time
 from dataclasses import dataclass, field
+
+clock = time.perf_counter
+
+
+def timed(fn):
+    """Time the whole call and set `elapsed` on the record it returns: an
+    attribute in seconds, or a suite dict's "elapsed" rounded to ms."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        t0 = clock()
+        record = fn(*args, **kwargs)
+        elapsed = clock() - t0
+        if isinstance(record, dict):
+            record["elapsed"] = round(elapsed, 3)
+        else:
+            record.elapsed = elapsed
+        return record
+    return run
 
 
 @dataclass
@@ -38,5 +63,27 @@ class Certificate:
             "elapsed": round(self.elapsed, 3),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+
+@dataclass
+class SweepReport:
+    lemma: str
+    radius: int
+    tuples_checked: int = 0
+    violations: list = field(default_factory=list)
+    elapsed: float = 0.0
+    notes: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    def to_dict(self) -> dict:
+        return {
+            "lemma": self.lemma,
+            "radius": self.radius,
+            "tuples_checked": self.tuples_checked,
+            "violations": self.violations,
+            "pass": self.passed,
+            "notes": self.notes,
+            "elapsed": round(self.elapsed, 3),
+        }

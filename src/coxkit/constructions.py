@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from coxkit.blueprint import BlueprintGroup, GroupCache
-from coxkit.certs import Certificate
+from coxkit.certs import Certificate, timed
 from coxkit.coxeter import Coxeter, Residue
 from coxkit.treeprod import Edge, Subgroup, TreeOfGroups, closure_words
 
@@ -84,9 +84,6 @@ class Construction:
 
     def orders(self) -> tuple:
         return tuple(sp.group.order for sp in self.specs)
-
-    def edge_orders(self) -> tuple:
-        return tuple(e.group.order for e in self.tog.edges)
 
 
 class Builder:
@@ -282,6 +279,7 @@ def harvest_relations(cache: GroupCache, C) -> set:
     return rels
 
 
+@timed
 def dset_certificate(cache: GroupCache) -> Certificate:
     """The explicit D_r, D_-1, D_0 lists and the generator counts."""
     ctx = cache.ctx

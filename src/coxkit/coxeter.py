@@ -148,9 +148,6 @@ class Coxeter:
     def has_left_descent(self, w: str, g: str) -> bool:
         return any(e.startswith(g) for e in self.reduced_words(w))
 
-    def last_letters(self, w: str) -> set:
-        return {e[-1] for e in self.reduced_words(w) if e}
-
     # -- balls ------------------------------------------------------------
 
     def ball(self, radius: int) -> tuple[str, ...]:
@@ -266,13 +263,6 @@ class Coxeter:
     def min_galleries(self, w: str) -> tuple[Gallery, ...]:
         w = self.normalize(w)
         return tuple(Gallery(e) for e in sorted(self.reduced_words(w)))
-
-    def min_galleries_s(self, w: str, s: str) -> tuple[Gallery, ...]:
-        """Min_s(w): galleries of type starting with s if s is a left descent."""
-        gals = self.min_galleries(w)
-        if self.has_left_descent(w, s):
-            return tuple(g for g in gals if g.type_word.startswith(s))
-        return gals
 
     def gallery_chambers(self, g: Gallery) -> tuple[str, ...]:
         out = [""]

@@ -12,10 +12,8 @@ radius 4, guarding against vacuous quantifier ranges.
 from __future__ import annotations
 
 import itertools
-import json
-import time
-from dataclasses import dataclass, field
 
+from coxkit.certs import SweepReport, timed
 from coxkit.coxeter import Coxeter
 from coxkit.roots import RootSystem, ball_members
 
@@ -29,39 +27,12 @@ MUTANTS = {
 }
 
 
-@dataclass
-class SweepReport:
-    lemma: str
-    radius: int
-    tuples_checked: int = 0
-    violations: list = field(default_factory=list)
-    elapsed: float = 0.0
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "radius": self.radius,
-            "tuples_checked": self.tuples_checked,
-            "violations": self.violations,
-            "pass": self.passed,
-            "notes": self.notes,
-            "elapsed": round(self.elapsed, 3),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
 def _unknown_mutant(lemma: str, mutant) -> None:
     if mutant is not None and mutant not in MUTANTS[lemma]:
         raise ValueError(f"unknown mutant {mutant!r} for {lemma}")
 
 
+@timed
 def verify_wordsincoxetergroup(ctx: Coxeter, radius: int,
                                mutant: str | None = None) -> SweepReport:
     """l(w w' r f) = l(w) + l(w') + 1 + l(f) whenever l(ws) = l(w)+1 = l(wt),
@@ -70,7 +41,6 @@ def verify_wordsincoxetergroup(ctx: Coxeter, radius: int,
     if radius < 2:
         raise ValueError("radius must be >= 2")
     rep = SweepReport("wordsincoxetergroup", radius)
-    t0 = time.perf_counter()
     bump = 2 if mutant == "plus_two" else 1
     ball = ctx.ball(radius)
     for lab in LABELINGS:
@@ -91,10 +61,10 @@ def verify_wordsincoxetergroup(ctx: Coxeter, radius: int,
                         rep.violations.append(
                             {"labeling": lab, "w": w, "w'": wp, "f": f,
                              "expected": expect, "got": got})
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
+@timed
 def verify_not_both_down(ctx: Coxeter, radius: int,
                          mutant: str | None = None) -> SweepReport:
     """l(w)+2 in {l(wsr), l(wtr)}; and if l(wsr) = l(w) then l(wsrt) = l(w)+1."""
@@ -102,7 +72,6 @@ def verify_not_both_down(ctx: Coxeter, radius: int,
     if radius < 1:
         raise ValueError("radius must be >= 1")
     rep = SweepReport("not_both_down", radius)
-    t0 = time.perf_counter()
     vacuous = 0
     ball = ctx.ball(radius)
     for lab in LABELINGS:
@@ -132,10 +101,10 @@ def verify_not_both_down(ctx: Coxeter, radius: int,
             else:
                 vacuous += 1
     rep.notes["clause2_vacuous"] = vacuous
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
+@timed
 def verify_mingallinrep(ctx: Coxeter, radius: int,
                         mutant: str | None = None) -> SweepReport:
     """For minimal galleries of type (r,s,t,r): the first crossed root
@@ -147,7 +116,6 @@ def verify_mingallinrep(ctx: Coxeter, radius: int,
     if radius < 4:
         raise ValueError("radius must be >= 4")
     rep = SweepReport("mingallinrep", radius)
-    t0 = time.perf_counter()
     rs = RootSystem(ctx)
     ball = ctx.ball(radius)
     for lab in LABELINGS:
@@ -182,10 +150,10 @@ def verify_mingallinrep(ctx: Coxeter, radius: int,
                     rep.violations.append(
                         {"labeling": lab, "d0": d0, "gamma": which,
                          "reason": "ball and form verdicts disagree"})
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 
+@timed
 def verify_subset_lemma(ctx: Coxeter, radius: int,
                         mutant: str | None = None) -> SweepReport:
     """tstr*alpha_s  intersect  stsr*alpha_t, minus the single chamber
@@ -194,7 +162,6 @@ def verify_subset_lemma(ctx: Coxeter, radius: int,
     if radius < 5 and mutant is None:
         raise ValueError("radius must be >= 5")
     rep = SweepReport("subset_lemma", radius)
-    t0 = time.perf_counter()
     rs = RootSystem(ctx)
     ball = ctx.ball(radius)
     boundary = 0
@@ -216,7 +183,6 @@ def verify_subset_lemma(ctx: Coxeter, radius: int,
         rep.violations.extend({"labeling": lab, "w": w}
                               for w in ball_members(ball, outside))
     rep.notes["boundary_cases"] = boundary
-    rep.elapsed = time.perf_counter() - t0
     return rep
 
 

@@ -9,10 +9,9 @@ are emitted as explicit assumptions rather than silently passed.
 from __future__ import annotations
 
 import random
-import time
 
 from coxkit.blueprint import GroupCache
-from coxkit.certs import Certificate
+from coxkit.certs import Certificate, timed
 from coxkit.constructions import (Builder, PreconditionError, classify_residue,
                                   c_set_0, c_set_minus1, c_set_r, dset_certificate,
                                   harvest_relations, pair_labelings,
@@ -31,6 +30,24 @@ def _accept_all(_x) -> bool:
 def _in_set(elems):
     elems = frozenset(elems)
     return lambda x: x in elems
+
+
+def _levels_agree(product: TreeProduct, vertices, rng) -> bool:
+    """Sampled words of nonidentity letters at the given vertices: each
+    value lies in the level-1 family of the product exactly when it lies
+    in the level-0 family."""
+    verts = sorted(vertices)
+    for _ in range(SAMPLES):
+        word = []
+        for _ in range(rng.randint(1, 4)):
+            v = rng.choice(verts)
+            G = product.tog.vertices[v]
+            word.append((v, rng.choice([x for x in G.elements()
+                                        if x != G.identity])))
+        el = product.eval_word(word)
+        if product.in_family(el, level=1) != product.in_family(el, level=0):
+            return False
+    return True
 
 
 class Section4:
@@ -105,13 +122,13 @@ class Section4:
 
     # -- Lemma: V_R -> O_R is injective -------------------------------------
 
+    @timed
     def cert_vr_to_or(self, R: Residue, s: str | None = None) -> Certificate:
         b, ctx = self.b, self.ctx
         s, t, d = residue_letters(R, s)
         g = R.gate
         m = ctx.mult
         cert = Certificate(f"VRtoORinjective[{s}{t}@{g or '1'}]")
-        t0 = time.perf_counter()
         vr = b.construction("V_R", R, s)
         orr = b.construction("O_R", R, s)
         cert.data["V_R"] = [sp.label for sp in vr.specs]
@@ -159,7 +176,6 @@ class Section4:
                    edges=rep["edges"])
         prod = self._family_product(orr, members, name="O_R")
         self._battery_nonidentity(cert, prod, members, "V_R inside O_R")
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
     def _or_family(self, orr, R: Residue, s: str) -> dict:
@@ -186,13 +202,13 @@ class Section4:
 
     # -- Lemma: V_{R,s} and O_{R,s} --------------------------------------------
 
+    @timed
     def cert_vrs_ors(self, R: Residue, s: str) -> Certificate:
         b, ctx = self.b, self.ctx
         s, t, d = residue_letters(R, s)
         g = R.gate
         m = ctx.mult
         cert = Certificate(f"VRs_to_ORs_injective[{s}{t}@{g or '1'},s={s}]")
-        t0 = time.perf_counter()
         vr = b.construction("V_R", R, s)
         orr = b.construction("O_R", R, s)
         vrs = b.construction("V_Rs", R, s)
@@ -252,18 +268,17 @@ class Section4:
         cert.assume("V_{R,s} *_{V_R} O_R ~ U[w_R srs] *_{U[w_R sr]} O_R ~ O_{R,s}"
                     " is the replayed chain; the amalgam over the infinite V_R"
                     " is not built as a computable group")
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
     # -- Lemma: H_R decomposes over O_R ---------------------------------------
 
+    @timed
     def cert_ccleftcright(self, R: Residue, s: str | None = None) -> Certificate:
         b, ctx = self.b, self.ctx
         s, t, d = residue_letters(R, s)
         g = R.gate
         m = ctx.mult
         cert = Certificate(f"CCleftCright[{s}{t}@{g or '1'}]")
-        t0 = time.perf_counter()
         hr = b.construction("H_R", R, s)
         krs = b.construction("K_Rs", R, s)
         krt = b.construction("K_Rs", R, t)
@@ -341,11 +356,11 @@ class Section4:
             cert.check(f"subgroup-family conditions for O_R inside {kname}",
                        rep["pass"], edges=rep["edges"])
         cert.data["conclusion"] = "H_R ~ K_Rs *_{O_R} K_Rt"
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
     # -- the generating-set remark --------------------------------------------
 
+    @timed
     def cert_generating_remark(self, R: Residue, radius: int = 8) -> Certificate:
         """Root containments behind the generator bookkeeping of the tree
         products: -w_R alpha_t is contained in w_R s alpha_r (and the s<->t
@@ -357,7 +372,6 @@ class Section4:
         g = R.gate
         m = ctx.mult
         cert = Certificate(f"GeneratingRemark[{s}{t}@{g or '1'}]")
-        t0 = time.perf_counter()
         pairs = [
             (rsys.opposite(rsys.root_from(g, t)), rsys.root_from(m(g, s), d),
              f"-w_R alpha_{t} <= w_R {s} alpha_{d}"),
@@ -382,18 +396,17 @@ class Section4:
         ws = rsys.root_from(g, s)
         cert.check(f"u at w_R alpha_{s} is not a generator of U[w_R {t}{d}]",
                    ws not in vr.specs[2].roots)
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
     # -- Lemma: V_T embeds in H_R ------------------------------------------------
 
+    @timed
     def cert_jrt(self, R: Residue, s: str | None = None) -> Certificate:
         b, ctx = self.b, self.ctx
         s, t, d = residue_letters(R, s)
         g = R.gate
         m = ctx.mult
         cert = Certificate(f"JRt[{s}{t}@{g or '1'}]")
-        t0 = time.perf_counter()
         hr = b.construction("H_R", R, s)
         T = ctx.residue({d, t}, m(g, t, s))
         tagT = classify_residue(ctx, T)
@@ -423,18 +436,17 @@ class Section4:
         rep = check_subtree_conditions(sub_tog, subtree, members)
         cert.check("subgroup-family conditions for V_T in the subtree",
                    rep["pass"], edges=rep["edges"])
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
     # -- Lemma: K_{R,s} cap O_{R,s} = O_R  --------------------------------------
 
+    @timed
     def cert_cleftcright_isos(self, R: Residue, s: str) -> Certificate:
         b, ctx = self.b, self.ctx
         s, t, d = residue_letters(R, s)
         g = R.gate
         m = ctx.mult
         cert = Certificate(f"CleftCrightisos[{s}{t}@{g or '1'},s={s}]")
-        t0 = time.perf_counter()
         ors = b.construction("O_Rs", R, s)
         krs = b.construction("K_Rs", R, s)
         orr = b.construction("O_R", R, s)
@@ -489,7 +501,6 @@ class Section4:
         zcert = self._z_product_check(R, s, krs, kprod, vsd)
         for desc, okv in zcert:
             cert.check(desc, okv)
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
     def _krs_or_family(self, krs, R: Residue, s: str) -> dict:
@@ -554,6 +565,7 @@ class Section4:
 
     # -- Lemma: K_{R,s} cap G_{-1} = O_R (finite parts) -------------------------
 
+    @timed
     def cert_krs_gminus1(self, R: Residue, s: str) -> Certificate:
         b, ctx = self.b, self.ctx
         s, t, d = residue_letters(R, s)
@@ -562,7 +574,6 @@ class Section4:
         if g:
             raise PreconditionError("this lemma is stated for gate 1 residues")
         cert = Certificate(f"KRs_cap_Gminus1[{s}{t},s={s}]")
-        t0 = time.perf_counter()
         T = ctx.residue({d, t}, s)
         ot = b.construction("O_R", T)
         vt = b.construction("V_R", T)
@@ -595,22 +606,8 @@ class Section4:
                       for sp in ot.specs},
             inner=x_vertices, name="O_T")
         rng = self.rng()
-        ok = True
-        for _ in range(SAMPLES):
-            word = []
-            for _ in range(rng.randint(1, 4)):
-                v = rng.choice(sorted(x_vertices))
-                G = ot.tog.vertices[v]
-                pool = [x for x in G.elements() if x != G.identity]
-                word.append((v, rng.choice(pool)))
-            el = otprod.eval_word(word)
-            in_vt = otprod.in_family(el, level=1)
-            in_y = otprod.in_family(el, level=0)
-            if in_vt != in_y:
-                ok = False
-                break
         cert.check("sampled X elements: membership in V_T agrees with "
-                   "membership in Y", ok)
+                   "membership in Y", _levels_agree(otprod, x_vertices, rng))
         # O_R cap V_T = Y inside O_{R,s}
         vts_members = self.family_from_roots(ors, vt_roots)
         ys_members = self.family_from_roots(ors, y_roots)
@@ -628,20 +625,10 @@ class Section4:
                                 _in_set(vts_members[sp.name]))
                       for sp in ors.specs},
             inner={"v1", "v2", "v3"}, name="O_Rs")
-        ok = True
-        for _ in range(SAMPLES):
-            word = []
-            for _ in range(rng.randint(1, 4)):
-                v = rng.choice(["v1", "v2", "v3"])
-                G = ors.tog.vertices[v]
-                pool = [x for x in G.elements() if x != G.identity]
-                word.append((v, rng.choice(pool)))
-            el = orsprod.eval_word(word)   # an O_R element
-            if orsprod.in_family(el, level=1) != orsprod.in_family(el, level=0):
-                ok = False
-                break
+        # words over v1, v2, v3 evaluate to O_R elements
         cert.check("sampled O_R elements: membership in V_T agrees with "
-                   "membership in Y (so O_R cap V_T = Y)", ok)
+                   "membership in Y (so O_R cap V_T = Y)",
+                   _levels_agree(orsprod, {"v1", "v2", "v3"}, rng))
         # X *_Y O_R ~ K_{R,s} chain
         x_edge = ot.tog.edge_between("v1", x_outer)
         left_spec = ot.spec("v1") if x_edge.u == "v1" else ot.spec(x_outer)
@@ -659,11 +646,11 @@ class Section4:
                     "universal property")
         cert.assume("the conclusion K_{R,s} cap G_{-1} = O_R lives in "
                     "D_T = O_T *_{V_T} G_{-1}, whose word problem is not decided")
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
     # -- the colimit lemmas --------------------------------------------------
 
+    @timed
     def cert_nested_intervals_empty(self, radius: int = 8) -> Certificate:
         """For every w in C_0 and every nested prenilpotent pair inside
         Phi(w), the open interval is empty: each candidate third root is
@@ -672,8 +659,6 @@ class Section4:
         ctx = self.ctx
         rsys = self.cache.rsys
         cert = Certificate("nested_intervals_empty_over_C0")
-        t0 = time.perf_counter()
-        from coxkit.constructions import c_set_0
         pairs = 0
         ok = True
         failures = []
@@ -693,9 +678,9 @@ class Section4:
         cert.check("every nested pair inside Phi(w), w in C_0, has an empty "
                    f"open interval (witnesses at radius {radius})", ok,
                    pairs=pairs, failures=failures)
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
+    @timed
     def cert_otog_minus1(self, pair) -> Certificate:
         b, ctx = self.b, self.ctx
         R = ctx.residue(set(pair), "")
@@ -703,7 +688,6 @@ class Section4:
         g = R.gate
         m = ctx.mult
         cert = Certificate(f"OtoG-1[{s}{t}]")
-        t0 = time.perf_counter()
         C_r = c_set_r(ctx, (s, t))
         cert.check(f"srs and tr lie in C_r: {m(s,d,s)!r}, {m(t,d)!r}",
                    m(s, d, s) in C_r and m(t, d) in C_r)
@@ -750,14 +734,13 @@ class Section4:
                     "colimits; only its generator bookkeeping is checked here")
         cert.assume("injectivity of V_{R,s} -> G_{s,t} descends from the "
                     "subgroup theorem through the colimit")
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
+    @timed
     def cert_otog0(self) -> Certificate:
         b, ctx = self.b, self.ctx
         m = ctx.mult
         cert = Certificate("OtoG0")
-        t0 = time.perf_counter()
         C_m1 = c_set_minus1(ctx)
         cert.check("rsrs and rtr lie in C_{-1}",
                    m("r", "s", "r", "s") in C_m1 and m("r", "t", "r") in C_m1)
@@ -784,16 +767,15 @@ class Section4:
                    "of G_0", total == 15, got=total)
         cert.assume("G_0 ~ star_{G_{-1}} D_T is an isomorphism of colimits; "
                     "only its generator bookkeeping is checked here")
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
+    @timed
     def cert_main_application(self, R: Residue) -> Certificate:
         b, ctx = self.b, self.ctx
         s, t, d = residue_letters(R)
         g = R.gate
         m = ctx.mult
         cert = Certificate(f"MainApplication[{s}{t}@{g or '1'}]")
-        t0 = time.perf_counter()
         C_0 = c_set_0(ctx)
         needed = [m(g, s, ctx.longest({d, t})), m(g, ctx.longest({s, t})),
                   m(g, t, ctx.longest({d, s}))]
@@ -805,14 +787,13 @@ class Section4:
                     "the D-products quantify over colimits")
         cert.assume("K_{R,s} cap G_{-1} = O_R is certified only in its finite "
                     "ingredients (see the K_Rs cap G_{-1} certificate)")
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
+    @timed
     def cert_corollary(self) -> Certificate:
         b, ctx = self.b, self.ctx
         m = ctx.mult
         cert = Certificate("MainApplicationCorollary")
-        t0 = time.perf_counter()
         R = ctx.residue("st", "r")
         T = ctx.residue("rt", m("r", "s"))
         T2 = ctx.residue("rs", m("r", "t"))
@@ -831,7 +812,6 @@ class Section4:
         cert.check("C_0 is contained in each fresh root", ok)
         cert.assume("the target (G_0 * O_T) *_{G_0} (G_0 * O_T') quantifies "
                     "over G_0; its word problem is not decided")
-        cert.elapsed = time.perf_counter() - t0
         return cert
 
 

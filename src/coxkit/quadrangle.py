@@ -33,12 +33,11 @@ normalized once, when the model is made.
 from __future__ import annotations
 
 import itertools
-import time
 from functools import reduce
 from dataclasses import dataclass
 
+from coxkit.certs import SweepReport, timed
 from coxkit.coxeter import standard_coxeter
-from coxkit.lemmas import SweepReport
 from coxkit.treeprod import closure_words
 
 # 4x4 matrices over F2 as 16-bit ints, row-major, row i = bits 4i..4i+3.
@@ -299,9 +298,6 @@ class TwinModel:
         """The chamber of the standard twin apartment letter-adjacent to c_-."""
         return self.chamber(-1, self.weyl_rep(letter))
 
-    def simple_root_elements(self) -> tuple[int, int]:
-        return self._u0, self._u1
-
     def u_of(self, letter: str) -> int:
         return self._u0 if letter == self.letters[0] else self._u1
 
@@ -322,10 +318,10 @@ class TwinModel:
 
     # -- verification sweeps -------------------------------------------------
 
+    @timed
     def verify_axioms(self) -> SweepReport:
         """(Bu1)-(Bu3) on both halves and (Tw1)-(Tw3), exhaustively."""
         rep = SweepReport("building_and_twinning_axioms", 0)
-        t0 = time.perf_counter()
         ctx = self.ctx
         for sign in (1, -1):
             cs = self.chambers(sign)
@@ -377,12 +373,11 @@ class TwinModel:
                     if ws not in targets:
                         rep.violations.append(
                             {"axiom": "Tw3", "x": str(x), "y": str(y), "letter": letter})
-        rep.elapsed = time.perf_counter() - t0
         return rep
 
+    @timed
     def verify_diagram(self) -> SweepReport:
         rep = SweepReport("uplus_action_diagram", 0)
-        t0 = time.perf_counter()
         s, t = self.letters
         us, ut = self._u0, self._u1
         v_elems = closure_words(mat_mul, IDENT, (us, ut))
@@ -429,14 +424,13 @@ class TwinModel:
             if len(self.codistance(self.c_plus, d)) != 1:
                 rep.violations.append({"check": "upper chamber at codistance 1",
                                        "chamber": str(d)})
-        rep.elapsed = time.perf_counter() - t0
         return rep
 
+    @timed
     def verify_lemma_uplus(self) -> SweepReport:
         """Assertions (a)-(f) of the rank-2 action lemma, exhaustively,
         plus the itemized distance values of its proof."""
         rep = SweepReport("uplus_acts_on_deltaminus", 0)
-        t0 = time.perf_counter()
         s, t = self.letters
         words = self.v_group_words()
         c = self.c_minus
@@ -502,14 +496,13 @@ class TwinModel:
             "rank-2 model stands in for the {%s,%s}-residue of the rank-3 "
             "building: residues are convex and the induced root-group action "
             "on the residue is the rank-2 Moufang action" % (s, t))
-        rep.elapsed = time.perf_counter() - t0
         return rep
 
+    @timed
     def verify_root_group_fixings(self) -> SweepReport:
         """Each simple root group fixes every chamber of its twin root in
         the standard twin apartment."""
         rep = SweepReport("root_groups_fix_halves", 0)
-        t0 = time.perf_counter()
         for letter in self.letters:
             u = self.u_of(letter)
             for w in self.weyl_elements():
@@ -526,7 +519,6 @@ class TwinModel:
                 if (self.act(minus, u) == minus) != (not in_alpha):
                     rep.violations.append(
                         {"letter": letter, "w": w, "half": "-"})
-        rep.elapsed = time.perf_counter() - t0
         return rep
 
     def dump(self) -> str:
@@ -560,13 +552,13 @@ def build_model(letters: tuple[str, str] = ("s", "t")) -> TwinModel:
     return _MODELS[letters]
 
 
+@timed
 def verify_rt_relabel() -> SweepReport:
     """In the {r,t}-labeled model the element of the root group at r*alpha_t
     moves c_- to Weyl distance rtr, its product with the t*alpha_r element
     reaches the longest dihedral element, and the symmetric value is trt."""
     model = build_model(("r", "t"))
     rep = SweepReport("rt_relabel_distances", 0)
-    t0 = time.perf_counter()
     c = model.c_minus
     u_rt = model.root_group_element("r", "t")
     u_tr = model.root_group_element("t", "r")
@@ -582,5 +574,4 @@ def verify_rt_relabel() -> SweepReport:
         rep.notes[name] = got
         if got != want:
             rep.violations.append({"item": name, "expected": want, "got": got})
-    rep.elapsed = time.perf_counter() - t0
     return rep

@@ -22,11 +22,10 @@ state, not carried in it.
 
 from __future__ import annotations
 
-import time
 from functools import cached_property
 
 from coxkit.blueprint import GroupCache
-from coxkit.certs import Certificate
+from coxkit.certs import Certificate, timed
 from coxkit.coxeter import standard_coxeter
 from coxkit.quadrangle import build_model, mat_mul
 from coxkit.treeprod import Edge, TreeOfGroups, TreeProduct, closure_words
@@ -364,6 +363,7 @@ def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, pair):
     return "c.iii", 2, nxt
 
 
+@timed
 def trace_word(setup: TheoremSetup, word) -> Certificate:
     """Replay the inductive normal-form argument on a constrained word.
 
@@ -385,7 +385,6 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         "proof replay: this certificate re-verifies the finite ingredients "
         "of the inductive argument, it is not an independent verification "
         "of the statement in the ambient group")
-    t0 = time.perf_counter()
     h0, pairs = word
     if h0 != 0:
         raise ConstraintError("trace expects words without a leading V letter")
@@ -409,5 +408,4 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         setup.eval_word(word))
     cert.check("independent check: tree-product normal form is nontrivial",
                cert.data["independent_nf_nontrivial"])
-    cert.elapsed = time.perf_counter() - t0
     return cert

@@ -7,11 +7,10 @@ differ only in the elapsed fields).
 
 from __future__ import annotations
 
-import time
-
 import coxkit
 from coxkit import lemmas
 from coxkit.blueprint import GroupCache, gallery_independence
+from coxkit.certs import timed
 from coxkit.coxeter import Coxeter
 from coxkit.pipeline import section4_pipeline
 from coxkit.quadrangle import build_model, verify_rt_relabel
@@ -19,9 +18,9 @@ from coxkit.quadrangle import build_model, verify_rt_relabel
 BALL_PINS = {2: 10, 4: 43}
 
 
+@timed
 def run_coxeter(ctx: Coxeter, radius: int = 8, sweep_radii: dict | None = None) -> dict:
     out = {"suite": "coxeter", "radius": radius}
-    t0 = time.perf_counter()
     balls = []
     ok = True
     for L in range(radius + 1):
@@ -40,13 +39,12 @@ def run_coxeter(ctx: Coxeter, radius: int = 8, sweep_radii: dict | None = None) 
         ok = ok and rep.passed
     out["sweeps"] = sweeps
     out["pass"] = ok
-    out["elapsed"] = round(time.perf_counter() - t0, 3)
     return out
 
 
+@timed
 def run_blueprint(ctx: Coxeter, max_length: int = 7) -> dict:
     out = {"suite": "blueprint", "max_length": max_length}
-    t0 = time.perf_counter()
     cache = GroupCache(ctx)
     ok = True
     orders = []
@@ -77,13 +75,12 @@ def run_blueprint(ctx: Coxeter, max_length: int = 7) -> dict:
     out["v_listing"] = v_ok
     out["problems"] = orders
     out["pass"] = ok
-    out["elapsed"] = round(time.perf_counter() - t0, 3)
     return out
 
 
+@timed
 def run_quadrangle() -> dict:
     out = {"suite": "quadrangle"}
-    t0 = time.perf_counter()
     model = build_model(("s", "t"))
     facts = {"group": len(model.elems), "borel": len(model.borel_plus),
              "chambers": len(model.chambers(-1)),
@@ -100,18 +97,16 @@ def run_quadrangle() -> dict:
         ok = ok and rep.passed
     out["reports"] = reports
     out["pass"] = ok
-    out["elapsed"] = round(time.perf_counter() - t0, 3)
     return out
 
 
+@timed
 def run_section4(ctx: Coxeter, residues: list | None = None) -> dict:
     out = {"suite": "section4"}
-    t0 = time.perf_counter()
     certs = section4_pipeline(GroupCache(ctx), residues)
     out["certificates"] = [c.to_dict() for c in certs]
     out["assumptions"] = sorted({a for c in certs for a in c.assumptions})
     out["pass"] = all(c.passed for c in certs)
-    out["elapsed"] = round(time.perf_counter() - t0, 3)
     return out
 
 

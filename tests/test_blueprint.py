@@ -5,8 +5,7 @@ import pytest
 
 from coxkit import wordops
 from coxkit.blueprint import (BlueprintError, GroupCache, GroupMono,
-                              gallery_independence, intersect_subgroups,
-                              subgroup)
+                              gallery_independence, subgroup)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -169,12 +168,11 @@ def test_intersections(ctx, cache):
     amb = cache.group(ctx.mult("s", ctx.longest("rt")))
     a = subgroup(amb, [amb.root_mask(r) for r in cache.phi("sr")])
     b = subgroup(amb, [amb.root_mask(r) for r in cache.phi("st")])
-    c = intersect_subgroups(a, b)
+    ea, eb = frozenset(a.elements()), frozenset(b.elements())
     expect = subgroup(amb, [amb.root_mask(r) for r in cache.phi("s")])
-    assert c.elements() == expect.elements()
-    assert intersect_subgroups(a, a).elements() == a.elements()
+    assert ea & eb == frozenset(expect.elements())
     trivial = subgroup(amb, [])
-    assert intersect_subgroups(trivial, a).elements() == (0,)
+    assert frozenset(trivial.elements()) & ea == {0}
 
 
 def test_group_mono_rejects_non_hom(cache):
@@ -196,7 +194,9 @@ def test_local_weyl_invariance_sampled(ctx, cache):
         if not w:
             continue
         s = rng.choice("rst")
-        gals = ctx.min_galleries_s(w, s)
+        gals = ctx.min_galleries(w)
+        if ctx.has_left_descent(w, s):
+            gals = tuple(g for g in gals if g.type_word.startswith(s))
         g = rng.choice(gals)
         seq = rs.inversion_sequence(g)
         simple_s = rs.simple(s)

@@ -1,0 +1,37 @@
+import itertools
+
+from coxkit import certs, lemmas, suites
+from coxkit.reduction import trace_word
+
+# the least radius each sweep accepts
+MIN_RADII = {"wordsincoxetergroup": 2, "not_both_down": 1, "mingallinrep": 4,
+             "subset_lemma": 5}
+
+
+def _by_runner(elapsed) -> bool:
+    # the fake clock reads 0, 1, 2, ...: a span it timed is a whole number
+    # of ticks, while one read from a real clock almost never is
+    return elapsed >= 1 and float(elapsed).is_integer()
+
+
+def test_every_record_is_timed_by_the_runner(monkeypatch, ctx, theorem_setup):
+    ticks = itertools.count()
+    monkeypatch.setattr(certs, "clock", lambda: float(next(ticks)))
+    assert set(MIN_RADII) == set(lemmas.SWEEPS)
+    cox = suites.run_coxeter(ctx, 2, MIN_RADII)
+    blueprint = suites.run_blueprint(ctx, 2)
+    quad = suites.run_quadrangle()
+    # runs section4_pipeline(GroupCache(ctx), [("st", "")])
+    sec4 = suites.run_section4(ctx, [("st", "")])
+    records = {f"suite {out['suite']}": out["elapsed"]
+               for out in (cox, blueprint, quad, sec4)}
+    records.update((f"sweep {name}", rep["elapsed"])
+                   for name, rep in cox["sweeps"].items())
+    records.update((f"quadrangle {name}", rep["elapsed"])
+                   for name, rep in quad["reports"].items())
+    records.update((c["name"], c["elapsed"]) for c in sec4["certificates"])
+    word = next(theorem_setup.enumerate_constrained(2))
+    records["trace_word"] = trace_word(theorem_setup, word).elapsed
+    assert len(sec4["certificates"]) == 13 and len(quad["reports"]) == 5
+    assert {name for name, elapsed in records.items()
+            if not _by_runner(elapsed)} == set()

@@ -24,7 +24,8 @@ def test_residue_classes(ctx):
 def test_construction_orders(ctx, builder):
     R = ctx.residue("st", "")
     assert builder.construction("V_R", R).orders() == (4, 8, 4)
-    assert builder.construction("V_R", R).edge_orders() == (2, 2)
+    edges = builder.construction("V_R", R).tog.edges
+    assert [e.group.order for e in edges] == [2, 2]
     assert builder.construction("O_R", R).orders() == (16, 16, 16)
     assert builder.construction("H_R", R).orders() == (32, 32, 16, 32, 32)
     assert builder.construction("K_Rs", R, "s").orders() == (32, 32, 16, 16)

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from coxkit.constructions import Builder
@@ -19,6 +22,15 @@ def test_all_certificates_pass(full_run):
                          if not ch["status"]]
                 for c in full_run if not c.passed}
     assert not failures, failures
+
+
+def test_certificate_bytes_pinned(full_run):
+    docs = [{k: v for k, v in c.to_dict().items() if k != "elapsed"}
+            for c in full_run]
+    text = json.dumps(docs, sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (len(docs), digest) == (
+        31, "653bccef18bc4536902f6af940aa7191966537ee702f678fbe7d16bc6633c8b7")
 
 
 def test_certificate_inventory(full_run):
