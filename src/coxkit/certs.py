@@ -77,6 +77,14 @@ class SweepReport:
     def passed(self) -> bool:
         return not self.violations
 
+    def expect(self, name: str, got, want) -> None:
+        """One named item: count it, note its value and record a violation
+        when it differs from the expected one."""
+        self.tuples_checked += 1
+        self.notes[name] = got
+        if got != want:
+            self.violations.append({"item": name, "expected": want, "got": got})
+
     def to_dict(self) -> dict:
         return {
             "lemma": self.lemma,

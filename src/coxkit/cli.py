@@ -179,7 +179,6 @@ def _parse_tree_file(path: str):
 
 
 def _parse_nf_word(builder, specs, text: str):
-    ctx = builder.ctx
     letters = []
     for token in (t.strip() for t in text.split(",")):
         if not token or token == "1":

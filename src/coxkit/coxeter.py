@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from coxkit import wordops
 
@@ -71,6 +70,7 @@ class Coxeter:
         self._canon: dict[str, str] = {"": ""}
         self._closure: dict[str, frozenset] = {"": frozenset([""])}
         self._mult_gen: dict[tuple[str, str], str] = {}
+        self._parabolics: dict[frozenset, tuple[str, ...]] = {}
         self._balls: list[tuple[str, ...]] = [("",)]
 
     # -- canonical forms ------------------------------------------------
@@ -182,8 +182,11 @@ class Coxeter:
 
     # -- parabolic subgroups and residues ---------------------------------
 
-    @lru_cache(maxsize=None)
-    def _parabolic(self, types: frozenset) -> tuple[str, ...]:
+    def parabolic(self, types) -> tuple[str, ...]:
+        types = frozenset(types)
+        got = self._parabolics.get(types)
+        if got is not None:
+            return got
         if len(types) >= 3:
             raise ValueError("full parabolic is not spherical in type (4,4,4)")
         elems = {""}
@@ -195,10 +198,9 @@ class Coxeter:
                 if v not in elems:
                     elems.add(v)
                     frontier.append(v)
-        return tuple(sorted(elems, key=lambda x: (len(x), x)))
-
-    def parabolic(self, types) -> tuple[str, ...]:
-        return self._parabolic(frozenset(types))
+        got = tuple(sorted(elems, key=lambda x: (len(x), x)))
+        self._parabolics[types] = got
+        return got
 
     def longest(self, types) -> str:
         """r_J, the longest element of the spherical parabolic <J>."""

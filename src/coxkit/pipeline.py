@@ -23,13 +23,12 @@ from coxkit.treeprod import (Edge, Subgroup, TreeOfGroups, TreeProduct,
 SAMPLES = 400
 
 
-def _accept_all(_x) -> bool:
-    return True
-
-
-def _in_set(elems):
-    elems = frozenset(elems)
-    return lambda x: x in elems
+def _family_check(cert, label: str, tog, members: dict,
+                  claimed: dict | None = None) -> bool:
+    """Check the subgroup-family conditions of members over every vertex
+    of tog and record the verdict under label with its per-edge report."""
+    rep = check_subtree_conditions(tog, set(tog.vertices), members, claimed)
+    return cert.check(label, rep["pass"], edges=rep["edges"])
 
 
 def _levels_agree(product: TreeProduct, vertices, rng) -> bool:
@@ -62,6 +61,12 @@ class Section4:
 
     # -- small helpers -----------------------------------------------------
 
+    def _frame(self, R: Residue, s: str | None = None):
+        """(s, t, d, gate, mult): the residue letters of R, with s first when
+        given, its gate and the Coxeter product."""
+        s, t, d = residue_letters(R, s)
+        return s, t, d, R.gate, self.ctx.mult
+
     def _edge_group_is(self, cert, cons, i: int, w: str, note: str) -> None:
         """The common-root edge group between vertices i, i+1 equals the
         image of U_w inside the left vertex's ambient group."""
@@ -73,61 +78,30 @@ class Section4:
                    f"is U[{self.ctx.normalize(w)}]", got == expected,
                    order=len(got))
 
-    def _family_product(self, cons, members: dict, inner=None,
-                        name: str = "") -> TreeProduct:
-        priority = {}
-        for sp in cons.specs:
-            base = members.get(sp.name)
-            pred = _accept_all if base is None else (
-                base if callable(base) else _in_set(base))
-            priority[sp.name] = (pred,)
-        return TreeProduct(cons.tog, priority=priority, inner=inner, name=name)
+    @staticmethod
+    def _family_product(cons, members: dict, name: str = "") -> TreeProduct:
+        """The tree product of cons whose coset representatives prefer the
+        family: members maps every vertex to a frozenset."""
+        return TreeProduct(cons.tog, name=name, priority={
+            sp.name: (members[sp.name].__contains__,) for sp in cons.specs})
 
-    def _battery_nonidentity(self, cert, product, members: dict, label: str,
-                             rounds: int = SAMPLES) -> None:
+    def _battery_nonidentity(self, cert, product, members: dict,
+                             label: str) -> None:
         """Random reduced words with letters in the family stay nontrivial."""
         rng = self.rng()
-        tog = product.tog
-        verts = sorted(tog.vertices)
-        ok = True
-        for _ in range(rounds):
-            word = []
-            prev = None
-            v = rng.choice(verts)
-            for _ in range(rng.randint(1, 4)):
-                G = tog.vertices[v]
-                allowed = members.get(v)
-                if prev is not None:
-                    # include(v, .) is injective, so the ban is tested in G_v
-                    banned = set(tog.edge_between(prev, v).endpoint_map(v).values())
-                pool = []
-                for x in (allowed if allowed is not None and not callable(allowed)
-                          else G.elements()):
-                    if callable(allowed) and not allowed(x):
-                        continue
-                    if x == G.identity:
-                        continue
-                    if prev is not None and x in banned:
-                        continue
-                    pool.append(x)
-                if not pool:
-                    break
-                word.append((v, rng.choice(pool)))
-                prev, v = v, rng.choice(tog.neighbors(v))
-            if word and product.is_identity(product.eval_word(word)):
-                ok = False
-                break
+        words = (product.random_word(rng, rng.randint(1, 4), members)
+                 for _ in range(SAMPLES))
+        ok = not any(word and product.is_identity(product.eval_word(word))
+                     for word in words)
         cert.check(f"{label}: sampled reduced family words are nontrivial "
-                   f"({rounds} rounds)", ok)
+                   f"({SAMPLES} rounds)", ok)
 
     # -- Lemma: V_R -> O_R is injective -------------------------------------
 
     @timed
     def cert_vr_to_or(self, R: Residue, s: str | None = None) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
+        s, t, d, g, m = self._frame(R, s)
         cert = Certificate(f"VRtoORinjective[{s}{t}@{g or '1'}]")
         vr = b.construction("V_R", R, s)
         orr = b.construction("O_R", R, s)
@@ -169,20 +143,17 @@ class Section4:
             frozenset(("v0", "v1")): b.image_of_u(m(g, s), amb0),
             frozenset(("v1", "v2")): b.image_of_u(m(g, t), orr.specs[1].ambient),
         }
-        rep = check_subtree_conditions(orr.tog, set(orr.tog.vertices), members,
-                                       claimed)
-        cert.check("subgroup-family conditions (i)-(iii) over O_R hold with "
-                   "edge groups U[w_R s], U[w_R t]", rep["pass"],
-                   edges=rep["edges"])
+        _family_check(cert, "subgroup-family conditions (i)-(iii) over O_R "
+                      "hold with edge groups U[w_R s], U[w_R t]",
+                      orr.tog, members, claimed)
         prod = self._family_product(orr, members, name="O_R")
         self._battery_nonidentity(cert, prod, members, "V_R inside O_R")
         return cert
 
     def _or_family(self, orr, R: Residue, s: str) -> dict:
         """The V_R family inside O_R: U[w_R sr], V[w_R|st] and U[w_R tr]."""
-        b, m = self.b, self.ctx.mult
-        s, t, d = residue_letters(R, s)
-        g = R.gate
+        b = self.b
+        s, t, d, g, m = self._frame(R, s)
         return {
             "v0": b.image_of_u(m(g, s, d), orr.specs[0].ambient),
             "v1": b.image_of_v(g, (s, t), orr.specs[1].ambient),
@@ -204,10 +175,8 @@ class Section4:
 
     @timed
     def cert_vrs_ors(self, R: Residue, s: str) -> Certificate:
-        b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
+        b = self.b
+        s, t, d, g, m = self._frame(R, s)
         cert = Certificate(f"VRs_to_ORs_injective[{s}{t}@{g or '1'},s={s}]")
         vr = b.construction("V_R", R, s)
         orr = b.construction("O_R", R, s)
@@ -253,7 +222,7 @@ class Section4:
         u0 = ors.specs[0].group
         H2 = Subgroup(u0, b.image_of_u(m(g, s, d), u0), f"U[{m(g,s,d)}]")
         tog2b = fold(ors.tog, "v0", "v1", H2, "x")
-        tog3b, nameb, subb = contract(tog2b, {"x", "v1", "v2", "v3"})
+        subb = contract(tog2b, {"x", "v1", "v2", "v3"})[2]
         cert.check("contract the folded tail of O_Rs to an O_R-shaped product",
                    sorted(gg.order for gg in subb.tog.vertices.values())
                    == sorted((H2.order,) + orr.orders()),
@@ -275,9 +244,7 @@ class Section4:
     @timed
     def cert_ccleftcright(self, R: Residue, s: str | None = None) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
+        s, t, d, g, m = self._frame(R, s)
         cert = Certificate(f"CCleftCright[{s}{t}@{g or '1'}]")
         hr = b.construction("H_R", R, s)
         krs = b.construction("K_Rs", R, s)
@@ -340,8 +307,6 @@ class Section4:
         # O_R family conditions inside contracted K_{R,s} and K_{R,t}
         for kname, kons, sideletter in (("K_Rs", krs, s), ("K_Rt", krt, t)):
             tog2, cname, c0sub = contract(kons.tog, {"v1", "v2"})
-            u_rj = frozenset(
-                self.b.cache.group(m(g, ctx.longest({s, t}))).elements())
 
             def in_c0_vertex(el, c0sub=c0sub):
                 return c0sub.vertex_value(el, "v2") is not None
@@ -352,9 +317,8 @@ class Section4:
                 cname: in_c0_vertex,
                 "v3": frozenset(kons.specs[3].group.elements()),
             }
-            rep = check_subtree_conditions(tog2, set(tog2.vertices), members)
-            cert.check(f"subgroup-family conditions for O_R inside {kname}",
-                       rep["pass"], edges=rep["edges"])
+            _family_check(cert, f"subgroup-family conditions for O_R inside "
+                          f"{kname}", tog2, members)
         cert.data["conclusion"] = "H_R ~ K_Rs *_{O_R} K_Rt"
         return cert
 
@@ -366,11 +330,8 @@ class Section4:
         products: -w_R alpha_t is contained in w_R s alpha_r (and the s<->t
         mirror), checked both by half-space bitsets on a ball and by the exact
         form criterion, plus the non-generator consequences."""
-        b, ctx = self.b, self.ctx
         rsys = self.cache.rsys
-        s, t, d = residue_letters(R)
-        g = R.gate
-        m = ctx.mult
+        s, t, d, g, m = self._frame(R)
         cert = Certificate(f"GeneratingRemark[{s}{t}@{g or '1'}]")
         pairs = [
             (rsys.opposite(rsys.root_from(g, t)), rsys.root_from(m(g, s), d),
@@ -389,7 +350,7 @@ class Section4:
             form_ok = pc.kind == "nested" and pc.contained == small
             cert.check(f"{label} (ball radius {radius} and form criterion agree)",
                        sweep_ok and form_ok)
-        vr = b.construction("V_R", R)
+        vr = self.b.construction("V_R", R)
         alpha = rsys.root_from(m(g, s), d)
         cert.check(f"u at w_R {s} alpha_{d} is a generator of no other V_R "
                    "vertex", all(alpha not in sp.roots for sp in vr.specs[1:]))
@@ -403,9 +364,7 @@ class Section4:
     @timed
     def cert_jrt(self, R: Residue, s: str | None = None) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
+        s, t, d, g, m = self._frame(R, s)
         cert = Certificate(f"JRt[{s}{t}@{g or '1'}]")
         hr = b.construction("H_R", R, s)
         T = ctx.residue({d, t}, m(g, t, s))
@@ -433,9 +392,8 @@ class Section4:
                    members["v3"] == frozenset(hr.specs[3].group.elements()))
         cert.check("U[w_R tsrs] embeds in U[w_R t r_ds]",
                    members["v4"] <= frozenset(hr.specs[4].group.elements()))
-        rep = check_subtree_conditions(sub_tog, subtree, members)
-        cert.check("subgroup-family conditions for V_T in the subtree",
-                   rep["pass"], edges=rep["edges"])
+        _family_check(cert, "subgroup-family conditions for V_T in the subtree",
+                      sub_tog, members)
         return cert
 
     # -- Lemma: K_{R,s} cap O_{R,s} = O_R  --------------------------------------
@@ -443,16 +401,11 @@ class Section4:
     @timed
     def cert_cleftcright_isos(self, R: Residue, s: str) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
+        s, t, d, g, m = self._frame(R, s)
         cert = Certificate(f"CleftCrightisos[{s}{t}@{g or '1'},s={s}]")
         ors = b.construction("O_Rs", R, s)
         krs = b.construction("K_Rs", R, s)
-        orr = b.construction("O_R", R, s)
-        T = ctx.residue({d, t}, m(g, s))
-        vt = b.construction("V_R", T)
-        ot = b.construction("O_R", T)
+        vt = b.construction("V_R", ctx.residue({d, t}, m(g, s)))
         # fold O_{R,s} at U[w_R sts] (a subgroup of the U[r_J] vertex) and
         # recognize V_T in the contracted head
         cert.check("edge of O_Rs between V[s..] and U[r_J] is U[w_R st]",
@@ -464,7 +417,7 @@ class Section4:
                    b.image_of_u(m(g, s, t), amb2) <= sts_img)
         H = Subgroup(ors.specs[2].group, sts_img, f"U[{m(g,s,t,s)}]")
         tog2 = fold(ors.tog, "v2", "v1", H, "x")
-        tog3, vtname, vtsub = contract(tog2, {"v0", "v1", "x"})
+        vtsub = contract(tog2, {"v0", "v1", "x"})[2]
         cert.check("contracting the folded head of O_Rs gives a V_T-shaped "
                    "product",
                    sorted(gg.order for gg in vtsub.tog.vertices.values())
@@ -479,11 +432,8 @@ class Section4:
                    lhs == b.image_of_u(m(g, s, d), ambZ), ambient=ambZ.w)
         # O_R cap U[w_R srt] = U[w_R sr], computed inside K_{R,s}
         or_family = self._krs_or_family(krs, R, s)
-        repk = check_subtree_conditions(krs.tog, set(krs.tog.vertices),
-                                        or_family)
-        cert.check("O_R family conditions over the four K_Rs vertices "
-                   "(so membership is letter-decidable)", repk["pass"],
-                   edges=repk["edges"])
+        _family_check(cert, "O_R family conditions over the four K_Rs vertices "
+                      "(so membership is letter-decidable)", krs.tog, or_family)
         kprod = self._family_product(krs, or_family, name="K_Rs")
         srt_img = b.image_of_u(m(g, s, d, t), krs.specs[0].ambient)
         got = {x for x in srt_img
@@ -498,16 +448,13 @@ class Section4:
                    f"V[{m(g,s,d)}|{s}{t}] generate U[{m(g,s,d,t)}]",
                    closure == srt_img)
         # conclusion spot-check: O_{R,s} cap K_{R,s} = O_R inside Z
-        zcert = self._z_product_check(R, s, krs, kprod, vsd)
-        for desc, okv in zcert:
+        for desc, okv in self._z_product_check(R, s, krs, kprod, vsd):
             cert.check(desc, okv)
         return cert
 
     def _krs_or_family(self, krs, R: Residue, s: str) -> dict:
-        b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
+        b = self.b
+        s, t, d, g, m = self._frame(R, s)
         return {
             "v0": b.image_of_v(m(g, s), (d, t), krs.specs[0].ambient),
             "v1": b.image_of_u(m(g, s, t, s), krs.specs[1].ambient),
@@ -518,10 +465,8 @@ class Section4:
     def _z_product_check(self, R, s, krs, kprod, vsd):
         """Z = K_{R,s} *_{U[w_R srt]} V[w_R sr|st]: the subgroup-family data
         for O_R *_{U[w_R sr]} U[w_R srs] -> Z and a sampled intersection."""
-        b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
+        b = self.b
+        s, _, d, g, m = self._frame(R, s)
         out = []
         # the common roots of U[w_R s r_dt] and V[w_R sr|st] are Phi(w_R srt)
         edge = b.edge(krs.specs[0], vsd)
@@ -529,11 +474,9 @@ class Section4:
         into_k = {c: kprod.include("v0", x) for c, x in edge.into_u.items()}
         ztog = TreeOfGroups({"K": kprod, "W": vsd.group},
                             [Edge("K", "W", eg, into_k, into_v)])
-
-        def in_or(el):
-            return kprod.in_family(el)
+        in_or = kprod.in_family
         srs_img = b.image_of_u(m(g, s, d, s), vsd.ambient)
-        z = TreeProduct(ztog, priority={"K": (in_or,), "W": (_in_set(srs_img),)},
+        z = TreeProduct(ztog, priority={"K": (in_or,), "W": (srs_img.__contains__,)},
                         inner={"K"})
         pre_k = {c for c in eg.elements() if in_or(into_k[c])}
         pre_v = {c for c in eg.elements() if into_v[c] in srs_img}
@@ -568,9 +511,7 @@ class Section4:
     @timed
     def cert_krs_gminus1(self, R: Residue, s: str) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
+        s, t, d, g, m = self._frame(R, s)
         if g:
             raise PreconditionError("this lemma is stated for gate 1 residues")
         cert = Certificate(f"KRs_cap_Gminus1[{s}{t},s={s}]")
@@ -588,21 +529,19 @@ class Section4:
         x_vertices = {"v1", x_outer}
         vt_roots = self.construction_roots(vt)
         vt_members = self.family_from_roots(ot, vt_roots)
-        rep = check_subtree_conditions(ot.tog, set(ot.tog.vertices), vt_members)
-        cert.check("V_T family conditions inside O_T", rep["pass"],
-                   edges=rep["edges"])
+        _family_check(cert, "V_T family conditions inside O_T", ot.tog,
+                      vt_members)
         # Y = V[s|dt] * U[sts]: the V_T part supported away from U[srs]
         y_roots = (frozenset(self.cache.phi(m(g, s, d)))
                    | frozenset(self.cache.phi(m(g, s, t)))
                    | frozenset(self.cache.phi(m(g, s, t, s))))
         y_members = self.family_from_roots(ot, y_roots)
-        repy = check_subtree_conditions(ot.tog, set(ot.tog.vertices), y_members)
-        cert.check("Y = V[s|dt] * U[sts] family conditions inside O_T",
-                   repy["pass"], edges=repy["edges"])
+        _family_check(cert, "Y = V[s|dt] * U[sts] family conditions inside O_T",
+                      ot.tog, y_members)
         otprod = TreeProduct(
             ot.tog,
-            priority={sp.name: (_in_set(y_members[sp.name]),
-                                _in_set(vt_members[sp.name]))
+            priority={sp.name: (y_members[sp.name].__contains__,
+                                vt_members[sp.name].__contains__)
                       for sp in ot.specs},
             inner=x_vertices, name="O_T")
         rng = self.rng()
@@ -611,18 +550,14 @@ class Section4:
         # O_R cap V_T = Y inside O_{R,s}
         vts_members = self.family_from_roots(ors, vt_roots)
         ys_members = self.family_from_roots(ors, y_roots)
-        repv = check_subtree_conditions(ors.tog, set(ors.tog.vertices),
-                                        vts_members)
-        repyy = check_subtree_conditions(ors.tog, set(ors.tog.vertices),
-                                         ys_members)
-        cert.check("V_T family conditions inside O_Rs", repv["pass"],
-                   edges=repv["edges"])
-        cert.check("Y family conditions inside O_Rs", repyy["pass"],
-                   edges=repyy["edges"])
+        _family_check(cert, "V_T family conditions inside O_Rs", ors.tog,
+                      vts_members)
+        _family_check(cert, "Y family conditions inside O_Rs", ors.tog,
+                      ys_members)
         orsprod = TreeProduct(
             ors.tog,
-            priority={sp.name: (_in_set(ys_members[sp.name]),
-                                _in_set(vts_members[sp.name]))
+            priority={sp.name: (ys_members[sp.name].__contains__,
+                                vts_members[sp.name].__contains__)
                       for sp in ors.specs},
             inner={"v1", "v2", "v3"}, name="O_Rs")
         # words over v1, v2, v3 evaluate to O_R elements
@@ -670,7 +605,7 @@ class Section4:
                     if rsys.pair_class(a, b).kind != "nested":
                         continue
                     pairs += 1
-                    good, data = rsys.open_interval_empty_certificate(
+                    good, _ = rsys.open_interval_empty_certificate(
                         a, b, g, radius)
                     if not good:
                         ok = False
@@ -684,9 +619,7 @@ class Section4:
     def cert_otog_minus1(self, pair) -> Certificate:
         b, ctx = self.b, self.ctx
         R = ctx.residue(set(pair), "")
-        s, t, d = residue_letters(R)
-        g = R.gate
-        m = ctx.mult
+        s, t, d, _, m = self._frame(R)
         cert = Certificate(f"OtoG-1[{s}{t}]")
         C_r = c_set_r(ctx, (s, t))
         cert.check(f"srs and tr lie in C_r: {m(s,d,s)!r}, {m(t,d)!r}",
@@ -771,17 +704,15 @@ class Section4:
 
     @timed
     def cert_main_application(self, R: Residue) -> Certificate:
-        b, ctx = self.b, self.ctx
-        s, t, d = residue_letters(R)
-        g = R.gate
-        m = ctx.mult
+        ctx = self.ctx
+        s, t, d, g, m = self._frame(R)
         cert = Certificate(f"MainApplication[{s}{t}@{g or '1'}]")
         C_0 = c_set_0(ctx)
         needed = [m(g, s, ctx.longest({d, t})), m(g, ctx.longest({s, t})),
                   m(g, t, ctx.longest({d, s}))]
         cert.check("C_0 contains s*r_dt, r_J and t*r_ds",
                    all(w in C_0 for w in needed), words=needed)
-        hr = b.construction("H_R", R)
+        hr = self.b.construction("H_R", R)
         cert.check(f"H_R constructible with orders {hr.orders()}", True)
         cert.assume("H_R -> G_0 factors through D_{R(s)} *_{G_{-1}} D_{R(t)}; "
                     "the D-products quantify over colimits")
@@ -794,7 +725,6 @@ class Section4:
         b, ctx = self.b, self.ctx
         m = ctx.mult
         cert = Certificate("MainApplicationCorollary")
-        R = ctx.residue("st", "r")
         T = ctx.residue("rt", m("r", "s"))
         T2 = ctx.residue("rs", m("r", "t"))
         for name, res in (("T", T), ("T'", T2)):
@@ -823,13 +753,12 @@ def section4_pipeline(cache: GroupCache | None = None,
     residue-parameterized lemmas; the default is the three gate-1 rank-2
     residues, as in the application."""
     sec = Section4(Builder(cache))
-    ctx = sec.ctx
     out = [dset_certificate(sec.cache), sec.cert_nested_intervals_empty()]
     if residues is None:
         residues = [(pair, "") for pair in pair_labelings()]
     for types, gate in residues:
-        R = ctx.residue(set(types), gate)
-        s, t, d = residue_letters(R)
+        R = sec.ctx.residue(set(types), gate)
+        s, t = residue_letters(R)[:2]
         out.append(sec.cert_generating_remark(R))
         out.append(sec.cert_vr_to_or(R))
         out.append(sec.cert_vrs_ors(R, s))

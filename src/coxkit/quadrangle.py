@@ -380,11 +380,11 @@ class TwinModel:
         rep = SweepReport("uplus_action_diagram", 0)
         s, t = self.letters
         us, ut = self._u0, self._u1
-        v_elems = closure_words(mat_mul, IDENT, (us, ut))
+        v_order = len(self.v_group_words())
         rep.tuples_checked += 1
-        if len(v_elems) != 8:
+        if v_order != 8:
             rep.violations.append({"check": "order of <u_s,u_t>",
-                                   "got": len(v_elems)})
+                                   "got": v_order})
         w1 = mat_mul(mat_mul(ut, us), mat_mul(ut, us))
         w2 = mat_mul(mat_mul(us, ut), mat_mul(us, ut))
         rep.tuples_checked += 1
@@ -476,10 +476,7 @@ class TwinModel:
             "b.iv l(c_s, c_t.u_su_tu_s)": (ell(cs, self.act_word(ct, [us, ut, us])), 4),
         }
         for name, (got, want) in items.items():
-            rep.tuples_checked += 1
-            rep.notes[name] = got
-            if got != want:
-                rep.violations.append({"item": name, "expected": want, "got": got})
+            rep.expect(name, got, want)
         set_items = {
             "c.i l(c_t.u_s, p)": ([us], {2, 3}),
             "c.ii l(c_t.u_su_t, p)": ([us, ut], {2, 3}),
@@ -487,11 +484,7 @@ class TwinModel:
         }
         for name, (word, want) in set_items.items():
             got = {ell(self.act_word(ct, word), p) for p in self.panel(c, t)}
-            rep.tuples_checked += 1
-            rep.notes[name] = sorted(got)
-            if got != want:
-                rep.violations.append({"item": name, "expected": sorted(want),
-                                       "got": sorted(got)})
+            rep.expect(name, sorted(got), sorted(want))
         rep.notes["assumption"] = (
             "rank-2 model stands in for the {%s,%s}-residue of the rank-3 "
             "building: residues are convex and the induced root-group action "
@@ -570,8 +563,5 @@ def verify_rt_relabel() -> SweepReport:
         "delta(c, c.u_tr)": (model.weyl_distance(c, model.act(c, u_tr)), "trt"),
     }
     for name, (got, want) in checks.items():
-        rep.tuples_checked += 1
-        rep.notes[name] = got
-        if got != want:
-            rep.violations.append({"item": name, "expected": want, "got": got})
+        rep.expect(name, got, want)
     return rep

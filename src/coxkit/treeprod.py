@@ -44,8 +44,7 @@ from functools import reduce
 
 __all__ = [
     "Subgroup", "closure_words", "Edge", "TreeOfGroups", "Amalgam", "TreeProduct",
-    "contract", "fold", "check_subtree_conditions", "ball_intersection",
-    "TreeError",
+    "contract", "fold", "check_subtree_conditions", "TreeError",
 ]
 
 
@@ -536,9 +535,11 @@ class TreeProduct:
 
     # -- batteries ----------------------------------------------------------
 
-    def random_word(self, rng: random.Random, length: int) -> list:
+    def random_word(self, rng: random.Random, length: int,
+                    members: dict | None = None) -> list:
         """A random reduced word: a walk on the tree whose letters avoid
-        the edge group toward the previous vertex."""
+        the edge group toward the previous vertex.  members, when given,
+        maps every vertex to the set its letters are drawn from."""
         tog = self.tog
         verts = sorted(tog.vertices)
         word = []
@@ -546,12 +547,12 @@ class TreeProduct:
         v = rng.choice(verts)
         for _ in range(length):
             G = tog.vertices[v]
-            elems = list(G.elements())
             if prev is None:
                 banned = {G.identity}
             else:
                 banned = set(tog.edge_between(prev, v).endpoint_map(v).values())
-            pool = [x for x in elems if x not in banned]
+            pool = [x for x in G.elements() if x not in banned
+                    and (members is None or x in members[v])]
             if not pool:
                 break
             word.append((v, rng.choice(pool)))
@@ -614,63 +615,6 @@ def fold(tog: TreeOfGroups, a: str, b: str, H, new_vertex: str):
     edges.append(Edge(new_vertex, b, e.group,
                       dict(e.endpoint_map(a)), dict(e.endpoint_map(b))))
     return TreeOfGroups(vertices, edges)
-
-
-def ball_intersection(tog: TreeOfGroups, a_vertices, b_vertices,
-                      syllables: int, cap: int = 20000, seed: int = 0) -> dict:
-    """Elements of the subproduct on a_vertices, up to the given syllable
-    count, that lie in the subproduct on b_vertices.
-
-    Exhaustive while the enumeration stays under `cap` words; beyond that
-    it switches to seeded sampling of the same word space and records the
-    mode.  b_vertices must span a connected subtree (it is folded as a
-    cluster so membership is decidable by extraction)."""
-    a_vertices = frozenset(a_vertices)
-    b_vertices = frozenset(b_vertices)
-    product = TreeProduct(tog, inner=b_vertices)
-    names = sorted(a_vertices)
-
-    def vertex_walks(length):
-        for vs in itertools.product(names, repeat=length):
-            if all(vs[i] != vs[i + 1] for i in range(len(vs) - 1)):
-                yield vs
-
-    found = set()
-    count = 0
-    exhaustive = True
-    for length in range(syllables + 1):
-        for vs in vertex_walks(length):
-            pools = [sorted(tog.vertices[v].elements(), key=_rank) for v in vs]
-            for letters in itertools.product(*pools):
-                count += 1
-                if count > cap:
-                    exhaustive = False
-                    break
-                el = product.eval_word(list(zip(vs, letters)))
-                val = product.subproduct_value(el, b_vertices)
-                if val is not None:
-                    found.add(el)
-            if not exhaustive:
-                break
-        if not exhaustive:
-            break
-    if not exhaustive:
-        rng = random.Random(seed)
-        found = set()
-        for _ in range(cap):
-            length = rng.randint(1, syllables)
-            vs = [rng.choice(names)]
-            while len(vs) < length:
-                nxt = rng.choice(names)
-                if nxt != vs[-1]:
-                    vs.append(nxt)
-            word = [(v, rng.choice(sorted(tog.vertices[v].elements(), key=_rank)))
-                    for v in vs]
-            el = product.eval_word(word)
-            if product.subproduct_value(el, b_vertices) is not None:
-                found.add(el)
-    return {"mode": "exhaustive" if exhaustive else "sampled",
-            "elements": found, "product": product, "words_seen": count}
 
 
 def check_subtree_conditions(tog: TreeOfGroups, sub, members: dict,

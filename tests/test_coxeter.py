@@ -151,3 +151,14 @@ def test_ball_sizes_match_steinberg_series(ctx):
     sums = [int(sum(coeffs[:L + 1])) for L in range(11)]
     assert sums == [1, 4, 10, 22, 43, 79, 142, 250, 436, 757, 1309]
     assert [len(ctx.ball(L)) for L in range(11)] == sums
+
+
+def test_parabolic_memo_does_not_outlive_its_group():
+    import gc
+    import weakref
+    fresh = Coxeter()
+    assert fresh.parabolic("st") == fresh.parabolic({"t", "s"})
+    ref = weakref.ref(fresh)
+    del fresh
+    gc.collect()
+    assert ref() is None

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+from coxkit.certs import Certificate
 from coxkit.constructions import Builder
-from coxkit.pipeline import Section4, section4_pipeline
+from coxkit.pipeline import Section4, _family_check, section4_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +101,42 @@ def test_battery_ban_is_read_in_the_vertex_group(sec, ctx, kind):
             G = cons.tog.vertices[v]
             banned = {x for x in G.elements() if product.include(v, x) in images}
             assert banned == set(e.endpoint_map(v).values())
+
+
+def test_family_walker_stays_in_the_family(sec, ctx):
+    """Over the O_R family every letter of a filtered walk lies in the
+    family at its vertex and avoids the edge-group image toward the
+    vertex before it."""
+    R = ctx.residue("st", "")
+    orr = sec.b.construction("O_R", R, "s")
+    members = sec._or_family(orr, R, "s")
+    product = sec._family_product(orr, members)
+    rng = random.Random(7)
+    letters = 0
+    for _ in range(200):
+        word = product.random_word(rng, rng.randint(1, 6), members)
+        prev = None
+        for v, x in word:
+            assert x in members[v]
+            if prev is None:
+                assert x != orr.tog.vertices[v].identity
+            else:
+                edge = orr.tog.edge_between(prev, v)
+                assert x not in set(edge.endpoint_map(v).values())
+            prev = v
+        letters += len(word)
+    assert letters > 200
+
+
+def test_family_check_fails_on_a_broken_family(sec, ctx):
+    R = ctx.residue("st", "")
+    orr = sec.b.construction("O_R", R, "s")
+    members = sec._or_family(orr, R, "s")
+    cert = Certificate("broken")
+    assert _family_check(cert, "intact", orr.tog, members)
+    broken = dict(members, v1=members["v1"] - {orr.tog.vertices["v1"].identity})
+    assert not _family_check(cert, "no identity at v1", orr.tog, broken)
+    assert [ch["status"] for ch in cert.checks] == [True, False]
+    assert cert.checks[1]["description"] == "no identity at v1"
+    assert "edges" in cert.checks[1]["data"]
+    assert not cert.passed

@@ -418,39 +418,27 @@ def test_elements_not_enumerable(theorem_tree):
         H.elements()
 
 
-def test_ball_intersection_vertex_cases(theorem_tree, cache):
-    from coxkit.treeprod import ball_intersection
-    tog, H = theorem_tree
+def test_subproduct_value_vertex_intersection(theorem_tree, cache):
     # U_sr cap V = U_s inside U_sr * V * U_trt
-    got = ball_intersection(tog, {"0"}, {"1"}, 4)
-    assert got["mode"] == "exhaustive"
+    tog, _ = theorem_tree
+    P = TreeProduct(tog, inner={"1"})
     amb = cache.group("stst")
     us = amb.root_mask(amb.roots[0])
-    P = got["product"]
-    expect = {P.include("1", x) for x in (0, us)}
-    assert set(got["elements"]) == expect
-    # A cap A = A
-    got = ball_intersection(tog, {"0"}, {"0"}, 2)
-    assert len(got["elements"]) == 4
+    got = {P.include("0", x) for x in tog.vertices["0"].elements()
+           if P.subproduct_value(P.include("0", x), {"1"}) is not None}
+    assert got == {P.include("1", x) for x in (0, us)}
 
 
-def test_ball_intersection_full_edge(cache):
-    from coxkit.treeprod import ball_intersection
+def test_subproduct_value_full_edge(cache):
     # a segment whose edge group is everything: the two sides coincide
     A = cache.group("s", cache.ctx.gallery("s"))
     B = cache.group("t", cache.ctx.gallery("t"))
     full = Subgroup(A, {0, 1}, "C")
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", full, {0: 0, 1: 1}, {0: 0, 1: 1})])
-    got = ball_intersection(tog, {"a"}, {"b"}, 3)
-    assert len(got["elements"]) == 2
-
-
-def test_ball_intersection_sampling_cap(theorem_tree):
-    from coxkit.treeprod import ball_intersection
-    tog, _ = theorem_tree
-    got = ball_intersection(tog, {"0", "1", "2"}, {"1"}, 4, cap=50)
-    assert got["mode"] == "sampled"
+    P = TreeProduct(tog, inner={"b"})
+    assert [P.subproduct_value(P.include("a", x), {"b"})
+            for x in A.elements()] == [0, 1]
 
 
 # {0, 1, 2} in U_sr (order 4) misses the product 1 * 2 = 3; under -O an
