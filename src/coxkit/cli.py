@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
     if args.target == "coxeter":
         _print_sweep_lines(result)
     if args.target == "section4":
-        for cert in result["certificates"]:
+        for cert in result["certificates"] + [result["trace_automaton"]]:
             print(f"  certificate {cert['name']}: "
                   f"{'pass' if cert['pass'] else 'FAIL'} "
                   f"({len(cert['checks'])} checks, "

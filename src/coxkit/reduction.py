@@ -1,28 +1,35 @@
 """The subgroup theorem's word machinery: the tree product
 U_sr * V * U_trt, the rewriting that brings alternating words into
-constrained form, and a step-by-step replay of the normal-form
-induction, with every invoked distance fact recomputed in the finite
-rank-2 models and every cited length lemma instantiated concretely.
+constrained form, and a replay of the normal-form induction, with every
+invoked distance fact computed in the finite rank-2 models and every
+cited length lemma instantiated concretely.
 
 Words are (h0, ((g1, h1), ..., (gn, hn))) with the g letters drawn from
 the four-symbol alphabet SR, TR, RT, RTTR (the generators at the roots
 s*alpha_r, t*alpha_r, r*alpha_t and the product of the last two, which
 commute) and the h letters elements of V = <u_s, u_t> given as masks of
 the ambient blueprint group at stst.  TheoremSetup.blocked is the one
-statement of the constraint clauses; constrained, reduce and
-enumerate_constrained all read it.
+statement of the constraint clauses; constrained, reduce,
+enumerate_constrained and the trace automaton all read it.
 
 The replay is a fold: _trace_base turns the first pair into a counter
 and a state (kind, h), where kind = KIND[g] is A:s, A:t or B and h is
 one of V's 8 elements, so there are 24 states; _trace_step maps a state
 and the next pair to a proof case, a positive counter increment and the
 next state.  The bullet-A model chamber c_f.h is recomputed from the
-state, not carried in it.
+state, not carried in it.  So the replay is a finite automaton:
+TheoremSetup.trace_table runs _trace_base on the 32 first pairs and
+_trace_step on the 656 allowed (state, pair) transitions once,
+trace_automaton certifies that table for constrained words of every
+length, and trace_word folds a word through the recorded entries.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from functools import cached_property
+from typing import NamedTuple
 
 from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate, timed
@@ -107,6 +114,13 @@ class TheoremSetup:
         st = build_model(("s", "t"))
         return {m: st.v_element(w) for m, w in self._v_words.items()}
 
+    @cached_property
+    def trace_table(self) -> TraceTable:
+        """The trace automaton's table, built on first use (see
+        _build_trace_table); trace_word reads it and trace_automaton
+        certifies it."""
+        return _build_trace_table(self)
+
     def v_mask(self, word: str) -> int:
         m = 0
         for ch in word:
@@ -141,6 +155,14 @@ class TheoremSetup:
         rt-Klein set around 1 or u_t."""
         return ((g == g2 == SR and h in (0, self.us))
                 or (g in KLEIN and g2 in KLEIN and h in (0, self.ut)))
+
+    def allowed_after(self, state, g2: str) -> bool:
+        """Whether a constrained word may continue with the g letter g2
+        after a pair that left the trace state (kind, h): some g letter of
+        that kind is not blocked before g2."""
+        kind, h = state
+        return any(not self.blocked(g, h, g2) for g in G_LETTERS
+                   if KIND[g] == kind)
 
     def constrained(self, word) -> bool:
         _, pairs = word
@@ -363,6 +385,126 @@ def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, pair):
     return "c.iii", 2, nxt
 
 
+# the step index at which the table records _trace_step's checks; the
+# fold relabels "step {n}" and "h_{n-1}" in each copied description
+_TABLE_STEP = 2
+_REPLAY_HEADER = (
+    "proof replay: this certificate re-verifies the finite ingredients "
+    "of the inductive argument, it is not an independent verification "
+    "of the statement in the ambient group")
+
+
+class TraceTable(NamedTuple):
+    """The trace automaton.  base maps each first pair (g, h) to
+    (counter, state, checks) and steps maps each allowed (state, (g, h))
+    to (case, increment, next state, checks).  A check is (description,
+    status, data or None) as recorded; in steps, recorded at _TABLE_STEP,
+    the description is kept as the fragments around its "h_{n-1}", with
+    the "step {n}" prefix removed."""
+    base: dict
+    steps: dict
+
+
+def _letters(setup: TheoremSetup) -> list:
+    return [(g, h) for g in G_LETTERS for h in sorted(setup._v_words)]
+
+
+def _build_trace_table(setup: TheoremSetup) -> TraceTable:
+    """Breadth-first search from the states of the 32 base entries over
+    the letters TheoremSetup.allowed_after admits, running _trace_base
+    on each base entry and _trace_step on each transition once, each
+    into a fresh Certificate.  Nothing is checked here; trace_automaton
+    checks the result and trace_word refuses a zero increment.  The
+    description strings repeat across entries and are interned."""
+    letters = _letters(setup)
+    base = {}
+    for pair in letters:
+        cert = Certificate("trace_base")
+        counter, state = _trace_base(setup, cert, *pair)
+        base[pair] = (counter, state, [
+            (sys.intern(c["description"]), c["status"], c.get("data"))
+            for c in cert.checks])
+    head, index = f"step {_TABLE_STEP}", f"h_{_TABLE_STEP - 1}"
+    steps = {}
+    queue = deque(sorted({state for _, state, _ in base.values()}))
+    seen = set(queue)
+    while queue:
+        state = queue.popleft()
+        for pair in letters:
+            if not setup.allowed_after(state, pair[0]):
+                continue
+            cert = Certificate("trace_step")
+            case, increment, nxt = _trace_step(setup, cert, _TABLE_STEP,
+                                               state, pair)
+            steps[state, pair] = (case, increment, nxt, [
+                (tuple(map(sys.intern,
+                           c["description"].removeprefix(head).split(index))),
+                 c["status"], c.get("data"))
+                for c in cert.checks])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return TraceTable(base, steps)
+
+
+def _check_entry(description: str, status: bool, data) -> dict:
+    """A fresh certificate check; the table's data values are strings,
+    integers and flat lists of immutable values, so copying each list
+    leaves nothing shared with the table."""
+    entry = {"description": description, "status": status}
+    if data is not None:
+        entry["data"] = {k: list(v) if isinstance(v, list) else v
+                         for k, v in data.items()}
+    return entry
+
+
+@timed
+def trace_automaton(setup: TheoremSetup) -> Certificate:
+    """Certify the trace table of setup, building it if it is not built.
+
+    Every trace_word certificate is the table's base entry for the first
+    pair followed by its transitions for the later ones.  So if every
+    check of every entry passes, every counter and increment is at least
+    1, and the reachable states are closed under the letters that
+    TheoremSetup.allowed_after admits, then by induction on the number of
+    pairs the replay succeeds on constrained words of every length, with
+    a final counter of at least 1.  Like trace_word this is a proof
+    replay, not an independent verification in the ambient group.
+    """
+    cert = Certificate("trace_automaton")
+    cert.data["header"] = _REPLAY_HEADER
+    table = setup.trace_table
+    entries = [(["base", *pair], counter, [status for _, status, _ in checks])
+               for pair, (counter, _, checks) in table.base.items()]
+    entries += [(["step", *state, *pair], increment,
+                 [status for _, status, _ in checks])
+                for (state, pair), (_, increment, _, checks)
+                in table.steps.items()]
+    reached = ({state for _, state, _ in table.base.values()}
+               | {nxt for _, _, nxt, _ in table.steps.values()})
+    cert.data.update(states=len(reached), base_entries=len(table.base),
+                     transitions=len(table.steps))
+    cert.data["scope"] = (
+        "by induction on the number of pairs: constrained words of every "
+        "length")
+    failed = [label for label, _, statuses in entries if not all(statuses)]
+    cert.check("every check of every base entry and transition passes",
+               not failed, failed=failed,
+               checks=sum(len(statuses) for _, _, statuses in entries))
+    low = [label for label, value, _ in entries if value < 1]
+    cert.check("every base counter and transition increment is at least 1",
+               not low, failed=low)
+    letters = _letters(setup)
+    missing = [["base", *pair] for pair in letters if pair not in table.base]
+    missing += [["step", *state, *pair] for state in sorted(reached)
+                for pair in letters
+                if setup.allowed_after(state, pair[0])
+                and (state, pair) not in table.steps]
+    cert.check("the reachable states are closed under the allowed letters",
+               not missing, missing=missing)
+    return cert
+
+
 @timed
 def trace_word(setup: TheoremSetup, word) -> Certificate:
     """Replay the inductive normal-form argument on a constrained word.
@@ -370,21 +512,21 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
     The replay is a fold over the pairs (g, h).  Its state is (kind, h):
     the kind of the last g letter (KIND) and the last V letter, one of
     3 x 8 = 24 values.  Bullet A (kind A:f, g at the root f*alpha_r): the
-    projection to the st-residue is the exact model chamber c_f.h, which
-    each step recomputes from the state.  Bullet B (kind B, g in the
-    rt-Klein set): the projection lies in the t-panel of c.h and satisfies
-    the srs-length invariant.  _trace_base checks the first pair;
-    _trace_step then selects the unique applicable proof case, recomputes
-    the quoted panel distances in the rank-2 models, records the concrete
-    instances of the cited length lemmas, and returns the increment of a
-    certified lower bound for the distance from the moved chamber to its
-    projection, which must be positive.
+    projection to the st-residue is the exact model chamber c_f.h.
+    Bullet B (kind B, g in the rt-Klein set): the projection lies in the
+    t-panel of c.h and satisfies the srs-length invariant.  The first pair
+    is _trace_base's entry; each later pair is _trace_step's entry for the
+    unique applicable proof case, with the quoted panel distances computed
+    in the rank-2 models, the concrete instances of the cited length
+    lemmas, and the increment of a certified lower bound for the distance
+    from the moved chamber to its projection, which must be positive.
+    The entries are read from setup.trace_table, which computes each of
+    them once (trace_automaton certifies the table for every length), and
+    copied into the certificate with their step index.  The independent
+    tree-product normal-form check is not finite-state and runs per word.
     """
     cert = Certificate("normal_form_trace")
-    cert.data["header"] = (
-        "proof replay: this certificate re-verifies the finite ingredients "
-        "of the inductive argument, it is not an independent verification "
-        "of the statement in the ambient group")
+    cert.data["header"] = _REPLAY_HEADER
     h0, pairs = word
     if h0 != 0:
         raise ConstraintError("trace expects words without a leading V letter")
@@ -392,10 +534,15 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         raise ConstraintError("trace needs at least one g letter")
     if not setup.constrained(word):
         raise ConstraintError("word violates the constraint clauses")
-    counter, state = _trace_base(setup, cert, *pairs[0])
+    table = setup.trace_table
+    counter, state, checks = table.base[pairs[0]]
+    cert.checks = [_check_entry(*check) for check in checks]
     counters = cert.data["counters"] = [counter]
     for n, pair in enumerate(pairs[1:], start=2):
-        case, increment, state = _trace_step(setup, cert, n, state, pair)
+        case, increment, state, checks = table.steps[state, pair]
+        cert.checks += [
+            _check_entry(f"step {n}" + f"h_{n - 1}".join(parts), status, data)
+            for parts, status, data in checks]
         if increment <= 0:
             raise TraceError(f"distance counter failed to increase at step {n}")
         counter += increment

@@ -14,6 +14,7 @@ from coxkit.certs import timed
 from coxkit.coxeter import Coxeter
 from coxkit.pipeline import section4_pipeline
 from coxkit.quadrangle import build_model, verify_rt_relabel
+from coxkit.reduction import TheoremSetup, trace_automaton
 
 BALL_PINS = {2: 10, 4: 43}
 
@@ -103,10 +104,13 @@ def run_quadrangle() -> dict:
 @timed
 def run_section4(ctx: Coxeter, residues: list | None = None) -> dict:
     out = {"suite": "section4"}
-    certs = section4_pipeline(GroupCache(ctx), residues)
+    cache = GroupCache(ctx)
+    certs = section4_pipeline(cache, residues)
     out["certificates"] = [c.to_dict() for c in certs]
     out["assumptions"] = sorted({a for c in certs for a in c.assumptions})
-    out["pass"] = all(c.passed for c in certs)
+    automaton = trace_automaton(TheoremSetup(cache))
+    out["trace_automaton"] = automaton.to_dict()
+    out["pass"] = all(c.passed for c in certs) and automaton.passed
     return out
 
 

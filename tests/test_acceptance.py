@@ -11,7 +11,7 @@ import time
 from coxkit import lemmas
 from coxkit.blueprint import gallery_independence
 from coxkit.pipeline import section4_pipeline
-from coxkit.reduction import trace_word
+from coxkit.reduction import trace_automaton, trace_word
 
 
 def _criterion(name: str, ok: bool, elapsed: float, cap: float) -> None:
@@ -159,6 +159,11 @@ def test_acceptance_theorem_reduction(theorem_setup):
                       for _ in range(n))
         out, steps = s.reduce((rng.choice(velems), pairs))
         ok = ok and s.constrained(out)
+    # constrained words of every length, then the battery on its table
+    automaton = trace_automaton(s)
+    ok = ok and automaton.passed and (
+        automaton.data["states"], automaton.data["base_entries"],
+        automaton.data["transitions"]) == (24, 32, 656)
     count = 0
     for word in s.enumerate_constrained(3):   # syllable length <= 6
         count += 1

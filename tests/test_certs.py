@@ -30,6 +30,7 @@ def test_every_record_is_timed_by_the_runner(monkeypatch, ctx, theorem_setup):
     records.update((f"quadrangle {name}", rep["elapsed"])
                    for name, rep in quad["reports"].items())
     records.update((c["name"], c["elapsed"]) for c in sec4["certificates"])
+    records["trace_automaton"] = sec4["trace_automaton"]["elapsed"]
     word = next(theorem_setup.enumerate_constrained(2))
     records["trace_word"] = trace_word(theorem_setup, word).elapsed
     assert len(sec4["certificates"]) == 13 and len(quad["reports"]) == 5

@@ -36,6 +36,12 @@ def test_trace_constraint_violation(capsys):
     assert run_cli(["trace", "--word", "u_s,u_sr"]) == 1
 
 
+def test_verify_section4_lists_the_trace_automaton(capsys):
+    assert run_cli(["verify", "section4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "  certificate trace_automaton: pass (3 checks, 0 assumptions)"
+
+
 def test_radius_cap(capsys):
     assert run_cli(["verify", "coxeter", "--radius", "99"]) == 2
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -5,9 +6,12 @@ import random
 
 import pytest
 
+from coxkit import reduction
 from coxkit.certs import Certificate
-from coxkit.reduction import (G_LETTERS, KLEIN, RT, RTTR, SR, TR,
-                              ConstraintError, _trace_step, trace_word)
+from coxkit.quadrangle import TwinModel
+from coxkit.reduction import (G_LETTERS, KIND, KLEIN, RT, RTTR, SR, TR,
+                              ConstraintError, TraceError, _trace_base,
+                              _trace_step, trace_automaton, trace_word)
 
 
 def test_tree_product_shape(theorem_setup):
@@ -183,3 +187,189 @@ except reduction.ReductionError:
 def test_reduction_check_survives_optimize(run_optimized):
     out = run_optimized(KLEIN_UNDER_O)
     assert out.returncode == 0 and out.stdout.strip() == "raised"
+
+
+def _direct_fold(s, word):
+    """trace_word's replay written out on _trace_base and _trace_step,
+    every entry computed afresh: the oracle for the table fold."""
+    _, pairs = word
+    cert = Certificate("oracle")
+    counter, state = _trace_base(s, cert, *pairs[0])
+    counters, cases = [counter], []
+    for n, pair in enumerate(pairs[1:], start=2):
+        case, increment, state = _trace_step(s, cert, n, state, pair)
+        counter += increment
+        counters.append(counter)
+        cases.append(case)
+    return counters, cases, counter, cert.checks
+
+
+def _assert_table_fold_matches(s, words):
+    for word in words:
+        cert = trace_word(s, word)
+        counters, cases, final, checks = _direct_fold(s, word)
+        assert cert.data["counters"] == counters, word
+        assert cert.data.get("cases", []) == cases, word
+        assert cert.data["final_counter"] == final, word
+        # the last two checks are the final counter and the independent one
+        assert cert.checks[:-2] == checks, word
+
+
+def test_trace_table_fold_matches_direct_fold_on_two_pairs(theorem_setup):
+    s = theorem_setup
+    words = list(s.enumerate_constrained(2))
+    assert len(words) == 896
+    _assert_table_fold_matches(s, words)
+
+
+def test_trace_table_fold_matches_direct_fold_on_four_pairs(theorem_setup):
+    """A seeded uniform sample of the constrained words with exactly four
+    pairs, which the acceptance battery (at most three) never reaches."""
+    s = theorem_setup
+    letters = list(itertools.product(G_LETTERS, sorted(s._v_words)))
+    # count the words by their last pair, from the constraint clauses alone
+    ending = {pair: 1 for pair in letters}
+    counts = [len(ending)]
+    for _ in range(3):
+        ending = {(g2, h2): sum(count for (g, h), count in ending.items()
+                                if not s.blocked(g, h, g2))
+                  for g2, h2 in letters}
+        counts.append(sum(ending.values()))
+    assert counts == [32, 864, 23424, 634752]
+    assert sum(counts) == 659072   # enumerate_constrained(4)
+    rng = random.Random(4)
+    words = []
+    while len(words) < 2000:
+        word = (0, tuple(rng.choice(letters) for _ in range(4)))
+        if s.constrained(word):
+            words.append(word)
+    _assert_table_fold_matches(s, words)
+
+
+def test_trace_automaton_certifies_the_table(theorem_setup):
+    cert = trace_automaton(theorem_setup)
+    assert cert.passed and len(cert.checks) == 3
+    assert (cert.data["states"], cert.data["base_entries"],
+            cert.data["transitions"]) == (24, 32, 656)
+    assert cert.data["header"].startswith("proof replay")
+
+
+def _transitions(word):
+    _, pairs = word
+    state = (KIND[pairs[0][0]], pairs[0][1])
+    for pair in pairs[1:]:
+        yield state, pair
+        state = (KIND[pair[0]], pair[1])
+
+
+def _mutant_setup(monkeypatch, cache, target, mutate):
+    """A fresh TheoremSetup whose trace table was built with _trace_step
+    altered on the one transition target."""
+    real = reduction._trace_step
+
+    def step(setup, cert, n, state, pair):
+        out = real(setup, cert, n, state, pair)
+        return mutate(cert, out) if (state, pair) == target else out
+
+    monkeypatch.setattr(reduction, "_trace_step", step)
+    setup = reduction.TheoremSetup(cache)
+    setup.trace_table
+    monkeypatch.undo()
+    return setup
+
+
+def _zero_increment(cert, out):
+    case, _, nxt = out
+    return case, 0, nxt
+
+
+def _flip_one_check(cert, out):
+    cert.checks[0]["status"] = not cert.checks[0]["status"]
+    return out
+
+
+@pytest.mark.parametrize("mutate", [_zero_increment, _flip_one_check])
+def test_trace_mutants_fire(monkeypatch, cache, theorem_setup, mutate):
+    s = theorem_setup
+    target = (("A:t", s.us), (SR, s.ut))
+    mutant = _mutant_setup(monkeypatch, cache, target, mutate)
+    assert not trace_automaton(mutant).passed
+    using = [w for w in s.enumerate_constrained(3)
+             if target in _transitions(w)]
+    assert len(using) > 1
+    for word in using:
+        if mutate is _zero_increment:
+            with pytest.raises(TraceError):
+                trace_word(mutant, word)
+        else:
+            assert not trace_word(mutant, word).passed, word
+    for word in s.enumerate_constrained(2):
+        if target not in _transitions(word):
+            assert trace_word(mutant, word).passed, word
+
+
+# mutant 1 under -O: the zero increment still fails the automaton and
+# raises in trace_word
+ZERO_INCREMENT_UNDER_O = """
+from coxkit import reduction
+real = reduction._trace_step
+def step(setup, cert, n, state, pair):
+    case, increment, nxt = real(setup, cert, n, state, pair)
+    return case, 0 if (state, pair) == (("B", 0), (reduction.SR, 0)) else increment, nxt
+reduction._trace_step = step
+setup = reduction.TheoremSetup()
+print("automaton", reduction.trace_automaton(setup).passed)
+try:
+    reduction.trace_word(setup, setup.parse("u_rt,1,u_sr,1"))
+except reduction.TraceError:
+    print("raised")
+"""
+
+
+def test_trace_increment_check_survives_optimize(run_optimized):
+    out = run_optimized(ZERO_INCREMENT_UNDER_O)
+    assert out.returncode == 0
+    assert out.stdout.split("\n")[:2] == ["automaton False", "raised"]
+
+
+def test_trace_word_reads_the_table_only(monkeypatch, theorem_setup):
+    s = theorem_setup
+    s.trace_table
+    calls = []
+    for name in ("dist", "weyl_distance", "panel", "act"):
+        real = getattr(TwinModel, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(TwinModel, name, counting)
+    words = list(s.enumerate_constrained(2))
+    for word in words:
+        trace_word(s, word)
+    assert calls == []
+    # the probe sees the model queries of a table build
+    reduction.TheoremSetup(s.cache).trace_table
+    assert {"dist", "weyl_distance", "panel", "act"} <= set(calls)
+
+
+def test_trace_certificates_share_nothing_with_the_table(theorem_setup):
+    s = theorem_setup
+    word = s.parse("u_sr,u_t,u_rt,u_s,u_sr,u_s*u_t")
+    first = trace_word(s, word)
+    want = copy.deepcopy(first.to_dict())
+    del want["elapsed"]
+    assert any(isinstance(v, list) for c in first.checks
+               for v in c.get("data", {}).values())
+    for check in first.checks:
+        check["status"] = not check["status"]
+        check["description"] += " (edited)"
+        for value in check.get("data", {}).values():
+            if isinstance(value, list):
+                value.append("edited")
+    first.checks.append({"description": "extra", "status": False})
+    for value in first.data.values():
+        if isinstance(value, list):
+            value.append(0)
+    again = trace_word(s, word).to_dict()
+    del again["elapsed"]
+    assert again == want
