@@ -9,6 +9,11 @@ distance of a pair is the Bruhat class of a*b^-1 and the codistance the
 Birkhoff class; the building and twinning axioms are checked
 exhaustively by the test suite, not assumed.
 
+Matrices are 16-bit ints, row-major, 4 bits a row.  Products and
+transposes are table reads: the row-combination ("Four Russians") method
+of M4RI at n = 4, with one 4 x 256 table of row-pair XORs (_PAIR, two
+reads per output row) and two 256-entry byte tables for the transpose.
+
 The group is generated by B_+ and two permutation matrices.
 build_model(("s", "t")) builds and calibrates it once per process, with
 one 45x45 table of Weyl words per sign pair, so weyl_distance,
@@ -55,27 +60,33 @@ def _from_rows(rows) -> int:
     return out
 
 
+# _PAIR[r][x]: the XOR of the rows packed in byte x (low nibble first)
+# that the 2 bits of r select.  Row i of a*b is the XOR of the rows of b
+# picked by row i of a; the low 2 bits of that row pick among b's rows
+# 0-1 (b's low byte), the high 2 bits among rows 2-3 (its high byte).
+_PAIR = [[(x & 0xF) * (r & 1) ^ (x >> 4) * (r >> 1) for x in range(256)]
+         for r in range(4)]
+
+
 def mat_mul(a: int, b: int) -> int:
-    rows = []
-    for i in range(4):
-        ra = _row(a, i)
-        acc = 0
-        for k in range(4):
-            if ra >> k & 1:
-                acc ^= _row(b, k)
-        rows.append(acc)
-    return _from_rows(rows)
+    lo, hi = b & 0xFF, b >> 8
+    return (_PAIR[a & 3][lo] ^ _PAIR[a >> 2 & 3][hi]
+            | (_PAIR[a >> 4 & 3][lo] ^ _PAIR[a >> 6 & 3][hi]) << 4
+            | (_PAIR[a >> 8 & 3][lo] ^ _PAIR[a >> 10 & 3][hi]) << 8
+            | (_PAIR[a >> 12 & 3][lo] ^ _PAIR[a >> 14][hi]) << 12)
+
+
+# _SPREAD[n] puts bit j of the nibble n at bit 4j, turning a row into
+# column 0; row i of a matrix is then column i, shifted by i.  The low
+# byte (rows 0-1) and high byte (rows 2-3) land on disjoint bits, so a
+# transpose is two reads OR-ed together.
+_SPREAD = [sum((n >> j & 1) << 4 * j for j in range(4)) for n in range(16)]
+_TRANSPOSE_LO = [_SPREAD[x & 0xF] | _SPREAD[x >> 4] << 1 for x in range(256)]
+_TRANSPOSE_HI = [t << 2 for t in _TRANSPOSE_LO]
 
 
 def mat_transpose(a: int) -> int:
-    rows = []
-    for i in range(4):
-        r = 0
-        for j in range(4):
-            if _row(a, j) >> i & 1:
-                r |= 1 << j
-        rows.append(r)
-    return _from_rows(rows)
+    return _TRANSPOSE_LO[a & 0xFF] | _TRANSPOSE_HI[a >> 8]
 
 
 # antidiagonal alternating form: row i has its single 1 in column 3-i
@@ -149,7 +160,10 @@ class TwinModel:
     def _build_group(self) -> None:
         unitriangular = [_from_rows([1 | a << 1, 2 | b << 2, 4 | c << 3, 8])
                          for a in range(8) for b in range(4) for c in range(2)]
-        gens = [m for m in unitriangular if is_symplectic(m)] + [PERM_A, PERM_B]
+        # IDENT is one of the 16 symplectic ones; as a generator it adds
+        # nothing but products
+        gens = [m for m in unitriangular if m != IDENT and is_symplectic(m)]
+        gens += [PERM_A, PERM_B]
         self.elems = sorted(closure_words(mat_mul, IDENT, gens))
         if len(self.elems) != 720 or not all(map(is_symplectic, self.elems)):
             raise CalibrationError("the generators do not give Sp(4,2)")

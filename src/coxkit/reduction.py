@@ -532,6 +532,11 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         raise ConstraintError("trace expects words without a leading V letter")
     if not pairs:
         raise ConstraintError("trace needs at least one g letter")
+    for g, h in pairs:
+        if g not in G_LETTERS:
+            raise ConstraintError(f"unknown g letter {g!r}")
+        if h not in setup._v_words:
+            raise ConstraintError(f"h letter {h!r} is not an element of V")
     if not setup.constrained(word):
         raise ConstraintError("word violates the constraint clauses")
     table = setup.trace_table

@@ -251,22 +251,30 @@ class Amalgam:
         return self.embed_maps[side][c]
 
     def _decompose(self, side: int, x):
-        """x = embed(c) * tau with tau the canonical rep of the coset Cx."""
-        G = self.sides[side]
+        """x = embed(c) * tau with tau the canonical rep of the coset Cx.
+
+        A miss ranks the coset once and stores the decomposition of each
+        of its elements: with tau = embed(c*) * x the least candidate,
+        y = embed(c) * x is embed(c * c*^-1) * tau.  The _rank string is
+        computed only for the candidates tied at the least priority rank.
+        """
         got = self._decomp_cache.get((side, x))
-        if got is None:
-            rank_fn = self.priority[side]
-            best = None
-            for c in self.C.elements():
-                tau = G.mul(self.embed(c, side), x)
-                rank = ((rank_fn(tau) if rank_fn is not None else ()),
-                        _rank(tau))
-                if best is None or rank < best[0]:
-                    best = (rank, c, tau)
-            _, c, tau = best
-            got = (self.C.inv(c), tau)
-            self._decomp_cache[(side, x)] = got
-        return got
+        if got is not None:
+            return got
+        G, C = self.sides[side], self.C
+        coset = [(c, G.mul(self.embed(c, side), x)) for c in C.elements()]
+        rank_fn = self.priority[side]
+        if rank_fn is not None:
+            ranks = [rank_fn(y) for _, y in coset]
+            least = min(ranks)
+            tied = [cy for cy, rank in zip(coset, ranks) if rank == least]
+        else:
+            tied = coset
+        c_star, tau = min(tied, key=lambda cy: _rank(cy[1]))
+        c_star_inv = C.inv(c_star)
+        for c, y in coset:
+            self._decomp_cache[(side, y)] = (C.mul(c, c_star_inv), tau)
+        return self._decomp_cache[(side, x)]
 
     def _normalize(self, letters, carry, stack: list, head=None) -> tuple:
         """Normal form of letters * embed(carry) * stack, right to left.

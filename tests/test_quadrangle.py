@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from coxkit import quadrangle
-from coxkit.quadrangle import (IDENT, TwinModel, build_model, is_symplectic,
-                               mat_inv, mat_mul, verify_rt_relabel)
+from coxkit import quadrangle, suites
+from coxkit.quadrangle import (IDENT, PERM_A, PERM_B, TwinModel, build_model,
+                               is_symplectic, mat_inv, mat_mul, mat_transpose,
+                               verify_rt_relabel)
 from coxkit.treeprod import closure_words
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -179,6 +180,65 @@ def test_elems_are_the_symplectic_group(st_model):
 def test_mat_inv_is_two_sided(st_model):
     for g in st_model.elems:
         assert mat_mul(g, mat_inv(g)) == IDENT == mat_mul(mat_inv(g), g)
+
+
+# the kernel's oracle: matrices as lists of 0/1 rows, row i column j at
+# bit 4i + j, multiplied by the textbook sum of products mod 2
+def _bit_rows(m: int) -> list:
+    return [[m >> (4 * i + j) & 1 for j in range(4)] for i in range(4)]
+
+
+def _pack(rows: list) -> int:
+    return sum(bit << (4 * i + j) for i, row in enumerate(rows)
+               for j, bit in enumerate(row))
+
+
+def _oracle_mul(a: int, b: int) -> int:
+    ra, rb = _bit_rows(a), _bit_rows(b)
+    return _pack([[sum(ra[i][k] & rb[k][j] for k in range(4)) % 2
+                   for j in range(4)] for i in range(4)])
+
+
+def test_mat_mul_matches_row_oracle(st_model):
+    m = st_model
+    # the closure generators are the upper unitriangular (Borel) elements
+    # and the two permutation matrices
+    others = sorted(m.borel_plus | m.borel_minus) + [PERM_A, PERM_B]
+    for g in m.elems:
+        for x in others:
+            assert mat_mul(g, x) == _oracle_mul(g, x)
+            assert mat_mul(x, g) == _oracle_mul(x, g)
+    rng = random.Random(14)
+    for _ in range(20000):
+        a, b = rng.randrange(1 << 16), rng.randrange(1 << 16)
+        assert mat_mul(a, b) == _oracle_mul(a, b)
+
+
+def test_mat_transpose_matches_row_oracle():
+    for a in range(1 << 16):
+        rows = _bit_rows(a)
+        assert mat_transpose(a) == _pack(
+            [[rows[j][i] for j in range(4)] for i in range(4)])
+
+
+# (selector, byte, bit) of one _PAIR entry to flip, each byte the low or
+# high byte of some element of Sp(4,2), so the products of the build read it
+@pytest.mark.parametrize("entry", [(1, 0x21, 1), (2, 0x68, 4), (3, 0x3d, 4)])
+def test_flipped_kernel_entry_fails_the_construction(monkeypatch, entry):
+    # one wrong table entry: the build's checks (or, failing those, the
+    # quadrangle suite) must catch it
+    r, x, bit = entry
+    elems = build_model(("s", "t")).elems
+    assert x in {g & 0xFF for g in elems} | {g >> 8 for g in elems}
+    table = [list(row) for row in quadrangle._PAIR]
+    table[r][x] ^= bit
+    monkeypatch.setattr(quadrangle, "_PAIR", table)
+    monkeypatch.setattr(quadrangle, "_MODELS", {})
+    try:
+        TwinModel(("s", "t"))
+    except quadrangle.CalibrationError:
+        return
+    assert suites.run_quadrangle()["pass"] is False
 
 
 @pytest.mark.parametrize("letters", [("s", "t"), ("r", "t"), ("r", "s"), ("t", "s")])

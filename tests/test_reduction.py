@@ -106,6 +106,16 @@ def test_trace_rejects_bad_words(theorem_setup):
         trace_word(s, (0, ()))
 
 
+@pytest.mark.parametrize("word", [
+    (0, (("u_xx", 0),)),                                  # unknown g letter
+    (0, (("u_sr", 99),)),                                 # h not in V
+    (0, (("u_sr", 0), ("u_tr", 99), ("u_rt", 0))),        # h not in V, mid-word
+])
+def test_trace_rejects_letters_outside_the_alphabet(theorem_setup, word):
+    with pytest.raises(ConstraintError):
+        trace_word(theorem_setup, word)
+
+
 def test_trace_all_short_words(theorem_setup):
     s = theorem_setup
     for word in s.enumerate_constrained(2):

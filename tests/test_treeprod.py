@@ -162,7 +162,10 @@ def test_batteries(theorem_tree):
     _check_one_pass(H2, _mixed_words(H2, 22), inner={"1", "2"})
 
 
-def test_one_pass_eval_with_family_and_inner(cache):
+def _orr_family_battery(cache):
+    """The one-pass battery on O_R with its V_R family as a two-level
+    priority and {v1, v2} contracted first; returns the product and the
+    words it checked."""
     b = Builder(cache)
     ctx = b.ctx
     orr = b.construction("O_R", ctx.residue("st", ""))
@@ -185,8 +188,26 @@ def test_one_pass_eval_with_family_and_inner(cache):
                       for v in (rng.choice(sorted(members))
                                 for _ in range(rng.randint(1, 5)))])
     _check_one_pass(P, words, inner={"v1", "v2"})
+    return P, words
+
+
+def test_one_pass_eval_with_family_and_inner(cache):
+    P, words = _orr_family_battery(cache)
     assert any(P.in_family(P.eval_word(w)) for w in words if w)
     assert not all(P.in_family(P.eval_word(w)) for w in words)
+
+
+def test_decomposition_cache_entries_are_canonical(cache):
+    # a miss stores the decomposition of its whole coset; each stored
+    # (c, tau) must rebuild its key, and tau must be its own representative
+    P, _ = _orr_family_battery(cache)
+    amalgams = _amalgams(P, [])
+    assert any(len(A._decomp_cache) > len({tau for _, tau in A._decomp_cache.values()})
+               for A in amalgams)
+    for A in amalgams:
+        for (side, y), (c, tau) in list(A._decomp_cache.items()):
+            assert A.sides[side].mul(A.embed(c, side), tau) == y
+            assert A._decompose(side, tau) == (A.C.identity, tau)
 
 
 def test_one_pass_eval_contracted_vertex(cache):
