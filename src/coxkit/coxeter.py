@@ -8,15 +8,23 @@ Normalization is Tits' solution to the word problem: the braid-move
 closure of a reduced word is the complete set of its reduced expressions,
 and a product ws is shorter than w exactly when some reduced expression
 of w ends with s.  Closures are memoized per element, which makes the
-whole kernel a growing set of lookup tables.
+whole kernel a growing set of lookup tables.  Every key of those tables
+is a reduced word over r, s, t: a word that is not one raises
+ValueError before anything is stored.  So a product whose left factor
+the kernel has already met starts from that factor's memoized canonical
+form, one dict read, and walks only the later factors letter by letter.
+
+Ball sizes are checked against Steinberg's growth series (coxkit.growth),
+which shares no code with the word-problem solver.  A spherical parabolic
+subgroup whose enumeration passes the order the Coxeter matrix gives it
+raises KernelError instead of running on.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from coxkit import wordops
+from coxkit import growth, wordops
 
 GENS = "rst"
 DEFAULT_MAX_RADIUS = 10
@@ -28,6 +36,13 @@ class ResourceLimit(RuntimeError):
 
 class ResidueError(RuntimeError):
     """A residue has no unique gate, or a chamber no unique projection."""
+
+
+class KernelError(RuntimeError):
+    """The word-problem solver contradicts the Coxeter matrix."""
+
+
+_GENERATORS = frozenset(GENS)
 
 
 def _check_letters(word: str) -> None:
@@ -75,28 +90,34 @@ class Coxeter:
 
     # -- canonical forms ------------------------------------------------
 
+    def _learn(self, word: str) -> str:
+        """Memoize the element of a reduced word; return its canonical form."""
+        _check_letters(word)
+        closure = wordops.braid_closure(word)
+        # Tits: a word is reduced iff no braid-equivalent word repeats a letter
+        for v in closure:
+            if "rr" in v or "ss" in v or "tt" in v:
+                raise ValueError(f"{word!r} is not reduced")
+        c = min(closure)
+        for v in closure:
+            self._canon[v] = c
+        self._closure[c] = closure
+        return c
+
     def canon_reduced(self, word: str) -> str:
         """Canonical form of a word known to be reduced."""
         c = self._canon.get(word)
         if c is None:
-            closure = wordops.braid_closure(word)
-            c = min(closure)
-            for v in closure:
-                self._canon[v] = c
-            self._closure[c] = closure
+            c = self._learn(word)
         return c
 
     def reduced_words(self, w: str) -> frozenset:
         """All reduced expressions of w (given in canonical form)."""
         got = self._closure.get(w)
         if got is None:
-            got = wordops.braid_closure(w)
-            least = min(got)
-            if least != w:
+            if self._learn(w) != w:
                 raise ValueError(f"{w!r} is not canonical")
-            for v in got:
-                self._canon.setdefault(v, least)
-            self._closure[least] = got
+            got = self._closure[w]
         return got
 
     def mult_gen(self, w: str, g: str) -> str:
@@ -104,6 +125,8 @@ class Coxeter:
         key = (w, g)
         out = self._mult_gen.get(key)
         if out is None:
+            if g not in _GENERATORS:
+                raise ValueError(f"unknown generator {g!r}")
             for e in self.reduced_words(w):
                 if e.endswith(g):
                     out = self.canon_reduced(e[:-1])
@@ -123,8 +146,16 @@ class Coxeter:
         return c
 
     def mult(self, *words: str) -> str:
+        """Canonical form of the product of the words, left to right."""
         out = ""
         for w in words:
+            if not out:
+                # the product so far is the identity, so a factor the
+                # memo has met is just its canonical form
+                c = self._canon.get(w)
+                if c is not None:
+                    out = c
+                    continue
             _check_letters(w)
             for ch in w:
                 out = self.mult_gen(out, ch)
@@ -173,12 +204,8 @@ class Coxeter:
         return tuple(w for w in ball if len(w) == radius)
 
     def ball_oracle_size(self, radius: int) -> int:
-        """Independent ball count: enumerate every word, dedupe by normalize."""
-        seen = {""}
-        for k in range(1, radius + 1):
-            for letters in itertools.product(GENS, repeat=k):
-                seen.add(self.normalize(letters))
-        return sum(1 for w in seen if len(w) <= radius)
+        """Independent ball count: partial sum of Steinberg's growth series."""
+        return growth.ball_size(radius)
 
     # -- parabolic subgroups and residues ---------------------------------
 
@@ -189,15 +216,21 @@ class Coxeter:
             return got
         if len(types) >= 3:
             raise ValueError("full parabolic is not spherical in type (4,4,4)")
+        # the trivial group, order 2, or dihedral of order 2m with m = 4
+        order = (1, 2, 8)[len(types)]
         elems = {""}
         frontier = [""]
-        while frontier:
+        # a wrong kernel can make the group infinite: stop past its order
+        while frontier and len(elems) <= order:
             w = frontier.pop()
             for g in sorted(types):
                 v = self.mult_gen(w, g)
                 if v not in elems:
                     elems.add(v)
                     frontier.append(v)
+        if len(elems) != order:
+            raise KernelError(f"<{''.join(sorted(types))}> does not have "
+                              f"{order} elements")
         got = tuple(sorted(elems, key=lambda x: (len(x), x)))
         self._parabolics[types] = got
         return got

@@ -164,7 +164,8 @@ class TwinModel:
         # nothing but products
         gens = [m for m in unitriangular if m != IDENT and is_symplectic(m)]
         gens += [PERM_A, PERM_B]
-        self.elems = sorted(closure_words(mat_mul, IDENT, gens))
+        # a wrong kernel can generate a far larger group: stop past 720
+        self.elems = sorted(closure_words(mat_mul, IDENT, gens, limit=720))
         if len(self.elems) != 720 or not all(map(is_symplectic, self.elems)):
             raise CalibrationError("the generators do not give Sp(4,2)")
         self.borel_plus = frozenset(m for m in self.elems if _is_upper(m))

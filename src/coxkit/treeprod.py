@@ -52,14 +52,17 @@ class TreeError(ValueError):
     pass
 
 
-def closure_words(mul, identity, gens) -> dict:
+def closure_words(mul, identity, gens, limit: int | None = None) -> dict:
     """Every element of the finite group generated by gens, mapped to a
     shortest word: a tuple of indices into gens whose product, multiplied
     on the right starting from the identity, is that element.
 
     Breadth first, each level in discovery order and the generators tried
     in the given order, so each element gets the first shortest word in
-    that order and the dict lists the elements in that order.
+    that order and the dict lists the elements in that order.  With a
+    limit, the search stops as soon as the dict holds more than limit
+    elements, so a caller that expects at most limit can reject a wrong
+    group without enumerating it.
     """
     words = {identity: ()}
     frontier = [identity]
@@ -70,6 +73,8 @@ def closure_words(mul, identity, gens) -> dict:
                 y = mul(x, g)
                 if y not in words:
                     words[y] = words[x] + (i,)
+                    if limit is not None and len(words) > limit:
+                        return words
                     nxt.append(y)
         frontier = nxt
     return words

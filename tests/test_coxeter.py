@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from coxkit.coxeter import Coxeter, ResourceLimit
+from coxkit import growth, suites, wordops
+from coxkit.coxeter import GENS, Coxeter, KernelError, ResourceLimit
+from coxkit.lemmas import LABELINGS
 
 
 def test_normalize_examples(ctx):
@@ -150,7 +152,75 @@ def test_ball_sizes_match_steinberg_series(ctx):
     assert all(c.denominator == 1 for c in coeffs)
     sums = [int(sum(coeffs[:L + 1])) for L in range(11)]
     assert sums == [1, 4, 10, 22, 43, 79, 142, 250, 436, 757, 1309]
+    assert growth.sphere_sizes(10) == coeffs
+    assert [ctx.ball_oracle_size(L) for L in range(11)] == sums
     assert [len(ctx.ball(L)) for L in range(11)] == sums
+
+
+def _closure_without_rs_braid(word: str) -> frozenset:
+    # wordops.braid_closure with the move rsrs <-> srsr left out
+    seen = {word}
+    stack = [word]
+    while stack:
+        w = stack.pop()
+        for i in range(len(w) - 3):
+            a, b = w[i], w[i + 1]
+            if a != b and {a, b} != {"r", "s"} and w[i + 2] == a and w[i + 3] == b:
+                v = w[:i] + b + a + b + a + w[i + 4:]
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return frozenset(seen)
+
+
+def test_series_oracle_catches_a_dropped_braid_move(monkeypatch):
+    # the kernel then takes rsrs and srsr for two elements; an oracle that
+    # normalizes words with that kernel would agree with it
+    monkeypatch.setattr(wordops, "braid_closure", _closure_without_rs_braid)
+    broken = Coxeter()
+    for L in range(4, 9):
+        assert broken.ball_oracle_size(L) != len(broken.ball(L))
+    out = suites.run_coxeter(Coxeter())
+    assert out["pass"] is False and out["sweeps"] == {}
+    assert [b["pass"] for b in out["ball_checks"]] == [True] * 4 + [False] * 5
+    # <r,s> is now infinite dihedral: enumerating it stops past order 8
+    with pytest.raises(KernelError):
+        broken.parabolic("rs")
+
+
+def test_mult_starts_at_known_left_factor(ctx):
+    # mult from a memoized left factor against normalize's letter walk; on
+    # the fresh context mult meets many w before the memo holds them
+    for cox in (ctx, Coxeter()):
+        for w in ctx.ball(6):
+            for v in ctx.ball(2):
+                assert cox.mult(w, v) == cox.normalize(w + v)
+        assert cox.mult("tsts") == "stst"
+        assert cox.mult("ss", "r") == "r"
+        # the three-factor products of the sweeps
+        for r, s, t in LABELINGS:
+            dihedral = cox.parabolic({s, t})
+            for w in ctx.ball(5):
+                for wp in dihedral:
+                    assert cox.mult(w, wp, r) == cox.normalize(w + wp + r)
+                assert cox.mult(w, s, r, t) == cox.normalize(w + s + r + t)
+
+
+@pytest.mark.parametrize("method, args", [
+    ("mult_gen", ("", "x")), ("reduced_words", ("x",)), ("canon_reduced", ("x",)),
+    ("mult_gen", ("st", "")), ("mult_gen", ("ss", "s")),
+    ("reduced_words", ("rr",)), ("canon_reduced", ("tsst",))])
+def test_bad_words_stay_out_of_the_memo(method, args):
+    # a word the memo stored would be a known left factor to mult
+    cox = Coxeter()
+    with pytest.raises(ValueError):
+        getattr(cox, method)(*args)
+    for factors in (("x",), ("x", "s")):
+        with pytest.raises(ValueError):
+            cox.mult(*factors)
+    assert cox.mult("ss", "r") == "r" and cox.mult("tsst") == ""
+    assert all(set(k) <= set(GENS) for k in cox._canon)
+    assert all(len(cox.normalize(k)) == len(k) for k in cox._canon)
 
 
 def test_parabolic_memo_does_not_outlive_its_group():

@@ -241,6 +241,25 @@ def test_flipped_kernel_entry_fails_the_construction(monkeypatch, entry):
     assert suites.run_quadrangle()["pass"] is False
 
 
+def test_wrong_group_fails_before_it_is_enumerated(monkeypatch):
+    # with this entry flipped the generators give a group far larger than
+    # Sp(4,2); the closure stops past 720 elements (a good build makes
+    # 32,364 products, the whole wrong group over a million)
+    table = [list(row) for row in quadrangle._PAIR]
+    table[2][0x84] ^= 1
+    monkeypatch.setattr(quadrangle, "_PAIR", table)
+    monkeypatch.setattr(quadrangle, "_MODELS", {})
+    calls = []
+
+    def counted(a, b, real=quadrangle.mat_mul):
+        calls.append(1)
+        return real(a, b)
+    monkeypatch.setattr(quadrangle, "mat_mul", counted)
+    with pytest.raises(quadrangle.CalibrationError, match="Sp"):
+        TwinModel(("s", "t"))
+    assert 0 < len(calls) < 50_000
+
+
 @pytest.mark.parametrize("letters", [("s", "t"), ("r", "t"), ("r", "s"), ("t", "s")])
 def test_tables_match_double_cosets(letters):
     # every distance-table entry against double cosets B w B listed

@@ -67,3 +67,15 @@ def test_dead_locals_sees_plain_assignments_only():
         "        return kept\n"
         "    return g\n")
     assert dead_locals(tree) == [("f", "unused")]
+
+
+def test_growth_series_imports_nothing_from_coxkit():
+    # the ball oracle must share no code with the kernel it checks
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "growth.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert not {m for m in imported
+                if m.startswith(".") or m.split(".")[0] == "coxkit"}
