@@ -5,23 +5,31 @@ by a fixed minimal gallery of w, with [u_i, u_j] prescribed by the
 blueprint as a product of generators strictly between i and j.  Elements
 are bitmasks: bit i set means u_{i+1} occurs in the normal form
 u_1^e1 ... u_k^ek.  Multiplication is collection from the left (see
-coxkit.wordops).  Up to TABLE_CAP elements the product table is built
-from the k generator rows u_i * y alone: every other row follows by
-composing them, since x = u_low * x' with low the lowest set bit of x is
-already a normal form (collection from the left as a permutation action;
-Leedham-Green & Soicher 1990).  The generator rows themselves follow by a
-recurrence over the pair products u_i * u_j, one collection per pair j < i;
-every other entry is a few reads of rows already filled.
+coxkit.wordops).  The generator rows u_i * y follow by a recurrence over
+the pair products u_i * u_j, one collection per pair j < i.  Up to
+TABLE_CAP elements the product table is composed from them on the first
+product, since x = u_low * x' with low the lowest set bit of x is already
+a normal form (collection from the left as a permutation action;
+Leedham-Green & Soicher 1990).
 
-Order certification: collection terminates (well-founded measure) and
-only uses relation consequences, so |U_w| <= 2^k; the left-regular
-permutations of the generators act on the 2^k normal vectors with full
-orbit, and once every defining relation (from every minimal gallery of w)
-holds for those permutations, the permutation group is a quotient of U_w
-of order >= 2^k.  Both together pin |U_w| = 2^k exactly.
+Order theorem: collection terminates and only uses relation consequences,
+so |U_w| <= 2^k.  The rows are the left-regular action of the u_i, and
+the orbit of the identity under them is all 2^k normal forms.  Once the
+rows are involutions and every relation of every minimal gallery of w
+holds on them, they generate a quotient of U_w of order >= 2^k, so
+|U_w| = 2^k (certify_order).
+
+Corollary (von Dyck; Sims, Computation with Finitely Presented Groups,
+1994, ch. 2).  If every M-letter of a minimal gallery h lies strictly
+between its pair in h's crossing order, h's collection group U_h has
+order <= 2^k; if h's relations also hold on the rows, the generator-
+identity map U_h -> U_w is a homomorphism, onto because its images
+generate U_w and injective because |U_h| <= |U_w| (gallery_independence).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from coxkit import wordops
 from coxkit.coxeter import Coxeter, Gallery
@@ -59,6 +67,39 @@ class KacMoodyBlueprint:
             return ()
         return tuple(sorted(got, key=self.rsys.inversion_sequence(g).index))
 
+    def relations(self, galleries) -> set:
+        """(a, b, M^h_{a,b}) for every gallery h and every root a crossed
+        before b by h: the relation [u_a, u_b] = product of M^h_{a,b}."""
+        rels = set()
+        for h in galleries:
+            roots = self.rsys.inversion_sequence(h)
+            for i, a in enumerate(roots):
+                for b in roots[i + 1:]:
+                    rels.add((a, b, self.value(h, a, b)))
+        return rels
+
+
+def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery) -> bytes:
+    """The collection data of the gallery: for i < j in its crossing order,
+    the number and positions of the letters of M_{i,j}.  BlueprintError
+    unless each lies strictly between i and j, which makes collection
+    terminate, so that the group the gallery presents has order <= 2^k."""
+    roots = blueprint.rsys.inversion_sequence(gallery)
+    pos = {root: i for i, root in enumerate(roots)}
+    k = len(roots)
+    comm = bytearray(3 * k * k)
+    for a, b, mids in blueprint.relations((gallery,)):
+        i, j = pos[a], pos[b]
+        mpos = [pos[m] for m in mids]
+        if any(not (i < p < j) for p in mpos):
+            raise BlueprintError(
+                f"M-letter positions {mpos} not strictly between {i} and {j}")
+        base = (i * k + j) * 3
+        comm[base] = len(mpos)
+        for tix, p in enumerate(mpos):
+            comm[base + 1 + tix] = p
+    return bytes(comm)
+
 
 class BlueprintGroup:
     """The collection group U_w for one gallery and one blueprint."""
@@ -76,33 +117,15 @@ class BlueprintGroup:
         self.identity = 0
         self.check_measure = check_measure
         self._pos = {root: i for i, root in enumerate(self.roots)}
-        self._comm = self._build_comm()
-        self._table: list | None = None
-        if self.order <= TABLE_CAP:
-            self._table = self._build_table()
+        self._comm = insertion_table(blueprint, gallery)
 
-    def _build_comm(self) -> bytes:
-        k = self.k
-        comm = bytearray(3 * k * k)
-        for i in range(k):
-            for j in range(i + 1, k):
-                mids = self.blueprint.value(self.gallery, self.roots[i], self.roots[j])
-                pos = [self._pos[m] for m in mids]
-                if any(not (i < p < j) for p in pos):
-                    raise BlueprintError(
-                        f"M-letter positions {pos} not strictly between {i} and {j}")
-                base = (i * k + j) * 3
-                comm[base] = len(pos)
-                for tix, p in enumerate(pos):
-                    comm[base + 1 + tix] = p
-        return bytes(comm)
-
-    def _build_table(self) -> list:
-        # generator row i is u_i * y for every normal form y, filled in
-        # increasing i and y.  With j the lowest letter of y below i,
-        # y = u_j * y' and u_i * u_j = u_j * z for a normal form z with
-        # letters in (j, i], so u_i * y = u_j * (z * y'): the rows of z's
-        # letters, highest first, applied to y' < y, all read from rows
+    @cached_property
+    def rows(self) -> list:
+        """The generator rows: rows[i][y] = u_i * y for every normal form y."""
+        # filled in increasing i and y.  With j the lowest letter of y
+        # below i, y = u_j * y' and u_i * u_j = u_j * z for a normal form z
+        # with letters in (j, i], so u_i * y = u_j * (z * y'): the rows of
+        # z's letters, highest first, applied to y' < y, all read from rows
         # already filled.  z comes from one collection of the pair (i, j).
         k = self.k
         rows = []
@@ -124,6 +147,14 @@ class BlueprintGroup:
                 for a in tails[low.bit_length() - 1]:
                     v = rows[a][v]
                 row[y] = low | v
+        return rows
+
+    @cached_property
+    def _table(self) -> list | None:
+        """The product table, composed from the rows; None above TABLE_CAP."""
+        if self.order > TABLE_CAP:
+            return None
+        rows = self.rows
         table = [list(range(self.order))]
         for x in range(1, self.order):
             low = (x & -x).bit_length() - 1
@@ -137,8 +168,9 @@ class BlueprintGroup:
     # -- group operations -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
-        if self._table is not None:
-            return self._table[x][y]
+        table = self._table
+        if table is not None:
+            return table[x][y]
         return wordops.collect_mul(x, y, self.k, self._comm, self.check_measure)
 
     def inv(self, x: int) -> int:
@@ -165,47 +197,27 @@ class BlueprintGroup:
 
     # -- certification ------------------------------------------------------
 
-    def left_perm(self, i: int) -> list:
-        g = 1 << i
-        return [self.mul(g, x) for x in range(self.order)]
-
-    def _relations(self, galleries) -> set:
-        rels = set()
-        for h in galleries:
-            hroots = self.rsys.inversion_sequence(h)
-            hpos = [self._pos[root] for root in hroots]
-            for a in range(self.k):
-                for b in range(a + 1, self.k):
-                    mids = self.blueprint.value(h, hroots[a], hroots[b])
-                    rels.add((hpos[a], hpos[b],
-                              tuple(self._pos[m] for m in mids)))
-        return rels
-
-    def certify_order(self, all_galleries: bool = True) -> int:
-        """Check every defining relation on the left-regular permutations.
-
-        Returns the number of relations checked; raises BlueprintError on
-        any failure.  With all_galleries the presentation quantifier over
-        Min(w) is honored in full.
-        """
-        perms = [self.left_perm(i) for i in range(self.k)]
-        n = self.order
-        for i, p in enumerate(perms):
-            if any(p[p[x]] != x for x in range(n)):
+    def certify_order(self) -> int:
+        """The module's order theorem: the generator rows are involutions
+        and every relation of every minimal gallery of w holds on them.
+        Returns the number of relations; BlueprintError on any failure."""
+        rows = self.rows
+        for i, row in enumerate(rows):
+            if any(row[y] != x for x, y in enumerate(row)):
                 raise BlueprintError(f"generator {i} is not an involution")
-        galleries = (self.ctx.min_galleries(self.w) if all_galleries
-                     else (self.gallery,))
-        rels = self._relations(galleries)
+        pos = self._pos
+        rels = {(pos[a], pos[b], tuple(pos[m] for m in mids)) for a, b, mids
+                in self.blueprint.relations(self.ctx.min_galleries(self.w))}
+        identity = list(range(self.order))
         for a, b, mids in rels:
-            pa, pb = perms[a], perms[b]
-            for x in range(n):
-                lhs = pa[pb[pa[pb[x]]]]
-                rhs = x
-                for m in reversed(mids):
-                    rhs = perms[m][rhs]
-                if lhs != rhs:
-                    raise BlueprintError(
-                        f"relation [u_{a}, u_{b}] = {mids} fails in U_{self.w}")
+            pa, pb = rows[a], rows[b]
+            lhs = [pa[pb[pa[y]]] for y in pb]
+            rhs = identity
+            for m in reversed(mids):
+                rhs = [rows[m][x] for x in rhs]
+            if lhs != rhs:
+                raise BlueprintError(
+                    f"relation [u_{a}, u_{b}] = {mids} fails in U_{self.w}")
         return len(rels)
 
     def export_table(self) -> str:
@@ -224,22 +236,17 @@ def subgroup(ambient: BlueprintGroup, gen_masks, name: str = "") -> Subgroup:
 class GroupMono:
     """A verified injective homomorphism between blueprint-style groups."""
 
-    def __init__(self, source, target, images: dict, verify: bool = True):
+    def __init__(self, source, target, images: dict):
         self.source = source
         self.target = target
         self.images = images
-        if verify:
-            self._verify()
-
-    def _verify(self) -> None:
-        src = list(self.source.elements())
-        img = {self.images[x] for x in src}
-        if len(img) != len(src):
+        src = list(source.elements())
+        if len({images[x] for x in src}) != len(src):
             raise BlueprintError("map is not injective")
         for x in src:
             for y in src:
-                lhs = self.images[self.source.mul(x, y)]
-                rhs = self.target.mul(self.images[x], self.images[y])
+                lhs = images[source.mul(x, y)]
+                rhs = target.mul(images[x], images[y])
                 if lhs != rhs:
                     raise BlueprintError("map is not a homomorphism")
 
@@ -264,17 +271,17 @@ class GroupCache:
         self._groups: dict[str, BlueprintGroup] = {}
 
     def group(self, w: str, gallery: Gallery | None = None) -> BlueprintGroup:
+        """U_w along gallery; without one, the memoized group along the
+        canonical gallery, the least reduced word of w."""
+        if gallery is not None:
+            return BlueprintGroup(self.ctx, self.rsys, gallery, self.blueprint,
+                                  self.check_measure)
         w = self.ctx.normalize(w)
-        if gallery is None:
-            got = self._groups.get(w)
-            if got is None:
-                got = BlueprintGroup(self.ctx, self.rsys,
-                                     Gallery(min(self.ctx.reduced_words(w))),
-                                     self.blueprint, self.check_measure)
-                self._groups[w] = got
-            return got
-        return BlueprintGroup(self.ctx, self.rsys, gallery, self.blueprint,
-                              self.check_measure)
+        got = self._groups.get(w)
+        if got is None:
+            got = self._groups[w] = self.group(
+                w, Gallery(min(self.ctx.reduced_words(w))))
+        return got
 
     def phi(self, w: str) -> tuple[Root, ...]:
         """Phi(w): inversion set along the canonical gallery."""
@@ -314,20 +321,15 @@ class GroupCache:
 
 
 def gallery_independence(cache: GroupCache, w: str) -> bool:
-    """All minimal galleries of w present isomorphic collection groups via
-    the generator-identity map, checked as a GroupMono into the canonical
-    gallery's group."""
-    ctx = cache.ctx
-    w = ctx.normalize(w)
-    base = cache.group(w)
-    for h in ctx.min_galleries(w):
-        if h.type_word == base.gallery.type_word:
-            continue
-        other = cache.group(w, h)
-        images = {x: base.root_product(other.word_of(x))
-                  for x in other.elements()}
-        try:
-            GroupMono(other, base, images)
-        except BlueprintError:
-            return False
+    """Every minimal gallery of w presents U_w through the generator-identity
+    map (the module's von Dyck corollary): each gallery's M-letters lie
+    strictly between their pair in its crossing order, and the relations
+    of every minimal gallery hold on the generator rows of U_w."""
+    grp = cache.group(w)
+    try:
+        for h in cache.ctx.min_galleries(grp.w):
+            insertion_table(cache.blueprint, h)
+        grp.certify_order()
+    except BlueprintError:
+        return False
     return True

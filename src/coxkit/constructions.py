@@ -268,15 +268,8 @@ def roots_violated(cache: GroupCache, C) -> frozenset:
 
 def harvest_relations(cache: GroupCache, C) -> set:
     """Deduplicated commutator relations of all U_w, w in C, as root tuples."""
-    rels = set()
-    for w in sorted(C):
-        for gal in cache.ctx.min_galleries(w):
-            roots = cache.rsys.inversion_sequence(gal)
-            for i in range(len(roots)):
-                for j in range(i + 1, len(roots)):
-                    mids = cache.blueprint.value(gal, roots[i], roots[j])
-                    rels.add((roots[i], roots[j], tuple(mids)))
-    return rels
+    return cache.blueprint.relations(
+        h for w in sorted(C) for h in cache.ctx.min_galleries(w))
 
 
 @timed

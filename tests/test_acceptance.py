@@ -52,7 +52,7 @@ def test_acceptance_blueprint(ctx, cache):
         grp = cache.group(w)
         ok = ok and grp.order == 2 ** len(w)
         try:
-            grp.certify_order(all_galleries=True)
+            grp.certify_order()
         except Exception:   # noqa: BLE001
             ok = False
     for w in ctx.ball(6):

@@ -1,13 +1,49 @@
 import os
 import random
+import re
 
 import pytest
 
 from coxkit import wordops
-from coxkit.blueprint import (BlueprintError, GroupCache, GroupMono,
-                              gallery_independence, subgroup)
+from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
+                              GroupMono, gallery_independence, subgroup)
+from coxkit.suites import run_blueprint
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _gallery_independence_by_monos(cache, w):
+    """The per-gallery check gallery_independence replaced, kept as its
+    oracle: build U_h for every other minimal gallery h and check the
+    generator-identity map U_h -> U_w as a GroupMono, |U_h|^2 products."""
+    base = cache.group(w)
+    for h in cache.ctx.min_galleries(base.w):
+        if h.type_word == base.gallery.type_word:
+            continue
+        try:
+            other = cache.group(w, h)
+            GroupMono(other, base, {x: base.root_product(other.word_of(x))
+                                    for x in other.elements()})
+        except BlueprintError:
+            return False
+    return True
+
+
+def _mutated_cache(cache, mutate):
+    """A fresh GroupCache whose blueprint answers mutate(seq, a, b, M) in
+    place of M on the non-canonical minimal gallery tsts of stst, with seq
+    that gallery's crossing order."""
+    fresh = GroupCache(cache.ctx, cache.rsys)
+    value = fresh.blueprint.value
+
+    def wrapped(g, a, b):
+        mids = value(g, a, b)
+        if g.type_word != "tsts":
+            return mids
+        return mutate(fresh.rsys.inversion_sequence(g), a, b, mids)
+    fresh.blueprint.value = wrapped
+    assert fresh.group("stst").gallery.type_word == "stst"
+    return fresh
 
 
 def test_small_orders(cache):
@@ -57,12 +93,12 @@ def test_cb3_and_bijection(ctx, cache):
     for w in ctx.ball(5):
         grp = cache.group(w)
         assert grp.order == 2 ** len(w)
-        grp.certify_order(all_galleries=True)
+        grp.certify_order()
 
 
 def test_tables_match_direct_collection(ctx, cache):
     groups = [cache.group(w) for w in ctx.ball(5)]
-    # the galleries gallery_independence compares against the canonical one
+    # groups along the galleries the GroupMono oracle compares
     groups += [cache.group("stst", h) for h in ctx.min_galleries("stst")]
     for g in groups:
         for x in g.elements():
@@ -72,27 +108,47 @@ def test_tables_match_direct_collection(ctx, cache):
 
 def test_generator_rows_match_collection_for_report_groups(ctx, cache):
     # every group the blueprint suite builds: ball(7) under canonical
-    # galleries and the other minimal galleries of ball(6)
-    groups = [cache.group(w) for w in ctx.ball(7)]
-    for w in ctx.ball(6):
-        canonical = cache.group(w).gallery.type_word
-        groups += [cache.group(w, h) for h in ctx.min_galleries(w)
-                   if h.type_word != canonical]
-    for g in groups:
+    # galleries, whose rows certify_order and gallery_independence read
+    for g in (cache.group(w) for w in ctx.ball(7)):
         for i in range(g.k):
-            assert g.left_perm(i) == [wordops.collect_mul(1 << i, y, g.k, g._comm)
-                                      for y in g.elements()], (g, i)
+            assert g.rows[i] == [wordops.collect_mul(1 << i, y, g.k, g._comm)
+                                 for y in g.elements()], (g, i)
 
 
 def test_abelian_table_fails_certification(ctx, cache):
-    # a table derived with every insertion dropped presents the abelian
-    # group of the same order; the certificate, not the build, rejects it
+    # rows derived with every insertion dropped present the abelian group
+    # of the same order; the certificate, not the build, rejects them
     g = cache.group("stst", ctx.gallery("stst"))
     g._comm = bytes(len(g._comm))
-    g._table = g._build_table()
+    for name in ("rows", "_table"):   # recomposed from _comm on next use
+        vars(g).pop(name, None)
     assert all(g.mul(x, y) == x ^ y for x in g.elements() for y in g.elements())
     with pytest.raises(BlueprintError, match=r"relation \[u_0, u_3\] = \(1, 2\) fails"):
         g.certify_order()
+
+
+def test_certification_composes_no_table(ctx, cache):
+    fresh = GroupCache(ctx, cache.rsys)
+    groups = [fresh.group(w) for w in ctx.ball(7)]
+    for g in groups:
+        g.certify_order()
+    assert not [g for g in groups if "_table" in vars(g)]
+    g = fresh.group("stst")
+    assert g.mul(8, 1) == 0b1111
+    assert "_table" in vars(g)
+
+
+def test_blueprint_suite_builds_each_group_once_and_one_table(ctx, monkeypatch):
+    built = []
+    init = BlueprintGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(BlueprintGroup, "__init__", counted)
+    assert run_blueprint(ctx, 7)["pass"]
+    assert len(built) == len(ctx.ball(7)) == 250
+    assert [g.w for g in built if "_table" in vars(g)] == ["stst"]
 
 
 def test_collection_checked_mode(ctx):
@@ -109,8 +165,39 @@ def test_collection_checked_mode(ctx):
 def test_gallery_independence(ctx, cache):
     assert gallery_independence(cache, "rst")    # unique reduced word
     assert gallery_independence(cache, "stst")   # two reduced words
-    for w in ctx.ball(4):
-        assert gallery_independence(cache, w)
+    for w in ctx.ball(6):
+        # the former per-gallery GroupMono check agrees
+        assert gallery_independence(cache, w) \
+            and _gallery_independence_by_monos(cache, w), w
+
+
+def test_gallery_independence_rejects_a_dropped_insertion(cache):
+    # [u_a, u_d] = u_b on tsts, where the blueprint says u_b u_c
+    bad = _mutated_cache(cache, lambda seq, a, b, mids: mids[:1])
+    assert not gallery_independence(bad, "stst")
+    assert not _gallery_independence_by_monos(bad, "stst")
+    grp = bad.group("stst")
+    a, b, c, d = (grp._pos[root] for root in
+                  cache.rsys.inversion_sequence(cache.ctx.gallery("tsts")))
+    with pytest.raises(BlueprintError,
+                       match=re.escape(f"relation [u_{a}, u_{d}] = ({b},) fails")):
+        grp.certify_order()
+
+
+@pytest.mark.parametrize("insertion", [
+    # [u_a, u_c] = u_d on tsts with d crossed after both a and c
+    lambda seq: ((seq[0], seq[2]), (seq[3],)),
+    # [u_a, u_d] = u_a u_a u_b u_c: the relation still holds on the rows,
+    # but the bound |U_h| <= 2^k no longer follows from collection along h
+    lambda seq: ((seq[0], seq[3]), (seq[0], seq[0], seq[1], seq[2])),
+], ids=["after-pair", "cancelling"])
+def test_gallery_independence_rejects_an_insertion_outside_its_pair(cache, insertion):
+    def outside(seq, a, b, mids):
+        pair, mids_out = insertion(seq)
+        return mids_out if (a, b) == pair else mids
+    bad = _mutated_cache(cache, outside)
+    assert not gallery_independence(bad, "stst")
+    assert not _gallery_independence_by_monos(bad, "stst")
 
 
 def test_v_subgroup_listing(cache):

@@ -1,6 +1,7 @@
 """Source checks over src/coxkit that no verdict depends on but that keep
 dead work out: a local that is assigned and never read is a computation
-whose result nobody looks at."""
+whose result nobody looks at; and that keep verification out of assert
+statements, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -79,3 +80,11 @@ def test_growth_series_imports_nothing_from_coxkit():
             imported.add("." * node.level + (node.module or ""))
     assert not {m for m in imported
                 if m.startswith(".") or m.split(".")[0] == "coxkit"}
+
+
+def test_no_assert_statements_in_the_program():
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found
