@@ -29,8 +29,6 @@ generate U_w and injective because |U_h| <= |U_w| (gallery_independence).
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from coxkit import wordops
 from coxkit.coxeter import Coxeter, Gallery
 from coxkit.roots import Root, RootSystem
@@ -101,6 +99,31 @@ def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery) -> bytes:
     return bytes(comm)
 
 
+class _FilledOnFirstUse:
+    """A method read as an attribute: the first read stores its value on
+    the instance by plain assignment, and later reads find that instance
+    attribute.  Deleting it recomputes the value on the next read.
+
+    Later reads are plain instance attribute loads, so the table read in
+    BlueprintGroup.mul needs no branch.  functools.cached_property writes
+    through the instance __dict__, which on CPython 3.11 turns every
+    later attribute read on that instance into a dict lookup, and a
+    __getattr__ hook keeps CPython 3.11 from specializing any attribute
+    read on the class's instances."""
+
+    def __init__(self, compose):
+        self.compose = compose
+        self.name = compose.__name__
+        self.__doc__ = compose.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = self.compose(obj)
+        setattr(obj, self.name, value)
+        return value
+
+
 class BlueprintGroup:
     """The collection group U_w for one gallery and one blueprint."""
 
@@ -118,8 +141,10 @@ class BlueprintGroup:
         self.check_measure = check_measure
         self._pos = {root: i for i, root in enumerate(self.roots)}
         self._comm = insertion_table(blueprint, gallery)
+        # (rows, relation count) of the last successful certify_order
+        self._certified = None
 
-    @cached_property
+    @_FilledOnFirstUse
     def rows(self) -> list:
         """The generator rows: rows[i][y] = u_i * y for every normal form y."""
         # filled in increasing i and y.  With j the lowest letter of y
@@ -149,7 +174,7 @@ class BlueprintGroup:
                 row[y] = low | v
         return rows
 
-    @cached_property
+    @_FilledOnFirstUse
     def _table(self) -> list | None:
         """The product table, composed from the rows; None above TABLE_CAP."""
         if self.order > TABLE_CAP:
@@ -200,8 +225,12 @@ class BlueprintGroup:
     def certify_order(self) -> int:
         """The module's order theorem: the generator rows are involutions
         and every relation of every minimal gallery of w holds on them.
-        Returns the number of relations; BlueprintError on any failure."""
+        Returns the number of relations; BlueprintError on any failure.
+        A success is kept with the rows it checked and answered again
+        while those rows stand."""
         rows = self.rows
+        if self._certified is not None and self._certified[0] is rows:
+            return self._certified[1]
         for i, row in enumerate(rows):
             if any(row[y] != x for x, y in enumerate(row)):
                 raise BlueprintError(f"generator {i} is not an involution")
@@ -218,6 +247,7 @@ class BlueprintGroup:
             if lhs != rhs:
                 raise BlueprintError(
                     f"relation [u_{a}, u_{b}] = {mids} fails in U_{self.w}")
+        self._certified = (rows, len(rels))
         return len(rels)
 
     def export_table(self) -> str:

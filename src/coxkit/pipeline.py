@@ -8,8 +8,6 @@ are emitted as explicit assumptions rather than silently passed.
 
 from __future__ import annotations
 
-import random
-
 from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate, timed
 from coxkit.constructions import (Builder, PreconditionError, classify_residue,
@@ -17,10 +15,9 @@ from coxkit.constructions import (Builder, PreconditionError, classify_residue,
                                   harvest_relations, pair_labelings,
                                   residue_letters, roots_violated)
 from coxkit.coxeter import Residue
-from coxkit.treeprod import (Edge, Subgroup, TreeOfGroups, TreeProduct,
-                             check_subtree_conditions, contract, fold)
-
-SAMPLES = 400
+from coxkit.treeprod import (Subgroup, TreeOfGroups, TreeProduct,
+                             check_subtree_conditions, contract,
+                             family_embeds, fold, respects_edges)
 
 
 def _family_check(cert, label: str, tog, members: dict,
@@ -31,33 +28,88 @@ def _family_check(cert, label: str, tog, members: dict,
     return cert.check(label, rep["pass"], edges=rep["edges"])
 
 
-def _levels_agree(product: TreeProduct, vertices, rng) -> bool:
-    """Sampled words of nonidentity letters at the given vertices: each
-    value lies in the level-1 family of the product exactly when it lies
-    in the level-0 family."""
-    verts = sorted(vertices)
-    for _ in range(SAMPLES):
-        word = []
-        for _ in range(rng.randint(1, 4)):
-            v = rng.choice(verts)
-            G = product.tog.vertices[v]
-            word.append((v, rng.choice([x for x in G.elements()
-                                        if x != G.identity])))
-        el = product.eval_word(word)
-        if product.in_family(el, level=1) != product.in_family(el, level=0):
-            return False
-    return True
+def _levels_coincide(y_family: dict, x_family: dict, vertices) -> tuple:
+    """Whether membership in the family X agrees with membership in the
+    nested family Y on the subproduct over vertices, with the per-vertex
+    family sizes.
+
+    Criterion.  Let Y = (Y_v) and X = (X_v) be subgroup families
+    over one tree of groups, each with equal edge preimages (so each
+    family's tree product embeds, and in a product whose transversals
+    prefer Y first and X second, membership in either is read off the
+    normal-form letters), with Y_v <= X_v at every vertex.  On the
+    subproduct P_S over a connected vertex set S, membership in X agrees
+    with membership in Y exactly when Y_v = X_v for every v in S.
+
+    Proof.  By the normal-form theorem, X cap P_S is the tree product of
+    (X_v) over S and Y cap P_S that of (Y_v), each letter of an element
+    of P_S lying at a vertex of S.  If Y_v = X_v on S, the two letter
+    tests coincide on P_S.  If some a lies in X_v but not Y_v, the one-
+    letter element a of G_v <= P_S lies in X and not in Y, since a family
+    meets G_v in its own vertex subgroup.  Nesting is checked at every
+    vertex, as the two-level preference needs it.
+    """
+    nested = all(y_family[v] <= x_family[v] for v in y_family)
+    sizes = {v: (len(y_family[v]), len(x_family[v])) for v in sorted(vertices)}
+    return nested and all(y_family[v] == x_family[v] for v in vertices), sizes
+
+
+def _round_trip_is_identity(full: TreeProduct, outer: TreeProduct, translate,
+                            home: dict) -> tuple:
+    """Whether translating full's words letter by letter into outer and
+    flattening the value back is the identity of full, with the number
+    of edge-group elements and vertex elements it was decided on.
+
+    translate maps a letter (v, x) of full to a letter of outer; home maps
+    id() of each group that outer's deep flattening yields letters in to
+    the vertex of full whose group holds those elements.
+
+    Criterion.  The round trip is the identity when (a) the forward maps
+    x -> translate(v, x) respect every edge of full's tree, (b) the back
+    maps respect every edge of outer's tree and, at a vertex of outer that
+    is itself a tree product, every edge of that tree, and (c) the round
+    trip fixes every element of every vertex group of full.
+
+    Proof.  Vertex homomorphisms that respect every edge extend uniquely
+    to the tree product (universal property; respects_edges).  By (a) the
+    forward maps give a homomorphism Phi: full -> outer, and evaluating a
+    translated word is Phi of the word's value.  By (b) the back maps give
+    Psi: outer -> full, at an inner tree-product vertex first through that
+    product's own universal property; flattening a normal form and
+    evaluating its letters computes Psi, since Psi of an element is the
+    product of Psi of its letters.  Psi Phi is a homomorphism of full that
+    fixes the vertex groups, which generate full, so by (c) it is the
+    identity; the round trip holds on every word, not only on samples.
+    """
+    def forward(v, x):
+        return outer.eval_word([translate(v, x)])
+
+    def back(el):
+        return full.eval_word([(home[id(G)], y)
+                               for G, y in outer.flatten(el, deep=True)])
+
+    def leaf(G):
+        return lambda v, x: full.include(home[id(G.tog.vertices[v])], x)
+
+    trees = [(full.tog, forward),
+             (outer.tog, lambda v, x: back(outer.include(v, x)))]
+    trees += [(G.tog, leaf(G)) for G in outer.tog.vertices.values()
+              if isinstance(G, TreeProduct)]
+    broken = [e for tog, image in trees for e in respects_edges(tog, image)]
+    moved = [(v, x) for v, G in full.tog.vertices.items()
+             for x in G.elements() if back(forward(v, x)) != full.include(v, x)]
+    counts = {"edge_elements": sum(e.group.order for tog, _ in trees
+                                   for e in tog.edges),
+              "vertex_elements": sum(G.order
+                                     for G in full.tog.vertices.values())}
+    return not broken and not moved, counts
 
 
 class Section4:
-    def __init__(self, builder: Builder | None = None, seed: int = 20240444):
+    def __init__(self, builder: Builder | None = None):
         self.b = builder or Builder()
         self.ctx = self.b.ctx
         self.cache = self.b.cache
-        self.seed = seed
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
 
     # -- small helpers -----------------------------------------------------
 
@@ -84,17 +136,6 @@ class Section4:
         family: members maps every vertex to a frozenset."""
         return TreeProduct(cons.tog, name=name, priority={
             sp.name: (members[sp.name].__contains__,) for sp in cons.specs})
-
-    def _battery_nonidentity(self, cert, product, members: dict,
-                             label: str) -> None:
-        """Random reduced words with letters in the family stay nontrivial."""
-        rng = self.rng()
-        words = (product.random_word(rng, rng.randint(1, 4), members)
-                 for _ in range(SAMPLES))
-        ok = not any(word and product.is_identity(product.eval_word(word))
-                     for word in words)
-        cert.check(f"{label}: sampled reduced family words are nontrivial "
-                   f"({SAMPLES} rounds)", ok)
 
     # -- Lemma: V_R -> O_R is injective -------------------------------------
 
@@ -146,8 +187,12 @@ class Section4:
         _family_check(cert, "subgroup-family conditions (i)-(iii) over O_R "
                       "hold with edge groups U[w_R s], U[w_R t]",
                       orr.tog, members, claimed)
-        prod = self._family_product(orr, members, name="O_R")
-        self._battery_nonidentity(cert, prod, members, "V_R inside O_R")
+        # the V_R family's tree product injects into O_R
+        rep = family_embeds(TreeProduct(orr.tog), members)
+        cert.check("V_R inside O_R: reduced family words are reduced in O_R, "
+                   "so nontrivial (subgroups with equal edge preimages; one- "
+                   "and two-letter base cases)", rep["pass"],
+                   letters=rep["letters"], pairs=rep["pairs"])
         return cert
 
     def _or_family(self, orr, R: Residue, s: str) -> dict:
@@ -199,25 +244,16 @@ class Section4:
                    sorted(gg.order for gg in sub.tog.vertices.values())
                    == sorted(vr.orders()),
                    got=sorted(gg.order for gg in sub.tog.vertices.values()))
-        outer = TreeProduct(tog3)
-        rng = self.rng()
-        ok = True
-        full = TreeProduct(vrs.tog)
-        groups = {id(sp.group): sp.name for sp in vrs.specs}
-        groups[id(H)] = "v0"
-        for _ in range(SAMPLES):
-            word = full.random_word(rng, rng.randint(1, 4))
-            el = full.eval_word(word)
-            translated = [(name, sub.include(v, x)) if v in ("v1", "v2")
-                          else (v, x) for v, x in word]
-            el2 = outer.eval_word(translated)
-            back = []
-            for grp, val in outer.flatten(el2, deep=True):
-                back.append((groups[id(grp)], val))
-            if full.eval_word(back) != el:
-                ok = False
-                break
-        cert.check("fold/contract translation round-trips on sampled words", ok)
+        home = {id(sp.group): sp.name for sp in vrs.specs}
+        home[id(H)] = "v0"
+
+        def translate(v, x):
+            return (name, sub.include(v, x)) if v in ("v1", "v2") else (v, x)
+        ok, counts = _round_trip_is_identity(
+            TreeProduct(vrs.tog), TreeProduct(tog3), translate, home)
+        cert.check("fold/contract translation round-trips on every word "
+                   "(both translations respect every edge identification and "
+                   "the round trip fixes every vertex group)", ok, **counts)
         # chain B for O_{R,s}
         u0 = ors.specs[0].group
         H2 = Subgroup(u0, b.image_of_u(m(g, s, d), u0), f"U[{m(g,s,d)}]")
@@ -432,8 +468,9 @@ class Section4:
                    lhs == b.image_of_u(m(g, s, d), ambZ), ambient=ambZ.w)
         # O_R cap U[w_R srt] = U[w_R sr], computed inside K_{R,s}
         or_family = self._krs_or_family(krs, R, s)
-        _family_check(cert, "O_R family conditions over the four K_Rs vertices "
-                      "(so membership is letter-decidable)", krs.tog, or_family)
+        decidable = _family_check(
+            cert, "O_R family conditions over the four K_Rs vertices "
+            "(so membership is letter-decidable)", krs.tog, or_family)
         kprod = self._family_product(krs, or_family, name="K_Rs")
         srt_img = b.image_of_u(m(g, s, d, t), krs.specs[0].ambient)
         got = {x for x in srt_img
@@ -447,8 +484,9 @@ class Section4:
         cert.check("common generating roots of U[w_R s r_dt] and "
                    f"V[{m(g,s,d)}|{s}{t}] generate U[{m(g,s,d,t)}]",
                    closure == srt_img)
-        # conclusion spot-check: O_{R,s} cap K_{R,s} = O_R inside Z
-        for desc, okv in self._z_product_check(R, s, krs, kprod, vsd):
+        # conclusion: O_{R,s} cap K_{R,s} = O_R inside Z
+        for desc, okv in self._z_product_check(R, s, krs, kprod, vsd,
+                                               decidable):
             cert.check(desc, okv)
         return cert
 
@@ -462,49 +500,46 @@ class Section4:
             "v3": frozenset(krs.specs[3].group.elements()),
         }
 
-    def _z_product_check(self, R, s, krs, kprod, vsd):
-        """Z = K_{R,s} *_{U[w_R srt]} V[w_R sr|st]: the subgroup-family data
-        for O_R *_{U[w_R sr]} U[w_R srs] -> Z and a sampled intersection."""
+    def _z_product_check(self, R, s, krs, kprod, vsd, decidable: bool):
+        """Z = K_{R,s} *_{U[w_R srt]} V[w_R sr|st]: the edge preimages of
+        O_R and U[w_R srs], and the amalgam criterion that decides
+        O_{R,s} cap K_{R,s} = O_R from them.
+
+        Criterion (Serre, Trees, I.1; Karrass and Solitar, Trans. AMS 150,
+        1970).  In Z = K *_E W let A <= K and B <= W have the same
+        preimage D in E.  Then <A, B> ~ A *_D B and <A, B> cap K = A.
+
+        Proof.  A cap E = D = B cap E, so an alternating word in A - D and
+        B - D alternates in K - E and W - E: it is reduced in Z, and by
+        the normal-form theorem its syllable length in Z is its length.
+        Every element of <A, B> is such a word times an element of D, so
+        no reduced word of A *_D B is trivial in Z, and an element of
+        <A, B> lies in K only when its word is a single A letter or empty
+        (a lone B letter outside D lies outside E = K cap W).  Here A = O_R,
+        a subgroup of K_{R,s} whose membership is read off the letters
+        when the O_R family passes its conditions (decidable), B is
+        U[w_R srs] and D is U[w_R sr].
+        """
         b = self.b
         s, _, d, g, m = self._frame(R, s)
-        out = []
         # the common roots of U[w_R s r_dt] and V[w_R sr|st] are Phi(w_R srt)
         edge = b.edge(krs.specs[0], vsd)
-        eg, into_v = edge.group, edge.into_v
-        into_k = {c: kprod.include("v0", x) for c, x in edge.into_u.items()}
-        ztog = TreeOfGroups({"K": kprod, "W": vsd.group},
-                            [Edge("K", "W", eg, into_k, into_v)])
         in_or = kprod.in_family
         srs_img = b.image_of_u(m(g, s, d, s), vsd.ambient)
-        z = TreeProduct(ztog, priority={"K": (in_or,), "W": (srs_img.__contains__,)},
-                        inner={"K"})
-        pre_k = {c for c in eg.elements() if in_or(into_k[c])}
-        pre_v = {c for c in eg.elements() if into_v[c] in srs_img}
-        out.append(("edge preimages of (O_R, U[w_R srs]) in U[w_R srt] agree "
-                    "and equal U[w_R sr]",
-                    pre_k == pre_v
-                    and pre_k == b.image_of_u(m(g, s, d), krs.specs[0].ambient)))
-        rng = self.rng()
-        ok = True
-        pools = {v: sorted(members)
-                 for v, members in self._krs_or_family(krs, R, s).items()}
-        srs_pool = sorted(srs_img)
-        for _ in range(SAMPLES):
-            word = []
-            for _ in range(rng.randint(1, 4)):
-                if rng.random() < 0.5:
-                    v = rng.choice(["v0", "v1", "v2", "v3"])
-                    word.append(("K", kprod.include(v, rng.choice(pools[v]))))
-                else:
-                    word.append(("W", rng.choice(srs_pool)))
-            el = z.eval_word(word)
-            val = z.subproduct_value(el, {"K"})
-            if val is not None and not in_or(val):
-                ok = False
-                break
-        out.append(("sampled O_{R,s} elements that land in K_{R,s} lie in O_R",
-                    ok))
-        return out
+        pre_k = {c for c, x in edge.into_u.items()
+                 if in_or(kprod.include("v0", x))}
+        pre_v = {c for c, y in edge.into_v.items() if y in srs_img}
+        W = vsd.group
+        b_ok = srs_img <= frozenset(W.elements()) and all(
+            W.mul(x, y) in srs_img for x in srs_img for y in srs_img)
+        return [("edge preimages of (O_R, U[w_R srs]) in U[w_R srt] agree "
+                 "and equal U[w_R sr]",
+                 pre_k == pre_v
+                 and pre_k == b.image_of_u(m(g, s, d), krs.specs[0].ambient)),
+                ("O_{R,s} elements that land in K_{R,s} lie in O_R (amalgam "
+                 "criterion: O_R letter-decidable in K_Rs, U[w_R srs] a "
+                 "subgroup of V[w_R sr|st], equal edge preimages)",
+                 decidable and b_ok and pre_k == pre_v)]
 
     # -- Lemma: K_{R,s} cap G_{-1} = O_R (finite parts) -------------------------
 
@@ -529,41 +564,31 @@ class Section4:
         x_vertices = {"v1", x_outer}
         vt_roots = self.construction_roots(vt)
         vt_members = self.family_from_roots(ot, vt_roots)
-        _family_check(cert, "V_T family conditions inside O_T", ot.tog,
-                      vt_members)
+        vt_ok = _family_check(cert, "V_T family conditions inside O_T",
+                              ot.tog, vt_members)
         # Y = V[s|dt] * U[sts]: the V_T part supported away from U[srs]
         y_roots = (frozenset(self.cache.phi(m(g, s, d)))
                    | frozenset(self.cache.phi(m(g, s, t)))
                    | frozenset(self.cache.phi(m(g, s, t, s))))
         y_members = self.family_from_roots(ot, y_roots)
-        _family_check(cert, "Y = V[s|dt] * U[sts] family conditions inside O_T",
-                      ot.tog, y_members)
-        otprod = TreeProduct(
-            ot.tog,
-            priority={sp.name: (y_members[sp.name].__contains__,
-                                vt_members[sp.name].__contains__)
-                      for sp in ot.specs},
-            inner=x_vertices, name="O_T")
-        rng = self.rng()
-        cert.check("sampled X elements: membership in V_T agrees with "
-                   "membership in Y", _levels_agree(otprod, x_vertices, rng))
-        # O_R cap V_T = Y inside O_{R,s}
+        y_ok = _family_check(cert, "Y = V[s|dt] * U[sts] family conditions "
+                             "inside O_T", ot.tog, y_members)
+        ok, sizes = _levels_coincide(y_members, vt_members, x_vertices)
+        cert.check("X elements: membership in V_T agrees with membership in "
+                   "Y (Y and V_T agree at every X vertex)",
+                   vt_ok and y_ok and ok, sizes=sizes)
+        # O_R cap V_T = Y inside O_{R,s}; O_R is the subtree {v1, v2, v3}
         vts_members = self.family_from_roots(ors, vt_roots)
         ys_members = self.family_from_roots(ors, y_roots)
-        _family_check(cert, "V_T family conditions inside O_Rs", ors.tog,
-                      vts_members)
-        _family_check(cert, "Y family conditions inside O_Rs", ors.tog,
-                      ys_members)
-        orsprod = TreeProduct(
-            ors.tog,
-            priority={sp.name: (ys_members[sp.name].__contains__,
-                                vts_members[sp.name].__contains__)
-                      for sp in ors.specs},
-            inner={"v1", "v2", "v3"}, name="O_Rs")
-        # words over v1, v2, v3 evaluate to O_R elements
-        cert.check("sampled O_R elements: membership in V_T agrees with "
-                   "membership in Y (so O_R cap V_T = Y)",
-                   _levels_agree(orsprod, {"v1", "v2", "v3"}, rng))
+        vt_ok = _family_check(cert, "V_T family conditions inside O_Rs",
+                              ors.tog, vts_members)
+        y_ok = _family_check(cert, "Y family conditions inside O_Rs", ors.tog,
+                             ys_members)
+        ok, sizes = _levels_coincide(ys_members, vts_members,
+                                     {"v1", "v2", "v3"})
+        cert.check("O_R elements: membership in V_T agrees with membership "
+                   "in Y (so O_R cap V_T = Y; Y and V_T agree at every O_R "
+                   "vertex)", vt_ok and y_ok and ok, sizes=sizes)
         # X *_Y O_R ~ K_{R,s} chain
         x_edge = ot.tog.edge_between("v1", x_outer)
         left_spec = ot.spec("v1") if x_edge.u == "v1" else ot.spec(x_outer)

@@ -38,13 +38,13 @@ promotes a finite subset of a group to a computable group of its own.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import reduce
 
 __all__ = [
     "Subgroup", "closure_words", "Edge", "TreeOfGroups", "Amalgam", "TreeProduct",
-    "contract", "fold", "check_subtree_conditions", "TreeError",
+    "contract", "fold", "check_subtree_conditions", "respects_edges",
+    "family_embeds", "TreeError",
 ]
 
 
@@ -546,32 +546,6 @@ class TreeProduct:
             self._vertex_images[vertex] = images
         return images.get(el)
 
-    # -- batteries ----------------------------------------------------------
-
-    def random_word(self, rng: random.Random, length: int,
-                    members: dict | None = None) -> list:
-        """A random reduced word: a walk on the tree whose letters avoid
-        the edge group toward the previous vertex.  members, when given,
-        maps every vertex to the set its letters are drawn from."""
-        tog = self.tog
-        verts = sorted(tog.vertices)
-        word = []
-        prev = None
-        v = rng.choice(verts)
-        for _ in range(length):
-            G = tog.vertices[v]
-            if prev is None:
-                banned = {G.identity}
-            else:
-                banned = set(tog.edge_between(prev, v).endpoint_map(v).values())
-            pool = [x for x in G.elements() if x not in banned
-                    and (members is None or x in members[v])]
-            if not pool:
-                break
-            word.append((v, rng.choice(pool)))
-            prev, v = v, rng.choice(tog.neighbors(v))
-        return word
-
 
 def contract(tog: TreeOfGroups, sub, name: str | None = None,
              priority: dict | None = None):
@@ -674,4 +648,80 @@ def check_subtree_conditions(tog: TreeOfGroups, sub, members: dict,
                 if not entry["matches_claimed_edge_group"]:
                     report["pass"] = False
         report["edges"].append(entry)
+    return report
+
+
+def respects_edges(tog: TreeOfGroups, image) -> list:
+    """The edges (u, v) of tog on which the vertex maps disagree: some c
+    in the edge group has image(u, into_u[c]) != image(v, into_v[c]).
+
+    By the universal property of the tree product, vertex homomorphisms
+    G_v -> Q that respect every edge (an empty list here) extend to one
+    homomorphism from the tree product, and uniquely.
+    """
+    return [(e.u, e.v) for e in tog.edges
+            if any(image(e.u, e.into_u[c]) != image(e.v, e.into_v[c])
+                   for c in e.group.elements())]
+
+
+def family_embeds(product: TreeProduct, members: dict) -> dict:
+    """Decide, on the finite groups, that the tree product of a subgroup
+    family A_v <= G_v (members: vertex -> frozenset) injects into product.
+
+    Criterion.  Suppose every A_v is a subgroup of G_v and on every edge
+    e = uv the preimages of A_u and A_v in E_e agree; call them D_e.
+    Then (A_v, D_e) is a tree of groups A, every reduced word of A is a
+    reduced word of the product, and A -> product is injective.
+
+    Proof.  Call a word g_1...g_n with g_i in G_(v_i) reduced when
+    v_1..v_n walks the tree, at every backtrack (v_(i-1) = v_(i+1)) the
+    letter g_i avoids that edge's group, and either n = 1 and g_1 != 1 or
+    g_n avoids the edge group toward v_(n-1).  A reduced word is
+    nontrivial: the cosets g_1...g_(i-1) G_(v_i) walk the Bass-Serre tree
+    without backtracking (Serre, Trees, I.4), so g_1...g_n = 1 would make
+    that walk the geodesic from G_(v_1) to G_(v_n) inside the copy of the
+    tree; then g_1...g_(n-1) lies in G_(v_(n-1)) cap G_(v_n) = E and so
+    does g_n.  Every nontrivial element of A is a reduced word of A: write
+    it along a walk, then merge each backtrack letter in D_e and a last
+    letter in D_e into its neighbours; the word shortens each time.  A
+    family letter at v avoids iota_v(D_e) exactly when it avoids
+    iota_v(E_e), since A_v cap iota_v(E_e) = iota_v(D_e) is the
+    definition of D_e; so reduced words of A are reduced, hence
+    nontrivial, in the product.
+
+    Computed here: the subgroup and edge-preimage hypotheses at every
+    vertex and edge (check_subtree_conditions), membership of each A_v
+    in G_v, and the base cases of the induction on the engine's normal
+    forms: every nontrivial family letter is a one-syllable element (it
+    lies in G_v and is not the identity), and every reduced two-letter
+    family word across an edge, in either direction, lies in no vertex
+    group (two syllables).
+    """
+    tog = product.tog
+    report = check_subtree_conditions(tog, tog.vertices, members)
+    ok = report["pass"] and all(
+        members[v] <= frozenset(G.elements()) for v, G in tog.vertices.items())
+    include = product.include
+    letters = 0
+    for v, G in tog.vertices.items():
+        for a in members[v]:
+            if a != G.identity:
+                letters += 1
+                el = include(v, a)
+                ok = ok and el != product.identity \
+                    and product.vertex_value(el, v) == a
+    pairs = 0
+    for e in tog.edges:
+        reduced = {}
+        for v in (e.u, e.v):
+            banned = set(e.endpoint_map(v).values())
+            reduced[v] = [include(v, a) for a in members[v] if a not in banned]
+        for u, v in ((e.u, e.v), (e.v, e.u)):
+            for x in reduced[u]:
+                for y in reduced[v]:
+                    pairs += 1
+                    el = product.mul(x, y)
+                    ok = ok and all(product.vertex_value(el, w) is None
+                                    for w in tog.vertices)
+    report.update({"pass": ok, "letters": letters, "pairs": pairs})
     return report

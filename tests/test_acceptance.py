@@ -12,6 +12,7 @@ from coxkit import lemmas
 from coxkit.blueprint import gallery_independence
 from coxkit.pipeline import section4_pipeline
 from coxkit.reduction import trace_automaton, trace_word
+from walks import random_word
 
 
 def _criterion(name: str, ok: bool, elapsed: float, cap: float) -> None:
@@ -90,7 +91,7 @@ def test_acceptance_quadrangle():
 
 def _product_battery(product, rng, rounds=10000):
     for _ in range(rounds):
-        word = product.random_word(rng, rng.randint(1, 5))
+        word = random_word(product, rng, rng.randint(1, 5))
         if not word:
             continue
         el = product.eval_word(word)

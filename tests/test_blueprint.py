@@ -1,12 +1,14 @@
+import collections
 import os
 import random
 import re
 
 import pytest
 
-from coxkit import wordops
+from coxkit import blueprint, wordops
 from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
-                              GroupMono, gallery_independence, subgroup)
+                              GroupMono, KacMoodyBlueprint,
+                              gallery_independence, subgroup)
 from coxkit.suites import run_blueprint
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -149,6 +151,43 @@ def test_blueprint_suite_builds_each_group_once_and_one_table(ctx, monkeypatch):
     assert run_blueprint(ctx, 7)["pass"]
     assert len(built) == len(ctx.ball(7)) == 250
     assert [g.w for g in built if "_table" in vars(g)] == ["stst"]
+
+
+def test_blueprint_suite_harvests_relations_once_per_group(ctx, monkeypatch):
+    # gallery independence on ball(6) reuses the verdicts of the ball(7)
+    # certification instead of checking every relation a second time;
+    # the harvests inside insertion_table are per gallery and not counted
+    harvests = collections.Counter()
+    in_table = []
+    relations = KacMoodyBlueprint.relations
+    table = blueprint.insertion_table
+
+    def counted(self, galleries):
+        galleries = tuple(galleries)
+        if not in_table:
+            harvests[ctx.normalize(galleries[0].type_word)] += 1
+        return relations(self, galleries)
+
+    def insertion(bp, gallery):
+        in_table.append(gallery)
+        try:
+            return table(bp, gallery)
+        finally:
+            in_table.pop()
+    monkeypatch.setattr(KacMoodyBlueprint, "relations", counted)
+    monkeypatch.setattr(blueprint, "insertion_table", insertion)
+    assert run_blueprint(ctx, 7)["pass"]
+    assert sorted(harvests) == sorted(ctx.ball(7))
+    assert set(harvests.values()) == {1}
+
+
+def test_certified_verdict_goes_with_its_rows(ctx, cache):
+    g = cache.group("stst", ctx.gallery("stst"))
+    assert g.certify_order() == g.certify_order() > 0
+    g._comm = bytes(len(g._comm))
+    del g.rows   # recomposed from the abelian insertions on next use
+    with pytest.raises(BlueprintError, match="fails"):
+        g.certify_order()
 
 
 def test_collection_checked_mode(ctx):

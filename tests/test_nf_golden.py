@@ -22,6 +22,7 @@ import tempfile
 from coxkit.cli import main
 from coxkit.constructions import Builder
 from coxkit.treeprod import TreeProduct, contract
+from walks import random_word
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "nf_battery.txt")
 WORDS = 100
@@ -54,7 +55,7 @@ def _words(label: str, product, seed: int, source=None, translate=None) -> list:
         for kind in ("reduced", "any"):
             length = rng.randint(1, 6)
             if kind == "reduced":
-                word = source.random_word(rng, length)
+                word = random_word(source, rng, length)
             else:
                 word = _any_letters(source.tog, rng, length)
             if translate is not None:

@@ -7,6 +7,7 @@ import pytest
 from coxkit.certs import Certificate
 from coxkit.constructions import Builder
 from coxkit.pipeline import Section4, _family_check, section4_pipeline
+from walks import random_word
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ def test_certificate_bytes_pinned(full_run):
     text = json.dumps(docs, sort_keys=True)
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (len(docs), digest) == (
-        31, "653bccef18bc4536902f6af940aa7191966537ee702f678fbe7d16bc6633c8b7")
+        31, "dc1f6a1fe67df84dc6ba3497e8728e29c9f10a74327dc48164e04b68c81217e3")
 
 
 def test_certificate_inventory(full_run):
@@ -84,9 +85,10 @@ def test_krs_gminus1_requires_gate_one(sec, ctx):
 
 @pytest.mark.parametrize("kind", ["O_R", "K_Rs"])
 def test_battery_ban_is_read_in_the_vertex_group(sec, ctx, kind):
-    """The nonidentity battery bans x at v when x lies in the edge group's
-    image in G_v; that agrees with banning include(v, x) in the edge
-    group's image in the product because include is injective."""
+    """The reduced-word walker (walks.random_word) and the two-letter base
+    case of treeprod.family_embeds ban x at v when x lies in the edge
+    group's image in G_v; that agrees with banning include(v, x) in the
+    edge group's image in the product because include is injective."""
     R = ctx.residue("st", "")
     s = "s"
     cons = sec.b.construction(kind, R, s)
@@ -114,7 +116,7 @@ def test_family_walker_stays_in_the_family(sec, ctx):
     rng = random.Random(7)
     letters = 0
     for _ in range(200):
-        word = product.random_word(rng, rng.randint(1, 6), members)
+        word = random_word(product, rng, rng.randint(1, 6), members)
         prev = None
         for v, x in word:
             assert x in members[v]

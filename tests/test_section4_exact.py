@@ -1,0 +1,240 @@
+"""The exact section-4 criteria against the seeded samples they replace.
+
+Each of the five checks that once passed on 400 seeded random words is
+now decided on the finite vertex and edge groups.  Here each sample runs
+again, with the seed and the words of the program that sampled, as a
+cross-check: on every gate-1 residue the sampled verdict and the exact
+verdict agree.  The mutants at the end break the V_R family inside O_R
+and show what each kind of check sees.
+"""
+
+import random
+
+import pytest
+
+from coxkit.constructions import Builder, pair_labelings
+from coxkit.pipeline import Section4, _levels_coincide, _round_trip_is_identity
+from coxkit.treeprod import (Edge, Subgroup, TreeOfGroups, TreeProduct,
+                             contract, family_embeds, fold)
+from walks import random_word
+
+SEED = 20240444
+SAMPLES = 400
+PAIRS = list(pair_labelings())
+
+
+@pytest.fixture(scope="module")
+def sec(cache):
+    return Section4(Builder(cache))
+
+
+def _residue(sec, pair):
+    R = sec.ctx.residue(set(pair), "")
+    return R, sec._frame(R)
+
+
+def _or_product(sec, pair):
+    """O_R with its V_R family installed, as in the V_R -> O_R certificate."""
+    R, (s, *_) = _residue(sec, pair)
+    orr = sec.b.construction("O_R", R, s)
+    members = sec._or_family(orr, R, s)
+    return sec._family_product(orr, members, name="O_R"), members
+
+
+def sampled_family_words_nontrivial(product, members) -> bool:
+    rng = random.Random(SEED)
+    words = (random_word(product, rng, rng.randint(1, 4), members)
+             for _ in range(SAMPLES))
+    return not any(word and product.is_identity(product.eval_word(word))
+                   for word in words)
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_family_battery_agrees_with_family_embeds(sec, pair):
+    product, members = _or_product(sec, pair)
+    report = family_embeds(product, members)
+    assert report["pass"] is sampled_family_words_nontrivial(product, members) \
+        is True
+    assert (report["letters"], report["pairs"]) == (13, 48)
+
+
+def _chain_a(sec, pair):
+    """V_{R,s} folded at U[w_R sr] and its tail contracted: the full
+    product, the outer product, the letter translation and the map from
+    flattened groups back to V_{R,s} vertices."""
+    R, (s, t, d, g, m) = _residue(sec, pair)
+    vrs = sec.b.construction("V_Rs", R, s)
+    u0 = vrs.specs[0].group
+    H = Subgroup(u0, sec.b.image_of_u(m(g, s, d), u0), "H")
+    tog3, name, sub = contract(fold(vrs.tog, "v0", "v1", H, "x"),
+                               {"x", "v1", "v2"})
+    home = {id(sp.group): sp.name for sp in vrs.specs}
+    home[id(H)] = "v0"
+
+    def translate(v, x):
+        return (name, sub.include(v, x)) if v in ("v1", "v2") else (v, x)
+    return TreeProduct(vrs.tog), TreeProduct(tog3), translate, home
+
+
+def sampled_round_trip(full, outer, translate, home) -> bool:
+    rng = random.Random(SEED)
+    for _ in range(SAMPLES):
+        word = random_word(full, rng, rng.randint(1, 4))
+        el = full.eval_word(word)
+        el2 = outer.eval_word([translate(v, x) for v, x in word])
+        back = [(home[id(grp)], val) for grp, val in outer.flatten(el2, deep=True)]
+        if full.eval_word(back) != el:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_sampled_round_trip_agrees_with_the_exact_check(sec, pair):
+    chain = _chain_a(sec, pair)
+    ok, counts = _round_trip_is_identity(*chain)
+    assert ok is sampled_round_trip(*chain) is True
+    assert counts == {"edge_elements": 12, "vertex_elements": 20}
+
+
+def test_round_trip_check_sees_a_wrong_translation(sec):
+    full, outer, translate, home = _chain_a(sec, ("s", "t"))
+    G1 = full.tog.vertices["v1"]
+    twist = next(x for x in G1.elements() if x != G1.identity)
+
+    def shifted(v, x):
+        # v1 letters pick up a fixed extra factor: no homomorphism
+        return translate(v, G1.mul(x, twist) if v == "v1" else x)
+    assert not _round_trip_is_identity(full, outer, shifted, home)[0]
+    assert not sampled_round_trip(full, outer, shifted, home)
+
+
+def _levels_data(sec, pair):
+    """The two (product, vertex set) pairs of the K_Rs cap G_{-1}
+    certificate with Y and V_T installed as priority levels 0 and 1, and
+    the same families as dicts."""
+    R, (s, t, d, g, m) = _residue(sec, pair)
+    ctx, b = sec.ctx, sec.b
+    T = ctx.residue({d, t}, s)
+    ot, vt = b.construction("O_R", T), b.construction("V_R", T)
+    ors = b.construction("O_Rs", R, s)
+    vt_roots = sec.construction_roots(vt)
+    y_roots = frozenset().union(*(sec.cache.phi(m(g, *w))
+                                  for w in ((s, d), (s, t), (s, t, s))))
+    x_outer = next(sp.name for sp in ot.specs
+                   if sp.label.startswith(f"V[{m(g, s, t)}|"))
+    out = []
+    for cons, inner in ((ot, {"v1", x_outer}), (ors, {"v1", "v2", "v3"})):
+        y = sec.family_from_roots(cons, y_roots)
+        v = sec.family_from_roots(cons, vt_roots)
+        product = TreeProduct(cons.tog, priority={
+            sp.name: (y[sp.name].__contains__, v[sp.name].__contains__)
+            for sp in cons.specs}, inner=inner)
+        out.append((product, inner, y, v))
+    return out
+
+
+def sampled_levels_agree(product, vertices, rng) -> bool:
+    verts = sorted(vertices)
+    for _ in range(SAMPLES):
+        word = []
+        for _ in range(rng.randint(1, 4)):
+            v = rng.choice(verts)
+            G = product.tog.vertices[v]
+            word.append((v, rng.choice([x for x in G.elements()
+                                        if x != G.identity])))
+        el = product.eval_word(word)
+        if product.in_family(el, level=1) != product.in_family(el, level=0):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_sampled_levels_agree_with_the_exact_check(sec, pair):
+    rng = random.Random(SEED)   # one stream: X elements, then O_R elements
+    for product, inner, y, v in _levels_data(sec, pair):
+        exact, sizes = _levels_coincide(y, v, inner)
+        assert exact is sampled_levels_agree(product, inner, rng) is True
+        assert all(a == b for a, b in sizes.values())
+
+
+def test_levels_check_sees_a_smaller_y(sec):
+    (product, inner, y, v), _ = _levels_data(sec, ("s", "t"))
+    vertex = sorted(inner)[0]
+    G = product.tog.vertices[vertex]
+    smaller = dict(y, **{vertex: frozenset([G.identity])})
+    assert not _levels_coincide(smaller, v, inner)[0]
+
+
+def _z_data(sec, pair):
+    """Z = K_Rs *_{U[w_R srt]} V[w_R sr|st] with O_R and U[w_R srs]
+    preferred, and the letter pools of the sampled words."""
+    R, (s, t, d, g, m) = _residue(sec, pair)
+    b = sec.b
+    krs = b.construction("K_Rs", R, s)
+    or_family = sec._krs_or_family(krs, R, s)
+    kprod = sec._family_product(krs, or_family, name="K_Rs")
+    vsd = b.v_spec("w", m(g, s, d), (s, t))
+    edge = b.edge(krs.specs[0], vsd)
+    into_k = {c: kprod.include("v0", x) for c, x in edge.into_u.items()}
+    srs_img = b.image_of_u(m(g, s, d, s), vsd.ambient)
+    z = TreeProduct(TreeOfGroups({"K": kprod, "W": vsd.group},
+                                 [Edge("K", "W", edge.group, into_k, edge.into_v)]),
+                    priority={"K": (kprod.in_family,), "W": (srs_img.__contains__,)},
+                    inner={"K"})
+    pools = {v: sorted(members) for v, members in or_family.items()}
+    return R, s, krs, kprod, vsd, z, pools, sorted(srs_img)
+
+
+def sampled_z_intersection(z, kprod, pools, srs_pool) -> bool:
+    rng = random.Random(SEED)
+    for _ in range(SAMPLES):
+        word = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                v = rng.choice(["v0", "v1", "v2", "v3"])
+                word.append(("K", kprod.include(v, rng.choice(pools[v]))))
+            else:
+                word.append(("W", rng.choice(srs_pool)))
+        val = z.subproduct_value(z.eval_word(word), {"K"})
+        if val is not None and not kprod.in_family(val):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_sampled_z_intersection_agrees_with_the_amalgam_criterion(sec, pair):
+    R, s, krs, kprod, vsd, z, pools, srs_pool = _z_data(sec, pair)
+    desc, exact = sec._z_product_check(R, s, krs, kprod, vsd, True)[-1]
+    assert "land in K_{R,s} lie in O_R" in desc
+    assert exact is sampled_z_intersection(z, kprod, pools, srs_pool) is True
+    # the criterion's status rests on the letter-decidability verdict
+    assert not sec._z_product_check(R, s, krs, kprod, vsd, False)[-1][1]
+
+
+# -- mutants of the V_R family inside O_R ---------------------------------
+
+
+def _dropped_member(product, members):
+    vertex = "v1"
+    G = product.tog.vertices[vertex]
+    x = max(a for a in members[vertex] if a != G.identity)
+    return dict(members, **{vertex: members[vertex] - {x}})
+
+
+def _added_non_member(product, members):
+    vertex = "v1"
+    G = product.tog.vertices[vertex]
+    x = min(a for a in G.elements() if a not in members[vertex])
+    return dict(members, **{vertex: members[vertex] | {x}})
+
+
+@pytest.mark.parametrize("mutate, sampled_caught", [
+    (_dropped_member, False), (_added_non_member, False)],
+    ids=["dropped-member", "added-non-member"])
+def test_family_mutant_turns_the_exact_check_red(sec, mutate, sampled_caught):
+    product, members = _or_product(sec, ("s", "t"))
+    mutant = mutate(product, members)
+    assert mutant != members
+    assert family_embeds(product, mutant)["pass"] is False
+    # what the 400-word sample that this check replaces made of it
+    assert sampled_family_words_nontrivial(product, mutant) is not sampled_caught

@@ -8,6 +8,7 @@ from coxkit.constructions import Builder
 from coxkit.treeprod import (Amalgam, Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions, contract,
                              fold)
+from walks import random_word
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ def _mixed_words(P, seed: int, count: int = 150) -> list:
     verts = sorted(P.tog.vertices)
     words = []
     for _ in range(count):
-        words.append(P.random_word(rng, rng.randint(0, 6)))
+        words.append(random_word(P, rng, rng.randint(0, 6)))
         words.append([(v, rng.choice(list(P.tog.vertices[v].elements())))
                       for v in (rng.choice(verts)
                                 for _ in range(rng.randint(0, 6)))])
@@ -145,15 +146,15 @@ def test_batteries(theorem_tree):
     tog, H = theorem_tree
     rng = random.Random(0)
     for _ in range(10000):
-        word = H.random_word(rng, rng.randint(1, 6))
+        word = random_word(H, rng, rng.randint(1, 6))
         if not word:
             continue
         el = H.eval_word(word)
         assert not H.is_identity(el)
         assert H.is_identity(H.mul(el, H.inv(el)))
     for _ in range(10000):
-        a = H.eval_word(H.random_word(rng, rng.randint(1, 4)))
-        b = H.eval_word(H.random_word(rng, rng.randint(1, 4)))
+        a = H.eval_word(random_word(H, rng, rng.randint(1, 4)))
+        b = H.eval_word(random_word(H, rng, rng.randint(1, 4)))
         # normal forms respect multiplication: recombining the normal
         # forms gives the same element as multiplying directly
         assert H.mul(a, b) == H.mul(H.mul(a, H.identity), b)
@@ -332,7 +333,7 @@ def test_contract_single_vertex_is_identity_move(theorem_tree):
     P2 = TreeProduct(tog2)
     rng = random.Random(4)
     for _ in range(500):
-        word = H.random_word(rng, rng.randint(1, 5))
+        word = random_word(H, rng, rng.randint(1, 5))
         el = H.eval_word(word)
         w2 = [(name, sub.include(v, x)) if v == "2" else (v, x)
               for v, x in word]
@@ -348,7 +349,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
     P2 = TreeProduct(tog2)
     rng = random.Random(11)
     for _ in range(2000):
-        word = H.random_word(rng, rng.randint(1, 5))
+        word = random_word(H, rng, rng.randint(1, 5))
         el = H.eval_word(word)
         w2 = [(name, sub.include(v, x)) if v in ("1", "2") else (v, x)
               for v, x in word]
@@ -364,7 +365,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
     groups3 = dict(groups)
     groups3[id(Hsub)] = "0"
     for _ in range(2000):
-        word = H.random_word(rng, rng.randint(1, 5))
+        word = random_word(H, rng, rng.randint(1, 5))
         el = H.eval_word(word)
         el3 = P3.eval_word(word)
         back = [(groups3[id(g)], x) for g, x in P3.flatten(el3, deep=True)]
