@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from coxkit import growth, wordops
+from coxkit.treeprod import closure_words
 
 GENS = "rst"
 DEFAULT_MAX_RADIUS = 10
@@ -166,10 +167,6 @@ class Coxeter:
             return w
         return self.canon_reduced(self.normalize(w)[::-1])
 
-    @staticmethod
-    def length(w: str) -> int:
-        return len(w)
-
     def is_reduced(self, word: str) -> bool:
         _check_letters(word)
         return len(self.normalize(word)) == len(word)
@@ -218,16 +215,8 @@ class Coxeter:
             raise ValueError("full parabolic is not spherical in type (4,4,4)")
         # the trivial group, order 2, or dihedral of order 2m with m = 4
         order = (1, 2, 8)[len(types)]
-        elems = {""}
-        frontier = [""]
         # a wrong kernel can make the group infinite: stop past its order
-        while frontier and len(elems) <= order:
-            w = frontier.pop()
-            for g in sorted(types):
-                v = self.mult_gen(w, g)
-                if v not in elems:
-                    elems.add(v)
-                    frontier.append(v)
+        elems = closure_words(self.mult_gen, "", sorted(types), limit=order)
         if len(elems) != order:
             raise KernelError(f"<{''.join(sorted(types))}> does not have "
                               f"{order} elements")

@@ -24,7 +24,7 @@ def _family_check(cert, label: str, tog, members: dict,
                   claimed: dict | None = None) -> bool:
     """Check the subgroup-family conditions of members over every vertex
     of tog and record the verdict under label with its per-edge report."""
-    rep = check_subtree_conditions(tog, set(tog.vertices), members, claimed)
+    rep = check_subtree_conditions(tog, members, claimed)
     return cert.check(label, rep["pass"], edges=rep["edges"])
 
 
@@ -35,19 +35,20 @@ def _levels_coincide(y_family: dict, x_family: dict, vertices) -> tuple:
 
     Criterion.  Let Y = (Y_v) and X = (X_v) be subgroup families
     over one tree of groups, each with equal edge preimages (so each
-    family's tree product embeds, and in a product whose transversals
-    prefer Y first and X second, membership in either is read off the
-    normal-form letters), with Y_v <= X_v at every vertex.  On the
-    subproduct P_S over a connected vertex set S, membership in X agrees
-    with membership in Y exactly when Y_v = X_v for every v in S.
+    family's tree product embeds, and in the product whose transversals
+    prefer that family, membership in it is read off the normal-form
+    letters), with Y_v <= X_v at every vertex.  On the subproduct P_S
+    over a connected vertex set S, membership in X agrees with membership
+    in Y exactly when Y_v = X_v for every v in S.
 
     Proof.  By the normal-form theorem, X cap P_S is the tree product of
     (X_v) over S and Y cap P_S that of (Y_v), each letter of an element
-    of P_S lying at a vertex of S.  If Y_v = X_v on S, the two letter
-    tests coincide on P_S.  If some a lies in X_v but not Y_v, the one-
-    letter element a of G_v <= P_S lies in X and not in Y, since a family
-    meets G_v in its own vertex subgroup.  Nesting is checked at every
-    vertex, as the two-level preference needs it.
+    of P_S lying at a vertex of S; the two memberships are properties of
+    the element, whichever product reads them.  If Y_v = X_v on S, the
+    two letter tests coincide on P_S.  If some a lies in X_v but not
+    Y_v, the one-letter element a of G_v <= P_S lies in X and not in Y,
+    since a family meets G_v in its own vertex subgroup.  Nesting, the
+    hypothesis Y <= X, is checked at every vertex.
     """
     nested = all(y_family[v] <= x_family[v] for v in y_family)
     sizes = {v: (len(y_family[v]), len(x_family[v])) for v in sorted(vertices)}
@@ -86,7 +87,7 @@ def _round_trip_is_identity(full: TreeProduct, outer: TreeProduct, translate,
 
     def back(el):
         return full.eval_word([(home[id(G)], y)
-                               for G, y in outer.flatten(el, deep=True)])
+                               for G, y in outer.flatten(el)])
 
     def leaf(G):
         return lambda v, x: full.include(home[id(G.tog.vertices[v])], x)
@@ -129,13 +130,6 @@ class Section4:
         cert.check(f"{note}: edge {left.label}^{cons.specs[i+1].label} "
                    f"is U[{self.ctx.normalize(w)}]", got == expected,
                    order=len(got))
-
-    @staticmethod
-    def _family_product(cons, members: dict, name: str = "") -> TreeProduct:
-        """The tree product of cons whose coset representatives prefer the
-        family: members maps every vertex to a frozenset."""
-        return TreeProduct(cons.tog, name=name, priority={
-            sp.name: (members[sp.name].__contains__,) for sp in cons.specs})
 
     # -- Lemma: V_R -> O_R is injective -------------------------------------
 
@@ -264,8 +258,7 @@ class Section4:
                    == sorted((H2.order,) + orr.orders()),
                    got=sorted(gg.order for gg in subb.tog.vertices.values()))
         # segment-level injectivity data: U[w_R sr]-preimage of V_R in O_R
-        or_prod = self._family_product(orr, self._or_family(orr, R, s),
-                                       name="O_R")
+        or_prod = TreeProduct(orr.tog, self._or_family(orr, R, s))
         img = b.image_of_u(m(g, s, d), orr.specs[0].ambient)
         ok = all(or_prod.in_family(or_prod.include("v0", x)) for x in img)
         cert.check("U[w_R sr] lies inside the V_R family of O_R "
@@ -295,10 +288,11 @@ class Section4:
         # C0 edge group identity inside K_{R,s}
         self._edge_group_is(cert, krs, 1, m(g, s, t, s),
                             "K_Rs middle edge")
-        # second displayed equality via the two-vertex product C0' = v1*v2
-        c0tog = TreeOfGroups({sp.name: sp.group for sp in krs.specs[1:3]},
-                             [krs.tog.edges[1]])
-        c0prod = TreeProduct(c0tog)
+        # second displayed equality via the two-vertex product C0' = v1*v2,
+        # the middle of K_Rs contracted to one vertex
+        contracted = {"K_Rs": contract(krs.tog, {"v1", "v2"}),
+                      "K_Rt": contract(krt.tog, {"v1", "v2"})}
+        c0prod = contracted["K_Rs"][2]
         amb1 = krs.specs[1].ambient
         got = set()
         for x in b.image_of_u(m(g, s, t, d), amb1):
@@ -342,15 +336,13 @@ class Section4:
         cert.data["chain_steps"] = len(steps)
         # O_R family conditions inside contracted K_{R,s} and K_{R,t}
         for kname, kons, sideletter in (("K_Rs", krs, s), ("K_Rt", krt, t)):
-            tog2, cname, c0sub = contract(kons.tog, {"v1", "v2"})
-
-            def in_c0_vertex(el, c0sub=c0sub):
-                return c0sub.vertex_value(el, "v2") is not None
+            tog2, cname, c0sub = contracted[kname]
             members = {
                 "v0": b.image_of_v(m(g, sideletter),
                                    (d, t if sideletter == s else s),
                                    kons.specs[0].ambient),
-                cname: in_c0_vertex,
+                cname: frozenset(c0sub.include("v2", x)
+                                 for x in c0sub.tog.vertices["v2"].elements()),
                 "v3": frozenset(kons.specs[3].group.elements()),
             }
             _family_check(cert, f"subgroup-family conditions for O_R inside "
@@ -471,7 +463,7 @@ class Section4:
         decidable = _family_check(
             cert, "O_R family conditions over the four K_Rs vertices "
             "(so membership is letter-decidable)", krs.tog, or_family)
-        kprod = self._family_product(krs, or_family, name="K_Rs")
+        kprod = TreeProduct(krs.tog, or_family)
         srt_img = b.image_of_u(m(g, s, d, t), krs.specs[0].ambient)
         got = {x for x in srt_img
                if kprod.in_family(kprod.include("v0", x))}
@@ -665,7 +657,7 @@ class Section4:
                    union == m1_roots, got=len(union))
         # relator check: relations of every U_w, w a prefix of srs or tr,
         # hold in the O_{R,s} tree product
-        prod = TreeProduct(ors.tog, name="O_Rs")
+        prod = TreeProduct(ors.tog)
         root_home = {}
         for sp in ors.specs:
             for root in sp.roots:

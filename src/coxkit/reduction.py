@@ -89,7 +89,7 @@ class TheoremSetup:
                   {0: 0, 1: self.u_t_trt})
         self.tog = TreeOfGroups({"0": self.U_sr, "1": self.V, "2": self.U_trt},
                                 [e1, e2])
-        self.product = TreeProduct(self.tog, name="U_sr*V*U_trt")
+        self.product = TreeProduct(self.tog)
         # commutations the rewriting relies on, checked once
         u_s_sr = self.U_sr.root_mask(self.U_sr.roots[0])
         for grp, x, y in ((self.U_sr, self.u_sr, u_s_sr),

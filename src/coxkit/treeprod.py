@@ -10,9 +10,9 @@ each contraction an amalgamated product whose elements are canonical
 normal forms c * t1 * ... * tn with alternating transversal letters;
 uniqueness is the classical normal form theorem, and it needs nothing
 beyond a canonical coset representative per edge-group coset, chosen here
-as the least element in the fixed order of _rank (preferring a designated
-priority subgroup when one is installed, which is what makes membership
-in a compatible subgroup family readable off the letters).
+as the least element in the fixed order of _rank (preferring members of
+the product's subgroup family when one is installed, which is what makes
+membership in that family readable off the letters).
 
 Normal forms are computed right to left by one routine: a carry (an
 edge-group element) is pushed leftwards through the letters, and each
@@ -28,8 +28,8 @@ the junction, not both factors in full.
 The contraction order is kept as one cluster tree: each contracted vertex
 set maps to the two clusters it was amalgamated from.  Evaluating a word
 splits it into runs by half, recursively, with one normal form per
-cluster; flattening, family membership and subproduct extraction walk
-the same tree.
+cluster; flattening, syllable counts and family membership walk the same
+tree.
 
 closure_words enumerates a finite subgroup from generators, and Subgroup
 promotes a finite subset of a group to a computable group of its own.
@@ -246,7 +246,7 @@ class Amalgam:
         self.sides = (A, B)
         self.C = C
         self.embed_maps = (c_into_a, c_into_b)
-        self.priority = priority   # per side: None or rank callable -> tuple
+        self.priority = priority   # per side: None or rank callable -> bool
         self._unembed = tuple({v: c for c, v in m.items()}
                               for m in (c_into_a, c_into_b))
         self._decomp_cache: dict = {}
@@ -347,16 +347,6 @@ class Amalgam:
         out = [(side, self.sides[side].inv(v)) for side, v in reversed(letters)]
         return self._normalize(out, self.C.inv(carry), [])
 
-    def side_value(self, el, side: int):
-        """The side-group element el represents, or None."""
-        tag, carry, letters = el
-        if not letters:
-            return self.embed(carry, side)
-        if len(letters) == 1 and letters[0][0] == side:
-            G = self.sides[side]
-            return G.mul(self.embed(carry, side), letters[0][1])
-        return None
-
     def __repr__(self) -> str:
         return f"Amalgam({self.sides[0]!r} * {self.sides[1]!r})"
 
@@ -368,35 +358,23 @@ class TreeProduct:
     clusters it was amalgamated from, clusters maps every cluster to its
     group (the vertex group or an Amalgam) and _top is the whole vertex set.
 
-    inner, when given, names a connected vertex set contracted first, so
-    that subproduct_value can extract elements supported on it.  priority
-    maps vertices to a tuple of membership predicates (most specific
-    first, same length everywhere); coset representatives then prefer
-    elements satisfying the earlier predicates, which is what makes
-    membership in each predicate family readable off normal-form letters
-    once the family passes the subtree conditions.
+    family, when given, maps every vertex to a frozenset of its vertex
+    group's elements; coset representatives then prefer elements whose
+    letters all lie in the family, which is what makes membership in the
+    family readable off normal-form letters once the family passes the
+    subtree conditions.
     """
 
-    def __init__(self, tog: TreeOfGroups, priority: dict | None = None,
-                 inner=None, name: str = ""):
+    def __init__(self, tog: TreeOfGroups, family: dict | None = None):
         issues = tog.validate()
         if issues:
             raise TreeError("; ".join(issues))
+        if family is not None and set(family) != set(tog.vertices):
+            raise TreeError("a subgroup family must cover every vertex")
         self.tog = tog
-        self.name = name
-        self.priority = {}
-        if priority:
-            for v, preds in priority.items():
-                self.priority[v] = tuple(preds) if isinstance(preds, (tuple, list)) \
-                    else (preds,)
-            lengths = {len(p) for p in self.priority.values()}
-            if len(lengths) > 1 or set(self.priority) != set(tog.vertices):
-                raise TreeError("priority must cover all vertices with "
-                                "equally many levels")
+        self.family = family
         self._vertex_images: dict = {}
-        inner = frozenset(inner or ())
-        self._build(sorted(tog.edges, key=lambda e: (
-            not ({e.u, e.v} <= inner), min(e.u, e.v), max(e.u, e.v))))
+        self._build(sorted(tog.edges, key=lambda e: (min(e.u, e.v), max(e.u, e.v))))
 
     def _build(self, plan) -> None:
         cluster_of = {v: frozenset([v]) for v in self.tog.vertices}
@@ -450,18 +428,19 @@ class TreeProduct:
         for side, x in letters:
             self._letters(halves[side], x, out)
 
-    def _in_level(self, letters, level: int) -> bool:
-        return all(self.priority[v][level](x) for v, x in letters)
+    def _in_family(self, letters) -> bool:
+        return all(x in self.family[v] for v, x in letters)
 
     def _family_rank(self, cluster: frozenset):
-        if not self.priority:
+        """None without a family; else the rank that puts the cluster's
+        elements with every letter in the family (False) first."""
+        if self.family is None:
             return None
-        levels = range(len(next(iter(self.priority.values()))))
 
         def rank(el):
             out: list = []
             self._letters(cluster, el, out)
-            return tuple(0 if self._in_level(out, lvl) else 1 for lvl in levels)
+            return not self._in_family(out)
         return rank
 
     # -- elements ------------------------------------------------------------
@@ -486,25 +465,42 @@ class TreeProduct:
 
     # -- structure queries ------------------------------------------------------
 
-    def _group_letters(self, el, deep: bool):
+    def _group_letters(self, el):
         out: list = []
         self._letters(self._top, el, out)
         for vertex, x in out:
             G = self.tog.vertices[vertex]
-            if deep and isinstance(G, TreeProduct):
-                yield from G._group_letters(x, deep)
+            if isinstance(G, TreeProduct):
+                yield from G._group_letters(x)
             else:
                 yield G, x
 
-    def flatten(self, el, deep: bool = False) -> list:
-        """Nontrivial (vertex group, element) letters whose product is el.
+    def flatten(self, el) -> list:
+        """Nontrivial (vertex group, element) letters whose product is el,
+        letters at vertices that are themselves tree products expanded
+        down to their own leaves."""
+        return _merged(self._group_letters(el), lambda G: G)
 
-        With deep=True, letters at vertices that are themselves tree
-        products are expanded down to their own leaves."""
-        return _merged(self._group_letters(el, deep), lambda G: G)
+    def _syllables(self, cluster: frozenset, el) -> int:
+        halves = self._halves.get(cluster)
+        if halves is None:
+            return int(el != self.clusters[cluster].identity)
+        am = self.clusters[cluster]
+        _, carry, letters = el
+        if not letters:
+            return self._syllables(halves[0], am.embed(carry, 0))
+        (side, x), rest = letters[0], letters[1:]
+        head = am.sides[side].mul(am.embed(carry, side), x)
+        return self._syllables(halves[side], head) + sum(
+            self._syllables(halves[s], y) for s, y in rest)
 
     def syllables(self, el) -> int:
-        return len(self.flatten(el))
+        """The number of letters of a reduced word for el, one letter per
+        vertex of this tree (a contracted vertex counts once).  In every
+        amalgam the carry is multiplied into the first letter after it, so
+        it is never a letter of its own; with no letter it is counted alone.
+        """
+        return self._syllables(self._top, el)
 
     def flatten_word(self, el) -> list:
         """Nontrivial (vertex, element) letters whose product is el."""
@@ -512,30 +508,13 @@ class TreeProduct:
         self._letters(self._top, el, out)
         return _merged(out, self.tog.vertices.__getitem__)
 
-    def in_family(self, el, level: int = 0) -> bool:
-        """All letters lie in the installed priority subgroups at `level`."""
-        if not self.priority:
+    def in_family(self, el) -> bool:
+        """All letters of el lie in the installed subgroup family."""
+        if self.family is None:
             raise TreeError("no subgroup family installed")
         out: list = []
         self._letters(self._top, el, out)
-        return self._in_level(out, level)
-
-    def subproduct_value(self, el, vertices):
-        """The element of the sub tree product on `vertices` equal to el,
-        or None.  That vertex set must have been contracted as one cluster
-        (pass inner= at construction)."""
-        want = frozenset(vertices)
-        if want not in self.clusters:
-            raise TreeError(f"{sorted(want)} was not folded as a cluster")
-        cluster, current = self._top, el
-        while cluster != want:
-            halves = self._halves[cluster]
-            side = 0 if want <= halves[0] else 1
-            current = self.clusters[cluster].side_value(current, side)
-            if current is None:
-                return None
-            cluster = halves[side]
-        return current
+        return self._in_family(out)
 
     def vertex_value(self, el, vertex: str):
         """The G_vertex element equal to el, or None (finite groups only)."""
@@ -547,11 +526,11 @@ class TreeProduct:
         return images.get(el)
 
 
-def contract(tog: TreeOfGroups, sub, name: str | None = None,
-             priority: dict | None = None):
+def contract(tog: TreeOfGroups, sub):
     """Contract a connected subtree to one vertex carrying its tree product.
 
-    Returns (new tree, new vertex name, sub product).  Boundary maps of
+    Returns (new tree, new vertex name, sub product); the new vertex is
+    named after the subtree's vertices, as in "(v1+v2)".  Boundary maps of
     crossing edges compose with the inclusion into the sub product.
     """
     sub = frozenset(sub)
@@ -560,8 +539,8 @@ def contract(tog: TreeOfGroups, sub, name: str | None = None,
     if len(sub_edges) != len(sub) - 1:
         raise TreeError("vertex set is not a connected subtree")
     sub_tog = TreeOfGroups({v: tog.vertices[v] for v in sub}, sub_edges)
-    subprod = TreeProduct(sub_tog, priority=priority)
-    name = name or "(" + "+".join(sorted(sub)) + ")"
+    subprod = TreeProduct(sub_tog)
+    name = "(" + "+".join(sorted(sub)) + ")"
     vertices = {v: tog.vertices[v] for v in keep}
     vertices[name] = subprod
     edges = []
@@ -604,50 +583,35 @@ def fold(tog: TreeOfGroups, a: str, b: str, H, new_vertex: str):
     return TreeOfGroups(vertices, edges)
 
 
-def check_subtree_conditions(tog: TreeOfGroups, sub, members: dict,
+def check_subtree_conditions(tog: TreeOfGroups, members: dict,
                              edge_groups: dict | None = None) -> dict:
-    """The injectivity conditions for a subgroup family over a subtree.
+    """The injectivity conditions for a subgroup family over a tree.
 
-    members maps each subtree vertex to a membership oracle (a frozenset
-    of elements or a callable); edge_groups, when given, maps frozenset
+    members maps every vertex to a frozenset of its group's elements:
+    each must be a subgroup, and on every edge the preimages of the two
+    endpoint members must agree.  edge_groups, when given, maps frozenset
     edge keys to the claimed edge subgroups, checked against the computed
     preimages.  Returns a dict report with per-edge preimage sizes.
     """
-    sub = frozenset(sub)
-    report = {"vertices": sorted(sub), "edges": [], "pass": True}
-
-    def belongs(v, x):
+    ok = True
+    for v, G in tog.vertices.items():
         m = members[v]
-        return m(x) if callable(m) else x in m
-
-    for v in sub:
-        G = tog.vertices[v]
-        m = members[v]
-        entry = {"vertex": v}
-        if not callable(m):
-            closed = all(belongs(v, G.mul(x, y)) for x in m for y in m)
-            entry["subgroup"] = bool(closed and belongs(v, G.identity))
-            if not entry["subgroup"]:
-                report["pass"] = False
-        else:
-            entry["subgroup"] = "oracle"
-        report.setdefault("vertex_checks", []).append(entry)
+        ok = ok and G.identity in m and all(
+            G.mul(x, y) in m for x in m for y in m)
+    report = {"edges": []}
     for e in tog.edges:
-        if e.u not in sub or e.v not in sub:
-            continue
-        pre_u = {c for c in e.group.elements() if belongs(e.u, e.into_u[c])}
-        pre_v = {c for c in e.group.elements() if belongs(e.v, e.into_v[c])}
+        pre_u = {c for c in e.group.elements() if e.into_u[c] in members[e.u]}
+        pre_v = {c for c in e.group.elements() if e.into_v[c] in members[e.v]}
         entry = {"edge": (e.u, e.v), "preimage_size": len(pre_u),
                  "preimages_equal": pre_u == pre_v}
-        if not entry["preimages_equal"]:
-            report["pass"] = False
+        ok = ok and entry["preimages_equal"]
         if edge_groups is not None:
             claimed = edge_groups.get(frozenset((e.u, e.v)))
             if claimed is not None:
                 entry["matches_claimed_edge_group"] = set(claimed) == pre_u
-                if not entry["matches_claimed_edge_group"]:
-                    report["pass"] = False
+                ok = ok and entry["matches_claimed_edge_group"]
         report["edges"].append(entry)
+    report["pass"] = ok
     return report
 
 
@@ -698,7 +662,7 @@ def family_embeds(product: TreeProduct, members: dict) -> dict:
     group (two syllables).
     """
     tog = product.tog
-    report = check_subtree_conditions(tog, tog.vertices, members)
+    report = check_subtree_conditions(tog, members)
     ok = report["pass"] and all(
         members[v] <= frozenset(G.elements()) for v, G in tog.vertices.items())
     include = product.include

@@ -3,7 +3,7 @@
 The golden file holds the flatten_word letters of seeded random words in
 the subgroup-theorem product U_sr * V * U_trt and in V_R, O_R and O_Rs at
 the gate-1 st-residue, in O_R with its V_R subgroup family installed as
-coset-representative priority, in V_R contracted so that one vertex is
+the family its coset representatives prefer, in V_R contracted so that one vertex is
 itself a tree product, and the `coxkit nf` output for the README tree.
 Any move in the choice of coset representatives shows up here.
 
@@ -73,7 +73,7 @@ def battery_text(cache, setup) -> str:
     cons = {kind: b.construction(kind, R) for kind in ("V_R", "O_R", "O_Rs")}
     for seed, (kind, c) in enumerate(cons.items(), start=2):
         lines += _words(kind, TreeProduct(c.tog), seed)
-    # O_R with the V_R family as priority, as the VRtoORinjective certificate
+    # O_R with the V_R family installed, as the VRtoORinjective certificate
     orr = cons["O_R"]
     m = ctx.mult
     members = {
@@ -81,9 +81,7 @@ def battery_text(cache, setup) -> str:
         "v1": b.image_of_v("", ("s", "t"), orr.specs[1].ambient),
         "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
     }
-    priority = {v: ((lambda x, allowed=members[v]: x in allowed),)
-                for v in orr.tog.vertices}
-    lines += _words("O_R family", TreeProduct(orr.tog, priority=priority), 5)
+    lines += _words("O_R family", TreeProduct(orr.tog, members), 5)
     # V_R with {v1, v2} contracted to a vertex carrying its own tree product
     vr = cons["V_R"]
     tog2, name, sub = contract(vr.tog, {"v1", "v2"})

@@ -7,6 +7,7 @@ import pytest
 from coxkit.certs import Certificate
 from coxkit.constructions import Builder
 from coxkit.pipeline import Section4, _family_check, section4_pipeline
+from coxkit.treeprod import TreeProduct
 from walks import random_word
 
 
@@ -94,7 +95,7 @@ def test_battery_ban_is_read_in_the_vertex_group(sec, ctx, kind):
     cons = sec.b.construction(kind, R, s)
     family = sec._or_family if kind == "O_R" else sec._krs_or_family
     members = family(cons, R, s)
-    product = sec._family_product(cons, members)
+    product = TreeProduct(cons.tog, members)
     for e in cons.tog.edges:
         images = {product.include(e.u, e.into_u[c]) for c in e.group.elements()}
         assert images == {product.include(e.v, e.into_v[c])
@@ -112,7 +113,7 @@ def test_family_walker_stays_in_the_family(sec, ctx):
     R = ctx.residue("st", "")
     orr = sec.b.construction("O_R", R, "s")
     members = sec._or_family(orr, R, "s")
-    product = sec._family_product(orr, members)
+    product = TreeProduct(orr.tog, members)
     rng = random.Random(7)
     letters = 0
     for _ in range(200):

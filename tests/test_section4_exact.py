@@ -38,7 +38,7 @@ def _or_product(sec, pair):
     R, (s, *_) = _residue(sec, pair)
     orr = sec.b.construction("O_R", R, s)
     members = sec._or_family(orr, R, s)
-    return sec._family_product(orr, members, name="O_R"), members
+    return TreeProduct(orr.tog, members), members
 
 
 def sampled_family_words_nontrivial(product, members) -> bool:
@@ -82,7 +82,7 @@ def sampled_round_trip(full, outer, translate, home) -> bool:
         word = random_word(full, rng, rng.randint(1, 4))
         el = full.eval_word(word)
         el2 = outer.eval_word([translate(v, x) for v, x in word])
-        back = [(home[id(grp)], val) for grp, val in outer.flatten(el2, deep=True)]
+        back = [(home[id(grp)], val) for grp, val in outer.flatten(el2)]
         if full.eval_word(back) != el:
             return False
     return True
@@ -109,9 +109,9 @@ def test_round_trip_check_sees_a_wrong_translation(sec):
 
 
 def _levels_data(sec, pair):
-    """The two (product, vertex set) pairs of the K_Rs cap G_{-1}
-    certificate with Y and V_T installed as priority levels 0 and 1, and
-    the same families as dicts."""
+    """The two trees of the K_Rs cap G_{-1} certificate (O_T and O_Rs),
+    each with the vertex set it compares on, its Y and V_T families as
+    dicts, and one product per family."""
     R, (s, t, d, g, m) = _residue(sec, pair)
     ctx, b = sec.ctx, sec.b
     T = ctx.residue({d, t}, s)
@@ -123,27 +123,27 @@ def _levels_data(sec, pair):
     x_outer = next(sp.name for sp in ot.specs
                    if sp.label.startswith(f"V[{m(g, s, t)}|"))
     out = []
-    for cons, inner in ((ot, {"v1", x_outer}), (ors, {"v1", "v2", "v3"})):
+    for cons, vertices in ((ot, {"v1", x_outer}), (ors, {"v1", "v2", "v3"})):
         y = sec.family_from_roots(cons, y_roots)
         v = sec.family_from_roots(cons, vt_roots)
-        product = TreeProduct(cons.tog, priority={
-            sp.name: (y[sp.name].__contains__, v[sp.name].__contains__)
-            for sp in cons.specs}, inner=inner)
-        out.append((product, inner, y, v))
+        out.append((vertices, y, v,
+                    TreeProduct(cons.tog, y), TreeProduct(cons.tog, v)))
     return out
 
 
-def sampled_levels_agree(product, vertices, rng) -> bool:
+def sampled_levels_agree(y_product, v_product, vertices, rng) -> bool:
+    """Words at the given vertices, each evaluated in the product that
+    prefers Y and in the one that prefers V_T: membership agrees."""
     verts = sorted(vertices)
     for _ in range(SAMPLES):
         word = []
         for _ in range(rng.randint(1, 4)):
             v = rng.choice(verts)
-            G = product.tog.vertices[v]
+            G = y_product.tog.vertices[v]
             word.append((v, rng.choice([x for x in G.elements()
                                         if x != G.identity])))
-        el = product.eval_word(word)
-        if product.in_family(el, level=1) != product.in_family(el, level=0):
+        if v_product.in_family(v_product.eval_word(word)) \
+                != y_product.in_family(y_product.eval_word(word)):
             return False
     return True
 
@@ -151,38 +151,48 @@ def sampled_levels_agree(product, vertices, rng) -> bool:
 @pytest.mark.parametrize("pair", PAIRS)
 def test_sampled_levels_agree_with_the_exact_check(sec, pair):
     rng = random.Random(SEED)   # one stream: X elements, then O_R elements
-    for product, inner, y, v in _levels_data(sec, pair):
-        exact, sizes = _levels_coincide(y, v, inner)
-        assert exact is sampled_levels_agree(product, inner, rng) is True
+    for vertices, y, v, y_product, v_product in _levels_data(sec, pair):
+        exact, sizes = _levels_coincide(y, v, vertices)
+        assert exact is sampled_levels_agree(y_product, v_product, vertices,
+                                             rng) is True
         assert all(a == b for a, b in sizes.values())
 
 
 def test_levels_check_sees_a_smaller_y(sec):
-    (product, inner, y, v), _ = _levels_data(sec, ("s", "t"))
-    vertex = sorted(inner)[0]
-    G = product.tog.vertices[vertex]
+    (vertices, y, v, y_product, _), _ = _levels_data(sec, ("s", "t"))
+    vertex = sorted(vertices)[0]
+    G = y_product.tog.vertices[vertex]
     smaller = dict(y, **{vertex: frozenset([G.identity])})
-    assert not _levels_coincide(smaller, v, inner)[0]
+    assert not _levels_coincide(smaller, v, vertices)[0]
 
 
 def _z_data(sec, pair):
-    """Z = K_Rs *_{U[w_R srt]} V[w_R sr|st] with O_R and U[w_R srs]
-    preferred, and the letter pools of the sampled words."""
+    """Z = K_Rs *_{U[w_R srt]} V[w_R sr|st], K_Rs with its O_R family
+    installed, and the letter pools of the sampled words."""
     R, (s, t, d, g, m) = _residue(sec, pair)
     b = sec.b
     krs = b.construction("K_Rs", R, s)
     or_family = sec._krs_or_family(krs, R, s)
-    kprod = sec._family_product(krs, or_family, name="K_Rs")
+    kprod = TreeProduct(krs.tog, or_family)
     vsd = b.v_spec("w", m(g, s, d), (s, t))
     edge = b.edge(krs.specs[0], vsd)
     into_k = {c: kprod.include("v0", x) for c, x in edge.into_u.items()}
     srs_img = b.image_of_u(m(g, s, d, s), vsd.ambient)
     z = TreeProduct(TreeOfGroups({"K": kprod, "W": vsd.group},
-                                 [Edge("K", "W", edge.group, into_k, edge.into_v)]),
-                    priority={"K": (kprod.in_family,), "W": (srs_img.__contains__,)},
-                    inner={"K"})
+                                 [Edge("K", "W", edge.group, into_k, edge.into_v)]))
     pools = {v: sorted(members) for v, members in or_family.items()}
     return R, s, krs, kprod, vsd, z, pools, sorted(srs_img)
+
+
+def _k_value(z, el):
+    """The K element equal to el in Z = K *_E W, or None: el lies in K
+    exactly when its normal form has no letter or one K-side letter."""
+    _, carry, letters = el
+    if not letters:
+        return z.group.embed(carry, 0)
+    if len(letters) == 1 and letters[0][0] == 0:
+        return z.group.sides[0].mul(z.group.embed(carry, 0), letters[0][1])
+    return None
 
 
 def sampled_z_intersection(z, kprod, pools, srs_pool) -> bool:
@@ -195,7 +205,7 @@ def sampled_z_intersection(z, kprod, pools, srs_pool) -> bool:
                 word.append(("K", kprod.include(v, rng.choice(pools[v]))))
             else:
                 word.append(("W", rng.choice(srs_pool)))
-        val = z.subproduct_value(z.eval_word(word), {"K"})
+        val = _k_value(z, z.eval_word(word))
         if val is not None and not kprod.in_family(val):
             return False
     return True

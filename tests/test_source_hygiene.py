@@ -1,7 +1,8 @@
 """Source checks over src/coxkit that no verdict depends on but that keep
 dead work out: a local that is assigned and never read is a computation
-whose result nobody looks at; and that keep verification out of assert
-statements, which `python -O` strips."""
+whose result nobody looks at, and a public function that the program
+never calls is code kept alive by its tests alone; and that keep
+verification out of assert statements, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -113,3 +114,74 @@ def test_imported_modules_sees_both_import_forms():
     tree = ast.parse("import random as r\nfrom random import choice\n"
                      "import os.path\nfrom . import certs\n")
     assert imported_modules(tree) == {"random", "os"}
+
+
+# public functions and methods that nothing in src/coxkit calls, each with
+# the reason it stays
+KEPT_WITHOUT_PROGRAM_CALLER = {
+    "letters_of": "the oracle side of the junction-product test",
+    "export_table": "writes the table_stst.txt golden, the one byte pin "
+                    "of a full group table",
+    "gallery_shift": "the paper's sG on galleries, for the blueprint's "
+                     "local Weyl-invariance test",
+    "dump": "writes the twin-model golden",
+    "collect_seq": "the benchmark pins its call count as never called; "
+                   "removing it is a benchmark change",
+    "enumerate_constrained": "the benchmark's trace workload and the "
+                             "reduction tests enumerate words with it",
+    "member_vec": "the independent membership oracle over Z[sqrt 2] of "
+                  "the root tests",
+    "generator": "test-only: names a blueprint generator by index",
+    "inclusion": "test-only: the natural monomorphisms between blueprint "
+                 "groups",
+    "proj": "test-only: the gate of a residue seen from a chamber",
+    "prenilpotent": "test-only: the prenilpotency of a root pair",
+    "interval_ball": "test-only: ball-approximate intervals for the "
+                     "interval tests",
+}
+
+
+def uncalled_public_functions(trees: dict) -> list:
+    """(module, name) for each public module-level function or class
+    method whose name occurs, as a name or an attribute, nowhere in the
+    given {module: tree} sources outside its own definition."""
+    defs, uses = [], []
+    for module, tree in trees.items():
+        for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            defs.extend((module, node) for node in scope.body
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((module, node.lineno, node.attr))
+    return [(module, fn.name) for module, fn in defs
+            if not any(name == fn.name and not (
+                where == module and fn.lineno <= line <= fn.end_lineno)
+                for where, line, name in uses)]
+
+
+def test_every_public_function_has_a_program_caller():
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    found = {name for _, name in uncalled_public_functions(trees)}
+    assert found == set(KEPT_WITHOUT_PROGRAM_CALLER), \
+        sorted(found ^ set(KEPT_WITHOUT_PROGRAM_CALLER))
+
+
+def test_uncalled_public_functions_skips_private_and_self_calls():
+    tree = ast.parse(
+        "def used():\n"
+        "    return 1\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def _private():\n"
+        "    return used()\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        return self.other()\n"
+        "    def other(self):\n"
+        "        return 2\n")
+    assert uncalled_public_functions({"m.py": tree}) == [
+        ("m.py", "recursive"), ("m.py", "method")]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from coxkit.constructions import Builder
+from coxkit.pipeline import Section4
 from coxkit.treeprod import (Amalgam, Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions, contract,
                              fold)
@@ -62,6 +63,33 @@ def test_validate_rejects_cycles(cache):
     assert tog.validate()
 
 
+@pytest.mark.parametrize("gate, letters, pairs", [("", 13, 48), ("r", 29, 192)],
+                         ids=["gate-1", "gate-r"])
+def test_syllables_count_reduced_letters(cache, gate, letters, pairs):
+    """Over the V_R family in O_R, each nontrivial family letter is one
+    syllable and each reduced two-letter family word across an edge is
+    two, with and without the family installed: an amalgam's carry is
+    never a syllable of its own."""
+    b = Builder(cache)
+    R = b.ctx.residue("st", gate)
+    orr = b.construction("O_R", R, "s")
+    members = Section4(b)._or_family(orr, R, "s")
+    for P in (TreeProduct(orr.tog), TreeProduct(orr.tog, members)):
+        singles = [P.include(v, a) for v, G in orr.tog.vertices.items()
+                   for a in members[v] if a != G.identity]
+        assert len(singles) == letters
+        assert all(P.syllables(el) == 1 for el in singles)
+        products = []
+        for e in orr.tog.edges:
+            reduced = {v: [P.include(v, a) for a in members[v]
+                           if a not in set(e.endpoint_map(v).values())]
+                       for v in (e.u, e.v)}
+            for u, v in ((e.u, e.v), (e.v, e.u)):
+                products += [P.mul(x, y) for x in reduced[u] for y in reduced[v]]
+        assert len(products) == pairs
+        assert all(P.syllables(el) == 2 for el in products)
+
+
 def test_collapsing_word(theorem_tree, cache):
     tog, H = theorem_tree
     U_sr = tog.vertices["0"]
@@ -87,30 +115,11 @@ def _amalgam_letters(vertex_of, group, el, out):
         _amalgam_letters(vertex_of, group.sides[side], x, out)
 
 
-def _amalgam_span(vertex_of, group) -> frozenset:
-    if id(group) in vertex_of:
-        return frozenset([vertex_of[id(group)]])
-    return _amalgam_span(vertex_of, group.sides[0]) | \
-        _amalgam_span(vertex_of, group.sides[1])
-
-
-def _amalgam_subproduct_value(vertex_of, group, el, want: frozenset):
-    """subproduct_value by descending the Amalgam objects alone."""
-    while _amalgam_span(vertex_of, group) != want:
-        side = 0 if want <= _amalgam_span(vertex_of, group.sides[0]) else 1
-        el = group.side_value(el, side)
-        if el is None:
-            return None
-        group = group.sides[side]
-    return el
-
-
-def _check_one_pass(P, words, inner=None):
+def _check_one_pass(P, words):
     """eval_word agrees with the letter-by-letter product of inclusions,
-    and in_family, flatten_word and subproduct_value with walks over the
-    Amalgam objects."""
+    and flatten_word and, when a family is installed, in_family with walks
+    over the Amalgam objects."""
     vertex_of = {id(g): v for v, g in P.tog.vertices.items()}
-    levels = len(next(iter(P.priority.values()))) if P.priority else 0
     for word in words:
         el = P.eval_word(word)
         folded = functools.reduce(
@@ -120,12 +129,8 @@ def _check_one_pass(P, words, inner=None):
         _amalgam_letters(vertex_of, P.group, el, letters)
         assert P.eval_word(letters) == el
         assert P.eval_word(P.flatten_word(el)) == el
-        for level in range(levels):
-            assert P.in_family(el, level) == all(
-                P.priority[v][level](x) for v, x in letters)
-        if inner is not None:
-            assert P.subproduct_value(el, inner) == _amalgam_subproduct_value(
-                vertex_of, P.group, el, frozenset(inner))
+        if P.family is not None:
+            assert P.in_family(el) == all(x in P.family[v] for v, x in letters)
 
 
 def _mixed_words(P, seed: int, count: int = 150) -> list:
@@ -159,14 +164,19 @@ def test_batteries(theorem_tree):
         # forms gives the same element as multiplying directly
         assert H.mul(a, b) == H.mul(H.mul(a, H.identity), b)
     _check_one_pass(H, _mixed_words(H, 21))
-    H2 = TreeProduct(tog, inner={"1", "2"})
-    _check_one_pass(H2, _mixed_words(H2, 22), inner={"1", "2"})
+    # the same tree with a family installed: the edge-group images at the
+    # ends and all of V in the middle
+    e01, e12 = tog.edges
+    family = {"0": frozenset(e01.into_u.values()),
+              "1": frozenset(tog.vertices["1"].elements()),
+              "2": frozenset(e12.into_v.values())}
+    H2 = TreeProduct(tog, family)
+    _check_one_pass(H2, _mixed_words(H2, 22))
 
 
 def _orr_family_battery(cache):
-    """The one-pass battery on O_R with its V_R family as a two-level
-    priority and {v1, v2} contracted first; returns the product and the
-    words it checked."""
+    """The one-pass battery on O_R with its V_R family installed; returns
+    the product and the words it checked."""
     b = Builder(cache)
     ctx = b.ctx
     orr = b.construction("O_R", ctx.residue("st", ""))
@@ -176,11 +186,7 @@ def _orr_family_battery(cache):
         "v1": b.image_of_v("", ("s", "t"), orr.specs[1].ambient),
         "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
     }
-    # two levels: the V_R family, then every vertex group whole
-    priority = {v: ((lambda x, allowed=members[v]: x in allowed),
-                    (lambda x: True))
-                for v in orr.tog.vertices}
-    P = TreeProduct(orr.tog, priority=priority, inner={"v1", "v2"})
+    P = TreeProduct(orr.tog, members)
     words = _mixed_words(P, 23)
     # words inside the family, so in_family is also exercised where true
     rng = random.Random(24)
@@ -188,7 +194,7 @@ def _orr_family_battery(cache):
         words.append([(v, rng.choice(sorted(members[v])))
                       for v in (rng.choice(sorted(members))
                                 for _ in range(rng.randint(1, 5)))])
-    _check_one_pass(P, words, inner={"v1", "v2"})
+    _check_one_pass(P, words)
     return P, words
 
 
@@ -215,11 +221,11 @@ def test_one_pass_eval_contracted_vertex(cache):
     b = Builder(cache)
     vr = b.construction("V_R", b.ctx.residue("st", ""))
     tog2, name, sub = contract(vr.tog, {"v1", "v2"})
-    P = TreeProduct(tog2, inner={name})
+    P = TreeProduct(tog2)
     words = [[(name, sub.include(v, x)) if v in ("v1", "v2") else (v, x)
               for v, x in word]
              for word in _mixed_words(TreeProduct(vr.tog), 25)]
-    _check_one_pass(P, words, inner={name})
+    _check_one_pass(P, words)
 
 
 def _amalgams(G, out: list) -> list:
@@ -270,15 +276,13 @@ def _junction_products(cache, theorem_tree):
         "v1": b.image_of_v("", ("s", "t"), orr.specs[1].ambient),
         "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
     }
-    preds = {v: (lambda x, allowed=members: x in allowed,)
-             for v, members in family.items()}
-    yield "O_R", TreeProduct(orr.tog, priority=preds)
-    # Z shape: the V_R family's head contracted to a vertex that is a
-    # tree product with its own priority, the family ranked on top of it
-    tog2, name, sub = contract(orr.tog, {"v1", "v2"},
-                               priority={v: preds[v] for v in ("v1", "v2")})
-    yield "Z", TreeProduct(tog2, priority={name: (sub.in_family,),
-                                           "v0": preds["v0"]})
+    yield "O_R", TreeProduct(orr.tog, family)
+    # Z shape: {v1, v2} contracted to a vertex that is itself a tree
+    # product, carrying the finite image of the V_R family at v2
+    tog2, name, sub = contract(orr.tog, {"v1", "v2"})
+    yield "Z", TreeProduct(tog2, {
+        name: frozenset(sub.include("v2", x) for x in family["v2"]),
+        "v0": family["v0"]})
 
 
 def test_junction_mul_matches_full_normalization(cache, theorem_tree):
@@ -354,7 +358,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
         w2 = [(name, sub.include(v, x)) if v in ("1", "2") else (v, x)
               for v, x in word]
         el2 = P2.eval_word(w2)
-        back = [(groups[id(g)], x) for g, x in P2.flatten(el2, deep=True)]
+        back = [(groups[id(g)], x) for g, x in P2.flatten(el2)]
         assert H.eval_word(back) == el
     # fold the first edge at its own edge-group image (redundant vertex)
     U_sr = tog.vertices["0"]
@@ -368,7 +372,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
         word = random_word(H, rng, rng.randint(1, 5))
         el = H.eval_word(word)
         el3 = P3.eval_word(word)
-        back = [(groups3[id(g)], x) for g, x in P3.flatten(el3, deep=True)]
+        back = [(groups3[id(g)], x) for g, x in P3.flatten(el3)]
         assert H.eval_word(back) == el
 
 
@@ -405,33 +409,17 @@ def test_check_subtree_conditions(theorem_tree, cache):
     amb = cache.group("stst")
     us, ut = amb.root_mask(amb.roots[0]), amb.root_mask(amb.roots[3])
     ok = check_subtree_conditions(
-        tog, {"0", "1", "2"},
+        tog,
         {"0": frozenset(cache.group("sr").elements()),
          "1": frozenset(cache.v_subgroup("", "st").elements()),
          "2": frozenset(cache.group("trt").elements())})
     assert ok["pass"]
     # deliberately enlarged edge subgroup fails condition (iii)
     bad = check_subtree_conditions(
-        tog, {"0", "1", "2"},
+        tog,
         {"0": frozenset({0}), "1": frozenset({0, us}), "2": frozenset({0})},
         edge_groups={frozenset(("0", "1")): frozenset({0, 1})})
     assert not bad["pass"]
-
-
-def test_subproduct_extraction(theorem_tree, cache):
-    tog, _ = theorem_tree
-    H2 = TreeProduct(tog, inner={"1", "2"})
-    amb = cache.group("stst")
-    us, ut = amb.root_mask(amb.roots[0]), amb.root_mask(amb.roots[3])
-    U_trt = tog.vertices["2"]
-    el = H2.eval_word([("1", us), ("2", U_trt.root_mask(U_trt.roots[1]))])
-    assert H2.subproduct_value(el, {"1", "2"}) is not None
-    u_sr = tog.vertices["0"].root_mask(tog.vertices["0"].roots[1])
-    assert H2.subproduct_value(H2.include("0", u_sr), {"1", "2"}) is None
-    # edge elements extract to both sides
-    assert H2.subproduct_value(H2.include("1", ut), {"1", "2"}) is not None
-    with pytest.raises(TreeError):
-        H2.subproduct_value(el, {"0", "2"})
 
 
 def test_elements_not_enumerable(theorem_tree):
@@ -442,12 +430,11 @@ def test_elements_not_enumerable(theorem_tree):
 
 def test_subproduct_value_vertex_intersection(theorem_tree, cache):
     # U_sr cap V = U_s inside U_sr * V * U_trt
-    tog, _ = theorem_tree
-    P = TreeProduct(tog, inner={"1"})
+    tog, P = theorem_tree
     amb = cache.group("stst")
     us = amb.root_mask(amb.roots[0])
     got = {P.include("0", x) for x in tog.vertices["0"].elements()
-           if P.subproduct_value(P.include("0", x), {"1"}) is not None}
+           if P.vertex_value(P.include("0", x), "1") is not None}
     assert got == {P.include("1", x) for x in (0, us)}
 
 
@@ -458,8 +445,8 @@ def test_subproduct_value_full_edge(cache):
     full = Subgroup(A, {0, 1}, "C")
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", full, {0: 0, 1: 1}, {0: 0, 1: 1})])
-    P = TreeProduct(tog, inner={"b"})
-    assert [P.subproduct_value(P.include("a", x), {"b"})
+    P = TreeProduct(tog)
+    assert [P.vertex_value(P.include("a", x), "b")
             for x in A.elements()] == [0, 1]
 
 
