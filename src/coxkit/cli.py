@@ -19,9 +19,8 @@ import json
 import sys
 
 from coxkit import suites
-from coxkit.coxeter import standard_coxeter
+from coxkit.coxeter import DEFAULT_MAX_RADIUS, standard_coxeter
 
-MAX_RADIUS = 10
 MAX_BLUEPRINT_LENGTH = 8
 DEFAULT_SUITES = ("coxeter", "blueprint", "quadrangle", "section4")
 
@@ -73,9 +72,9 @@ def cmd_verify(args) -> int:
     if args.target == "coxeter":
         if args.radius is None:
             args.radius = 8
-        if not 0 <= args.radius <= MAX_RADIUS:
+        if not 0 <= args.radius <= DEFAULT_MAX_RADIUS:
             print(f"error: --radius {args.radius} exceeds the cap "
-                  f"{MAX_RADIUS}", file=sys.stderr)
+                  f"{DEFAULT_MAX_RADIUS}", file=sys.stderr)
             return 2
         config["radius"] = args.radius
     if args.target == "blueprint":

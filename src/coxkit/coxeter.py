@@ -304,13 +304,12 @@ class Coxeter:
         return Gallery(s + g.type_word)
 
 
-_STANDARD: dict[int, Coxeter] = {}
+_STANDARD: Coxeter | None = None
 
 
-def standard_coxeter(max_radius: int = DEFAULT_MAX_RADIUS) -> Coxeter:
+def standard_coxeter() -> Coxeter:
     """Shared kernel instance (the memo tables are expensive to rebuild)."""
-    ctx = _STANDARD.get(max_radius)
-    if ctx is None:
-        ctx = Coxeter(max_radius)
-        _STANDARD[max_radius] = ctx
-    return ctx
+    global _STANDARD
+    if _STANDARD is None:
+        _STANDARD = Coxeter()
+    return _STANDARD

@@ -110,8 +110,8 @@ def verify_mingallinrep(ctx: Coxeter, radius: int,
     """For minimal galleries of type (r,s,t,r): the first crossed root
     (oriented to contain the start chamber) is strictly contained in the
     third-step and fourth-step roots.  Checked both by half-space bitsets
-    on the ball and by the exact form criterion; the two verdicts must
-    agree."""
+    on the ball and by the exact form criterion; a tuple passes only when
+    both verdicts do."""
     _unknown_mutant("mingallinrep", mutant)
     if radius < 4:
         raise ValueError("radius must be >= 4")
@@ -146,10 +146,6 @@ def verify_mingallinrep(ctx: Coxeter, radius: int,
                         {"labeling": lab, "d0": d0, "gamma": which,
                          "ball_counterexample": counterexample,
                          "form_kind": pc.kind})
-                elif (counterexample is None) != form_nested:
-                    rep.violations.append(
-                        {"labeling": lab, "d0": d0, "gamma": which,
-                         "reason": "ball and form verdicts disagree"})
     return rep
 
 

@@ -19,6 +19,9 @@ from coxkit.treeprod import (Subgroup, TreeOfGroups, TreeProduct,
                              check_subtree_conditions, contract,
                              family_embeds, fold, respects_edges)
 
+# ball radius of the half-space and interval-witness checks
+RADIUS = 8
+
 
 def _family_check(cert, label: str, tog, members: dict,
                   claimed: dict | None = None) -> bool:
@@ -114,32 +117,27 @@ class Section4:
 
     # -- small helpers -----------------------------------------------------
 
-    def _frame(self, R: Residue, s: str | None = None):
-        """(s, t, d, gate, mult): the residue letters of R, with s first when
-        given, its gate and the Coxeter product."""
-        s, t, d = residue_letters(R, s)
+    def _frame(self, R: Residue):
+        """(s, t, d, gate, mult): the residue letters of R, s the first type
+        letter, its gate and the Coxeter product."""
+        s, t, d = residue_letters(R)
         return s, t, d, R.gate, self.ctx.mult
 
-    def _edge_group_is(self, cert, cons, i: int, w: str, note: str) -> None:
-        """The common-root edge group between vertices i, i+1 equals the
-        image of U_w inside the left vertex's ambient group."""
-        edge = cons.tog.edges[i]
-        left = cons.specs[i]
-        expected = self.b.image_of_u(w, left.ambient)
-        got = frozenset(edge.group.elements())
-        cert.check(f"{note}: edge {left.label}^{cons.specs[i+1].label} "
-                   f"is U[{self.ctx.normalize(w)}]", got == expected,
-                   order=len(got))
+    def _edge_is_u(self, cons, edge, w: str) -> bool:
+        """Whether the edge group of edge, an edge of cons, is the image of
+        U_w inside the ambient group of the edge's first vertex."""
+        return frozenset(edge.group.elements()) == \
+            self.b.image_of_u(w, cons.spec(edge.u).ambient)
 
     # -- Lemma: V_R -> O_R is injective -------------------------------------
 
     @timed
-    def cert_vr_to_or(self, R: Residue, s: str | None = None) -> Certificate:
+    def cert_vr_to_or(self, R: Residue) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d, g, m = self._frame(R, s)
+        s, t, d, g, m = self._frame(R)
         cert = Certificate(f"VRtoORinjective[{s}{t}@{g or '1'}]")
-        vr = b.construction("V_R", R, s)
-        orr = b.construction("O_R", R, s)
+        vr = b.construction("V_R", R)
+        orr = b.construction("O_R", R)
         cert.data["V_R"] = [sp.label for sp in vr.specs]
         cert.data["O_R"] = [sp.label for sp in orr.specs]
         # vertex containments
@@ -173,7 +171,7 @@ class Section4:
                    f"in U[{ambC.w}]", lhs == b.image_of_u(m(g, t), ambC),
                    ambient=ambC.w)
         # subgroup-family conditions over O_R
-        members = self._or_family(orr, R, s)
+        members = self.family_from_roots(orr, self.construction_roots(vr))
         claimed = {
             frozenset(("v0", "v1")): b.image_of_u(m(g, s), amb0),
             frozenset(("v1", "v2")): b.image_of_u(m(g, t), orr.specs[1].ambient),
@@ -189,16 +187,6 @@ class Section4:
                    letters=rep["letters"], pairs=rep["pairs"])
         return cert
 
-    def _or_family(self, orr, R: Residue, s: str) -> dict:
-        """The V_R family inside O_R: U[w_R sr], V[w_R|st] and U[w_R tr]."""
-        b = self.b
-        s, t, d, g, m = self._frame(R, s)
-        return {
-            "v0": b.image_of_u(m(g, s, d), orr.specs[0].ambient),
-            "v1": b.image_of_v(g, (s, t), orr.specs[1].ambient),
-            "v2": b.image_of_u(m(g, t, d), orr.specs[2].ambient),
-        }
-
     @staticmethod
     def construction_roots(cons) -> frozenset:
         return frozenset().union(*(sp.roots for sp in cons.specs))
@@ -213,14 +201,14 @@ class Section4:
     # -- Lemma: V_{R,s} and O_{R,s} --------------------------------------------
 
     @timed
-    def cert_vrs_ors(self, R: Residue, s: str) -> Certificate:
+    def cert_vrs_ors(self, R: Residue) -> Certificate:
         b = self.b
-        s, t, d, g, m = self._frame(R, s)
+        s, t, d, g, m = self._frame(R)
         cert = Certificate(f"VRs_to_ORs_injective[{s}{t}@{g or '1'},s={s}]")
-        vr = b.construction("V_R", R, s)
-        orr = b.construction("O_R", R, s)
-        vrs = b.construction("V_Rs", R, s)
-        ors = b.construction("O_Rs", R, s)
+        vr = b.construction("V_R", R)
+        orr = b.construction("O_R", R)
+        vrs = b.construction("V_Rs", R)
+        ors = b.construction("O_Rs", R)
         cert.check("precondition l(w_R srs) = l(w_R)+3",
                    len(m(g, s, d, s)) == len(g) + 3)
         # chain A: fold V_{R,s} at U[w_R sr], contract the rest to V_R
@@ -258,7 +246,8 @@ class Section4:
                    == sorted((H2.order,) + orr.orders()),
                    got=sorted(gg.order for gg in subb.tog.vertices.values()))
         # segment-level injectivity data: U[w_R sr]-preimage of V_R in O_R
-        or_prod = TreeProduct(orr.tog, self._or_family(orr, R, s))
+        or_prod = TreeProduct(orr.tog, self.family_from_roots(
+            orr, self.construction_roots(vr)))
         img = b.image_of_u(m(g, s, d), orr.specs[0].ambient)
         ok = all(or_prod.in_family(or_prod.include("v0", x)) for x in img)
         cert.check("U[w_R sr] lies inside the V_R family of O_R "
@@ -271,14 +260,14 @@ class Section4:
     # -- Lemma: H_R decomposes over O_R ---------------------------------------
 
     @timed
-    def cert_ccleftcright(self, R: Residue, s: str | None = None) -> Certificate:
+    def cert_ccleftcright(self, R: Residue) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d, g, m = self._frame(R, s)
+        s, t, d, g, m = self._frame(R)
         cert = Certificate(f"CCleftCright[{s}{t}@{g or '1'}]")
-        hr = b.construction("H_R", R, s)
-        krs = b.construction("K_Rs", R, s)
+        hr = b.construction("H_R", R)
+        krs = b.construction("K_Rs", R)
         krt = b.construction("K_Rs", R, t)
-        orr = b.construction("O_R", R, s)
+        orr = b.construction("O_R", R)
         # displayed equality, s side
         ambA = self.cache.group(m(g, s, ctx.longest({d, t})))
         cert.check(
@@ -286,8 +275,11 @@ class Section4:
             b.image_of_v(m(g, s), (d, t), ambA) & b.image_of_u(m(g, s, t, d), ambA)
             == b.image_of_u(m(g, s, t), ambA), ambient=ambA.w)
         # C0 edge group identity inside K_{R,s}
-        self._edge_group_is(cert, krs, 1, m(g, s, t, s),
-                            "K_Rs middle edge")
+        middle = krs.tog.edges[1]
+        cert.check(f"K_Rs middle edge: edge {krs.specs[1].label}^"
+                   f"{krs.specs[2].label} is U[{m(g, s, t, s)}]",
+                   self._edge_is_u(krs, middle, m(g, s, t, s)),
+                   order=middle.group.order)
         # second displayed equality via the two-vertex product C0' = v1*v2,
         # the middle of K_Rs contracted to one vertex
         contracted = {"K_Rs": contract(krs.tog, {"v1", "v2"}),
@@ -306,45 +298,40 @@ class Section4:
             frozenset(got) == b.image_of_u(m(g, s, t), amb1))
         # chain replay: seven steps
         steps = []
-        e_ht = b.image_of_u(m(g, t, s, t), hr.specs[2].ambient)
         steps.append(cert.check(
             "step 1 (contract H_R): edge between U[w_R r_J] and "
             f"V[{m(g,t,s)}|{d}{t}] is U[{m(g,t,s,t)}]",
-            frozenset(hr.tog.edges[2].group.elements()) == e_ht))
+            self._edge_is_u(hr, hr.tog.edges[2], m(g, t, s, t))))
         steps.append(cert.check(
             "step 2 (fold at C0): U[w_R tst] <= U[w_R r_J] <= C0",
             ctx.prefix_leq(m(g, t, s, t), m(g, ctx.longest({s, t})))))
-        e_kt = b.image_of_u(m(g, t, s, t), krt.specs[1].ambient)
         steps.append(cert.check(
             "step 3 (recognize K_Rt): edge between V[ts..] and U[r_J] in K_Rt "
-            "is U[w_R tst]",
-            frozenset(krt.tog.edges[1].group.elements()) == e_kt))
+            "is U[w_R tst]", self._edge_is_u(krt, krt.tog.edges[1],
+                                             m(g, t, s, t))))
         steps.append(cert.check(
             "step 4 (insert O_R): C0 is the subtree {v0,v1} of O_R",
             {orr.specs[0].label, orr.specs[1].label}
             == {krt.specs[3].label, krt.specs[2].label}))
         steps.append(cert.check("step 5 (associativity of the tree product)",
                                 True))
-        e_or = b.image_of_u(m(g, t, s), orr.specs[1].ambient)
         steps.append(cert.check(
             "step 6 (expand O_R): edge between U[r_J] and V[t..] is U[w_R ts]",
-            frozenset(orr.tog.edges[1].group.elements()) == e_or))
-        e_ks = b.image_of_u(m(g, t, s), krs.specs[2].ambient)
+            self._edge_is_u(orr, orr.tog.edges[1], m(g, t, s))))
         steps.append(cert.check(
             "step 7 (recognize K_Rs): its last edge is U[w_R ts]",
-            frozenset(krs.tog.edges[2].group.elements()) == e_ks))
+            self._edge_is_u(krs, krs.tog.edges[2], m(g, t, s))))
         cert.data["chain_steps"] = len(steps)
-        # O_R family conditions inside contracted K_{R,s} and K_{R,t}
-        for kname, kons, sideletter in (("K_Rs", krs, s), ("K_Rt", krt, t)):
+        # O_R family conditions inside contracted K_{R,s} and K_{R,t}; the
+        # contracted vertex's member is the union of its two vertices'
+        # members, which the family check confirms is a subgroup
+        or_roots = self.construction_roots(orr)
+        for kname, kons in (("K_Rs", krs), ("K_Rt", krt)):
             tog2, cname, c0sub = contracted[kname]
-            members = {
-                "v0": b.image_of_v(m(g, sideletter),
-                                   (d, t if sideletter == s else s),
-                                   kons.specs[0].ambient),
-                cname: frozenset(c0sub.include("v2", x)
-                                 for x in c0sub.tog.vertices["v2"].elements()),
-                "v3": frozenset(kons.specs[3].group.elements()),
-            }
+            family = self.family_from_roots(kons, or_roots)
+            members = {"v0": family["v0"], "v3": family["v3"],
+                       cname: frozenset(c0sub.include(v, x) for v in ("v1", "v2")
+                                        for x in family[v])}
             _family_check(cert, f"subgroup-family conditions for O_R inside "
                           f"{kname}", tog2, members)
         cert.data["conclusion"] = "H_R ~ K_Rs *_{O_R} K_Rt"
@@ -353,7 +340,7 @@ class Section4:
     # -- the generating-set remark --------------------------------------------
 
     @timed
-    def cert_generating_remark(self, R: Residue, radius: int = 8) -> Certificate:
+    def cert_generating_remark(self, R: Residue) -> Certificate:
         """Root containments behind the generator bookkeeping of the tree
         products: -w_R alpha_t is contained in w_R s alpha_r (and the s<->t
         mirror), checked both by half-space bitsets on a ball and by the exact
@@ -372,11 +359,11 @@ class Section4:
              rsys.root_from(g, t), f"-w_R {s} alpha_{d} <= w_R alpha_{t}"),
         ]
         for small, large, label in pairs:
-            sweep_ok = not (rsys.halfspace(small, radius)
-                            & ~rsys.halfspace(large, radius))
+            sweep_ok = not (rsys.halfspace(small, RADIUS)
+                            & ~rsys.halfspace(large, RADIUS))
             pc = rsys.pair_class(small, large)
             form_ok = pc.kind == "nested" and pc.contained == small
-            cert.check(f"{label} (ball radius {radius} and form criterion agree)",
+            cert.check(f"{label} (ball radius {RADIUS} and form criterion agree)",
                        sweep_ok and form_ok)
         vr = self.b.construction("V_R", R)
         alpha = rsys.root_from(m(g, s), d)
@@ -390,11 +377,11 @@ class Section4:
     # -- Lemma: V_T embeds in H_R ------------------------------------------------
 
     @timed
-    def cert_jrt(self, R: Residue, s: str | None = None) -> Certificate:
+    def cert_jrt(self, R: Residue) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d, g, m = self._frame(R, s)
+        s, t, d, g, m = self._frame(R)
         cert = Certificate(f"JRt[{s}{t}@{g or '1'}]")
-        hr = b.construction("H_R", R, s)
+        hr = b.construction("H_R", R)
         T = ctx.residue({d, t}, m(g, t, s))
         tagT = classify_residue(ctx, T)
         cert.check("T = R_{d,t}(w_R ts) lies in T_{i+2,1}",
@@ -407,13 +394,9 @@ class Section4:
         sub_tog = TreeOfGroups({v: hr.tog.vertices[v] for v in subtree}, sub_edges)
         cert.check("U[r_J] * V[ts..] * U[t r_ds] is a subtree of H_R",
                    not sub_tog.validate())
-        # match V_T vertex groups into the subtree
-        gTs = m(g, t, s)
-        members = {
-            "v2": b.image_of_u(m(gTs, t, s), hr.specs[2].ambient),
-            "v3": b.image_of_v(gTs, (d, t), hr.specs[3].ambient),
-            "v4": b.image_of_u(m(gTs, d, s), hr.specs[4].ambient),
-        }
+        # the V_T family over the subtree: U[w_R tsts], V[w_R ts|dt] and
+        # U[w_R tsrs]
+        members = self.family_from_roots(hr, self.construction_roots(vt))
         cert.check("U[w_R tsts] is all of U[w_R r_J]",
                    members["v2"] == frozenset(hr.specs[2].group.elements()))
         cert.check("V_T's middle vertex group is H_R's fourth vertex group",
@@ -427,18 +410,18 @@ class Section4:
     # -- Lemma: K_{R,s} cap O_{R,s} = O_R  --------------------------------------
 
     @timed
-    def cert_cleftcright_isos(self, R: Residue, s: str) -> Certificate:
+    def cert_cleftcright_isos(self, R: Residue) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d, g, m = self._frame(R, s)
+        s, t, d, g, m = self._frame(R)
         cert = Certificate(f"CleftCrightisos[{s}{t}@{g or '1'},s={s}]")
-        ors = b.construction("O_Rs", R, s)
-        krs = b.construction("K_Rs", R, s)
+        orr = b.construction("O_R", R)
+        ors = b.construction("O_Rs", R)
+        krs = b.construction("K_Rs", R)
         vt = b.construction("V_R", ctx.residue({d, t}, m(g, s)))
         # fold O_{R,s} at U[w_R sts] (a subgroup of the U[r_J] vertex) and
         # recognize V_T in the contracted head
         cert.check("edge of O_Rs between V[s..] and U[r_J] is U[w_R st]",
-                   frozenset(ors.tog.edges[1].group.elements())
-                   == b.image_of_u(m(g, s, t), ors.specs[1].ambient))
+                   self._edge_is_u(ors, ors.tog.edges[1], m(g, s, t)))
         amb2 = ors.specs[2].ambient
         sts_img = b.image_of_u(m(g, s, t, s), amb2)
         cert.check("U[w_R st] <= U[w_R sts] inside U[w_R r_J]",
@@ -459,7 +442,7 @@ class Section4:
                    f"in U[{ambZ.w}]",
                    lhs == b.image_of_u(m(g, s, d), ambZ), ambient=ambZ.w)
         # O_R cap U[w_R srt] = U[w_R sr], computed inside K_{R,s}
-        or_family = self._krs_or_family(krs, R, s)
+        or_family = self.family_from_roots(krs, self.construction_roots(orr))
         decidable = _family_check(
             cert, "O_R family conditions over the four K_Rs vertices "
             "(so membership is letter-decidable)", krs.tog, or_family)
@@ -477,22 +460,11 @@ class Section4:
                    f"V[{m(g,s,d)}|{s}{t}] generate U[{m(g,s,d,t)}]",
                    closure == srt_img)
         # conclusion: O_{R,s} cap K_{R,s} = O_R inside Z
-        for desc, okv in self._z_product_check(R, s, krs, kprod, vsd,
-                                               decidable):
+        for desc, okv in self._z_product_check(R, krs, kprod, vsd, decidable):
             cert.check(desc, okv)
         return cert
 
-    def _krs_or_family(self, krs, R: Residue, s: str) -> dict:
-        b = self.b
-        s, t, d, g, m = self._frame(R, s)
-        return {
-            "v0": b.image_of_v(m(g, s), (d, t), krs.specs[0].ambient),
-            "v1": b.image_of_u(m(g, s, t, s), krs.specs[1].ambient),
-            "v2": frozenset(krs.specs[2].group.elements()),
-            "v3": frozenset(krs.specs[3].group.elements()),
-        }
-
-    def _z_product_check(self, R, s, krs, kprod, vsd, decidable: bool):
+    def _z_product_check(self, R, krs, kprod, vsd, decidable: bool):
         """Z = K_{R,s} *_{U[w_R srt]} V[w_R sr|st]: the edge preimages of
         O_R and U[w_R srs], and the amalgam criterion that decides
         O_{R,s} cap K_{R,s} = O_R from them.
@@ -513,7 +485,7 @@ class Section4:
         U[w_R srs] and D is U[w_R sr].
         """
         b = self.b
-        s, _, d, g, m = self._frame(R, s)
+        s, _, d, g, m = self._frame(R)
         # the common roots of U[w_R s r_dt] and V[w_R sr|st] are Phi(w_R srt)
         edge = b.edge(krs.specs[0], vsd)
         in_or = kprod.in_family
@@ -536,17 +508,17 @@ class Section4:
     # -- Lemma: K_{R,s} cap G_{-1} = O_R (finite parts) -------------------------
 
     @timed
-    def cert_krs_gminus1(self, R: Residue, s: str) -> Certificate:
+    def cert_krs_gminus1(self, R: Residue) -> Certificate:
         b, ctx = self.b, self.ctx
-        s, t, d, g, m = self._frame(R, s)
+        s, t, d, g, m = self._frame(R)
         if g:
             raise PreconditionError("this lemma is stated for gate 1 residues")
         cert = Certificate(f"KRs_cap_Gminus1[{s}{t},s={s}]")
         T = ctx.residue({d, t}, s)
         ot = b.construction("O_R", T)
         vt = b.construction("V_R", T)
-        krs = b.construction("K_Rs", R, s)
-        ors = b.construction("O_Rs", R, s)
+        krs = b.construction("K_Rs", R)
+        ors = b.construction("O_Rs", R)
         cert.data["O_T"] = [sp.label for sp in ot.specs]
         # X = the subtree of O_T spanned by its middle vertex and the
         # V[w_R st|..] end; V_T family inside O_T
@@ -582,18 +554,15 @@ class Section4:
                    "in Y (so O_R cap V_T = Y; Y and V_T agree at every O_R "
                    "vertex)", vt_ok and y_ok and ok, sizes=sizes)
         # X *_Y O_R ~ K_{R,s} chain
-        x_edge = ot.tog.edge_between("v1", x_outer)
-        left_spec = ot.spec("v1") if x_edge.u == "v1" else ot.spec(x_outer)
         cert.check("edge of O_T between U[s r_dt] and V[st|ds] is U[w_R std]",
-                   frozenset(x_edge.group.elements())
-                   == b.image_of_u(m(g, s, t, d), left_spec.ambient))
+                   self._edge_is_u(ot, ot.tog.edge_between("v1", x_outer),
+                                   m(g, s, t, d)))
         cert.check("fold O_R at U[sts]: U[st] <= U[sts] <= U[r_J]",
                    b.image_of_u(m(g, s, t), orr_amb := self.cache.group(
                        m(g, ctx.longest({s, t}))))
                    <= b.image_of_u(m(g, s, t, s), orr_amb))
-        krs_mid = frozenset(krs.tog.edges[1].group.elements())
         cert.check("K_Rs middle edge is U[sts] (chain landing shape)",
-                   krs_mid == b.image_of_u(m(g, s, t, s), krs.specs[1].ambient))
+                   self._edge_is_u(krs, krs.tog.edges[1], m(g, s, t, s)))
         cert.assume("O_R -> O_{R,s} -> G_{-1} injective uses the colimit "
                     "universal property")
         cert.assume("the conclusion K_{R,s} cap G_{-1} = O_R lives in "
@@ -603,7 +572,7 @@ class Section4:
     # -- the colimit lemmas --------------------------------------------------
 
     @timed
-    def cert_nested_intervals_empty(self, radius: int = 8) -> Certificate:
+    def cert_nested_intervals_empty(self) -> Certificate:
         """For every w in C_0 and every nested prenilpotent pair inside
         Phi(w), the open interval is empty: each candidate third root is
         refuted by an explicit ball witness.  This is the finite input to
@@ -623,12 +592,12 @@ class Section4:
                         continue
                     pairs += 1
                     good, _ = rsys.open_interval_empty_certificate(
-                        a, b, g, radius)
+                        a, b, g, RADIUS)
                     if not good:
                         ok = False
                         failures.append((w, repr(a), repr(b)))
         cert.check("every nested pair inside Phi(w), w in C_0, has an empty "
-                   f"open interval (witnesses at radius {radius})", ok,
+                   f"open interval (witnesses at radius {RADIUS})", ok,
                    pairs=pairs, failures=failures)
         return cert
 
@@ -641,7 +610,7 @@ class Section4:
         C_r = c_set_r(ctx, (s, t))
         cert.check(f"srs and tr lie in C_r: {m(s,d,s)!r}, {m(t,d)!r}",
                    m(s, d, s) in C_r and m(t, d) in C_r)
-        ors = b.construction("O_Rs", R, s)
+        ors = b.construction("O_Rs", R)
         ors_roots = self.construction_roots(ors)
         cert.check("O_{R,s} has seven generating roots", len(ors_roots) == 7,
                    got=len(ors_roots))
@@ -778,12 +747,12 @@ def section4_pipeline(cache: GroupCache | None = None,
         s, t = residue_letters(R)[:2]
         out.append(sec.cert_generating_remark(R))
         out.append(sec.cert_vr_to_or(R))
-        out.append(sec.cert_vrs_ors(R, s))
+        out.append(sec.cert_vrs_ors(R))
         out.append(sec.cert_ccleftcright(R))
         out.append(sec.cert_jrt(R))
-        out.append(sec.cert_cleftcright_isos(R, s))
+        out.append(sec.cert_cleftcright_isos(R))
         if not gate:
-            out.append(sec.cert_krs_gminus1(R, s))
+            out.append(sec.cert_krs_gminus1(R))
             out.append(sec.cert_otog_minus1((s, t)))
             out.append(sec.cert_main_application(R))
     out.append(sec.cert_otog0())

@@ -241,7 +241,9 @@ class TwinModel:
 
     def _relabel(self, base: TwinModel) -> None:
         """Share base's group, chambers and calibration by reference; map
-        each of its Weyl words once through base.letters -> self.letters."""
+        each of its Weyl words once through base.letters -> self.letters.
+        The double-coset label tables stay with base, whose calibration
+        reads them."""
         self.elems = base.elems
         self.borel_plus, self.borel_minus = base.borel_plus, base.borel_minus
         self._borel, self._coset_id, self._coset_rep = \
@@ -251,8 +253,6 @@ class TwinModel:
         rename = dict(zip(base.letters, self.letters))
         word = {w: self.ctx.normalize(rename[ch] for ch in w)
                 for w in base.weyl_elements()}
-        self._label = {kind: {g: word[w] for g, w in table.items()}
-                       for kind, table in base._label.items()}
         self._delta = {pair: [[word[w] for w in row] for row in rows]
                        for pair, rows in base._delta.items()}
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coxkit.certs import Certificate
-from coxkit.constructions import Builder
+from coxkit.constructions import Builder, residue_letters
 from coxkit.pipeline import Section4, _family_check, section4_pipeline
 from coxkit.treeprod import TreeProduct
 from walks import random_word
@@ -81,7 +81,7 @@ def test_vr_to_or_at_deeper_residue(sec, ctx):
 def test_krs_gminus1_requires_gate_one(sec, ctx):
     from coxkit.constructions import PreconditionError
     with pytest.raises(PreconditionError):
-        sec.cert_krs_gminus1(ctx.residue("st", "r"), "s")
+        sec.cert_krs_gminus1(ctx.residue("st", "r"))
 
 
 @pytest.mark.parametrize("kind", ["O_R", "K_Rs"])
@@ -93,8 +93,8 @@ def test_battery_ban_is_read_in_the_vertex_group(sec, ctx, kind):
     R = ctx.residue("st", "")
     s = "s"
     cons = sec.b.construction(kind, R, s)
-    family = sec._or_family if kind == "O_R" else sec._krs_or_family
-    members = family(cons, R, s)
+    inner = sec.b.construction({"O_R": "V_R", "K_Rs": "O_R"}[kind], R, s)
+    members = sec.family_from_roots(cons, sec.construction_roots(inner))
     product = TreeProduct(cons.tog, members)
     for e in cons.tog.edges:
         images = {product.include(e.u, e.into_u[c]) for c in e.group.elements()}
@@ -112,7 +112,8 @@ def test_family_walker_stays_in_the_family(sec, ctx):
     vertex before it."""
     R = ctx.residue("st", "")
     orr = sec.b.construction("O_R", R, "s")
-    members = sec._or_family(orr, R, "s")
+    members = sec.family_from_roots(
+        orr, sec.construction_roots(sec.b.construction("V_R", R, "s")))
     product = TreeProduct(orr.tog, members)
     rng = random.Random(7)
     letters = 0
@@ -134,7 +135,8 @@ def test_family_walker_stays_in_the_family(sec, ctx):
 def test_family_check_fails_on_a_broken_family(sec, ctx):
     R = ctx.residue("st", "")
     orr = sec.b.construction("O_R", R, "s")
-    members = sec._or_family(orr, R, "s")
+    members = sec.family_from_roots(
+        orr, sec.construction_roots(sec.b.construction("V_R", R, "s")))
     cert = Certificate("broken")
     assert _family_check(cert, "intact", orr.tog, members)
     broken = dict(members, v1=members["v1"] - {orr.tog.vertices["v1"].identity})
@@ -143,3 +145,49 @@ def test_family_check_fails_on_a_broken_family(sec, ctx):
     assert cert.checks[1]["description"] == "no identity at v1"
     assert "edges" in cert.checks[1]["data"]
     assert not cert.passed
+
+
+def paper_listings(sec, R, s):
+    """The subgroup families of the tree-product lemmas as the paper lists
+    them, vertex by vertex: (name, product, product whose roots support
+    the family, {vertex: subgroup}).  The oracle for the root-support
+    families that the certificates use."""
+    b = sec.b
+    _, t, d = residue_letters(R, s)
+    g, m = R.gate, sec.ctx.mult
+    orr, krs, hr = (b.construction(kind, R, s) for kind in ("O_R", "K_Rs", "H_R"))
+    gts = m(g, t, s)
+    vt = b.construction("V_R", sec.ctx.residue({d, t}, gts))
+
+    def amb(cons, v):
+        return cons.spec(v).ambient
+
+    def whole(cons, v):
+        return frozenset(cons.spec(v).group.elements())
+    return [
+        ("V_R in O_R", orr, b.construction("V_R", R, s), {
+            "v0": b.image_of_u(m(g, s, d), amb(orr, "v0")),
+            "v1": b.image_of_v(g, (s, t), amb(orr, "v1")),
+            "v2": b.image_of_u(m(g, t, d), amb(orr, "v2"))}),
+        ("O_R in K_Rs", krs, orr, {
+            "v0": b.image_of_v(m(g, s), (d, t), amb(krs, "v0")),
+            "v1": b.image_of_u(m(g, s, t, s), amb(krs, "v1")),
+            "v2": whole(krs, "v2"),
+            "v3": whole(krs, "v3")}),
+        ("V_T in H_R", hr, vt, {
+            "v2": b.image_of_u(m(gts, t, s), amb(hr, "v2")),
+            "v3": b.image_of_v(gts, (d, t), amb(hr, "v3")),
+            "v4": b.image_of_u(m(gts, d, s), amb(hr, "v4"))}),
+    ]
+
+
+@pytest.mark.parametrize("pair, gate", [
+    ("st", ""), ("rs", ""), ("rt", ""), ("st", "r"), ("rt", "s"), ("rs", "t")])
+@pytest.mark.parametrize("first", [0, 1], ids=["s-first", "t-first"])
+def test_root_support_families_match_the_paper_listings(sec, ctx, pair, gate,
+                                                        first):
+    R = ctx.residue(set(pair), gate)
+    s = sorted(pair)[first]
+    for name, cons, support, listing in paper_listings(sec, R, s):
+        family = sec.family_from_roots(cons, sec.construction_roots(support))
+        assert {v: family[v] for v in listing} == listing, name

@@ -37,7 +37,8 @@ def _or_product(sec, pair):
     """O_R with its V_R family installed, as in the V_R -> O_R certificate."""
     R, (s, *_) = _residue(sec, pair)
     orr = sec.b.construction("O_R", R, s)
-    members = sec._or_family(orr, R, s)
+    members = sec.family_from_roots(
+        orr, sec.construction_roots(sec.b.construction("V_R", R, s)))
     return TreeProduct(orr.tog, members), members
 
 
@@ -172,7 +173,8 @@ def _z_data(sec, pair):
     R, (s, t, d, g, m) = _residue(sec, pair)
     b = sec.b
     krs = b.construction("K_Rs", R, s)
-    or_family = sec._krs_or_family(krs, R, s)
+    or_family = sec.family_from_roots(
+        krs, sec.construction_roots(b.construction("O_R", R, s)))
     kprod = TreeProduct(krs.tog, or_family)
     vsd = b.v_spec("w", m(g, s, d), (s, t))
     edge = b.edge(krs.specs[0], vsd)
@@ -181,7 +183,7 @@ def _z_data(sec, pair):
     z = TreeProduct(TreeOfGroups({"K": kprod, "W": vsd.group},
                                  [Edge("K", "W", edge.group, into_k, edge.into_v)]))
     pools = {v: sorted(members) for v, members in or_family.items()}
-    return R, s, krs, kprod, vsd, z, pools, sorted(srs_img)
+    return R, krs, kprod, vsd, z, pools, sorted(srs_img)
 
 
 def _k_value(z, el):
@@ -213,12 +215,12 @@ def sampled_z_intersection(z, kprod, pools, srs_pool) -> bool:
 
 @pytest.mark.parametrize("pair", PAIRS)
 def test_sampled_z_intersection_agrees_with_the_amalgam_criterion(sec, pair):
-    R, s, krs, kprod, vsd, z, pools, srs_pool = _z_data(sec, pair)
-    desc, exact = sec._z_product_check(R, s, krs, kprod, vsd, True)[-1]
+    R, krs, kprod, vsd, z, pools, srs_pool = _z_data(sec, pair)
+    desc, exact = sec._z_product_check(R, krs, kprod, vsd, True)[-1]
     assert "land in K_{R,s} lie in O_R" in desc
     assert exact is sampled_z_intersection(z, kprod, pools, srs_pool) is True
     # the criterion's status rests on the letter-decidability verdict
-    assert not sec._z_product_check(R, s, krs, kprod, vsd, False)[-1][1]
+    assert not sec._z_product_check(R, krs, kprod, vsd, False)[-1][1]
 
 
 # -- mutants of the V_R family inside O_R ---------------------------------

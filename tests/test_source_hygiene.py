@@ -1,8 +1,9 @@
 """Source checks over src/coxkit that no verdict depends on but that keep
 dead work out: a local that is assigned and never read is a computation
-whose result nobody looks at, and a public function that the program
-never calls is code kept alive by its tests alone; and that keep
-verification out of assert statements, which `python -O` strips."""
+whose result nobody looks at, a public function that the program never
+calls is code kept alive by its tests alone, and a defaulted parameter
+that no program call sets is an option with one value in use; and that
+keep verification out of assert statements, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -185,3 +186,117 @@ def test_uncalled_public_functions_skips_private_and_self_calls():
         "        return 2\n")
     assert uncalled_public_functions({"m.py": tree}) == [
         ("m.py", "recursive"), ("m.py", "method")]
+
+
+# defaulted parameters that no call in src/coxkit sets, each with the
+# reason the option stays
+MUTANT = "the mutation harness: the program runs each sweep unmutated, and " \
+         "the tests and the benchmark run every registered mutant"
+UNSET_DEFAULTS_ALLOWED = {
+    ("verify_wordsincoxetergroup", "mutant"): MUTANT,
+    ("verify_not_both_down", "mutant"): MUTANT,
+    ("verify_mingallinrep", "mutant"): MUTANT,
+    ("verify_subset_lemma", "mutant"): MUTANT,
+    ("Coxeter.__init__", "max_radius"): "test-only: a small cap to reach "
+                                        "ResourceLimit",
+    ("GroupCache.__init__", "rsys"): "test-only: a root system shared "
+                                     "between caches",
+    ("GroupCache.__init__", "check_measure"): "test-only: turns on the "
+                                              "collection termination measure",
+    ("GroupCache.group", "gallery"): "test-only: U_w along a chosen gallery "
+                                     "(the program's own call is recursive)",
+    ("run_coxeter", "sweep_radii"): "test-only: smaller sweeps than the "
+                                    "report's",
+    ("main", "argv"): "the entry point: the console script passes none",
+    ("_FilledOnFirstUse.__get__", "cls"): "the descriptor protocol",
+}
+
+
+def defaulted_parameters(tree) -> list:
+    """(qualified name, parameter, callee names, positional index, node)
+    for each parameter with a default of each function in tree.  A
+    method's index leaves out self, and __init__ is called by its class
+    name; a keyword-only parameter has index None."""
+    owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = owner.get(id(fn))
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        skip = 1 if cls is not None and not static else 0
+        qualname = fn.name if cls is None else f"{cls.name}.{fn.name}"
+        names = {cls.name, fn.name} if cls is not None and fn.name == "__init__" \
+            else {fn.name}
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        found.extend((qualname, arg.arg, names, i - skip, fn)
+                     for i, arg in enumerate(positional) if i >= first)
+        found.extend((qualname, arg.arg, names, None, fn)
+                     for arg, default in zip(fn.args.kwonlyargs,
+                                             fn.args.kw_defaults)
+                     if default is not None)
+    return found
+
+
+def _sets(call, param: str, index) -> bool:
+    """Whether call may pass param: by keyword, by position or through a
+    starred argument."""
+    return any(k.arg in (param, None) for k in call.keywords) \
+        or any(isinstance(a, ast.Starred) for a in call.args) \
+        or (index is not None and len(call.args) > index)
+
+
+def unset_defaults(trees: dict) -> list:
+    """(qualified name, parameter) for each defaulted parameter in the
+    given {module: tree} sources that no call outside its own function
+    passes, matching calls by the callee's name or attribute."""
+    calls = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                calls.append((module, node, name))
+    return [(qualname, param)
+            for module, tree in trees.items()
+            for qualname, param, names, index, fn in defaulted_parameters(tree)
+            if fn.name not in KEPT_WITHOUT_PROGRAM_CALLER
+            and not any(name in names and _sets(call, param, index)
+                        and not (where == module
+                                 and fn.lineno <= call.lineno <= fn.end_lineno)
+                        for where, call, name in calls)]
+
+
+def test_every_defaulted_parameter_is_set_by_a_program_caller():
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    found = set(unset_defaults(trees))
+    assert found == set(UNSET_DEFAULTS_ALLOWED), \
+        sorted(found ^ set(UNSET_DEFAULTS_ALLOWED))
+
+
+def test_unset_defaults_reads_positions_keywords_and_classes():
+    tree = ast.parse(
+        "def f(a, b=1, c=2, *, d=3):\n"
+        "    return f(a, 0, c=1, d=2)\n"
+        "def g(a, b=1, c=2, *, d=3):\n"
+        "    return a\n"
+        "class C:\n"
+        "    def __init__(self, x=0, y=0):\n"
+        "        self.x = x\n"
+        "    def m(self, z=0):\n"
+        "        return z\n"
+        "    @staticmethod\n"
+        "    def s(z=0):\n"
+        "        return z\n"
+        "g(1, 2, d=4)\n"
+        "C(1)\n"
+        "C.s(1)\n"
+        "C().m()\n")
+    assert unset_defaults({"m.py": tree}) == [
+        ("f", "b"), ("f", "c"), ("f", "d"), ("g", "c"), ("C.__init__", "y"),
+        ("C.m", "z")]

@@ -73,7 +73,8 @@ def test_syllables_count_reduced_letters(cache, gate, letters, pairs):
     b = Builder(cache)
     R = b.ctx.residue("st", gate)
     orr = b.construction("O_R", R, "s")
-    members = Section4(b)._or_family(orr, R, "s")
+    members = Section4(b).family_from_roots(
+        orr, Section4.construction_roots(b.construction("V_R", R, "s")))
     for P in (TreeProduct(orr.tog), TreeProduct(orr.tog, members)):
         singles = [P.include(v, a) for v, G in orr.tog.vertices.items()
                    for a in members[v] if a != G.identity]
