@@ -73,16 +73,16 @@ def cmd_verify(args) -> int:
         if args.radius is None:
             args.radius = 8
         if not 0 <= args.radius <= DEFAULT_MAX_RADIUS:
-            print(f"error: --radius {args.radius} exceeds the cap "
-                  f"{DEFAULT_MAX_RADIUS}", file=sys.stderr)
+            print(f"error: --radius {args.radius} is outside "
+                  f"0..{DEFAULT_MAX_RADIUS}", file=sys.stderr)
             return 2
         config["radius"] = args.radius
     if args.target == "blueprint":
         if args.max_length is None:
             args.max_length = 7
         if not 0 <= args.max_length <= MAX_BLUEPRINT_LENGTH:
-            print(f"error: --max-length {args.max_length} exceeds the cap "
-                  f"{MAX_BLUEPRINT_LENGTH}", file=sys.stderr)
+            print(f"error: --max-length {args.max_length} is outside "
+                  f"0..{MAX_BLUEPRINT_LENGTH}", file=sys.stderr)
             return 2
         config["max_length"] = args.max_length
     if args.target == "section4" and args.residue:

@@ -58,7 +58,7 @@ def run_blueprint(ctx: Coxeter, max_length: int = 7) -> dict:
         except Exception as exc:   # noqa: BLE001 - recorded, not raised
             problems.append({"w": w, "error": str(exc)})
     ok = not problems
-    out["groups_certified"] = len(ctx.ball(max_length))
+    out["groups_certified"] = len(ctx.ball(max_length)) - len(problems)
     gi_bound = min(max_length - 1, 6)
     gi_fail = [w for w in ctx.ball(gi_bound) if not gallery_independence(cache, w)]
     ok = ok and not gi_fail

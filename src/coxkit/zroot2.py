@@ -6,6 +6,14 @@ A scalar a + b*sqrt(2) is a plain int pair (a, b).  Root vectors are
 values use B' = 2*B, so the Gram matrix is 2 on the diagonal and -sqrt(2)
 off it; with that scaling every reflection image of an integer vector
 stays in Z[sqrt(2)]^3 and no fractions ever appear.
+
+Summing the Gram matrix entry by entry gives the closed form
+
+    B'(u, v) = 2S - sqrt(2)*(sum(u)*sum(v) - S),   S = sum of u_i*v_i,
+
+which form() evaluates on the int pairs directly.  With v = e_i it reads
+B'(u, e_i) = 2u_i - sqrt(2)*(the sum of the other two coordinates), so a
+reflection needs only additions.
 """
 
 from __future__ import annotations
@@ -67,19 +75,18 @@ def vscale(c: Scalar, u: Vector) -> Vector:
     return (mul(c, u[0]), mul(c, u[1]), mul(c, u[2]))
 
 
-# B'(e_i, e_j): 2 on the diagonal, -sqrt(2) off it.
-_DIAG = (2, 0)
-_OFF = (0, -1)
-
-
 def form(u: Vector, v: Vector) -> Scalar:
-    """B'(u, v) = 2*B(u, v), exact in Z[sqrt(2)]."""
-    total = ZERO
-    for i in range(3):
-        for j in range(3):
-            g = _DIAG if i == j else _OFF
-            total = add(total, mul(g, mul(u[i], v[j])))
-    return total
+    """B'(u, v) = 2*B(u, v) = 2S - sqrt(2)*T, exact in Z[sqrt(2)]:
+    S = s0 + s1*sqrt(2) is the sum of the u_i*v_i, T = t0 + t1*sqrt(2) is
+    sum(u)*sum(v) - S, and sqrt(2)*T = 2*t1 + t0*sqrt(2)."""
+    (a0, b0), (a1, b1), (a2, b2) = u
+    (c0, d0), (c1, d1), (c2, d2) = v
+    s0 = a0 * c0 + a1 * c1 + a2 * c2 + 2 * (b0 * d0 + b1 * d1 + b2 * d2)
+    s1 = a0 * d0 + a1 * d1 + a2 * d2 + b0 * c0 + b1 * c1 + b2 * c2
+    p0, p1, q0, q1 = a0 + a1 + a2, b0 + b1 + b2, c0 + c1 + c2, d0 + d1 + d2
+    t0 = p0 * q0 + 2 * p1 * q1 - s0
+    t1 = p0 * q1 + p1 * q0 - s1
+    return (2 * s0 - 2 * t1, 2 * s1 - t0)
 
 
 def basis(i: int) -> Vector:
@@ -91,12 +98,12 @@ def basis(i: int) -> Vector:
 def reflect(i: int, v: Vector) -> Vector:
     """Image of v under the simple reflection fixing e_i-perp.
 
-    rho_i(v) = v - 2B(v, e_i) e_i = v - B'(v, e_i) e_i.
+    rho_i(v) = v - B'(v, e_i) e_i with B'(v, e_i) = 2v_i - sqrt(2)*(p + q*sqrt(2)),
+    p + q*sqrt(2) the sum of the other two coordinates; so the new
+    coordinate i is (2q - a) + (p - b)*sqrt(2) for v_i = a + b*sqrt(2).
     """
-    c = form(v, basis(i))
-    out = list(v)
-    out[i] = sub(out[i], c)
-    return (out[0], out[1], out[2])
+    (a, b), (c, d), (e, f) = v[i], v[i - 1], v[i - 2]
+    return v[:i] + ((2 * (d + f) - a, c + e - b),) + v[i + 1:]
 
 
 def vector_sign(v: Vector) -> int:

@@ -153,6 +153,23 @@ def test_blueprint_suite_builds_each_group_once_and_one_table(ctx, monkeypatch):
     assert [g.w for g in built if "_table" in vars(g)] == ["stst"]
 
 
+def test_blueprint_suite_counts_only_the_groups_that_certify(ctx, monkeypatch):
+    # one group whose certification fails is a problem, not a certified group
+    ball = ctx.ball(4)
+    broken = ball[len(ball) // 2]
+    certify = BlueprintGroup.certify_order
+
+    def failing(self):
+        if self.w == broken:
+            raise BlueprintError(f"forced failure in U_{self.w}")
+        return certify(self)
+    monkeypatch.setattr(BlueprintGroup, "certify_order", failing)
+    out = run_blueprint(ctx, 4)
+    assert out["groups_certified"] == len(ball) - 1
+    assert out["problems"] == [{"w": broken, "error": f"forced failure in U_{broken}"}]
+    assert out["pass"] is False
+
+
 def test_blueprint_suite_harvests_relations_once_per_group(ctx, monkeypatch):
     # gallery independence on ball(6) reuses the verdicts of the ball(7)
     # certification instead of checking every relation a second time;

@@ -43,11 +43,16 @@ def test_verify_section4_lists_the_trace_automaton(capsys):
 
 
 def test_radius_cap(capsys):
-    assert run_cli(["verify", "coxeter", "--radius", "99"]) == 2
+    for radius in ("99", "-1"):
+        assert run_cli(["verify", "coxeter", "--radius", radius]) == 2
+        assert capsys.readouterr().err == f"error: --radius {radius} is outside 0..10\n"
 
 
 def test_blueprint_cap(capsys):
-    assert run_cli(["verify", "blueprint", "--max-length", "99"]) == 2
+    for length in ("99", "-1"):
+        assert run_cli(["verify", "blueprint", "--max-length", length]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --max-length {length} is outside 0..8\n"
 
 
 def test_bad_residue_spec(capsys):

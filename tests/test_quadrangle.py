@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -5,6 +6,7 @@ import random
 import pytest
 
 from coxkit import quadrangle, suites
+from coxkit.certs import SweepReport
 from coxkit.quadrangle import (IDENT, PERM_A, PERM_B, TwinModel, build_model,
                                is_symplectic, mat_inv, mat_mul, mat_transpose,
                                verify_rt_relabel)
@@ -39,6 +41,93 @@ def test_distinguished_pair(st_model):
 def test_axioms_exhaustive(st_model):
     rep = st_model.verify_axioms()
     assert rep.passed and rep.tuples_checked > 40000
+
+
+def _axioms_by_chambers(model) -> SweepReport:
+    """The chamber-walking sweep that verify_axioms replaced, kept as its
+    oracle: chambers, panels and distances through the model's public
+    interface, and a Coxeter product for every tuple."""
+    rep = SweepReport("building_and_twinning_axioms", 0)
+    ctx = model.ctx
+    for sign in (1, -1):
+        cs = model.chambers(sign)
+        for x in cs:
+            for y in cs:
+                w = model.weyl_distance(x, y)
+                rep.tuples_checked += 1
+                if (w == "") != (x == y):
+                    rep.violations.append({"axiom": "Bu1", "x": str(x), "y": str(y)})
+                for letter in model.letters:
+                    targets = set()
+                    for zc in model.panel(y, letter):
+                        if zc == y:
+                            continue
+                        dxz = model.weyl_distance(x, zc)
+                        targets.add(dxz)
+                        rep.tuples_checked += 1
+                        ws = ctx.mult(w, letter)
+                        if dxz not in (w, ws):
+                            rep.violations.append(
+                                {"axiom": "Bu2", "x": str(x), "y": str(y), "z": str(zc)})
+                        elif len(ws) == len(w) + 1 and dxz != ws:
+                            rep.violations.append(
+                                {"axiom": "Bu2+", "x": str(x), "y": str(y), "z": str(zc)})
+                    rep.tuples_checked += 1
+                    if ctx.mult(w, letter) not in targets:
+                        rep.violations.append(
+                            {"axiom": "Bu3", "x": str(x), "y": str(y), "letter": letter})
+    for x in model.chambers(1):
+        for y in model.chambers(-1):
+            w = model.codistance(x, y)
+            rep.tuples_checked += 1
+            if model.codistance(y, x) != ctx.inv(w):
+                rep.violations.append({"axiom": "Tw1", "x": str(x), "y": str(y)})
+            for letter in model.letters:
+                ws = ctx.mult(w, letter)
+                down = len(ws) == len(w) - 1
+                targets = set()
+                for zc in model.panel(y, letter):
+                    if zc == y:
+                        continue
+                    dxz = model.codistance(x, zc)
+                    targets.add(dxz)
+                    rep.tuples_checked += 1
+                    if down and dxz != ws:
+                        rep.violations.append(
+                            {"axiom": "Tw2", "x": str(x), "y": str(y), "z": str(zc)})
+                rep.tuples_checked += 1
+                if ws not in targets:
+                    rep.violations.append(
+                        {"axiom": "Tw3", "x": str(x), "y": str(y), "letter": letter})
+    return rep
+
+
+def _without_elapsed(rep: SweepReport) -> dict:
+    out = rep.to_dict()
+    del out["elapsed"]
+    return out
+
+
+@pytest.mark.parametrize("letters", [("s", "t"), ("r", "t"), ("r", "s")])
+def test_axiom_sweep_matches_the_chamber_oracle(letters):
+    m = build_model(letters)
+    got = _without_elapsed(m.verify_axioms())
+    assert got == _without_elapsed(_axioms_by_chambers(m))
+    assert got["pass"] and got["tuples_checked"] == 42525
+
+
+def test_axiom_sweep_matches_the_oracle_on_corrupted_tables(st_model):
+    # a copy with its own tables: the registry's model stays intact
+    m = copy.copy(st_model)
+    m._delta = copy.deepcopy(st_model._delta)
+    for row, col in ((m._delta[1, 1][3], 7), (m._delta[1, -1][2], 5)):
+        row[col] = next(w for w in m.weyl_elements() if w != row[col])
+    got = _without_elapsed(m.verify_axioms())
+    assert got == _without_elapsed(_axioms_by_chambers(m))
+    axioms = {v["axiom"] for v in got["violations"]}
+    assert not got["pass"] and axioms & {"Bu1", "Bu2", "Bu2+", "Bu3"} \
+        and axioms & {"Tw1", "Tw2", "Tw3"}
+    assert st_model.verify_axioms().passed
 
 
 def test_simple_root_elements(st_model):
