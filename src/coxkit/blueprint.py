@@ -5,19 +5,44 @@ by a fixed minimal gallery of w, with [u_i, u_j] prescribed by the
 blueprint as a product of generators strictly between i and j.  Elements
 are bitmasks: bit i set means u_{i+1} occurs in the normal form
 u_1^e1 ... u_k^ek.  Multiplication is collection from the left (see
-coxkit.wordops).  The generator rows u_i * y follow by a recurrence over
-the pair products u_i * u_j, one collection per pair j < i.  Up to
-TABLE_CAP elements the product table is composed from them on the first
-product, since x = u_low * x' with low the lowest set bit of x is already
-a normal form (collection from the left as a permutation action;
-Leedham-Green & Soicher 1990).
+coxkit.wordops).  Up to TABLE_CAP elements the product table is composed
+from the generator rows u_i * y on the first product, since
+x = u_low * x' with low the lowest set bit of x is already a normal form
+(collection from the left as a permutation action; Leedham-Green &
+Soicher 1990).
+
+Every group is grown from its prefix: for the gallery h = h'x, U_w' is
+the group along h', with w' the element of h'.  Canonical galleries (the
+least reduced words) are prefix-closed, so a canonical group grows from
+the canonical group of w'.  Two growth lemmas (Sims, Computation with
+Finitely Presented Groups, 1994, ch. 9, the series U_[1,i]):
+
+Rows.  The roots of h' are the first k-1 roots of h and their insertions
+are the same, and collecting a word in the first k-1 letters inserts only
+letters strictly between, so it never touches bit k-1.  Hence for i < k-1
+row i of U_w is row i of U_w' on [0, 2^(k-1)), and the same row with bit
+k-1 set on the upper half.  Only the new row u_k * y is computed: on the
+lower half by a recurrence over the k-1 pair products u_k * u_j, and on
+the upper half, where y = x * u_k, by toggling bit k-1 of u_k * x.  A
+word in the old rows acts on the upper half as it does on the lower
+half, so an identity in the first k-1 generators holds on U_w exactly
+when it holds on U_w'.
+
+Harvest.  Every minimal gallery of w is g s, with s a right descent of w
+and g a minimal gallery of ws, and M_{a,b} is ordered the same way along
+g and g s.  So the relations of all minimal galleries of w are the
+union of those of ws over the right descents s, plus the pairs (a, last
+root) of each minimal gallery (KacMoodyBlueprint.harvest).  They contain
+the relations of w'.
 
 Order theorem: collection terminates and only uses relation consequences,
 so |U_w| <= 2^k.  The rows are the left-regular action of the u_i, and
 the orbit of the identity under them is all 2^k normal forms.  Once the
 rows are involutions and every relation of every minimal gallery of w
 holds on them, they generate a quotient of U_w of order >= 2^k, so
-|U_w| = 2^k (certify_order).
+|U_w| = 2^k (certify_order).  Along the prefix tree the certificate of
+U_w is that of U_w', rows checked grown from it, the new row an
+involution, and the relations of w that w' does not have holding.
 
 Corollary (von Dyck; Sims, Computation with Finitely Presented Groups,
 1994, ch. 2).  If every M-letter of a minimal gallery h lies strictly
@@ -48,6 +73,7 @@ class KacMoodyBlueprint:
     def __init__(self, rsys: RootSystem):
         self.rsys = rsys
         self._cache: dict[frozenset, frozenset] = {}
+        self._harvests: dict[str, frozenset] = {}
 
     def value(self, g: Gallery, a: Root, b: Root) -> tuple[Root, ...]:
         """M^G_{a,b}, ordered by the gallery's crossing order."""
@@ -65,16 +91,23 @@ class KacMoodyBlueprint:
             return ()
         return tuple(sorted(got, key=self.rsys.inversion_sequence(g).index))
 
-    def relations(self, galleries) -> set:
-        """(a, b, M^h_{a,b}) for every gallery h and every root a crossed
-        before b by h: the relation [u_a, u_b] = product of M^h_{a,b}."""
-        rels = set()
-        for h in galleries:
-            roots = self.rsys.inversion_sequence(h)
-            for i, a in enumerate(roots):
-                for b in roots[i + 1:]:
-                    rels.add((a, b, self.value(h, a, b)))
-        return rels
+    def harvest(self, w: str) -> frozenset:
+        """(a, b, M^h_{a,b}) for every minimal gallery h of w (canonical
+        form) and every root a crossed before b by h: the relation
+        [u_a, u_b] = product of M^h_{a,b}.  Grown over the right descents
+        of w (the module's harvest lemma) and built once per element."""
+        got = self._harvests.get(w)
+        if got is None:
+            ctx = self.rsys.ctx
+            rels = set()
+            for h in ctx.min_galleries(w):
+                if not h.type_word:
+                    continue
+                rels |= self.harvest(ctx.mult_gen(w, h.type_word[-1]))
+                *before, last = self.rsys.inversion_sequence(h)
+                rels.update((a, last, self.value(h, a, last)) for a in before)
+            got = self._harvests[w] = frozenset(rels)
+        return got
 
 
 def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery) -> bytes:
@@ -86,16 +119,19 @@ def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery) -> bytes:
     pos = {root: i for i, root in enumerate(roots)}
     k = len(roots)
     comm = bytearray(3 * k * k)
-    for a, b, mids in blueprint.relations((gallery,)):
-        i, j = pos[a], pos[b]
-        mpos = [pos[m] for m in mids]
-        if any(not (i < p < j) for p in mpos):
-            raise BlueprintError(
-                f"M-letter positions {mpos} not strictly between {i} and {j}")
-        base = (i * k + j) * 3
-        comm[base] = len(mpos)
-        for tix, p in enumerate(mpos):
-            comm[base + 1 + tix] = p
+    for i, a in enumerate(roots):
+        for j in range(i + 1, k):
+            mids = blueprint.value(gallery, a, roots[j])
+            if not mids:
+                continue
+            mpos = [pos[m] for m in mids]
+            if any(not (i < p < j) for p in mpos):
+                raise BlueprintError(
+                    f"M-letter positions {mpos} not strictly between {i} and {j}")
+            base = (i * k + j) * 3
+            comm[base] = len(mpos)
+            for tix, p in enumerate(mpos):
+                comm[base + 1 + tix] = p
     return bytes(comm)
 
 
@@ -125,14 +161,16 @@ class _FilledOnFirstUse:
 
 
 class BlueprintGroup:
-    """The collection group U_w for one gallery and one blueprint."""
+    """The collection group U_w for one gallery and one blueprint, grown
+    from prefix, the group along the gallery without its last letter
+    (None for the empty gallery)."""
 
     def __init__(self, ctx: Coxeter, rsys: RootSystem, gallery: Gallery,
-                 blueprint: KacMoodyBlueprint, check_measure: bool = False):
-        self.ctx = ctx
-        self.rsys = rsys
+                 blueprint: KacMoodyBlueprint, prefix: BlueprintGroup | None,
+                 check_measure: bool = False):
         self.gallery = gallery
         self.blueprint = blueprint
+        self.prefix = prefix
         self.w = ctx.normalize(gallery.type_word)
         self.roots = rsys.inversion_sequence(gallery)
         self.k = len(self.roots)
@@ -147,31 +185,33 @@ class BlueprintGroup:
     @_FilledOnFirstUse
     def rows(self) -> list:
         """The generator rows: rows[i][y] = u_i * y for every normal form y."""
-        # filled in increasing i and y.  With j the lowest letter of y
-        # below i, y = u_j * y' and u_i * u_j = u_j * z for a normal form z
-        # with letters in (j, i], so u_i * y = u_j * (z * y'): the rows of
-        # z's letters, highest first, applied to y' < y, all read from rows
-        # already filled.  z comes from one collection of the pair (i, j).
+        if self.prefix is None:
+            return []
+        # the prefix's rows doubled (the module's rows lemma), then the
+        # new row u_top * y.  On the lower half it is filled in increasing
+        # y: with j the lowest letter of y, y = u_j * y' and u_top * u_j =
+        # u_j * z for a normal form z with letters in (j, top], so
+        # u_top * y = u_j * (z * y'), the rows of z's letters, highest
+        # first, applied to y' < y; z comes from one collection of the
+        # pair (top, j).  On the upper half y = x * u_top, and a normal
+        # form times u_top toggles the top bit.
         k = self.k
-        rows = []
-        for i in range(k):
-            bit = 1 << i
-            tails = []
-            for j in range(i):
-                z = wordops.collect_mul(bit, 1 << j, k, self._comm,
-                                        self.check_measure) ^ (1 << j)
-                tails.append([a for a in range(i, j, -1) if z >> a & 1])
-            row = [0] * self.order
-            rows.append(row)
-            for y in range(self.order):
-                low = y & -y
-                if low == 0 or low >= bit:
-                    row[y] = y ^ bit
-                    continue
-                v = y ^ low
-                for a in tails[low.bit_length() - 1]:
-                    v = rows[a][v]
-                row[y] = low | v
+        top = 1 << (k - 1)
+        rows = [row + [v | top for v in row] for row in self.prefix.rows]
+        tails = []
+        for j in range(k - 1):
+            z = wordops.collect_mul(top, 1 << j, k, self._comm,
+                                    self.check_measure) ^ (1 << j)
+            tails.append([a for a in range(k - 1, j, -1) if z >> a & 1])
+        new = [top] * top
+        rows.append(new)
+        for y in range(1, top):
+            low = y & -y
+            v = y ^ low
+            for a in tails[low.bit_length() - 1]:
+                v = rows[a][v]
+            new[y] = low | v
+        new += [v ^ top for v in new]
         return rows
 
     @_FilledOnFirstUse
@@ -204,9 +244,6 @@ class BlueprintGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def generator(self, i: int) -> int:
-        return 1 << i
-
     def root_mask(self, root: Root) -> int:
         return 1 << self._pos[root]
 
@@ -223,22 +260,36 @@ class BlueprintGroup:
     # -- certification ------------------------------------------------------
 
     def certify_order(self) -> int:
-        """The module's order theorem: the generator rows are involutions
-        and every relation of every minimal gallery of w holds on them.
-        Returns the number of relations; BlueprintError on any failure.
-        A success is kept with the rows it checked and answered again
-        while those rows stand."""
+        """The module's order theorem along the prefix tree: the prefix
+        certifies, the rows are grown from its rows, the new generator row
+        is an involution, and every relation of every minimal gallery of w
+        that the prefix has not certified holds on the rows.  Returns the
+        number of relations of w; BlueprintError on any failure.  A
+        success is kept with the rows it checked and answered again while
+        those rows stand."""
         rows = self.rows
         if self._certified is not None and self._certified[0] is rows:
             return self._certified[1]
-        for i, row in enumerate(rows):
-            if any(row[y] != x for x, y in enumerate(row)):
-                raise BlueprintError(f"generator {i} is not an involution")
-        pos = self._pos
-        rels = {(pos[a], pos[b], tuple(pos[m] for m in mids)) for a, b, mids
-                in self.blueprint.relations(self.ctx.min_galleries(self.w))}
+        rels = self.blueprint.harvest(self.w)
+        new = rels
         identity = list(range(self.order))
-        for a, b, mids in rels:
+        prefix = self.prefix
+        if prefix is not None:
+            prefix.certify_order()
+            new = rels - self.blueprint.harvest(prefix.w)
+            half = self.order >> 1
+            for i, old in enumerate(prefix.rows):
+                row = rows[i]
+                if row[:half] != old or row[half:] != [v | half for v in old]:
+                    raise BlueprintError(
+                        f"row {i} of U_{self.w} is not grown from U_{prefix.w}")
+            top = rows[-1]
+            if [top[y] for y in top] != identity:
+                raise BlueprintError(
+                    f"generator {self.k - 1} is not an involution in U_{self.w}")
+        pos = self._pos
+        for a, b, mids in sorted((pos[a], pos[b], tuple(pos[m] for m in mids))
+                                 for a, b, mids in new):
             pa, pb = rows[a], rows[b]
             lhs = [pa[pb[pa[y]]] for y in pb]
             rhs = identity
@@ -263,27 +314,6 @@ def subgroup(ambient: BlueprintGroup, gen_masks, name: str = "") -> Subgroup:
                                            tuple(gen_masks)), name)
 
 
-class GroupMono:
-    """A verified injective homomorphism between blueprint-style groups."""
-
-    def __init__(self, source, target, images: dict):
-        self.source = source
-        self.target = target
-        self.images = images
-        src = list(source.elements())
-        if len({images[x] for x in src}) != len(src):
-            raise BlueprintError("map is not injective")
-        for x in src:
-            for y in src:
-                lhs = images[source.mul(x, y)]
-                rhs = target.mul(images[x], images[y])
-                if lhs != rhs:
-                    raise BlueprintError("map is not a homomorphism")
-
-    def __call__(self, x):
-        return self.images[x]
-
-
 class GroupCache:
     """Shared builder for the blueprint groups and V-subgroups of one context.
 
@@ -302,32 +332,27 @@ class GroupCache:
 
     def group(self, w: str, gallery: Gallery | None = None) -> BlueprintGroup:
         """U_w along gallery; without one, the memoized group along the
-        canonical gallery, the least reduced word of w."""
-        if gallery is not None:
-            return BlueprintGroup(self.ctx, self.rsys, gallery, self.blueprint,
-                                  self.check_measure)
-        w = self.ctx.normalize(w)
-        got = self._groups.get(w)
-        if got is None:
-            got = self._groups[w] = self.group(
-                w, Gallery(min(self.ctx.reduced_words(w))))
-        return got
+        canonical gallery, the least reduced word of w, which is its
+        canonical form.  Each group is grown from the group along its
+        gallery without the last letter, memoized when that is canonical."""
+        ctx = self.ctx
+        if gallery is None:
+            w = ctx.normalize(w)
+            got = self._groups.get(w)
+            if got is None:
+                got = self._groups[w] = self.group(w, Gallery(w))
+            return got
+        prefix = None
+        if gallery.type_word:
+            head = gallery.type_word[:-1]
+            prefix = self.group(head) if ctx.normalize(head) == head \
+                else self.group(head, Gallery(head))
+        return BlueprintGroup(ctx, self.rsys, gallery, self.blueprint, prefix,
+                              self.check_measure)
 
     def phi(self, w: str) -> tuple[Root, ...]:
         """Phi(w): inversion set along the canonical gallery."""
         return self.group(w).roots
-
-    def inclusion(self, w: str, target_w: str) -> GroupMono:
-        """Natural inclusion U_w -> U_{w'} for w a prefix of w'."""
-        ctx = self.ctx
-        w = ctx.normalize(w)
-        target_w = ctx.normalize(target_w)
-        if not ctx.prefix_leq(w, target_w):
-            raise ValueError(f"{w!r} is not a prefix of {target_w!r}")
-        src = self.group(w)
-        dst = self.group(target_w)
-        images = {x: dst.root_product(src.word_of(x)) for x in src.elements()}
-        return GroupMono(src, dst, images)
 
     def v_subgroup(self, gate: str, types) -> Subgroup:
         """V at the rank-2 residue with this gate: generated by the root
@@ -354,11 +379,13 @@ def gallery_independence(cache: GroupCache, w: str) -> bool:
     """Every minimal gallery of w presents U_w through the generator-identity
     map (the module's von Dyck corollary): each gallery's M-letters lie
     strictly between their pair in its crossing order, and the relations
-    of every minimal gallery hold on the generator rows of U_w."""
+    of every minimal gallery hold on the generator rows of U_w.  The
+    group's own gallery passed that check when its table was built."""
     grp = cache.group(w)
     try:
         for h in cache.ctx.min_galleries(grp.w):
-            insertion_table(cache.blueprint, h)
+            if h != grp.gallery:
+                insertion_table(cache.blueprint, h)
         grp.certify_order()
     except BlueprintError:
         return False

@@ -268,8 +268,7 @@ def roots_violated(cache: GroupCache, C) -> frozenset:
 
 def harvest_relations(cache: GroupCache, C) -> set:
     """Deduplicated commutator relations of all U_w, w in C, as root tuples."""
-    return cache.blueprint.relations(
-        h for w in sorted(C) for h in cache.ctx.min_galleries(w))
+    return set().union(*(cache.blueprint.harvest(w) for w in C))
 
 
 @timed

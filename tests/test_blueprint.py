@@ -5,13 +5,116 @@ import re
 
 import pytest
 
-from coxkit import blueprint, wordops
+from coxkit import wordops
 from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
-                              GroupMono, KacMoodyBlueprint,
-                              gallery_independence, subgroup)
+                              KacMoodyBlueprint, gallery_independence,
+                              subgroup)
 from coxkit.suites import run_blueprint
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class GroupMono:
+    """A verified injective homomorphism between blueprint-style groups."""
+
+    def __init__(self, source, target, images: dict):
+        self.source = source
+        self.target = target
+        self.images = images
+        src = list(source.elements())
+        if len({images[x] for x in src}) != len(src):
+            raise BlueprintError("map is not injective")
+        for x in src:
+            for y in src:
+                lhs = images[source.mul(x, y)]
+                rhs = target.mul(images[x], images[y])
+                if lhs != rhs:
+                    raise BlueprintError("map is not a homomorphism")
+
+    def __call__(self, x):
+        return self.images[x]
+
+
+def inclusion(cache, w: str, target_w: str) -> GroupMono:
+    """The natural inclusion U_w -> U_w' for w a prefix of w', matching
+    the root generators."""
+    ctx = cache.ctx
+    w = ctx.normalize(w)
+    target_w = ctx.normalize(target_w)
+    if not ctx.prefix_leq(w, target_w):
+        raise ValueError(f"{w!r} is not a prefix of {target_w!r}")
+    src = cache.group(w)
+    dst = cache.group(target_w)
+    images = {x: dst.root_product(src.word_of(x)) for x in src.elements()}
+    return GroupMono(src, dst, images)
+
+
+def generator(i: int) -> int:
+    """The bitmask of the generator u_{i+1} of a blueprint group."""
+    return 1 << i
+
+
+def rows_by_recurrence(grp) -> list:
+    """The whole-row recurrence the grown rows replaced, kept as their
+    oracle: every row over all 2^k normal forms, filled in increasing i
+    and y from one collection per pair j < i.  With j the lowest letter
+    of y below i, y = u_j * y' and u_i * u_j = u_j * z, so u_i * y =
+    u_j * (z * y'), read from rows already filled."""
+    k, order = grp.k, grp.order
+    rows = []
+    for i in range(k):
+        bit = 1 << i
+        tails = []
+        for j in range(i):
+            z = wordops.collect_mul(bit, 1 << j, k, grp._comm) ^ (1 << j)
+            tails.append([a for a in range(i, j, -1) if z >> a & 1])
+        row = [0] * order
+        rows.append(row)
+        for y in range(order):
+            low = y & -y
+            if low == 0 or low >= bit:
+                row[y] = y ^ bit
+                continue
+            v = y ^ low
+            for a in tails[low.bit_length() - 1]:
+                v = rows[a][v]
+            row[y] = low | v
+    return rows
+
+
+def relations_of(bp, galleries) -> set:
+    """The per-gallery harvest the grown one replaced, kept as its oracle:
+    (a, b, M^h_{a,b}) for every gallery h and every root a crossed before
+    b by h."""
+    rels = set()
+    for h in galleries:
+        roots = bp.rsys.inversion_sequence(h)
+        for i, a in enumerate(roots):
+            for b in roots[i + 1:]:
+                rels.add((a, b, bp.value(h, a, b)))
+    return rels
+
+
+def certify_in_full(ctx, grp, rows) -> int:
+    """The full certification the grown one replaced, kept as its oracle:
+    every row an involution and every relation of every minimal gallery
+    of w checked on rows.  Returns the number of relations."""
+    for i, row in enumerate(rows):
+        if any(row[y] != x for x, y in enumerate(row)):
+            raise BlueprintError(f"generator {i} is not an involution")
+    pos = grp._pos
+    rels = {(pos[a], pos[b], tuple(pos[m] for m in mids)) for a, b, mids
+            in relations_of(grp.blueprint, ctx.min_galleries(grp.w))}
+    identity = list(range(grp.order))
+    for a, b, mids in rels:
+        pa, pb = rows[a], rows[b]
+        lhs = [pa[pb[pa[y]]] for y in pb]
+        rhs = identity
+        for m in reversed(mids):
+            rhs = [rows[m][x] for x in rhs]
+        if lhs != rhs:
+            raise BlueprintError(f"relation [u_{a}, u_{b}] = {mids} fails")
+    return len(rels)
 
 
 def _gallery_independence_by_monos(cache, w):
@@ -59,7 +162,7 @@ def test_small_orders(cache):
 def test_rank2_commutator(cache):
     g = cache.group("stst")
     assert g.order == 16
-    u1, u4 = g.generator(0), g.generator(3)
+    u1, u4 = generator(0), generator(3)
     assert g.mul(g.mul(u1, u4), g.mul(u1, u4)) == 0b0110
     assert any(g.mul(x, y) != g.mul(y, x)
                for x in g.elements() for y in g.elements())
@@ -117,6 +220,85 @@ def test_generator_rows_match_collection_for_report_groups(ctx, cache):
                                  for y in g.elements()], (g, i)
 
 
+def test_grown_rows_and_counts_match_the_full_oracle(ctx):
+    # the grown rows and the certificate along the prefix tree against the
+    # whole-row recurrence and the full certification: every group of
+    # ball(7), and the groups along every minimal gallery of stst and ststr
+    fresh = GroupCache(ctx)
+    groups = [fresh.group(w) for w in ctx.ball(7)]
+    groups += [fresh.group(w, h) for w in ("stst", "ststr")
+               for h in ctx.min_galleries(w)]
+    assert len(groups) == 250 + 2 + 2
+    for g in groups:
+        rows = rows_by_recurrence(g)
+        assert g.rows == rows, g
+        assert g.certify_order() == certify_in_full(ctx, g, rows), g
+
+
+def test_grown_harvest_matches_the_per_gallery_harvest(ctx, cache):
+    # the harvest lemma on ball(7): the relations of every minimal gallery
+    # of w, and they contain those of the canonical prefix
+    bp = cache.blueprint
+    for w in ctx.ball(7):
+        got = bp.harvest(w)
+        assert got == relations_of(bp, ctx.min_galleries(w)), w
+        if w:
+            assert bp.harvest(w[:-1]) <= got, w
+
+
+def test_canonical_prefix_inclusion_is_the_identity_on_bitmasks(ctx):
+    # the rows lemma seen through the natural inclusion: U_w' -> U_w along
+    # the canonical prefix sends each normal form to itself
+    fresh = GroupCache(ctx)
+    for w in ctx.ball(6)[1:]:
+        mono = inclusion(fresh, w[:-1], w)
+        assert mono.images == {x: x for x in mono.source.elements()}, w
+
+
+def _tampered(ctx, rsys, w, i, y):
+    """A fresh cache in which entry y of row i of U_w is changed, before
+    anything is certified."""
+    fresh = GroupCache(ctx, rsys)
+    fresh.group(w).rows[i][y] ^= 1
+    return fresh
+
+
+def test_tampered_prefix_rows_fail_the_extension(ctx, cache):
+    # every single-entry change to the rows of U_stst makes its canonical
+    # extension ststr fail: old rows are checked grown from U_sts, the new
+    # row an involution
+    grp = cache.group("stst")
+    for i in range(grp.k):
+        for y in grp.elements():
+            ext = _tampered(ctx, cache.rsys, "stst", i, y).group("ststr")
+            with pytest.raises(BlueprintError, match=r"in U_stst|U_stst is"):
+                ext.certify_order()
+
+
+# run under -O, where an assert would be stripped: tampered prefix rows
+# must still fail the extension's certificate
+TAMPER_UNDER_O = """
+from coxkit.blueprint import BlueprintError, GroupCache
+from coxkit.coxeter import standard_coxeter
+ctx = standard_coxeter()
+for i, y in ((0, 5), (3, 9)):
+    fresh = GroupCache(ctx)
+    fresh.group("stst").rows[i][y] ^= 1
+    try:
+        fresh.group("ststr").certify_order()
+    except BlueprintError as exc:
+        print("raised", exc)
+"""
+
+
+def test_tampered_prefix_rows_fail_under_optimize(run_optimized):
+    out = run_optimized(TAMPER_UNDER_O)
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == [
+        "raised row 0 of U_stst is not grown from U_sts",
+        "raised generator 3 is not an involution in U_stst"]
+
+
 def test_abelian_table_fails_certification(ctx, cache):
     # rows derived with every insertion dropped present the abelian group
     # of the same order; the certificate, not the build, rejects them
@@ -154,9 +336,12 @@ def test_blueprint_suite_builds_each_group_once_and_one_table(ctx, monkeypatch):
 
 
 def test_blueprint_suite_counts_only_the_groups_that_certify(ctx, monkeypatch):
-    # one group whose certification fails is a problem, not a certified group
+    # a group whose certification fails is a problem, not a certified
+    # group, and so is every group grown from it: tstr's certificate
+    # starts with that of its prefix tst, and its error names tst
     ball = ctx.ball(4)
     broken = ball[len(ball) // 2]
+    assert broken == "tst"
     certify = BlueprintGroup.certify_order
 
     def failing(self):
@@ -165,37 +350,28 @@ def test_blueprint_suite_counts_only_the_groups_that_certify(ctx, monkeypatch):
         return certify(self)
     monkeypatch.setattr(BlueprintGroup, "certify_order", failing)
     out = run_blueprint(ctx, 4)
-    assert out["groups_certified"] == len(ball) - 1
-    assert out["problems"] == [{"w": broken, "error": f"forced failure in U_{broken}"}]
+    assert out["problems"] == [{"w": "tst", "error": "forced failure in U_tst"},
+                               {"w": "tstr", "error": "forced failure in U_tst"}]
+    assert out["groups_certified"] == len(ball) - 2
+    assert out["gallery_independence_failures"] == ["tst"]
     assert out["pass"] is False
 
 
 def test_blueprint_suite_harvests_relations_once_per_group(ctx, monkeypatch):
-    # gallery independence on ball(6) reuses the verdicts of the ball(7)
-    # certification instead of checking every relation a second time;
-    # the harvests inside insertion_table are per gallery and not counted
-    harvests = collections.Counter()
-    in_table = []
-    relations = KacMoodyBlueprint.relations
-    table = blueprint.insertion_table
+    # each element's relation set is built once: the ball(7) certification
+    # grows it from the sets of the right-descent neighbours, and gallery
+    # independence on ball(6) reads the sets already built
+    built = collections.Counter()
+    harvest = KacMoodyBlueprint.harvest
 
-    def counted(self, galleries):
-        galleries = tuple(galleries)
-        if not in_table:
-            harvests[ctx.normalize(galleries[0].type_word)] += 1
-        return relations(self, galleries)
-
-    def insertion(bp, gallery):
-        in_table.append(gallery)
-        try:
-            return table(bp, gallery)
-        finally:
-            in_table.pop()
-    monkeypatch.setattr(KacMoodyBlueprint, "relations", counted)
-    monkeypatch.setattr(blueprint, "insertion_table", insertion)
+    def counted(self, w):
+        if w not in self._harvests:
+            built[w] += 1
+        return harvest(self, w)
+    monkeypatch.setattr(KacMoodyBlueprint, "harvest", counted)
     assert run_blueprint(ctx, 7)["pass"]
-    assert sorted(harvests) == sorted(ctx.ball(7))
-    assert set(harvests.values()) == {1}
+    assert sorted(built) == sorted(ctx.ball(7))
+    assert set(built.values()) == {1}
 
 
 def test_certified_verdict_goes_with_its_rows(ctx, cache):
@@ -281,9 +457,9 @@ def test_v_subgroup_rejects_non_gate(cache):
 
 
 def test_inclusions(ctx, cache):
-    mono = cache.inclusion("s", "st")
+    mono = inclusion(cache, "s", "st")
     assert mono.source.order == 2 and mono.target.order == 4
-    mono = cache.inclusion("stst", "ststr")
+    mono = inclusion(cache, "stst", "ststr")
     assert mono.source.order == 16 and mono.target.order == 32
     # composition along a reduced word equals the direct inclusion
     rng = random.Random(9)
@@ -297,13 +473,13 @@ def test_inclusions(ctx, cache):
         exts2 = [g for g in "rst" if len(ctx.mult(mid, g)) == len(mid) + 1]
         g2 = rng.choice(exts2)
         top = ctx.mult(mid, g2)
-        direct = cache.inclusion(w, top)
-        first = cache.inclusion(w, mid)
-        second = cache.inclusion(mid, top)
+        direct = inclusion(cache, w, top)
+        first = inclusion(cache, w, mid)
+        second = inclusion(cache, mid, top)
         for x in cache.group(w).elements():
             assert direct(x) == second(first(x))
     with pytest.raises(ValueError):
-        cache.inclusion("st", "sr")
+        inclusion(cache, "st", "sr")
 
 
 def test_intersections(ctx, cache):

@@ -132,9 +132,6 @@ KEPT_WITHOUT_PROGRAM_CALLER = {
                              "reduction tests enumerate words with it",
     "member_vec": "the independent membership oracle over Z[sqrt 2] of "
                   "the root tests",
-    "generator": "test-only: names a blueprint generator by index",
-    "inclusion": "test-only: the natural monomorphisms between blueprint "
-                 "groups",
     "proj": "test-only: the gate of a residue seen from a chamber",
     "prenilpotent": "test-only: the prenilpotency of a root pair",
     "interval_ball": "test-only: ball-approximate intervals for the "
