@@ -113,8 +113,10 @@ class KacMoodyBlueprint:
 def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery) -> bytes:
     """The collection data of the gallery: for i < j in its crossing order,
     the number and positions of the letters of M_{i,j}.  BlueprintError
-    unless each lies strictly between i and j, which makes collection
-    terminate, so that the group the gallery presents has order <= 2^k."""
+    unless each has at most two letters, the room a pair has in the
+    table, and each letter lies strictly between i and j, which makes
+    collection terminate, so that the group the gallery presents has
+    order <= 2^k."""
     roots = blueprint.rsys.inversion_sequence(gallery)
     pos = {root: i for i, root in enumerate(roots)}
     k = len(roots)
@@ -124,6 +126,10 @@ def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery) -> bytes:
             mids = blueprint.value(gallery, a, roots[j])
             if not mids:
                 continue
+            if len(mids) > 2:
+                raise BlueprintError(
+                    f"M-value of the pair ({i}, {j}) has {len(mids)} letters, "
+                    "more than the two the table holds")
             mpos = [pos[m] for m in mids]
             if any(not (i < p < j) for p in mpos):
                 raise BlueprintError(

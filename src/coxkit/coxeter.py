@@ -242,22 +242,6 @@ class Coxeter:
     def chambers(self, res: Residue) -> tuple[str, ...]:
         return tuple(self.mult(res.gate, u) for u in self.parabolic(res.types))
 
-    def proj(self, res: Residue, x: str) -> str:
-        """Gate of res seen from x: the unique chamber minimizing distance."""
-        best = None
-        best_len = None
-        ties = 0
-        xi = self.inv(x)
-        for z in self.chambers(res):
-            d = len(self.mult(xi, z))
-            if best_len is None or d < best_len:
-                best, best_len, ties = z, d, 1
-            elif d == best_len:
-                ties += 1
-        if ties != 1:
-            raise ResidueError(f"no unique chamber of {res} nearest to {x!r}")
-        return best
-
     def gate(self, res: Residue) -> str:
         return res.gate
 

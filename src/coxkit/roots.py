@@ -228,12 +228,6 @@ class RootSystem:
         return PairClass(kind="anti_nested",
                          detail="cover" if side > 0 else "disjoint")
 
-    def prenilpotent(self, a: Root, b: Root) -> bool:
-        if a == b:
-            return True
-        pc = self.pair_class(a, b)
-        return pc.kind in ("finite", "nested")
-
     # -- inversion sequences and intervals -----------------------------------
 
     def inversion_sequence(self, g: Gallery) -> tuple[Root, ...]:
@@ -272,7 +266,7 @@ class RootSystem:
 
         Exact for finite-order pairs (their walls meet in a point, so
         membership in the interval is the cone test on vectors).  Raises
-        IntervalNotExact for nested pairs; use interval_ball for those.
+        IntervalNotExact for nested pairs, whose walls do not meet.
         """
         roots = self.inversion_sequence(g)
         order = {root: i for i, root in enumerate(roots)}
@@ -303,15 +297,6 @@ class RootSystem:
         [a, b]: in a and b but not in c, or in c but in neither."""
         in_a, in_b, in_c = (self.halfspace(x, radius) for x in (a, b, c))
         return in_a & in_b & ~in_c | in_c & ~(in_a | in_b)
-
-    def interval_ball(self, a: Root, b: Root, g: Gallery, radius: int):
-        """Ball-approximate closed interval for any prenilpotent pair.
-
-        Returns (roots, exact) where exact is False: candidates from Phi(G)
-        that pass the defining containments on every element of the ball.
-        """
-        return tuple(c for c in self.inversion_sequence(g)
-                     if not self._refutations(a, b, c, radius)), False
 
     def open_interval_empty_certificate(self, a: Root, b: Root, g: Gallery,
                                         radius: int):

@@ -2,34 +2,79 @@
 
 Vertex groups are "computable groups": objects with identity, mul, inv
 and, when finite, elements().  Their elements are canonical and hashable
-(ints for the blueprint groups and their subgroups, ("nf", carry,
-letters) tuples for amalgams and tree products), so equal elements
-compare equal and every element is its own dict key.  Edge groups must be
-finite.  A tree product is realized by contracting edges one at a time,
-each contraction an amalgamated product whose elements are canonical
-normal forms c * t1 * ... * tn with alternating transversal letters;
-uniqueness is the classical normal form theorem, and it needs nothing
-beyond a canonical coset representative per edge-group coset, chosen here
-as the least element in the fixed order of _rank (preferring members of
-the product's subgroup family when one is installed, which is what makes
-membership in that family readable off the letters).
+(ints for the blueprint groups and their subgroups, (carry, letters)
+pairs for tree products), so equal elements compare equal and every
+element is its own dict key.  Edge groups must be finite.
 
-Normal forms are computed right to left by one routine: a carry (an
-edge-group element) is pushed leftwards through the letters, and each
-letter is replaced by its coset representative.  Multiplying two normal
-forms starts that routine with the right factor's letters already in
-place and walks the left factor's letters only while something can
-change: once the carry is trivial and the next letter cannot merge with
-the one to its right, the rest of the left factor is canonical as it
-stands, because a representative is the least element of its own coset
-and so decomposes to itself.  The product thus costs the letters near
-the junction, not both factors in full.
+Normal form (J.-P. Serre, Trees, ch. I §1 and §4).  Fix the root r, the
+least vertex name.  An element of a tree product is a pair (carry,
+letters): carry lies in G_r and letters is a tuple (v_1, t_1), ...,
+(v_n, t_n) with t_i in G_(v_i), standing for carry * t_1 * ... * t_n,
+such that
+  (i)  v_1 != r and v_i != v_(i+1), and
+  (ii) t_i is the chosen representative of its coset E_i t_i and does
+       not lie in E_i, where E_i is the image in G_(v_i) of the group of
+       the first edge on the tree path from v_i toward v_(i-1) (toward r
+       for i = 1).
+The representative of a coset E x is the identity when x lies in E,
+else a member of the subgroup family when the coset meets it, else the
+least element in the fixed order of _rank.
 
-The contraction order is kept as one cluster tree: each contracted vertex
-set maps to the two clusters it was amalgamated from.  Evaluating a word
-splits it into runs by half, recursively, with one normal form per
-cluster; flattening, syllable counts and family membership walk the same
-tree.
+Existence.  One right-to-left pass, _normalize, computes the form of a
+word.  It keeps a stack of finished letters, leftmost on top, and one
+pending element at a vertex, which it walks along the tree path to the
+next letter's vertex (to r after the last letter).  At every vertex on
+the way it first absorbs the stack top if the top sits there; to cross
+an edge u -> w it splits the pending element x = e * t by the edge's
+table, pushes (u, t) unless t is trivial and carries e on to w.  A
+pushed letter meets (ii) for whatever is pushed next, because the
+pending element cannot leave the side of the top's edge it stands on
+without reaching the top's vertex and absorbing the top.  The table of
+u -> w maps x in G_u to (e, t), e the edge part as an element of G_w;
+it is filled one coset at a time on first use, so a vertex that is
+itself a tree product (contract) needs nothing but its mul.
+
+Multiplying two normal forms starts the pass with the right factor's
+letters as the stack and its carry pending at r, and walks the left
+factor's letters only while something can change: once the pending
+element is trivial and the stack top is not on the path to the next
+letter, the rest of the left factor is canonical as it stands, because
+a representative splits to itself with trivial edge part.
+
+Uniqueness, for every choice of root at once, by induction on the
+number of edges.  With one vertex the form is the carry alone.
+Otherwise take a leaf l != r, joined to p by an edge with group E; the
+product is the amalgam P *_E G_l, P the tree product of the tree
+without l (Serre I.4).  Cut a normal form at its letters at l:
+carry * R_0 * t_1 * R_1 * t_2 * ... with runs R_j of letters away from
+l.  Each t_j is a nontrivial representative of E in G_l.  Each R_j with
+j >= 1, read with root p, is a normal form of P whose carry is 1 or a
+nontrivial representative of E in G_p (its first letter, when that
+sits at p).  Left multiplication by E changes only that carry, so the
+elements of P whose carry with root p is a representative form a
+transversal of E in P, and R_j is its nontrivial member of E R_j.  That
+is the amalgam's normal form (Serre I.1, Theorem 1): it determines
+carry * R_0, every t_j and every R_j, and the hypothesis for P, with
+roots r and p, determines their letters.
+
+Family membership.  Let A_v <= G_v be a subgroup family whose edge
+preimages agree (D_e on each edge e; check_subtree_conditions).  An
+element lies in the subgroup the family generates exactly when its
+carry and all its letters lie in the family.  Run the pass on a word of
+family letters: a pending family element a at u has the coset
+iota(E) a, which meets A_u, so its representative a' lies in A_u, and
+the edge part a a'^-1 lies in iota(E) cap A_u = iota(D_e), which maps
+into the family at the next vertex.  So every letter and the carry stay
+in the family, and by uniqueness that is the element's normal form.
+
+Syllables.  syllables counts the letters of a reduced word for an
+element: one left-to-right slide pass over its normal form.  Starting
+with the carry, each element moves right along the tree path toward the
+next letter's vertex while it lies in the edge group of the next edge,
+and is multiplied into that letter when it gets there; what stops on
+the way stays a letter.  Each letter left avoids the edge group toward
+its right neighbour, so at every backtrack of the word's walk on the
+tree the letter avoids that edge's group, as Serre's reduced words do.
 
 closure_words enumerates a finite subgroup from generators, and Subgroup
 promotes a finite subset of a group to a computable group of its own.
@@ -37,12 +82,10 @@ promotes a finite subset of a group to a computable group of its own.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 __all__ = [
-    "Subgroup", "closure_words", "Edge", "TreeOfGroups", "Amalgam", "TreeProduct",
+    "Subgroup", "closure_words", "Edge", "TreeOfGroups", "TreeProduct",
     "contract", "fold", "check_subtree_conditions", "respects_edges",
     "family_embeds", "TreeError",
 ]
@@ -124,28 +167,14 @@ class Subgroup:
 
 def _rank(x) -> str:
     """The fixed order in which the least coset element is chosen: repr
-    for an int, the letters' ranks joined for an ("nf", carry, letters)
-    normal form."""
+    for an int, the ranks of the carry and the letters joined for a
+    (carry, letters) tree-product element."""
     if isinstance(x, tuple):
-        _, carry, letters = x
+        carry, letters = x
         parts = [_rank(carry)]
-        parts.extend(f"{side}:{_rank(v)}" for side, v in letters)
+        parts.extend(f"{v}:{_rank(t)}" for v, t in letters)
         return "nf[" + "|".join(parts) + "]"
     return repr(x)
-
-
-def _merged(letters, group_of) -> list:
-    """The (key, element) letters with adjacent letters under one key
-    multiplied together and trivial products dropped; group_of maps a key
-    to the group its elements lie in."""
-    merged: list = []
-    for key, x in letters:
-        G = group_of(key)
-        if merged and merged[-1][0] == key:
-            x = G.mul(merged.pop()[1], x)
-        if x != G.identity:
-            merged.append((key, x))
-    return merged
 
 
 @dataclass
@@ -225,144 +254,18 @@ class TreeOfGroups:
         return issues
 
 
-class Amalgam:
-    """A *_C B with canonical normal forms ('nf', carry, letters).
-
-    carry is an edge-group element; letters are (side, tau) with side 0
-    for A and 1 for B, tau a canonical nontrivial coset representative,
-    sides alternating.
-
-    nf, mul and inv share one right-to-left normalizer, _normalize.  mul
-    does not re-normalize its factors: it stacks the right factor's
-    letters, carries the right factor's carry into the left factor's
-    letters and stops at the first letter where the carry is trivial and
-    no merge is pending.  The stop is sound because a canonical letter is
-    the least element of its coset C*tau in the fixed _rank and priority
-    order, so _decompose would return it with trivial carry.
-    """
-
-    def __init__(self, A, B, C, c_into_a: dict, c_into_b: dict,
-                 priority=(None, None)):
-        self.sides = (A, B)
-        self.C = C
-        self.embed_maps = (c_into_a, c_into_b)
-        self.priority = priority   # per side: None or rank callable -> bool
-        self._unembed = tuple({v: c for c, v in m.items()}
-                              for m in (c_into_a, c_into_b))
-        self._decomp_cache: dict = {}
-        self.identity = ("nf", C.identity, ())
-
-    def embed(self, c, side: int):
-        return self.embed_maps[side][c]
-
-    def _decompose(self, side: int, x):
-        """x = embed(c) * tau with tau the canonical rep of the coset Cx.
-
-        A miss ranks the coset once and stores the decomposition of each
-        of its elements: with tau = embed(c*) * x the least candidate,
-        y = embed(c) * x is embed(c * c*^-1) * tau.  The _rank string is
-        computed only for the candidates tied at the least priority rank.
-        """
-        got = self._decomp_cache.get((side, x))
-        if got is not None:
-            return got
-        G, C = self.sides[side], self.C
-        coset = [(c, G.mul(self.embed(c, side), x)) for c in C.elements()]
-        rank_fn = self.priority[side]
-        if rank_fn is not None:
-            ranks = [rank_fn(y) for _, y in coset]
-            least = min(ranks)
-            tied = [cy for cy, rank in zip(coset, ranks) if rank == least]
-        else:
-            tied = coset
-        c_star, tau = min(tied, key=lambda cy: _rank(cy[1]))
-        c_star_inv = C.inv(c_star)
-        for c, y in coset:
-            self._decomp_cache[(side, y)] = (C.mul(c, c_star_inv), tau)
-        return self._decomp_cache[(side, x)]
-
-    def _normalize(self, letters, carry, stack: list, head=None) -> tuple:
-        """Normal form of letters * embed(carry) * stack, right to left.
-
-        stack holds canonical letters, rightmost first, with alternating
-        sides.  Each step folds the running carry into the next letter on
-        its left, merges it with the stack top when their sides agree, and
-        pushes the canonical representative of its coset, leaving the edge
-        part as the new carry.
-
-        head, when given, is an edge element standing left of letters,
-        which are then canonical (the letters of a normal form).  The walk
-        stops as soon as the carry is trivial and the next letter's side
-        differs from the stack top: nothing is left to merge, and each
-        remaining letter, being the canonical representative of its own
-        coset, would decompose to itself with trivial carry.  The result's
-        carry is then head itself.
-        """
-        identity = self.C.identity
-        for i in range(len(letters) - 1, -1, -1):
-            side, x = letters[i]
-            if head is not None and carry == identity and (
-                    not stack or stack[-1][0] != side):
-                return ("nf", head, letters[:i + 1] + tuple(reversed(stack)))
-            G = self.sides[side]
-            if carry != identity:
-                x = G.mul(x, self.embed(carry, side))
-            if stack and stack[-1][0] == side:
-                x = G.mul(x, stack.pop()[1])
-            if x == G.identity:
-                carry = identity
-                continue
-            un = self._unembed[side].get(x)
-            if un is not None:
-                carry = un
-                continue
-            carry, tau = self._decompose(side, x)
-            stack.append((side, tau))
-        if head is not None:
-            carry = self.C.mul(head, carry)
-        return ("nf", carry, tuple(reversed(stack)))
-
-    def nf(self, letters) -> tuple:
-        """Normal form of a word of (side, element) letters."""
-        return self._normalize(letters, self.C.identity, [])
-
-    # -- computable group interface ---------------------------------------
-
-    def letters_of(self, el) -> list:
-        tag, carry, letters = el
-        out = [(0, self.embed(carry, 0))]
-        out.extend(letters)
-        return out
-
-    def mul(self, x, y):
-        """x * y normalized at the junction: y's letters are already the
-        canonical stack, and x's letters are walked leftwards only until
-        nothing more can change."""
-        _, cx, xl = x
-        _, cy, yl = y
-        return self._normalize(xl, cy, list(reversed(yl)), head=cx)
-
-    def inv(self, x):
-        _, carry, letters = x
-        out = [(side, self.sides[side].inv(v)) for side, v in reversed(letters)]
-        return self._normalize(out, self.C.inv(carry), [])
-
-    def __repr__(self) -> str:
-        return f"Amalgam({self.sides[0]!r} * {self.sides[1]!r})"
-
-
 class TreeProduct:
-    """Tree product realized by contracting edges in a deterministic order.
+    """The tree product of a tree of groups, its elements in the normal
+    form of the module docstring.
 
-    _halves maps each contracted cluster (a vertex set) to the two
-    clusters it was amalgamated from, clusters maps every cluster to its
-    group (the vertex group or an Amalgam) and _top is the whole vertex set.
+    _toward[u][t] is the neighbour of u on the path to t, _path[u, t] the
+    vertices of that path (both ends included), and _tables[u, w] the
+    edge table of u -> w, seeded with the edge group's own coset.
 
     family, when given, maps every vertex to a frozenset of its vertex
-    group's elements; coset representatives then prefer elements whose
-    letters all lie in the family, which is what makes membership in the
-    family readable off normal-form letters once the family passes the
-    subtree conditions.
+    group's elements; coset representatives then prefer family members,
+    which is what makes membership in the family readable off the
+    letters once the family passes the subtree conditions.
     """
 
     def __init__(self, tog: TreeOfGroups, family: dict | None = None):
@@ -373,89 +276,119 @@ class TreeProduct:
             raise TreeError("a subgroup family must cover every vertex")
         self.tog = tog
         self.family = family
+        groups = tog.vertices
+        self.root = min(groups)
+        self.identity = (groups[self.root].identity, ())
+        self._mul = {v: G.mul for v, G in groups.items()}
+        self._one = {v: G.identity for v, G in groups.items()}
+        self._toward: dict = {v: {} for v in groups}
+        for t in groups:
+            frontier = [t]
+            while frontier:
+                w = frontier.pop()
+                for u in tog.neighbors(w):
+                    if u != t and t not in self._toward[u]:
+                        self._toward[u][t] = w
+                        frontier.append(u)
+        self._path = {}
+        for u in groups:
+            for t in groups:
+                walk = [u]
+                while walk[-1] != t:
+                    walk.append(self._toward[walk[-1]][t])
+                self._path[u, t] = frozenset(walk)
+        self._edges: dict = {}
+        self._tables: dict = {}
+        for e in tog.edges:
+            for u, w in ((e.u, e.v), (e.v, e.u)):
+                into_u, into_w = e.endpoint_map(u), e.endpoint_map(w)
+                self._edges[u, w] = (e.group, into_u, into_w)
+                self._tables[u, w] = {into_u[c]: (into_w[c], groups[u].identity)
+                                      for c in e.group.elements()}
         self._vertex_images: dict = {}
-        self._build(sorted(tog.edges, key=lambda e: (min(e.u, e.v), max(e.u, e.v))))
 
-    def _build(self, plan) -> None:
-        cluster_of = {v: frozenset([v]) for v in self.tog.vertices}
-        self.clusters = {frozenset([v]): g for v, g in self.tog.vertices.items()}
-        self._halves: dict = {}
-        for e in plan:
-            ca, cb = cluster_of[e.u], cluster_of[e.v]
-            into_a = {c: self._eval(ca, [(e.u, x)]) for c, x in e.into_u.items()}
-            into_b = {c: self._eval(cb, [(e.v, x)]) for c, x in e.into_v.items()}
-            am = Amalgam(self.clusters[ca], self.clusters[cb], e.group,
-                         into_a, into_b,
-                         (self._family_rank(ca), self._family_rank(cb)))
-            cu = ca | cb
-            self.clusters[cu] = am
-            self._halves[cu] = (ca, cb)
-            cluster_of.update(dict.fromkeys(cu, cu))
-        self._top = frozenset(self.tog.vertices)
-        self.group = self.clusters[self._top]
-        self.identity = self.group.identity
+    def _split(self, u: str, w: str, x):
+        """(e, t) with x = e * t in G_u, t the representative of x's coset
+        modulo the edge group of u - w and e the edge part as an element
+        of G_w.  A miss fills the table for the whole coset: with
+        t = iota_u(c*) * x the chosen element, y = iota_u(c) * x is
+        iota_u(c * c*^-1) * t."""
+        table = self._tables[u, w]
+        got = table.get(x)
+        if got is None:
+            E, into_u, into_w = self._edges[u, w]
+            mul = self._mul[u]
+            coset = [(c, mul(into_u[c], x)) for c in E.elements()]
+            family = None if self.family is None else self.family[u]
+            c_star, t = min(coset, key=lambda cy: (
+                family is not None and cy[1] not in family, _rank(cy[1])))
+            c_star_inv = E.inv(c_star)
+            for c, y in coset:
+                table[y] = (into_w[E.mul(c, c_star_inv)], t)
+            got = table[x]
+        return got
 
-    def _eval(self, cluster: frozenset, word):
-        """The element of the cluster's group equal to the product of the
-        (vertex, element) letters of word: each run of letters in one half
-        is evaluated in that half, then the runs are normalized at once."""
-        halves = self._halves.get(cluster)
-        if halves is None:
-            (vertex,) = cluster
-            G = self.tog.vertices[vertex]
-            for v, _ in word:
-                if v != vertex:
-                    raise KeyError(v)   # a letter at no vertex of the tree
-            return reduce(G.mul, (x for _, x in word)) if word else G.identity
-        ca = halves[0]
-        runs = itertools.groupby(word, key=lambda letter: 0 if letter[0] in ca else 1)
-        return self.clusters[cluster].nf(
-            [(side, self._eval(halves[side], list(run))) for side, run in runs])
+    def _normalize(self, letters, pending, stack: list, head=None) -> tuple:
+        """The normal form of letters * pending * stack, right to left:
+        pending lies in G_r and stack holds the letters of a normal form,
+        leftmost last.
 
-    def _letters(self, cluster: frozenset, el, out: list) -> None:
-        """Append the nontrivial (vertex, element) letters of el, an element
-        of the cluster's group, left to right."""
-        halves = self._halves.get(cluster)
-        if halves is None:
-            (vertex,) = cluster
-            if el != self.tog.vertices[vertex].identity:
-                out.append((vertex, el))
-            return
-        am = self.clusters[cluster]
-        _, carry, letters = el
-        if carry != am.C.identity:
-            self._letters(halves[0], am.embed(carry, 0), out)
-        for side, x in letters:
-            self._letters(halves[side], x, out)
-
-    def _in_family(self, letters) -> bool:
-        return all(x in self.family[v] for v, x in letters)
-
-    def _family_rank(self, cluster: frozenset):
-        """None without a family; else the rank that puts the cluster's
-        elements with every letter in the family (False) first."""
-        if self.family is None:
-            return None
-
-        def rank(el):
-            out: list = []
-            self._letters(cluster, el, out)
-            return not self._in_family(out)
-        return rank
+        head, when given, is an element of G_r standing left of letters,
+        which are then the letters of a normal form.  The walk stops as
+        soon as the pending element is trivial and the stack top is not
+        on the path to the next letter: nothing is left to absorb, and
+        each remaining letter, a representative, would split to itself
+        with trivial edge part.  The result's carry is then head itself.
+        """
+        root, mul, one = self.root, self._mul, self._one
+        toward, path, tables = self._toward, self._path, self._tables
+        at = root
+        for i in range(len(letters), -1, -1):
+            v = letters[i - 1][0] if i else root
+            if head is not None and pending == one[at] and not (
+                    stack and stack[-1][0] in path[at, v]):
+                return (head, tuple(letters[:i]) + tuple(reversed(stack)))
+            while True:
+                if stack and stack[-1][0] == at:
+                    pending = mul[at](pending, stack.pop()[1])
+                if at == v:
+                    break
+                w = toward[at][v]
+                if pending == one[at]:
+                    pending = one[w]
+                else:
+                    pending, t = tables[at, w].get(pending) \
+                        or self._split(at, w, pending)
+                    if t != one[at]:
+                        stack.append((at, t))
+                at = w
+            if i:
+                pending = mul[v](letters[i - 1][1], pending)
+        if head is not None:
+            pending = mul[root](head, pending)
+        return (pending, tuple(reversed(stack)))
 
     # -- elements ------------------------------------------------------------
 
     def include(self, vertex: str, x):
-        return self._eval(self._top, [(vertex, x)])
+        return self._normalize(((vertex, x),), self.identity[0], [])
 
     def eval_word(self, word):
-        return self._eval(self._top, list(word))
+        return self._normalize(tuple(word), self.identity[0], [])
 
     def mul(self, x, y):
-        return self.group.mul(x, y)
+        """x * y normalized at the junction: y's letters are already the
+        stack, and x's letters are walked leftwards only until nothing
+        more can change."""
+        cx, xl = x
+        cy, yl = y
+        return self._normalize(xl, cy, list(reversed(yl)), head=cx)
 
     def inv(self, x):
-        return self.group.inv(x)
+        carry, letters = x
+        groups = self.tog.vertices
+        word = tuple((v, groups[v].inv(t)) for v, t in reversed(letters))
+        return self._normalize(word, groups[self.root].inv(carry), [])
 
     def is_identity(self, x) -> bool:
         return x == self.identity
@@ -465,10 +398,15 @@ class TreeProduct:
 
     # -- structure queries ------------------------------------------------------
 
+    def flatten_word(self, el) -> list:
+        """Nontrivial (vertex, element) letters whose product is el: the
+        carry, unless trivial, then the normal form's letters."""
+        carry, letters = el
+        head = [(self.root, carry)] if carry != self.identity[0] else []
+        return head + list(letters)
+
     def _group_letters(self, el):
-        out: list = []
-        self._letters(self._top, el, out)
-        for vertex, x in out:
+        for vertex, x in self.flatten_word(el):
             G = self.tog.vertices[vertex]
             if isinstance(G, TreeProduct):
                 yield from G._group_letters(x)
@@ -478,43 +416,46 @@ class TreeProduct:
     def flatten(self, el) -> list:
         """Nontrivial (vertex group, element) letters whose product is el,
         letters at vertices that are themselves tree products expanded
-        down to their own leaves."""
-        return _merged(self._group_letters(el), lambda G: G)
-
-    def _syllables(self, cluster: frozenset, el) -> int:
-        halves = self._halves.get(cluster)
-        if halves is None:
-            return int(el != self.clusters[cluster].identity)
-        am = self.clusters[cluster]
-        _, carry, letters = el
-        if not letters:
-            return self._syllables(halves[0], am.embed(carry, 0))
-        (side, x), rest = letters[0], letters[1:]
-        head = am.sides[side].mul(am.embed(carry, side), x)
-        return self._syllables(halves[side], head) + sum(
-            self._syllables(halves[s], y) for s, y in rest)
+        down to their own leaves and adjacent letters in one group
+        multiplied together."""
+        merged: list = []
+        for G, x in self._group_letters(el):
+            if merged and merged[-1][0] is G:
+                x = G.mul(merged.pop()[1], x)
+            if x != G.identity:
+                merged.append((G, x))
+        return merged
 
     def syllables(self, el) -> int:
         """The number of letters of a reduced word for el, one letter per
-        vertex of this tree (a contracted vertex counts once).  In every
-        amalgam the carry is multiplied into the first letter after it, so
-        it is never a letter of its own; with no letter it is counted alone.
-        """
-        return self._syllables(self._top, el)
-
-    def flatten_word(self, el) -> list:
-        """Nontrivial (vertex, element) letters whose product is el."""
-        out: list = []
-        self._letters(self._top, el, out)
-        return _merged(out, self.tog.vertices.__getitem__)
+        vertex of this tree (a contracted vertex counts once): the letters
+        left by the slide pass of the module docstring."""
+        carry, letters = el
+        one = self._one
+        count = 0
+        cur, at = carry, self.root
+        for v, t in letters:
+            while at != v:
+                w = self._toward[at][v]
+                e, rest = self._split(at, w, cur)
+                if rest != one[at]:
+                    break
+                cur, at = e, w
+            if at == v:
+                cur = self._mul[v](cur, t)
+            else:
+                count += 1
+                cur, at = t, v
+        return count + (cur != one[at])
 
     def in_family(self, el) -> bool:
-        """All letters of el lie in the installed subgroup family."""
+        """The carry and every letter of el lie in the installed subgroup
+        family."""
         if self.family is None:
             raise TreeError("no subgroup family installed")
-        out: list = []
-        self._letters(self._top, el, out)
-        return self._in_family(out)
+        carry, letters = el
+        return carry in self.family[self.root] and all(
+            t in self.family[v] for v, t in letters)
 
     def vertex_value(self, el, vertex: str):
         """The G_vertex element equal to el, or None (finite groups only)."""

@@ -8,7 +8,7 @@ import pytest
 from coxkit import wordops
 from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
                               KacMoodyBlueprint, gallery_independence,
-                              subgroup)
+                              insertion_table, subgroup)
 from coxkit.suites import run_blueprint
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -297,6 +297,45 @@ def test_tampered_prefix_rows_fail_under_optimize(run_optimized):
     assert out.stdout.splitlines() == [
         "raised row 0 of U_stst is not grown from U_sts",
         "raised generator 3 is not an involution in U_stst"]
+
+
+# a blueprint wrapped to give the pair (0, 4) of ststr an M-value of three
+# letters, all strictly between 0 and 4: the table has room for two, so
+# it must refuse the value, also under -O
+THREE_LETTERS = """
+from coxkit.blueprint import BlueprintError, GroupCache, insertion_table
+from coxkit.coxeter import standard_coxeter
+cache = GroupCache(standard_coxeter())
+g = cache.ctx.gallery("ststr")
+seq = cache.rsys.inversion_sequence(g)
+value = cache.blueprint.value
+cache.blueprint.value = lambda h, a, b: (
+    seq[1:4] if (h, a, b) == (g, seq[0], seq[4]) else value(h, a, b))
+try:
+    insertion_table(cache.blueprint, g)
+except BlueprintError as exc:
+    print("raised", exc)
+"""
+THREE_LETTERS_ERROR = ("raised M-value of the pair (0, 4) has 3 letters, "
+                       "more than the two the table holds")
+
+
+def test_insertion_table_rejects_an_m_value_of_three_letters(cache):
+    fresh = GroupCache(cache.ctx, cache.rsys)
+    g = fresh.ctx.gallery("ststr")
+    seq = fresh.rsys.inversion_sequence(g)
+    value = fresh.blueprint.value
+    fresh.blueprint.value = lambda h, a, b: (
+        seq[1:4] if (h, a, b) == (g, seq[0], seq[4]) else value(h, a, b))
+    with pytest.raises(BlueprintError) as err:
+        insertion_table(fresh.blueprint, g)
+    assert "raised " + str(err.value) == THREE_LETTERS_ERROR
+
+
+def test_insertion_table_rejects_three_letters_under_optimize(run_optimized):
+    out = run_optimized(THREE_LETTERS)
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == [THREE_LETTERS_ERROR]
 
 
 def test_abelian_table_fails_certification(ctx, cache):

@@ -80,6 +80,17 @@ def test_nf_command(tmp_path, capsys):
     assert run_cli(["nf", "--tree", str(tree), "--word", "u_xy"]) == 2
 
 
+def test_nf_syllables_count_no_inserted_letter(tmp_path, capsys):
+    # u_s*u_sr at v0 and u_t*u_tr*u_rt at v2 lie in no one vertex group:
+    # two letters, although the normal form passes u(t) through v1
+    tree = tmp_path / "tree.txt"
+    tree.write_text(TREE_FILE)
+    assert run_cli(["nf", "--tree", str(tree),
+                    "--word", "u_s*u_sr,u_t*u_tr*u_rt"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["identity"] is False and doc["syllables"] == 2
+
+
 BAD_TREES = {
     "unknown-generator": "vertex v0 U sq\n",
     "unknown-v-type": "vertex v1 V :sx\n",

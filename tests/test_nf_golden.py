@@ -1,6 +1,7 @@
 """Exact normal forms pinned against tests/golden/nf_battery.txt.
 
-The golden file holds the flatten_word letters of seeded random words in
+The golden file holds the flatten_word letters (the carry at the root,
+unless trivial, then the normal form's letters) of seeded random words in
 the subgroup-theorem product U_sr * V * U_trt and in V_R, O_R and O_Rs at
 the gate-1 st-residue, in O_R with its V_R subgroup family installed as
 the family its coset representatives prefer, in V_R contracted so that one vertex is
@@ -13,6 +14,7 @@ repository root with
     PYTHONPATH=src:tests python -c "import test_nf_golden as t; t.write_golden()"
 """
 
+import ast
 import contextlib
 import io
 import os
@@ -22,6 +24,7 @@ import tempfile
 from coxkit.cli import main
 from coxkit.constructions import Builder
 from coxkit.treeprod import TreeProduct, contract
+from nested_oracle import NestedProduct
 from walks import random_word
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "nf_battery.txt")
@@ -45,12 +48,11 @@ def _any_letters(tog, rng, length: int) -> list:
     return word
 
 
-def _words(label: str, product, seed: int, source=None, translate=None) -> list:
-    """Words drawn in `source` (default: product itself), mapped into
-    product by `translate`."""
+def _words(label: str, product, seed: int, source=None, translate=None):
+    """(line name, product, word) for seeded words drawn in `source`
+    (default: product itself), mapped into product by `translate`."""
     source = source or product
     rng = random.Random(seed)
-    lines = []
     for i in range(WORDS):
         for kind in ("reduced", "any"):
             length = rng.randint(1, 6)
@@ -60,19 +62,18 @@ def _words(label: str, product, seed: int, source=None, translate=None) -> list:
                 word = _any_letters(source.tog, rng, length)
             if translate is not None:
                 word = translate(word)
-            el = product.eval_word(word)
-            lines.append(f"{label} {kind} {i}: {product.flatten_word(el)!r}")
-    return lines
+            yield f"{label} {kind} {i}", product, word
 
 
-def battery_text(cache, setup) -> str:
+def battery_words(cache, setup) -> list:
+    """(line name, product, word) for every word of the golden file."""
     b = Builder(cache)
     ctx = b.ctx
     R = ctx.residue("st", "")
-    lines = _words("U_sr*V*U_trt", setup.product, 1)
+    entries = list(_words("U_sr*V*U_trt", setup.product, 1))
     cons = {kind: b.construction(kind, R) for kind in ("V_R", "O_R", "O_Rs")}
     for seed, (kind, c) in enumerate(cons.items(), start=2):
-        lines += _words(kind, TreeProduct(c.tog), seed)
+        entries += _words(kind, TreeProduct(c.tog), seed)
     # O_R with the V_R family installed, as the VRtoORinjective certificate
     orr = cons["O_R"]
     m = ctx.mult
@@ -81,7 +82,7 @@ def battery_text(cache, setup) -> str:
         "v1": b.image_of_v("", ("s", "t"), orr.specs[1].ambient),
         "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
     }
-    lines += _words("O_R family", TreeProduct(orr.tog, members), 5)
+    entries += _words("O_R family", TreeProduct(orr.tog, members), 5)
     # V_R with {v1, v2} contracted to a vertex carrying its own tree product
     vr = cons["V_R"]
     tog2, name, sub = contract(vr.tog, {"v1", "v2"})
@@ -89,8 +90,14 @@ def battery_text(cache, setup) -> str:
     def translate(word):
         return [(name, sub.include(v, x)) if v in ("v1", "v2") else (v, x)
                 for v, x in word]
-    lines += _words("V_R contracted", TreeProduct(tog2), 6,
-                    TreeProduct(vr.tog), translate)
+    entries += _words("V_R contracted", TreeProduct(tog2), 6,
+                      TreeProduct(vr.tog), translate)
+    return entries
+
+
+def battery_text(cache, setup) -> str:
+    lines = [f"{name}: {product.flatten_word(product.eval_word(word))!r}"
+             for name, product, word in battery_words(cache, setup)]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "tree.txt")
         with open(path, "w", encoding="utf-8") as fh:
@@ -116,3 +123,28 @@ def test_nf_battery_golden(cache, theorem_setup):
     with open(GOLDEN, encoding="utf-8") as fh:
         want = fh.read().splitlines()
     assert battery_text(cache, theorem_setup).splitlines() == want
+
+
+def test_golden_letters_are_the_nested_value_of_each_word(cache, theorem_setup):
+    """The pinned letters of every golden word, evaluated by the nested
+    oracle, equal the oracle's value of the word itself; the flat and
+    nested forms give the same identity verdicts and the same equality
+    partition on the golden words."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        pinned = dict(line.split(": ", 1) for line in fh
+                      if line[0] != " " and ": [" in line)
+    oracles: dict = {}
+    flat_of, nested_of = {}, {}
+    entries = battery_words(cache, theorem_setup)
+    for name, product, word in entries:
+        N = oracles.get(id(product))
+        if N is None:
+            N = oracles[id(product)] = NestedProduct(product.tog, product.family)
+        ref = N.eval_word(word)
+        assert N.eval_word(ast.literal_eval(pinned[name])) == ref, name
+        el = product.eval_word(word)
+        assert product.is_identity(el) == (ref == N.identity), name
+        key = (id(product), el)
+        assert flat_of.setdefault(key, ref) == ref, name
+        assert nested_of.setdefault((id(product), ref), el) == el, name
+    assert len(pinned) == len(entries) == 1200

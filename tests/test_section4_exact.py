@@ -186,15 +186,11 @@ def _z_data(sec, pair):
     return R, krs, kprod, vsd, z, pools, sorted(srs_img)
 
 
-def _k_value(z, el):
-    """The K element equal to el in Z = K *_E W, or None: el lies in K
-    exactly when its normal form has no letter or one K-side letter."""
-    _, carry, letters = el
-    if not letters:
-        return z.group.embed(carry, 0)
-    if len(letters) == 1 and letters[0][0] == 0:
-        return z.group.sides[0].mul(z.group.embed(carry, 0), letters[0][1])
-    return None
+def _k_value(el):
+    """The K element equal to el in Z = K *_E W, or None: K is the root
+    of Z, so el lies in K exactly when its normal form has no letter."""
+    carry, letters = el
+    return None if letters else carry
 
 
 def sampled_z_intersection(z, kprod, pools, srs_pool) -> bool:
@@ -207,7 +203,7 @@ def sampled_z_intersection(z, kprod, pools, srs_pool) -> bool:
                 word.append(("K", kprod.include(v, rng.choice(pools[v]))))
             else:
                 word.append(("W", rng.choice(srs_pool)))
-        val = _k_value(z, z.eval_word(word))
+        val = _k_value(z.eval_word(word))
         if val is not None and not kprod.in_family(val):
             return False
     return True

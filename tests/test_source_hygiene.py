@@ -120,7 +120,6 @@ def test_imported_modules_sees_both_import_forms():
 # public functions and methods that nothing in src/coxkit calls, each with
 # the reason it stays
 KEPT_WITHOUT_PROGRAM_CALLER = {
-    "letters_of": "the oracle side of the junction-product test",
     "export_table": "writes the table_stst.txt golden, the one byte pin "
                     "of a full group table",
     "gallery_shift": "the paper's sG on galleries, for the blueprint's "
@@ -132,10 +131,6 @@ KEPT_WITHOUT_PROGRAM_CALLER = {
                              "reduction tests enumerate words with it",
     "member_vec": "the independent membership oracle over Z[sqrt 2] of "
                   "the root tests",
-    "proj": "test-only: the gate of a residue seen from a chamber",
-    "prenilpotent": "test-only: the prenilpotency of a root pair",
-    "interval_ball": "test-only: ball-approximate intervals for the "
-                     "interval tests",
 }
 
 

@@ -6,9 +6,10 @@ import pytest
 
 from coxkit.constructions import Builder
 from coxkit.pipeline import Section4
-from coxkit.treeprod import (Amalgam, Edge, Subgroup, TreeError, TreeOfGroups,
+from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions, contract,
                              fold)
+from nested_oracle import NestedProduct
 from walks import random_word
 
 
@@ -102,36 +103,27 @@ def test_collapsing_word(theorem_tree, cache):
     assert H.syllables(el) == 1
 
 
-def _amalgam_letters(vertex_of, group, el, out):
-    """(vertex, element) letters of el read off the Amalgam objects alone
-    (sides, carry, letters), without the product's cluster tree."""
-    if id(group) in vertex_of:
-        if el != group.identity:
-            out.append((vertex_of[id(group)], el))
-        return
-    _, carry, letters = el
-    if carry != group.C.identity:
-        _amalgam_letters(vertex_of, group.sides[0], group.embed(carry, 0), out)
-    for side, x in letters:
-        _amalgam_letters(vertex_of, group.sides[side], x, out)
-
-
 def _check_one_pass(P, words):
-    """eval_word agrees with the letter-by-letter product of inclusions,
-    and flatten_word and, when a family is installed, in_family with walks
-    over the Amalgam objects."""
-    vertex_of = {id(g): v for v, g in P.tog.vertices.items()}
+    """eval_word agrees with the letter-by-letter product of inclusions;
+    the nested oracle gives the same identity verdicts and the same
+    equality partition, reads the same element off flatten_word and,
+    when a family is installed, the same in_family."""
+    N = NestedProduct(P.tog, P.family)
+    flat, nested = {}, {}
     for word in words:
         el = P.eval_word(word)
         folded = functools.reduce(
             P.mul, (P.include(v, x) for v, x in word), P.identity)
         assert el == folded
-        letters: list = []
-        _amalgam_letters(vertex_of, P.group, el, letters)
-        assert P.eval_word(letters) == el
         assert P.eval_word(P.flatten_word(el)) == el
+        ref = N.eval_word(word)
+        assert P.is_identity(el) == (ref == N.identity)
+        assert flat.setdefault(el, ref) == ref
+        assert nested.setdefault(ref, el) == el
+        assert N.eval_word(P.flatten_word(el)) == ref
+        assert P.eval_word(N.letters(ref)) == el
         if P.family is not None:
-            assert P.in_family(el) == all(x in P.family[v] for v, x in letters)
+            assert P.in_family(el) == N.in_family(ref)
 
 
 def _mixed_words(P, seed: int, count: int = 150) -> list:
@@ -175,6 +167,38 @@ def test_batteries(theorem_tree):
     _check_one_pass(H2, _mixed_words(H2, 22))
 
 
+def _theorem_letters(setup, word) -> list:
+    """The (vertex, element) letters of an alternating word (h0, pairs)
+    of the subgroup theorem, as TheoremSetup.eval_word reads them."""
+    h0, pairs = word
+    letters = [("1", h0)] if h0 else []
+    for g, h in pairs:
+        letters.append(setup.g_element(g))
+        if h:
+            letters.append(("1", h))
+    return letters
+
+
+def test_flat_and_nested_agree_on_the_constrained_enumeration(theorem_setup):
+    """Every constrained word with at most three pairs and its reduce
+    output: the same identity verdicts and the same equality partition in
+    the flat form and the nested oracle."""
+    P = theorem_setup.product
+    N = NestedProduct(P.tog)
+    flat_of, nested_of = {}, {}
+    words = list(theorem_setup.enumerate_constrained(3))
+    assert len(words) == 24320
+    for word in words:
+        for w in {word, theorem_setup.reduce(word)[0]}:
+            letters = _theorem_letters(theorem_setup, w)
+            el, ref = P.eval_word(letters), N.eval_word(letters)
+            assert el == theorem_setup.eval_word(w)
+            assert P.is_identity(el) == (ref == N.identity)
+            assert flat_of.setdefault(el, ref) == ref
+            assert nested_of.setdefault(ref, el) == el
+    assert len(flat_of) == len(nested_of) > 1
+
+
 def _orr_family_battery(cache):
     """The one-pass battery on O_R with its V_R family installed; returns
     the product and the words it checked."""
@@ -206,16 +230,22 @@ def test_one_pass_eval_with_family_and_inner(cache):
 
 
 def test_decomposition_cache_entries_are_canonical(cache):
-    # a miss stores the decomposition of its whole coset; each stored
-    # (c, tau) must rebuild its key, and tau must be its own representative
+    # a miss stores the split of its whole coset; each stored (e, t) of
+    # the table of u -> w must rebuild its key, t must split to itself,
+    # and a family member must win its coset when the coset meets the
+    # family
     P, _ = _orr_family_battery(cache)
-    amalgams = _amalgams(P, [])
-    assert any(len(A._decomp_cache) > len({tau for _, tau in A._decomp_cache.values()})
-               for A in amalgams)
-    for A in amalgams:
-        for (side, y), (c, tau) in list(A._decomp_cache.items()):
-            assert A.sides[side].mul(A.embed(c, side), tau) == y
-            assert A._decompose(side, tau) == (A.C.identity, tau)
+    assert any(len(table) > len({t for _, t in table.values()})
+               for table in P._tables.values())
+    for (u, w), table in P._tables.items():
+        G = P.tog.vertices[u]
+        edge = P.tog.edge_between(u, w)
+        back = {y: c for c, y in edge.endpoint_map(w).items()}
+        for x, (e, t) in list(table.items()):
+            assert G.mul(edge.endpoint_map(u)[back[e]], t) == x
+            assert P._split(u, w, t) == (P.tog.vertices[w].identity, t)
+            coset = {G.mul(y, t) for y in edge.endpoint_map(u).values()}
+            assert (t in P.family[u]) == bool(coset & P.family[u])
 
 
 def test_one_pass_eval_contracted_vertex(cache):
@@ -229,36 +259,23 @@ def test_one_pass_eval_contracted_vertex(cache):
     _check_one_pass(P, words)
 
 
-def _amalgams(G, out: list) -> list:
-    """Every Amalgam reachable from G through sides and through vertices
-    that are themselves tree products."""
-    if isinstance(G, TreeProduct):
-        _amalgams(G.group, out)
-    elif isinstance(G, Amalgam):
-        out.append(G)
-        for side in G.sides:
-            _amalgams(side, out)
-    return out
-
-
 def _random_element(G, rng):
-    """A seeded element of G: in an Amalgam, the normal form of up to six
-    letters on alternating sides, about a quarter of them edge-group
-    images so that carries occur."""
-    if isinstance(G, TreeProduct):
-        return _random_element(G.group, rng)
-    if not isinstance(G, Amalgam):
+    """A seeded element of G: in a tree product, the value of up to six
+    letters at random vertices, about a quarter of them edge-group images
+    so that carries and absorbed letters occur."""
+    if not isinstance(G, TreeProduct):
         return rng.choice(list(G.elements()))
-    letters = []
-    side = rng.randrange(2)
+    verts = sorted(G.tog.vertices)
+    word = []
     for _ in range(rng.randint(0, 6)):
-        side = 1 - side
+        v = rng.choice(verts)
         if rng.random() < 0.25:
-            x = G.embed(rng.choice(list(G.C.elements())), side)
+            edge = rng.choice([e for e in G.tog.edges if v in (e.u, e.v)])
+            x = rng.choice(sorted(edge.endpoint_map(v).values(), key=repr))
         else:
-            x = _random_element(G.sides[side], rng)
-        letters.append((side, x))
-    return G.nf(letters)
+            x = _random_element(G.tog.vertices[v], rng)
+        word.append((v, x))
+    return G.eval_word(word)
 
 
 def _junction_products(cache, theorem_tree):
@@ -278,6 +295,7 @@ def _junction_products(cache, theorem_tree):
         "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
     }
     yield "O_R", TreeProduct(orr.tog, family)
+    yield "O_Rs", TreeProduct(b.construction("O_Rs", R).tog)
     # Z shape: {v1, v2} contracted to a vertex that is itself a tree
     # product, carrying the finite image of the V_R family at v2
     tog2, name, sub = contract(orr.tog, {"v1", "v2"})
@@ -289,17 +307,87 @@ def _junction_products(cache, theorem_tree):
 def test_junction_mul_matches_full_normalization(cache, theorem_tree):
     rng = random.Random(8)
     for label, P in _junction_products(cache, theorem_tree):
-        for A in _amalgams(P, []):
-            pool = [_random_element(A, rng) for _ in range(16)]
-            # the same letters with trivial carry, so stops with nothing
-            # pending and stops beside a same-side merge both occur
-            pool += [("nf", A.C.identity, el[2]) for el in pool]
-            for x, y, z in ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
-                            for _ in range(120)):
-                xy = A.mul(x, y)
-                assert xy == A.nf(A.letters_of(x) + A.letters_of(y)), (label, A)
-                assert A.mul(xy, z) == A.mul(x, A.mul(y, z)), (label, A)
-                assert A.mul(x, A.inv(x)) == A.identity, (label, A)
+        N = NestedProduct(P.tog, P.family)
+        pool = [_random_element(P, rng) for _ in range(16)]
+        # the same letters with trivial carry, so stops with nothing
+        # pending and stops beside an absorbed stack top both occur
+        pool += [(P.identity[0], el[1]) for el in pool]
+        for x, y, z in ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
+                        for _ in range(120)):
+            xy = P.mul(x, y)
+            assert xy == P.eval_word(P.flatten_word(x) + P.flatten_word(y)), label
+            assert N.eval_word(P.flatten_word(xy)) == N.mul(
+                N.eval_word(P.flatten_word(x)), N.eval_word(P.flatten_word(y)))
+            assert P.mul(xy, z) == P.mul(x, P.mul(y, z)), label
+            assert P.mul(x, P.inv(x)) == P.identity, label
+
+
+@pytest.mark.parametrize("label", ["U_sr*V*U_trt", "V_R", "O_R", "O_Rs"])
+def test_slide_pairs_give_the_slid_form(cache, theorem_tree, label):
+    """A letter at u in the edge group toward its right neighbour w
+    slides into that neighbour: (u, iota_u(c)) (w, y) and (w, iota_w(c) y)
+    have one normal form, on every edge in both directions, for every c
+    and y, alone and between seeded context words."""
+    P = dict(_junction_products(cache, theorem_tree))[label]
+    rng = random.Random(9)
+    contexts = [([], [])] + [(random_word(P, rng, rng.randint(1, 3)),
+                              random_word(P, rng, rng.randint(1, 3)))
+                             for _ in range(3)]
+    pairs = 0
+    for e in P.tog.edges:
+        for u, w in ((e.u, e.v), (e.v, e.u)):
+            G = P.tog.vertices[w]
+            for c in e.group.elements():
+                for y in G.elements():
+                    slid = [(w, G.mul(e.endpoint_map(w)[c], y))]
+                    pair = [(u, e.endpoint_map(u)[c]), (w, y)]
+                    for pre, post in contexts:
+                        assert P.eval_word(pre + pair + post) == \
+                            P.eval_word(pre + slid + post), (label, u, w, c, y)
+                    pairs += 1
+    assert pairs == sum(e.group.order * (P.tog.vertices[e.u].order
+                                         + P.tog.vertices[e.v].order)
+                        for e in P.tog.edges)
+
+
+def _min_lengths(P, bound: int) -> dict:
+    """Every element of P that is a product of at most bound vertex
+    elements, mapped to the least such number, by breadth-first search
+    over the vertex groups' elements."""
+    singles = {P.include(v, x) for v, G in P.tog.vertices.items()
+               for x in G.elements()}
+    lengths = {P.identity: 0}
+    frontier = [P.identity]
+    for k in range(1, bound + 1):
+        nxt = []
+        for el in frontier:
+            for s in singles:
+                y = P.mul(el, s)
+                if y not in lengths:
+                    lengths[y] = k
+                    nxt.append(y)
+        frontier = nxt
+    return lengths
+
+
+@pytest.mark.parametrize("label", ["U_sr*V*U_trt", "V_R"])
+def test_syllables_match_a_brute_force_minimal_length(cache, theorem_tree, label):
+    """syllables is the least number of vertex elements whose product is
+    the element, checked by search up to three letters on 300 short
+    words of arbitrary letters (edge-group images included)."""
+    P = dict(_junction_products(cache, theorem_tree))[label]
+    lengths = _min_lengths(P, 3)
+    rng = random.Random(10)
+    verts = sorted(P.tog.vertices)
+    counts = []
+    for _ in range(300):
+        word = [(v, rng.choice(list(P.tog.vertices[v].elements())))
+                for v in (rng.choice(verts) for _ in range(rng.randint(0, 4)))]
+        el = P.eval_word(word)
+        got, want = P.syllables(el), lengths.get(el)
+        assert got == want if want is not None else got > 3, (word, got, want)
+        counts.append(got)
+    assert set(counts) >= {0, 1, 2, 3}
 
 
 def _count_ball(product, tog, bound, vertex_names, translate=None):
