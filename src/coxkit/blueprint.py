@@ -172,8 +172,7 @@ class BlueprintGroup:
     (None for the empty gallery)."""
 
     def __init__(self, ctx: Coxeter, rsys: RootSystem, gallery: Gallery,
-                 blueprint: KacMoodyBlueprint, prefix: BlueprintGroup | None,
-                 check_measure: bool = False):
+                 blueprint: KacMoodyBlueprint, prefix: BlueprintGroup | None):
         self.gallery = gallery
         self.blueprint = blueprint
         self.prefix = prefix
@@ -182,7 +181,6 @@ class BlueprintGroup:
         self.k = len(self.roots)
         self.order = 1 << self.k
         self.identity = 0
-        self.check_measure = check_measure
         self._pos = {root: i for i, root in enumerate(self.roots)}
         self._comm = insertion_table(blueprint, gallery)
         # (rows, relation count) of the last successful certify_order
@@ -206,8 +204,7 @@ class BlueprintGroup:
         rows = [row + [v | top for v in row] for row in self.prefix.rows]
         tails = []
         for j in range(k - 1):
-            z = wordops.collect_mul(top, 1 << j, k, self._comm,
-                                    self.check_measure) ^ (1 << j)
+            z = wordops.collect_mul(top, 1 << j, k, self._comm) ^ (1 << j)
             tails.append([a for a in range(k - 1, j, -1) if z >> a & 1])
         new = [top] * top
         rows.append(new)
@@ -242,10 +239,10 @@ class BlueprintGroup:
         table = self._table
         if table is not None:
             return table[x][y]
-        return wordops.collect_mul(x, y, self.k, self._comm, self.check_measure)
+        return wordops.collect_mul(x, y, self.k, self._comm)
 
     def inv(self, x: int) -> int:
-        return wordops.collect_inv(x, self.k, self._comm, self.check_measure)
+        return wordops.collect_inv(x, self.k, self._comm)
 
     def elements(self) -> range:
         return range(self.order)
@@ -321,40 +318,26 @@ def subgroup(ambient: BlueprintGroup, gen_masks, name: str = "") -> Subgroup:
 
 
 class GroupCache:
-    """Shared builder for the blueprint groups and V-subgroups of one context.
+    """Shared builder for the blueprint groups and V-subgroups of one context."""
 
-    With check_measure, the termination measure is checked on every
-    collection the groups make: the pair products their generator
-    rows are built from, inverses, and products above TABLE_CAP.
-    """
-
-    def __init__(self, ctx: Coxeter, rsys: RootSystem | None = None,
-                 check_measure: bool = False):
+    def __init__(self, ctx: Coxeter):
         self.ctx = ctx
-        self.rsys = rsys or RootSystem(ctx)
+        self.rsys = RootSystem(ctx)
         self.blueprint = KacMoodyBlueprint(self.rsys)
-        self.check_measure = check_measure
         self._groups: dict[str, BlueprintGroup] = {}
 
-    def group(self, w: str, gallery: Gallery | None = None) -> BlueprintGroup:
-        """U_w along gallery; without one, the memoized group along the
-        canonical gallery, the least reduced word of w, which is its
-        canonical form.  Each group is grown from the group along its
-        gallery without the last letter, memoized when that is canonical."""
-        ctx = self.ctx
-        if gallery is None:
-            w = ctx.normalize(w)
-            got = self._groups.get(w)
-            if got is None:
-                got = self._groups[w] = self.group(w, Gallery(w))
-            return got
-        prefix = None
-        if gallery.type_word:
-            head = gallery.type_word[:-1]
-            prefix = self.group(head) if ctx.normalize(head) == head \
-                else self.group(head, Gallery(head))
-        return BlueprintGroup(ctx, self.rsys, gallery, self.blueprint, prefix,
-                              self.check_measure)
+    def group(self, w: str) -> BlueprintGroup:
+        """U_w along the canonical gallery, the least reduced word of w,
+        which is its canonical form; memoized.  Canonical galleries are
+        prefix-closed, so each group is grown from the memoized group of
+        its gallery without the last letter."""
+        w = self.ctx.normalize(w)
+        got = self._groups.get(w)
+        if got is None:
+            prefix = self.group(w[:-1]) if w else None
+            got = self._groups[w] = BlueprintGroup(
+                self.ctx, self.rsys, Gallery(w), self.blueprint, prefix)
+        return got
 
     def phi(self, w: str) -> tuple[Root, ...]:
         """Phi(w): inversion set along the canonical gallery."""

@@ -19,7 +19,8 @@ import json
 import sys
 
 from coxkit import suites
-from coxkit.coxeter import DEFAULT_MAX_RADIUS, standard_coxeter
+from coxkit.constructions import PreconditionError
+from coxkit.coxeter import MAX_RADIUS, standard_coxeter
 
 MAX_BLUEPRINT_LENGTH = 8
 DEFAULT_SUITES = ("coxeter", "blueprint", "quadrangle", "section4")
@@ -72,9 +73,9 @@ def cmd_verify(args) -> int:
     if args.target == "coxeter":
         if args.radius is None:
             args.radius = 8
-        if not 0 <= args.radius <= DEFAULT_MAX_RADIUS:
+        if not 0 <= args.radius <= MAX_RADIUS:
             print(f"error: --radius {args.radius} is outside "
-                  f"0..{DEFAULT_MAX_RADIUS}", file=sys.stderr)
+                  f"0..{MAX_RADIUS}", file=sys.stderr)
             return 2
         config["radius"] = args.radius
     if args.target == "blueprint":
@@ -91,7 +92,13 @@ def cmd_verify(args) -> int:
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    results = _run_suites([args.target], config)
+    try:
+        results = _run_suites([args.target], config)
+    except PreconditionError as exc:
+        if "residues" not in config:   # the default residues meet them all
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     result = results[args.target]
     print(f"suite {args.target}: {'pass' if result['pass'] else 'FAIL'}")
     if args.target == "coxeter":

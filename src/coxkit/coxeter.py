@@ -28,11 +28,11 @@ from coxkit import growth, wordops
 from coxkit.treeprod import closure_words
 
 GENS = "rst"
-DEFAULT_MAX_RADIUS = 10
+MAX_RADIUS = 10
 
 
 class ResourceLimit(RuntimeError):
-    """A ball/sweep radius exceeded the configured maximum."""
+    """A ball/sweep radius exceeded MAX_RADIUS."""
 
 
 class ResidueError(RuntimeError):
@@ -81,8 +81,7 @@ class Gallery:
 
 
 class Coxeter:
-    def __init__(self, max_radius: int = DEFAULT_MAX_RADIUS):
-        self.max_radius = max_radius
+    def __init__(self):
         self._canon: dict[str, str] = {"": ""}
         self._closure: dict[str, frozenset] = {"": frozenset([""])}
         self._mult_gen: dict[tuple[str, str], str] = {}
@@ -167,10 +166,6 @@ class Coxeter:
             return w
         return self.canon_reduced(self.normalize(w)[::-1])
 
-    def is_reduced(self, word: str) -> bool:
-        _check_letters(word)
-        return len(self.normalize(word)) == len(word)
-
     # -- descents -------------------------------------------------------
 
     def has_left_descent(self, w: str, g: str) -> bool:
@@ -180,9 +175,11 @@ class Coxeter:
 
     def ball(self, radius: int) -> tuple[str, ...]:
         """All elements of length <= radius, sorted by (length, ShortLex)."""
-        if radius > self.max_radius:
+        if radius < 0:
+            raise ValueError(f"negative ball radius {radius}")
+        if radius > MAX_RADIUS:
             raise ResourceLimit(
-                f"radius {radius} exceeds configured maximum {self.max_radius}")
+                f"radius {radius} exceeds configured maximum {MAX_RADIUS}")
         while len(self._balls) <= radius:
             frontier_len = len(self._balls) - 1
             prev = self._balls[-1]
@@ -195,10 +192,6 @@ class Coxeter:
                         nxt.add(v)
             self._balls.append(prev + tuple(sorted(nxt)))
         return self._balls[radius]
-
-    def sphere(self, radius: int) -> tuple[str, ...]:
-        ball = self.ball(radius)
-        return tuple(w for w in ball if len(w) == radius)
 
     def ball_oracle_size(self, radius: int) -> int:
         """Independent ball count: partial sum of Steinberg's growth series."""
@@ -239,12 +232,6 @@ class Coxeter:
             raise ResidueError(f"the {sorted(types)} residue of {x!r} has no unique gate")
         return Residue(types, gate)
 
-    def chambers(self, res: Residue) -> tuple[str, ...]:
-        return tuple(self.mult(res.gate, u) for u in self.parabolic(res.types))
-
-    def gate(self, res: Residue) -> str:
-        return res.gate
-
     # -- prefix order -----------------------------------------------------
 
     def prefix_leq(self, w1: str, w2: str) -> bool:
@@ -262,11 +249,6 @@ class Coxeter:
         return frozenset(out)
 
     # -- minimal galleries --------------------------------------------------
-
-    def gallery(self, type_word: str) -> Gallery:
-        if not self.is_reduced(type_word):
-            raise ValueError(f"gallery type {type_word!r} is not reduced")
-        return Gallery(type_word)
 
     def min_galleries(self, w: str) -> tuple[Gallery, ...]:
         w = self.normalize(w)

@@ -20,7 +20,7 @@ BALL_PINS = {2: 10, 4: 43}
 
 
 @timed
-def run_coxeter(ctx: Coxeter, radius: int = 8, sweep_radii: dict | None = None) -> dict:
+def run_coxeter(ctx: Coxeter, radius: int) -> dict:
     out = {"suite": "coxeter", "radius": radius}
     balls = []
     ok = True
@@ -36,9 +36,8 @@ def run_coxeter(ctx: Coxeter, radius: int = 8, sweep_radii: dict | None = None) 
     # a sweep over balls that the series rejects checks nothing, and on
     # such a kernel it can raise (KernelError, RootSystemError) mid-sweep
     if ok:
-        for name, (fn, default) in lemmas.SWEEPS.items():
-            rad = (sweep_radii or {}).get(name, default)
-            rep = fn(ctx, rad)
+        for name, (fn, sweep_radius) in lemmas.SWEEPS.items():
+            rep = fn(ctx, sweep_radius)
             sweeps[name] = rep.to_dict()
             ok = ok and rep.passed
     out["sweeps"] = sweeps
@@ -59,7 +58,7 @@ def run_blueprint(ctx: Coxeter, max_length: int = 7) -> dict:
             problems.append({"w": w, "error": str(exc)})
     ok = not problems
     out["groups_certified"] = len(ctx.ball(max_length)) - len(problems)
-    gi_bound = min(max_length - 1, 6)
+    gi_bound = max(0, min(max_length - 1, 6))
     gi_fail = [w for w in ctx.ball(gi_bound) if not gallery_independence(cache, w)]
     ok = ok and not gi_fail
     out["gallery_independence_radius"] = gi_bound

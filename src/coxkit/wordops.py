@@ -6,6 +6,23 @@ bitmasks).
 Collection commutator tables are passed flattened: ``comm[(i*k + j)*3]``
 is the number of inserted letters (0..2) for the ordered pair i < j and
 the next two bytes are the letters themselves.
+
+Termination of collection.  Let I_a count the inversions of the word
+whose left (larger) letter is a, and order words by the measure
+(I_{k-1}, ..., I_1, length) lexicographically; the measures lie in a
+well-ordered set, so no sequence of strictly decreasing steps is
+infinite.  Every step rewrites the leftmost violation: the letters
+before it increase strictly, so each is smaller than its left letter a.
+Cancelling an equal pair a a removes two letters and adds no inversion,
+so no I grows and the length falls.  Rewriting a b with b < a into
+b m... a, with every m strictly between b and a, removes the inversion
+(a, b) and adds only inversions whose left letter is below a: a letter
+before the pair is below a, and a new letter m is below a.  No I_c with
+c > a changes and I_a falls by one.  So each step strictly decreases the
+measure, and collection terminates.  The one hypothesis, b < m < a for
+every inserted letter, is checked at every insertion and raises
+CollectionOrderError when it fails; it is a raise, so ``python -O``
+keeps it.
 """
 
 from __future__ import annotations
@@ -13,10 +30,6 @@ from __future__ import annotations
 
 class CollectionOrderError(ValueError):
     """An inserted commutator letter was not strictly between the swapped pair."""
-
-
-class CollectionMeasureError(ValueError):
-    """A collection step failed to decrease the termination measure."""
 
 
 def braid_closure(word: str) -> frozenset[str]:
@@ -41,24 +54,10 @@ def braid_closure(word: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _measure(word: list[int], k: int) -> tuple:
-    # lexicographic termination measure: (I_{k-1}, ..., I_1, len), where
-    # I_a counts inversions whose left (larger) letter is a
-    inv = [0] * k
-    n = len(word)
-    for p in range(n):
-        a = word[p]
-        for q in range(p + 1, n):
-            if word[q] < a:
-                inv[a] += 1
-    return tuple(inv[k - 1:0:-1]) + (n,)
-
-
-def _collect(word: list[int], k: int, comm: bytes, check: bool) -> int:
+def _collect(word: list[int], k: int, comm: bytes) -> int:
     # the loop behind collect_seq, collect_mul and collect_inv, shared
     # privately so that wrapping one public name (as a tracer does) never
     # sees calls made through another; rewrites ``word`` in place
-    prev = _measure(word, k) if check else None
     while True:
         n = len(word)
         pos = -1
@@ -81,41 +80,34 @@ def _collect(word: list[int], k: int, comm: bytes, check: bool) -> int:
                     raise CollectionOrderError(
                         f"insertion {m} not strictly between {b} and {a}")
             word[pos:pos + 2] = [b, *mid, a]
-        if check:
-            cur = _measure(word, k)
-            if not cur < prev:
-                raise CollectionMeasureError(
-                    f"collection measure failed to decrease: {prev} -> {cur}")
-            prev = cur
     mask = 0
     for a in word:
         mask |= 1 << a
     return mask
 
 
-def collect_seq(seq, k: int, comm: bytes, check: bool = False) -> int:
+def collect_seq(seq, k: int, comm: bytes) -> int:
     """Normal-form bitmask of a product of involutive generators.
 
     Letters are generator indices 0..k-1 ordered by the crossing order of
     the underlying gallery.  Rules: adjacent equal letters cancel; an
     adjacent descent (j, i) with j > i rewrites to (i, m..., j) where m is
     the commutator insertion for the pair (i, j).  The leftmost violation
-    is always rewritten first, which makes the termination measure
-    strictly decrease; under ``check`` every step is verified and a
-    failure raises CollectionMeasureError.
+    is always rewritten first, which makes the module's termination
+    measure strictly decrease.
     """
-    return _collect(list(seq), k, comm, check)
+    return _collect(list(seq), k, comm)
 
 
 def _mask_letters(mask: int, k: int) -> list[int]:
     return [i for i in range(k) if mask >> i & 1]
 
 
-def collect_mul(x: int, y: int, k: int, comm: bytes, check: bool = False) -> int:
+def collect_mul(x: int, y: int, k: int, comm: bytes) -> int:
     """Product of two normal-form masks."""
-    return _collect(_mask_letters(x, k) + _mask_letters(y, k), k, comm, check)
+    return _collect(_mask_letters(x, k) + _mask_letters(y, k), k, comm)
 
 
-def collect_inv(x: int, k: int, comm: bytes, check: bool = False) -> int:
+def collect_inv(x: int, k: int, comm: bytes) -> int:
     """Inverse of a normal-form mask (reverse the letters; all are involutions)."""
-    return _collect(_mask_letters(x, k)[::-1], k, comm, check)
+    return _collect(_mask_letters(x, k)[::-1], k, comm)

@@ -9,7 +9,9 @@ from coxkit import wordops
 from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
                               KacMoodyBlueprint, gallery_independence,
                               insertion_table, subgroup)
+from coxkit.coxeter import Coxeter
 from coxkit.suites import run_blueprint
+from galleries import gallery, group_along
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -126,7 +128,7 @@ def _gallery_independence_by_monos(cache, w):
         if h.type_word == base.gallery.type_word:
             continue
         try:
-            other = cache.group(w, h)
+            other = group_along(cache, h)
             GroupMono(other, base, {x: base.root_product(other.word_of(x))
                                     for x in other.elements()})
         except BlueprintError:
@@ -138,7 +140,7 @@ def _mutated_cache(cache, mutate):
     """A fresh GroupCache whose blueprint answers mutate(seq, a, b, M) in
     place of M on the non-canonical minimal gallery tsts of stst, with seq
     that gallery's crossing order."""
-    fresh = GroupCache(cache.ctx, cache.rsys)
+    fresh = GroupCache(cache.ctx)
     value = fresh.blueprint.value
 
     def wrapped(g, a, b):
@@ -171,7 +173,7 @@ def test_rank2_commutator(cache):
 
 def test_cb2_values(ctx, cache):
     bp = cache.blueprint
-    g = ctx.gallery("stst")
+    g = gallery(ctx, "stst")
     seq = cache.rsys.inversion_sequence(g)
     assert bp.value(g, seq[0], seq[3]) == (seq[1], seq[2])
     assert bp.value(g, seq[0], seq[1]) == ()
@@ -204,7 +206,7 @@ def test_cb3_and_bijection(ctx, cache):
 def test_tables_match_direct_collection(ctx, cache):
     groups = [cache.group(w) for w in ctx.ball(5)]
     # groups along the galleries the GroupMono oracle compares
-    groups += [cache.group("stst", h) for h in ctx.min_galleries("stst")]
+    groups += [group_along(cache, h) for h in ctx.min_galleries("stst")]
     for g in groups:
         for x in g.elements():
             for y in g.elements():
@@ -226,7 +228,7 @@ def test_grown_rows_and_counts_match_the_full_oracle(ctx):
     # ball(7), and the groups along every minimal gallery of stst and ststr
     fresh = GroupCache(ctx)
     groups = [fresh.group(w) for w in ctx.ball(7)]
-    groups += [fresh.group(w, h) for w in ("stst", "ststr")
+    groups += [group_along(fresh, h) for w in ("stst", "ststr")
                for h in ctx.min_galleries(w)]
     assert len(groups) == 250 + 2 + 2
     for g in groups:
@@ -255,10 +257,10 @@ def test_canonical_prefix_inclusion_is_the_identity_on_bitmasks(ctx):
         assert mono.images == {x: x for x in mono.source.elements()}, w
 
 
-def _tampered(ctx, rsys, w, i, y):
+def _tampered(ctx, w, i, y):
     """A fresh cache in which entry y of row i of U_w is changed, before
     anything is certified."""
-    fresh = GroupCache(ctx, rsys)
+    fresh = GroupCache(ctx)
     fresh.group(w).rows[i][y] ^= 1
     return fresh
 
@@ -270,7 +272,7 @@ def test_tampered_prefix_rows_fail_the_extension(ctx, cache):
     grp = cache.group("stst")
     for i in range(grp.k):
         for y in grp.elements():
-            ext = _tampered(ctx, cache.rsys, "stst", i, y).group("ststr")
+            ext = _tampered(ctx, "stst", i, y).group("ststr")
             with pytest.raises(BlueprintError, match=r"in U_stst|U_stst is"):
                 ext.certify_order()
 
@@ -304,9 +306,9 @@ def test_tampered_prefix_rows_fail_under_optimize(run_optimized):
 # it must refuse the value, also under -O
 THREE_LETTERS = """
 from coxkit.blueprint import BlueprintError, GroupCache, insertion_table
-from coxkit.coxeter import standard_coxeter
+from coxkit.coxeter import Gallery, standard_coxeter
 cache = GroupCache(standard_coxeter())
-g = cache.ctx.gallery("ststr")
+g = Gallery("ststr")
 seq = cache.rsys.inversion_sequence(g)
 value = cache.blueprint.value
 cache.blueprint.value = lambda h, a, b: (
@@ -321,8 +323,8 @@ THREE_LETTERS_ERROR = ("raised M-value of the pair (0, 4) has 3 letters, "
 
 
 def test_insertion_table_rejects_an_m_value_of_three_letters(cache):
-    fresh = GroupCache(cache.ctx, cache.rsys)
-    g = fresh.ctx.gallery("ststr")
+    fresh = GroupCache(cache.ctx)
+    g = gallery(fresh.ctx, "ststr")
     seq = fresh.rsys.inversion_sequence(g)
     value = fresh.blueprint.value
     fresh.blueprint.value = lambda h, a, b: (
@@ -341,7 +343,7 @@ def test_insertion_table_rejects_three_letters_under_optimize(run_optimized):
 def test_abelian_table_fails_certification(ctx, cache):
     # rows derived with every insertion dropped present the abelian group
     # of the same order; the certificate, not the build, rejects them
-    g = cache.group("stst", ctx.gallery("stst"))
+    g = group_along(cache, gallery(ctx, "stst"))
     g._comm = bytes(len(g._comm))
     for name in ("rows", "_table"):   # recomposed from _comm on next use
         vars(g).pop(name, None)
@@ -351,7 +353,7 @@ def test_abelian_table_fails_certification(ctx, cache):
 
 
 def test_certification_composes_no_table(ctx, cache):
-    fresh = GroupCache(ctx, cache.rsys)
+    fresh = GroupCache(ctx)
     groups = [fresh.group(w) for w in ctx.ball(7)]
     for g in groups:
         g.certify_order()
@@ -396,6 +398,20 @@ def test_blueprint_suite_counts_only_the_groups_that_certify(ctx, monkeypatch):
     assert out["pass"] is False
 
 
+def test_blueprint_suite_at_length_zero_reads_ball_zero(ctx):
+    # the gallery-independence radius max_length - 1 is floored at 0, and
+    # the verdict does not depend on which balls were built before
+    def strip(out):
+        return {k: v for k, v in out.items() if k != "elapsed"}
+    cold = run_blueprint(Coxeter(), 0)
+    ctx.ball(8)
+    warm = run_blueprint(ctx, 0)
+    assert cold["gallery_independence_radius"] == 0 and cold["pass"]
+    assert strip(cold) == strip(warm)
+    assert run_blueprint(ctx, 1)["gallery_independence_radius"] == 0
+    assert run_blueprint(ctx, 7)["gallery_independence_radius"] == 6
+
+
 def test_blueprint_suite_harvests_relations_once_per_group(ctx, monkeypatch):
     # each element's relation set is built once: the ball(7) certification
     # grows it from the sets of the right-descent neighbours, and gallery
@@ -414,23 +430,12 @@ def test_blueprint_suite_harvests_relations_once_per_group(ctx, monkeypatch):
 
 
 def test_certified_verdict_goes_with_its_rows(ctx, cache):
-    g = cache.group("stst", ctx.gallery("stst"))
+    g = group_along(cache, gallery(ctx, "stst"))
     assert g.certify_order() == g.certify_order() > 0
     g._comm = bytes(len(g._comm))
     del g.rows   # recomposed from the abelian insertions on next use
     with pytest.raises(BlueprintError, match="fails"):
         g.certify_order()
-
-
-def test_collection_checked_mode(ctx):
-    from coxkit.roots import RootSystem
-    checked = GroupCache(ctx, RootSystem(ctx), check_measure=True)
-    g = checked.group("stsr")
-    rng = random.Random(3)
-    for _ in range(200):
-        x, y = rng.randrange(g.order), rng.randrange(g.order)
-        assert g.mul(g.mul(x, y), g.inv(y)) == x
-        assert g.mul(x, g.inv(x)) == g.mul(g.inv(x), x) == g.identity
 
 
 def test_gallery_independence(ctx, cache):
@@ -449,7 +454,7 @@ def test_gallery_independence_rejects_a_dropped_insertion(cache):
     assert not _gallery_independence_by_monos(bad, "stst")
     grp = bad.group("stst")
     a, b, c, d = (grp._pos[root] for root in
-                  cache.rsys.inversion_sequence(cache.ctx.gallery("tsts")))
+                  cache.rsys.inversion_sequence(gallery(cache.ctx, "tsts")))
     with pytest.raises(BlueprintError,
                        match=re.escape(f"relation [u_{a}, u_{d}] = ({b},) fails")):
         grp.certify_order()

@@ -18,7 +18,11 @@ def test_every_record_is_timed_by_the_runner(monkeypatch, ctx, theorem_setup):
     ticks = itertools.count()
     monkeypatch.setattr(certs, "clock", lambda: float(next(ticks)))
     assert set(MIN_RADII) == set(lemmas.SWEEPS)
-    cox = suites.run_coxeter(ctx, 2, MIN_RADII)
+    monkeypatch.setattr(lemmas, "SWEEPS", {
+        name: (fn, MIN_RADII[name]) for name, (fn, _) in lemmas.SWEEPS.items()})
+    cox = suites.run_coxeter(ctx, 2)
+    assert {name: rep["radius"] for name, rep in cox["sweeps"].items()} \
+        == MIN_RADII
     blueprint = suites.run_blueprint(ctx, 2)
     quad = suites.run_quadrangle()
     # runs section4_pipeline(GroupCache(ctx), [("st", "")])

@@ -59,6 +59,18 @@ def test_bad_residue_spec(capsys):
     assert run_cli(["verify", "section4", "--residue", "zz"]) == 2
 
 
+@pytest.mark.parametrize("residue, error", [
+    # well formed, but outside T_{i,1}: the rank-2 constructions refuse it
+    ("rsr:st", "error: Residue('st' at 'rsr') violates "
+               "l(w_R s r) = l(w_R)+2 = l(w_R t r)"),
+    ("sr:st", "error: Residue('st' at 'sr') with s=s violates "
+              "l(w_R srs) = l(w_R)+3"),
+])
+def test_residue_outside_the_class_is_a_usage_error(capsys, residue, error):
+    assert run_cli(["verify", "section4", "--residue", residue]) == 2
+    assert capsys.readouterr().err.splitlines() == [error]
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "coxkit.cli", "frobnicate"],

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from coxkit import growth, suites, wordops
-from coxkit.coxeter import GENS, Coxeter, KernelError, ResidueError, ResourceLimit
+from coxkit.coxeter import (GENS, MAX_RADIUS, Coxeter, KernelError, ResidueError,
+                             ResourceLimit)
 from coxkit.lemmas import LABELINGS
+from galleries import gallery
 
 
 def test_normalize_examples(ctx):
@@ -37,10 +39,19 @@ def test_ball_sizes_and_oracle(ctx):
 
 
 def test_ball_radius_cap():
-    small = Coxeter(max_radius=3)
-    assert len(small.ball(3)) == 22
+    fresh = Coxeter()
     with pytest.raises(ResourceLimit):
-        small.ball(4)
+        fresh.ball(MAX_RADIUS + 1)
+    assert len(fresh.ball(3)) == 22
+
+
+def test_negative_ball_radius_is_refused():
+    # read as an index, -1 would give the largest ball built so far
+    fresh = Coxeter()
+    for built in (0, 3):
+        fresh.ball(built)
+        with pytest.raises(ValueError, match="negative ball radius -1"):
+            fresh.ball(-1)
 
 
 def test_parabolic_and_longest(ctx):
@@ -52,10 +63,15 @@ def test_parabolic_and_longest(ctx):
         ctx.parabolic("rst")
 
 
+def chambers(ctx, res) -> tuple:
+    """The chambers of res: its gate times each element of its parabolic."""
+    return tuple(ctx.mult(res.gate, u) for u in ctx.parabolic(res.types))
+
+
 def proj(ctx, res, x: str) -> str:
     """Gate of res seen from x: the unique chamber of res nearest to x."""
     xi = ctx.inv(x)
-    dist = {z: len(ctx.mult(xi, z)) for z in ctx.chambers(res)}
+    dist = {z: len(ctx.mult(xi, z)) for z in chambers(ctx, res)}
     least = min(dist.values())
     nearest = [z for z, d in dist.items() if d == least]
     if len(nearest) != 1:
@@ -66,7 +82,7 @@ def proj(ctx, res, x: str) -> str:
 def test_residues_and_projection(ctx):
     R = ctx.residue("st", "")
     assert proj(ctx, R, "") == ""
-    assert ctx.gate(ctx.residue("st", "r")) == "r"
+    assert ctx.residue("st", "r").gate == "r"
     assert proj(ctx, ctx.residue("st", ""), ctx.normalize("str")) == "st"
     # gate condition: ascents at both letters
     for u in "st":
@@ -82,7 +98,7 @@ def test_projection_gate_property(ctx):
             for x in ctx.ball(6)[::7]:
                 z = proj(ctx, R, x)
                 dxz = len(ctx.mult(ctx.inv(x), z))
-                for y in ctx.chambers(R):
+                for y in chambers(ctx, R):
                     dxy = len(ctx.mult(ctx.inv(x), y))
                     dzy = len(ctx.mult(ctx.inv(z), y))
                     assert dxy == dxz + dzy
@@ -99,13 +115,13 @@ def test_prefix_order(ctx):
 def test_galleries(ctx):
     gals = ctx.min_galleries("stst")
     assert {g.type_word for g in gals} == {"stst", "tsts"}
-    g = ctx.gallery("st")
+    g = gallery(ctx, "st")
     assert ctx.gallery_chambers(g) == ("", "s", "st")
     with pytest.raises(ValueError):
-        ctx.gallery("ss")
+        gallery(ctx, "ss")
     # the shift operation in both directions
-    assert ctx.gallery_shift("s", ctx.gallery("st")).type_word == "t"
-    assert ctx.gallery_shift("r", ctx.gallery("st")).type_word == "rst"
+    assert ctx.gallery_shift("s", gallery(ctx, "st")).type_word == "t"
+    assert ctx.gallery_shift("r", gallery(ctx, "st")).type_word == "rst"
     assert [g.type_word for g in ctx.min_galleries("stst")
             if g.type_word.startswith("s")] == ["stst"]
 
@@ -172,7 +188,7 @@ def test_series_oracle_catches_a_dropped_braid_move(monkeypatch):
     broken = Coxeter()
     for L in range(4, 9):
         assert broken.ball_oracle_size(L) != len(broken.ball(L))
-    out = suites.run_coxeter(Coxeter())
+    out = suites.run_coxeter(Coxeter(), 8)
     assert out["pass"] is False and out["sweeps"] == {}
     assert [b["pass"] for b in out["ball_checks"]] == [True] * 4 + [False] * 5
     # <r,s> is now infinite dihedral: enumerating it stops past order 8

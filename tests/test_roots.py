@@ -3,6 +3,7 @@ import random
 import pytest
 
 from coxkit.roots import IntervalNotExact, RootSystem, ball_members
+from galleries import gallery
 
 
 def prenilpotent(rs, a, b) -> bool:
@@ -80,7 +81,7 @@ def test_pair_class_finite(ctx, rs):
     assert prenilpotent(rs, rs.root_from("r", "s"), rs.root_from("r", "t"))
     assert not prenilpotent(rs, rs.simple("s"), rs.opposite(rs.simple("s")))
     # orthogonal pair inside a rank-2 gallery
-    seq = rs.inversion_sequence(ctx.gallery("stst"))
+    seq = rs.inversion_sequence(gallery(ctx, "stst"))
     pc = rs.pair_class(seq[0], seq[2])
     assert pc.kind == "finite" and pc.order == 2
 
@@ -98,7 +99,7 @@ def test_inversion_sequence(ctx, rs):
 
 
 def test_intervals_rank2(ctx, rs):
-    g = ctx.gallery("stst")
+    g = gallery(ctx, "stst")
     seq = rs.inversion_sequence(g)
     assert rs.open_interval(seq[0], seq[3], g) == (seq[1], seq[2])
     assert rs.open_interval(seq[0], seq[1], g) == ()
@@ -113,7 +114,7 @@ def test_interval_definitional_cross_check(ctx, rs):
     # cone-test intervals agree with the defining containments on a ball
     ball = ctx.ball(6)
     for type_word in ("stst", "rstr", "tsrt"):
-        g = ctx.gallery(type_word)
+        g = gallery(ctx, type_word)
         seq = rs.inversion_sequence(g)
         for i in range(len(seq)):
             for j in range(i + 1, len(seq)):

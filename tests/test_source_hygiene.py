@@ -1,12 +1,17 @@
 """Source checks over src/coxkit that no verdict depends on but that keep
 dead work out: a local that is assigned and never read is a computation
 whose result nobody looks at, a public function that the program never
-calls is code kept alive by its tests alone, and a defaulted parameter
-that no program call sets is an option with one value in use; and that
-keep verification out of assert statements, which `python -O` strips."""
+calls (or that no command runs) is code kept alive by its tests alone,
+and a defaulted parameter that no program call sets is an option with
+one value in use; and that keep verification out of assert statements,
+which `python -O` strips."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "coxkit"
 
@@ -189,16 +194,6 @@ UNSET_DEFAULTS_ALLOWED = {
     ("verify_not_both_down", "mutant"): MUTANT,
     ("verify_mingallinrep", "mutant"): MUTANT,
     ("verify_subset_lemma", "mutant"): MUTANT,
-    ("Coxeter.__init__", "max_radius"): "test-only: a small cap to reach "
-                                        "ResourceLimit",
-    ("GroupCache.__init__", "rsys"): "test-only: a root system shared "
-                                     "between caches",
-    ("GroupCache.__init__", "check_measure"): "test-only: turns on the "
-                                              "collection termination measure",
-    ("GroupCache.group", "gallery"): "test-only: U_w along a chosen gallery "
-                                     "(the program's own call is recursive)",
-    ("run_coxeter", "sweep_radii"): "test-only: smaller sweeps than the "
-                                    "report's",
     ("main", "argv"): "the entry point: the console script passes none",
     ("_FilledOnFirstUse.__get__", "cls"): "the descriptor protocol",
 }
@@ -292,3 +287,101 @@ def test_unset_defaults_reads_positions_keywords_and_classes():
     assert unset_defaults({"m.py": tree}) == [
         ("f", "b"), ("f", "c"), ("f", "d"), ("g", "c"), ("C.__init__", "y"),
         ("C.m", "z")]
+
+
+# public functions and methods that none of the commands below runs, each
+# with the reason it stays
+NOT_REACHED_ALLOWED = {
+    "BlueprintGroup.export_table": KEPT_WITHOUT_PROGRAM_CALLER["export_table"],
+    "TwinModel.dump": KEPT_WITHOUT_PROGRAM_CALLER["dump"],
+    "Coxeter.gallery_shift": KEPT_WITHOUT_PROGRAM_CALLER["gallery_shift"],
+    "Coxeter.has_left_descent": "called by gallery_shift alone",
+    "TheoremSetup.enumerate_constrained":
+        KEPT_WITHOUT_PROGRAM_CALLER["enumerate_constrained"],
+    "RootSystem.member_vec": KEPT_WITHOUT_PROGRAM_CALLER["member_vec"],
+    "collect_seq": KEPT_WITHOUT_PROGRAM_CALLER["collect_seq"],
+    "TreeProduct.inv": "the group protocol (mul, inv, elements) that tree "
+                       "products share with the vertex groups",
+    "TreeProduct.elements": "the group protocol (mul, inv, elements) that "
+                            "tree products share with the vertex groups",
+}
+
+README_TREE = """\
+vertex v0 U sr
+vertex v1 V :st
+vertex v2 U trt
+edge v0 v1
+edge v1 v2
+"""
+
+# the profile hook is set before coxkit is imported, so every function
+# the commands run is seen, memo or not
+REACHED = """
+import json
+import sys
+codes = set()
+sys.setprofile(lambda frame, event, arg: codes.add(frame.f_code))
+from coxkit.cli import main
+out, tree = sys.argv[1:]
+for argv in (["report", "--out", out + ".report.json"],
+             ["verify", "blueprint", "--max-length", "2"],
+             ["reduce", "--word", "u_sr,1,u_sr,u_t"],
+             ["trace", "--word", "u_rt,u_t"],
+             ["nf", "--tree", tree, "--word", "u_sr,u_s,u_sr"]):
+    main(argv)
+sys.setprofile(None)
+with open(out, "w") as fh:
+    json.dump(sorted({(c.co_filename, c.co_firstlineno) for c in codes}), fh)
+"""
+
+
+def public_functions(trees: dict) -> dict:
+    """{(module, first line): qualified name} for each public module-level
+    function and class method; the first line is that of the first
+    decorator, as a code object counts it."""
+    found = {}
+    for module, tree in trees.items():
+        for scope in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+            prefix = "" if scope is tree else scope.name + "."
+            for node in scope.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not node.name.startswith("_"):
+                    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                    found[module, first] = prefix + node.name
+    return found
+
+
+def test_public_functions_count_decorator_lines():
+    tree = ast.parse(
+        "def f():\n"
+        "    pass\n"
+        "class C:\n"
+        "    @property\n"
+        "    def p(self):\n"
+        "        return 1\n"
+        "    def _q(self):\n"
+        "        return 2\n")
+    assert public_functions({"m.py": tree}) == {("m.py", 1): "f", ("m.py", 4): "C.p"}
+
+
+def test_every_public_function_is_reached_by_a_verdict(tmp_path):
+    tree = tmp_path / "tree.txt"
+    tree.write_text(README_TREE)
+    out = tmp_path / "reached.json"
+    path = os.pathsep.join(p for p in (str(SRC.parent), os.environ.get("PYTHONPATH"))
+                           if p)
+    proc = subprocess.run([sys.executable, "-c", REACHED, str(out), str(tree)],
+                          env=dict(os.environ, PYTHONPATH=path), cwd=tmp_path,
+                          stdout=subprocess.DEVNULL, timeout=300)
+    assert proc.returncode == 0
+    reached = set()
+    for filename, line in json.loads(out.read_text()):
+        module = pathlib.Path(filename).resolve()
+        if module.is_relative_to(SRC):
+            reached.add((str(module.relative_to(SRC)), line))
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    found = {name for key, name in public_functions(trees).items()
+             if key not in reached}
+    assert found == set(NOT_REACHED_ALLOWED), \
+        sorted(found ^ set(NOT_REACHED_ALLOWED))

@@ -9,14 +9,15 @@ from coxkit.pipeline import Section4
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions, contract,
                              fold)
+from galleries import gallery, group_along
 from nested_oracle import NestedProduct
 from walks import random_word
 
 
 @pytest.fixture(scope="module")
 def z2_free(cache):
-    A = cache.group("s", cache.ctx.gallery("s"))
-    B = cache.group("t", cache.ctx.gallery("t"))
+    A = group_along(cache, gallery(cache.ctx, "s"))
+    B = group_along(cache, gallery(cache.ctx, "t"))
     triv = Subgroup(A, {0}, "1")
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0})])
@@ -56,7 +57,7 @@ def test_validate_rejects_kernel(cache):
 
 
 def test_validate_rejects_cycles(cache):
-    A, B = cache.group("s", cache.ctx.gallery("s")), cache.group("t")
+    A, B = group_along(cache, gallery(cache.ctx, "s")), cache.group("t")
     triv = Subgroup(A, {0}, "1")
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0}),
@@ -529,8 +530,8 @@ def test_subproduct_value_vertex_intersection(theorem_tree, cache):
 
 def test_subproduct_value_full_edge(cache):
     # a segment whose edge group is everything: the two sides coincide
-    A = cache.group("s", cache.ctx.gallery("s"))
-    B = cache.group("t", cache.ctx.gallery("t"))
+    A = group_along(cache, gallery(cache.ctx, "s"))
+    B = group_along(cache, gallery(cache.ctx, "t"))
     full = Subgroup(A, {0, 1}, "C")
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", full, {0: 0, 1: 1}, {0: 0, 1: 1})])
