@@ -737,13 +737,19 @@ def section4_pipeline(cache: GroupCache | None = None,
 
     residues, when given, is a list of (types, gate-word) pairs for the
     residue-parameterized lemmas; the default is the three gate-1 rank-2
-    residues, as in the application."""
+    residues, as in the application.  A gate word that is not the gate
+    of its residue raises PreconditionError.  The gate-1 certificates
+    (K_{R,s} cap G_{-1}, O to G_{-1} and the main application) run when
+    the residue's gate is 1."""
     sec = Section4(Builder(cache))
     out = [dset_certificate(sec.cache), sec.cert_nested_intervals_empty()]
     if residues is None:
         residues = [(pair, "") for pair in pair_labelings()]
     for types, gate in residues:
         R = sec.ctx.residue(set(types), gate)
+        if sec.ctx.normalize(gate) != R.gate:
+            raise PreconditionError(
+                f"{gate!r} is not the gate of {R!r}; its gate is {R.gate!r}")
         s, t = residue_letters(R)[:2]
         out.append(sec.cert_generating_remark(R))
         out.append(sec.cert_vr_to_or(R))
@@ -751,7 +757,7 @@ def section4_pipeline(cache: GroupCache | None = None,
         out.append(sec.cert_ccleftcright(R))
         out.append(sec.cert_jrt(R))
         out.append(sec.cert_cleftcright_isos(R))
-        if not gate:
+        if not R.gate:
             out.append(sec.cert_krs_gminus1(R))
             out.append(sec.cert_otog_minus1((s, t)))
             out.append(sec.cert_main_application(R))

@@ -14,12 +14,16 @@ transposes are table reads: the row-combination ("Four Russians") method
 of M4RI at n = 4, with one 4 x 256 table of row-pair XORs (_PAIR, two
 reads per output row) and two 256-entry byte tables for the transpose.
 
-The group is generated by B_+ and two permutation matrices.
-build_model(("s", "t")) builds and calibrates it once per process, with
-one 45x45 table of Weyl words per sign pair, so weyl_distance,
-codistance and panel are table reads; a failed construction fact (group
-or Borel order, chamber count, double cosets, panel size) raises
-CalibrationError.
+The group is generated by two permutation matrices and a greedy
+generating set of B_+ (3 of its 15 nontrivial elements).
+build_model(("s", "t")) builds and calibrates it once per process.  It
+labels the Bruhat cells by chamber: the chambers of sign x in B_x w B_y
+are the chambers of weyl_rep(w)*b for b in B_y, 8 x 16 products per
+sign pair, and the 8 cells must partition the 45 chambers.  From those
+labels it makes one 45x45 table of Weyl words per sign pair, so
+weyl_distance, codistance and panel are table reads; a failed
+construction fact (group or Borel order, chamber count, a double-coset
+partition, panel size) raises CalibrationError.
 
 The two simple-root one-parameter groups each have a single nontrivial
 element over F2.  Which matrix node type carries which letter is not
@@ -160,9 +164,14 @@ class TwinModel:
     def _build_group(self) -> None:
         unitriangular = [_from_rows([1 | a << 1, 2 | b << 2, 4 | c << 3, 8])
                          for a in range(8) for b in range(4) for c in range(2)]
-        # IDENT is one of the 16 symplectic ones; as a generator it adds
-        # nothing but products
-        gens = [m for m in unitriangular if m != IDENT and is_symplectic(m)]
+        # a greedy generating set of B_+: a symplectic unitriangular matrix
+        # joins only if the ones before it do not generate it (3 of the 15
+        # besides IDENT); the Borel order is checked below
+        gens, spanned = [], {IDENT}
+        for m in unitriangular:
+            if m not in spanned and is_symplectic(m):
+                gens.append(m)
+                spanned = closure_words(mat_mul, IDENT, gens, limit=16)
         gens += [PERM_A, PERM_B]
         # a wrong kernel can generate a far larger group: stop past 720
         self.elems = sorted(closure_words(mat_mul, IDENT, gens, limit=720))
@@ -204,7 +213,7 @@ class TwinModel:
             self._build_tables()
             # u in B_+ moving c_- within its letter-panel: u in B_- rep B_-
             candidates = [[u for u in sorted(self.borel_plus)
-                           if self._label["--"][u] == letter]
+                           if self._label["--"][self._coset_id[-1][u]] == letter]
                           for letter in self.letters]
             for u0, u1 in itertools.product(*candidates):
                 self._u0, self._u1 = u0, u1
@@ -215,24 +224,29 @@ class TwinModel:
     # -- chambers and distances -----------------------------------------------
 
     def _build_tables(self) -> None:
-        # double-coset labels: x*y^-1 in B_x w B_y for chambers x, y
+        # Bruhat cells by chamber: x*y^-1 lies in B_x w B_y exactly when
+        # the chamber of sign x holding it is chamber(x, weyl_rep(w)*b)
+        # for some b in B_y; _label[kind][coset] is the cell's w, and the
+        # cells must partition the 45 chambers
         self._label = {}
         for (sx, sy), kind in _KINDS.items():
-            table = {}
+            ids, label = self._coset_id[sx], [None] * len(self._coset_rep[sx])
             for w in self.weyl_elements():
                 rep = self.weyl_rep(w)
-                for b1 in self._borel[sx]:
-                    x = mat_mul(b1, rep)
-                    for b2 in self._borel[sy]:
-                        table[mat_mul(x, b2)] = w
-            if len(table) != 720:
+                for coset in {ids[mat_mul(rep, b)] for b in self._borel[sy]}:
+                    if label[coset] is not None:
+                        raise CalibrationError(
+                            f"{kind} double cosets {label[coset]!r} and {w!r} meet")
+                    label[coset] = w
+            if None in label:
                 raise CalibrationError(f"{kind} double cosets do not cover the group")
-            self._label[kind] = table
+            self._label[kind] = label
         # one 45x45 Weyl-word table per sign pair
         inverses = {sign: [mat_inv(r) for r in reps]
                     for sign, reps in self._coset_rep.items()}
         self._delta = {
-            (sx, sy): [[self._label[kind][mat_mul(x, yi)] for yi in inverses[sy]]
+            (sx, sy): [[self._label[kind][self._coset_id[sx][mat_mul(x, yi)]]
+                        for yi in inverses[sy]]
                        for x in self._coset_rep[sx]]
             for (sx, sy), kind in _KINDS.items()}
         if any(sum(w in ("", letter) for w in row) != 3 for letter in self.letters

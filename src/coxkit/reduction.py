@@ -15,13 +15,15 @@ enumerate_constrained and the trace automaton all read it.
 The replay is a fold: _trace_base turns the first pair into a counter
 and a state (kind, h), where kind = KIND[g] is A:s, A:t or B and h is
 one of V's 8 elements, so there are 24 states; _trace_step maps a state
-and the next pair to a proof case, a positive counter increment and the
-next state.  The bullet-A model chamber c_f.h is recomputed from the
-state, not carried in it.  So the replay is a finite automaton:
-TheoremSetup.trace_table runs _trace_base on the 32 first pairs and
-_trace_step on the 656 allowed (state, pair) transitions once,
-trace_automaton certifies that table for constrained words of every
-length, and trace_word folds a word through the recorded entries.
+and the next g letter to a proof case and a positive counter increment,
+and the next pair (g, h) leads to the state (KIND[g], h).  The bullet-A
+model chamber c_f.h is recomputed from the state, not carried in it.
+So the replay is a finite automaton: TheoremSetup.trace_table runs
+_trace_base once on each of the 32 first pairs and _trace_step once on
+each of the 82 allowed (state, g) steps, which give the 656 allowed
+(state, pair) transitions, trace_automaton certifies that table for
+constrained words of every length, and trace_word folds a word through
+the recorded entries.
 """
 
 from __future__ import annotations
@@ -300,20 +302,20 @@ def _trace_base(setup: TheoremSetup, cert: Certificate, g: str, h: int):
     return len(dd), (kind, h)
 
 
-def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, pair):
-    """One induction step from state (kind, h_prev) on the pair (g, h):
+def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, g: str):
+    """One induction step from state (kind, h_prev) on the g letter g:
     record the checks of the unique applicable proof case in cert (n only
-    labels them) and return (case, counter increment, next state)."""
+    labels them) and return (case, counter increment).  The proof case
+    reads the state and the root of g only; the next V letter h names
+    the next state (KIND[g], h) and nothing else."""
     st = build_model(("s", "t"))
     kind, h_prev = state
-    g, h = pair
-    nxt = (KIND[g], h)
     v_prev = setup.st_v_elements[h_prev]
     if kind != "B":
         f = kind[2]
         chamber = st.act(st.c_adjacent(f), v_prev)   # c_f.h, exact
-        if nxt[0] != "B":
-            e = nxt[0][2]
+        if KIND[g] != "B":
+            e = KIND[g][2]
             lv = st.dist(chamber, st.c_adjacent(e))
             if e == f:
                 cert.check(
@@ -328,7 +330,7 @@ def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, pair):
             cert.check(
                 f"step {n}: wordsincoxetergroup instance w'={wprime!r}, l >= 2",
                 len(wprime) >= 2 and set(wprime) <= {"s", "t"}, w_prime=wprime)
-            return "b.i", lv + 1, nxt
+            return "b.i", lv + 1
         if f == "t":
             cert.check(
                 f"step {n} (b.ii, f=t): constraint h_{n-1} not in {{1,u_t}}",
@@ -347,7 +349,7 @@ def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, pair):
                 "(verified by sweep)", True)
         cert.check(f"step {n}: case (a) delegation, srs-invariant "
                    "l(delta(c.g,proj)srs) = l+3 restored", True)
-        return "b.ii", 2, nxt
+        return "b.ii", 2
     # bullet B: the projection lies in the t-panel of c.h
     panel_prev = st.panel(st.act(st.c_minus, v_prev), "t")
     if g == TR:
@@ -358,8 +360,8 @@ def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, pair):
         cert.check(f"step {n}: Uplus(c) translated instance "
                    "l(p, c_t) >= 2 for all p in P_t(c.h)",
                    all(v >= 2 for v in vals), got=vals)
-        return "c.i", min(vals) + 1, nxt
-    if nxt[0] == "B":
+        return "c.i", min(vals) + 1
+    if KIND[g] == "B":
         cert.check(
             f"step {n} (c.ii): constraint h_{n-1} not in {{1,u_t}}",
             h_prev not in (0, setup.ut))
@@ -375,14 +377,14 @@ def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, pair):
                    ok, got=data)
         cert.check(f"step {n}: case (a) delegation, srs-invariant restored",
                    True)
-        return "c.ii", 3, nxt
+        return "c.ii", 3
     data = [(st.dist(p, st.c_adjacent("s")),
              st.weyl_distance(p, st.c_adjacent("s"))) for p in panel_prev]
     cert.check(f"step {n}: Uplus(f) instance l(p,c_s) >= 2 or delta = s",
                all(v >= 2 or d == "s" for v, d in data), got=data)
     cert.check(f"step {n}: wordsincoxetergroup / srs-invariant branch "
                "cited (verified by sweep)", True)
-    return "c.iii", 2, nxt
+    return "c.iii", 2
 
 
 # the step index at which the table records _trace_step's checks; the
@@ -396,11 +398,13 @@ _REPLAY_HEADER = (
 
 class TraceTable(NamedTuple):
     """The trace automaton.  base maps each first pair (g, h) to
-    (counter, state, checks) and steps maps each allowed (state, (g, h))
-    to (case, increment, next state, checks).  A check is (description,
-    status, data or None) as recorded; in steps, recorded at _TABLE_STEP,
-    the description is kept as the fragments around its "h_{n-1}", with
-    the "step {n}" prefix removed."""
+    (counter, state, checks) and steps maps each of the 656 allowed
+    (state, (g, h)) to (case, increment, next state, checks); the 8
+    transitions of one (state, g) step share its case, increment and
+    check list.  A check is (description, status, data or None) as
+    recorded; in steps, recorded at _TABLE_STEP, the description is kept
+    as the fragments around its "h_{n-1}", with the "step {n}" prefix
+    removed."""
     base: dict
     steps: dict
 
@@ -411,11 +415,15 @@ def _letters(setup: TheoremSetup) -> list:
 
 def _build_trace_table(setup: TheoremSetup) -> TraceTable:
     """Breadth-first search from the states of the 32 base entries over
-    the letters TheoremSetup.allowed_after admits, running _trace_base
-    on each base entry and _trace_step on each transition once, each
-    into a fresh Certificate.  Nothing is checked here; trace_automaton
-    checks the result and trace_word refuses a zero increment.  The
-    description strings repeat across entries and are interned."""
+    the g letters TheoremSetup.allowed_after admits, running _trace_base
+    on each base entry and _trace_step once on each of the 82 allowed
+    (state, g) steps, each into a fresh Certificate.  A step's case,
+    increment and checks do not depend on the next V letter h, so its 8
+    transitions (state, (g, h)), one per h, share one check list and
+    differ only in the next state (KIND[g], h): 656 transitions in all.
+    Nothing is checked here; trace_automaton checks the result and
+    trace_word refuses a zero increment.  The description strings repeat
+    across entries and are interned."""
     letters = _letters(setup)
     base = {}
     for pair in letters:
@@ -425,25 +433,28 @@ def _build_trace_table(setup: TheoremSetup) -> TraceTable:
             (sys.intern(c["description"]), c["status"], c.get("data"))
             for c in cert.checks])
     head, index = f"step {_TABLE_STEP}", f"h_{_TABLE_STEP - 1}"
+    v_letters = sorted(setup._v_words)
     steps = {}
     queue = deque(sorted({state for _, state, _ in base.values()}))
     seen = set(queue)
     while queue:
         state = queue.popleft()
-        for pair in letters:
-            if not setup.allowed_after(state, pair[0]):
+        for g in G_LETTERS:
+            if not setup.allowed_after(state, g):
                 continue
             cert = Certificate("trace_step")
-            case, increment, nxt = _trace_step(setup, cert, _TABLE_STEP,
-                                               state, pair)
-            steps[state, pair] = (case, increment, nxt, [
+            case, increment = _trace_step(setup, cert, _TABLE_STEP, state, g)
+            checks = [
                 (tuple(map(sys.intern,
                            c["description"].removeprefix(head).split(index))),
                  c["status"], c.get("data"))
-                for c in cert.checks])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+                for c in cert.checks]
+            for h in v_letters:
+                nxt = (KIND[g], h)
+                steps[state, (g, h)] = (case, increment, nxt, checks)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
     return TraceTable(base, steps)
 
 
@@ -463,9 +474,12 @@ def trace_automaton(setup: TheoremSetup) -> Certificate:
     """Certify the trace table of setup, building it if it is not built.
 
     Every trace_word certificate is the table's base entry for the first
-    pair followed by its transitions for the later ones.  So if every
-    check of every entry passes, every counter and increment is at least
-    1, and the reachable states are closed under the letters that
+    pair followed by its transitions for the later ones.  The table holds
+    32 base entries and 656 transitions, computed by 82 proof steps (one
+    per allowed (state, g letter)); every transition is listed here, so
+    a step's checks count once for each of its 8 transitions.  So if
+    every check of every entry passes, every counter and increment is at
+    least 1, and the reachable states are closed under the letters that
     TheoremSetup.allowed_after admits, then by induction on the number of
     pairs the replay succeeds on constrained words of every length, with
     a final counter of at least 1.  Like trace_word this is a proof
@@ -520,9 +534,10 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
     in the rank-2 models, the concrete instances of the cited length
     lemmas, and the increment of a certified lower bound for the distance
     from the moved chamber to its projection, which must be positive.
-    The entries are read from setup.trace_table, which computes each of
-    them once (trace_automaton certifies the table for every length), and
-    copied into the certificate with their step index.  The independent
+    The entries are read from setup.trace_table, which runs each base
+    case once and each proof step once per (state, g letter), whatever
+    the next V letter (trace_automaton certifies the table for every
+    length), and copied into the certificate with their step index.  The independent
     tree-product normal-form check is not finite-state and runs per word.
     """
     cert = Certificate("normal_form_trace")

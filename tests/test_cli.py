@@ -65,10 +65,27 @@ def test_bad_residue_spec(capsys):
                "l(w_R s r) = l(w_R)+2 = l(w_R t r)"),
     ("sr:st", "error: Residue('st' at 'sr') with s=s violates "
               "l(w_R srs) = l(w_R)+3"),
+    # a chamber of the gate-1 residue st@1 that is not its gate
+    ("s:st", "error: 's' is not the gate of Residue('st' at ''); "
+             "its gate is ''"),
 ])
 def test_residue_outside_the_class_is_a_usage_error(capsys, residue, error):
     assert run_cli(["verify", "section4", "--residue", residue]) == 2
     assert capsys.readouterr().err.splitlines() == [error]
+
+
+def test_gate_one_certificates_follow_the_residue_gate(capsys):
+    """ss normalizes to the gate 1 of st@1: the run is the one of :st,
+    with the three gate-1 certificates among its 13."""
+    runs = []
+    for residue in (":st", "ss:st"):
+        assert run_cli(["verify", "section4", "--residue", residue]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    names = [line.split(":")[0].split()[-1] for line in runs[0][1:-1]]
+    assert len(names) == 13
+    assert {"KRs_cap_Gminus1[st,s=s]", "OtoG-1[st]",
+            "MainApplication[st@1]"} <= set(names)
 
 
 def test_usage_error_exit_code():

@@ -25,10 +25,50 @@ def test_model_invariants(st_model):
             assert len(m.panel(c, letter)) == 3
 
 
+def _labels_by_element(model) -> dict:
+    """The per-element Bruhat labeling the per-chamber cells replaced,
+    kept as their oracle: every product b1*rep(w)*b2 over both Borels."""
+    out = {}
+    for (sx, sy), kind in quadrangle._KINDS.items():
+        table = out[kind] = {}
+        for w in model.weyl_elements():
+            rep = model.weyl_rep(w)
+            for b1 in model._borel[sx]:
+                x = mat_mul(b1, rep)
+                for b2 in model._borel[sy]:
+                    table[mat_mul(x, b2)] = w
+    return out
+
+
 def test_bruhat_cells_partition(st_model):
-    # cell sizes sum to the group order twice over (both signs)
-    for kind in ("--", "++", "+-", "-+"):
-        assert len(st_model._label[kind]) == 720
+    """The 8 cells of each sign pair partition the group (cell sizes sum
+    to 720 in the oracle), and the label the model reads through each
+    element's chamber is the oracle's label of that element."""
+    m = st_model
+    oracle = _labels_by_element(m)
+    for (sx, sy), kind in quadrangle._KINDS.items():
+        assert len(oracle[kind]) == 720
+        assert len(m._label[kind]) == 45
+        assert all(m._label[kind][m._coset_id[sx][g]] == oracle[kind][g]
+                   for g in m.elems), kind
+
+
+def test_borel_has_a_greedy_generating_set_of_three(monkeypatch):
+    calls = []
+    real = quadrangle.closure_words
+
+    def counting(mul, identity, gens, limit=None):
+        calls.append(list(gens))
+        return real(mul, identity, gens, limit)
+
+    monkeypatch.setattr(quadrangle, "closure_words", counting)
+    model = TwinModel(("s", "t"))
+    monkeypatch.undo()
+    group_gens = next(g for g in calls if PERM_A in g)
+    assert group_gens[-2:] == [PERM_A, PERM_B]
+    borel_gens = group_gens[:-2]
+    assert len(borel_gens) == 3
+    assert set(real(mat_mul, IDENT, borel_gens)) == model.borel_plus
 
 
 def test_distinguished_pair(st_model):
@@ -439,3 +479,22 @@ def test_corrupted_codistance_fails_suite_under_optimize(run_optimized):
     assert out.returncode == 0
     suite_pass, axioms_pass, violations = json.loads(out.stdout)
     assert suite_pass is False and axioms_pass is False and violations > 0
+
+
+# one cell moved onto another (weyl_rep of st read as s): the cells meet
+# and must be refused where they are built, with assert statements stripped
+OVERLAP_UNDER_O = """
+from coxkit import quadrangle
+real = quadrangle.TwinModel.weyl_rep
+quadrangle.TwinModel.weyl_rep = lambda self, w: real(self, "s" if w == "st" else w)
+try:
+    quadrangle.TwinModel(("s", "t"))
+except quadrangle.CalibrationError as exc:
+    print(exc)
+"""
+
+
+def test_overlapping_bruhat_cells_fail_under_optimize(run_optimized):
+    out = run_optimized(OVERLAP_UNDER_O)
+    assert out.returncode == 0
+    assert out.stdout.strip() == "-- double cosets 's' and 'st' meet"

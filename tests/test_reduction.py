@@ -141,33 +141,52 @@ def test_trace_certificates_digest(theorem_setup):
 
 
 def test_trace_step_is_a_finite_transition_table(theorem_setup):
-    """The proof step reads only its state (kind, h) and the next pair:
-    at positions 2 and 7 it gives the same case, increment, next state and
-    checks on each of the 656 allowed (state, letter) pairs of the 24
-    states, every increment is positive and every state is reached."""
+    """The proof step reads only its state (kind, h) and the next g
+    letter: at positions 2 and 7 it gives the same case, increment and
+    checks on each of the 82 allowed (state, g) steps of the 24 states,
+    every increment is positive, the 8 V letters after each step give the
+    656 transitions, and every state is reached."""
     s = theorem_setup
     velems = sorted(s._v_words)
     last_g = {"A:s": SR, "A:t": TR, "B": RT}
     states = [(kind, h) for kind in last_g for h in velems]
     reached = set()
-    transitions = 0
-    for (kind, h), pair in itertools.product(states,
-                                             itertools.product(G_LETTERS, velems)):
-        if s.blocked(last_g[kind], h, pair[0]):
+    steps = 0
+    for (kind, h), g in itertools.product(states, G_LETTERS):
+        if s.blocked(last_g[kind], h, g):
             continue
-        transitions += 1
+        steps += 1
         runs = []
         for n in (2, 7):
             cert = Certificate("step")
-            case, increment, nxt = _trace_step(s, cert, n, (kind, h), pair)
-            runs.append((case, increment, nxt,
+            case, increment = _trace_step(s, cert, n, (kind, h), g)
+            runs.append((case, increment,
                          [(c["status"], c.get("data")) for c in cert.checks]))
-        assert runs[0] == runs[1], ((kind, h), pair)
-        _, increment, nxt, checks = runs[0]
+        assert runs[0] == runs[1], ((kind, h), g)
+        _, increment, checks = runs[0]
         assert increment >= 1 and all(status for status, _ in checks)
-        reached.add(nxt)
-    assert transitions == 656
+        reached |= {(KIND[g], h2) for h2 in velems}
+    assert steps == 82
+    assert steps * len(velems) == 656
     assert reached == set(states)
+
+
+def test_trace_table_runs_one_proof_step_per_state_and_g_letter(
+        monkeypatch, cache, theorem_setup):
+    """One table build calls _trace_step exactly once per allowed
+    (state, g): 82 calls for its 656 transitions."""
+    real = reduction._trace_step
+    calls = []
+
+    def step(setup, cert, n, state, g):
+        calls.append((state, g))
+        return real(setup, cert, n, state, g)
+
+    monkeypatch.setattr(reduction, "_trace_step", step)
+    table = reduction.TheoremSetup(cache).trace_table
+    assert len(calls) == len(set(calls)) == 82
+    assert len(table.steps) == 656
+    assert set(calls) == {(state, g) for state, (g, _) in table.steps}
 
 
 def test_blocked_is_the_two_constraint_clauses(theorem_setup):
@@ -206,8 +225,9 @@ def _direct_fold(s, word):
     cert = Certificate("oracle")
     counter, state = _trace_base(s, cert, *pairs[0])
     counters, cases = [counter], []
-    for n, pair in enumerate(pairs[1:], start=2):
-        case, increment, state = _trace_step(s, cert, n, state, pair)
+    for n, (g, h) in enumerate(pairs[1:], start=2):
+        case, increment = _trace_step(s, cert, n, state, g)
+        state = (KIND[g], h)
         counter += increment
         counters.append(counter)
         cases.append(case)
@@ -264,22 +284,23 @@ def test_trace_automaton_certifies_the_table(theorem_setup):
     assert cert.data["header"].startswith("proof replay")
 
 
-def _transitions(word):
+def _steps(word):
+    """The (state, g) proof steps a word's trace goes through."""
     _, pairs = word
     state = (KIND[pairs[0][0]], pairs[0][1])
-    for pair in pairs[1:]:
-        yield state, pair
-        state = (KIND[pair[0]], pair[1])
+    for g, h in pairs[1:]:
+        yield state, g
+        state = (KIND[g], h)
 
 
 def _mutant_setup(monkeypatch, cache, target, mutate):
     """A fresh TheoremSetup whose trace table was built with _trace_step
-    altered on the one transition target."""
+    altered on the one (state, g) step target."""
     real = reduction._trace_step
 
-    def step(setup, cert, n, state, pair):
-        out = real(setup, cert, n, state, pair)
-        return mutate(cert, out) if (state, pair) == target else out
+    def step(setup, cert, n, state, g):
+        out = real(setup, cert, n, state, g)
+        return mutate(cert, out) if (state, g) == target else out
 
     monkeypatch.setattr(reduction, "_trace_step", step)
     setup = reduction.TheoremSetup(cache)
@@ -289,8 +310,8 @@ def _mutant_setup(monkeypatch, cache, target, mutate):
 
 
 def _zero_increment(cert, out):
-    case, _, nxt = out
-    return case, 0, nxt
+    case, _ = out
+    return case, 0
 
 
 def _flip_one_check(cert, out):
@@ -301,45 +322,49 @@ def _flip_one_check(cert, out):
 @pytest.mark.parametrize("mutate", [_zero_increment, _flip_one_check])
 def test_trace_mutants_fire(monkeypatch, cache, theorem_setup, mutate):
     s = theorem_setup
-    target = (("A:t", s.us), (SR, s.ut))
+    target = (("A:t", s.us), SR)
     mutant = _mutant_setup(monkeypatch, cache, target, mutate)
     assert not trace_automaton(mutant).passed
-    using = [w for w in s.enumerate_constrained(3)
-             if target in _transitions(w)]
-    assert len(using) > 1
+    using = [w for w in s.enumerate_constrained(3) if target in _steps(w)]
+    # every V letter after the step: all 8 of its transitions are broken
+    assert {w[1][1][1] for w in using if len(w[1]) == 2} == set(s._v_words)
     for word in using:
         if mutate is _zero_increment:
             with pytest.raises(TraceError):
                 trace_word(mutant, word)
         else:
             assert not trace_word(mutant, word).passed, word
-    for word in s.enumerate_constrained(2):
-        if target not in _transitions(word):
-            assert trace_word(mutant, word).passed, word
+    avoiding = [w for w in s.enumerate_constrained(2) if target not in _steps(w)]
+    assert len(avoiding) > len(using)
+    for word in avoiding:
+        assert trace_word(mutant, word).passed, word
 
 
 # mutant 1 under -O: the zero increment still fails the automaton and
-# raises in trace_word
+# raises in trace_word, and a word that avoids the step still passes
 ZERO_INCREMENT_UNDER_O = """
 from coxkit import reduction
 real = reduction._trace_step
-def step(setup, cert, n, state, pair):
-    case, increment, nxt = real(setup, cert, n, state, pair)
-    return case, 0 if (state, pair) == (("B", 0), (reduction.SR, 0)) else increment, nxt
+def step(setup, cert, n, state, g):
+    case, increment = real(setup, cert, n, state, g)
+    return case, 0 if (state, g) == (("B", 0), reduction.SR) else increment
 reduction._trace_step = step
 setup = reduction.TheoremSetup()
 print("automaton", reduction.trace_automaton(setup).passed)
-try:
-    reduction.trace_word(setup, setup.parse("u_rt,1,u_sr,1"))
-except reduction.TraceError:
-    print("raised")
+for word in ("u_rt,1,u_sr,1", "u_rt,1,u_sr,u_s*u_t"):
+    try:
+        reduction.trace_word(setup, setup.parse(word))
+    except reduction.TraceError:
+        print("raised")
+print("avoiding", reduction.trace_word(setup, setup.parse("u_rt,u_s,u_sr,1")).passed)
 """
 
 
 def test_trace_increment_check_survives_optimize(run_optimized):
     out = run_optimized(ZERO_INCREMENT_UNDER_O)
     assert out.returncode == 0
-    assert out.stdout.split("\n")[:2] == ["automaton False", "raised"]
+    assert out.stdout.split("\n")[:4] == [
+        "automaton False", "raised", "raised", "avoiding True"]
 
 
 def test_trace_word_reads_the_table_only(monkeypatch, theorem_setup):
