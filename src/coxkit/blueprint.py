@@ -312,19 +312,17 @@ class BlueprintGroup:
         return "\n".join(lines) + "\n"
 
 
-def subgroup(ambient: BlueprintGroup, gen_masks, name: str = "") -> Subgroup:
-    return Subgroup(ambient, closure_words(ambient.mul, ambient.identity,
-                                           tuple(gen_masks)), name)
-
-
 class GroupCache:
-    """Shared builder for the blueprint groups and V-subgroups of one context."""
+    """Shared builder for the blueprint groups, their root subgroups and
+    the V-subgroups of one context."""
 
     def __init__(self, ctx: Coxeter):
         self.ctx = ctx
         self.rsys = RootSystem(ctx)
         self.blueprint = KacMoodyBlueprint(self.rsys)
         self._groups: dict[str, BlueprintGroup] = {}
+        self._subgroups: dict[tuple, dict] = {}
+        self._v_groups: dict[tuple, Subgroup] = {}
 
     def group(self, w: str) -> BlueprintGroup:
         """U_w along the canonical gallery, the least reduced word of w,
@@ -343,19 +341,38 @@ class GroupCache:
         """Phi(w): inversion set along the canonical gallery."""
         return self.group(w).roots
 
+    def root_subgroup(self, ambient: BlueprintGroup, roots) -> dict:
+        """The subgroup of ambient generated by the root generators at
+        roots: each element mapped to a shortest word over roots, the
+        first in breadth-first order with the roots taken by (refl,
+        positive).  Memoized by the ambient group and the root set."""
+        roots = frozenset(roots)
+        key = (ambient, roots)
+        got = self._subgroups.get(key)
+        if got is None:
+            gens = sorted(roots, key=lambda root: (root.refl, root.positive))
+            words = closure_words(ambient.mul, ambient.identity,
+                                  [ambient.root_mask(root) for root in gens])
+            got = self._subgroups[key] = {
+                x: tuple(gens[i] for i in word) for x, word in words.items()}
+        return got
+
     def v_subgroup(self, gate: str, types) -> Subgroup:
         """V at the rank-2 residue with this gate: generated by the root
-        generators of Phi(gate*u) and Phi(gate*v) inside U_{gate*r_J}."""
+        generators of Phi(gate*u) and Phi(gate*v) inside U_{gate*r_J};
+        memoized."""
         ctx = self.ctx
         u, v = sorted(types)
         gate = ctx.normalize(gate)
-        for x in (u, v):
-            if len(ctx.mult(gate, x)) != len(gate) + 1:
+        got = self._v_groups.get((gate, u, v))
+        if got is None:
+            if any(len(ctx.mult(gate, x)) != len(gate) + 1 for x in (u, v)):
                 raise ValueError(f"{gate!r} is not the gate of a {u}{v}-residue")
-        ambient = self.group(ctx.mult(gate, ctx.longest({u, v})))
-        return subgroup(ambient, [ambient.root_mask(root)
-                                  for root in self.v_roots(gate, types)],
-                        f"V[{gate}|{u}{v}]")
+            ambient = self.group(ctx.mult(gate, ctx.longest({u, v})))
+            got = self._v_groups[gate, u, v] = Subgroup(
+                ambient, self.root_subgroup(ambient, self.v_roots(gate, types)),
+                f"V[{gate}|{u}{v}]")
+        return got
 
     def v_roots(self, gate: str, types) -> frozenset:
         """Phi(gate*u) | Phi(gate*v), the generating roots of V at this gate."""

@@ -30,6 +30,17 @@ class UsageError(ValueError):
     pass
 
 
+# the options of `verify` that one suite reads: (suite, default, cap)
+SUITE_OPTIONS = {"radius": ("coxeter", 8, MAX_RADIUS),
+                 "max_length": ("blueprint", 7, MAX_BLUEPRINT_LENGTH),
+                 "residue": ("section4", None, None)}
+
+
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _parse_residue(text: str):
     if ":" not in text:
         raise UsageError("--residue expects <gate-word>:<two-letter-type>")
@@ -60,8 +71,7 @@ def _emit(args, results: dict, config: dict) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(f"cannot write report: {exc}")
         print(f"report written to {args.out}")
     else:
         print(text)
@@ -70,35 +80,26 @@ def _emit(args, results: dict, config: dict) -> int:
 
 def cmd_verify(args) -> int:
     config = {}
-    if args.target == "coxeter":
-        if args.radius is None:
-            args.radius = 8
-        if not 0 <= args.radius <= MAX_RADIUS:
-            print(f"error: --radius {args.radius} is outside "
-                  f"0..{MAX_RADIUS}", file=sys.stderr)
-            return 2
-        config["radius"] = args.radius
-    if args.target == "blueprint":
-        if args.max_length is None:
-            args.max_length = 7
-        if not 0 <= args.max_length <= MAX_BLUEPRINT_LENGTH:
-            print(f"error: --max-length {args.max_length} is outside "
-                  f"0..{MAX_BLUEPRINT_LENGTH}", file=sys.stderr)
-            return 2
-        config["max_length"] = args.max_length
-    if args.target == "section4" and args.residue:
+    for option, (suite, default, cap) in SUITE_OPTIONS.items():
+        flag, value = "--" + option.replace("_", "-"), getattr(args, option)
+        if value is not None and args.target != suite:
+            return _usage_error(f"{flag} applies to verify {suite} only")
+        if args.target == suite and cap is not None:
+            value = default if value is None else value
+            if not 0 <= value <= cap:
+                return _usage_error(f"{flag} {value} is outside 0..{cap}")
+            config[option] = value
+    if args.residue:
         try:
             config["residues"] = [_parse_residue(r) for r in args.residue]
         except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(exc)
     try:
         results = _run_suites([args.target], config)
     except PreconditionError as exc:
         if "residues" not in config:   # the default residues meet them all
             raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     result = results[args.target]
     print(f"suite {args.target}: {'pass' if result['pass'] else 'FAIL'}")
     if args.target == "coxeter":
@@ -116,8 +117,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     if not args.out:
-        print("error: report requires --out <path>", file=sys.stderr)
-        return 2
+        return _usage_error("report requires --out <path>")
     config = {"radius": 8, "max_length": 7}
     results = _run_suites(DEFAULT_SUITES, config)
     return _emit(args, results, config)
@@ -129,8 +129,7 @@ def cmd_reduce(args) -> int:
     try:
         word = setup.parse(args.word)
     except ConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     out, steps = setup.reduce(word)
     print(setup.format_word(out))
     print(f"steps: {steps}")
@@ -152,10 +151,8 @@ def cmd_trace(args) -> int:
 
 def _parse_tree_file(path: str):
     from coxkit.constructions import Builder
-    builder = Builder()
-    specs = {}
-    order = []
-    edges = []
+    from coxkit.treeprod import TreeProduct
+    vertices, edges = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -163,25 +160,19 @@ def _parse_tree_file(path: str):
                 continue
             parts = line.split()
             if parts[0] == "vertex" and len(parts) == 4 and parts[2] == "U":
-                specs[parts[1]] = builder.u_spec(parts[1], parts[3])
-                order.append(parts[1])
+                vertices.append((parts[1], ("U", parts[3])))
             elif parts[0] == "vertex" and len(parts) == 4 and parts[2] == "V":
                 gate, _, types = parts[3].partition(":")
                 if len(types) != 2:
                     raise UsageError(f"line {lineno}: V vertex needs gate:xy")
-                specs[parts[1]] = builder.v_spec(parts[1], gate, types)
-                order.append(parts[1])
+                vertices.append((parts[1], ("V", gate, types)))
             elif parts[0] == "edge" and len(parts) == 3:
                 edges.append((parts[1], parts[2]))
             else:
                 raise UsageError(f"line {lineno}: cannot parse {line!r}")
-    from coxkit.treeprod import TreeOfGroups, TreeProduct
-    built = [builder.edge(specs[a], specs[b]) for a, b in edges]
-    tog = TreeOfGroups({n: specs[n].group for n in order}, built)
-    issues = tog.validate()
-    if issues:
-        raise UsageError("invalid tree of groups: " + "; ".join(issues))
-    return builder, specs, TreeProduct(tog)
+    builder = Builder()
+    specs, tog = builder.tree(vertices, edges)
+    return builder, {sp.name: sp for sp in specs}, TreeProduct(tog)
 
 
 def _parse_nf_word(builder, specs, text: str):
@@ -213,8 +204,7 @@ def cmd_nf(args) -> int:
         builder, specs, product = _parse_tree_file(args.tree)
         letters = _parse_nf_word(builder, specs, args.word)
     except (ValueError, OSError, KeyError) as exc:   # UsageError, bad tree files
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     el = product.eval_word(letters)
 
     def render(vertex: str, mask: int) -> str:

@@ -4,7 +4,9 @@ Each construction is a path of vertex groups: full blueprint groups U_w
 and index-2 subgroups V (generated by the root generators of the two
 gate-adjacent U's).  Edge groups are always the subgroup generated by the
 common generating roots of adjacent vertices, with boundary maps matched
-root-by-root, which is exactly the hat-star convention.
+root-by-root, which is exactly the hat-star convention.  Builder.tree
+builds every tree of such groups: the constructions, the `coxkit nf`
+tree files and the subgroup theorem's U_sr * V * U_trt.
 
 The colimit side computes the prefix sets C and gate sets D that define
 the three direct limits, their generator roots and commutator relations;
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 from coxkit.blueprint import BlueprintGroup, GroupCache
 from coxkit.certs import Certificate, timed
-from coxkit.coxeter import Coxeter, Residue
-from coxkit.treeprod import Edge, Subgroup, TreeOfGroups, closure_words
+from coxkit.coxeter import Coxeter, Residue, standard_coxeter
+from coxkit.treeprod import Edge, Subgroup, TreeOfGroups
 
 KINDS = ("V_R", "O_R", "V_Rs", "O_Rs", "H_R", "K_Rs")
 
@@ -88,13 +90,8 @@ class Construction:
 
 class Builder:
     def __init__(self, cache: GroupCache | None = None):
-        if cache is None:
-            from coxkit.coxeter import standard_coxeter
-            cache = GroupCache(standard_coxeter())
-        self.cache = cache
+        self.cache = cache = cache or GroupCache(standard_coxeter())
         self.ctx = cache.ctx
-        self._subgroup_cache: dict = {}
-        self._vgroup_cache: dict = {}
 
     # -- groups and subgroup images -----------------------------------------
 
@@ -103,56 +100,62 @@ class Builder:
         return VertexSpec(name, f"U[{grp.w}]", grp, grp, frozenset(grp.roots))
 
     def v_spec(self, name: str, gate: str, types) -> VertexSpec:
-        ctx = self.ctx
-        u, v = sorted(types)
-        gate = ctx.normalize(gate)
-        key = (gate, u, v)
-        got = self._vgroup_cache.get(key)
-        if got is None:
-            grp = self.cache.v_subgroup(gate, (u, v))
-            if grp.order * 2 != grp.parent.order:
-                raise PreconditionError(f"{grp.name} does not have index 2")
-            got = (grp, self.cache.v_roots(gate, (u, v)))
-            self._vgroup_cache[key] = got
-        grp, roots = got
-        return VertexSpec(name, grp.name, grp, grp.parent, roots)
+        grp = self.cache.v_subgroup(gate, types)
+        if grp.order * 2 != grp.parent.order:
+            raise PreconditionError(f"{grp.name} does not have index 2")
+        return VertexSpec(name, grp.name, grp, grp.parent,
+                          self.cache.v_roots(gate, types))
 
     def subgroup_in(self, ambient: BlueprintGroup, roots) -> frozenset:
-        key = (id(ambient), frozenset(roots))
-        got = self._subgroup_cache.get(key)
-        if got is None:
-            gens = [ambient.root_mask(root) for root in roots]
-            got = frozenset(closure_words(ambient.mul, ambient.identity, gens))
-            self._subgroup_cache[key] = got
-        return got
+        return frozenset(self.cache.root_subgroup(ambient, roots))
 
     def image_of_u(self, w: str, ambient: BlueprintGroup) -> frozenset:
-        return self.subgroup_in(ambient, self.cache.phi(self.ctx.normalize(w)))
+        return self.subgroup_in(ambient, self.cache.phi(w))
 
     def image_of_v(self, gate: str, types, ambient: BlueprintGroup) -> frozenset:
         return self.subgroup_in(ambient, self.cache.v_roots(gate, types))
 
-    # -- edges ------------------------------------------------------------
+    # -- edges and trees ---------------------------------------------------
 
     def edge(self, a: VertexSpec, b: VertexSpec) -> Edge:
         common = a.roots & b.roots
         if not common:
             raise PreconditionError(
                 f"no common generating roots between {a.label} and {b.label}")
-        gens = sorted(common, key=lambda root: (root.refl, root.positive))
-        amb_a, amb_b = a.ambient, b.ambient
-        words = closure_words(amb_a.mul, amb_a.identity,
-                              [amb_a.root_mask(root) for root in gens])
-        group = Subgroup(amb_a, words, f"E[{a.label}^{b.label}]")
+        words = self.cache.root_subgroup(a.ambient, common)
+        group = Subgroup(a.ambient, words, f"E[{a.label}^{b.label}]")
         into_a = {x: x for x in group.elements()}
-        into_b = {x: amb_b.root_product(gens[i] for i in words[x])
-                  for x in group.elements()}
+        into_b = {x: b.ambient.root_product(words[x]) for x in group.elements()}
         for side, mapping in ((a, into_a), (b, into_b)):
             if hasattr(side.group, "__contains__") and \
                     any(y not in side.group for y in mapping.values()):
                 raise PreconditionError(
                     f"edge {group.name} is not inside {side.label}")
         return Edge(a.name, b.name, group, into_a, into_b)
+
+    def tree(self, vertices, edges) -> tuple[list, TreeOfGroups]:
+        """The tree of groups with these vertices and edges: vertices lists
+        (name, ("U", w)) for U_w and (name, ("V", gate, types)) for V at
+        that gate, edges lists the pairs of names glued along their common
+        roots (edge).  Returns the vertex specs, in the given order, and
+        the validated tree; PreconditionError on a duplicate or unknown
+        vertex name or an invalid tree, the empty one included."""
+        specs, edges = {}, list(edges)
+        for name, (kind, *data) in vertices:
+            if name in specs:
+                raise PreconditionError(f"vertex {name} is declared twice")
+            specs[name] = (self.u_spec if kind == "U" else self.v_spec)(
+                name, *data)
+        unknown = sorted({v for pair in edges for v in pair} - specs.keys())
+        if unknown:
+            raise PreconditionError(f"an edge names no vertex {unknown[0]}")
+        tog = TreeOfGroups({name: sp.group for name, sp in specs.items()},
+                           [self.edge(specs[a], specs[b]) for a, b in edges])
+        issues = tog.validate()
+        if issues:
+            raise PreconditionError(
+                "invalid tree of groups: " + "; ".join(issues))
+        return list(specs.values()), tog
 
     # -- the constructions ---------------------------------------------------
 
@@ -196,18 +199,8 @@ class Builder:
                     len(ctx.mult(R.gate, s2, d2, s2)) != len(R.gate) + 3:
                 raise PreconditionError(
                     f"{R} with s={s_chosen} violates l(w_R srs) = l(w_R)+3")
-        specs = []
-        for idx, entry in enumerate(plan):
-            name = f"v{idx}"
-            if entry[0] == "U":
-                specs.append(self.u_spec(name, entry[1]))
-            else:
-                specs.append(self.v_spec(name, entry[1], entry[2]))
-        edges = [self.edge(specs[i], specs[i + 1]) for i in range(len(specs) - 1)]
-        tog = TreeOfGroups({sp.name: sp.group for sp in specs}, edges)
-        issues = tog.validate()
-        if issues:
-            raise PreconditionError("; ".join(issues))
+        names = [f"v{idx}" for idx in range(len(plan))]
+        specs, tog = self.tree(zip(names, plan), zip(names, names[1:]))
         return Construction(kind, R, s_chosen, specs, tog)
 
 

@@ -138,12 +138,7 @@ class Coxeter:
 
     def normalize(self, letters) -> str:
         """Canonical form of an arbitrary product of generators."""
-        word = "".join(letters)
-        _check_letters(word)
-        c = ""
-        for ch in word:
-            c = self.mult_gen(c, ch)
-        return c
+        return self.mult("".join(letters))
 
     def mult(self, *words: str) -> str:
         """Canonical form of the product of the words, left to right."""
@@ -151,7 +146,8 @@ class Coxeter:
         for w in words:
             if not out:
                 # the product so far is the identity, so a factor the
-                # memo has met is just its canonical form
+                # memo has met, its letters checked when it was learned,
+                # is just its canonical form
                 c = self._canon.get(w)
                 if c is not None:
                     out = c

@@ -15,9 +15,9 @@ from coxkit.constructions import (Builder, PreconditionError, classify_residue,
                                   harvest_relations, pair_labelings,
                                   residue_letters, roots_violated)
 from coxkit.coxeter import Residue
-from coxkit.treeprod import (Subgroup, TreeOfGroups, TreeProduct,
-                             check_subtree_conditions, contract,
-                             family_embeds, fold, respects_edges)
+from coxkit.treeprod import (Subgroup, TreeProduct, check_subtree_conditions,
+                             contract, cut, family_embeds, fold,
+                             respects_edges)
 
 # ball radius of the half-space and interval-witness checks
 RADIUS = 8
@@ -390,8 +390,7 @@ class Section4:
         cert.data["V_T"] = [sp.label for sp in vt.specs]
         # the H_R subtree {v2,v3,v4} and the V_T family inside it
         subtree = {"v2", "v3", "v4"}
-        sub_edges = [e for e in hr.tog.edges if e.u in subtree and e.v in subtree]
-        sub_tog = TreeOfGroups({v: hr.tog.vertices[v] for v in subtree}, sub_edges)
+        sub_tog = cut(hr.tog, subtree)
         cert.check("U[r_J] * V[ts..] * U[t r_ds] is a subtree of H_R",
                    not sub_tog.validate())
         # the V_T family over the subtree: U[w_R tsts], V[w_R ts|dt] and
@@ -737,19 +736,23 @@ def section4_pipeline(cache: GroupCache | None = None,
 
     residues, when given, is a list of (types, gate-word) pairs for the
     residue-parameterized lemmas; the default is the three gate-1 rank-2
-    residues, as in the application.  A gate word that is not the gate
-    of its residue raises PreconditionError.  The gate-1 certificates
+    residues, as in the application.  Each residue runs once, however
+    many pairs name it.  A gate word that is not the gate of its residue
+    raises PreconditionError.  The gate-1 certificates
     (K_{R,s} cap G_{-1}, O to G_{-1} and the main application) run when
     the residue's gate is 1."""
     sec = Section4(Builder(cache))
     out = [dset_certificate(sec.cache), sec.cert_nested_intervals_empty()]
     if residues is None:
         residues = [(pair, "") for pair in pair_labelings()]
+    chosen = {}
     for types, gate in residues:
         R = sec.ctx.residue(set(types), gate)
         if sec.ctx.normalize(gate) != R.gate:
             raise PreconditionError(
                 f"{gate!r} is not the gate of {R!r}; its gate is {R.gate!r}")
+        chosen[R] = None
+    for R in chosen:
         s, t = residue_letters(R)[:2]
         out.append(sec.cert_generating_remark(R))
         out.append(sec.cert_vr_to_or(R))

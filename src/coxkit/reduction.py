@@ -1,8 +1,9 @@
 """The subgroup theorem's word machinery: the tree product
-U_sr * V * U_trt, the rewriting that brings alternating words into
-constrained form, and a replay of the normal-form induction, with every
-invoked distance fact computed in the finite rank-2 models and every
-cited length lemma instantiated concretely.
+U_sr * V * U_trt (built by constructions.Builder.tree, its generators
+named by their roots), the rewriting that brings alternating words
+into constrained form, and a replay of the normal-form induction, with
+every invoked distance fact computed in the finite rank-2 models and
+every cited length lemma instantiated concretely.
 
 Words are (h0, ((g1, h1), ..., (gn, hn))) with the g letters drawn from
 the four-symbol alphabet SR, TR, RT, RTTR (the generators at the roots
@@ -35,9 +36,10 @@ from typing import NamedTuple
 
 from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate, timed
+from coxkit.constructions import Builder
 from coxkit.coxeter import standard_coxeter
 from coxkit.quadrangle import build_model, mat_mul
-from coxkit.treeprod import Edge, TreeOfGroups, TreeProduct, closure_words
+from coxkit.treeprod import TreeProduct
 
 SR, TR, RT, RTTR = "u_sr", "u_tr", "u_rt", "u_rt*u_tr"
 G_LETTERS = (SR, TR, RT, RTTR)
@@ -69,31 +71,22 @@ class TheoremSetup:
 
     def __init__(self, cache: GroupCache | None = None):
         self.ctx = standard_coxeter()
-        self.cache = cache or GroupCache(self.ctx)
-        cache = self.cache
-        self.U_sr = cache.group("sr")
-        self.U_trt = cache.group("trt")
-        self.ambientV = cache.group("stst")
-        self.V = cache.v_subgroup("", "st")
-        amb = self.ambientV
-        self.us = amb.root_mask(amb.roots[0])
-        self.ut = amb.root_mask(amb.roots[3])
-        self.u_sr = self.U_sr.root_mask(self.U_sr.roots[1])
-        self.u_t_trt = self.U_trt.root_mask(self.U_trt.roots[0])
-        self.u_tr = self.U_trt.root_mask(self.U_trt.roots[1])
-        self.u_rt = self.U_trt.root_mask(self.U_trt.roots[2])
-        U_s, U_t = cache.group("s"), cache.group("t")
-        e1 = Edge("0", "1", U_s,
-                  {0: 0, 1: self.U_sr.root_mask(self.U_sr.roots[0])},
-                  {0: 0, 1: self.us})
-        e2 = Edge("1", "2", U_t,
-                  {0: 0, 1: self.ut},
-                  {0: 0, 1: self.u_t_trt})
-        self.tog = TreeOfGroups({"0": self.U_sr, "1": self.V, "2": self.U_trt},
-                                [e1, e2])
+        self.cache = cache = cache or GroupCache(self.ctx)
+        specs, self.tog = Builder(cache).tree(
+            [("0", ("U", "sr")), ("1", ("V", "", "st")), ("2", ("U", "trt"))],
+            [("0", "1"), ("1", "2")])
+        self.U_sr, self.V, self.U_trt = (sp.group for sp in specs)
+        self.ambientV = amb = specs[1].ambient
         self.product = TreeProduct(self.tog)
+        rsys = cache.rsys
+        alpha_s, alpha_t = rsys.simple("s"), rsys.simple("t")
+        self.us, self.ut = amb.root_mask(alpha_s), amb.root_mask(alpha_t)
+        self.u_sr = self.U_sr.root_mask(rsys.root_from("s", "r"))
+        self.u_t_trt = self.U_trt.root_mask(alpha_t)
+        self.u_tr = self.U_trt.root_mask(rsys.root_from("t", "r"))
+        self.u_rt = self.U_trt.root_mask(rsys.root_from("r", "t"))
         # commutations the rewriting relies on, checked once
-        u_s_sr = self.U_sr.root_mask(self.U_sr.roots[0])
+        u_s_sr = self.U_sr.root_mask(alpha_s)
         for grp, x, y in ((self.U_sr, self.u_sr, u_s_sr),
                           (self.U_trt, self.u_tr, self.u_t_trt),
                           (self.U_trt, self.u_rt, self.u_t_trt),
@@ -101,9 +94,9 @@ class TheoremSetup:
             if grp.mul(x, y) != grp.mul(y, x):
                 raise ReductionError(
                     f"the rewriting needs {x} and {y} to commute in {grp!r}")
-        words = closure_words(self.ambientV.mul, self.ambientV.identity,
-                              (self.us, self.ut))
-        self._v_words = {m: "".join("st"[i] for i in w) for m, w in words.items()}
+        # a simple root's reflection is its letter
+        self._v_words = {m: "".join(root.refl for root in word) for m, word
+                         in cache.root_subgroup(amb, (alpha_s, alpha_t)).items()}
 
     # -- words -------------------------------------------------------------
 
@@ -124,10 +117,7 @@ class TheoremSetup:
         return _build_trace_table(self)
 
     def v_mask(self, word: str) -> int:
-        m = 0
-        for ch in word:
-            m = self.ambientV.mul(m, {"s": self.us, "t": self.ut}[ch])
-        return m
+        return self.ambientV.root_product(map(self.cache.rsys.simple, word))
 
     def g_element(self, sym: str):
         if sym == SR:

@@ -65,7 +65,7 @@ def run_blueprint(ctx: Coxeter, max_length: int = 7) -> dict:
     out["gallery_independence_failures"] = gi_fail
     v = cache.v_subgroup("", "st")
     amb = cache.group("stst")
-    us, ut = amb.root_mask(amb.roots[0]), amb.root_mask(amb.roots[3])
+    us, ut = (amb.root_mask(cache.rsys.simple(x)) for x in "st")
     listing = {0, us, ut, amb.mul(us, ut), amb.mul(ut, us),
                amb.mul(amb.mul(us, ut), us), amb.mul(amb.mul(ut, us), ut),
                amb.mul(amb.mul(us, ut), amb.mul(us, ut))}

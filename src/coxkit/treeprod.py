@@ -86,7 +86,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "Subgroup", "closure_words", "Edge", "TreeOfGroups", "TreeProduct",
-    "contract", "fold", "check_subtree_conditions", "respects_edges",
+    "contract", "cut", "fold", "check_subtree_conditions", "respects_edges",
     "family_embeds", "TreeError",
 ]
 
@@ -212,8 +212,10 @@ class TreeOfGroups:
 
     def validate(self) -> list:
         """Tree-ness, distinct vertex groups, boundary maps injective homs."""
-        issues = []
         names = list(self.vertices)
+        if not names:
+            return ["the tree has no vertices"]
+        issues = []
         if len({id(g) for g in self.vertices.values()}) != len(names):
             issues.append("vertex groups must be distinct objects")
         if len(self.edges) != len(names) - 1:
@@ -467,6 +469,13 @@ class TreeProduct:
         return images.get(el)
 
 
+def cut(tog: TreeOfGroups, sub) -> TreeOfGroups:
+    """The vertices of tog in sub and the edges of tog between two of
+    them; a tree exactly when sub spans a connected subtree."""
+    return TreeOfGroups({v: G for v, G in tog.vertices.items() if v in sub},
+                        [e for e in tog.edges if e.u in sub and e.v in sub])
+
+
 def contract(tog: TreeOfGroups, sub):
     """Contract a connected subtree to one vertex carrying its tree product.
 
@@ -476,10 +485,9 @@ def contract(tog: TreeOfGroups, sub):
     """
     sub = frozenset(sub)
     keep = [v for v in tog.vertices if v not in sub]
-    sub_edges = [e for e in tog.edges if e.u in sub and e.v in sub]
-    if len(sub_edges) != len(sub) - 1:
+    sub_tog = cut(tog, sub)
+    if len(sub_tog.edges) != len(sub) - 1:
         raise TreeError("vertex set is not a connected subtree")
-    sub_tog = TreeOfGroups({v: tog.vertices[v] for v in sub}, sub_edges)
     subprod = TreeProduct(sub_tog)
     name = "(" + "+".join(sorted(sub)) + ")"
     vertices = {v: tog.vertices[v] for v in keep}

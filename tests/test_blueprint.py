@@ -8,7 +8,7 @@ import pytest
 from coxkit import wordops
 from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
                               KacMoodyBlueprint, gallery_independence,
-                              insertion_table, subgroup)
+                              insertion_table)
 from coxkit.coxeter import Coxeter
 from coxkit.suites import run_blueprint
 from galleries import gallery, group_along
@@ -489,6 +489,24 @@ def test_v_subgroup_listing(cache):
     assert frozenset(v.elements()) == frozenset(expected)
 
 
+def test_root_subgroup_is_one_memoized_closure(cache):
+    """Shortest words over the roots, in (refl, positive) order whatever
+    order the roots come in, computed once per ambient group and root
+    set; V reads the same closure."""
+    g = cache.group("stst")
+    alpha_s, alpha_t = cache.rsys.simple("s"), cache.rsys.simple("t")
+    words = cache.root_subgroup(g, (alpha_t, alpha_s))
+    assert cache.root_subgroup(g, [alpha_s, alpha_t]) is words
+    assert len(words) == 8 and max(map(len, words.values())) == 4
+    for x, word in words.items():
+        assert g.root_product(word) == x
+    top = max(words, key=lambda x: len(words[x]))
+    assert words[top] == (alpha_s, alpha_t, alpha_s, alpha_t)
+    v = cache.v_subgroup("", "st")
+    assert cache.v_subgroup("", "ts") is v
+    assert set(v.elements()) == set(words)
+
+
 def test_v_subgroup_general_gate(ctx, cache):
     v = cache.v_subgroup("r", "st")
     amb = cache.group(ctx.mult("r", "stst"))
@@ -529,13 +547,10 @@ def test_inclusions(ctx, cache):
 def test_intersections(ctx, cache):
     # inside U at w = s * r_rt
     amb = cache.group(ctx.mult("s", ctx.longest("rt")))
-    a = subgroup(amb, [amb.root_mask(r) for r in cache.phi("sr")])
-    b = subgroup(amb, [amb.root_mask(r) for r in cache.phi("st")])
-    ea, eb = frozenset(a.elements()), frozenset(b.elements())
-    expect = subgroup(amb, [amb.root_mask(r) for r in cache.phi("s")])
-    assert ea & eb == frozenset(expect.elements())
-    trivial = subgroup(amb, [])
-    assert frozenset(trivial.elements()) & ea == {0}
+    ea, eb, expect = (frozenset(cache.root_subgroup(amb, cache.phi(w)))
+                      for w in ("sr", "st", "s"))
+    assert ea & eb == expect
+    assert cache.root_subgroup(amb, []) == {0: ()}
 
 
 def test_group_mono_rejects_non_hom(cache):

@@ -88,6 +88,43 @@ def test_gate_one_certificates_follow_the_residue_gate(capsys):
             "MainApplication[st@1]"} <= set(names)
 
 
+def test_each_residue_runs_once(capsys):
+    """ss:st names the residue of :st again: its battery runs once, and
+    the listing is the one of :st alone."""
+    assert run_cli(["verify", "section4", "--residue", ":st"]) == 0
+    alone = capsys.readouterr().out.splitlines()
+    assert run_cli(["verify", "section4", "--residue", ":st",
+                    "--residue", "ss:st"]) == 0
+    both = capsys.readouterr().out.splitlines()
+    assert both == alone
+    names = [line.split(":")[0].split()[-1] for line in both[1:-1]]
+    assert len(names) == len(set(names)) == 13
+
+
+@pytest.mark.parametrize("target, option, value, suite", [
+    ("quadrangle", "--residue", ":st", "section4"),
+    ("quadrangle", "--radius", "3", "coxeter"),
+    ("quadrangle", "--max-length", "2", "blueprint"),
+    ("coxeter", "--residue", ":st", "section4"),
+    ("blueprint", "--radius", "3", "coxeter"),
+    ("section4", "--max-length", "2", "blueprint"),
+])
+def test_verify_refuses_an_option_its_suite_does_not_read(
+        capsys, target, option, value, suite):
+    assert run_cli(["verify", target, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {option} applies to verify {suite} only"]
+
+
+def test_verify_refuses_with_one_line_for_several_options(capsys):
+    assert run_cli(["verify", "quadrangle", "--residue", ":st",
+                    "--radius", "3", "--max-length", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "coxkit.cli", "frobnicate"],
@@ -124,6 +161,9 @@ BAD_TREES = {
     "unknown-generator": "vertex v0 U sq\n",
     "unknown-v-type": "vertex v1 V :sx\n",
     "no-common-roots": "vertex v0 U st\nvertex v1 V t:rs\nedge v0 v1\n",
+    "empty": "# comments only\n\n",
+    "duplicate-vertex": "vertex v0 U sr\nvertex v0 U trt\n",
+    "unknown-edge-vertex": "vertex v0 U sr\nedge v0 v1\n",
 }
 
 

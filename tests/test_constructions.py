@@ -54,6 +54,29 @@ def test_edge_groups_are_common_root_subgroups(ctx, builder):
     assert not cons.tog.validate()
 
 
+def test_tree_builds_the_construction_path(ctx, builder):
+    R = ctx.residue("st", "")
+    cons = builder.construction("O_R", R)
+    _, plan = builder.vertex_plan("O_R", R)
+    specs, tog = builder.tree([("v0", plan[0]), ("v1", plan[1]), ("v2", plan[2])],
+                              [("v0", "v1"), ("v1", "v2")])
+    assert [sp.label for sp in specs] == [sp.label for sp in cons.specs]
+    assert tog.vertices == cons.tog.vertices
+    assert [(e.u, e.v, e.into_u, e.into_v) for e in tog.edges] == \
+        [(e.u, e.v, e.into_u, e.into_v) for e in cons.tog.edges]
+
+
+@pytest.mark.parametrize("vertices, edges, error", [
+    ([], [], "the tree has no vertices"),
+    ([("a", ("U", "sr")), ("a", ("U", "trt"))], [], "vertex a is declared twice"),
+    ([("a", ("U", "sr"))], [("a", "b")], "an edge names no vertex b"),
+    ([("a", ("U", "sr")), ("b", ("U", "trt"))], [], "not connected"),
+], ids=["empty", "duplicate", "unknown", "disconnected"])
+def test_tree_refusals(builder, vertices, edges, error):
+    with pytest.raises(PreconditionError, match=error):
+        builder.tree(vertices, edges)
+
+
 def test_v_spec_index_two(ctx, builder):
     sp = builder.v_spec("x", "r", "st")
     assert sp.group.order * 2 == sp.ambient.order

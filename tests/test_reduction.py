@@ -23,6 +23,20 @@ def test_tree_product_shape(theorem_setup):
     assert s.U_trt.mul(s.u_tr, s.u_rt) == s.U_trt.mul(s.u_rt, s.u_tr)
 
 
+def test_generators_are_named_by_their_roots(theorem_setup):
+    """u_s, u_t, u_sr, u_tr and u_rt are the generators at alpha_s,
+    alpha_t, s*alpha_r, t*alpha_r and r*alpha_t, which are the roots the
+    canonical galleries of stst, sr and trt cross at these positions."""
+    s = theorem_setup
+    amb, U_sr, U_trt = s.ambientV, s.U_sr, s.U_trt
+    assert (s.us, s.ut) == (amb.root_mask(amb.roots[0]),
+                            amb.root_mask(amb.roots[3]))
+    assert s.u_sr == U_sr.root_mask(U_sr.roots[1])
+    assert (s.u_t_trt, s.u_tr, s.u_rt) == tuple(
+        U_trt.root_mask(root) for root in U_trt.roots)
+    assert s.v_word(s.v_mask("tsts")) == "stst"
+
+
 def test_parse_and_format(theorem_setup):
     s = theorem_setup
     word = s.parse("u_sr,1,u_sr,u_t")

@@ -3,8 +3,10 @@ dead work out: a local that is assigned and never read is a computation
 whose result nobody looks at, a public function that the program never
 calls (or that no command runs) is code kept alive by its tests alone,
 and a defaulted parameter that no program call sets is an option with
-one value in use; and that keep verification out of assert statements,
-which `python -O` strips."""
+one value in use; that keep verification out of assert statements,
+which `python -O` strips; and that keep one builder of trees of groups
+(constructions.Builder.tree, over treeprod's edges) and roots named by
+what they are, not by where a group lists them."""
 
 import ast
 import json
@@ -120,6 +122,59 @@ def test_imported_modules_sees_both_import_forms():
     tree = ast.parse("import random as r\nfrom random import choice\n"
                      "import os.path\nfrom . import certs\n")
     assert imported_modules(tree) == {"random", "os"}
+
+
+# the modules that make edges and trees of groups: treeprod's own moves
+# and constructions.Builder.tree, which every other module asks for a tree
+TREE_BUILDERS = {"treeprod.py", "constructions.py"}
+
+
+def tree_building_calls(tree) -> list:
+    """The lines of tree that call Edge or TreeOfGroups, by name or as an
+    attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in ("Edge", "TreeOfGroups")
+                 or getattr(node.func, "attr", None) in ("Edge", "TreeOfGroups"))]
+
+
+def root_index_picks(tree) -> list:
+    """The lines of tree that pick an entry of a `.roots` sequence by an
+    integer literal, as in `grp.roots[3]` or `grp.roots[-1]`."""
+    def literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "roots" and literal(node.slice)]
+
+
+def test_trees_are_built_in_one_place_and_roots_are_named():
+    trees = {str(path.relative_to(SRC)): ast.parse(path.read_text())
+             for path in sorted(SRC.rglob("*.py"))}
+    builders = {module: lines for module, tree in trees.items()
+                if (lines := tree_building_calls(tree))
+                and module not in TREE_BUILDERS}
+    picks = {module: lines for module, tree in trees.items()
+             if (lines := root_index_picks(tree))}
+    assert not builders and not picks, (builders, picks)
+
+
+def test_source_guards_see_calls_and_integer_root_picks():
+    tree = ast.parse(
+        "from coxkit import treeprod\n"
+        "e = Edge('a', 'b', g, {}, {})\n"
+        "t = treeprod.TreeOfGroups({}, [])\n"
+        "x = Edge\n"
+        "a = grp.roots[3]\n"
+        "b = grp.roots[-1]\n"
+        "c = grp.roots[i]\n"
+        "d = grp.roots[1:]\n"
+        "f = grp.other[0]\n")
+    assert tree_building_calls(tree) == [2, 3]
+    assert sorted(root_index_picks(tree)) == [5, 6]
 
 
 # public functions and methods that nothing in src/coxkit calls, each with

@@ -8,7 +8,7 @@ from coxkit.constructions import Builder
 from coxkit.pipeline import Section4
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions, contract,
-                             fold)
+                             cut, fold)
 from galleries import gallery, group_along
 from nested_oracle import NestedProduct
 from walks import random_word
@@ -54,6 +54,38 @@ def test_validate_rejects_kernel(cache):
     bad = Edge("a", "b", E, {0: 0, 1: 0}, {0: 0, 1: B.root_mask(B.roots[0])})
     tog = TreeOfGroups({"a": A, "b": B}, [bad])
     assert any("injective" in issue for issue in tog.validate())
+
+
+def test_validate_reports_an_empty_tree():
+    assert TreeOfGroups({}, []).validate() == ["the tree has no vertices"]
+
+
+def test_theorem_setup_tree_is_the_hand_built_one(theorem_tree, theorem_setup):
+    """Builder.tree glues U_sr * V * U_trt along edge groups that are
+    subgroups of the vertex groups, not the groups U_s and U_t of the
+    hand-built tree, but each edge identifies the same pairs of vertex
+    elements, so the normal forms agree."""
+    tog, P = theorem_tree
+    built = theorem_setup.tog
+    assert {v: set(G.elements()) for v, G in built.vertices.items()} == \
+        {v: set(G.elements()) for v, G in tog.vertices.items()}
+    for mine, theirs in zip(built.edges, tog.edges):
+        assert (mine.u, mine.v) == (theirs.u, theirs.v)
+        assert {(mine.into_u[c], mine.into_v[c]) for c in mine.group.elements()} \
+            == {(theirs.into_u[c], theirs.into_v[c])
+                for c in theirs.group.elements()}
+    rng = random.Random(5)
+    for _ in range(200):
+        word = random_word(P, rng, rng.randint(1, 8))
+        assert theorem_setup.product.eval_word(word) == P.eval_word(word)
+
+
+def test_cut_keeps_the_edges_inside(theorem_tree):
+    tog, _ = theorem_tree
+    sub = cut(tog, {"1", "2"})
+    assert list(sub.vertices) == ["1", "2"] and sub.edges == [tog.edges[1]]
+    assert not sub.validate()
+    assert cut(tog, {"0", "2"}).validate()
 
 
 def test_validate_rejects_cycles(cache):
