@@ -55,11 +55,18 @@ generate U_w and injective because |U_h| <= |U_w| (gallery_independence).
 from __future__ import annotations
 
 from coxkit import wordops
+from coxkit import zroot2 as z2
 from coxkit.coxeter import Coxeter, Gallery
-from coxkit.roots import Root, RootSystem
+from coxkit.roots import Root, RootSystem, RootSystemError
 from coxkit.treeprod import Subgroup, closure_words
 
 TABLE_CAP = 256
+
+# B'(a, b) = 2cos(135 degrees) of two roots whose open interval holds two
+# roots (KacMoodyBlueprint.value)
+OBTUSE = z2.neg(z2.SQRT2)
+# B'(a, b) at 90, 45 and 135 degrees: the values a pair of finite order takes
+FINITE_FORMS = (z2.ZERO, z2.SQRT2, z2.neg(z2.SQRT2))
 
 
 class BlueprintError(ValueError):
@@ -68,28 +75,49 @@ class BlueprintError(ValueError):
 
 class KacMoodyBlueprint:
     """The locally Weyl-invariant blueprint: M = (a,b) when o(r_a r_b) is
-    finite and the open interval has exactly two roots, else empty."""
+    finite and the open interval (a,b) holds exactly two roots, which in
+    type (4,4,4) is when B'(a, b) = -sqrt(2); else empty."""
 
     def __init__(self, rsys: RootSystem):
         self.rsys = rsys
-        self._cache: dict[frozenset, frozenset] = {}
         self._harvests: dict[str, frozenset] = {}
 
     def value(self, g: Gallery, a: Root, b: Root) -> tuple[Root, ...]:
-        """M^G_{a,b}, ordered by the gallery's crossing order."""
-        key = frozenset((a, b))
-        got = self._cache.get(key)
-        if got is None:
-            pc = self.rsys.pair_class(a, b)
-            if pc.kind == "finite":
-                mid = self.rsys.open_interval(a, b, g)
-                got = frozenset(mid) if len(mid) == 2 else frozenset()
-            else:
-                got = frozenset()
-            self._cache[key] = got
-        if not got:
+        """M^G_{a,b}, ordered by the gallery's crossing order.
+
+        Closed form from the dihedral root subsystem (Abramenko & Brown,
+        Buildings, GTM 248, 8.5; M. Dyer, Reflection subgroups of Coxeter
+        systems, J. Algebra 135, 1990).  Let a != b with o(r_a r_b)
+        finite, that is B'(a, b)^2 < 4.  The form is then positive
+        definite on span(a, b), so the roots of Phi in that plane are
+        those of the finite dihedral reflection subgroup they generate.
+        Every finite dihedral subgroup of W lies in a conjugate of a rank-2
+        standard parabolic, of order 8, so the plane holds at most 8
+        roots, 45 degrees apart, and B' = 2cos(angle) is 0 or +-sqrt(2):
+        - B' = 0 (90 degrees): at most one root lies strictly between a
+          and b;
+        - B' = sqrt(2) (45 degrees): none does;
+        - B' = -sqrt(2) (135 degrees): the plane holds all 8 roots, and
+          the two strictly between are r_a(b) = b + sqrt(2)*a and
+          r_b(a) = a + sqrt(2)*b.
+        An inversion set holds every root that is a nonnegative combination
+        of two of its roots, so for a, b in Phi(G) both lie in Phi(G);
+        RootSystemError if either does not.  Any other value with B'^2 < 4
+        contradicts the premise and raises RootSystemError; B'^2 >= 4
+        (infinite order) gives ()."""
+        rsys = self.rsys
+        va, vb = rsys.vector(a), rsys.vector(b)
+        c = z2.form(va, vb)
+        if c != OBTUSE:
+            if c not in FINITE_FORMS and z2.sign(z2.sub(z2.mul(c, c), (4, 0))) < 0:
+                raise RootSystemError(f"impossible form value {c} in type (4,4,4)")
             return ()
-        return tuple(sorted(got, key=self.rsys.inversion_sequence(g).index))
+        want = (z2.vsub(vb, z2.vscale(c, va)), z2.vsub(va, z2.vscale(c, vb)))
+        mids = tuple(x for x in rsys.inversion_sequence(g) if rsys.vector(x) in want)
+        if len(mids) != 2:
+            raise RootSystemError(
+                f"r_a(b) or r_b(a) of ({a!r}, {b!r}) is missing from Phi({g!r})")
+        return mids
 
     def harvest(self, w: str) -> frozenset:
         """(a, b, M^h_{a,b}) for every minimal gallery h of w (canonical

@@ -590,8 +590,7 @@ class Section4:
                     if rsys.pair_class(a, b).kind != "nested":
                         continue
                     pairs += 1
-                    good, _ = rsys.open_interval_empty_certificate(
-                        a, b, g, RADIUS)
+                    good, _ = rsys.emptiness_certificate(a, b, g, RADIUS)
                     if not good:
                         ok = False
                         failures.append((w, repr(a), repr(b)))

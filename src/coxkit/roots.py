@@ -65,10 +65,6 @@ class PairClass:
     detail: str | None = None    # anti_nested: "disjoint" or "cover"
 
 
-class IntervalNotExact(RuntimeError):
-    """Raised when an exact interval is requested for an infinite-order pair."""
-
-
 class RootSystemError(RuntimeError):
     """The exact root geometry contradicted itself."""
 
@@ -228,7 +224,7 @@ class RootSystem:
         return PairClass(kind="anti_nested",
                          detail="cover" if side > 0 else "disjoint")
 
-    # -- inversion sequences and intervals -----------------------------------
+    # -- inversion sequences and interval emptiness --------------------------
 
     def inversion_sequence(self, g: Gallery) -> tuple[Root, ...]:
         roots = self._inversions.get(g)
@@ -243,64 +239,15 @@ class RootSystem:
             self._inversions[g] = roots
         return roots
 
-    def _in_cone(self, v: z2.Vector, va: z2.Vector, vb: z2.Vector) -> bool:
-        """Exact test: v in R>=0 va + R>=0 vb (2-dim cone)."""
-        pairs = [(0, 1), (0, 2), (1, 2)]
-        for i, j in pairs:
-            det = z2.sub(z2.mul(va[i], vb[j]), z2.mul(va[j], vb[i]))
-            if not z2.is_zero(det):
-                lam = z2.sub(z2.mul(v[i], vb[j]), z2.mul(v[j], vb[i]))
-                mu = z2.sub(z2.mul(va[i], v[j]), z2.mul(va[j], v[i]))
-                # residual on all coordinates: det*v == lam*va + mu*vb
-                for m in range(3):
-                    lhs = z2.mul(det, v[m])
-                    rhs = z2.add(z2.mul(lam, va[m]), z2.mul(mu, vb[m]))
-                    if lhs != rhs:
-                        return False
-                sd = z2.sign(det)
-                return z2.sign(lam) * sd >= 0 and z2.sign(mu) * sd >= 0
-        raise RootSystemError("independent roots must have a nonzero minor")
-
-    def interval(self, a: Root, b: Root, g: Gallery) -> tuple[Root, ...]:
-        """Closed interval [a, b] ordered by the gallery's crossing order.
-
-        Exact for finite-order pairs (their walls meet in a point, so
-        membership in the interval is the cone test on vectors).  Raises
-        IntervalNotExact for nested pairs, whose walls do not meet.
-        """
-        roots = self.inversion_sequence(g)
-        order = {root: i for i, root in enumerate(roots)}
-        if a not in order or b not in order:
-            raise ValueError("interval endpoints must lie in Phi(G)")
-        if order[a] > order[b]:
-            raise ValueError("endpoints must satisfy a <=_G b")
-        if a == b:
-            return (a,)
-        pc = self.pair_class(a, b)
-        if pc.kind != "finite":
-            raise IntervalNotExact(
-                "exact intervals are only computed for finite-order pairs")
-        va, vb = self.vector(a), self.vector(b)
-        out = [c for c in roots if self._in_cone(self.vector(c), va, vb)]
-        if a not in out or b not in out:
-            raise RootSystemError(f"interval [{a!r}, {b!r}] misses an endpoint")
-        out.sort(key=lambda c: order[c])
-        return tuple(out)
-
-    def open_interval(self, a: Root, b: Root, g: Gallery) -> tuple[Root, ...]:
-        if a == b:
-            return ()
-        return tuple(c for c in self.interval(a, b, g) if c not in (a, b))
-
     def _refutations(self, a: Root, b: Root, c: Root, radius: int) -> int:
         """The elements of ball(radius) that keep c out of the interval
         [a, b]: in a and b but not in c, or in c but in neither."""
         in_a, in_b, in_c = (self.halfspace(x, radius) for x in (a, b, c))
         return in_a & in_b & ~in_c | in_c & ~(in_a | in_b)
 
-    def open_interval_empty_certificate(self, a: Root, b: Root, g: Gallery,
-                                        radius: int):
-        """Exact emptiness certificate for (a, b) within Phi(G).
+    def emptiness_certificate(self, a: Root, b: Root, g: Gallery, radius: int):
+        """Exact emptiness certificate for the open interval (a, b) within
+        Phi(G).
 
         (a,b) is contained in Phi(G) by inversion-set closure, so emptiness
         follows if every candidate root of Phi(G) other than a, b is

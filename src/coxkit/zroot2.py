@@ -26,10 +26,6 @@ Scalar = tuple[int, int]
 Vector = tuple[Scalar, Scalar, Scalar]
 
 
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return (x[0] + y[0], x[1] + y[1])
-
-
 def sub(x: Scalar, y: Scalar) -> Scalar:
     return (x[0] - y[0], x[1] - y[1])
 
@@ -57,10 +53,6 @@ def sign(x: Scalar) -> int:
     if a > 0:  # b < 0
         return 1 if a * a > 2 * b * b else (-1 if a * a < 2 * b * b else 0)
     return -1 if a * a > 2 * b * b else (1 if a * a < 2 * b * b else 0)
-
-
-def is_zero(x: Scalar) -> bool:
-    return x == ZERO
 
 
 def vsub(u: Vector, v: Vector) -> Vector:

@@ -6,10 +6,12 @@ import re
 import pytest
 
 from coxkit import wordops
+from coxkit import zroot2 as z2
 from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
                               KacMoodyBlueprint, gallery_independence,
                               insertion_table)
 from coxkit.coxeter import Coxeter
+from coxkit.roots import RootSystemError
 from coxkit.suites import run_blueprint
 from galleries import gallery, group_along
 
@@ -178,6 +180,16 @@ def test_cb2_values(ctx, cache):
     assert bp.value(g, seq[0], seq[3]) == (seq[1], seq[2])
     assert bp.value(g, seq[0], seq[1]) == ()
     assert bp.value(g, seq[1], seq[2]) == ()
+
+
+def test_value_rejects_a_form_value_no_finite_pair_takes(ctx, cache, monkeypatch):
+    # B' = 1 (60 degrees) is of finite order, B'^2 < 4, but no dihedral
+    # subgroup of (4,4,4) has that angle: the closed form's premise fails
+    g = gallery(ctx, "st")
+    a, b = cache.rsys.inversion_sequence(g)
+    monkeypatch.setattr(z2, "form", lambda u, v: (1, 0))
+    with pytest.raises(RootSystemError, match=r"impossible form value \(1, 0\)"):
+        cache.blueprint.value(g, a, b)
 
 
 def test_nested_pairs_give_empty_value(ctx, cache):

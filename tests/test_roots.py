@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from coxkit.roots import IntervalNotExact, RootSystem, ball_members
+from coxkit import blueprint
+from coxkit import zroot2 as z2
+from coxkit.blueprint import KacMoodyBlueprint
+from coxkit.cli import main
+from coxkit.coxeter import Gallery
+from coxkit.roots import RootSystem, RootSystemError, ball_members
 from galleries import gallery
 
 
@@ -17,6 +22,91 @@ def interval_ball(rs, a, b, g, radius: int) -> tuple:
     the roots of Phi(g) that no element of ball(radius) keeps out of it."""
     return tuple(c for c in rs.inversion_sequence(g)
                  if not rs._refutations(a, b, c, radius))
+
+
+class IntervalNotExact(RuntimeError):
+    """An exact interval was asked of a pair of infinite order."""
+
+
+def _in_cone(v, va, vb) -> bool:
+    """Exact test: v in R>=0 va + R>=0 vb (2-dim cone)."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        det = z2.sub(z2.mul(va[i], vb[j]), z2.mul(va[j], vb[i]))
+        if det != z2.ZERO:
+            lam = z2.sub(z2.mul(v[i], vb[j]), z2.mul(v[j], vb[i]))
+            mu = z2.sub(z2.mul(va[i], v[j]), z2.mul(va[j], v[i]))
+            # residual on all coordinates: det*v - lam*va == mu*vb
+            for m in range(3):
+                lhs = z2.sub(z2.mul(det, v[m]), z2.mul(lam, va[m]))
+                if lhs != z2.mul(mu, vb[m]):
+                    return False
+            sd = z2.sign(det)
+            return z2.sign(lam) * sd >= 0 and z2.sign(mu) * sd >= 0
+    raise RootSystemError("independent roots must have a nonzero minor")
+
+
+def interval(rs, a, b, g) -> tuple:
+    """Closed interval [a, b] ordered by the gallery's crossing order: the
+    roots of Phi(G) in the cone of a and b.
+
+    The cone-test oracle of the blueprint's closed form.  Exact for
+    finite-order pairs (their walls meet in a point, so membership in the
+    interval is the cone test on vectors).  Raises IntervalNotExact for
+    nested pairs, whose walls do not meet."""
+    roots = rs.inversion_sequence(g)
+    order = {root: i for i, root in enumerate(roots)}
+    if a not in order or b not in order:
+        raise ValueError("interval endpoints must lie in Phi(G)")
+    if order[a] > order[b]:
+        raise ValueError("endpoints must satisfy a <=_G b")
+    if a == b:
+        return (a,)
+    if rs.pair_class(a, b).kind != "finite":
+        raise IntervalNotExact(
+            "exact intervals are only computed for finite-order pairs")
+    va, vb = rs.vector(a), rs.vector(b)
+    out = tuple(c for c in roots if _in_cone(rs.vector(c), va, vb))
+    if a not in out or b not in out:
+        raise RootSystemError(f"interval [{a!r}, {b!r}] misses an endpoint")
+    return out
+
+
+def open_interval(rs, a, b, g) -> tuple:
+    if a == b:
+        return ()
+    return tuple(c for c in interval(rs, a, b, g) if c not in (a, b))
+
+
+def oracle_value(rs, g, a, b) -> tuple:
+    """M^G_{a,b} by its definition: the open interval of a finite-order
+    pair when it holds exactly two roots, else empty."""
+    if rs.pair_class(a, b).kind != "finite":
+        return ()
+    mids = open_interval(rs, a, b, g)
+    return mids if len(mids) == 2 else ()
+
+
+def compare_with_oracle(ctx, bp, radius: int):
+    """bp.value against oracle_value on every pair of Phi(w) along the
+    canonical gallery, for every w in ball(radius).  Returns the number of
+    pairs, {unordered pair: oracle value} and the (w, a, b) where value
+    disagrees or raises RootSystemError."""
+    rs = bp.rsys
+    pairs, values, wrong = 0, {}, []
+    for w in ctx.ball(radius):
+        g = Gallery(w)
+        seq = rs.inversion_sequence(g)
+        for i, a in enumerate(seq):
+            for b in seq[i + 1:]:
+                pairs += 1
+                want = values[frozenset((a, b))] = oracle_value(rs, g, a, b)
+                try:
+                    got = bp.value(g, a, b)
+                except RootSystemError:
+                    got = None
+                if got != want:
+                    wrong.append((w, a, b))
+    return pairs, values, wrong
 
 
 @pytest.fixture(scope="module")
@@ -101,13 +191,13 @@ def test_inversion_sequence(ctx, rs):
 def test_intervals_rank2(ctx, rs):
     g = gallery(ctx, "stst")
     seq = rs.inversion_sequence(g)
-    assert rs.open_interval(seq[0], seq[3], g) == (seq[1], seq[2])
-    assert rs.open_interval(seq[0], seq[1], g) == ()
-    assert rs.interval(seq[1], seq[1], g) == (seq[1],)
+    assert open_interval(rs, seq[0], seq[3], g) == (seq[1], seq[2])
+    assert open_interval(rs, seq[0], seq[1], g) == ()
+    assert interval(rs, seq[1], seq[1], g) == (seq[1],)
     with pytest.raises(ValueError):
-        rs.interval(seq[3], seq[0], g)
+        interval(rs, seq[3], seq[0], g)
     with pytest.raises(ValueError):
-        rs.interval(seq[0], rs.root_from("r", "s"), g)
+        interval(rs, seq[0], rs.root_from("r", "s"), g)
 
 
 def test_interval_definitional_cross_check(ctx, rs):
@@ -120,7 +210,7 @@ def test_interval_definitional_cross_check(ctx, rs):
             for j in range(i + 1, len(seq)):
                 if rs.pair_class(seq[i], seq[j]).kind != "finite":
                     continue
-                closed = set(rs.interval(seq[i], seq[j], g))
+                closed = set(interval(rs, seq[i], seq[j], g))
                 for c in seq:
                     ball_in = all(
                         rs.member(w, c)
@@ -153,7 +243,7 @@ def test_interval_nested_not_exact(ctx, rs):
     assert nested
     g, a, b = nested[0]
     with pytest.raises(IntervalNotExact):
-        rs.interval(a, b, g)
+        interval(rs, a, b, g)
     roots = interval_ball(rs, a, b, g, 6)
     assert a in roots and b in roots
 
@@ -197,7 +287,7 @@ def test_emptiness_certificate(ctx, rs):
             for b in seq[i + 1:]:
                 if rs.pair_class(a, b).kind != "nested":
                     continue
-                ok, data = rs.open_interval_empty_certificate(a, b, g, 8)
+                ok, data = rs.emptiness_certificate(a, b, g, 8)
                 assert ok, (g, a, b, data)
                 checked += 1
     assert checked > 0
@@ -206,7 +296,7 @@ def test_emptiness_certificate(ctx, rs):
     seq = rs.inversion_sequence(g)
     pairs = [(a, b) for i, a in enumerate(seq) for b in seq[i + 1:]
              if rs.pair_class(a, b).kind == "nested"]
-    assert any(not rs.open_interval_empty_certificate(a, b, g, 8)[0]
+    assert any(not rs.emptiness_certificate(a, b, g, 8)[0]
                for a, b in pairs)
 
 
@@ -229,3 +319,49 @@ except RootSystemError:
 def test_root_sign_check_survives_optimize(run_optimized):
     out = run_optimized(ROOT_SIGN_UNDER_O)
     assert out.returncode == 0 and out.stdout.strip() == "raised"
+
+
+def test_blueprint_value_matches_the_cone_test_oracle(ctx):
+    bp = KacMoodyBlueprint(RootSystem(ctx))
+    pairs, values, wrong = compare_with_oracle(ctx, bp, 7)
+    assert (pairs, len(values), wrong) == (3741, 813, [])
+    assert sum(1 for mids in values.values() if mids) == 24
+    # M is nonempty exactly at B' = -sqrt(2), 135 degrees
+    for pair, mids in values.items():
+        a, b = pair
+        obtuse = z2.form(bp.rsys.vector(a), bp.rsys.vector(b)) == (0, -1)
+        assert bool(mids) == obtuse, pair
+
+
+def test_a_positive_obtuse_constant_is_caught(ctx, monkeypatch, capsys):
+    # the mutant: M taken at B' = +sqrt(2), 45 degrees, in place of -sqrt(2)
+    monkeypatch.setattr(blueprint, "OBTUSE", z2.SQRT2)
+    bp = KacMoodyBlueprint(RootSystem(ctx))
+    _, values, wrong = compare_with_oracle(ctx, bp, 7)
+    assert {frozenset(p[1:]) for p in wrong} >= {p for p, mids in values.items() if mids}
+    with pytest.raises(RootSystemError, match="missing from Phi"):
+        main(["verify", "blueprint", "--max-length", "2"])
+    assert "internal failure" in capsys.readouterr().err
+
+
+# alpha_t and alpha_s lie 135 degrees apart; Phi(ts) holds r_t(alpha_s) but
+# not r_s(alpha_t), so the blueprint value has no M to give; under -O an
+# assert would hand back one root
+VALUE_MISSING_ROOT_UNDER_O = """
+from coxkit.blueprint import KacMoodyBlueprint
+from coxkit.coxeter import Gallery, standard_coxeter
+from coxkit.roots import RootSystem, RootSystemError
+rs = RootSystem(standard_coxeter())
+try:
+    KacMoodyBlueprint(rs).value(Gallery("ts"), rs.simple("t"), rs.simple("s"))
+except RootSystemError as exc:
+    print("raised", exc)
+"""
+
+
+def test_missing_blueprint_root_raises_under_optimize(run_optimized):
+    out = run_optimized(VALUE_MISSING_ROOT_UNDER_O)
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == [
+        "raised r_a(b) or r_b(a) of (Root(+t), Root(+s)) is missing from "
+        "Phi(Gallery('ts'))"]
