@@ -57,7 +57,7 @@ from __future__ import annotations
 from coxkit import wordops
 from coxkit import zroot2 as z2
 from coxkit.coxeter import Coxeter, Gallery
-from coxkit.roots import Root, RootSystem, RootSystemError
+from coxkit.roots import Root, RootSystem, RootSystemError, root_system
 from coxkit.treeprod import Subgroup, closure_words
 
 TABLE_CAP = 256
@@ -342,11 +342,12 @@ class BlueprintGroup:
 
 class GroupCache:
     """Shared builder for the blueprint groups, their root subgroups and
-    the V-subgroups of one context."""
+    the V-subgroups of one context, over the context's one root system
+    (roots.root_system)."""
 
     def __init__(self, ctx: Coxeter):
         self.ctx = ctx
-        self.rsys = RootSystem(ctx)
+        self.rsys = root_system(ctx)
         self.blueprint = KacMoodyBlueprint(self.rsys)
         self._groups: dict[str, BlueprintGroup] = {}
         self._subgroups: dict[tuple, dict] = {}

@@ -61,7 +61,7 @@ def classify_residue(ctx: Coxeter, R: Residue) -> ResidueClassTag:
     return ResidueClassTag(R, i, R.rank == 2, in_t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexSpec:
     name: str
     label: str
@@ -70,12 +70,12 @@ class VertexSpec:
     roots: frozenset
 
 
-@dataclass
+@dataclass(frozen=True)
 class Construction:
     kind: str
     residue: Residue
     s: str
-    specs: list
+    specs: tuple
     tog: TreeOfGroups
 
     def spec(self, name: str) -> VertexSpec:
@@ -92,6 +92,7 @@ class Builder:
     def __init__(self, cache: GroupCache | None = None):
         self.cache = cache = cache or GroupCache(standard_coxeter())
         self.ctx = cache.ctx
+        self._constructions: dict[tuple, Construction] = {}
 
     # -- groups and subgroup images -----------------------------------------
 
@@ -133,7 +134,7 @@ class Builder:
                     f"edge {group.name} is not inside {side.label}")
         return Edge(a.name, b.name, group, into_a, into_b)
 
-    def tree(self, vertices, edges) -> tuple[list, TreeOfGroups]:
+    def tree(self, vertices, edges) -> tuple[tuple, TreeOfGroups]:
         """The tree of groups with these vertices and edges: vertices lists
         (name, ("U", w)) for U_w and (name, ("V", gate, types)) for V at
         that gate, edges lists the pairs of names glued along their common
@@ -155,7 +156,7 @@ class Builder:
         if issues:
             raise PreconditionError(
                 "invalid tree of groups: " + "; ".join(issues))
-        return list(specs.values()), tog
+        return tuple(specs.values()), tog
 
     # -- the constructions ---------------------------------------------------
 
@@ -187,6 +188,18 @@ class Builder:
         raise PreconditionError(f"unknown construction kind {kind!r}")
 
     def construction(self, kind: str, R: Residue, s: str | None = None) -> Construction:
+        """The tree of groups of the named construction at the rank-2
+        residue R, with s its chosen type letter (the least one when None).
+
+        Memoized on this builder by (kind, R, s) with s resolved, so s=None
+        and the explicit least letter share one entry; the entry is shared,
+        and nothing in it may be changed.  Only a construction that passes
+        every precondition is memoized: a refused one raises
+        PreconditionError on every call."""
+        key = (kind, R, min(R.types, default=None) if s is None else s)
+        got = self._constructions.get(key)
+        if got is not None:
+            return got
         ctx = self.ctx
         tag = classify_residue(ctx, R)
         if not tag.in_T_i1:
@@ -201,7 +214,9 @@ class Builder:
                     f"{R} with s={s_chosen} violates l(w_R srs) = l(w_R)+3")
         names = [f"v{idx}" for idx in range(len(plan))]
         specs, tog = self.tree(zip(names, plan), zip(names, names[1:]))
-        return Construction(kind, R, s_chosen, specs, tog)
+        got = self._constructions[kind, R, s_chosen] = Construction(
+            kind, R, s_chosen, specs, tog)
+        return got
 
 
 # -- colimit data ------------------------------------------------------------

@@ -87,6 +87,8 @@ class Coxeter:
         self._mult_gen: dict[tuple[str, str], str] = {}
         self._parabolics: dict[frozenset, tuple[str, ...]] = {}
         self._balls: list[tuple[str, ...]] = [("",)]
+        # the context's one coxkit.roots.RootSystem (roots.root_system)
+        self._root_system = None
 
     # -- canonical forms ------------------------------------------------
 

@@ -15,7 +15,7 @@ import itertools
 
 from coxkit.certs import SweepReport, timed
 from coxkit.coxeter import Coxeter
-from coxkit.roots import RootSystem, ball_members
+from coxkit.roots import ball_members, root_system
 
 LABELINGS = tuple("".join(p) for p in itertools.permutations("rst"))
 
@@ -116,7 +116,7 @@ def verify_mingallinrep(ctx: Coxeter, radius: int,
     if radius < 4:
         raise ValueError("radius must be >= 4")
     rep = SweepReport("mingallinrep", radius)
-    rs = RootSystem(ctx)
+    rs = root_system(ctx)
     ball = ctx.ball(radius)
     for lab in LABELINGS:
         r, s, t = lab
@@ -158,7 +158,7 @@ def verify_subset_lemma(ctx: Coxeter, radius: int,
     if radius < 5 and mutant is None:
         raise ValueError("radius must be >= 5")
     rep = SweepReport("subset_lemma", radius)
-    rs = RootSystem(ctx)
+    rs = root_system(ctx)
     ball = ctx.ball(radius)
     boundary = 0
     for lab in LABELINGS:

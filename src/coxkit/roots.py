@@ -1,5 +1,12 @@
 """Roots of the (4,4,4) system as half-spaces, with exact pair geometry.
 
+A Coxeter context has one root system, ``root_system(ctx)``, built on first
+use and kept on the context; every sweep, blueprint group and section-4
+certificate of that context reads the same vectors, memos and ball
+crossing tables.  Its memo tables only record exact facts (a root's
+vector, a gallery's inversion sequence, a ball's crossing bitsets), so
+what one caller registers cannot change another caller's answer.
+
 A root is keyed by its wall (the reflection, canonical word) and the side
 containing the identity.  Each root also carries an exact vector in the
 geometric representation; the vector of a positive root has nonnegative
@@ -15,8 +22,9 @@ alpha_g} whenever l(yg) = l(y) + 1, with a wall named by its positive root
 vector, so no product ever leaves the ball.  Transposed, this gives one
 bitset per wall of the elements that cross it, and ``halfspace(a, R)`` is
 the ball minus that set (a positive) or the set itself (a negative); bit i
-is ball(R)[i].  For a single query, ``member`` uses the length test: for
-positive alpha, w lies in alpha iff l(r_alpha * w) > l(w).  The vector test
+is ball(R)[i].  Each radius's table is built once per root system.  For a
+single query, ``member`` uses the length test: for positive alpha, w lies
+in alpha iff l(r_alpha * w) > l(w).  The vector test
 ``member_vec`` (w^-1 alpha positive) is the independent oracle.
 """
 
@@ -31,11 +39,6 @@ _IDX = {"r": 0, "s": 1, "t": 2}
 
 # forward time-like reference: B'(e_i, tau) = 2*sqrt(2) - 2 > 0 for all i
 _TAU = ((-1, 0), (-1, 0), (-1, 0))
-
-# _GRAM[j][k] = B'(e_j, e_k), so the reflection k sends e_j to
-# e_j - _GRAM[j][k] e_k
-_GRAM = tuple(tuple(z2.form(z2.basis(j), z2.basis(k)) for k in range(3))
-              for j in range(3))
 
 
 def ball_members(ball: tuple[str, ...], mask: int):
@@ -149,28 +152,53 @@ class RootSystem:
 
     def _crossings(self, radius: int) -> dict[z2.Vector, int]:
         """Per wall, keyed by its positive root vector, the bitset of the
-        elements of ball(radius) whose inversion set contains it."""
+        elements of ball(radius) whose inversion set contains it; built
+        once per radius, so once per context through root_system.
+
+        The ShortLex forms of the ball are prefix-closed, so each x != 1
+        is y*s_k with y = x[:-1] earlier in the ball and l(x) = l(y) + 1;
+        then N(x) = N(y) + {the wall of y*alpha_k}, and that root must be
+        positive (checked, RootSystemError otherwise).  Every wall of N(x)
+        is therefore the new wall of x or of one of its prefixes, and the
+        elements crossing a wall are the union of the prefix-tree subtrees
+        below the elements whose new wall it is: the subtree bitsets are
+        gathered leaves first, then ORed once per element.
+
+        The images x*alpha_j come from y's by the reflection identity
+        s_k(alpha_j) = alpha_j + sqrt(2)*alpha_k for j != k and
+        s_k(alpha_k) = -alpha_k.  Proof: s_k(v) = v - B'(v, alpha_k)*alpha_k
+        with the scaled form B' = 2B, and B'(alpha_j, alpha_k) is 2 for
+        j = k and -2*cos(pi/4) = -sqrt(2) for j != k, every m being 4.  By
+        linearity x*alpha_j = y*alpha_j + sqrt(2)*(y*alpha_k), and on the
+        int pairs sqrt(2)*(a + b*sqrt(2)) = 2b + a*sqrt(2): additions
+        only."""
         got = self._crossed.get(radius)
         if got is None:
             ball = self.ctx.ball(radius)
             index = {w: i for i, w in enumerate(ball)}
-            # images[i][k] is ball[i] * alpha_k, inversions[i] is N(ball[i])
-            images = [tuple(z2.basis(k) for k in range(3))]
-            inversions: list[tuple[z2.Vector, ...]] = [()]
+            # images[i][j] is ball[i] * alpha_j; walls[i] is ball[i]'s new
+            # wall, crossed from its prefix ball[parent[i]]
+            images = [tuple(z2.basis(j) for j in range(3))]
+            parent, walls = [0], [None]
             for x in ball[1:]:
-                # x = y*g with l(x) = l(y) + 1: ShortLex forms are prefix-closed
                 y, k = index[x[:-1]], _IDX[x[-1]]
-                iy = images[y]
-                wall = iy[k]
+                wall = images[y][k]
                 if z2.vector_sign(wall) != 1:
                     raise RootSystemError(f"{x!r} crosses a wall with a negative root")
-                images.append(tuple(z2.vsub(iy[j], z2.vscale(_GRAM[j][k], wall))
-                                    for j in range(3)))
-                inversions.append(inversions[y] + (wall,))
+                (a0, b0), (a1, b1), (a2, b2) = wall
+                ix = [((c0 + 2 * b0, d0 + a0), (c1 + 2 * b1, d1 + a1),
+                       (c2 + 2 * b2, d2 + a2))
+                      for (c0, d0), (c1, d1), (c2, d2) in images[y]]
+                ix[k] = ((-a0, -b0), (-a1, -b1), (-a2, -b2))
+                images.append(ix)
+                parent.append(y)
+                walls.append(wall)
+            below = [1 << i for i in range(len(ball))]
+            for i in range(len(ball) - 1, 0, -1):
+                below[parent[i]] |= below[i]
             got = {}
-            for i, walls in enumerate(inversions):
-                for wall in walls:
-                    got[wall] = got.get(wall, 0) | 1 << i
+            for i in range(1, len(ball)):
+                got[walls[i]] = got.get(walls[i], 0) | below[i]
             self._crossed[radius] = got
         return got
 
@@ -269,3 +297,11 @@ class RootSystem:
         if unrefuted:
             return False, tuple(unrefuted)
         return True, witnesses
+
+
+def root_system(ctx: Coxeter) -> RootSystem:
+    """The one RootSystem of ctx, built on first use and kept on ctx."""
+    got = ctx._root_system
+    if got is None:
+        got = ctx._root_system = RootSystem(ctx)
+    return got

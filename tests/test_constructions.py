@@ -1,5 +1,8 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from coxkit import pipeline
 from coxkit.constructions import (Builder, PreconditionError, c_set_0,
                                   c_set_minus1, c_set_r, classify_residue,
                                   d_set, dset_certificate, harvest_relations,
@@ -36,12 +39,45 @@ def test_vrs_precondition(ctx, builder):
     R2 = ctx.residue("st", "r")
     cons = builder.construction("V_Rs", R2, "s")
     assert cons.orders()[0] == 16
-    # outside the residue class entirely
-    with pytest.raises(PreconditionError):
-        builder.construction("V_R", ctx.residue("st", ctx.normalize("rsr")))
-    # in the class, but l(w_R srs) = l(w_R)+3 fails for this s
-    with pytest.raises(PreconditionError):
-        builder.construction("V_Rs", ctx.residue("st", ctx.normalize("sr")), "s")
+    # a refusal is not memoized: the second call raises as the first did
+    for _ in range(2):
+        # outside the residue class entirely
+        with pytest.raises(PreconditionError, match="violates l.w_R s r"):
+            builder.construction("V_R", ctx.residue("st", ctx.normalize("rsr")))
+        # in the class, but l(w_R srs) = l(w_R)+3 fails for this s
+        with pytest.raises(PreconditionError, match="with s=s violates"):
+            builder.construction("V_Rs", ctx.residue("st", ctx.normalize("sr")), "s")
+
+
+def test_construction_is_memoized_by_its_resolved_letter(ctx, builder):
+    R = ctx.residue("st", "")
+    cons = builder.construction("K_Rs", R)
+    assert builder.construction("K_Rs", R, "s") is cons
+    assert builder.construction("K_Rs", R, "t") is not cons
+    with pytest.raises(FrozenInstanceError):
+        cons.specs = ()
+    assert isinstance(cons.specs, tuple)
+
+
+def test_section4_leaves_the_memoized_trees_as_built(cache, monkeypatch):
+    # record which constructions the battery asks for, build them all on a
+    # fresh builder, and run the battery again on that builder
+    first = Builder(cache)
+    monkeypatch.setattr(pipeline, "Builder", lambda _cache: first)
+    pipeline.section4_pipeline(cache)
+    shared = Builder(cache)
+    for kind, R, s in first._constructions:
+        shared.construction(kind, R, s)
+
+    def snapshot():
+        return {key: (dict(cons.tog.vertices), list(cons.tog.edges),
+                      [(dict(e.into_u), dict(e.into_v)) for e in cons.tog.edges])
+                for key, cons in shared._constructions.items()}
+    before = snapshot()
+    assert len(before) == 32
+    monkeypatch.setattr(pipeline, "Builder", lambda _cache: shared)
+    assert all(c.passed for c in pipeline.section4_pipeline(cache))
+    assert snapshot() == before
 
 
 def test_edge_groups_are_common_root_subgroups(ctx, builder):

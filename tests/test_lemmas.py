@@ -3,7 +3,8 @@ import json
 import pytest
 
 from coxkit import lemmas
-from coxkit.roots import RootSystem
+from coxkit.coxeter import Coxeter
+from coxkit.roots import RootSystem, root_system
 
 
 def test_wordsincoxetergroup_instance(ctx):
@@ -32,6 +33,30 @@ def test_every_mutant_fires_at_radius_4(ctx):
         for mutant in mutants:
             rep = fn(ctx, 4, mutant=mutant)
             assert len(rep.violations) >= 1, (name, mutant)
+
+
+def _clean_sweeps(ctx) -> dict:
+    out = {}
+    for name, (fn, radius) in lemmas.SWEEPS.items():
+        rep = fn(ctx, radius).to_dict()
+        rep.pop("elapsed")
+        out[name] = rep
+    return out
+
+
+def test_mutants_leave_the_shared_root_system_clean():
+    # the sweeps of one context share its root system; a mutant run first,
+    # at the radius of its clean sweep, must not change what that sweep
+    # reports (opposite_target registers the opposite target's vector)
+    ctx = Coxeter()
+    for name, mutants in lemmas.MUTANTS.items():
+        fn, radius = lemmas.SWEEPS[name]
+        for mutant in mutants:
+            assert not fn(ctx, radius, mutant=mutant).passed, (name, mutant)
+    after_mutants = _clean_sweeps(ctx)
+    assert sorted(root_system(ctx)._crossed) == [8, 10]
+    assert after_mutants == _clean_sweeps(Coxeter())
+    assert all(rep["pass"] for rep in after_mutants.values())
 
 
 def test_swap_containment_counterexamples_pinned(ctx):

@@ -4,10 +4,10 @@ import pytest
 
 from coxkit import blueprint
 from coxkit import zroot2 as z2
-from coxkit.blueprint import KacMoodyBlueprint
+from coxkit.blueprint import GroupCache, KacMoodyBlueprint
 from coxkit.cli import main
-from coxkit.coxeter import Gallery
-from coxkit.roots import RootSystem, RootSystemError, ball_members
+from coxkit.coxeter import Coxeter, Gallery
+from coxkit.roots import RootSystem, RootSystemError, ball_members, root_system
 from galleries import gallery
 
 
@@ -109,9 +109,65 @@ def compare_with_oracle(ctx, bp, radius: int):
     return pairs, values, wrong
 
 
+# _GRAM[j][k] = B'(e_j, e_k), so the reflection k sends e_j to
+# e_j - _GRAM[j][k] e_k
+_GRAM = tuple(tuple(z2.form(z2.basis(j), z2.basis(k)) for k in range(3))
+              for j in range(3))
+
+
+def oracle_crossings(ctx, radius: int) -> dict:
+    """The crossing table of RootSystem._crossings built the long way:
+    each image by the general reflection formula over the Gram matrix,
+    and each element's whole inversion set ORed in wall by wall."""
+    ball = ctx.ball(radius)
+    index = {w: i for i, w in enumerate(ball)}
+    images = [tuple(z2.basis(k) for k in range(3))]
+    inversions = [()]
+    for x in ball[1:]:
+        y, k = index[x[:-1]], "rst".index(x[-1])
+        iy = images[y]
+        wall = iy[k]
+        assert z2.vector_sign(wall) == 1, x
+        images.append(tuple(z2.vsub(iy[j], z2.vscale(_GRAM[j][k], wall))
+                            for j in range(3)))
+        inversions.append(inversions[y] + (wall,))
+    got = {}
+    for i, walls in enumerate(inversions):
+        for wall in walls:
+            got[wall] = got.get(wall, 0) | 1 << i
+    return got
+
+
 @pytest.fixture(scope="module")
 def rs(ctx):
     return RootSystem(ctx)
+
+
+def test_one_root_system_per_context(ctx):
+    rs = root_system(ctx)
+    assert root_system(ctx) is rs and GroupCache(ctx).rsys is rs
+    assert root_system(Coxeter()) is not rs
+
+
+@pytest.mark.parametrize("radii", [(10, 8), (8, 10)], ids=["10-then-8", "8-then-10"])
+def test_crossing_tables_match_the_gram_oracle(ctx, radii):
+    rs = RootSystem(ctx)
+    for radius in radii:
+        assert rs._crossings(radius) == oracle_crossings(ctx, radius)
+    assert sorted(rs._crossed) == [8, 10]
+
+
+@pytest.mark.parametrize("radius", [4, 8, 10])
+def test_halfspace_agrees_with_member_vec_on_a_sample(ctx, rs, radius):
+    rng = random.Random(radius)
+    ball = ctx.ball(radius)
+    for _ in range(300):
+        a = rs.root_from(rng.choice(ball), rng.choice("rst"))
+        if rng.random() < 0.5:
+            a = rs.opposite(a)
+        i = rng.randrange(len(ball))
+        assert bool(rs.halfspace(a, radius) >> i & 1) == \
+            rs.member_vec(ball[i], a), (a, ball[i])
 
 
 def test_root_examples(ctx, rs):

@@ -5,8 +5,9 @@ calls (or that no command runs) is code kept alive by its tests alone,
 and a defaulted parameter that no program call sets is an option with
 one value in use; that keep verification out of assert statements,
 which `python -O` strips; and that keep one builder of trees of groups
-(constructions.Builder.tree, over treeprod's edges) and roots named by
-what they are, not by where a group lists them."""
+(constructions.Builder.tree, over treeprod's edges), one root system per
+Coxeter context (roots.root_system) and roots named by what they are,
+not by where a group lists them."""
 
 import ast
 import json
@@ -175,6 +176,47 @@ def test_source_guards_see_calls_and_integer_root_picks():
         "f = grp.other[0]\n")
     assert tree_building_calls(tree) == [2, 3]
     assert sorted(root_index_picks(tree)) == [5, 6]
+
+
+# the one place in src/coxkit that builds a RootSystem: the accessor that
+# keeps it on its context, so every caller of a context shares one system
+ROOT_SYSTEM_BUILDERS = {("roots.py", "root_system")}
+
+
+def root_system_builds(tree) -> list:
+    """(innermost enclosing function or None, line) for each call of
+    RootSystem in tree, by name or as an attribute."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "RootSystem" in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append((fn, child.lineno))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+    visit(tree, None)
+    return found
+
+
+def test_root_systems_are_built_only_by_the_context_accessor():
+    found = {(str(path.relative_to(SRC)), fn)
+             for path in sorted(SRC.rglob("*.py"))
+             for fn, _ in root_system_builds(ast.parse(path.read_text()))}
+    assert found == ROOT_SYSTEM_BUILDERS
+
+
+def test_root_system_guard_sees_calls_by_name_and_attribute():
+    tree = ast.parse(
+        "rs = RootSystem(ctx)\n"
+        "def f(ctx):\n"
+        "    return roots.RootSystem(ctx)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        x = RootSystem\n"
+        "        return [RootSystem(c) for c in self.ctxs]\n")
+    assert root_system_builds(tree) == [(None, 1), ("f", 3), ("g", 7)]
 
 
 # public functions and methods that nothing in src/coxkit calls, each with
