@@ -1,30 +1,76 @@
 """Exact arithmetic in the Coxeter system of type (4,4,4).
 
 Generators are the letters r < s < t (that order fixes ShortLex).  Every
-element is carried as its ShortLex-least reduced word, so words compare
-and hash as plain strings and the empty string is the identity.
+element is carried as its ShortLex-least reduced word, its canonical
+form, so words compare and hash as plain strings and the empty string is
+the identity.
 
-Normalization is Tits' solution to the word problem: the braid-move
-closure of a reduced word is the complete set of its reduced expressions,
-and a product ws is shorter than w exactly when some reduced expression
-of w ends with s.  Closures are memoized per element, which makes the
-whole kernel a growing set of lookup tables.  Every key of those tables
-is a reduced word over r, s, t: a word that is not one raises
-ValueError before anything is stored.  So a product whose left factor
-the kernel has already met starts from that factor's memoized canonical
-form, one dict read, and walks only the later factors letter by letter.
+Products.  mult_gen(w, g) finds the canonical form of wg from that of w
+by peeling off w's first letter, after W. Casselman, "Computation in
+Coxeter groups I", Electron. J. Combin. 9 (2002), and Bjorner and
+Brenti, Combinatorics of Coxeter Groups, GTM 231, sections 1.5 and 4.2.
+Write D_L(x) for the set of left descents of x.  Three facts carry it:
+
+  (F1) ShortLex forms are closed under prefixes and suffixes, and
+       canon(x) = a + canon(a x) for a = min D_L(x): a letter starts a
+       reduced word for x exactly when it is a left descent of x.
+  (F2) D_L(wg) is contained in D_L(w) when wg is shorter than w, and
+       contains D_L(w) when wg is longer: for x the shorter of the two,
+       every a in D_L(x) is in D_L(xg), as l(a x g) <= l(a x) + 1 =
+       l(x) < l(xg).
+  (F3) If wg is longer than w and a is a left descent of wg but not of
+       w, then a w = w g.  By the exchange condition a wg is w g with
+       one letter of a reduced word w g deleted; deleting a letter of w
+       would make a w shorter than w, so the letter is g.  Then
+       w r_g w^-1 = r_a, so w(alpha_g) = alpha_a (it is positive since
+       wg is longer); conversely w(alpha_g) = alpha_a gives a w = w g.
+
+Let w be canonical and nonempty, b = w[0] = min D_L(w) and w1 = w[1:] =
+canon(b w) (F1), and let y = canon(w1 g) = mult_gen(w1, g), so wg = b y.
+  1. len(y) < len(w1): wg is shorter than w and b is a left descent of
+     it, so b = min D_L(wg) by (F2) and canon(wg) = b + y.
+  2. y == w: then w1 g = b w1, so wg = b w1 g = w1.
+  3. Otherwise wg is longer than w (were it shorter, the exchange
+     condition would delete the letter b, as w1 g is longer than w1, and
+     then y = w).  By (F2) D_L(wg) contains b, so its least element is
+     b or a new descent a < b, which (F3) finds by w(alpha_g) = alpha_a;
+     then canon(wg) = a + canon(a wg) = a + w.  With every m even no two
+     distinct generators are conjugate, so a = g, and the rule reads
+     g + w when g < b and w(alpha_g) = alpha_g.
+  4. Otherwise the least left descent of wg is b and canon(wg) = b + y.
+The image w(alpha_g) = rho_b(w1(alpha_g)) comes from zroot2.reflect and
+is memoized per (w, g), as the products are.  The steps peel w down to
+the longest suffix whose product with g is memoized and build back up,
+with no recursion.
+
+Every left factor is a canonical word: one that the kernel has not met
+yet is first walked letter by letter from the identity (canon_reduced),
+and unless each letter makes it longer and the walk ends at the factor
+itself it raises ValueError, with nothing about it stored.  So a product
+whose left factor the kernel has met starts from that factor's memoized
+canonical form, one dict read, and walks only the later factors.
+
+Cross-check.  Tits' solution to the word problem, the braid-move closure
+of a reduced word being the complete set of its reduced expressions and
+xg being shorter than x exactly when one of them ends with g, shares no
+code with the four rules.  reduced_words computes it lazily, and ball()
+and parabolic() check it on every new element v: the closure of v is all
+reduced, its least word is v, and its last letters are exactly the right
+descents of v by the kernel.  In ball() those are the letters g by which
+the kernel reaches v as wg from the sphere below, in parabolic() the g
+with mult_gen(v, g) shorter than v.  A disagreement raises KernelError.
 
 Ball sizes are checked against Steinberg's growth series (coxkit.growth),
-which shares no code with the word-problem solver.  A spherical parabolic
-subgroup whose enumeration passes the order the Coxeter matrix gives it
-raises KernelError instead of running on.
+which shares no code with either solver.  A spherical parabolic subgroup
+whose enumeration passes the order the Coxeter matrix gives it raises
+KernelError instead of running on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from coxkit import growth, wordops
+from coxkit import growth, wordops, zroot2
 from coxkit.treeprod import closure_words
 
 GENS = "rst"
@@ -44,12 +90,8 @@ class KernelError(RuntimeError):
 
 
 _GENERATORS = frozenset(GENS)
-
-
-def _check_letters(word: str) -> None:
-    for ch in word:
-        if ch not in GENS:
-            raise ValueError(f"unknown generator {ch!r}")
+# alpha_g, the simple root of each generator, over the basis (e_r, e_s, e_t)
+_SIMPLE = {g: zroot2.basis(i) for i, g in enumerate(GENS)}
 
 
 @dataclass(frozen=True)
@@ -83,8 +125,11 @@ class Gallery:
 class Coxeter:
     def __init__(self):
         self._canon: dict[str, str] = {"": ""}
+        # the elements whose braid closure agreed with the kernel
         self._closure: dict[str, frozenset] = {"": frozenset([""])}
-        self._mult_gen: dict[tuple[str, str], str] = {}
+        self._mult_gen: dict[tuple[str, str], str] = {("", g): g for g in GENS}
+        self._images: dict[tuple[str, str], zroot2.Vector] = {
+            ("", g): v for g, v in _SIMPLE.items()}
         self._parabolics: dict[frozenset, tuple[str, ...]] = {}
         self._balls: list[tuple[str, ...]] = [("",)]
         # the context's one coxkit.roots.RootSystem (roots.root_system)
@@ -92,51 +137,94 @@ class Coxeter:
 
     # -- canonical forms ------------------------------------------------
 
-    def _learn(self, word: str) -> str:
-        """Memoize the element of a reduced word; return its canonical form."""
-        _check_letters(word)
-        closure = wordops.braid_closure(word)
-        # Tits: a word is reduced iff no braid-equivalent word repeats a letter
-        for v in closure:
-            if "rr" in v or "ss" in v or "tt" in v:
-                raise ValueError(f"{word!r} is not reduced")
-        c = min(closure)
-        for v in closure:
-            self._canon[v] = c
-        self._closure[c] = closure
-        return c
-
     def canon_reduced(self, word: str) -> str:
-        """Canonical form of a word known to be reduced."""
+        """Canonical form of a reduced word, walked letter by letter;
+        ValueError unless every letter makes the product longer."""
         c = self._canon.get(word)
         if c is None:
-            c = self._learn(word)
+            c = ""
+            for ch in word:
+                nxt = self.mult_gen(c, ch)
+                if len(nxt) <= len(c):
+                    raise ValueError(f"{word!r} is not reduced")
+                c = nxt
+            self._canon[word] = c
         return c
 
     def reduced_words(self, w: str) -> frozenset:
-        """All reduced expressions of w (given in canonical form)."""
+        """All reduced expressions of w (given in canonical form): Tits'
+        braid closure, computed on first use and checked against the
+        kernel."""
         got = self._closure.get(w)
         if got is None:
-            if self._learn(w) != w:
+            if self.canon_reduced(w) != w:
                 raise ValueError(f"{w!r} is not canonical")
-            got = self._closure[w]
+            got = wordops.braid_closure(w)
+            # Tits: a word is reduced iff no braid-equivalent word repeats a letter
+            for v in got:
+                if "rr" in v or "ss" in v or "tt" in v:
+                    raise KernelError(f"the kernel takes {w!r} for reduced, but "
+                                      f"{v!r} in its braid closure repeats a letter")
+            if min(got) != w:
+                raise KernelError(f"the kernel takes {w!r} for canonical, but "
+                                  f"{min(got)!r} is a smaller reduced word")
+            self._closure[w] = got
         return got
+
+    def _cross_check(self, v: str, down: set) -> None:
+        """Raise KernelError unless Tits' solution agrees with the kernel
+        on v, whose right descents by the kernel are down: reduced_words
+        checks the closure, this its last letters."""
+        last = {e[-1] for e in self.reduced_words(v) if e}
+        if last != down:
+            raise KernelError(
+                f"the reduced words of {v!r} end with {''.join(sorted(last))!r}, "
+                f"but the kernel shortens it by {''.join(sorted(down))!r}")
 
     def mult_gen(self, w: str, g: str) -> str:
         """Canonical form of w*g for a single generator g."""
-        key = (w, g)
-        out = self._mult_gen.get(key)
+        memo = self._mult_gen
+        out = memo.get((w, g))
         if out is None:
             if g not in _GENERATORS:
                 raise ValueError(f"unknown generator {g!r}")
-            for e in self.reduced_words(w):
-                if e.endswith(g):
-                    out = self.canon_reduced(e[:-1])
-                    break
-            else:
-                out = self.canon_reduced(w + g)
-            self._mult_gen[key] = out
+            if self._canon.get(w) != w and self.canon_reduced(w) != w:
+                raise ValueError(f"{w!r} is not canonical")
+            # peel w down to a suffix whose product with g is memoized
+            # (the identity's always is), then build back up by the rules
+            peeled = []
+            while (w, g) not in memo:
+                peeled.append(w)
+                w = w[1:]
+            out = memo[w, g]
+            for w in reversed(peeled):
+                out = memo[w, g] = self._step(w, g, out)
+                self._canon[out] = out
         return out
+
+    def _step(self, w: str, g: str, y: str) -> str:
+        """canon(w g) from canon(w[1:] g) = y, for w canonical and
+        nonempty: the four rules of the module docstring."""
+        b, w1 = w[0], w[1:]
+        if len(y) < len(w1):
+            return b + y
+        if y == w:
+            return w1
+        if g < b and self._image(w, g) == _SIMPLE[g]:
+            return g + w
+        return b + y
+
+    def _image(self, w: str, g: str) -> zroot2.Vector:
+        """w(alpha_g) in the geometric representation, for w canonical."""
+        images = self._images
+        peeled = []
+        while (w, g) not in images:
+            peeled.append(w)
+            w = w[1:]
+        vec = images[w, g]
+        for w in reversed(peeled):
+            vec = images[w, g] = zroot2.reflect(GENS.index(w[0]), vec)
+        return vec
 
     def normalize(self, letters) -> str:
         """Canonical form of an arbitrary product of generators."""
@@ -148,13 +236,12 @@ class Coxeter:
         for w in words:
             if not out:
                 # the product so far is the identity, so a factor the
-                # memo has met, its letters checked when it was learned,
-                # is just its canonical form
+                # memo has met, its letters checked when it was met, is
+                # just its canonical form
                 c = self._canon.get(w)
                 if c is not None:
                     out = c
                     continue
-            _check_letters(w)
             for ch in w:
                 out = self.mult_gen(out, ch)
         return out
@@ -181,14 +268,19 @@ class Coxeter:
         while len(self._balls) <= radius:
             frontier_len = len(self._balls) - 1
             prev = self._balls[-1]
-            sphere = {w for w in prev if len(w) == frontier_len}
-            nxt = set()
-            for w in sphere:
-                for g in GENS:
-                    v = self.mult_gen(w, g)
-                    if len(v) == frontier_len + 1:
-                        nxt.add(v)
-            self._balls.append(prev + tuple(sorted(nxt)))
+            # each element of the next sphere, with the letters g by which
+            # the kernel reaches it as wg from this sphere: its right descents
+            reached: dict[str, set] = {}
+            for w in prev:
+                if len(w) == frontier_len:
+                    for g in GENS:
+                        v = self.mult_gen(w, g)
+                        if len(v) == frontier_len + 1:
+                            reached.setdefault(v, set()).add(g)
+            nxt = tuple(sorted(reached))
+            for v in nxt:
+                self._cross_check(v, reached[v])
+            self._balls.append(prev + nxt)
         return self._balls[radius]
 
     def ball_oracle_size(self, radius: int) -> int:
@@ -212,6 +304,9 @@ class Coxeter:
             raise KernelError(f"<{''.join(sorted(types))}> does not have "
                               f"{order} elements")
         got = tuple(sorted(elems, key=lambda x: (len(x), x)))
+        for v in got:
+            down = {g for g in GENS if len(self.mult_gen(v, g)) < len(v)}
+            self._cross_check(v, down)
         self._parabolics[types] = got
         return got
 

@@ -1,5 +1,9 @@
 """Word kernels: braid-move closure and collection.
 
+The braid-move closure is Tits' solution to the word problem in W; the
+Coxeter kernel computes products without it and uses it as the
+cross-check of every element it enumerates (Coxeter.reduced_words).
+
 Both operate on plain data (str words, int letter sequences, int
 bitmasks).
 

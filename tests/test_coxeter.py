@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from coxkit import growth, suites, wordops
+from coxkit import growth, lemmas, suites, wordops
 from coxkit.coxeter import (GENS, MAX_RADIUS, Coxeter, KernelError, ResidueError,
                              ResourceLimit)
-from coxkit.lemmas import LABELINGS
 from galleries import gallery
 
 
@@ -165,15 +164,17 @@ def test_ball_sizes_match_steinberg_series(ctx):
     assert [len(ctx.ball(L)) for L in range(11)] == sums
 
 
-def _closure_without_rs_braid(word: str) -> frozenset:
-    # wordops.braid_closure with the move rsrs <-> srsr left out
+def _braid_closure(word: str, skip: str = "") -> frozenset:
+    """Every word reached from word by braid moves abab <-> baba, with the
+    move on the letter pair skip left out; string operations only."""
+    skip = set(skip)
     seen = {word}
     stack = [word]
     while stack:
         w = stack.pop()
         for i in range(len(w) - 3):
             a, b = w[i], w[i + 1]
-            if a != b and {a, b} != {"r", "s"} and w[i + 2] == a and w[i + 3] == b:
+            if a != b and {a, b} != skip and w[i + 2] == a and w[i + 3] == b:
                 v = w[:i] + b + a + b + a + w[i + 4:]
                 if v not in seen:
                     seen.add(v)
@@ -181,19 +182,82 @@ def _closure_without_rs_braid(word: str) -> frozenset:
     return frozenset(seen)
 
 
-def test_series_oracle_catches_a_dropped_braid_move(monkeypatch):
-    # the kernel then takes rsrs and srsr for two elements; an oracle that
-    # normalizes words with that kernel would agree with it
-    monkeypatch.setattr(wordops, "braid_closure", _closure_without_rs_braid)
+def _oracle_product(w: str, g: str) -> str:
+    # Tits: wg is shorter than w exactly when a reduced word of w ends with
+    # g, and the braid closure of a reduced word holds all its reduced words
+    for e in _braid_closure(w):
+        if e.endswith(g):
+            return min(_braid_closure(e[:-1]))
+    return min(_braid_closure(w + g))
+
+
+def test_kernel_matches_the_braid_closure_oracle():
+    fresh = Coxeter()
+    for fn, radius in lemmas.SWEEPS.values():
+        assert fn(fresh, radius).passed
+    # every product the sweeps left in the memo, and ball(10) times a letter
+    pairs = set(fresh._mult_gen) | {(w, g) for w in fresh.ball(10) for g in GENS}
+    assert len(pairs) > 3 * len(fresh.ball(10))
+    assert [p for p in pairs if fresh.mult_gen(*p) != _oracle_product(*p)] == []
+    assert all(fresh.inv(w) == min(_braid_closure(w[::-1])) for w in fresh.ball(8))
+
+
+_STEP = Coxeter._step
+
+
+def _without_rule_2(self, w, g, y):
+    # takes wg = w[1:] for b + y = b + w, a word that is not reduced
+    return w[0] + y if y == w else _STEP(self, w, g, y)
+
+
+def _without_rule_3(self, w, g, y):
+    # misses the new least left descent g of wg = g w
+    out = _STEP(self, w, g, y)
+    return w[0] + y if out == g + w else out
+
+
+@pytest.mark.parametrize("step, radius, size, first", [
+    (_without_rule_2, 2, 13, "rr"), (_without_rule_3, 4, 46, "rsrs")])
+def test_each_kernel_rule_is_needed(monkeypatch, step, radius, size, first):
+    monkeypatch.setattr(Coxeter, "_step", step)
     broken = Coxeter()
-    for L in range(4, 9):
-        assert broken.ball_oracle_size(L) != len(broken.ball(L))
-    out = suites.run_coxeter(Coxeter(), 8)
-    assert out["pass"] is False and out["sweeps"] == {}
-    assert [b["pass"] for b in out["ball_checks"]] == [True] * 4 + [False] * 5
-    # <r,s> is now infinite dihedral: enumerating it stops past order 8
-    with pytest.raises(KernelError):
-        broken.parabolic("rs")
+    # the ball as the step alone builds it, which the series rejects
+    ball = {""}
+    for L in range(radius):
+        ball |= {v for w in ball if len(w) == L for g in GENS
+                 if len(v := broken.mult_gen(w, g)) == L + 1}
+    assert len(ball) == size != growth.ball_size(radius)
+    # the braid-closure cross-check stops it at its first wrong element,
+    # before any verdict is read
+    for run in (lambda: Coxeter().ball(radius),
+                lambda: suites.run_coxeter(Coxeter(), 8)):
+        with pytest.raises(KernelError, match=repr(first)):
+            run()
+
+
+# the closure of rsrs without the move rsrs <-> srsr: its reduced words
+# then all end with s, while the kernel shortens it by r and by s
+DROPPED_MOVE_UNDER_O = """
+from coxkit import coxeter, wordops
+real = wordops.braid_closure
+wordops.braid_closure = lambda w: frozenset([w]) if w == "rsrs" else real(w)
+try:
+    coxeter.Coxeter().ball(4)
+except coxeter.KernelError as exc:
+    print(exc)
+"""
+
+
+def test_cross_check_catches_a_dropped_braid_move(monkeypatch, run_optimized):
+    monkeypatch.setattr(wordops, "braid_closure",
+                        lambda word: _braid_closure(word, skip="rs"))
+    assert len(Coxeter().ball(3)) == 22
+    for run in (lambda: Coxeter().ball(4), lambda: Coxeter().parabolic("rs"),
+                lambda: suites.run_coxeter(Coxeter(), 8)):
+        with pytest.raises(KernelError, match="'rsrs'"):
+            run()
+    out = run_optimized(DROPPED_MOVE_UNDER_O)
+    assert out.returncode == 0 and "'rsrs'" in out.stdout
 
 
 def test_mult_starts_at_known_left_factor(ctx):
@@ -206,7 +270,7 @@ def test_mult_starts_at_known_left_factor(ctx):
         assert cox.mult("tsts") == "stst"
         assert cox.mult("ss", "r") == "r"
         # the three-factor products of the sweeps
-        for r, s, t in LABELINGS:
+        for r, s, t in lemmas.LABELINGS:
             dihedral = cox.parabolic({s, t})
             for w in ctx.ball(5):
                 for wp in dihedral:

@@ -6,8 +6,9 @@ and a defaulted parameter that no program call sets is an option with
 one value in use; that keep verification out of assert statements,
 which `python -O` strips; and that keep one builder of trees of groups
 (constructions.Builder.tree, over treeprod's edges), one root system per
-Coxeter context (roots.root_system) and roots named by what they are,
-not by where a group lists them."""
+Coxeter context (roots.root_system), one caller of the braid closure
+(Coxeter.reduced_words) and roots named by what they are, not by where a
+group lists them."""
 
 import ast
 import json
@@ -181,16 +182,19 @@ def test_source_guards_see_calls_and_integer_root_picks():
 # the one place in src/coxkit that builds a RootSystem: the accessor that
 # keeps it on its context, so every caller of a context shares one system
 ROOT_SYSTEM_BUILDERS = {("roots.py", "root_system")}
+# the one place that computes a braid closure: Tits' solution is the
+# Coxeter kernel's cross-check, computed once per element and checked
+BRAID_CLOSURE_CALLERS = {("coxeter.py", "reduced_words")}
 
 
-def root_system_builds(tree) -> list:
-    """(innermost enclosing function or None, line) for each call of
-    RootSystem in tree, by name or as an attribute."""
+def calls_of(tree, name: str) -> list:
+    """(innermost enclosing function or None, line) for each call of name
+    in tree, by name or as an attribute."""
     found = []
 
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and "RootSystem" in (
+            if isinstance(child, ast.Call) and name in (
                     getattr(child.func, "id", None),
                     getattr(child.func, "attr", None)):
                 found.append((fn, child.lineno))
@@ -200,11 +204,18 @@ def root_system_builds(tree) -> list:
     return found
 
 
+def callers_in_src(name: str) -> set:
+    return {(str(path.relative_to(SRC)), fn)
+            for path in sorted(SRC.rglob("*.py"))
+            for fn, _ in calls_of(ast.parse(path.read_text()), name)}
+
+
 def test_root_systems_are_built_only_by_the_context_accessor():
-    found = {(str(path.relative_to(SRC)), fn)
-             for path in sorted(SRC.rglob("*.py"))
-             for fn, _ in root_system_builds(ast.parse(path.read_text()))}
-    assert found == ROOT_SYSTEM_BUILDERS
+    assert callers_in_src("RootSystem") == ROOT_SYSTEM_BUILDERS
+
+
+def test_braid_closures_are_computed_only_by_reduced_words():
+    assert callers_in_src("braid_closure") == BRAID_CLOSURE_CALLERS
 
 
 def test_root_system_guard_sees_calls_by_name_and_attribute():
@@ -216,7 +227,19 @@ def test_root_system_guard_sees_calls_by_name_and_attribute():
         "    def g(self):\n"
         "        x = RootSystem\n"
         "        return [RootSystem(c) for c in self.ctxs]\n")
-    assert root_system_builds(tree) == [(None, 1), ("f", 3), ("g", 7)]
+    assert calls_of(tree, "RootSystem") == [(None, 1), ("f", 3), ("g", 7)]
+
+
+def test_braid_closure_guard_sees_calls_outside_reduced_words():
+    tree = ast.parse(
+        "from coxkit.wordops import braid_closure\n"
+        "class Coxeter:\n"
+        "    def reduced_words(self, w):\n"
+        "        return wordops.braid_closure(w)\n"
+        "    def ball(self, radius):\n"
+        "        f = wordops.braid_closure\n"
+        "        return {min(braid_closure(v)) for v in self.sphere}\n")
+    assert calls_of(tree, "braid_closure") == [("reduced_words", 4), ("ball", 7)]
 
 
 # public functions and methods that nothing in src/coxkit calls, each with
