@@ -18,10 +18,13 @@ the canonical group of w'.  Two growth lemmas (Sims, Computation with
 Finitely Presented Groups, 1994, ch. 9, the series U_[1,i]):
 
 Rows.  The roots of h' are the first k-1 roots of h and their insertions
-are the same, and collecting a word in the first k-1 letters inserts only
-letters strictly between, so it never touches bit k-1.  Hence for i < k-1
-row i of U_w is row i of U_w' on [0, 2^(k-1)), and the same row with bit
-k-1 set on the upper half.  Only the new row u_k * y is computed: on the
+are the same: M_{a,b} depends on the pair alone, and h' crosses its
+letters in the same order as h.  So the insertion table of h is that of
+h' re-strided, plus the k-1 pairs of the new root (insertion_table).
+Collecting a word in the first k-1 letters inserts only letters strictly
+between, so it never touches bit k-1.  Hence for i < k-1 row i of U_w
+is row i of U_w' on [0, 2^(k-1)), and the same row with bit k-1 set on
+the upper half.  Only the new row u_k * y is computed: on the
 lower half by a recurrence over the k-1 pair products u_k * u_j, and on
 the upper half, where y = x * u_k, by toggling bit k-1 of u_k * x.  A
 word in the old rows acts on the upper half as it does on the lower
@@ -29,11 +32,12 @@ half, so an identity in the first k-1 generators holds on U_w exactly
 when it holds on U_w'.
 
 Harvest.  Every minimal gallery of w is g s, with s a right descent of w
-and g a minimal gallery of ws, and M_{a,b} is ordered the same way along
-g and g s.  So the relations of all minimal galleries of w are the
-union of those of ws over the right descents s, plus the pairs (a, last
-root) of each minimal gallery (KacMoodyBlueprint.harvest).  They contain
-the relations of w'.
+and g a minimal gallery of ws; its last root is (ws)alpha_s whatever g
+is, and the M-letters of a pair are crossed in the same order by every
+reduced gallery.  So the relations of all minimal galleries of w are
+the union, over the right descents s, of those of ws and the pairs
+(a, (ws)alpha_s) of the one gallery canon(ws) s (KacMoodyBlueprint.harvest,
+with the proof).  They contain the relations of w'.
 
 Order theorem: collection terminates and only uses relation consequences,
 so |U_w| <= 2^k.  The rows are the left-regular action of the u_i, and
@@ -54,9 +58,11 @@ generate U_w and injective because |U_h| <= |U_w| (gallery_independence).
 
 from __future__ import annotations
 
+import math
+
 from coxkit import wordops
 from coxkit import zroot2 as z2
-from coxkit.coxeter import Coxeter, Gallery
+from coxkit.coxeter import GENS, Coxeter, Gallery
 from coxkit.roots import Root, RootSystem, RootSystemError, root_system
 from coxkit.treeprod import Subgroup, closure_words
 
@@ -120,45 +126,77 @@ class KacMoodyBlueprint:
         return mids
 
     def harvest(self, w: str) -> frozenset:
-        """(a, b, M^h_{a,b}) for every minimal gallery h of w (canonical
-        form) and every root a crossed before b by h: the relation
-        [u_a, u_b] = product of M^h_{a,b}.  Grown over the right descents
-        of w (the module's harvest lemma) and built once per element."""
+        """(a, b, M^h_{a,b}) for every minimal gallery h of w and every root
+        a crossed before b by h: the relation [u_a, u_b] = product of
+        M^h_{a,b}.  By the module's harvest lemma it is, over the right
+        descents s of w, the relations of ws and the pairs (a, beta_s) of
+        the one gallery h_s = canon(ws) s, for a in Phi(ws) and beta_s =
+        (ws)alpha_s its last root; built once per element.
+
+        Proof.  A minimal gallery of w ends with a right descent s of w,
+        and its part before s is a minimal gallery g of ws, so it is g s.
+        Its last root is (ws)alpha_s = beta_s whatever g is, and the roots
+        before it are Phi(ws) = Phi(w) minus beta_s, the inversion set
+        being the same along every minimal gallery.  So the relations of
+        g s are those of g, whose union over g is harvest(ws), and the
+        pairs (a, beta_s), a in Phi(ws).  The value of such a pair depends
+        on the pair alone (value) except for the order of its two
+        M-letters, and that order is the same along every reduced gallery
+        that crosses a before b: the roots of the dihedral reflection
+        subgroup of r_a and r_b are crossed monotonically (M. Dyer, Hecke
+        algebras and shellings of Bruhat intervals, Compositio Math. 89,
+        1993; Bjorner & Brenti, GTM 231, 5.2), here in the order a,
+        r_a(b), r_b(a), b.  So h_s gives the value of every g s."""
         got = self._harvests.get(w)
         if got is None:
-            ctx = self.rsys.ctx
+            rsys = self.rsys
+            ctx = rsys.ctx
             rels = set()
-            for h in ctx.min_galleries(w):
-                if not h.type_word:
+            for s in GENS:
+                ws = ctx.mult_gen(w, s)
+                if len(ws) > len(w):
                     continue
-                rels |= self.harvest(ctx.mult_gen(w, h.type_word[-1]))
-                *before, last = self.rsys.inversion_sequence(h)
+                rels |= self.harvest(ws)
+                h = Gallery(ws + s)
+                *before, last = rsys.inversion_sequence(h)
                 rels.update((a, last, self.value(h, a, last)) for a in before)
             got = self._harvests[w] = frozenset(rels)
         return got
 
 
-def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery) -> bytes:
+def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery,
+                    prefix: bytes = b"") -> bytes:
     """The collection data of the gallery: for i < j in its crossing order,
-    the number and positions of the letters of M_{i,j}.  BlueprintError
-    unless each has at most two letters, the room a pair has in the
-    table, and each letter lies strictly between i and j, which makes
-    collection terminate, so that the group the gallery presents has
-    order <= 2^k."""
+    the number and positions of the letters of M_{i,j}, three bytes at
+    (i*k + j)*3.  prefix is the table of the gallery without its last
+    letter, whose entries are those of the pairs j < k-1 (the module's
+    rows lemma): they are copied, re-strided from k-1 to k, and only the
+    k-1 pairs (i, k-1) are computed.  With no prefix every pair is.
+
+    BlueprintError unless each computed M-value has at most two letters,
+    the room a pair has in the table, and each letter lies strictly
+    between i and j (a root the gallery does not cross has position -1),
+    which makes collection terminate, so that the group the gallery
+    presents has order <= 2^k.  The copied pairs passed the same checks
+    when the prefix's table was built."""
     roots = blueprint.rsys.inversion_sequence(gallery)
     pos = {root: i for i, root in enumerate(roots)}
     k = len(roots)
+    old = math.isqrt(len(prefix) // 3)
     comm = bytearray(3 * k * k)
-    for i, a in enumerate(roots):
-        for j in range(i + 1, k):
-            mids = blueprint.value(gallery, a, roots[j])
+    for i in range(old):
+        comm[3 * i * k:3 * (i * k + old)] = prefix[3 * i * old:3 * (i + 1) * old]
+    for j in range(old, k):
+        b = roots[j]
+        for i in range(j):
+            mids = blueprint.value(gallery, roots[i], b)
             if not mids:
                 continue
             if len(mids) > 2:
                 raise BlueprintError(
                     f"M-value of the pair ({i}, {j}) has {len(mids)} letters, "
                     "more than the two the table holds")
-            mpos = [pos[m] for m in mids]
+            mpos = [pos.get(m, -1) for m in mids]
             if any(not (i < p < j) for p in mpos):
                 raise BlueprintError(
                     f"M-letter positions {mpos} not strictly between {i} and {j}")
@@ -210,7 +248,8 @@ class BlueprintGroup:
         self.order = 1 << self.k
         self.identity = 0
         self._pos = {root: i for i, root in enumerate(self.roots)}
-        self._comm = insertion_table(blueprint, gallery)
+        self._comm = insertion_table(blueprint, gallery,
+                                     prefix._comm if prefix else b"")
         # (rows, relation count) of the last successful certify_order
         self._certified = None
 

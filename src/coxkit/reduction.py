@@ -131,12 +131,15 @@ class TheoremSetup:
         raise ConstraintError(f"unknown g letter {sym!r}")
 
     def eval_word(self, word):
+        """The word's element of the tree product; ConstraintError on a g
+        letter it does not know or an h letter, h0 included, outside V."""
         h0, pairs = word
         letters = []
-        if h0:
-            letters.append(("1", h0))
-        for g, h in pairs:
-            letters.append(self.g_element(g))
+        for g, h in ((None, h0), *pairs):
+            if g is not None:
+                letters.append(self.g_element(g))
+            if h not in self._v_words:
+                raise ConstraintError(f"h letter {h!r} is not an element of V")
             if h:
                 letters.append(("1", h))
         return self.product.eval_word(letters)
@@ -164,7 +167,8 @@ class TheoremSetup:
     def reduce(self, word):
         """Rewrite to constrained form; the pair count drops every step and
         the image in the tree product never changes (checked, raising
-        ReductionError)."""
+        ReductionError).  ConstraintError, from eval_word, on a letter
+        outside the alphabet."""
         h0, pairs = word
         pairs = list(pairs)
         before = self.eval_word((h0, tuple(pairs)))

@@ -8,13 +8,13 @@ vector, a gallery's inversion sequence, a ball's crossing bitsets), so
 what one caller registers cannot change another caller's answer.
 
 A root is keyed by its wall (the reflection, canonical word) and the side
-containing the identity.  Each root also carries an exact vector in the
-geometric representation; the vector of a positive root has nonnegative
-coordinates.  The scaled form B' = 2B from :mod:`coxkit.zroot2` decides
-everything: |B'| < 2 means the walls cross (finite dihedral order), B' >= 2
-means nested half-spaces, B' <= -2 means disjoint-or-covering; for
-non-crossing walls the orientation is read off the sign of B' at a
-time-like point on one wall.
+containing the identity, as a tuple, so it is its own hash key.  Each
+root also carries an exact vector in the geometric representation; the
+vector of a positive root has nonnegative coordinates.  The scaled form
+B' = 2B from :mod:`coxkit.zroot2` decides everything: |B'| < 2 means the
+walls cross (finite dihedral order), B' >= 2 means nested half-spaces,
+B' <= -2 means disjoint-or-covering; for non-crossing walls the
+orientation is read off the sign of B' at a time-like point on one wall.
 
 Membership on a ball comes from inversion sets (Bjorner & Brenti, GTM 231,
 1.3-1.4 and 4.2): walking ball(R) in order, N(yg) = N(y) + {wall of y
@@ -22,7 +22,8 @@ alpha_g} whenever l(yg) = l(y) + 1, with a wall named by its positive root
 vector, so no product ever leaves the ball.  Transposed, this gives one
 bitset per wall of the elements that cross it, and ``halfspace(a, R)`` is
 the ball minus that set (a positive) or the set itself (a negative); bit i
-is ball(R)[i].  Each radius's table is built once per root system.  For a
+is ball(R)[i].  Each radius's table is built once per root system, from
+one walk that a larger radius extends where a smaller one stopped.  For a
 single query, ``member`` uses the length test: for positive alpha, w lies
 in alpha iff l(r_alpha * w) > l(w).  The vector test
 ``member_vec`` (w^-1 alpha positive) is the independent oracle.
@@ -31,9 +32,10 @@ in alpha iff l(r_alpha * w) > l(w).  The vector test
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from coxkit import zroot2 as z2
-from coxkit.coxeter import Coxeter, Gallery
+from coxkit.coxeter import MAX_RADIUS, Coxeter, Gallery
 
 _IDX = {"r": 0, "s": 1, "t": 2}
 
@@ -49,8 +51,16 @@ def ball_members(ball: tuple[str, ...], mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
+    """A root: its wall, named by the reflection's canonical word, and
+    whether it is the side containing the identity.
+
+    A tuple, so hashing and equality run in C for every dict and set
+    keyed by roots.  It equals the plain tuple (refl, positive); no dict
+    or set in coxkit mixes Root keys with other 2-tuples, and the (str,
+    str) keys of root_from's memo never equal a Root, whose second field
+    is a bool."""
+
     refl: str
     positive: bool
 
@@ -79,6 +89,9 @@ class RootSystem:
         self._roots_from: dict[tuple[str, str], Root] = {}
         self._inversions: dict[Gallery, tuple[Root, ...]] = {}
         self._crossed: dict[int, dict[z2.Vector, int]] = {}
+        # _crossings' walk of the ball's prefix tree, kept to be extended
+        # to a larger radius until the MAX_RADIUS table is built
+        self._walk = None
 
     # -- construction ---------------------------------------------------
 
@@ -153,7 +166,11 @@ class RootSystem:
     def _crossings(self, radius: int) -> dict[z2.Vector, int]:
         """Per wall, keyed by its positive root vector, the bitset of the
         elements of ball(radius) whose inversion set contains it; built
-        once per radius, so once per context through root_system.
+        once per radius, so once per context through root_system.  One
+        walk of the prefix tree serves every radius: a larger radius
+        extends the walk of a smaller one instead of starting again at
+        the identity, and the walk is dropped once the MAX_RADIUS table
+        is built, as no radius needs more of it.
 
         The ShortLex forms of the ball are prefix-closed, so each x != 1
         is y*s_k with y = x[:-1] earlier in the ball and l(x) = l(y) + 1;
@@ -175,12 +192,15 @@ class RootSystem:
         got = self._crossed.get(radius)
         if got is None:
             ball = self.ctx.ball(radius)
-            index = {w: i for i, w in enumerate(ball)}
-            # images[i][j] is ball[i] * alpha_j; walls[i] is ball[i]'s new
-            # wall, crossed from its prefix ball[parent[i]]
-            images = [tuple(z2.basis(j) for j in range(3))]
-            parent, walls = [0], [None]
-            for x in ball[1:]:
+            if self._walk is None:
+                self._walk = ({"": 0}, [tuple(z2.basis(j) for j in range(3))],
+                              [0], [None])
+            # index[x] is x's place in the ball; images[i][j] is ball[i] *
+            # alpha_j; walls[i] is ball[i]'s new wall, crossed from its
+            # prefix ball[parent[i]].  ball(r) is the start of ball(R) for
+            # r < R, so these lists are valid for every radius.
+            index, images, parent, walls = self._walk
+            for x in ball[len(images):]:
                 y, k = index[x[:-1]], _IDX[x[-1]]
                 wall = images[y][k]
                 if z2.vector_sign(wall) != 1:
@@ -190,16 +210,20 @@ class RootSystem:
                        (c2 + 2 * b2, d2 + a2))
                       for (c0, d0), (c1, d1), (c2, d2) in images[y]]
                 ix[k] = ((-a0, -b0), (-a1, -b1), (-a2, -b2))
+                index[x] = len(images)
                 images.append(ix)
                 parent.append(y)
                 walls.append(wall)
-            below = [1 << i for i in range(len(ball))]
-            for i in range(len(ball) - 1, 0, -1):
+            n = len(ball)
+            below = [1 << i for i in range(n)]
+            for i in range(n - 1, 0, -1):
                 below[parent[i]] |= below[i]
             got = {}
-            for i in range(1, len(ball)):
+            for i in range(1, n):
                 got[walls[i]] = got.get(walls[i], 0) | below[i]
             self._crossed[radius] = got
+            if MAX_RADIUS in self._crossed:
+                self._walk = None
         return got
 
     def halfspace(self, a: Root, radius: int) -> int:

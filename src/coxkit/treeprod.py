@@ -127,11 +127,14 @@ class Subgroup:
     """A finite subgroup of a computable group, itself a computable group.
 
     Construction checks that elems hold the identity and are closed under
-    inverses and products, and raises TreeError otherwise.
+    inverses and products, and raises TreeError otherwise.  mul and inv
+    are the parent's own bound methods.
     """
 
     def __init__(self, parent, elems, name: str = ""):
         self.parent = parent
+        self.mul = parent.mul
+        self.inv = parent.inv
         self._set = frozenset(elems)
         self._elems = tuple(sorted(self._set))
         self.name = name
@@ -151,12 +154,6 @@ class Subgroup:
 
     def elements(self):
         return self._elems
-
-    def mul(self, x, y):
-        return self.parent.mul(x, y)
-
-    def inv(self, x):
-        return self.parent.inv(x)
 
     def __contains__(self, x) -> bool:
         return x in self._set

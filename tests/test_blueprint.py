@@ -12,7 +12,7 @@ from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
                               insertion_table)
 from coxkit.coxeter import Coxeter
 from coxkit.roots import RootSystemError
-from coxkit.suites import run_blueprint
+from coxkit.suites import run_blueprint, run_section4
 from galleries import gallery, group_along
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -140,16 +140,20 @@ def _gallery_independence_by_monos(cache, w):
 
 def _mutated_cache(cache, mutate):
     """A fresh GroupCache whose blueprint answers mutate(seq, a, b, M) in
-    place of M on the non-canonical minimal gallery tsts of stst, with seq
-    that gallery's crossing order."""
+    place of M on the non-canonical minimal gallery tsts of stst and on
+    every gallery that is a prefix of it, with seq the crossing order of
+    tsts: a group along tsts grows its insertion table from the tables of
+    its prefixes, so a pair (a, b) of tsts is computed on the first
+    prefix that crosses b."""
     fresh = GroupCache(cache.ctx)
     value = fresh.blueprint.value
+    seq = fresh.rsys.inversion_sequence(gallery(cache.ctx, "tsts"))
 
     def wrapped(g, a, b):
         mids = value(g, a, b)
-        if g.type_word != "tsts":
+        if not "tsts".startswith(g.type_word):
             return mids
-        return mutate(fresh.rsys.inversion_sequence(g), a, b, mids)
+        return mutate(seq, a, b, mids)
     fresh.blueprint.value = wrapped
     assert fresh.group("stst").gallery.type_word == "stst"
     return fresh
@@ -258,6 +262,51 @@ def test_grown_harvest_matches_the_per_gallery_harvest(ctx, cache):
         assert got == relations_of(bp, ctx.min_galleries(w)), w
         if w:
             assert bp.harvest(w[:-1]) <= got, w
+
+
+def test_harvest_by_descents_matches_the_per_gallery_oracle_on_ball_8(ctx):
+    # one gallery per right descent gives the relation set of every
+    # minimal gallery, M-letters in the same order, on all of ball(8)
+    bp = GroupCache(ctx).blueprint
+    total = 0
+    for w in ctx.ball(8):
+        got = bp.harvest(w)
+        assert got == relations_of(bp, ctx.min_galleries(w)), w
+        total += len(got)
+    assert total == 9741
+
+
+def test_prefix_grown_tables_match_the_tables_built_from_scratch(ctx, monkeypatch):
+    # every canonical group the blueprint and section-4 suites build: the
+    # table copied from the prefix's and completed by the pairs of the new
+    # root is the table of every pair computed along the gallery
+    built = []
+    init = BlueprintGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(BlueprintGroup, "__init__", counted)
+    assert run_blueprint(ctx, 7)["pass"]
+    assert run_section4(ctx)["pass"]
+    assert built and all(g.gallery.type_word == g.w for g in built)
+    for g in built:
+        assert g._comm == insertion_table(g.blueprint, g.gallery), g
+
+
+def test_blueprint_suite_value_calls(monkeypatch):
+    # the tables compute only the k-1 pairs of each new root, and the
+    # harvest one gallery per right descent: 1,503 + 1,323 calls, where
+    # whole tables and one gallery per minimal gallery took 4,044 + 1,524
+    calls = []
+    value = KacMoodyBlueprint.value
+
+    def counted(self, g, a, b):
+        calls.append((g, a, b))
+        return value(self, g, a, b)
+    monkeypatch.setattr(KacMoodyBlueprint, "value", counted)
+    assert run_blueprint(Coxeter(), 7)["pass"]
+    assert len(calls) == 2826
 
 
 def test_canonical_prefix_inclusion_is_the_identity_on_bitmasks(ctx):

@@ -130,6 +130,19 @@ def test_trace_rejects_letters_outside_the_alphabet(theorem_setup, word):
         trace_word(theorem_setup, word)
 
 
+@pytest.mark.parametrize("word", [
+    (0, (("u_sr", 2),)),      # an element of U_stst, not of V
+    (0, (("u_sr", 99),)),     # no element of U_stst either
+    (2, (("u_sr", 0),)),      # h0 outside V
+])
+def test_reduce_and_eval_word_reject_h_letters_outside_v(theorem_setup, word):
+    assert sorted(theorem_setup._v_words) == [0, 1, 6, 7, 8, 9, 14, 15]
+    with pytest.raises(ConstraintError, match="is not an element of V"):
+        theorem_setup.reduce(word)
+    with pytest.raises(ConstraintError, match="is not an element of V"):
+        theorem_setup.eval_word(word)
+
+
 def test_trace_all_short_words(theorem_setup):
     s = theorem_setup
     for word in s.enumerate_constrained(2):

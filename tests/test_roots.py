@@ -7,7 +7,8 @@ from coxkit import zroot2 as z2
 from coxkit.blueprint import GroupCache, KacMoodyBlueprint
 from coxkit.cli import main
 from coxkit.coxeter import Coxeter, Gallery
-from coxkit.roots import RootSystem, RootSystemError, ball_members, root_system
+from coxkit.roots import (Root, RootSystem, RootSystemError, ball_members,
+                          root_system)
 from galleries import gallery
 
 
@@ -155,6 +156,37 @@ def test_crossing_tables_match_the_gram_oracle(ctx, radii):
     for radius in radii:
         assert rs._crossings(radius) == oracle_crossings(ctx, radius)
     assert sorted(rs._crossed) == [8, 10]
+
+
+def test_crossing_walk_goes_on_from_the_smaller_radius(ctx, monkeypatch):
+    # the r=10 table walks only the elements the r=8 walk did not reach,
+    # one sign check each, and no walk is kept once it is built
+    rs = RootSystem(ctx)
+    rs._crossings(8)
+    signs = []
+    vector_sign = z2.vector_sign
+    monkeypatch.setattr(z2, "vector_sign", lambda vec: signs.append(vec) or
+                        vector_sign(vec))
+    rs._crossings(10)
+    assert len(signs) == len(ctx.ball(10)) - len(ctx.ball(8))
+    assert rs._walk is None
+
+
+def test_root_is_a_tuple_key(ctx):
+    # hash and equality are tuple's own; a Root never equals a Gallery or
+    # a (str, str) memo key
+    assert Root.__hash__ is tuple.__hash__ and Root.__eq__ is tuple.__eq__
+    rs = root_system(ctx)
+    a = rs.simple("s")
+    assert a == Root("s", True) and hash(a) == hash(("s", True))
+    assert repr(a) == "Root(+s)" and repr(rs.opposite(a)) == "Root(-s)"
+    assert a != Gallery("s") and Gallery("s") != a
+    for w in ctx.ball(4):
+        for s in "rst":
+            rs.root_from(w, s)
+    assert rs._vectors and rs._roots_from and ctx._mult_gen
+    assert set(rs._roots_from).isdisjoint(rs._vectors)
+    assert set(ctx._mult_gen).isdisjoint(rs._vectors)
 
 
 @pytest.mark.parametrize("radius", [4, 8, 10])
