@@ -62,7 +62,7 @@ import math
 
 from coxkit import wordops
 from coxkit import zroot2 as z2
-from coxkit.coxeter import GENS, Coxeter, Gallery
+from coxkit.coxeter import GENS, Coxeter
 from coxkit.roots import Root, RootSystem, RootSystemError, root_system
 from coxkit.treeprod import Subgroup, closure_words
 
@@ -88,7 +88,7 @@ class KacMoodyBlueprint:
         self.rsys = rsys
         self._harvests: dict[str, frozenset] = {}
 
-    def value(self, g: Gallery, a: Root, b: Root) -> tuple[Root, ...]:
+    def value(self, g: str, a: Root, b: Root) -> tuple[Root, ...]:
         """M^G_{a,b}, ordered by the gallery's crossing order.
 
         Closed form from the dihedral root subsystem (Abramenko & Brown,
@@ -157,14 +157,14 @@ class KacMoodyBlueprint:
                 if len(ws) > len(w):
                     continue
                 rels |= self.harvest(ws)
-                h = Gallery(ws + s)
+                h = ws + s
                 *before, last = rsys.inversion_sequence(h)
                 rels.update((a, last, self.value(h, a, last)) for a in before)
             got = self._harvests[w] = frozenset(rels)
         return got
 
 
-def insertion_table(blueprint: KacMoodyBlueprint, gallery: Gallery,
+def insertion_table(blueprint: KacMoodyBlueprint, gallery: str,
                     prefix: bytes = b"") -> bytes:
     """The collection data of the gallery: for i < j in its crossing order,
     the number and positions of the letters of M_{i,j}, three bytes at
@@ -233,16 +233,16 @@ class _FilledOnFirstUse:
 
 
 class BlueprintGroup:
-    """The collection group U_w for one gallery and one blueprint, grown
-    from prefix, the group along the gallery without its last letter
-    (None for the empty gallery)."""
+    """The collection group U_w for one gallery (its type word) and one
+    blueprint, grown from prefix, the group along the gallery without its
+    last letter (None for the empty gallery)."""
 
-    def __init__(self, ctx: Coxeter, rsys: RootSystem, gallery: Gallery,
+    def __init__(self, ctx: Coxeter, rsys: RootSystem, gallery: str,
                  blueprint: KacMoodyBlueprint, prefix: BlueprintGroup | None):
         self.gallery = gallery
         self.blueprint = blueprint
         self.prefix = prefix
-        self.w = ctx.normalize(gallery.type_word)
+        self.w = ctx.normalize(gallery)
         self.roots = rsys.inversion_sequence(gallery)
         self.k = len(self.roots)
         self.order = 1 << self.k
@@ -298,7 +298,7 @@ class BlueprintGroup:
         return table
 
     def __repr__(self) -> str:
-        return f"U({self.w!r} via {self.gallery.type_word!r}, order {self.order})"
+        return f"U({self.w!r} via {self.gallery!r}, order {self.order})"
 
     # -- group operations -------------------------------------------------
 
@@ -372,7 +372,7 @@ class BlueprintGroup:
         return len(rels)
 
     def export_table(self) -> str:
-        lines = [f"group w={self.w} gallery={self.gallery.type_word} "
+        lines = [f"group w={self.w} gallery={self.gallery} "
                  f"order={self.order}"]
         for x in range(self.order):
             lines.append(" ".join(str(self.mul(x, y)) for y in range(self.order)))
@@ -402,7 +402,7 @@ class GroupCache:
         if got is None:
             prefix = self.group(w[:-1]) if w else None
             got = self._groups[w] = BlueprintGroup(
-                self.ctx, self.rsys, Gallery(w), self.blueprint, prefix)
+                self.ctx, self.rsys, w, self.blueprint, prefix)
         return got
 
     def phi(self, w: str) -> tuple[Root, ...]:

@@ -30,7 +30,8 @@ class UsageError(ValueError):
     pass
 
 
-# the options of `verify` that one suite reads: (suite, default, cap)
+# the options of `verify` that one suite reads: (suite, default, cap); the
+# capped ones at their defaults are the configuration of `report`
 SUITE_OPTIONS = {"radius": ("coxeter", 8, MAX_RADIUS),
                  "max_length": ("blueprint", 7, MAX_BLUEPRINT_LENGTH),
                  "residue": ("section4", None, None)}
@@ -118,7 +119,8 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     if not args.out:
         return _usage_error("report requires --out <path>")
-    config = {"radius": 8, "max_length": 7}
+    config = {option: default for option, (_, default, cap)
+              in SUITE_OPTIONS.items() if cap is not None}
     results = _run_suites(DEFAULT_SUITES, config)
     return _emit(args, results, config)
 
@@ -141,6 +143,9 @@ def cmd_trace(args) -> int:
     setup = TheoremSetup()
     try:
         word = setup.parse(args.word)
+    except ConstraintError as exc:
+        return _usage_error(exc)
+    try:
         cert = trace_word(setup, word)
     except ConstraintError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)

@@ -3,7 +3,9 @@
 Generators are the letters r < s < t (that order fixes ShortLex).  Every
 element is carried as its ShortLex-least reduced word, its canonical
 form, so words compare and hash as plain strings and the empty string is
-the identity.
+the identity.  A minimal gallery from the identity is its type word, a
+reduced word, so the minimal galleries of w (min_galleries) are its
+reduced words and the canonical one is w itself.
 
 Products.  mult_gen(w, g) finds the canonical form of wg from that of w
 by peeling off w's first letter, after W. Casselman, "Computation in
@@ -107,19 +109,6 @@ class Residue:
 
     def __repr__(self) -> str:
         return f"Residue({''.join(sorted(self.types))!r} at {self.gate!r})"
-
-
-@dataclass(frozen=True)
-class Gallery:
-    """Minimal gallery from the identity, recorded by its (reduced) type word."""
-
-    type_word: str
-
-    def __len__(self) -> int:
-        return len(self.type_word)
-
-    def __repr__(self) -> str:
-        return f"Gallery({self.type_word!r})"
 
 
 class Coxeter:
@@ -343,24 +332,18 @@ class Coxeter:
 
     # -- minimal galleries --------------------------------------------------
 
-    def min_galleries(self, w: str) -> tuple[Gallery, ...]:
-        w = self.normalize(w)
-        return tuple(Gallery(e) for e in sorted(self.reduced_words(w)))
+    def min_galleries(self, w: str) -> tuple[str, ...]:
+        """The minimal galleries from the identity to w, each its type
+        word: the reduced words of w, sorted."""
+        return tuple(sorted(self.reduced_words(self.normalize(w))))
 
-    def gallery_chambers(self, g: Gallery) -> tuple[str, ...]:
-        out = [""]
-        for ch in g.type_word:
-            out.append(self.mult_gen(out[-1], ch))
-        return tuple(out)
-
-    def gallery_shift(self, s: str, g: Gallery) -> Gallery:
+    def gallery_shift(self, s: str, g: str) -> str:
         """The gallery sG; g must lie in Min_s of its endpoint."""
-        w = self.normalize(g.type_word)
-        if self.has_left_descent(w, s):
-            if not g.type_word.startswith(s):
+        if self.has_left_descent(self.normalize(g), s):
+            if not g.startswith(s):
                 raise ValueError("gallery not in Min_s: type must start with s")
-            return Gallery(g.type_word[1:])
-        return Gallery(s + g.type_word)
+            return g[1:]
+        return s + g
 
 
 _STANDARD: Coxeter | None = None

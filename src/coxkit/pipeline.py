@@ -583,14 +583,13 @@ class Section4:
         ok = True
         failures = []
         for w in sorted(c_set_0(ctx)):
-            g = ctx.min_galleries(w)[0]
-            seq = rsys.inversion_sequence(g)
+            seq = rsys.inversion_sequence(w)
             for i, a in enumerate(seq):
                 for b in seq[i + 1:]:
                     if rsys.pair_class(a, b).kind != "nested":
                         continue
                     pairs += 1
-                    good, _ = rsys.emptiness_certificate(a, b, g, RADIUS)
+                    good, _ = rsys.emptiness_certificate(a, b, w, RADIUS)
                     if not good:
                         ok = False
                         failures.append((w, repr(a), repr(b)))

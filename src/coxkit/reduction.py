@@ -234,15 +234,20 @@ class TheoremSetup:
                     raise ConstraintError(f"unknown V token {part!r}")
             return self.v_mask("".join(part[2] for part in parts))
 
+        # whether the last g letter still waits for its V letter, which
+        # may be 1, so the mask alone cannot tell
+        open_g = False
         for pos, tok in enumerate(tokens):
             if tok in G_LETTERS:
                 pairs.append([tok, 0])
+                open_g = True
                 continue
             mask = v_of(tok)
             if pos == 0:
                 h0 = mask
-            elif pairs and pairs[-1][1] == 0:
+            elif open_g:
                 pairs[-1][1] = mask
+                open_g = False
             else:
                 raise ConstraintError(f"two V letters in a row at {tok!r}")
         return (h0, tuple((g, h) for g, h in pairs))

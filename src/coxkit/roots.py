@@ -9,12 +9,18 @@ what one caller registers cannot change another caller's answer.
 
 A root is keyed by its wall (the reflection, canonical word) and the side
 containing the identity, as a tuple, so it is its own hash key.  Each
-root also carries an exact vector in the geometric representation; the
-vector of a positive root has nonnegative coordinates.  The scaled form
-B' = 2B from :mod:`coxkit.zroot2` decides everything: |B'| < 2 means the
-walls cross (finite dihedral order), B' >= 2 means nested half-spaces,
-B' <= -2 means disjoint-or-covering; for non-crossing walls the
-orientation is read off the sign of B' at a time-like point on one wall.
+root also carries an exact vector in the geometric representation,
+registered when root_from, act or opposite first makes the root (vector
+refuses a root the system never made); the vector of a positive root has
+nonnegative coordinates.  The scaled form B' = 2B from
+:mod:`coxkit.zroot2` decides everything: |B'| < 2 means the walls cross
+(finite dihedral order), B' >= 2 means nested half-spaces, B' <= -2
+means disjoint-or-covering; for non-crossing walls the orientation is
+read off the sign of B' at a time-like point on one wall.
+
+A gallery is its type word, a reduced word (coxkit.coxeter).  Its
+inversion sequence grows from the prefix: that of g[:-1], then the one
+new root g[:-1] alpha_(last letter), by the inversion-set step below.
 
 Membership on a ball comes from inversion sets (Bjorner & Brenti, GTM 231,
 1.3-1.4 and 4.2): walking ball(R) in order, N(yg) = N(y) + {wall of y
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from coxkit import zroot2 as z2
-from coxkit.coxeter import MAX_RADIUS, Coxeter, Gallery
+from coxkit.coxeter import MAX_RADIUS, Coxeter
 
 _IDX = {"r": 0, "s": 1, "t": 2}
 
@@ -87,7 +93,8 @@ class RootSystem:
         self.ctx = ctx
         self._vectors: dict[Root, z2.Vector] = {}
         self._roots_from: dict[tuple[str, str], Root] = {}
-        self._inversions: dict[Gallery, tuple[Root, ...]] = {}
+        # inversion sequences by gallery type word, grown from the prefix
+        self._inversions: dict[str, tuple[Root, ...]] = {"": ()}
         self._crossed: dict[int, dict[z2.Vector, int]] = {}
         # _crossings' walk of the ball's prefix tree, kept to be extended
         # to a larger radius until the MAX_RADIUS table is built
@@ -134,22 +141,13 @@ class RootSystem:
         return out
 
     def vector(self, a: Root) -> z2.Vector:
+        """The vector of a root this system has met (root_from, act,
+        opposite); RootSystemError for any other."""
         vec = self._vectors.get(a)
         if vec is None:
-            self._from_reflection(a.refl)
-            vec = self._vectors.get(a)
-            if vec is None:
-                vec = z2.vneg(self._vectors[Root(a.refl, not a.positive)])
-                self._register(a, vec)
+            raise RootSystemError(
+                f"no vector for {a!r}: this root system never made it")
         return vec
-
-    def _from_reflection(self, refl: str) -> Root:
-        # every reflection has a palindromic reduced expression
-        for e in self.ctx.reduced_words(refl):
-            if e == e[::-1]:
-                m = len(e) // 2
-                return self.root_from(e[:m], e[m])
-        raise ValueError(f"{refl!r} has no palindromic reduced word; not a reflection?")
 
     # -- membership and action -------------------------------------------
 
@@ -278,17 +276,22 @@ class RootSystem:
 
     # -- inversion sequences and interval emptiness --------------------------
 
-    def inversion_sequence(self, g: Gallery) -> tuple[Root, ...]:
+    def inversion_sequence(self, g: str) -> tuple[Root, ...]:
+        """Phi(G) in crossing order for the gallery of type word g: the
+        sequence of g[:-1] and the root g[:-1]*alpha_(last letter), by the
+        inversion-set step N(yg) = N(y) + {y alpha_g}; memoized per word.
+        The new root must be positive and not crossed before
+        (RootSystemError otherwise), which by induction covers every root
+        of the sequence."""
         roots = self._inversions.get(g)
         if roots is None:
-            prefixes = self.ctx.gallery_chambers(g)
-            roots = tuple(self.root_from(prefixes[i], g.type_word[i])
-                          for i in range(len(g.type_word)))
-            if len(set(roots)) != len(roots):
+            head = self.inversion_sequence(g[:-1])
+            new = self.root_from(g[:-1], g[-1])
+            if new in head:
                 raise RootSystemError(f"gallery {g!r} crosses a wall twice")
-            if not all(a.positive for a in roots):
+            if not new.positive:
                 raise RootSystemError(f"gallery {g!r} has a negative inversion root")
-            self._inversions[g] = roots
+            roots = self._inversions[g] = head + (new,)
         return roots
 
     def _refutations(self, a: Root, b: Root, c: Root, radius: int) -> int:
@@ -297,7 +300,7 @@ class RootSystem:
         in_a, in_b, in_c = (self.halfspace(x, radius) for x in (a, b, c))
         return in_a & in_b & ~in_c | in_c & ~(in_a | in_b)
 
-    def emptiness_certificate(self, a: Root, b: Root, g: Gallery, radius: int):
+    def emptiness_certificate(self, a: Root, b: Root, g: str, radius: int):
         """Exact emptiness certificate for the open interval (a, b) within
         Phi(G).
 

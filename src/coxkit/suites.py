@@ -46,7 +46,7 @@ def run_coxeter(ctx: Coxeter, radius: int) -> dict:
 
 
 @timed
-def run_blueprint(ctx: Coxeter, max_length: int = 7) -> dict:
+def run_blueprint(ctx: Coxeter, max_length: int) -> dict:
     out = {"suite": "blueprint", "max_length": max_length}
     cache = GroupCache(ctx)
     problems = []
@@ -114,8 +114,8 @@ def run_section4(ctx: Coxeter, residues: list | None = None) -> dict:
 
 
 SUITE_RUNNERS = {
-    "coxeter": lambda ctx, cfg: run_coxeter(ctx, cfg.get("radius", 8)),
-    "blueprint": lambda ctx, cfg: run_blueprint(ctx, cfg.get("max_length", 7)),
+    "coxeter": lambda ctx, cfg: run_coxeter(ctx, cfg["radius"]),
+    "blueprint": lambda ctx, cfg: run_blueprint(ctx, cfg["max_length"]),
     "quadrangle": lambda ctx, cfg: run_quadrangle(),
     "section4": lambda ctx, cfg: run_section4(ctx, cfg.get("residues")),
 }

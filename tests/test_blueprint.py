@@ -7,9 +7,9 @@ import pytest
 
 from coxkit import wordops
 from coxkit import zroot2 as z2
-from coxkit.blueprint import (BlueprintError, BlueprintGroup, GroupCache,
-                              KacMoodyBlueprint, gallery_independence,
-                              insertion_table)
+from coxkit.blueprint import (TABLE_CAP, BlueprintError, BlueprintGroup,
+                              GroupCache, KacMoodyBlueprint,
+                              gallery_independence, insertion_table)
 from coxkit.coxeter import Coxeter
 from coxkit.roots import RootSystemError
 from coxkit.suites import run_blueprint, run_section4
@@ -127,7 +127,7 @@ def _gallery_independence_by_monos(cache, w):
     generator-identity map U_h -> U_w as a GroupMono, |U_h|^2 products."""
     base = cache.group(w)
     for h in cache.ctx.min_galleries(base.w):
-        if h.type_word == base.gallery.type_word:
+        if h == base.gallery:
             continue
         try:
             other = group_along(cache, h)
@@ -151,11 +151,11 @@ def _mutated_cache(cache, mutate):
 
     def wrapped(g, a, b):
         mids = value(g, a, b)
-        if not "tsts".startswith(g.type_word):
+        if not "tsts".startswith(g):
             return mids
         return mutate(seq, a, b, mids)
     fresh.blueprint.value = wrapped
-    assert fresh.group("stst").gallery.type_word == "stst"
+    assert fresh.group("stst").gallery == "stst"
     return fresh
 
 
@@ -289,7 +289,7 @@ def test_prefix_grown_tables_match_the_tables_built_from_scratch(ctx, monkeypatc
     monkeypatch.setattr(BlueprintGroup, "__init__", counted)
     assert run_blueprint(ctx, 7)["pass"]
     assert run_section4(ctx)["pass"]
-    assert built and all(g.gallery.type_word == g.w for g in built)
+    assert built and all(g.gallery == g.w for g in built)
     for g in built:
         assert g._comm == insertion_table(g.blueprint, g.gallery), g
 
@@ -367,9 +367,9 @@ def test_tampered_prefix_rows_fail_under_optimize(run_optimized):
 # it must refuse the value, also under -O
 THREE_LETTERS = """
 from coxkit.blueprint import BlueprintError, GroupCache, insertion_table
-from coxkit.coxeter import Gallery, standard_coxeter
+from coxkit.coxeter import standard_coxeter
 cache = GroupCache(standard_coxeter())
-g = Gallery("ststr")
+g = "ststr"
 seq = cache.rsys.inversion_sequence(g)
 value = cache.blueprint.value
 cache.blueprint.value = lambda h, a, b: (
@@ -399,6 +399,25 @@ def test_insertion_table_rejects_three_letters_under_optimize(run_optimized):
     out = run_optimized(THREE_LETTERS)
     assert out.returncode == 0
     assert out.stdout.splitlines() == [THREE_LETTERS_ERROR]
+
+
+def test_collection_above_the_table_cap_agrees_with_the_certified_rows(ctx, cache):
+    # order 512: mul and inv collect instead of reading a table; x * y is
+    # the rows of x's letters applied to y, highest letter first
+    w = next(w for w in ctx.ball(9) if len(w) == 9)
+    g = cache.group(w)
+    assert g.order == 512 > TABLE_CAP and g._table is None
+    g.certify_order()
+    rows = g.rows
+    ys = random.Random(9).sample(range(g.order), 12) + [0, g.order - 1]
+    for x in g.elements():
+        letters = [i for i in range(g.k - 1, -1, -1) if x >> i & 1]
+        for y in ys:
+            want = y
+            for i in letters:
+                want = rows[i][want]
+            assert g.mul(x, y) == want, (x, y)
+        assert g.mul(g.inv(x), x) == 0, x
 
 
 def test_abelian_table_fails_certification(ctx, cache):
@@ -635,7 +654,7 @@ def test_local_weyl_invariance_sampled(ctx, cache):
         s = rng.choice("rst")
         gals = ctx.min_galleries(w)
         if ctx.has_left_descent(w, s):
-            gals = tuple(g for g in gals if g.type_word.startswith(s))
+            gals = tuple(g for g in gals if g.startswith(s))
         g = rng.choice(gals)
         seq = rs.inversion_sequence(g)
         simple_s = rs.simple(s)

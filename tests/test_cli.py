@@ -36,6 +36,17 @@ def test_trace_constraint_violation(capsys):
     assert run_cli(["trace", "--word", "u_s,u_sr"]) == 1
 
 
+@pytest.mark.parametrize("command", ["trace", "reduce"])
+@pytest.mark.parametrize("word, message", [
+    ("u_sr,u_xx", "unknown V token 'u_xx'"),
+    ("u_sr,1,u_t", "two V letters in a row at 'u_t'")])
+def test_a_word_that_does_not_parse_is_a_usage_error(capsys, command, word, message):
+    assert run_cli([command, "--word", word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_section4_lists_the_trace_automaton(capsys):
     assert run_cli(["verify", "section4"]) == 0
     out = capsys.readouterr().out.splitlines()

@@ -112,17 +112,18 @@ def test_prefix_order(ctx):
 
 
 def test_galleries(ctx):
-    gals = ctx.min_galleries("stst")
-    assert {g.type_word for g in gals} == {"stst", "tsts"}
-    g = gallery(ctx, "st")
-    assert ctx.gallery_chambers(g) == ("", "s", "st")
+    # a gallery is its type word; the canonical one is the element itself
+    assert ctx.min_galleries("stst") == ("stst", "tsts")
+    assert ctx.min_galleries("tsts") == ("stst", "tsts")
+    assert gallery(ctx, "st") == "st"
     with pytest.raises(ValueError):
         gallery(ctx, "ss")
     # the shift operation in both directions
-    assert ctx.gallery_shift("s", gallery(ctx, "st")).type_word == "t"
-    assert ctx.gallery_shift("r", gallery(ctx, "st")).type_word == "rst"
-    assert [g.type_word for g in ctx.min_galleries("stst")
-            if g.type_word.startswith("s")] == ["stst"]
+    assert ctx.gallery_shift("s", gallery(ctx, "st")) == "t"
+    assert ctx.gallery_shift("r", gallery(ctx, "st")) == "rst"
+    with pytest.raises(ValueError, match="not in Min_s"):
+        ctx.gallery_shift("t", gallery(ctx, "stst"))
+    assert [g for g in ctx.min_galleries("stst") if g.startswith("s")] == ["stst"]
 
 
 def test_descents(ctx):

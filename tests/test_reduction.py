@@ -48,6 +48,20 @@ def test_parse_and_format(theorem_setup):
         s.parse("u_s,u_t")   # two V letters in a row
 
 
+@pytest.mark.parametrize("text", ["u_sr,1,u_t", "u_sr,1,1", "u_sr,u_s,u_t"])
+def test_parse_refuses_a_second_v_letter_after_1(theorem_setup, text):
+    # 1 is a V letter given, not a missing one
+    with pytest.raises(ConstraintError, match="two V letters in a row"):
+        theorem_setup.parse(text)
+
+
+def test_parse_keeps_1_as_the_v_letter_of_its_pair(theorem_setup):
+    s = theorem_setup
+    word = s.parse("u_sr,1,u_sr,u_t")
+    assert word == (0, (("u_sr", 0), ("u_sr", s.v_mask("t"))))
+    assert s.parse("u_sr,u_tr") == (0, (("u_sr", 0), ("u_tr", 0)))
+
+
 def test_reduce_rule_a(theorem_setup):
     s = theorem_setup
     out, steps = s.reduce(s.parse("u_sr,1,u_sr,u_t"))

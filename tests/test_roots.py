@@ -6,10 +6,10 @@ from coxkit import blueprint
 from coxkit import zroot2 as z2
 from coxkit.blueprint import GroupCache, KacMoodyBlueprint
 from coxkit.cli import main
-from coxkit.coxeter import Coxeter, Gallery
+from coxkit.coxeter import Coxeter
 from coxkit.roots import (Root, RootSystem, RootSystemError, ball_members,
                           root_system)
-from galleries import gallery
+from galleries import gallery, inversions_by_prefixes
 
 
 def prenilpotent(rs, a, b) -> bool:
@@ -95,7 +95,7 @@ def compare_with_oracle(ctx, bp, radius: int):
     rs = bp.rsys
     pairs, values, wrong = 0, {}, []
     for w in ctx.ball(radius):
-        g = Gallery(w)
+        g = w
         seq = rs.inversion_sequence(g)
         for i, a in enumerate(seq):
             for b in seq[i + 1:]:
@@ -173,20 +173,22 @@ def test_crossing_walk_goes_on_from_the_smaller_radius(ctx, monkeypatch):
 
 
 def test_root_is_a_tuple_key(ctx):
-    # hash and equality are tuple's own; a Root never equals a Gallery or
-    # a (str, str) memo key
+    # hash and equality are tuple's own; a Root never equals a gallery's
+    # type word or a (str, str) memo key
     assert Root.__hash__ is tuple.__hash__ and Root.__eq__ is tuple.__eq__
     rs = root_system(ctx)
     a = rs.simple("s")
     assert a == Root("s", True) and hash(a) == hash(("s", True))
     assert repr(a) == "Root(+s)" and repr(rs.opposite(a)) == "Root(-s)"
-    assert a != Gallery("s") and Gallery("s") != a
+    assert a != "s" and "s" != a
     for w in ctx.ball(4):
         for s in "rst":
             rs.root_from(w, s)
     assert rs._vectors and rs._roots_from and ctx._mult_gen
     assert set(rs._roots_from).isdisjoint(rs._vectors)
     assert set(ctx._mult_gen).isdisjoint(rs._vectors)
+    rs.inversion_sequence("stst")
+    assert set(rs._inversions).isdisjoint(rs._vectors)
 
 
 @pytest.mark.parametrize("radius", [4, 8, 10])
@@ -274,6 +276,36 @@ def test_inversion_sequence(ctx, rs):
         sets = {frozenset(rs.inversion_sequence(g))
                 for g in ctx.min_galleries(w)}
         assert len(sets) == 1
+
+
+def test_inversion_sequence_grown_from_the_prefix_matches_the_chamber_walk(ctx):
+    # every minimal gallery of every element of ball(7): the sequence grown
+    # from the prefix's memoized one against each root taken from its own
+    # chamber, on a separate root system
+    grown, walked = RootSystem(ctx), RootSystem(ctx)
+    galleries = [g for w in ctx.ball(7) for g in ctx.min_galleries(w)]
+    assert len(galleries) == 310
+    for g in galleries:
+        assert grown.inversion_sequence(g) == inversions_by_prefixes(walked, g), g
+
+
+@pytest.mark.parametrize("word", ["ss", "ststs"])
+def test_inversion_sequence_rejects_a_word_that_is_not_reduced(ctx, word):
+    with pytest.raises(RootSystemError, match="negative inversion root"):
+        RootSystem(ctx).inversion_sequence(word)
+
+
+def test_vector_refuses_a_root_the_system_never_made(ctx):
+    rs = RootSystem(ctx)
+    for a in (Root("s", True), Root("rtr", False)):
+        with pytest.raises(RootSystemError, match="this root system never made it"):
+            rs.vector(a)
+    a = rs.simple("s")
+    assert rs.vector(a) == z2.basis(1)
+    assert rs.vector(rs.opposite(a)) == z2.vneg(z2.basis(1))
+    # the opposite of a root made is made with it; another root is not
+    with pytest.raises(RootSystemError, match=r"no vector for Root\(-rtr\)"):
+        rs.vector(Root("rtr", False))
 
 
 def test_intervals_rank2(ctx, rs):
@@ -437,11 +469,11 @@ def test_a_positive_obtuse_constant_is_caught(ctx, monkeypatch, capsys):
 # assert would hand back one root
 VALUE_MISSING_ROOT_UNDER_O = """
 from coxkit.blueprint import KacMoodyBlueprint
-from coxkit.coxeter import Gallery, standard_coxeter
+from coxkit.coxeter import standard_coxeter
 from coxkit.roots import RootSystem, RootSystemError
 rs = RootSystem(standard_coxeter())
 try:
-    KacMoodyBlueprint(rs).value(Gallery("ts"), rs.simple("t"), rs.simple("s"))
+    KacMoodyBlueprint(rs).value("ts", rs.simple("t"), rs.simple("s"))
 except RootSystemError as exc:
     print("raised", exc)
 """
@@ -452,4 +484,4 @@ def test_missing_blueprint_root_raises_under_optimize(run_optimized):
     assert out.returncode == 0
     assert out.stdout.splitlines() == [
         "raised r_a(b) or r_b(a) of (Root(+t), Root(+s)) is missing from "
-        "Phi(Gallery('ts'))"]
+        "Phi('ts')"]
