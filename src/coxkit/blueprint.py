@@ -5,11 +5,15 @@ by a fixed minimal gallery of w, with [u_i, u_j] prescribed by the
 blueprint as a product of generators strictly between i and j.  Elements
 are bitmasks: bit i set means u_{i+1} occurs in the normal form
 u_1^e1 ... u_k^ek.  Multiplication is collection from the left (see
-coxkit.wordops).  Up to TABLE_CAP elements the product table is composed
-from the generator rows u_i * y on the first product, since
-x = u_low * x' with low the lowest set bit of x is already a normal form
+coxkit.wordops), read off the certified generator rows u_i * y: since
+x = u_low * x' with low the lowest set bit of x is already a normal form,
+x * y is the rows of x's letters applied to y, highest letter first, and
+x^-1 is the same rows applied to the identity, lowest letter first
 (collection from the left as a permutation action; Leedham-Green &
-Soicher 1990).
+Soicher 1990).  Up to TABLE_CAP elements the product table is composed
+from the rows on the first product, and a product is one table read.
+Collection itself grows the rows, one pair product u_k * u_j per new
+generator (below).
 
 Every group is grown from its prefix: for the gallery h = h'x, U_w' is
 the group along h', with w' the element of h'.  Canonical galleries (the
@@ -303,13 +307,26 @@ class BlueprintGroup:
     # -- group operations -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
+        """x * y: a table read up to TABLE_CAP, else the rows of x's
+        letters applied to y, highest letter first."""
         table = self._table
         if table is not None:
             return table[x][y]
-        return wordops.collect_mul(x, y, self.k, self._comm)
+        rows = self.rows
+        for i in reversed(range(x.bit_length())):
+            if x >> i & 1:
+                y = rows[i][y]
+        return y
 
     def inv(self, x: int) -> int:
-        return wordops.collect_inv(x, self.k, self._comm)
+        """x^-1: the rows of x's letters applied to the identity, lowest
+        letter first."""
+        rows = self.rows
+        y = self.identity
+        for i in range(x.bit_length()):
+            if x >> i & 1:
+                y = rows[i][y]
+        return y
 
     def elements(self) -> range:
         return range(self.order)

@@ -40,10 +40,38 @@ canon(b w) (F1), and let y = canon(w1 g) = mult_gen(w1, g), so wg = b y.
      distinct generators are conjugate, so a = g, and the rule reads
      g + w when g < b and w(alpha_g) = alpha_g.
   4. Otherwise the least left descent of wg is b and canon(wg) = b + y.
-The image w(alpha_g) = rho_b(w1(alpha_g)) comes from zroot2.reflect and
-is memoized per (w, g), as the products are.  The steps peel w down to
-the longest suffix whose product with g is memoized and build back up,
-with no recursion.
+The steps peel w down to the longest suffix whose product with g is
+memoized and build back up, with no recursion.
+
+Rule 3's question, whether w(alpha_g) = alpha_g, is answered by a walk
+through a fixed table of elementary roots (B. Brink and R. Howlett,
+Math. Ann. 296 (1993); Casselman's minimal-root reflection table, loc.
+cit.; Bjorner and Brenti, section 4.7).  With the scaled form B' = 2B of
+coxkit.zroot2, Sigma is the least set of roots that holds the simple
+roots and, for beta in Sigma with beta != alpha_s, holds s(beta) exactly
+when B'(beta, alpha_s) > -2.  In type (4,4,4) it has 9 roots: the 3 simple
+roots and the 6 roots alpha_i + sqrt(2)*alpha_j.  ELEMENTARY_ROOTS lists
+them, simple roots first, and REFLECTION_TABLE[i][s] is the index of
+s(beta_i), or OUT when B'(beta_i, alpha_s) <= -2, or NEGATIVE when beta_i
+= alpha_s.  Both are built once at import, the one use of zroot2 here.
+The walk starts at alpha_g's index and applies the letters of w from the
+right end; rule 3 fires exactly when it ends at alpha_g's index.
+
+Proof.  Let w be canonical with wg longer than w, as in rule 3, and let
+beta_i = w[i:](alpha_g).  Each beta_i is positive, because w[i:]g is
+reduced; so a letter that meets NEGATIVE contradicts the kernel's
+lengths and raises KernelError.  While beta_(i+1) is in Sigma, the table
+gives beta_i exactly.  Claim: if beta_(i+1) is not in Sigma, then beta_i
+is not either.  Suppose instead that delta = beta_i is in Sigma, with s =
+w[i].  Then s(delta) = beta_(i+1) is not, so B'(delta, alpha_s) <= -2, so
+B'(beta_(i+1), alpha_s) >= 2.  By the dominance criterion (Bjorner and
+Brenti, 4.7: for positive roots, beta dominates gamma iff B(beta, gamma)
+>= 1 and dp(beta) >= dp(gamma)), beta_(i+1) dominates alpha_s: every x
+that sends beta_(i+1) to a negative root sends alpha_s to one too.  Yet x =
+(w[i+1:]g)^-1 sends beta_(i+1) to -alpha_g and alpha_s to a positive root,
+because s w[i+1:] g = w[i:]g is longer than w[i+1:]g.  That contradicts
+the dominance.  So OUT is absorbing, the walk stops there, and w(alpha_g)
+= alpha_g, a root of Sigma, exactly when the walk ends at alpha_g's index.
 
 Every left factor is a canonical word: one that the kernel has not met
 yet is first walked letter by letter from the identity (canon_reduced),
@@ -92,8 +120,52 @@ class KernelError(RuntimeError):
 
 
 _GENERATORS = frozenset(GENS)
-# alpha_g, the simple root of each generator, over the basis (e_r, e_s, e_t)
-_SIMPLE = {g: zroot2.basis(i) for i, g in enumerate(GENS)}
+
+# REFLECTION_TABLE entries that are not an index into ELEMENTARY_ROOTS
+OUT = -1         # s(beta) is not elementary
+NEGATIVE = -2    # beta = alpha_s, so s(beta) = -alpha_s
+
+
+def _elementary_roots() -> tuple[tuple, tuple]:
+    """Sigma over the basis (e_r, e_s, e_t), simple roots first, and its
+    reflection table (module docstring), closed from the simple roots."""
+    roots = [zroot2.basis(i) for i in range(len(GENS))]
+    index = {beta: i for i, beta in enumerate(roots)}
+    table = []
+    for beta in roots:    # roots grows as the loop runs
+        row = {}
+        for j, s in enumerate(GENS):
+            alpha = zroot2.basis(j)
+            if beta == alpha:
+                row[s] = NEGATIVE
+            elif zroot2.sign(zroot2.sub(zroot2.form(beta, alpha), (-2, 0))) > 0:
+                image = zroot2.reflect(j, beta)
+                if image not in index:
+                    index[image] = len(roots)
+                    roots.append(image)
+                row[s] = index[image]
+            else:
+                row[s] = OUT
+        table.append(row)
+    return tuple(roots), tuple(table)
+
+
+ELEMENTARY_ROOTS, REFLECTION_TABLE = _elementary_roots()
+
+
+def _fixes_simple_root(w: str, g: str) -> bool:
+    """w(alpha_g) == alpha_g, for w canonical with wg longer than w: the
+    walk of alpha_g through REFLECTION_TABLE, letters of w from the right
+    (module docstring).  KernelError if the walk meets a negative root."""
+    start = i = GENS.index(g)
+    for s in reversed(w):
+        i = REFLECTION_TABLE[i][s]
+        if i < 0:
+            if i == OUT:
+                return False
+            raise KernelError(f"{w!r} sends alpha_{g} to a negative root, so "
+                              f"{w + g!r} is not longer than {w!r}")
+    return i == start
 
 
 @dataclass(frozen=True)
@@ -117,8 +189,6 @@ class Coxeter:
         # the elements whose braid closure agreed with the kernel
         self._closure: dict[str, frozenset] = {"": frozenset([""])}
         self._mult_gen: dict[tuple[str, str], str] = {("", g): g for g in GENS}
-        self._images: dict[tuple[str, str], zroot2.Vector] = {
-            ("", g): v for g, v in _SIMPLE.items()}
         self._parabolics: dict[frozenset, tuple[str, ...]] = {}
         self._balls: list[tuple[str, ...]] = [("",)]
         # the context's one coxkit.roots.RootSystem (roots.root_system)
@@ -199,21 +269,9 @@ class Coxeter:
             return b + y
         if y == w:
             return w1
-        if g < b and self._image(w, g) == _SIMPLE[g]:
+        if g < b and _fixes_simple_root(w, g):
             return g + w
         return b + y
-
-    def _image(self, w: str, g: str) -> zroot2.Vector:
-        """w(alpha_g) in the geometric representation, for w canonical."""
-        images = self._images
-        peeled = []
-        while (w, g) not in images:
-            peeled.append(w)
-            w = w[1:]
-        vec = images[w, g]
-        for w in reversed(peeled):
-            vec = images[w, g] = zroot2.reflect(GENS.index(w[0]), vec)
-        return vec
 
     def normalize(self, letters) -> str:
         """Canonical form of an arbitrary product of generators."""

@@ -29,10 +29,10 @@ vector, so no product ever leaves the ball.  Transposed, this gives one
 bitset per wall of the elements that cross it, and ``halfspace(a, R)`` is
 the ball minus that set (a positive) or the set itself (a negative); bit i
 is ball(R)[i].  Each radius's table is built once per root system, from
-one walk that a larger radius extends where a smaller one stopped.  For a
-single query, ``member`` uses the length test: for positive alpha, w lies
-in alpha iff l(r_alpha * w) > l(w).  The vector test
-``member_vec`` (w^-1 alpha positive) is the independent oracle.
+its own walk of the ball.  For a single query, ``member`` uses the length
+test: for positive alpha, w lies in alpha iff l(r_alpha * w) > l(w).  The
+vector test (w^-1 alpha positive, in tests/test_roots.py) is the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from coxkit import zroot2 as z2
-from coxkit.coxeter import MAX_RADIUS, Coxeter
+from coxkit.coxeter import Coxeter
 
 _IDX = {"r": 0, "s": 1, "t": 2}
 
@@ -96,9 +96,6 @@ class RootSystem:
         # inversion sequences by gallery type word, grown from the prefix
         self._inversions: dict[str, tuple[Root, ...]] = {"": ()}
         self._crossed: dict[int, dict[z2.Vector, int]] = {}
-        # _crossings' walk of the ball's prefix tree, kept to be extended
-        # to a larger radius until the MAX_RADIUS table is built
-        self._walk = None
 
     # -- construction ---------------------------------------------------
 
@@ -156,19 +153,11 @@ class RootSystem:
         up = len(ctx.mult(a.refl, w)) > len(w)
         return up if a.positive else not up
 
-    def member_vec(self, w: str, a: Root) -> bool:
-        """Independent membership oracle: w^-1 * alpha is positive."""
-        vec = self.act_vec(self.ctx.inv(w), self.vector(a))
-        return z2.vector_sign(vec) == 1
-
     def _crossings(self, radius: int) -> dict[z2.Vector, int]:
         """Per wall, keyed by its positive root vector, the bitset of the
         elements of ball(radius) whose inversion set contains it; built
-        once per radius, so once per context through root_system.  One
-        walk of the prefix tree serves every radius: a larger radius
-        extends the walk of a smaller one instead of starting again at
-        the identity, and the walk is dropped once the MAX_RADIUS table
-        is built, as no radius needs more of it.
+        once per radius, so once per context through root_system, each
+        from its own walk of the ball's prefix tree.
 
         The ShortLex forms of the ball are prefix-closed, so each x != 1
         is y*s_k with y = x[:-1] earlier in the ball and l(x) = l(y) + 1;
@@ -190,15 +179,14 @@ class RootSystem:
         got = self._crossed.get(radius)
         if got is None:
             ball = self.ctx.ball(radius)
-            if self._walk is None:
-                self._walk = ({"": 0}, [tuple(z2.basis(j) for j in range(3))],
-                              [0], [None])
             # index[x] is x's place in the ball; images[i][j] is ball[i] *
             # alpha_j; walls[i] is ball[i]'s new wall, crossed from its
-            # prefix ball[parent[i]].  ball(r) is the start of ball(R) for
-            # r < R, so these lists are valid for every radius.
-            index, images, parent, walls = self._walk
-            for x in ball[len(images):]:
+            # prefix ball[parent[i]]
+            index = {"": 0}
+            images = [tuple(z2.basis(j) for j in range(3))]
+            parent = [0]
+            walls = [None]
+            for x in ball[1:]:
                 y, k = index[x[:-1]], _IDX[x[-1]]
                 wall = images[y][k]
                 if z2.vector_sign(wall) != 1:
@@ -220,8 +208,6 @@ class RootSystem:
             for i in range(1, n):
                 got[walls[i]] = got.get(walls[i], 0) | below[i]
             self._crossed[radius] = got
-            if MAX_RADIUS in self._crossed:
-                self._walk = None
         return got
 
     def halfspace(self, a: Root, radius: int) -> int:

@@ -5,7 +5,9 @@ Coxeter kernel computes products without it and uses it as the
 cross-check of every element it enumerates (Coxeter.reduced_words).
 
 Both operate on plain data (str words, int letter sequences, int
-bitmasks).
+bitmasks).  Collection's one use in the program is the pair products
+u_k * u_j from which coxkit.blueprint grows each new generator row; the
+group's products and inverses are read off those rows.
 
 Collection commutator tables are passed flattened: ``comm[(i*k + j)*3]``
 is the number of inserted letters (0..2) for the ordered pair i < j and
@@ -59,7 +61,7 @@ def braid_closure(word: str) -> frozenset[str]:
 
 
 def _collect(word: list[int], k: int, comm: bytes) -> int:
-    # the loop behind collect_seq, collect_mul and collect_inv, shared
+    # the loop behind collect_seq and collect_mul, shared
     # privately so that wrapping one public name (as a tracer does) never
     # sees calls made through another; rewrites ``word`` in place
     while True:
@@ -110,8 +112,3 @@ def _mask_letters(mask: int, k: int) -> list[int]:
 def collect_mul(x: int, y: int, k: int, comm: bytes) -> int:
     """Product of two normal-form masks."""
     return _collect(_mask_letters(x, k) + _mask_letters(y, k), k, comm)
-
-
-def collect_inv(x: int, k: int, comm: bytes) -> int:
-    """Inverse of a normal-form mask (reverse the letters; all are involutions)."""
-    return _collect(_mask_letters(x, k)[::-1], k, comm)

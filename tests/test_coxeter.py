@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from coxkit import growth, lemmas, suites, wordops
-from coxkit.coxeter import (GENS, MAX_RADIUS, Coxeter, KernelError, ResidueError,
+from coxkit import coxeter, growth, lemmas, suites, wordops, zroot2
+from coxkit.coxeter import (ELEMENTARY_ROOTS, GENS, MAX_RADIUS, NEGATIVE, OUT,
+                             REFLECTION_TABLE, Coxeter, KernelError, ResidueError,
                              ResourceLimit)
 from galleries import gallery
 
@@ -231,6 +232,92 @@ def test_each_kernel_rule_is_needed(monkeypatch, step, radius, size, first):
     # the braid-closure cross-check stops it at its first wrong element,
     # before any verdict is read
     for run in (lambda: Coxeter().ball(radius),
+                lambda: suites.run_coxeter(Coxeter(), 8)):
+        with pytest.raises(KernelError, match=repr(first)):
+            run()
+
+
+def _root(i: int, j: int | None = None) -> zroot2.Vector:
+    """alpha_i, or alpha_i + sqrt(2)*alpha_j, over the basis (e_r, e_s, e_t)."""
+    vec = [(0, 0)] * 3
+    vec[i] = (1, 0)
+    if j is not None:
+        vec[j] = (0, 1)
+    return tuple(vec)
+
+
+def test_elementary_roots_and_their_reflection_table():
+    # the 3 simple roots first, then the 6 roots alpha_i + sqrt(2)*alpha_j
+    assert ELEMENTARY_ROOTS[:3] == tuple(_root(i) for i in range(3))
+    assert set(ELEMENTARY_ROOTS[3:]) == {_root(i, j) for i in range(3)
+                                         for j in range(3) if i != j}
+    assert len(ELEMENTARY_ROOTS) == len(REFLECTION_TABLE) == 9
+    for beta, row in zip(ELEMENTARY_ROOTS, REFLECTION_TABLE):
+        for j, s in enumerate(GENS):
+            if row[s] == NEGATIVE:
+                assert beta == _root(j)
+            elif row[s] == OUT:
+                assert zroot2.sign(zroot2.sub(zroot2.form(beta, _root(j)), (-2, 0))) <= 0
+            else:
+                assert ELEMENTARY_ROOTS[row[s]] == zroot2.reflect(j, beta)
+    # the roots a walk from alpha_r or alpha_s reaches
+    reached, stack = {0, 1}, [0, 1]
+    while stack:
+        for i in REFLECTION_TABLE[stack.pop()].values():
+            if i >= 0 and i not in reached:
+                reached.add(i)
+                stack.append(i)
+    assert {ELEMENTARY_ROOTS[i] for i in reached} == {
+        _root(0), _root(1), _root(0, 1), _root(0, 2), _root(1, 0), _root(1, 2)}
+
+
+def test_table_walk_matches_the_exact_image_on_ball_10():
+    fresh = Coxeter()
+    pairs = [(w, g) for w in fresh.ball(10) for g in GENS
+             if len(fresh.mult_gen(w, g)) > len(w)]
+    assert len(pairs) == 2487
+    for w, g in pairs:
+        vec = alpha = _root(GENS.index(g))
+        for s in reversed(w):
+            vec = zroot2.reflect(GENS.index(s), vec)
+        assert coxeter._fixes_simple_root(w, g) == (vec == alpha), (w, g)
+
+
+def test_kernel_computes_no_root_arithmetic_after_import(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("zroot2 called after import")
+    for name in ("reflect", "form"):
+        monkeypatch.setattr(zroot2, name, refuse)
+    fresh = Coxeter()
+    assert len(fresh.ball(10)) == growth.ball_size(10)
+    for types in ("rs", "rt", "st"):
+        assert len(fresh.parabolic(types)) == 8
+
+
+def test_a_walk_to_a_negative_root_raises():
+    # rs * s is shorter than rs: the letter s sends alpha_s to -alpha_s
+    with pytest.raises(KernelError, match="'rs' sends alpha_s to a negative root"):
+        coxeter._fixes_simple_root("rs", "s")
+
+
+def _without_root(beta: zroot2.Vector) -> tuple:
+    # the table with beta left out of Sigma: every step into it leaves Sigma
+    k = ELEMENTARY_ROOTS.index(beta)
+    return tuple({s: OUT if i == k else i for s, i in row.items()}
+                 for row in REFLECTION_TABLE)
+
+
+# rule 3 walks from alpha_g with g < w[0], so never from alpha_t, and a
+# walk from alpha_r or alpha_s never reaches alpha_t + sqrt(2)*alpha_r or
+# alpha_t + sqrt(2)*alpha_s (test_elementary_roots_and_their_reflection_table):
+# dropping either of those changes no product, so no mutant drops them
+@pytest.mark.parametrize("i, j, first", [
+    (0, 1, "rsrs"), (0, 2, "rtrt"), (1, 0, "ststrsr"), (1, 2, "stst")])
+def test_each_reachable_elementary_root_is_needed(monkeypatch, i, j, first):
+    monkeypatch.setattr(coxeter, "REFLECTION_TABLE", _without_root(_root(i, j)))
+    # rule 3 then misses a new least left descent, and the braid-closure
+    # cross-check stops the ball at its first wrong element
+    for run in (lambda: Coxeter().ball(10),
                 lambda: suites.run_coxeter(Coxeter(), 8)):
         with pytest.raises(KernelError, match=repr(first)):
             run()

@@ -18,6 +18,12 @@ def prenilpotent(rs, a, b) -> bool:
     return a == b or rs.pair_class(a, b).kind in ("finite", "nested")
 
 
+def member_vec(rs, w: str, a: Root) -> bool:
+    """Independent membership oracle: w^-1 * alpha is positive."""
+    vec = rs.act_vec(rs.ctx.inv(w), rs.vector(a))
+    return z2.vector_sign(vec) == 1
+
+
 def interval_ball(rs, a, b, g, radius: int) -> tuple:
     """Ball-approximate closed interval [a, b] of any prenilpotent pair:
     the roots of Phi(g) that no element of ball(radius) keeps out of it."""
@@ -158,18 +164,20 @@ def test_crossing_tables_match_the_gram_oracle(ctx, radii):
     assert sorted(rs._crossed) == [8, 10]
 
 
-def test_crossing_walk_goes_on_from_the_smaller_radius(ctx, monkeypatch):
-    # the r=10 table walks only the elements the r=8 walk did not reach,
-    # one sign check each, and no walk is kept once it is built
+def test_each_crossing_table_walks_its_own_ball(ctx, monkeypatch):
+    # each table makes one sign check per element of its own ball but the
+    # identity, and the root system keeps no walk once the tables are built
     rs = RootSystem(ctx)
-    rs._crossings(8)
     signs = []
     vector_sign = z2.vector_sign
     monkeypatch.setattr(z2, "vector_sign", lambda vec: signs.append(vec) or
                         vector_sign(vec))
-    rs._crossings(10)
-    assert len(signs) == len(ctx.ball(10)) - len(ctx.ball(8))
-    assert rs._walk is None
+    for radius in (8, 10):
+        del signs[:]
+        rs._crossings(radius)
+        assert len(signs) == len(ctx.ball(radius)) - 1
+    assert set(vars(rs)) == {"ctx", "_vectors", "_roots_from", "_inversions",
+                             "_crossed"}
 
 
 def test_root_is_a_tuple_key(ctx):
@@ -201,7 +209,7 @@ def test_halfspace_agrees_with_member_vec_on_a_sample(ctx, rs, radius):
             a = rs.opposite(a)
         i = rng.randrange(len(ball))
         assert bool(rs.halfspace(a, radius) >> i & 1) == \
-            rs.member_vec(ball[i], a), (a, ball[i])
+            member_vec(rs, ball[i], a), (a, ball[i])
 
 
 def test_root_examples(ctx, rs):
@@ -217,7 +225,7 @@ def test_membership_cross_checks(ctx, rs):
     roots = {rs.root_from(w, g) for w in ctx.ball(4) for g in "rst"}
     for w in ctx.ball(5):
         for a in roots:
-            assert rs.member(w, a) == rs.member_vec(w, a)
+            assert rs.member(w, a) == member_vec(rs, w, a)
     small = {rs.root_from(w, g) for w in ctx.ball(2) for g in "rst"}
     for w in ctx.ball(8):
         for a in small:
@@ -237,7 +245,7 @@ def test_halfspace_agrees_with_member_and_oracle(ctx, rs):
         assert bits >> len(ball) == 0
         got = [bool(bits >> i & 1) for i in range(len(ball))]
         assert got == [rs.member(w, a) for w in ball], a
-        assert got == [rs.member_vec(w, a) for w in ball], a
+        assert got == [member_vec(rs, w, a) for w in ball], a
     assert rs.halfspace(far, 7) == (1 << len(ball)) - 1
     assert rs.halfspace(rs.opposite(far), 7) == 0
 

@@ -254,8 +254,6 @@ KEPT_WITHOUT_PROGRAM_CALLER = {
                    "removing it is a benchmark change",
     "enumerate_constrained": "the benchmark's trace workload and the "
                              "reduction tests enumerate words with it",
-    "member_vec": "the independent membership oracle over Z[sqrt 2] of "
-                  "the root tests",
 }
 
 
@@ -418,7 +416,6 @@ NOT_REACHED_ALLOWED = {
     "Coxeter.has_left_descent": "called by gallery_shift alone",
     "TheoremSetup.enumerate_constrained":
         KEPT_WITHOUT_PROGRAM_CALLER["enumerate_constrained"],
-    "RootSystem.member_vec": KEPT_WITHOUT_PROGRAM_CALLER["member_vec"],
     "collect_seq": KEPT_WITHOUT_PROGRAM_CALLER["collect_seq"],
     "TreeProduct.inv": "the group protocol (mul, inv, elements) that tree "
                        "products share with the vertex groups",
