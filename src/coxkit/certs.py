@@ -16,15 +16,16 @@ clock = time.perf_counter
 
 
 def timed(fn):
-    """Time the whole call and set `elapsed` on the record it returns: an
-    attribute in seconds, or a suite dict's "elapsed" rounded to ms."""
+    """Time the whole call and set `elapsed`, in seconds at the clock's
+    full resolution, on the record it returns: an attribute, or a suite
+    dict's "elapsed"."""
     @functools.wraps(fn)
     def run(*args, **kwargs):
         t0 = clock()
         record = fn(*args, **kwargs)
         elapsed = clock() - t0
         if isinstance(record, dict):
-            record["elapsed"] = round(elapsed, 3)
+            record["elapsed"] = elapsed
         else:
             record.elapsed = elapsed
         return record
@@ -60,7 +61,7 @@ class Certificate:
             "checks": self.checks,
             "assumptions": self.assumptions,
             "data": self.data,
-            "elapsed": round(self.elapsed, 3),
+            "elapsed": self.elapsed,
         }
 
 
@@ -93,5 +94,5 @@ class SweepReport:
             "violations": self.violations,
             "pass": self.passed,
             "notes": self.notes,
-            "elapsed": round(self.elapsed, 3),
+            "elapsed": self.elapsed,
         }

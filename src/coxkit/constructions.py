@@ -32,9 +32,7 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class ResidueClassTag:
-    residue: Residue
     i: int
-    in_R_i: bool
     in_T_i1: bool
 
 
@@ -58,7 +56,7 @@ def classify_residue(ctx: Coxeter, R: Residue) -> ResidueClassTag:
     g = R.gate
     i = len(g)
     in_t = (len(ctx.mult(g, s, d)) == i + 2 and len(ctx.mult(g, t, d)) == i + 2)
-    return ResidueClassTag(R, i, R.rank == 2, in_t)
+    return ResidueClassTag(i, in_t)
 
 
 @dataclass(frozen=True)

@@ -175,10 +175,6 @@ class Residue:
     types: frozenset
     gate: str
 
-    @property
-    def rank(self) -> int:
-        return len(self.types)
-
     def __repr__(self) -> str:
         return f"Residue({''.join(sorted(self.types))!r} at {self.gate!r})"
 

@@ -38,19 +38,17 @@ def _levels_coincide(y_family: dict, x_family: dict, vertices) -> tuple:
 
     Criterion.  Let Y = (Y_v) and X = (X_v) be subgroup families
     over one tree of groups, each with equal edge preimages (so each
-    family's tree product embeds, and in the product whose transversals
-    prefer that family, membership in it is read off the normal-form
-    letters), with Y_v <= X_v at every vertex.  On the subproduct P_S
-    over a connected vertex set S, membership in X agrees with membership
-    in Y exactly when Y_v = X_v for every v in S.
+    family's tree product embeds; treeprod.family_embeds), with
+    Y_v <= X_v at every vertex.  On the subproduct P_S over a connected
+    vertex set S, membership in X agrees with membership in Y exactly
+    when Y_v = X_v for every v in S.
 
     Proof.  By the normal-form theorem, X cap P_S is the tree product of
-    (X_v) over S and Y cap P_S that of (Y_v), each letter of an element
-    of P_S lying at a vertex of S; the two memberships are properties of
-    the element, whichever product reads them.  If Y_v = X_v on S, the
-    two letter tests coincide on P_S.  If some a lies in X_v but not
-    Y_v, the one-letter element a of G_v <= P_S lies in X and not in Y,
-    since a family meets G_v in its own vertex subgroup.  Nesting, the
+    (X_v) over S and Y cap P_S that of (Y_v).  If Y_v = X_v on S, the two
+    intersections are one subgroup.  If some a lies in X_v but not Y_v,
+    the one-letter element a of G_v <= P_S lies in X and not in Y, by
+    the vertex lemma of coxkit.treeprod: a family with equal edge
+    preimages meets G_v in its own vertex subgroup.  Nesting, the
     hypothesis Y <= X, is checked at every vertex.
     """
     nested = all(y_family[v] <= x_family[v] for v in y_family)
@@ -245,13 +243,12 @@ class Section4:
                    sorted(gg.order for gg in subb.tog.vertices.values())
                    == sorted((H2.order,) + orr.orders()),
                    got=sorted(gg.order for gg in subb.tog.vertices.values()))
-        # segment-level injectivity data: U[w_R sr]-preimage of V_R in O_R
-        or_prod = TreeProduct(orr.tog, self.family_from_roots(
-            orr, self.construction_roots(vr)))
+        # segment-level injectivity data: U[w_R sr]-preimage of V_R in O_R,
+        # read at v0 by the vertex lemma of coxkit.treeprod
+        vr_v0 = self.family_from_roots(orr, self.construction_roots(vr))["v0"]
         img = b.image_of_u(m(g, s, d), orr.specs[0].ambient)
-        ok = all(or_prod.in_family(or_prod.include("v0", x)) for x in img)
         cert.check("U[w_R sr] lies inside the V_R family of O_R "
-                   "(edge condition of the segment criterion)", ok)
+                   "(edge condition of the segment criterion)", img <= vr_v0)
         cert.assume("V_{R,s} *_{V_R} O_R ~ U[w_R srs] *_{U[w_R sr]} O_R ~ O_{R,s}"
                     " is the replayed chain; the amalgam over the infinite V_R"
                     " is not built as a computable group")
@@ -445,12 +442,11 @@ class Section4:
         decidable = _family_check(
             cert, "O_R family conditions over the four K_Rs vertices "
             "(so membership is letter-decidable)", krs.tog, or_family)
-        kprod = TreeProduct(krs.tog, or_family)
+        # read at v0 by the vertex lemma of coxkit.treeprod
         srt_img = b.image_of_u(m(g, s, d, t), krs.specs[0].ambient)
-        got = {x for x in srt_img
-               if kprod.in_family(kprod.include("v0", x))}
         cert.check(f"O_R cap U[{m(g,s,d,t)}] = U[{m(g,s,d)}] inside K_Rs",
-                   frozenset(got) == b.image_of_u(m(g, s, d), krs.specs[0].ambient))
+                   srt_img & or_family["v0"]
+                   == b.image_of_u(m(g, s, d), krs.specs[0].ambient))
         # final shape: K_{R,s} *_{U[w_R srt]} V[w_R sr | s,t]
         vsd = b.v_spec("w", m(g, s, d), (s, t))
         common = krs.specs[0].roots & vsd.roots
@@ -459,11 +455,13 @@ class Section4:
                    f"V[{m(g,s,d)}|{s}{t}] generate U[{m(g,s,d,t)}]",
                    closure == srt_img)
         # conclusion: O_{R,s} cap K_{R,s} = O_R inside Z
-        for desc, okv in self._z_product_check(R, krs, kprod, vsd, decidable):
+        for desc, okv in self._z_product_check(R, krs, or_family["v0"], vsd,
+                                               decidable):
             cert.check(desc, okv)
         return cert
 
-    def _z_product_check(self, R, krs, kprod, vsd, decidable: bool):
+    def _z_product_check(self, R, krs, or_v0: frozenset, vsd,
+                         decidable: bool):
         """Z = K_{R,s} *_{U[w_R srt]} V[w_R sr|st]: the edge preimages of
         O_R and U[w_R srs], and the amalgam criterion that decides
         O_{R,s} cap K_{R,s} = O_R from them.
@@ -479,18 +477,17 @@ class Section4:
         no reduced word of A *_D B is trivial in Z, and an element of
         <A, B> lies in K only when its word is a single A letter or empty
         (a lone B letter outside D lies outside E = K cap W).  Here A = O_R,
-        a subgroup of K_{R,s} whose membership is read off the letters
-        when the O_R family passes its conditions (decidable), B is
-        U[w_R srs] and D is U[w_R sr].
+        B is U[w_R srs] and D is U[w_R sr].  E = U[w_R srt] sits in the
+        vertex v0 of K_{R,s}, and when the O_R family passes its
+        conditions (decidable), A cap G_v0 is the family's member or_v0
+        (the vertex lemma of coxkit.treeprod), so D is computed at v0.
         """
         b = self.b
         s, _, d, g, m = self._frame(R)
         # the common roots of U[w_R s r_dt] and V[w_R sr|st] are Phi(w_R srt)
         edge = b.edge(krs.specs[0], vsd)
-        in_or = kprod.in_family
         srs_img = b.image_of_u(m(g, s, d, s), vsd.ambient)
-        pre_k = {c for c, x in edge.into_u.items()
-                 if in_or(kprod.include("v0", x))}
+        pre_k = {c for c, x in edge.into_u.items() if x in or_v0}
         pre_v = {c for c, y in edge.into_v.items() if y in srs_img}
         W = vsd.group
         b_ok = srs_img <= frozenset(W.elements()) and all(

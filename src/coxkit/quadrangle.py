@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 from functools import reduce
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from coxkit.certs import SweepReport, timed
 from coxkit.coxeter import standard_coxeter
@@ -129,8 +129,11 @@ def _is_lower(m: int) -> bool:
 _KINDS = {(-1, -1): "--", (1, 1): "++", (1, -1): "+-", (-1, 1): "-+"}
 
 
-@dataclass(frozen=True)
-class TwinChamber:
+class TwinChamber(NamedTuple):
+    """A chamber: its half and its coset id within that half.  A tuple,
+    like roots.Root, so hashing and equality run in C; no dict or set in
+    coxkit mixes chambers with other pairs of ints."""
+
     sign: int   # +1 or -1
     coset: int  # coset id within its half
 

@@ -30,7 +30,6 @@ the recorded entries.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from functools import cached_property
 from typing import NamedTuple
 
@@ -413,10 +412,12 @@ def _letters(setup: TheoremSetup) -> list:
 
 
 def _build_trace_table(setup: TheoremSetup) -> TraceTable:
-    """Breadth-first search from the states of the 32 base entries over
-    the g letters TheoremSetup.allowed_after admits, running _trace_base
-    on each base entry and _trace_step once on each of the 82 allowed
-    (state, g) steps, each into a fresh Certificate.  A step's case,
+    """_trace_base on each of the 32 base entries, then _trace_step once
+    on each of the 82 (state, g) steps that TheoremSetup.allowed_after
+    admits from the states those entries reach, each into a fresh
+    Certificate.  The base entries already reach all 24 states (3 kinds
+    times 8 V letters), so no step leads to a new state and no search is
+    needed; trace_automaton checks that closure.  A step's case,
     increment and checks do not depend on the next V letter h, so its 8
     transitions (state, (g, h)), one per h, share one check list and
     differ only in the next state (KIND[g], h): 656 transitions in all.
@@ -434,10 +435,7 @@ def _build_trace_table(setup: TheoremSetup) -> TraceTable:
     head, index = f"step {_TABLE_STEP}", f"h_{_TABLE_STEP - 1}"
     v_letters = sorted(setup._v_words)
     steps = {}
-    queue = deque(sorted({state for _, state, _ in base.values()}))
-    seen = set(queue)
-    while queue:
-        state = queue.popleft()
+    for state in sorted({state for _, state, _ in base.values()}):
         for g in G_LETTERS:
             if not setup.allowed_after(state, g):
                 continue
@@ -449,11 +447,7 @@ def _build_trace_table(setup: TheoremSetup) -> TraceTable:
                  c["status"], c.get("data"))
                 for c in cert.checks]
             for h in v_letters:
-                nxt = (KIND[g], h)
-                steps[state, (g, h)] = (case, increment, nxt, checks)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+                steps[state, (g, h)] = (case, increment, (KIND[g], h), checks)
     return TraceTable(base, steps)
 
 

@@ -17,8 +17,7 @@ such that
        the first edge on the tree path from v_i toward v_(i-1) (toward r
        for i = 1).
 The representative of a coset E x is the identity when x lies in E,
-else a member of the subgroup family when the coset meets it, else the
-least element in the fixed order of _rank.
+else the least element in the fixed order of _rank.
 
 Existence.  One right-to-left pass, _normalize, computes the form of a
 word.  It keeps a stack of finished letters, leftmost on top, and one
@@ -57,15 +56,19 @@ is the amalgam's normal form (Serre I.1, Theorem 1): it determines
 carry * R_0, every t_j and every R_j, and the hypothesis for P, with
 roots r and p, determines their letters.
 
-Family membership.  Let A_v <= G_v be a subgroup family whose edge
-preimages agree (D_e on each edge e; check_subtree_conditions).  An
-element lies in the subgroup the family generates exactly when its
-carry and all its letters lie in the family.  Run the pass on a word of
-family letters: a pending family element a at u has the coset
-iota(E) a, which meets A_u, so its representative a' lies in A_u, and
-the edge part a a'^-1 lies in iota(E) cap A_u = iota(D_e), which maps
-into the family at the next vertex.  So every letter and the carry stay
-in the family, and by uniqueness that is the element's normal form.
+Vertex lemma.  Let A_v <= G_v be a subgroup family whose edge
+preimages agree (D_e on each edge e; check_subtree_conditions).  Then
+<A> cap G_v = A_v at every vertex v: an element of G_v lies in the
+subgroup the family generates exactly when it lies in A_v, so that
+membership is a set test at the vertex.  Proof.  By the proof of
+family_embeds, a nontrivial element of <A> is a reduced family word,
+and that word is reduced in the product.  A reduced word of two or
+more letters lies in no vertex group (Serre I.1, Theorem 1, and I.4),
+so a nontrivial a in <A> cap G_v is one family letter a in A_u.  If
+u != v, a lies in G_u cap G_v, which lies in iota_u(E_e) for the first
+edge e on the path from u to v; so a lies in A_u cap iota_u(E_e) =
+iota_u(D_e), and a is the image of a family letter at the next vertex
+of the path.  Induction along the path ends at a in A_v.
 
 Syllables.  syllables counts the letters of a reduced word for an
 element: one left-to-right slide pass over its normal form.  Starting
@@ -75,6 +78,8 @@ and is multiplied into that letter when it gets there; what stops on
 the way stays a letter.  Each letter left avoids the edge group toward
 its right neighbour, so at every backtrack of the word's walk on the
 tree the letter avoids that edge's group, as Serre's reduced words do.
+Reduced words of one element have equal length (Serre I.1, Theorem 1),
+so the count does not depend on which reduced word the pass leaves.
 
 closure_words enumerates a finite subgroup from generators, and Subgroup
 promotes a finite subset of a group to a computable group of its own.
@@ -260,21 +265,13 @@ class TreeProduct:
     _toward[u][t] is the neighbour of u on the path to t, _path[u, t] the
     vertices of that path (both ends included), and _tables[u, w] the
     edge table of u -> w, seeded with the edge group's own coset.
-
-    family, when given, maps every vertex to a frozenset of its vertex
-    group's elements; coset representatives then prefer family members,
-    which is what makes membership in the family readable off the
-    letters once the family passes the subtree conditions.
     """
 
-    def __init__(self, tog: TreeOfGroups, family: dict | None = None):
+    def __init__(self, tog: TreeOfGroups):
         issues = tog.validate()
         if issues:
             raise TreeError("; ".join(issues))
-        if family is not None and set(family) != set(tog.vertices):
-            raise TreeError("a subgroup family must cover every vertex")
         self.tog = tog
-        self.family = family
         groups = tog.vertices
         self.root = min(groups)
         self.identity = (groups[self.root].identity, ())
@@ -318,9 +315,7 @@ class TreeProduct:
             E, into_u, into_w = self._edges[u, w]
             mul = self._mul[u]
             coset = [(c, mul(into_u[c], x)) for c in E.elements()]
-            family = None if self.family is None else self.family[u]
-            c_star, t = min(coset, key=lambda cy: (
-                family is not None and cy[1] not in family, _rank(cy[1])))
+            c_star, t = min(coset, key=lambda cy: _rank(cy[1]))
             c_star_inv = E.inv(c_star)
             for c, y in coset:
                 table[y] = (into_w[E.mul(c, c_star_inv)], t)
@@ -446,15 +441,6 @@ class TreeProduct:
                 count += 1
                 cur, at = t, v
         return count + (cur != one[at])
-
-    def in_family(self, el) -> bool:
-        """The carry and every letter of el lie in the installed subgroup
-        family."""
-        if self.family is None:
-            raise TreeError("no subgroup family installed")
-        carry, letters = el
-        return carry in self.family[self.root] and all(
-            t in self.family[v] for v, t in letters)
 
     def vertex_value(self, el, vertex: str):
         """The G_vertex element equal to el, or None (finite groups only)."""

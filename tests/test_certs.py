@@ -1,5 +1,7 @@
 import itertools
 
+import pytest
+
 from coxkit import certs, lemmas, suites
 from coxkit.reduction import trace_word
 
@@ -40,3 +42,26 @@ def test_every_record_is_timed_by_the_runner(monkeypatch, ctx, theorem_setup):
     assert len(sec4["certificates"]) == 13 and len(quad["reports"]) == 5
     assert {name for name, elapsed in records.items()
             if not _by_runner(elapsed)} == set()
+
+
+def test_elapsed_keeps_the_clock_resolution(monkeypatch):
+    """A span far below a millisecond reads as itself, not 0.0: on a
+    certificate's and a sweep's dict and on a suite dict."""
+    ticks = itertools.count()
+    monkeypatch.setattr(certs, "clock", lambda: next(ticks) * 0.0004)
+
+    @certs.timed
+    def certificate():
+        return certs.Certificate("c")
+
+    @certs.timed
+    def sweep():
+        return certs.SweepReport("lemma", 0)
+
+    @certs.timed
+    def suite():
+        return {"suite": "s"}
+
+    spans = [certificate().to_dict()["elapsed"], sweep().to_dict()["elapsed"],
+             suite()["elapsed"]]
+    assert spans == [pytest.approx(0.0004, rel=1e-9)] * 3

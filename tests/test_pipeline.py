@@ -93,9 +93,7 @@ def test_battery_ban_is_read_in_the_vertex_group(sec, ctx, kind):
     R = ctx.residue("st", "")
     s = "s"
     cons = sec.b.construction(kind, R, s)
-    inner = sec.b.construction({"O_R": "V_R", "K_Rs": "O_R"}[kind], R, s)
-    members = sec.family_from_roots(cons, sec.construction_roots(inner))
-    product = TreeProduct(cons.tog, members)
+    product = TreeProduct(cons.tog)
     for e in cons.tog.edges:
         images = {product.include(e.u, e.into_u[c]) for c in e.group.elements()}
         assert images == {product.include(e.v, e.into_v[c])
@@ -114,7 +112,7 @@ def test_family_walker_stays_in_the_family(sec, ctx):
     orr = sec.b.construction("O_R", R, "s")
     members = sec.family_from_roots(
         orr, sec.construction_roots(sec.b.construction("V_R", R, "s")))
-    product = TreeProduct(orr.tog, members)
+    product = TreeProduct(orr.tog)
     rng = random.Random(7)
     letters = 0
     for _ in range(200):

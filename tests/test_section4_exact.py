@@ -15,7 +15,9 @@ import pytest
 from coxkit.constructions import Builder, pair_labelings
 from coxkit.pipeline import Section4, _levels_coincide, _round_trip_is_identity
 from coxkit.treeprod import (Edge, Subgroup, TreeOfGroups, TreeProduct,
-                             contract, family_embeds, fold)
+                             check_subtree_conditions, contract, family_embeds,
+                             fold)
+from nested_oracle import NestedProduct
 from walks import random_word
 
 SEED = 20240444
@@ -34,12 +36,12 @@ def _residue(sec, pair):
 
 
 def _or_product(sec, pair):
-    """O_R with its V_R family installed, as in the V_R -> O_R certificate."""
+    """O_R and its V_R family, as in the V_R -> O_R certificate."""
     R, (s, *_) = _residue(sec, pair)
     orr = sec.b.construction("O_R", R, s)
     members = sec.family_from_roots(
         orr, sec.construction_roots(sec.b.construction("V_R", R, s)))
-    return TreeProduct(orr.tog, members), members
+    return TreeProduct(orr.tog), members
 
 
 def sampled_family_words_nontrivial(product, members) -> bool:
@@ -112,7 +114,8 @@ def test_round_trip_check_sees_a_wrong_translation(sec):
 def _levels_data(sec, pair):
     """The two trees of the K_Rs cap G_{-1} certificate (O_T and O_Rs),
     each with the vertex set it compares on, its Y and V_T families as
-    dicts, and one product per family."""
+    dicts, and one nested oracle per family, which reads membership in
+    the family off a word's letters."""
     R, (s, t, d, g, m) = _residue(sec, pair)
     ctx, b = sec.ctx, sec.b
     T = ctx.residue({d, t}, s)
@@ -128,12 +131,12 @@ def _levels_data(sec, pair):
         y = sec.family_from_roots(cons, y_roots)
         v = sec.family_from_roots(cons, vt_roots)
         out.append((vertices, y, v,
-                    TreeProduct(cons.tog, y), TreeProduct(cons.tog, v)))
+                    NestedProduct(cons.tog, y), NestedProduct(cons.tog, v)))
     return out
 
 
 def sampled_levels_agree(y_product, v_product, vertices, rng) -> bool:
-    """Words at the given vertices, each evaluated in the product that
+    """Words at the given vertices, each evaluated in the oracle that
     prefers Y and in the one that prefers V_T: membership agrees."""
     verts = sorted(vertices)
     for _ in range(SAMPLES):
@@ -168,14 +171,15 @@ def test_levels_check_sees_a_smaller_y(sec):
 
 
 def _z_data(sec, pair):
-    """Z = K_Rs *_{U[w_R srt]} V[w_R sr|st], K_Rs with its O_R family
-    installed, and the letter pools of the sampled words."""
+    """Z = K_Rs *_{U[w_R srt]} V[w_R sr|st], K_Rs, its O_R family, the
+    nested oracle that reads membership in that family, and the letter
+    pools of the sampled words."""
     R, (s, t, d, g, m) = _residue(sec, pair)
     b = sec.b
     krs = b.construction("K_Rs", R, s)
     or_family = sec.family_from_roots(
         krs, sec.construction_roots(b.construction("O_R", R, s)))
-    kprod = TreeProduct(krs.tog, or_family)
+    kprod = TreeProduct(krs.tog)
     vsd = b.v_spec("w", m(g, s, d), (s, t))
     edge = b.edge(krs.specs[0], vsd)
     into_k = {c: kprod.include("v0", x) for c, x in edge.into_u.items()}
@@ -183,7 +187,8 @@ def _z_data(sec, pair):
     z = TreeProduct(TreeOfGroups({"K": kprod, "W": vsd.group},
                                  [Edge("K", "W", edge.group, into_k, edge.into_v)]))
     pools = {v: sorted(members) for v, members in or_family.items()}
-    return R, krs, kprod, vsd, z, pools, sorted(srs_img)
+    return (R, krs, kprod, or_family, NestedProduct(krs.tog, or_family), vsd,
+            z, pools, sorted(srs_img))
 
 
 def _k_value(el):
@@ -193,7 +198,7 @@ def _k_value(el):
     return None if letters else carry
 
 
-def sampled_z_intersection(z, kprod, pools, srs_pool) -> bool:
+def sampled_z_intersection(z, kprod, oracle, pools, srs_pool) -> bool:
     rng = random.Random(SEED)
     for _ in range(SAMPLES):
         word = []
@@ -204,19 +209,48 @@ def sampled_z_intersection(z, kprod, pools, srs_pool) -> bool:
             else:
                 word.append(("W", rng.choice(srs_pool)))
         val = _k_value(z.eval_word(word))
-        if val is not None and not kprod.in_family(val):
+        if val is not None and not oracle.in_family(
+                oracle.eval_word(kprod.flatten_word(val))):
             return False
     return True
 
 
 @pytest.mark.parametrize("pair", PAIRS)
 def test_sampled_z_intersection_agrees_with_the_amalgam_criterion(sec, pair):
-    R, krs, kprod, vsd, z, pools, srs_pool = _z_data(sec, pair)
-    desc, exact = sec._z_product_check(R, krs, kprod, vsd, True)[-1]
+    R, krs, kprod, or_family, oracle, vsd, z, pools, srs_pool = \
+        _z_data(sec, pair)
+    desc, exact = sec._z_product_check(R, krs, or_family["v0"], vsd, True)[-1]
     assert "land in K_{R,s} lie in O_R" in desc
-    assert exact is sampled_z_intersection(z, kprod, pools, srs_pool) is True
+    assert exact is sampled_z_intersection(z, kprod, oracle, pools,
+                                           srs_pool) is True
     # the criterion's status rests on the letter-decidability verdict
-    assert not sec._z_product_check(R, krs, kprod, vsd, False)[-1][1]
+    assert not sec._z_product_check(R, krs, or_family["v0"], vsd, False)[-1][1]
+
+
+def test_vertex_lemma_agrees_with_the_nested_oracle(sec):
+    """The vertex lemma of coxkit.treeprod, which lets the certificates
+    read family membership at v0 as a set test: for the V_R family in O_R
+    and the O_R family in K_Rs, at every gate-1 residue and one residue
+    of gate length 1 per pair, every element x of every vertex group G_v
+    lies in the subgroup the family generates exactly when x lies in the
+    family's member at v, as the nested oracle reads membership."""
+    cases = 0
+    for pair, gate in (("st", ""), ("rs", ""), ("rt", ""),
+                       ("st", "r"), ("rs", "t"), ("rt", "s")):
+        R = sec.ctx.residue(set(pair), gate)
+        assert R.gate == gate
+        for outer, inner in (("O_R", "V_R"), ("K_Rs", "O_R")):
+            cons = sec.b.construction(outer, R)
+            family = sec.family_from_roots(
+                cons, sec.construction_roots(sec.b.construction(inner, R)))
+            assert check_subtree_conditions(cons.tog, family)["pass"]
+            N = NestedProduct(cons.tog, family)
+            for v, G in cons.tog.vertices.items():
+                for x in G.elements():
+                    assert N.in_family(N.eval_word([(v, x)])) \
+                        == (x in family[v]), (R, outer, v, x)
+                    cases += 1
+    assert cases == 1296
 
 
 # -- mutants of the V_R family inside O_R ---------------------------------

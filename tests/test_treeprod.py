@@ -102,27 +102,26 @@ def test_validate_rejects_cycles(cache):
 def test_syllables_count_reduced_letters(cache, gate, letters, pairs):
     """Over the V_R family in O_R, each nontrivial family letter is one
     syllable and each reduced two-letter family word across an edge is
-    two, with and without the family installed: an amalgam's carry is
-    never a syllable of its own."""
+    two: an amalgam's carry is never a syllable of its own."""
     b = Builder(cache)
     R = b.ctx.residue("st", gate)
     orr = b.construction("O_R", R, "s")
     members = Section4(b).family_from_roots(
         orr, Section4.construction_roots(b.construction("V_R", R, "s")))
-    for P in (TreeProduct(orr.tog), TreeProduct(orr.tog, members)):
-        singles = [P.include(v, a) for v, G in orr.tog.vertices.items()
-                   for a in members[v] if a != G.identity]
-        assert len(singles) == letters
-        assert all(P.syllables(el) == 1 for el in singles)
-        products = []
-        for e in orr.tog.edges:
-            reduced = {v: [P.include(v, a) for a in members[v]
-                           if a not in set(e.endpoint_map(v).values())]
-                       for v in (e.u, e.v)}
-            for u, v in ((e.u, e.v), (e.v, e.u)):
-                products += [P.mul(x, y) for x in reduced[u] for y in reduced[v]]
-        assert len(products) == pairs
-        assert all(P.syllables(el) == 2 for el in products)
+    P = TreeProduct(orr.tog)
+    singles = [P.include(v, a) for v, G in orr.tog.vertices.items()
+               for a in members[v] if a != G.identity]
+    assert len(singles) == letters
+    assert all(P.syllables(el) == 1 for el in singles)
+    products = []
+    for e in orr.tog.edges:
+        reduced = {v: [P.include(v, a) for a in members[v]
+                       if a not in set(e.endpoint_map(v).values())]
+                   for v in (e.u, e.v)}
+        for u, v in ((e.u, e.v), (e.v, e.u)):
+            products += [P.mul(x, y) for x in reduced[u] for y in reduced[v]]
+    assert len(products) == pairs
+    assert all(P.syllables(el) == 2 for el in products)
 
 
 def test_collapsing_word(theorem_tree, cache):
@@ -139,9 +138,8 @@ def test_collapsing_word(theorem_tree, cache):
 def _check_one_pass(P, words):
     """eval_word agrees with the letter-by-letter product of inclusions;
     the nested oracle gives the same identity verdicts and the same
-    equality partition, reads the same element off flatten_word and,
-    when a family is installed, the same in_family."""
-    N = NestedProduct(P.tog, P.family)
+    equality partition and reads the same element off flatten_word."""
+    N = NestedProduct(P.tog)
     flat, nested = {}, {}
     for word in words:
         el = P.eval_word(word)
@@ -155,8 +153,6 @@ def _check_one_pass(P, words):
         assert nested.setdefault(ref, el) == el
         assert N.eval_word(P.flatten_word(el)) == ref
         assert P.eval_word(N.letters(ref)) == el
-        if P.family is not None:
-            assert P.in_family(el) == N.in_family(ref)
 
 
 def _mixed_words(P, seed: int, count: int = 150) -> list:
@@ -190,14 +186,6 @@ def test_batteries(theorem_tree):
         # forms gives the same element as multiplying directly
         assert H.mul(a, b) == H.mul(H.mul(a, H.identity), b)
     _check_one_pass(H, _mixed_words(H, 21))
-    # the same tree with a family installed: the edge-group images at the
-    # ends and all of V in the middle
-    e01, e12 = tog.edges
-    family = {"0": frozenset(e01.into_u.values()),
-              "1": frozenset(tog.vertices["1"].elements()),
-              "2": frozenset(e12.into_v.values())}
-    H2 = TreeProduct(tog, family)
-    _check_one_pass(H2, _mixed_words(H2, 22))
 
 
 def _theorem_letters(setup, word) -> list:
@@ -233,8 +221,8 @@ def test_flat_and_nested_agree_on_the_constrained_enumeration(theorem_setup):
 
 
 def _orr_family_battery(cache):
-    """The one-pass battery on O_R with its V_R family installed; returns
-    the product and the words it checked."""
+    """The one-pass battery on O_R, with words of V_R family letters among
+    the mixed words; returns the product."""
     b = Builder(cache)
     ctx = b.ctx
     orr = b.construction("O_R", ctx.residue("st", ""))
@@ -244,30 +232,26 @@ def _orr_family_battery(cache):
         "v1": b.image_of_v("", ("s", "t"), orr.specs[1].ambient),
         "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
     }
-    P = TreeProduct(orr.tog, members)
+    P = TreeProduct(orr.tog)
     words = _mixed_words(P, 23)
-    # words inside the family, so in_family is also exercised where true
+    # words inside the family
     rng = random.Random(24)
     for _ in range(50):
         words.append([(v, rng.choice(sorted(members[v])))
                       for v in (rng.choice(sorted(members))
                                 for _ in range(rng.randint(1, 5)))])
     _check_one_pass(P, words)
-    return P, words
+    return P
 
 
 def test_one_pass_eval_with_family_and_inner(cache):
-    P, words = _orr_family_battery(cache)
-    assert any(P.in_family(P.eval_word(w)) for w in words if w)
-    assert not all(P.in_family(P.eval_word(w)) for w in words)
+    _orr_family_battery(cache)
 
 
 def test_decomposition_cache_entries_are_canonical(cache):
     # a miss stores the split of its whole coset; each stored (e, t) of
-    # the table of u -> w must rebuild its key, t must split to itself,
-    # and a family member must win its coset when the coset meets the
-    # family
-    P, _ = _orr_family_battery(cache)
+    # the table of u -> w must rebuild its key and t must split to itself
+    P = _orr_family_battery(cache)
     assert any(len(table) > len({t for _, t in table.values()})
                for table in P._tables.values())
     for (u, w), table in P._tables.items():
@@ -277,8 +261,6 @@ def test_decomposition_cache_entries_are_canonical(cache):
         for x, (e, t) in list(table.items()):
             assert G.mul(edge.endpoint_map(u)[back[e]], t) == x
             assert P._split(u, w, t) == (P.tog.vertices[w].identity, t)
-            coset = {G.mul(y, t) for y in edge.endpoint_map(u).values()}
-            assert (t in P.family[u]) == bool(coset & P.family[u])
 
 
 def test_one_pass_eval_contracted_vertex(cache):
@@ -317,30 +299,19 @@ def _junction_products(cache, theorem_tree):
     whose boundary-map checks multiply too, can raise."""
     yield "U_sr*V*U_trt", theorem_tree[1]
     b = Builder(cache)
-    ctx = b.ctx
-    R = ctx.residue("st", "")
-    m = ctx.mult
+    R = b.ctx.residue("st", "")
     yield "V_R", TreeProduct(b.construction("V_R", R).tog)
     orr = b.construction("O_R", R)
-    family = {
-        "v0": b.image_of_u(m("s", "r"), orr.specs[0].ambient),
-        "v1": b.image_of_v("", ("s", "t"), orr.specs[1].ambient),
-        "v2": b.image_of_u(m("t", "r"), orr.specs[2].ambient),
-    }
-    yield "O_R", TreeProduct(orr.tog, family)
+    yield "O_R", TreeProduct(orr.tog)
     yield "O_Rs", TreeProduct(b.construction("O_Rs", R).tog)
-    # Z shape: {v1, v2} contracted to a vertex that is itself a tree
-    # product, carrying the finite image of the V_R family at v2
-    tog2, name, sub = contract(orr.tog, {"v1", "v2"})
-    yield "Z", TreeProduct(tog2, {
-        name: frozenset(sub.include("v2", x) for x in family["v2"]),
-        "v0": family["v0"]})
+    # Z shape: {v1, v2} contracted to a vertex that is itself a tree product
+    yield "Z", TreeProduct(contract(orr.tog, {"v1", "v2"})[0])
 
 
 def test_junction_mul_matches_full_normalization(cache, theorem_tree):
     rng = random.Random(8)
     for label, P in _junction_products(cache, theorem_tree):
-        N = NestedProduct(P.tog, P.family)
+        N = NestedProduct(P.tog)
         pool = [_random_element(P, rng) for _ in range(16)]
         # the same letters with trivial carry, so stops with nothing
         # pending and stops beside an absorbed stack top both occur
