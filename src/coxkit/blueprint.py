@@ -12,8 +12,8 @@ x^-1 is the same rows applied to the identity, lowest letter first
 (collection from the left as a permutation action; Leedham-Green &
 Soicher 1990).  Up to TABLE_CAP elements the product table is composed
 from the rows on the first product, and a product is one table read.
-Collection itself grows the rows, one pair product u_k * u_j per new
-generator (below).
+Collection itself grows the rows when the group is built, one pair
+product u_k * u_j per new generator (below).
 
 Every group is grown from its prefix: for the gallery h = h'x, U_w' is
 the group along h', with w' the element of h'.  Canonical galleries (the
@@ -23,8 +23,9 @@ Finitely Presented Groups, 1994, ch. 9, the series U_[1,i]):
 
 Rows.  The roots of h' are the first k-1 roots of h and their insertions
 are the same: M_{a,b} depends on the pair alone, and h' crosses its
-letters in the same order as h.  So the insertion table of h is that of
-h' re-strided, plus the k-1 pairs of the new root (insertion_table).
+letters in the same order as h.  The table is laid out triangularly,
+pair i < j at entry j(j-1)/2 + i, so the insertion table of h is that
+of h' plus one column, the k-1 pairs of the new root (insertion_column).
 Collecting a word in the first k-1 letters inserts only letters strictly
 between, so it never touches bit k-1.  Hence for i < k-1 row i of U_w
 is row i of U_w' on [0, 2^(k-1)), and the same row with bit k-1 set on
@@ -61,8 +62,6 @@ generate U_w and injective because |U_h| <= |U_w| (gallery_independence).
 """
 
 from __future__ import annotations
-
-import math
 
 from coxkit import wordops
 from coxkit import zroot2 as z2
@@ -168,72 +167,40 @@ class KacMoodyBlueprint:
         return got
 
 
-def insertion_table(blueprint: KacMoodyBlueprint, gallery: str,
-                    prefix: bytes = b"") -> bytes:
-    """The collection data of the gallery: for i < j in its crossing order,
-    the number and positions of the letters of M_{i,j}, three bytes at
-    (i*k + j)*3.  prefix is the table of the gallery without its last
-    letter, whose entries are those of the pairs j < k-1 (the module's
-    rows lemma): they are copied, re-strided from k-1 to k, and only the
-    k-1 pairs (i, k-1) are computed.  With no prefix every pair is.
+def insertion_column(blueprint: KacMoodyBlueprint, gallery: str) -> bytes:
+    """The collection data of the last root of a nonempty gallery: for
+    each pair (i, k-1), i < k-1 in its crossing order, the number and
+    positions of the letters of M_{i,k-1}, three bytes at 3*i.  Appended
+    to the table of the gallery without its last letter it gives the
+    gallery's table, the pair i < j at entry j(j-1)/2 + i (the module's
+    rows lemma).
 
-    BlueprintError unless each computed M-value has at most two letters,
-    the room a pair has in the table, and each letter lies strictly
-    between i and j (a root the gallery does not cross has position -1),
-    which makes collection terminate, so that the group the gallery
-    presents has order <= 2^k.  The copied pairs passed the same checks
-    when the prefix's table was built."""
+    BlueprintError unless each M-value has at most two letters, the room
+    a pair has in the table, and each letter lies strictly between i and
+    k-1 (a root the gallery does not cross has position -1), which makes
+    collection terminate, so that the group the gallery presents has
+    order <= 2^k.  The prefix's columns passed the same checks when they
+    were built."""
     roots = blueprint.rsys.inversion_sequence(gallery)
     pos = {root: i for i, root in enumerate(roots)}
-    k = len(roots)
-    old = math.isqrt(len(prefix) // 3)
-    comm = bytearray(3 * k * k)
-    for i in range(old):
-        comm[3 * i * k:3 * (i * k + old)] = prefix[3 * i * old:3 * (i + 1) * old]
-    for j in range(old, k):
-        b = roots[j]
-        for i in range(j):
-            mids = blueprint.value(gallery, roots[i], b)
-            if not mids:
-                continue
-            if len(mids) > 2:
-                raise BlueprintError(
-                    f"M-value of the pair ({i}, {j}) has {len(mids)} letters, "
-                    "more than the two the table holds")
-            mpos = [pos.get(m, -1) for m in mids]
-            if any(not (i < p < j) for p in mpos):
-                raise BlueprintError(
-                    f"M-letter positions {mpos} not strictly between {i} and {j}")
-            base = (i * k + j) * 3
-            comm[base] = len(mpos)
-            for tix, p in enumerate(mpos):
-                comm[base + 1 + tix] = p
-    return bytes(comm)
-
-
-class _FilledOnFirstUse:
-    """A method read as an attribute: the first read stores its value on
-    the instance by plain assignment, and later reads find that instance
-    attribute.  Deleting it recomputes the value on the next read.
-
-    Later reads are plain instance attribute loads, so the table read in
-    BlueprintGroup.mul needs no branch.  functools.cached_property writes
-    through the instance __dict__, which on CPython 3.11 turns every
-    later attribute read on that instance into a dict lookup, and a
-    __getattr__ hook keeps CPython 3.11 from specializing any attribute
-    read on the class's instances."""
-
-    def __init__(self, compose):
-        self.compose = compose
-        self.name = compose.__name__
-        self.__doc__ = compose.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = self.compose(obj)
-        setattr(obj, self.name, value)
-        return value
+    j = len(roots) - 1
+    b = roots[j]
+    column = bytearray(3 * j)
+    for i in range(j):
+        mids = blueprint.value(gallery, roots[i], b)
+        if not mids:
+            continue
+        if len(mids) > 2:
+            raise BlueprintError(
+                f"M-value of the pair ({i}, {j}) has {len(mids)} letters, "
+                "more than the two the table holds")
+        mpos = [pos.get(m, -1) for m in mids]
+        if any(not (i < p < j) for p in mpos):
+            raise BlueprintError(
+                f"M-letter positions {mpos} not strictly between {i} and {j}")
+        column[3 * i] = len(mpos)
+        column[3 * i + 1:3 * i + 1 + len(mpos)] = mpos
+    return bytes(column)
 
 
 class BlueprintGroup:
@@ -252,17 +219,10 @@ class BlueprintGroup:
         self.order = 1 << self.k
         self.identity = 0
         self._pos = {root: i for i, root in enumerate(self.roots)}
-        self._comm = insertion_table(blueprint, gallery,
-                                     prefix._comm if prefix else b"")
-        # (rows, relation count) of the last successful certify_order
-        self._certified = None
-
-    @_FilledOnFirstUse
-    def rows(self) -> list:
-        """The generator rows: rows[i][y] = u_i * y for every normal form y."""
-        if self.prefix is None:
-            return []
-        # the prefix's rows doubled (the module's rows lemma), then the
+        self._comm = prefix._comm + insertion_column(blueprint, gallery) \
+            if prefix else b""
+        # the generator rows: rows[i][y] = u_i * y for every normal form y.
+        # The prefix's rows doubled (the module's rows lemma), then the
         # new row u_top * y.  On the lower half it is filled in increasing
         # y: with j the lowest letter of y, y = u_j * y' and u_top * u_j =
         # u_j * z for a normal form z with letters in (j, top], so
@@ -270,36 +230,29 @@ class BlueprintGroup:
         # first, applied to y' < y; z comes from one collection of the
         # pair (top, j).  On the upper half y = x * u_top, and a normal
         # form times u_top toggles the top bit.
-        k = self.k
-        top = 1 << (k - 1)
-        rows = [row + [v | top for v in row] for row in self.prefix.rows]
-        tails = []
-        for j in range(k - 1):
-            z = wordops.collect_mul(top, 1 << j, k, self._comm) ^ (1 << j)
-            tails.append([a for a in range(k - 1, j, -1) if z >> a & 1])
-        new = [top] * top
-        rows.append(new)
-        for y in range(1, top):
-            low = y & -y
-            v = y ^ low
-            for a in tails[low.bit_length() - 1]:
-                v = rows[a][v]
-            new[y] = low | v
-        new += [v ^ top for v in new]
-        return rows
-
-    @_FilledOnFirstUse
-    def _table(self) -> list | None:
-        """The product table, composed from the rows; None above TABLE_CAP."""
-        if self.order > TABLE_CAP:
-            return None
-        rows = self.rows
-        table = [list(range(self.order))]
-        for x in range(1, self.order):
-            low = (x & -x).bit_length() - 1
-            row = rows[low]
-            table.append([row[v] for v in table[x ^ (1 << low)]])
-        return table
+        self.rows = rows = []
+        if prefix is not None:
+            k = self.k
+            top = 1 << (k - 1)
+            rows += [row + [v | top for v in row] for row in prefix.rows]
+            tails = []
+            for j in range(k - 1):
+                z = wordops.collect_mul(top, 1 << j, k, self._comm) ^ (1 << j)
+                tails.append([a for a in range(k - 1, j, -1) if z >> a & 1])
+            new = [top] * top
+            rows.append(new)
+            for y in range(1, top):
+                low = y & -y
+                v = y ^ low
+                for a in tails[low.bit_length() - 1]:
+                    v = rows[a][v]
+                new[y] = low | v
+            new += [v ^ top for v in new]
+        # the product table, composed from the rows by the first mul up to
+        # TABLE_CAP
+        self._table = None
+        # the relation count of a successful certify_order
+        self._certified = None
 
     def __repr__(self) -> str:
         return f"U({self.w!r} via {self.gallery!r}, order {self.order})"
@@ -307,16 +260,24 @@ class BlueprintGroup:
     # -- group operations -------------------------------------------------
 
     def mul(self, x: int, y: int) -> int:
-        """x * y: a table read up to TABLE_CAP, else the rows of x's
-        letters applied to y, highest letter first."""
+        """x * y: a table read up to TABLE_CAP, the table composed from the
+        rows on the first product, else the rows of x's letters applied to
+        y, highest letter first."""
         table = self._table
-        if table is not None:
-            return table[x][y]
-        rows = self.rows
-        for i in reversed(range(x.bit_length())):
-            if x >> i & 1:
-                y = rows[i][y]
-        return y
+        if table is None:
+            rows = self.rows
+            if self.order > TABLE_CAP:
+                for i in reversed(range(x.bit_length())):
+                    if x >> i & 1:
+                        y = rows[i][y]
+                return y
+            table = [list(range(self.order))]
+            for z in range(1, self.order):
+                low = (z & -z).bit_length() - 1
+                row = rows[low]
+                table.append([row[v] for v in table[z ^ (1 << low)]])
+            self._table = table
+        return table[x][y]
 
     def inv(self, x: int) -> int:
         """x^-1: the rows of x's letters applied to the identity, lowest
@@ -352,11 +313,11 @@ class BlueprintGroup:
         is an involution, and every relation of every minimal gallery of w
         that the prefix has not certified holds on the rows.  Returns the
         number of relations of w; BlueprintError on any failure.  A
-        success is kept with the rows it checked and answered again while
-        those rows stand."""
+        success is kept and answered again: the rows do not change once
+        built."""
+        if self._certified is not None:
+            return self._certified
         rows = self.rows
-        if self._certified is not None and self._certified[0] is rows:
-            return self._certified[1]
         rels = self.blueprint.harvest(self.w)
         new = rels
         identity = list(range(self.order))
@@ -385,7 +346,7 @@ class BlueprintGroup:
             if lhs != rhs:
                 raise BlueprintError(
                     f"relation [u_{a}, u_{b}] = {mids} fails in U_{self.w}")
-        self._certified = (rows, len(rels))
+        self._certified = len(rels)
         return len(rels)
 
     def export_table(self) -> str:
@@ -424,7 +385,7 @@ class GroupCache:
 
     def phi(self, w: str) -> tuple[Root, ...]:
         """Phi(w): inversion set along the canonical gallery."""
-        return self.group(w).roots
+        return self.rsys.inversion_sequence(self.ctx.normalize(w))
 
     def root_subgroup(self, ambient: BlueprintGroup, roots) -> dict:
         """The subgroup of ambient generated by the root generators at
@@ -469,14 +430,16 @@ class GroupCache:
 def gallery_independence(cache: GroupCache, w: str) -> bool:
     """Every minimal gallery of w presents U_w through the generator-identity
     map (the module's von Dyck corollary): each gallery's M-letters lie
-    strictly between their pair in its crossing order, and the relations
-    of every minimal gallery hold on the generator rows of U_w.  The
-    group's own gallery passed that check when its table was built."""
+    strictly between their pair in its crossing order, checked one column
+    per prefix of the gallery, and the relations of every minimal gallery
+    hold on the generator rows of U_w.  The group's own gallery passed
+    that check when its table was built."""
     grp = cache.group(w)
     try:
         for h in cache.ctx.min_galleries(grp.w):
             if h != grp.gallery:
-                insertion_table(cache.blueprint, h)
+                for n in range(1, len(h) + 1):
+                    insertion_column(cache.blueprint, h[:n])
         grp.certify_order()
     except BlueprintError:
         return False

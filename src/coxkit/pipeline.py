@@ -108,8 +108,8 @@ def _round_trip_is_identity(full: TreeProduct, outer: TreeProduct, translate,
 
 
 class Section4:
-    def __init__(self, builder: Builder | None = None):
-        self.b = builder or Builder()
+    def __init__(self, builder: Builder):
+        self.b = builder
         self.ctx = self.b.ctx
         self.cache = self.b.cache
 

@@ -69,8 +69,8 @@ class TheoremSetup:
     """Groups, tree product and model data for the standard labeling."""
 
     def __init__(self, cache: GroupCache | None = None):
-        self.ctx = standard_coxeter()
-        self.cache = cache = cache or GroupCache(self.ctx)
+        self.cache = cache = cache or GroupCache(standard_coxeter())
+        self.ctx = cache.ctx
         specs, self.tog = Builder(cache).tree(
             [("0", ("U", "sr")), ("1", ("V", "", "st")), ("2", ("U", "trt"))],
             [("0", "1"), ("1", "2")])

@@ -399,26 +399,17 @@ class TreeProduct:
         head = [(self.root, carry)] if carry != self.identity[0] else []
         return head + list(letters)
 
-    def _group_letters(self, el):
+    def flatten(self, el):
+        """The nontrivial (vertex group, element) letters of el's normal
+        form, left to right, whose product is el: a letter at a vertex
+        that is itself a tree product is expanded into its own letters,
+        down to the leaves."""
         for vertex, x in self.flatten_word(el):
             G = self.tog.vertices[vertex]
             if isinstance(G, TreeProduct):
-                yield from G._group_letters(x)
+                yield from G.flatten(x)
             else:
                 yield G, x
-
-    def flatten(self, el) -> list:
-        """Nontrivial (vertex group, element) letters whose product is el,
-        letters at vertices that are themselves tree products expanded
-        down to their own leaves and adjacent letters in one group
-        multiplied together."""
-        merged: list = []
-        for G, x in self._group_letters(el):
-            if merged and merged[-1][0] is G:
-                x = G.mul(merged.pop()[1], x)
-            if x != G.identity:
-                merged.append((G, x))
-        return merged
 
     def syllables(self, el) -> int:
         """The number of letters of a reduced word for el, one letter per

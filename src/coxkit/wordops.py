@@ -9,9 +9,10 @@ bitmasks).  Collection's one use in the program is the pair products
 u_k * u_j from which coxkit.blueprint grows each new generator row; the
 group's products and inverses are read off those rows.
 
-Collection commutator tables are passed flattened: ``comm[(i*k + j)*3]``
-is the number of inserted letters (0..2) for the ordered pair i < j and
-the next two bytes are the letters themselves.
+Collection commutator tables are passed flattened and triangular:
+``comm[(j*(j-1)//2 + i)*3]`` is the number of inserted letters (0..2)
+for the ordered pair i < j and the next two bytes are the letters
+themselves, so the pairs of the first k-1 letters come first.
 
 Termination of collection.  Let I_a count the inversions of the word
 whose left (larger) letter is a, and order words by the measure
@@ -60,7 +61,7 @@ def braid_closure(word: str) -> frozenset[str]:
     return frozenset(seen)
 
 
-def _collect(word: list[int], k: int, comm: bytes) -> int:
+def _collect(word: list[int], comm: bytes) -> int:
     # the loop behind collect_seq and collect_mul, shared
     # privately so that wrapping one public name (as a tracer does) never
     # sees calls made through another; rewrites ``word`` in place
@@ -78,7 +79,7 @@ def _collect(word: list[int], k: int, comm: bytes) -> int:
         if a == b:
             del word[pos:pos + 2]
         else:
-            base = (b * k + a) * 3
+            base = (a * (a - 1) // 2 + b) * 3
             cnt = comm[base]
             mid = [comm[base + 1 + t] for t in range(cnt)]
             for m in mid:
@@ -92,17 +93,17 @@ def _collect(word: list[int], k: int, comm: bytes) -> int:
     return mask
 
 
-def collect_seq(seq, k: int, comm: bytes) -> int:
+def collect_seq(seq, comm: bytes) -> int:
     """Normal-form bitmask of a product of involutive generators.
 
-    Letters are generator indices 0..k-1 ordered by the crossing order of
-    the underlying gallery.  Rules: adjacent equal letters cancel; an
+    Letters are generator indices, ordered by the crossing order of the
+    underlying gallery.  Rules: adjacent equal letters cancel; an
     adjacent descent (j, i) with j > i rewrites to (i, m..., j) where m is
     the commutator insertion for the pair (i, j).  The leftmost violation
     is always rewritten first, which makes the module's termination
     measure strictly decrease.
     """
-    return _collect(list(seq), k, comm)
+    return _collect(list(seq), comm)
 
 
 def _mask_letters(mask: int, k: int) -> list[int]:
@@ -111,4 +112,4 @@ def _mask_letters(mask: int, k: int) -> list[int]:
 
 def collect_mul(x: int, y: int, k: int, comm: bytes) -> int:
     """Product of two normal-form masks."""
-    return _collect(_mask_letters(x, k) + _mask_letters(y, k), k, comm)
+    return _collect(_mask_letters(x, k) + _mask_letters(y, k), comm)

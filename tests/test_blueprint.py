@@ -5,11 +5,11 @@ import re
 
 import pytest
 
-from coxkit import wordops
+from coxkit import blueprint, wordops
 from coxkit import zroot2 as z2
 from coxkit.blueprint import (TABLE_CAP, BlueprintError, BlueprintGroup,
                               GroupCache, KacMoodyBlueprint,
-                              gallery_independence, insertion_table)
+                              gallery_independence, insertion_column)
 from coxkit.coxeter import Coxeter
 from coxkit.roots import RootSystemError
 from coxkit.suites import run_blueprint, run_section4
@@ -84,6 +84,34 @@ def rows_by_recurrence(grp) -> list:
                 v = rows[a][v]
             row[y] = low | v
     return rows
+
+
+def table_from_scratch(bp, g: str) -> bytes:
+    """The insertion table of the gallery g with every pair's M-value
+    computed on g itself, kept as the oracle of the tables grown one
+    column per prefix: the pair i < j at entry j(j-1)/2 + i."""
+    roots = bp.rsys.inversion_sequence(g)
+    pos = {root: i for i, root in enumerate(roots)}
+    k = len(roots)
+    comm = bytearray(3 * (k * (k - 1) // 2))
+    for j in range(k):
+        for i in range(j):
+            mpos = [pos[m] for m in bp.value(g, roots[i], roots[j])]
+            base = (j * (j - 1) // 2 + i) * 3
+            comm[base:base + 1 + len(mpos)] = [len(mpos), *mpos]
+    return bytes(comm)
+
+
+def recorded_builds(monkeypatch) -> list:
+    """The blueprint groups built from here on, in build order."""
+    built = []
+    init = BlueprintGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+    monkeypatch.setattr(BlueprintGroup, "__init__", counted)
+    return built
 
 
 def relations_of(bp, galleries) -> set:
@@ -278,20 +306,14 @@ def test_harvest_by_descents_matches_the_per_gallery_oracle_on_ball_8(ctx):
 
 def test_prefix_grown_tables_match_the_tables_built_from_scratch(ctx, monkeypatch):
     # every canonical group the blueprint and section-4 suites build: the
-    # table copied from the prefix's and completed by the pairs of the new
-    # root is the table of every pair computed along the gallery
-    built = []
-    init = BlueprintGroup.__init__
-
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-    monkeypatch.setattr(BlueprintGroup, "__init__", counted)
+    # prefix's table plus the column of the new root is the table of every
+    # pair computed on the whole gallery
+    built = recorded_builds(monkeypatch)
     assert run_blueprint(ctx, 7)["pass"]
     assert run_section4(ctx)["pass"]
     assert built and all(g.gallery == g.w for g in built)
     for g in built:
-        assert g._comm == insertion_table(g.blueprint, g.gallery), g
+        assert g._comm == table_from_scratch(g.blueprint, g.gallery), g
 
 
 def test_blueprint_suite_value_calls(monkeypatch):
@@ -366,7 +388,7 @@ def test_tampered_prefix_rows_fail_under_optimize(run_optimized):
 # letters, all strictly between 0 and 4: the table has room for two, so
 # it must refuse the value, also under -O
 THREE_LETTERS = """
-from coxkit.blueprint import BlueprintError, GroupCache, insertion_table
+from coxkit.blueprint import BlueprintError, GroupCache, insertion_column
 from coxkit.coxeter import standard_coxeter
 cache = GroupCache(standard_coxeter())
 g = "ststr"
@@ -375,7 +397,7 @@ value = cache.blueprint.value
 cache.blueprint.value = lambda h, a, b: (
     seq[1:4] if (h, a, b) == (g, seq[0], seq[4]) else value(h, a, b))
 try:
-    insertion_table(cache.blueprint, g)
+    insertion_column(cache.blueprint, g)
 except BlueprintError as exc:
     print("raised", exc)
 """
@@ -391,7 +413,7 @@ def test_insertion_table_rejects_an_m_value_of_three_letters(cache):
     fresh.blueprint.value = lambda h, a, b: (
         seq[1:4] if (h, a, b) == (g, seq[0], seq[4]) else value(h, a, b))
     with pytest.raises(BlueprintError) as err:
-        insertion_table(fresh.blueprint, g)
+        insertion_column(fresh.blueprint, g)
     assert "raised " + str(err.value) == THREE_LETTERS_ERROR
 
 
@@ -416,13 +438,14 @@ def test_collection_above_the_table_cap_agrees_with_the_certified_rows(ctx, cach
     assert g._table is None
 
 
-def test_abelian_table_fails_certification(ctx, cache):
-    # rows derived with every insertion dropped present the abelian group
+def test_abelian_table_fails_certification(ctx, monkeypatch):
+    # rows grown with every insertion dropped present the abelian group
     # of the same order; the certificate, not the build, rejects them
-    g = group_along(cache, gallery(ctx, "stst"))
-    g._comm = bytes(len(g._comm))
-    for name in ("rows", "_table"):   # recomposed from _comm on next use
-        vars(g).pop(name, None)
+    column = blueprint.insertion_column
+    monkeypatch.setattr(blueprint, "insertion_column",
+                        lambda bp, g: bytes(len(column(bp, g))))
+    g = group_along(GroupCache(ctx), gallery(ctx, "stst"))
+    assert not any(g._comm)
     assert all(g.mul(x, y) == x ^ y for x in g.elements() for y in g.elements())
     with pytest.raises(BlueprintError, match=r"relation \[u_0, u_3\] = \(1, 2\) fails"):
         g.certify_order()
@@ -433,23 +456,30 @@ def test_certification_composes_no_table(ctx, cache):
     groups = [fresh.group(w) for w in ctx.ball(7)]
     for g in groups:
         g.certify_order()
-    assert not [g for g in groups if "_table" in vars(g)]
+    assert not [g for g in groups if g._table is not None]
     g = fresh.group("stst")
     assert g.mul(8, 1) == 0b1111
-    assert "_table" in vars(g)
+    assert g._table is not None
 
 
 def test_blueprint_suite_builds_each_group_once_and_one_table(ctx, monkeypatch):
-    built = []
-    init = BlueprintGroup.__init__
-
-    def counted(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-    monkeypatch.setattr(BlueprintGroup, "__init__", counted)
+    built = recorded_builds(monkeypatch)
     assert run_blueprint(ctx, 7)["pass"]
     assert len(built) == len(ctx.ball(7)) == 250
-    assert [g.w for g in built if "_table" in vars(g)] == ["stst"]
+    assert [g.w for g in built if g._table is not None] == ["stst"]
+
+
+def test_phi_is_the_group_roots_and_builds_no_group(ctx, monkeypatch):
+    # Phi(w) is read off the root system: on a fresh cache it builds no
+    # group, and it is the roots of U_w along the canonical gallery
+    fresh = GroupCache(ctx)
+    built = recorded_builds(monkeypatch)
+    ball = ctx.ball(6)
+    phis = {w: fresh.phi(w) for w in ball}
+    assert fresh.phi("tsts") == phis["stst"]
+    assert built == []
+    assert all(phis[w] == fresh.group(w).roots for w in ball)
+    assert len(built) == len(ball)
 
 
 def test_blueprint_suite_counts_only_the_groups_that_certify(ctx, monkeypatch):
@@ -503,15 +533,6 @@ def test_blueprint_suite_harvests_relations_once_per_group(ctx, monkeypatch):
     assert run_blueprint(ctx, 7)["pass"]
     assert sorted(built) == sorted(ctx.ball(7))
     assert set(built.values()) == {1}
-
-
-def test_certified_verdict_goes_with_its_rows(ctx, cache):
-    g = group_along(cache, gallery(ctx, "stst"))
-    assert g.certify_order() == g.certify_order() > 0
-    g._comm = bytes(len(g._comm))
-    del g.rows   # recomposed from the abelian insertions on next use
-    with pytest.raises(BlueprintError, match="fails"):
-        g.certify_order()
 
 
 def test_gallery_independence(ctx, cache):

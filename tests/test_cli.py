@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -18,6 +19,15 @@ edge v1 v2
 
 def run_cli(args):
     return main(args)
+
+
+def without_elapsed(doc):
+    """doc with every elapsed field dropped, at any depth."""
+    if isinstance(doc, dict):
+        return {k: without_elapsed(v) for k, v in doc.items() if k != "elapsed"}
+    if isinstance(doc, list):
+        return [without_elapsed(v) for v in doc]
+    return doc
 
 
 def test_reduce_command(capsys):
@@ -191,21 +201,26 @@ def test_report_requires_out(capsys):
     assert run_cli(["report"]) == 2
 
 
+# sha256 of the report without its elapsed fields, keys sorted
+REPORT_DIGEST = "71ec2961f8febf1ebf93d26e87db02b646a8eae8f450ff0f1997c9d99180c600"
+
+
+def test_report_digest_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = json.dumps(without_elapsed(json.loads(out.read_text())),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGEST
+
+
 def test_verify_quadrangle_and_report_determinism(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
     assert run_cli(["verify", "quadrangle", "--out", str(out1)]) == 0
     assert run_cli(["verify", "quadrangle", "--out", str(out2)]) == 0
     capsys.readouterr()
-
-    def strip(doc):
-        if isinstance(doc, dict):
-            return {k: strip(v) for k, v in doc.items() if k != "elapsed"}
-        if isinstance(doc, list):
-            return [strip(x) for x in doc]
-        return doc
-
-    d1 = strip(json.loads(out1.read_text()))
-    d2 = strip(json.loads(out2.read_text()))
+    d1 = without_elapsed(json.loads(out1.read_text()))
+    d2 = without_elapsed(json.loads(out2.read_text()))
     assert d1 == d2
 

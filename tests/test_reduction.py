@@ -7,7 +7,9 @@ import random
 import pytest
 
 from coxkit import reduction
+from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate
+from coxkit.coxeter import Coxeter
 from coxkit.quadrangle import TwinModel
 from coxkit.reduction import (G_LETTERS, KIND, KLEIN, RT, RTTR, SR, TR,
                               ConstraintError, TraceError, _trace_base,
@@ -21,6 +23,13 @@ def test_tree_product_shape(theorem_setup):
     assert s.U_trt.order == 8
     # the Klein triple inside U_trt
     assert s.U_trt.mul(s.u_tr, s.u_rt) == s.U_trt.mul(s.u_rt, s.u_tr)
+
+
+def test_setup_works_in_the_context_of_its_cache():
+    # a setup over a cache of its own context mixes no second kernel in
+    cache = GroupCache(Coxeter())
+    setup = reduction.TheoremSetup(cache)
+    assert setup.ctx is setup.cache.ctx is cache.ctx
 
 
 def test_generators_are_named_by_their_roots(theorem_setup):

@@ -313,7 +313,6 @@ UNSET_DEFAULTS_ALLOWED = {
     ("verify_mingallinrep", "mutant"): MUTANT,
     ("verify_subset_lemma", "mutant"): MUTANT,
     ("main", "argv"): "the entry point: the console script passes none",
-    ("_FilledOnFirstUse.__get__", "cls"): "the descriptor protocol",
 }
 
 

@@ -19,38 +19,44 @@ def test_braid_closure_rank3():
     assert "tstsr" in wordops.braid_closure("ststr")
 
 
-NOCOMM = bytes(3 * 4 * 4)
+def entry(i: int, j: int) -> int:
+    """The offset of the pair i < j in a triangular commutator table."""
+    return (j * (j - 1) // 2 + i) * 3
+
+
+# the table of four generators, 4*3/2 pairs of three bytes
+NOCOMM = bytes(3 * 6)
 
 
 def test_collect_cancellation():
-    assert wordops.collect_seq([0, 0], 4, NOCOMM) == 0
-    assert wordops.collect_seq([1, 0, 0, 1], 4, NOCOMM) == 0
-    assert wordops.collect_seq([2, 1], 4, NOCOMM) == 0b110
+    assert wordops.collect_seq([0, 0], NOCOMM) == 0
+    assert wordops.collect_seq([1, 0, 0, 1], NOCOMM) == 0
+    assert wordops.collect_seq([2, 1], NOCOMM) == 0b110
 
 
 def test_collect_insertion():
     # [u1, u4] = u2 u3 in a 4-generator table
-    comm = bytearray(3 * 16)
-    base = (0 * 4 + 3) * 3
+    comm = bytearray(NOCOMM)
+    base = entry(0, 3)
     comm[base] = 2
     comm[base + 1] = 1
     comm[base + 2] = 2
     comm = bytes(comm)
-    assert wordops.collect_seq([3, 0], 4, comm) == 0b1111
-    assert wordops.collect_seq([0, 3], 4, comm) == 0b1001
+    assert wordops.collect_seq([3, 0], comm) == 0b1111
+    assert wordops.collect_seq([0, 3], comm) == 0b1001
     # involution squares away
-    x = wordops.collect_seq([3, 0, 3, 0], 4, comm)
+    x = wordops.collect_seq([3, 0, 3, 0], comm)
     assert wordops.collect_seq(
-        [i for i in range(4) if x >> i & 1] * 2, 4, comm) == 0
+        [i for i in range(4) if x >> i & 1] * 2, comm) == 0
 
 
 def test_collect_order_violation():
-    comm = bytearray(3 * 16)
-    base = (0 * 4 + 1) * 3
+    comm = bytearray(NOCOMM)
+    base = entry(0, 1)
     comm[base] = 1
     comm[base + 1] = 3   # not strictly between 0 and 1
     with pytest.raises(CollectionOrderError):
-        wordops.collect_seq([1, 0], 4, bytes(comm))
+        wordops.collect_seq([1, 0], bytes(comm))
 
 
 def measure(word: list, k: int) -> tuple:
@@ -73,7 +79,7 @@ def collect_checked(seq, k: int, comm: bytes) -> int:
         if pos is None:
             return sum(1 << a for a in word)
         a, b = word[pos], word[pos + 1]
-        base = (b * k + a) * 3
+        base = entry(b, a)
         word[pos:pos + 2] = [] if a == b else \
             [b, *comm[base + 1:base + 1 + comm[base]], a]
         cur = measure(word, k)
@@ -86,8 +92,8 @@ def letters(mask: int, k: int) -> list:
 
 
 def test_collect_measure_assertions():
-    comm = bytearray(3 * 16)
-    base = (0 * 4 + 3) * 3
+    comm = bytearray(NOCOMM)
+    base = entry(0, 3)
     comm[base] = 2
     comm[base + 1] = 1
     comm[base + 2] = 2
@@ -95,7 +101,7 @@ def test_collect_measure_assertions():
     rng = random.Random(1)
     for _ in range(300):
         seq = [rng.randrange(4) for _ in range(rng.randint(0, 10))]
-        assert wordops.collect_seq(seq, 4, comm) == collect_checked(seq, 4, comm)
+        assert wordops.collect_seq(seq, comm) == collect_checked(seq, 4, comm)
     for x in range(16):
         for y in range(16):
             assert wordops.collect_mul(x, y, 4, comm) \
@@ -121,8 +127,8 @@ def test_collect_measure_falls_on_the_report_groups(ctx, cache):
 
 def test_collect_checked_sees_an_insertion_outside_its_pair():
     # u_1 u_0 -> u_0 u_3 u_1: the new inversion (3, 1) raises I_3
-    comm = bytearray(3 * 16)
-    comm[(0 * 4 + 1) * 3:(0 * 4 + 1) * 3 + 2] = (1, 3)
+    comm = bytearray(NOCOMM)
+    comm[entry(0, 1):entry(0, 1) + 2] = (1, 3)
     with pytest.raises(AssertionError, match=r"\(0, 0, 1, 2\), \(1, 0, 0, 3\)"):
         collect_checked([1, 0], 4, bytes(comm))
 
@@ -131,9 +137,9 @@ def test_collect_checked_sees_an_insertion_outside_its_pair():
 # termination rests on must still stop an insertion outside its pair
 ORDER_UNDER_O = """
 from coxkit import wordops
-comm = bytearray(48)
-comm[3:5] = (1, 3)
-for collect in (lambda: wordops.collect_seq([1, 0], 4, bytes(comm)),
+comm = bytearray(18)
+comm[0:2] = (1, 3)
+for collect in (lambda: wordops.collect_seq([1, 0], bytes(comm)),
                 lambda: wordops.collect_mul(2, 1, 4, bytes(comm))):
     try:
         collect()
