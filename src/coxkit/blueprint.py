@@ -358,8 +358,8 @@ class BlueprintGroup:
 
 
 class GroupCache:
-    """Shared builder for the blueprint groups, their root subgroups and
-    the V-subgroups of one context, over the context's one root system
+    """Shared builder for the blueprint groups and their root subgroups,
+    V included, of one context, over the context's one root system
     (roots.root_system)."""
 
     def __init__(self, ctx: Coxeter):
@@ -367,8 +367,7 @@ class GroupCache:
         self.rsys = root_system(ctx)
         self.blueprint = KacMoodyBlueprint(self.rsys)
         self._groups: dict[str, BlueprintGroup] = {}
-        self._subgroups: dict[tuple, dict] = {}
-        self._v_groups: dict[tuple, Subgroup] = {}
+        self._subgroups: dict[tuple, Subgroup] = {}
 
     def group(self, w: str) -> BlueprintGroup:
         """U_w along the canonical gallery, the least reduced word of w,
@@ -387,11 +386,12 @@ class GroupCache:
         """Phi(w): inversion set along the canonical gallery."""
         return self.rsys.inversion_sequence(self.ctx.normalize(w))
 
-    def root_subgroup(self, ambient: BlueprintGroup, roots) -> dict:
+    def root_subgroup(self, ambient: BlueprintGroup, roots) -> Subgroup:
         """The subgroup of ambient generated by the root generators at
-        roots: each element mapped to a shortest word over roots, the
-        first in breadth-first order with the roots taken by (refl,
-        positive).  Memoized by the ambient group and the root set."""
+        roots, its words mapping each element to a shortest word over
+        roots, the first in breadth-first order with the roots taken by
+        (refl, positive).  Memoized by the ambient group and the root set,
+        so each such subgroup is built, and checked closed, once."""
         roots = frozenset(roots)
         key = (ambient, roots)
         got = self._subgroups.get(key)
@@ -399,26 +399,22 @@ class GroupCache:
             gens = sorted(roots, key=lambda root: (root.refl, root.positive))
             words = closure_words(ambient.mul, ambient.identity,
                                   [ambient.root_mask(root) for root in gens])
-            got = self._subgroups[key] = {
-                x: tuple(gens[i] for i in word) for x, word in words.items()}
+            got = self._subgroups[key] = Subgroup(ambient, {
+                x: tuple(gens[i] for i in word) for x, word in words.items()})
         return got
 
     def v_subgroup(self, gate: str, types) -> Subgroup:
         """V at the rank-2 residue with this gate: generated by the root
-        generators of Phi(gate*u) and Phi(gate*v) inside U_{gate*r_J};
-        memoized."""
+        generators of Phi(gate*u) and Phi(gate*v) inside U_{gate*r_J}, the
+        memoized root_subgroup; ValueError unless gate is the gate of a
+        residue of these types."""
         ctx = self.ctx
         u, v = sorted(types)
         gate = ctx.normalize(gate)
-        got = self._v_groups.get((gate, u, v))
-        if got is None:
-            if any(len(ctx.mult(gate, x)) != len(gate) + 1 for x in (u, v)):
-                raise ValueError(f"{gate!r} is not the gate of a {u}{v}-residue")
-            ambient = self.group(ctx.mult(gate, ctx.longest({u, v})))
-            got = self._v_groups[gate, u, v] = Subgroup(
-                ambient, self.root_subgroup(ambient, self.v_roots(gate, types)),
-                f"V[{gate}|{u}{v}]")
-        return got
+        if any(len(ctx.mult(gate, x)) != len(gate) + 1 for x in (u, v)):
+            raise ValueError(f"{gate!r} is not the gate of a {u}{v}-residue")
+        ambient = self.group(ctx.mult(gate, ctx.longest({u, v})))
+        return self.root_subgroup(ambient, self.v_roots(gate, types))
 
     def v_roots(self, gate: str, types) -> frozenset:
         """Phi(gate*u) | Phi(gate*v), the generating roots of V at this gate."""

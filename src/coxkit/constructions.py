@@ -4,7 +4,10 @@ Each construction is a path of vertex groups: full blueprint groups U_w
 and index-2 subgroups V (generated by the root generators of the two
 gate-adjacent U's).  Edge groups are always the subgroup generated by the
 common generating roots of adjacent vertices, with boundary maps matched
-root-by-root, which is exactly the hat-star convention.  Builder.tree
+root-by-root, which is exactly the hat-star convention.  That subgroup is
+GroupCache.root_subgroup of the first vertex's ambient group, so every
+edge over one ambient group and root set, in any tree, carries one
+memoized Subgroup, checked closed once.  Builder.tree
 builds every tree of such groups: the constructions, the `coxkit nf`
 tree files and the subgroup theorem's U_sr * V * U_trt.
 
@@ -100,19 +103,18 @@ class Builder:
 
     def v_spec(self, name: str, gate: str, types) -> VertexSpec:
         grp = self.cache.v_subgroup(gate, types)
+        u, v = sorted(types)
+        label = f"V[{self.ctx.normalize(gate)}|{u}{v}]"
         if grp.order * 2 != grp.parent.order:
-            raise PreconditionError(f"{grp.name} does not have index 2")
-        return VertexSpec(name, grp.name, grp, grp.parent,
+            raise PreconditionError(f"{label} does not have index 2")
+        return VertexSpec(name, label, grp, grp.parent,
                           self.cache.v_roots(gate, types))
 
-    def subgroup_in(self, ambient: BlueprintGroup, roots) -> frozenset:
-        return frozenset(self.cache.root_subgroup(ambient, roots))
+    def image_of_u(self, w: str, ambient: BlueprintGroup) -> Subgroup:
+        return self.cache.root_subgroup(ambient, self.cache.phi(w))
 
-    def image_of_u(self, w: str, ambient: BlueprintGroup) -> frozenset:
-        return self.subgroup_in(ambient, self.cache.phi(w))
-
-    def image_of_v(self, gate: str, types, ambient: BlueprintGroup) -> frozenset:
-        return self.subgroup_in(ambient, self.cache.v_roots(gate, types))
+    def image_of_v(self, gate: str, types, ambient: BlueprintGroup) -> Subgroup:
+        return self.cache.root_subgroup(ambient, self.cache.v_roots(gate, types))
 
     # -- edges and trees ---------------------------------------------------
 
@@ -121,15 +123,15 @@ class Builder:
         if not common:
             raise PreconditionError(
                 f"no common generating roots between {a.label} and {b.label}")
-        words = self.cache.root_subgroup(a.ambient, common)
-        group = Subgroup(a.ambient, words, f"E[{a.label}^{b.label}]")
+        group = self.cache.root_subgroup(a.ambient, common)
         into_a = {x: x for x in group.elements()}
-        into_b = {x: b.ambient.root_product(words[x]) for x in group.elements()}
+        into_b = {x: b.ambient.root_product(group.words[x])
+                  for x in group.elements()}
         for side, mapping in ((a, into_a), (b, into_b)):
             if hasattr(side.group, "__contains__") and \
                     any(y not in side.group for y in mapping.values()):
                 raise PreconditionError(
-                    f"edge {group.name} is not inside {side.label}")
+                    f"edge E[{a.label}^{b.label}] is not inside {side.label}")
         return Edge(a.name, b.name, group, into_a, into_b)
 
     def tree(self, vertices, edges) -> tuple[tuple, TreeOfGroups]:

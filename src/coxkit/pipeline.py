@@ -15,9 +15,8 @@ from coxkit.constructions import (Builder, PreconditionError, classify_residue,
                                   harvest_relations, pair_labelings,
                                   residue_letters, roots_violated)
 from coxkit.coxeter import Residue
-from coxkit.treeprod import (Subgroup, TreeProduct, check_subtree_conditions,
-                             contract, cut, family_embeds, fold,
-                             respects_edges)
+from coxkit.treeprod import (TreeProduct, check_subtree_conditions, contract,
+                             cut, family_embeds, fold, respects_edges)
 
 # ball radius of the half-space and interval-witness checks
 RADIUS = 8
@@ -124,8 +123,7 @@ class Section4:
     def _edge_is_u(self, cons, edge, w: str) -> bool:
         """Whether the edge group of edge, an edge of cons, is the image of
         U_w inside the ambient group of the edge's first vertex."""
-        return frozenset(edge.group.elements()) == \
-            self.b.image_of_u(w, cons.spec(edge.u).ambient)
+        return edge.group == self.b.image_of_u(w, cons.spec(edge.u).ambient)
 
     # -- Lemma: V_R -> O_R is injective -------------------------------------
 
@@ -142,11 +140,11 @@ class Section4:
         amb0 = orr.specs[0].ambient
         img = b.image_of_u(m(g, s, d), amb0)
         cert.check(f"U[{m(g, s, d)}] <= {orr.specs[0].label}",
-                   img <= frozenset(orr.specs[0].group.elements()))
+                   img <= orr.specs[0].group)
         amb2 = orr.specs[2].ambient
         img2 = b.image_of_u(m(g, t, d), amb2)
         cert.check(f"U[{m(g, t, d)}] <= {orr.specs[2].label}",
-                   img2 <= frozenset(orr.specs[2].group.elements()))
+                   img2 <= orr.specs[2].group)
         # displayed equalities, each with its ambient recorded
         ambA = self.cache.group(m(g, s, ctx.longest({d, t})))
         lhs = b.image_of_u(m(g, s, d), ambA) & b.image_of_u(m(g, s, t), ambA)
@@ -193,7 +191,7 @@ class Section4:
         """Per-vertex subgroups generated by the family's root support:
         the canonical subgroup family carried by a root-generated subgroup."""
         roots = frozenset(roots)
-        return {sp.name: self.b.subgroup_in(sp.ambient, roots & sp.roots)
+        return {sp.name: self.cache.root_subgroup(sp.ambient, roots & sp.roots)
                 for sp in cons.specs}
 
     # -- Lemma: V_{R,s} and O_{R,s} --------------------------------------------
@@ -210,14 +208,12 @@ class Section4:
         cert.check("precondition l(w_R srs) = l(w_R)+3",
                    len(m(g, s, d, s)) == len(g) + 3)
         # chain A: fold V_{R,s} at U[w_R sr], contract the rest to V_R
-        u_gsds = vrs.specs[0].group
-        h_elems = b.image_of_u(m(g, s, d), u_gsds)
-        H = Subgroup(u_gsds, h_elems, f"U[{m(g, s, d)}]")
+        H = b.image_of_u(m(g, s, d), vrs.specs[0].group)
         edge_img = frozenset(
             vrs.tog.edges[0].into_u[c]
             for c in vrs.tog.edges[0].group.elements())
         cert.check("fold V_Rs at U[w_R sr]: edge image inside H",
-                   edge_img <= h_elems)
+                   edge_img <= H)
         tog2 = fold(vrs.tog, "v0", "v1", H, "x")
         tog3, name, sub = contract(tog2, {"x", "v1", "v2"})
         cert.check("contract the folded tail of V_Rs to a V_R-shaped product",
@@ -235,8 +231,7 @@ class Section4:
                    "(both translations respect every edge identification and "
                    "the round trip fixes every vertex group)", ok, **counts)
         # chain B for O_{R,s}
-        u0 = ors.specs[0].group
-        H2 = Subgroup(u0, b.image_of_u(m(g, s, d), u0), f"U[{m(g,s,d)}]")
+        H2 = b.image_of_u(m(g, s, d), ors.specs[0].group)
         tog2b = fold(ors.tog, "v0", "v1", H2, "x")
         subb = contract(tog2b, {"x", "v1", "v2", "v3"})[2]
         cert.check("contract the folded tail of O_Rs to an O_R-shaped product",
@@ -396,7 +391,7 @@ class Section4:
         cert.check("U[w_R tsts] is all of U[w_R r_J]",
                    members["v2"] == frozenset(hr.specs[2].group.elements()))
         cert.check("V_T's middle vertex group is H_R's fourth vertex group",
-                   members["v3"] == frozenset(hr.specs[3].group.elements()))
+                   members["v3"] == hr.specs[3].group)
         cert.check("U[w_R tsrs] embeds in U[w_R t r_ds]",
                    members["v4"] <= frozenset(hr.specs[4].group.elements()))
         _family_check(cert, "subgroup-family conditions for V_T in the subtree",
@@ -422,8 +417,7 @@ class Section4:
         sts_img = b.image_of_u(m(g, s, t, s), amb2)
         cert.check("U[w_R st] <= U[w_R sts] inside U[w_R r_J]",
                    b.image_of_u(m(g, s, t), amb2) <= sts_img)
-        H = Subgroup(ors.specs[2].group, sts_img, f"U[{m(g,s,t,s)}]")
-        tog2 = fold(ors.tog, "v2", "v1", H, "x")
+        tog2 = fold(ors.tog, "v2", "v1", sts_img, "x")
         vtsub = contract(tog2, {"v0", "v1", "x"})[2]
         cert.check("contracting the folded head of O_Rs gives a V_T-shaped "
                    "product",
@@ -450,7 +444,7 @@ class Section4:
         # final shape: K_{R,s} *_{U[w_R srt]} V[w_R sr | s,t]
         vsd = b.v_spec("w", m(g, s, d), (s, t))
         common = krs.specs[0].roots & vsd.roots
-        closure = b.subgroup_in(krs.specs[0].ambient, common)
+        closure = self.cache.root_subgroup(krs.specs[0].ambient, common)
         cert.check("common generating roots of U[w_R s r_dt] and "
                    f"V[{m(g,s,d)}|{s}{t}] generate U[{m(g,s,d,t)}]",
                    closure == srt_img)
@@ -490,7 +484,7 @@ class Section4:
         pre_k = {c for c, x in edge.into_u.items() if x in or_v0}
         pre_v = {c for c, y in edge.into_v.items() if y in srs_img}
         W = vsd.group
-        b_ok = srs_img <= frozenset(W.elements()) and all(
+        b_ok = srs_img <= W and all(
             W.mul(x, y) in srs_img for x in srs_img for y in srs_img)
         return [("edge preimages of (O_R, U[w_R srs]) in U[w_R srt] agree "
                  "and equal U[w_R sr]",
@@ -519,8 +513,8 @@ class Section4:
         # X = the subtree of O_T spanned by its middle vertex and the
         # V[w_R st|..] end; V_T family inside O_T
         gst = m(g, s, t)
-        x_outer = next(sp.name for sp in ot.specs
-                       if sp.label.startswith(f"V[{gst}|"))
+        x_roots = self.cache.v_roots(gst, (s, d))
+        x_outer = next(sp.name for sp in ot.specs if sp.roots == x_roots)
         x_vertices = {"v1", x_outer}
         vt_roots = self.construction_roots(vt)
         vt_members = self.family_from_roots(ot, vt_roots)

@@ -93,9 +93,12 @@ class TheoremSetup:
             if grp.mul(x, y) != grp.mul(y, x):
                 raise ReductionError(
                     f"the rewriting needs {x} and {y} to commute in {grp!r}")
+        self._g_letters = {SR: ("0", self.u_sr), TR: ("2", self.u_tr),
+                           RT: ("2", self.u_rt),
+                           RTTR: ("2", self.U_trt.mul(self.u_rt, self.u_tr))}
         # a simple root's reflection is its letter
-        self._v_words = {m: "".join(root.refl for root in word) for m, word
-                         in cache.root_subgroup(amb, (alpha_s, alpha_t)).items()}
+        self._v_words = {m: "".join(root.refl for root in word)
+                         for m, word in self.V.words.items()}
 
     # -- words -------------------------------------------------------------
 
@@ -119,15 +122,11 @@ class TheoremSetup:
         return self.ambientV.root_product(map(self.cache.rsys.simple, word))
 
     def g_element(self, sym: str):
-        if sym == SR:
-            return ("0", self.u_sr)
-        if sym == TR:
-            return ("2", self.u_tr)
-        if sym == RT:
-            return ("2", self.u_rt)
-        if sym == RTTR:
-            return ("2", self.U_trt.mul(self.u_rt, self.u_tr))
-        raise ConstraintError(f"unknown g letter {sym!r}")
+        """The tree-product letter (vertex, element) of a g letter."""
+        got = self._g_letters.get(sym)
+        if got is None:
+            raise ConstraintError(f"unknown g letter {sym!r}")
+        return got
 
     def eval_word(self, word):
         """The word's element of the tree product; ConstraintError on a g

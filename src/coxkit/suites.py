@@ -69,7 +69,7 @@ def run_blueprint(ctx: Coxeter, max_length: int) -> dict:
     listing = {0, us, ut, amb.mul(us, ut), amb.mul(ut, us),
                amb.mul(amb.mul(us, ut), us), amb.mul(amb.mul(ut, us), ut),
                amb.mul(amb.mul(us, ut), amb.mul(us, ut))}
-    v_ok = frozenset(v.elements()) == frozenset(listing) and v.order == 8 \
+    v_ok = v == listing and v.order == 8 \
         and amb.order // v.order == 2
     ok = ok and v_ok
     out["v_listing"] = v_ok

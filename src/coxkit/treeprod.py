@@ -81,8 +81,11 @@ tree the letter avoids that edge's group, as Serre's reduced words do.
 Reduced words of one element have equal length (Serre I.1, Theorem 1),
 so the count does not depend on which reduced word the pass leaves.
 
-closure_words enumerates a finite subgroup from generators, and Subgroup
-promotes a finite subset of a group to a computable group of its own.
+closure_words enumerates a finite subgroup from generators, each element
+with a shortest word, and Subgroup makes that closure a computable group
+of its own: a frozenset of the elements, so one object is at once a
+vertex or edge group, a member of a subgroup family and the set that
+the certificates intersect and compare.
 """
 
 from __future__ import annotations
@@ -128,43 +131,44 @@ def closure_words(mul, identity, gens, limit: int | None = None) -> dict:
     return words
 
 
-class Subgroup:
-    """A finite subgroup of a computable group, itself a computable group.
+class Subgroup(frozenset):
+    """A finite subgroup of a computable group, itself a computable group:
+    the set of its elements, with the parent's mul, inv and identity.
 
-    Construction checks that elems hold the identity and are closed under
-    inverses and products, and raises TreeError otherwise.  mul and inv
-    are the parent's own bound methods.
+    words maps each element to a shortest word for it over the generators
+    the subgroup was closed from; its keys are the elements.  Construction
+    checks that they hold the identity and are closed under inverses and
+    products, and raises TreeError otherwise.
     """
 
-    def __init__(self, parent, elems, name: str = ""):
+    def __new__(cls, parent, words: dict):
+        return super().__new__(cls, words)
+
+    def __init__(self, parent, words: dict):
         self.parent = parent
+        self.words = words
         self.mul = parent.mul
         self.inv = parent.inv
-        self._set = frozenset(elems)
-        self._elems = tuple(sorted(self._set))
-        self.name = name
         self.identity = parent.identity
-        if self.identity not in self._set:
+        self._elems = tuple(sorted(self))
+        if self.identity not in self:
             raise TreeError(f"{self!r} does not contain the identity")
         for x in self._elems:
-            if parent.inv(x) not in self._set:
+            if parent.inv(x) not in self:
                 raise TreeError(f"{self!r} is not closed under inverses")
             for y in self._elems:
-                if parent.mul(x, y) not in self._set:
+                if parent.mul(x, y) not in self:
                     raise TreeError(f"{self!r} is not closed under products")
 
     @property
     def order(self) -> int:
-        return len(self._elems)
+        return len(self)
 
     def elements(self):
         return self._elems
 
-    def __contains__(self, x) -> bool:
-        return x in self._set
-
     def __repr__(self) -> str:
-        return self.name or f"Subgroup(order {self.order})"
+        return f"Subgroup(order {self.order})"
 
 
 def _rank(x) -> str:

@@ -592,8 +592,10 @@ def test_root_subgroup_is_one_memoized_closure(cache):
     set; V reads the same closure."""
     g = cache.group("stst")
     alpha_s, alpha_t = cache.rsys.simple("s"), cache.rsys.simple("t")
-    words = cache.root_subgroup(g, (alpha_t, alpha_s))
-    assert cache.root_subgroup(g, [alpha_s, alpha_t]) is words
+    sub = cache.root_subgroup(g, (alpha_t, alpha_s))
+    assert cache.root_subgroup(g, [alpha_s, alpha_t]) is sub
+    words = sub.words
+    assert set(words) == sub
     assert len(words) == 8 and max(map(len, words.values())) == 4
     for x, word in words.items():
         assert g.root_product(word) == x
@@ -644,10 +646,11 @@ def test_inclusions(ctx, cache):
 def test_intersections(ctx, cache):
     # inside U at w = s * r_rt
     amb = cache.group(ctx.mult("s", ctx.longest("rt")))
-    ea, eb, expect = (frozenset(cache.root_subgroup(amb, cache.phi(w)))
+    ea, eb, expect = (cache.root_subgroup(amb, cache.phi(w))
                       for w in ("sr", "st", "s"))
     assert ea & eb == expect
-    assert cache.root_subgroup(amb, []) == {0: ()}
+    trivial = cache.root_subgroup(amb, [])
+    assert trivial == {0} and trivial.words == {0: ()}
 
 
 def test_group_mono_rejects_non_hom(cache):

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from coxkit import pipeline
-from coxkit.constructions import (Builder, PreconditionError, c_set_0,
+from coxkit.constructions import (KINDS, Builder, PreconditionError, c_set_0,
                                   c_set_minus1, c_set_r, classify_residue,
                                   d_set, dset_certificate, harvest_relations,
                                   pair_labelings, roots_violated)
@@ -88,6 +88,27 @@ def test_edge_groups_are_common_root_subgroups(ctx, builder):
                                  cons.spec(edge.u).ambient)
         assert frozenset(edge.group.elements()) == img
     assert not cons.tog.validate()
+
+
+def test_edge_groups_are_the_memoized_root_subgroups(ctx, builder):
+    # every edge over one ambient group and root set carries one checked
+    # Subgroup, the cache's own
+    cache, edges = builder.cache, 0
+    for pair in pair_labelings():
+        R = ctx.residue(set(pair), "")
+        for kind in KINDS:
+            for s in pair:
+                try:
+                    cons = builder.construction(kind, R, s)
+                except PreconditionError:
+                    continue
+                for edge in cons.tog.edges:
+                    a, b = cons.spec(edge.u), cons.spec(edge.v)
+                    assert edge.group is cache.root_subgroup(
+                        a.ambient, a.roots & b.roots)
+                    edges += 1
+    # 36 constructions, none refused at the gate-1 residues
+    assert edges == 96
 
 
 def test_tree_builds_the_construction_path(ctx, builder):

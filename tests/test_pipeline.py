@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from coxkit import treeprod
+from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate
 from coxkit.constructions import Builder, residue_letters
 from coxkit.pipeline import Section4, _family_check, section4_pipeline
@@ -35,6 +37,20 @@ def test_certificate_bytes_pinned(full_run):
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert (len(docs), digest) == (
         31, "dc1f6a1fe67df84dc6ba3497e8728e29c9f10a74327dc48164e04b68c81217e3")
+
+
+def test_one_subgroup_is_built_per_memo_entry(ctx, monkeypatch):
+    built = []
+    init = treeprod.Subgroup.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+    monkeypatch.setattr(treeprod.Subgroup, "__init__", counting)
+    cache = GroupCache(ctx)
+    assert all(c.passed for c in section4_pipeline(cache))
+    assert len(built) == len(cache._subgroups) == 84
+    assert {id(g) for g in built} == {id(g) for g in cache._subgroups.values()}
 
 
 def test_certificate_inventory(full_run):

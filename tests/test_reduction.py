@@ -166,6 +166,25 @@ def test_reduce_and_eval_word_reject_h_letters_outside_v(theorem_setup, word):
         theorem_setup.eval_word(word)
 
 
+def test_g_letters_are_read_from_one_table(theorem_setup):
+    s = theorem_setup
+    assert {g: s.g_element(g) for g in G_LETTERS} == {
+        SR: ("0", 2), TR: ("2", 2), RT: ("2", 4), RTTR: ("2", 6)}
+    assert s.g_element(RTTR)[1] == s.U_trt.mul(s.u_rt, s.u_tr)
+    # built once: every call hands back the same letter
+    assert all(s.g_element(g) is s.g_element(g) for g in G_LETTERS)
+    with pytest.raises(ConstraintError, match="unknown g letter 'u_ss'"):
+        s.g_element("u_ss")
+
+
+def test_v_is_the_memoized_root_subgroup(cache, theorem_setup):
+    alpha_s, alpha_t = cache.rsys.simple("s"), cache.rsys.simple("t")
+    v = cache.v_subgroup("", "st")
+    assert v is cache.root_subgroup(cache.group("stst"), (alpha_s, alpha_t))
+    assert theorem_setup.V is v
+    assert set(theorem_setup._v_words) == v
+
+
 def test_trace_all_short_words(theorem_setup):
     s = theorem_setup
     for word in s.enumerate_constrained(2):

@@ -14,7 +14,7 @@ import pytest
 
 from coxkit.constructions import Builder, pair_labelings
 from coxkit.pipeline import Section4, _levels_coincide, _round_trip_is_identity
-from coxkit.treeprod import (Edge, Subgroup, TreeOfGroups, TreeProduct,
+from coxkit.treeprod import (Edge, TreeOfGroups, TreeProduct,
                              check_subtree_conditions, contract, family_embeds,
                              fold)
 from nested_oracle import NestedProduct
@@ -67,8 +67,7 @@ def _chain_a(sec, pair):
     flattened groups back to V_{R,s} vertices."""
     R, (s, t, d, g, m) = _residue(sec, pair)
     vrs = sec.b.construction("V_Rs", R, s)
-    u0 = vrs.specs[0].group
-    H = Subgroup(u0, sec.b.image_of_u(m(g, s, d), u0), "H")
+    H = sec.b.image_of_u(m(g, s, d), vrs.specs[0].group)
     tog3, name, sub = contract(fold(vrs.tog, "v0", "v1", H, "x"),
                                {"x", "v1", "v2"})
     home = {id(sp.group): sp.name for sp in vrs.specs}

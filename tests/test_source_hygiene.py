@@ -5,8 +5,9 @@ calls (or that no command runs) is code kept alive by its tests alone,
 and a defaulted parameter that no program call sets is an option with
 one value in use; that keep verification out of assert statements,
 which `python -O` strips; and that keep one builder of trees of groups
-(constructions.Builder.tree, over treeprod's edges), one root system per
-Coxeter context (roots.root_system), one caller of the braid closure
+(constructions.Builder.tree, over treeprod's edges), one builder of
+subgroups (the memo blueprint.GroupCache.root_subgroup), one root system
+per Coxeter context (roots.root_system), one caller of the braid closure
 (Coxeter.reduced_words) and roots named by what they are, not by where a
 group lists them."""
 
@@ -208,6 +209,15 @@ def callers_in_src(name: str) -> set:
     return {(str(path.relative_to(SRC)), fn)
             for path in sorted(SRC.rglob("*.py"))
             for fn, _ in calls_of(ast.parse(path.read_text()), name)}
+
+
+# the one place in src/coxkit that builds a Subgroup: the memo of root
+# subgroups, so that one ambient group and root set is one checked object
+SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup")}
+
+
+def test_subgroups_are_built_only_by_the_root_subgroup_memo():
+    assert callers_in_src("Subgroup") == SUBGROUP_BUILDERS
 
 
 def test_root_systems_are_built_only_by_the_context_accessor():

@@ -18,7 +18,7 @@ from walks import random_word
 def z2_free(cache):
     A = group_along(cache, gallery(cache.ctx, "s"))
     B = group_along(cache, gallery(cache.ctx, "t"))
-    triv = Subgroup(A, {0}, "1")
+    triv = Subgroup(A, {0: ()})
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0})])
     return tog, TreeProduct(tog)
@@ -29,7 +29,7 @@ def theorem_tree(cache):
     ctx = cache.ctx
     U_sr, U_trt = cache.group("sr"), cache.group("trt")
     amb = cache.group("stst")
-    V = Subgroup(amb, cache.v_subgroup("", "st").elements(), "V")
+    V = cache.v_subgroup("", "st")
     us, ut = amb.root_mask(amb.roots[0]), amb.root_mask(amb.roots[3])
     e1 = Edge("0", "1", cache.group("s"),
               {0: 0, 1: U_sr.root_mask(U_sr.roots[0])}, {0: 0, 1: us})
@@ -90,7 +90,7 @@ def test_cut_keeps_the_edges_inside(theorem_tree):
 
 def test_validate_rejects_cycles(cache):
     A, B = group_along(cache, gallery(cache.ctx, "s")), cache.group("t")
-    triv = Subgroup(A, {0}, "1")
+    triv = Subgroup(A, {0: ()})
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0}),
                         Edge("b", "a", triv, {0: 0}, {0: 0})])
@@ -455,7 +455,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
         assert H.eval_word(back) == el
     # fold the first edge at its own edge-group image (redundant vertex)
     U_sr = tog.vertices["0"]
-    Hsub = Subgroup(U_sr, {0, U_sr.root_mask(U_sr.roots[0])}, "U_s")
+    Hsub = Subgroup(U_sr, {0: (), U_sr.root_mask(U_sr.roots[0]): U_sr.roots[:1]})
     tog3 = fold(tog, "0", "1", Hsub, "x")
     assert not tog3.validate()
     P3 = TreeProduct(tog3)
@@ -472,7 +472,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
 def test_fold_counts_match(z2_free, cache):
     tog, P = z2_free
     A = tog.vertices["a"]
-    Hsub = Subgroup(A, {0, 1}, "all-of-A")
+    Hsub = Subgroup(A, {0: (), 1: A.roots})
     tog2 = fold(tog, "a", "b", Hsub, "x")
     P2 = TreeProduct(tog2)
     bound = 4
@@ -484,15 +484,15 @@ def test_fold_counts_match(z2_free, cache):
 def test_fold_requires_intermediate(theorem_tree, cache):
     tog, _ = theorem_tree
     U_sr = tog.vertices["0"]
-    bad = Subgroup(U_sr, {0}, "1")
+    bad = Subgroup(U_sr, {0: ()})
     with pytest.raises(TreeError):
         fold(tog, "0", "1", bad, "x")
 
 
-def test_fold_with_full_vertex(theorem_tree):
+def test_fold_with_full_vertex(theorem_tree, cache):
     tog, H = theorem_tree
     U_sr = tog.vertices["0"]
-    full = Subgroup(U_sr, set(U_sr.elements()), "U_sr")
+    full = cache.root_subgroup(U_sr, U_sr.roots)
     tog2 = fold(tog, "0", "1", full, "x")
     assert not tog2.validate()
 
@@ -535,7 +535,7 @@ def test_subproduct_value_full_edge(cache):
     # a segment whose edge group is everything: the two sides coincide
     A = group_along(cache, gallery(cache.ctx, "s"))
     B = group_along(cache, gallery(cache.ctx, "t"))
-    full = Subgroup(A, {0, 1}, "C")
+    full = Subgroup(A, {0: (), 1: A.roots})
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", full, {0: 0, 1: 1}, {0: 0, 1: 1})])
     P = TreeProduct(tog)
@@ -551,7 +551,7 @@ from coxkit.coxeter import standard_coxeter
 from coxkit.treeprod import Subgroup, TreeError
 cache = GroupCache(standard_coxeter())
 try:
-    Subgroup(cache.group("sr"), {0, 1, 2})
+    Subgroup(cache.group("sr"), dict.fromkeys((0, 1, 2), ()))
 except TreeError:
     print("raised")
 """
