@@ -152,10 +152,9 @@ class Builder:
             raise PreconditionError(f"an edge names no vertex {unknown[0]}")
         tog = TreeOfGroups({name: sp.group for name, sp in specs.items()},
                            [self.edge(specs[a], specs[b]) for a, b in edges])
-        issues = tog.validate()
-        if issues:
+        if tog.issues:
             raise PreconditionError(
-                "invalid tree of groups: " + "; ".join(issues))
+                "invalid tree of groups: " + "; ".join(tog.issues))
         return tuple(specs.values()), tog
 
     # -- the constructions ---------------------------------------------------

@@ -384,7 +384,7 @@ class Section4:
         subtree = {"v2", "v3", "v4"}
         sub_tog = cut(hr.tog, subtree)
         cert.check("U[r_J] * V[ts..] * U[t r_ds] is a subtree of H_R",
-                   not sub_tog.validate())
+                   not sub_tog.issues)
         # the V_T family over the subtree: U[w_R tsts], V[w_R ts|dt] and
         # U[w_R tsrs]
         members = self.family_from_roots(hr, self.construction_roots(vt))

@@ -24,7 +24,11 @@ _trace_base once on each of the 32 first pairs and _trace_step once on
 each of the 82 allowed (state, g) steps, which give the 656 allowed
 (state, pair) transitions, trace_automaton certifies that table for
 constrained words of every length, and trace_word folds a word through
-the recorded entries.
+the recorded entries.  A trace_word certificate keeps the word's path
+through the table and the two checks it makes per word, the final
+counter and the tree-product normal form; its passed verdict reads the
+statuses along that path, and its checks are written out as fresh dicts
+only when they are first read.
 """
 
 from __future__ import annotations
@@ -451,14 +455,50 @@ def _build_trace_table(setup: TheoremSetup) -> TraceTable:
 
 
 def _check_entry(description: str, status: bool, data) -> dict:
-    """A fresh certificate check; the table's data values are strings,
-    integers and flat lists of immutable values, so copying each list
-    leaves nothing shared with the table."""
+    """A fresh certificate check, made when a trace_word certificate's
+    checks are first read (_TraceCertificate); the table's data values are
+    strings, integers and flat lists of immutable values, so copying each
+    list leaves nothing shared with the table."""
     entry = {"description": description, "status": status}
     if data is not None:
         entry["data"] = {k: list(v) if isinstance(v, list) else v
                          for k, v in data.items()}
     return entry
+
+
+class _TraceCertificate(Certificate):
+    """A trace_word certificate.  It keeps the word's path through the
+    trace table, the base entry's checks and then each later pair's
+    transition checks, followed by the checks of its own; `checks` is
+    written out (_check_entry, "step {n}" and "h_{n-1}" filled in) on its
+    first read, and `passed` reads the statuses along the path until
+    then."""
+
+    def __init__(self, path: list, own: list):
+        super().__init__("normal_form_trace")
+        del self.checks
+        self._path, self._own = path, own
+
+    def __getattr__(self, name):
+        # reached only while `checks` is not yet written out
+        if name != "checks":
+            raise AttributeError(name)
+        base, *steps = self._path
+        checks = [_check_entry(*check) for check in base]
+        for n, step in enumerate(steps, start=2):
+            head, index = f"step {n}", f"h_{n - 1}"
+            checks += [_check_entry(head + index.join(parts), status, data)
+                       for parts, status, data in step]
+        checks += [_check_entry(*check) for check in self._own]
+        self.checks = checks
+        return checks
+
+    @property
+    def passed(self) -> bool:
+        if "checks" in vars(self):
+            return super().passed
+        return all(status for checks in (*self._path, self._own)
+                   for _, status, _ in checks)
 
 
 @timed
@@ -529,11 +569,11 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
     The entries are read from setup.trace_table, which runs each base
     case once and each proof step once per (state, g letter), whatever
     the next V letter (trace_automaton certifies the table for every
-    length), and copied into the certificate with their step index.  The independent
-    tree-product normal-form check is not finite-state and runs per word.
+    length); the certificate keeps the word's path through the table, and
+    its checks are written out on first read.  The final counter and the
+    independent tree-product normal-form check, which is not finite-state,
+    run per word.
     """
-    cert = Certificate("normal_form_trace")
-    cert.data["header"] = _REPLAY_HEADER
     h0, pairs = word
     if h0 != 0:
         raise ConstraintError("trace expects words without a leading V letter")
@@ -548,23 +588,25 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         raise ConstraintError("word violates the constraint clauses")
     table = setup.trace_table
     counter, state, checks = table.base[pairs[0]]
-    cert.checks = [_check_entry(*check) for check in checks]
-    counters = cert.data["counters"] = [counter]
+    path, counters, cases = [checks], [counter], []
     for n, pair in enumerate(pairs[1:], start=2):
         case, increment, state, checks = table.steps[state, pair]
-        cert.checks += [
-            _check_entry(f"step {n}" + f"h_{n - 1}".join(parts), status, data)
-            for parts, status, data in checks]
         if increment <= 0:
             raise TraceError(f"distance counter failed to increase at step {n}")
+        path.append(checks)
         counter += increment
-        cert.data.setdefault("cases", []).append(case)
+        cases.append(case)
         counters.append(counter)
+    nontrivial = not setup.product.is_identity(setup.eval_word(word))
+    cert = _TraceCertificate(path, [
+        ("final distance counter > 0 (so the word is nontrivial)",
+         counter > 0, {"counter": counter}),
+        ("independent check: tree-product normal form is nontrivial",
+         nontrivial, None)])
+    cert.data["header"] = _REPLAY_HEADER
+    cert.data["counters"] = counters
+    if cases:
+        cert.data["cases"] = cases
     cert.data["final_counter"] = counter
-    cert.check("final distance counter > 0 (so the word is nontrivial)",
-               counter > 0, counter=counter)
-    cert.data["independent_nf_nontrivial"] = not setup.product.is_identity(
-        setup.eval_word(word))
-    cert.check("independent check: tree-product normal form is nontrivial",
-               cert.data["independent_nf_nontrivial"])
+    cert.data["independent_nf_nontrivial"] = nontrivial
     return cert

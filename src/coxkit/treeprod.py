@@ -91,6 +91,7 @@ the certificates intersect and compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Subgroup", "closure_words", "Edge", "TreeOfGroups", "TreeProduct",
@@ -203,9 +204,17 @@ class Edge:
 
 
 class TreeOfGroups:
+    """A tree of finite groups.  It is not changed once built, so it is
+    checked once: `issues` holds validate's findings from its first read,
+    and Builder.tree and TreeProduct both read it."""
+
     def __init__(self, vertices: dict, edges: list):
         self.vertices = dict(vertices)
         self.edges = list(edges)
+
+    @cached_property
+    def issues(self) -> tuple:
+        return tuple(self.validate())
 
     def neighbors(self, v: str):
         return [e.other(v) for e in self.edges if v in (e.u, e.v)]
@@ -272,9 +281,8 @@ class TreeProduct:
     """
 
     def __init__(self, tog: TreeOfGroups):
-        issues = tog.validate()
-        if issues:
-            raise TreeError("; ".join(issues))
+        if tog.issues:
+            raise TreeError("; ".join(tog.issues))
         self.tog = tog
         groups = tog.vertices
         self.root = min(groups)

@@ -7,6 +7,7 @@ from coxkit.constructions import (KINDS, Builder, PreconditionError, c_set_0,
                                   c_set_minus1, c_set_r, classify_residue,
                                   d_set, dset_certificate, harvest_relations,
                                   pair_labelings, roots_violated)
+from coxkit.treeprod import TreeOfGroups, TreeProduct
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +79,25 @@ def test_section4_leaves_the_memoized_trees_as_built(cache, monkeypatch):
     monkeypatch.setattr(pipeline, "Builder", lambda _cache: shared)
     assert all(c.passed for c in pipeline.section4_pipeline(cache))
     assert snapshot() == before
+
+
+def test_section4_validates_each_tree_once(cache, monkeypatch):
+    # every tree the battery builds, by Builder.tree, cut or contract, is
+    # checked once, also when a product is built on it afterwards
+    real = TreeOfGroups.validate
+    checked = []
+
+    def validate(tog):
+        checked.append(tog)
+        return real(tog)
+    monkeypatch.setattr(TreeOfGroups, "validate", validate)
+    products = []
+    monkeypatch.setattr(TreeProduct, "__init__",
+                        lambda self, tog, _init=TreeProduct.__init__:
+                        products.append(tog) or _init(self, tog))
+    assert all(c.passed for c in pipeline.section4_pipeline(cache))
+    assert len({id(tog) for tog in checked}) == len(checked)
+    assert {id(tog) for tog in products} <= {id(tog) for tog in checked}
 
 
 def test_edge_groups_are_common_root_subgroups(ctx, builder):

@@ -1,8 +1,10 @@
 import copy
+import gc
 import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -336,13 +338,20 @@ def test_trace_table_fold_matches_direct_fold_on_four_pairs(theorem_setup):
         counts.append(sum(ending.values()))
     assert counts == [32, 864, 23424, 634752]
     assert sum(counts) == 659072   # enumerate_constrained(4)
+    _assert_table_fold_matches(s, _four_pair_sample(s))
+
+
+def _four_pair_sample(s):
+    """2,000 constrained words with exactly four pairs, drawn uniformly
+    with a fixed seed."""
+    letters = list(itertools.product(G_LETTERS, sorted(s._v_words)))
     rng = random.Random(4)
     words = []
     while len(words) < 2000:
         word = (0, tuple(rng.choice(letters) for _ in range(4)))
         if s.constrained(word):
             words.append(word)
-    _assert_table_fold_matches(s, words)
+    return words
 
 
 def test_trace_automaton_certifies_the_table(theorem_setup):
@@ -477,3 +486,109 @@ def test_trace_certificates_share_nothing_with_the_table(theorem_setup):
     again = trace_word(s, word).to_dict()
     del again["elapsed"]
     assert again == want
+
+
+@pytest.mark.parametrize("sample", ["two_pairs", "four_pairs"])
+def test_trace_verdict_is_read_before_the_checks(theorem_setup, sample):
+    """passed, read before the checks are, is the verdict of the checks
+    written out afterwards and of the direct fold: every check of the
+    fold, a positive final counter and a nontrivial normal form."""
+    s = theorem_setup
+    words = (list(s.enumerate_constrained(2)) if sample == "two_pairs"
+             else _four_pair_sample(s))
+    for word in words:
+        cert = trace_word(s, word)
+        passed = cert.passed
+        assert passed == all(c["status"] for c in cert.checks), word
+        _, _, final, checks = _direct_fold(s, word)
+        nontrivial = not s.product.is_identity(s.eval_word(word))
+        assert passed == (all(c["status"] for c in checks) and final > 0
+                          and nontrivial), word
+
+
+def test_trace_verdict_reads_the_checks_of_its_own(monkeypatch,
+                                                  theorem_setup):
+    """A failed per-word check fails the verdict before the table checks
+    are written out."""
+    s = theorem_setup
+    word = s.parse("u_sr,u_t,u_rt,u_s")
+    monkeypatch.setattr(s.product, "is_identity", lambda el: True)
+    cert = trace_word(s, word)
+    assert not cert.passed
+    assert [c["status"] for c in cert.checks[-2:]] == [True, False]
+    assert all(c["status"] for c in cert.checks[:-2])
+
+
+def test_trace_checks_are_written_out_on_first_read(monkeypatch,
+                                                    theorem_setup):
+    s = theorem_setup
+    real = reduction._check_entry
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(reduction, "_check_entry", counting)
+    words = list(s.enumerate_constrained(2)) + _four_pair_sample(s)
+    certs = [trace_word(s, word) for word in words]
+    assert all(cert.passed for cert in certs) and calls == []
+    for cert in certs:
+        before = len(calls)
+        checks = cert.checks
+        assert len(calls) - before == len(checks) > 2
+        assert cert.checks is checks and len(calls) - before == len(checks)
+
+
+# passed read before the checks agrees with the checks written out, on a
+# clean table and on one with a failed check in the step from the state
+# ("B", 0) (V letter 1) on u_sr; no assert stands between the verdict and
+# its checks under -O
+PASSED_UNDER_O = """
+from coxkit import reduction
+def agree(setup):
+    certs = [reduction.trace_word(setup, word)
+             for word in setup.enumerate_constrained(2)]
+    early = [cert.passed for cert in certs]
+    late = [all(c["status"] for c in cert.checks) for cert in certs]
+    print(early == late, len(certs), early.count(False))
+agree(reduction.TheoremSetup())
+real = reduction._trace_step
+def step(setup, cert, n, state, g):
+    out = real(setup, cert, n, state, g)
+    if (state, g) == (("B", 0), reduction.SR):
+        cert.checks[0]["status"] = False
+    return out
+reduction._trace_step = step
+agree(reduction.TheoremSetup())
+"""
+
+
+def test_trace_verdict_survives_optimize(run_optimized):
+    out = run_optimized(PASSED_UNDER_O)
+    assert out.returncode == 0
+    # the failed step is taken by u_rt or u_rt*u_tr, then 1, then u_sr
+    # and any of the 8 V letters
+    assert out.stdout.split("\n")[:2] == ["True 896 0", "True 896 16"]
+
+
+def test_kept_trace_certificates_stay_small(theorem_setup):
+    """The bytes that 2,000 kept four-pair certificates hold, by
+    tracemalloc.  Copying every table check into each certificate held
+    about 5.5 KB apiece; the path through the table holds about 1.1 KB."""
+    s = theorem_setup
+    words = _four_pair_sample(s)
+    for word in words:
+        # the table and every product cache a trace reads are built now
+        trace_word(s, word)
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certs = [trace_word(s, word) for word in words]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held / len(certs) < 2048, held / len(certs)

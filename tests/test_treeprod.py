@@ -56,6 +56,16 @@ def test_validate_rejects_kernel(cache):
     assert any("injective" in issue for issue in tog.validate())
 
 
+def test_tree_product_refuses_an_invalid_tree(cache):
+    A, B, E = cache.group("st"), cache.group("sr"), cache.group("s")
+    bad = Edge("a", "b", E, {0: 0, 1: 0}, {0: 0, 1: B.root_mask(B.roots[0])})
+    tog = TreeOfGroups({"a": A, "b": B}, [bad])
+    for _ in range(2):
+        with pytest.raises(TreeError, match="not injective"):
+            TreeProduct(tog)
+    assert tog.issues == tuple(tog.validate())
+
+
 def test_validate_reports_an_empty_tree():
     assert TreeOfGroups({}, []).validate() == ["the tree has no vertices"]
 
