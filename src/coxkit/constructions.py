@@ -111,7 +111,14 @@ class Builder:
                           self.cache.v_roots(gate, types))
 
     def image_of_u(self, w: str, ambient: BlueprintGroup) -> Subgroup:
-        return self.cache.root_subgroup(ambient, self.cache.phi(w))
+        """U_w as the subgroup of ambient at the roots Phi(w);
+        PreconditionError unless Phi(w) lies inside Phi(ambient)."""
+        roots = self.cache.phi(w)
+        if not set(ambient.roots).issuperset(roots):
+            raise PreconditionError(
+                f"Phi({w}) is not inside Phi({ambient.w}): U[{w}] is not "
+                f"a subgroup of U[{ambient.w}]")
+        return self.cache.root_subgroup(ambient, roots)
 
     def image_of_v(self, gate: str, types, ambient: BlueprintGroup) -> Subgroup:
         return self.cache.root_subgroup(ambient, self.cache.v_roots(gate, types))

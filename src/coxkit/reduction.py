@@ -10,8 +10,10 @@ the four-symbol alphabet SR, TR, RT, RTTR (the generators at the roots
 s*alpha_r, t*alpha_r, r*alpha_t and the product of the last two, which
 commute) and the h letters elements of V = <u_s, u_t> given as masks of
 the ambient blueprint group at stst.  TheoremSetup.blocked is the one
-statement of the constraint clauses; constrained, reduce,
-enumerate_constrained and the trace automaton all read it.
+statement of the constraint clauses.  Construction tabulates it over
+the alphabet and V as _blocked, which constrained, reduce and
+allowed_after (so the trace automaton) read; enumerate_constrained
+calls it.
 
 The replay is a fold: _trace_base turns the first pair into a counter
 and a state (kind, h), where kind = KIND[g] is A:s, A:t or B and h is
@@ -103,6 +105,11 @@ class TheoremSetup:
         # a simple root's reflection is its letter
         self._v_words = {m: "".join(root.refl for root in word)
                          for m, word in self.V.words.items()}
+        # the tree-product letter of each V letter, None for the identity
+        self._h_letters = {m: ("1", m) if m else None for m in self._v_words}
+        self._blocked = frozenset(
+            (g, h, g2) for g in G_LETTERS for h in self._v_words
+            for g2 in G_LETTERS if self.blocked(g, h, g2))
 
     # -- words -------------------------------------------------------------
 
@@ -125,31 +132,33 @@ class TheoremSetup:
     def v_mask(self, word: str) -> int:
         return self.ambientV.root_product(map(self.cache.rsys.simple, word))
 
-    def g_element(self, sym: str):
-        """The tree-product letter (vertex, element) of a g letter."""
-        got = self._g_letters.get(sym)
-        if got is None:
-            raise ConstraintError(f"unknown g letter {sym!r}")
-        return got
-
     def eval_word(self, word):
         """The word's element of the tree product; ConstraintError on a g
-        letter it does not know or an h letter, h0 included, outside V."""
+        letter it does not know or an h letter, h0 included, outside V,
+        whichever comes first."""
         h0, pairs = word
+        g_letters, h_letters = self._g_letters, self._h_letters
         letters = []
         for g, h in ((None, h0), *pairs):
             if g is not None:
-                letters.append(self.g_element(g))
-            if h not in self._v_words:
+                letter = g_letters.get(g)
+                if letter is None:
+                    raise ConstraintError(f"unknown g letter {g!r}")
+                letters.append(letter)
+            letter = h_letters.get(h)
+            if letter is not None:
+                letters.append(letter)
+            # None stands for the identity, which adds no letter
+            elif h or h not in h_letters:
                 raise ConstraintError(f"h letter {h!r} is not an element of V")
-            if h:
-                letters.append(("1", h))
         return self.product.eval_word(letters)
 
     def blocked(self, g: str, h: int, g2: str) -> bool:
         """The constraint clauses: g h g2 may not occur in a constrained
         word, (a) two u_sr around 1 or u_s, (b) two letters of the
-        rt-Klein set around 1 or u_t."""
+        rt-Klein set around 1 or u_t.  A letter outside the alphabet or
+        an h outside V is never blocked; __init__ tabulates the rest as
+        _blocked."""
         return ((g == g2 == SR and h in (0, self.us))
                 or (g in KLEIN and g2 in KLEIN and h in (0, self.ut)))
 
@@ -158,12 +167,13 @@ class TheoremSetup:
         after a pair that left the trace state (kind, h): some g letter of
         that kind is not blocked before g2."""
         kind, h = state
-        return any(not self.blocked(g, h, g2) for g in G_LETTERS
+        return any((g, h, g2) not in self._blocked for g in G_LETTERS
                    if KIND[g] == kind)
 
     def constrained(self, word) -> bool:
         _, pairs = word
-        return not any(self.blocked(g, h, g2)
+        blocked = self._blocked
+        return not any((g, h, g2) in blocked
                        for (g, h), (g2, _) in zip(pairs, pairs[1:]))
 
     def reduce(self, word):
@@ -174,11 +184,11 @@ class TheoremSetup:
         h0, pairs = word
         pairs = list(pairs)
         before = self.eval_word((h0, tuple(pairs)))
-        V = self.ambientV
+        V, blocked = self.ambientV, self._blocked
         steps = 0
         while True:
             i = next((i for i in range(len(pairs) - 1)
-                      if self.blocked(*pairs[i], pairs[i + 1][0])), None)
+                      if (*pairs[i], pairs[i + 1][0]) in blocked), None)
             if i is None:
                 break
             g, h = pairs[i]

@@ -20,18 +20,21 @@ The representative of a coset E x is the identity when x lies in E,
 else the least element in the fixed order of _rank.
 
 Existence.  One right-to-left pass, _normalize, computes the form of a
-word.  It keeps a stack of finished letters, leftmost on top, and one
-pending element at a vertex, which it walks along the tree path to the
-next letter's vertex (to r after the last letter).  At every vertex on
-the way it first absorbs the stack top if the top sits there; to cross
-an edge u -> w it splits the pending element x = e * t by the edge's
-table, pushes (u, t) unless t is trivial and carries e on to w.  A
-pushed letter meets (ii) for whatever is pushed next, because the
-pending element cannot leave the side of the top's edge it stands on
-without reaching the top's vertex and absorbing the top.  The table of
-u -> w maps x in G_u to (e, t), e the edge part as an element of G_w;
-it is filled one coset at a time on first use, so a vertex that is
-itself a tree product (contract) needs nothing but its mul.
+word, reading each letter once.  It keeps a stack of finished letters,
+leftmost on top, and one pending element at a vertex, which it walks
+along the tree path to the next letter's vertex (to r after the last
+letter).  At every vertex on the way it first absorbs the stack top if
+the top sits there; to cross an edge u -> w it splits the pending
+element x = e * t by the edge's table, pushes (u, t) unless t is
+trivial and carries e on to w.  A pushed letter meets (ii) for whatever
+is pushed next, because the pending element cannot leave the side of
+the top's edge it stands on without reaching the top's vertex and
+absorbing the top.  The table of u -> w maps x in G_u to (e, t), e the
+edge part as an element of G_w; it is filled one coset at a time on
+first use, so a vertex that is itself a tree product (contract) needs
+nothing but its mul.  The walks are read from a hop table built with
+the product: for each ordered pair of vertices, the edges of the path
+between them, each with its table and the identities at its two ends.
 
 Multiplying two normal forms starts the pass with the right factor's
 letters as the stack and its carry pending at r, and walks the left
@@ -275,9 +278,11 @@ class TreeProduct:
     """The tree product of a tree of groups, its elements in the normal
     form of the module docstring.
 
-    _toward[u][t] is the neighbour of u on the path to t, _path[u, t] the
-    vertices of that path (both ends included), and _tables[u, w] the
-    edge table of u -> w, seeded with the edge group's own coset.
+    _tables[u, w] is the edge table of u -> w, seeded with the edge
+    group's own coset.  _hops[u][t] lists the edges of the tree path from
+    u to t in order, one (a, w, _tables[a, w], identity of G_a, identity
+    of G_w) per edge a -> w, and is empty when u = t; _path[u, t] is the
+    set of vertices of that path, both ends included.
     """
 
     def __init__(self, tog: TreeOfGroups):
@@ -289,22 +294,15 @@ class TreeProduct:
         self.identity = (groups[self.root].identity, ())
         self._mul = {v: G.mul for v, G in groups.items()}
         self._one = {v: G.identity for v, G in groups.items()}
-        self._toward: dict = {v: {} for v in groups}
+        toward: dict = {v: {} for v in groups}
         for t in groups:
             frontier = [t]
             while frontier:
                 w = frontier.pop()
                 for u in tog.neighbors(w):
-                    if u != t and t not in self._toward[u]:
-                        self._toward[u][t] = w
+                    if u != t and t not in toward[u]:
+                        toward[u][t] = w
                         frontier.append(u)
-        self._path = {}
-        for u in groups:
-            for t in groups:
-                walk = [u]
-                while walk[-1] != t:
-                    walk.append(self._toward[walk[-1]][t])
-                self._path[u, t] = frozenset(walk)
         self._edges: dict = {}
         self._tables: dict = {}
         for e in tog.edges:
@@ -313,6 +311,18 @@ class TreeProduct:
                 self._edges[u, w] = (e.group, into_u, into_w)
                 self._tables[u, w] = {into_u[c]: (into_w[c], groups[u].identity)
                                       for c in e.group.elements()}
+        self._hops: dict = {u: {} for u in groups}
+        self._path = {}
+        for u in groups:
+            for t in groups:
+                hops, walk = [], [u]
+                while walk[-1] != t:
+                    a, w = walk[-1], toward[walk[-1]][t]
+                    hops.append((a, w, self._tables[a, w],
+                                 self._one[a], self._one[w]))
+                    walk.append(w)
+                self._hops[u][t] = tuple(hops)
+                self._path[u, t] = frozenset(walk)
         self._vertex_images: dict = {}
 
     def _split(self, u: str, w: str, x):
@@ -347,29 +357,35 @@ class TreeProduct:
         with trivial edge part.  The result's carry is then head itself.
         """
         root, mul, one = self.root, self._mul, self._one
-        toward, path, tables = self._toward, self._path, self._tables
+        hops, path = self._hops, self._path
         at = root
-        for i in range(len(letters), -1, -1):
-            v = letters[i - 1][0] if i else root
-            if head is not None and pending == one[at] and not (
-                    stack and stack[-1][0] in path[at, v]):
+        # the stack top's vertex, None while the stack is empty
+        top = stack[-1][0] if stack else None
+        i = len(letters)
+        # the last walk, to r, carries no letter
+        for v, x in (*reversed(letters), (root, None)):
+            if head is not None and pending == one[at] \
+                    and top not in path[at, v]:
                 return (head, tuple(letters[:i]) + tuple(reversed(stack)))
-            while True:
-                if stack and stack[-1][0] == at:
-                    pending = mul[at](pending, stack.pop()[1])
-                if at == v:
-                    break
-                w = toward[at][v]
-                if pending == one[at]:
-                    pending = one[w]
+            for a, w, table, one_a, one_w in hops[at][v]:
+                if top == a:
+                    pending = mul[a](pending, stack.pop()[1])
+                    top = stack[-1][0] if stack else None
+                if pending == one_a:
+                    pending = one_w
                 else:
-                    pending, t = tables[at, w].get(pending) \
-                        or self._split(at, w, pending)
-                    if t != one[at]:
-                        stack.append((at, t))
-                at = w
-            if i:
-                pending = mul[v](letters[i - 1][1], pending)
+                    pending, t = table.get(pending) \
+                        or self._split(a, w, pending)
+                    if t != one_a:
+                        stack.append((a, t))
+                        top = a
+            if top == v:
+                pending = mul[v](pending, stack.pop()[1])
+                top = stack[-1][0] if stack else None
+            if x is not None:
+                pending = mul[v](x, pending) if pending != one[v] else x
+            at = v
+            i -= 1
         if head is not None:
             pending = mul[root](head, pending)
         return (pending, tuple(reversed(stack)))
@@ -428,14 +444,12 @@ class TreeProduct:
         vertex of this tree (a contracted vertex counts once): the letters
         left by the slide pass of the module docstring."""
         carry, letters = el
-        one = self._one
         count = 0
         cur, at = carry, self.root
         for v, t in letters:
-            while at != v:
-                w = self._toward[at][v]
-                e, rest = self._split(at, w, cur)
-                if rest != one[at]:
+            for a, w, _, one_a, _ in self._hops[at][v]:
+                e, rest = self._split(a, w, cur)
+                if rest != one_a:
                     break
                 cur, at = e, w
             if at == v:
@@ -443,7 +457,7 @@ class TreeProduct:
             else:
                 count += 1
                 cur, at = t, v
-        return count + (cur != one[at])
+        return count + (cur != self._one[at])
 
     def vertex_value(self, el, vertex: str):
         """The G_vertex element equal to el, or None (finite groups only)."""

@@ -154,6 +154,13 @@ def test_tree_refusals(builder, vertices, edges, error):
         builder.tree(vertices, edges)
 
 
+def test_image_of_u_refuses_a_group_outside_the_ambient(cache, builder):
+    with pytest.raises(PreconditionError,
+                       match=r"^Phi\(rs\) is not inside Phi\(st\): "
+                             r"U\[rs\] is not a subgroup of U\[st\]$"):
+        builder.image_of_u("rs", cache.group("st"))
+
+
 def test_v_spec_index_two(ctx, builder):
     sp = builder.v_spec("x", "r", "st")
     assert sp.group.order * 2 == sp.ambient.order

@@ -170,13 +170,45 @@ def test_reduce_and_eval_word_reject_h_letters_outside_v(theorem_setup, word):
 
 def test_g_letters_are_read_from_one_table(theorem_setup):
     s = theorem_setup
-    assert {g: s.g_element(g) for g in G_LETTERS} == {
+    assert s._g_letters == {
         SR: ("0", 2), TR: ("2", 2), RT: ("2", 4), RTTR: ("2", 6)}
-    assert s.g_element(RTTR)[1] == s.U_trt.mul(s.u_rt, s.u_tr)
-    # built once: every call hands back the same letter
-    assert all(s.g_element(g) is s.g_element(g) for g in G_LETTERS)
+    assert s._g_letters[RTTR][1] == s.U_trt.mul(s.u_rt, s.u_tr)
     with pytest.raises(ConstraintError, match="unknown g letter 'u_ss'"):
-        s.g_element("u_ss")
+        s.eval_word((0, (("u_ss", 0),)))
+
+
+# malformed words and the ConstraintError text each entry point gives,
+# None where it takes the word; the first refusal in reading order wins
+REFUSALS = [
+    ((2, ((SR, 0),)), "h letter 2 is not an element of V",
+     "trace expects words without a leading V letter"),
+    ((0, (("u_ss", 1),)), "unknown g letter 'u_ss'", "unknown g letter 'u_ss'"),
+    ((0, (("u_ss", 99),)), "unknown g letter 'u_ss'",
+     "unknown g letter 'u_ss'"),
+    ((0, ((SR, 1), ("u_ss", 99))), "unknown g letter 'u_ss'",
+     "unknown g letter 'u_ss'"),
+    ((99, (("u_ss", 1),)), "h letter 99 is not an element of V",
+     "trace expects words without a leading V letter"),
+    ((0, ((SR, None),)), "h letter None is not an element of V",
+     "h letter None is not an element of V"),
+    ((1, ((SR, 1),)), None, "trace expects words without a leading V letter"),
+    ((0, ()), None, "trace needs at least one g letter"),
+    ((0, ((SR, 0), (SR, 1))), None, "word violates the constraint clauses"),
+]
+
+
+@pytest.mark.parametrize("word, eval_text, trace_text", REFUSALS)
+def test_refusal_messages_are_pinned(theorem_setup, word, eval_text,
+                                     trace_text):
+    s = theorem_setup
+    for call, text in ((s.eval_word, eval_text), (s.reduce, eval_text),
+                       (lambda w: trace_word(s, w), trace_text)):
+        if text is None:
+            call(word)
+            continue
+        with pytest.raises(ConstraintError) as info:
+            call(word)
+        assert str(info.value) == text
 
 
 def test_v_is_the_memoized_root_subgroup(cache, theorem_setup):
@@ -269,6 +301,41 @@ def test_blocked_is_the_two_constraint_clauses(theorem_setup):
         assert s.blocked(g, h, g2) == (clause_a or clause_b), (g, h, g2)
         count += s.blocked(g, h, g2)
     assert count == 2 + 9 * 2
+
+
+def test_blocked_table_is_blocked_tabulated(theorem_setup):
+    s = theorem_setup
+    triples = list(itertools.product(G_LETTERS, sorted(s._v_words), G_LETTERS))
+    assert len(triples) == 4 * 8 * 4
+    assert s._blocked == {t for t in triples if s.blocked(*t)}
+    # a letter outside the alphabet or an h outside V is never blocked
+    strays = [(SR, 0, "u_ss"), ("u_ss", 0, SR), (SR, 99, SR), (TR, 99, RT),
+              (TR, None, RT)]
+    assert not any(s.blocked(*t) for t in strays)
+    assert not any(t in s._blocked for t in strays)
+    assert s.constrained((0, ((SR, 99), (SR, 0))))
+
+
+class _ExtraClause(reduction.TheoremSetup):
+    """The standard setup with one more clause: u_sr u_t u_sr."""
+
+    def blocked(self, g, h, g2):
+        return super().blocked(g, h, g2) or (g == g2 == SR and h == self.ut)
+
+
+def test_an_extra_clause_reaches_every_reader_of_the_table(cache,
+                                                            theorem_setup):
+    s, x = theorem_setup, _ExtraClause(cache)
+    assert x._blocked == s._blocked | {(SR, s.ut, SR)}
+    word = (0, ((SR, s.ut), (SR, 0)))
+    assert s.constrained(word) and not x.constrained(word)
+    assert s.allowed_after(("A:s", s.ut), SR)
+    assert not x.allowed_after(("A:s", s.ut), SR)
+    assert s.reduce(word) == (word, 0)
+    # reduce rewrites at the new clause, as if u_sr commuted with u_t,
+    # and its element check refuses the result
+    with pytest.raises(reduction.ReductionError, match="changed the element"):
+        x.reduce(word)
 
 
 # a wrong Klein product makes rule b.ii change the element; under -O an

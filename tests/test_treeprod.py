@@ -204,7 +204,7 @@ def _theorem_letters(setup, word) -> list:
     h0, pairs = word
     letters = [("1", h0)] if h0 else []
     for g, h in pairs:
-        letters.append(setup.g_element(g))
+        letters.append(setup._g_letters[g])
         if h:
             letters.append(("1", h))
     return letters
