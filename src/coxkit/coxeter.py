@@ -40,8 +40,10 @@ canon(b w) (F1), and let y = canon(w1 g) = mult_gen(w1, g), so wg = b y.
      distinct generators are conjugate, so a = g, and the rule reads
      g + w when g < b and w(alpha_g) = alpha_g.
   4. Otherwise the least left descent of wg is b and canon(wg) = b + y.
-The steps peel w down to the longest suffix whose product with g is
-memoized and build back up, with no recursion.
+The products are memoized one table per generator: _right[g][w] is
+canon(w g), keyed by the canonical word w alone.  mult_gen peels w down
+to the longest suffix that _right[g] holds and builds back up, with no
+recursion.
 
 Rule 3's question, whether w(alpha_g) = alpha_g, is answered by a walk
 through a fixed table of elementary roots (B. Brink and R. Howlett,
@@ -73,12 +75,15 @@ because s w[i+1:] g = w[i:]g is longer than w[i+1:]g.  That contradicts
 the dominance.  So OUT is absorbing, the walk stops there, and w(alpha_g)
 = alpha_g, a root of Sigma, exactly when the walk ends at alpha_g's index.
 
-Every left factor is a canonical word: one that the kernel has not met
-yet is first walked letter by letter from the identity (canon_reduced),
-and unless each letter makes it longer and the walk ends at the factor
-itself it raises ValueError, with nothing about it stored.  So a product
-whose left factor the kernel has met starts from that factor's memoized
-canonical form, one dict read, and walks only the later factors.
+Every key of _right is a generator and every key of _right[g] a
+canonical word: mult_gen refuses an unknown generator, and a left factor
+the kernel has not met yet is first walked letter by letter from the
+identity (canon_reduced); unless each letter makes it longer and the
+walk ends at the factor itself it raises ValueError, with nothing about
+it stored.  mult reads _right[letter][product so far], two dict reads on
+a hit, and calls mult_gen only on a miss or an unknown letter; a product
+whose left factor the kernel has met starts from that factor's canonical
+form, one dict read, and walks only the later factors.
 
 Cross-check.  Tits' solution to the word problem, the braid-move closure
 of a reduced word being the complete set of its reduced expressions and
@@ -118,8 +123,6 @@ class ResidueError(RuntimeError):
 class KernelError(RuntimeError):
     """The word-problem solver contradicts the Coxeter matrix."""
 
-
-_GENERATORS = frozenset(GENS)
 
 # REFLECTION_TABLE entries that are not an index into ELEMENTARY_ROOTS
 OUT = -1         # s(beta) is not elementary
@@ -184,7 +187,8 @@ class Coxeter:
         self._canon: dict[str, str] = {"": ""}
         # the elements whose braid closure agreed with the kernel
         self._closure: dict[str, frozenset] = {"": frozenset([""])}
-        self._mult_gen: dict[tuple[str, str], str] = {("", g): g for g in GENS}
+        # _right[g][w] = canon(w g), one memo per generator
+        self._right: dict[str, dict[str, str]] = {g: {"": g} for g in GENS}
         self._parabolics: dict[frozenset, tuple[str, ...]] = {}
         self._balls: list[tuple[str, ...]] = [("",)]
         # the context's one coxkit.roots.RootSystem (roots.root_system)
@@ -238,22 +242,22 @@ class Coxeter:
 
     def mult_gen(self, w: str, g: str) -> str:
         """Canonical form of w*g for a single generator g."""
-        memo = self._mult_gen
-        out = memo.get((w, g))
+        right = self._right.get(g)
+        if right is None:
+            raise ValueError(f"unknown generator {g!r}")
+        out = right.get(w)
         if out is None:
-            if g not in _GENERATORS:
-                raise ValueError(f"unknown generator {g!r}")
             if self._canon.get(w) != w and self.canon_reduced(w) != w:
                 raise ValueError(f"{w!r} is not canonical")
             # peel w down to a suffix whose product with g is memoized
             # (the identity's always is), then build back up by the rules
             peeled = []
-            while (w, g) not in memo:
+            while w not in right:
                 peeled.append(w)
                 w = w[1:]
-            out = memo[w, g]
+            out = right[w]
             for w in reversed(peeled):
-                out = memo[w, g] = self._step(w, g, out)
+                out = right[w] = self._step(w, g, out)
                 self._canon[out] = out
         return out
 
@@ -275,6 +279,7 @@ class Coxeter:
 
     def mult(self, *words: str) -> str:
         """Canonical form of the product of the words, left to right."""
+        right = self._right
         out = ""
         for w in words:
             if not out:
@@ -286,18 +291,17 @@ class Coxeter:
                     out = c
                     continue
             for ch in w:
-                out = self.mult_gen(out, ch)
+                # a memo hit costs two dict reads; mult_gen takes the
+                # misses and refuses an unknown letter
+                row = right.get(ch)
+                nxt = None if row is None else row.get(out)
+                out = self.mult_gen(out, ch) if nxt is None else nxt
         return out
 
     def inv(self, w: str) -> str:
         if not w:
             return w
         return self.canon_reduced(self.normalize(w)[::-1])
-
-    # -- descents -------------------------------------------------------
-
-    def has_left_descent(self, w: str, g: str) -> bool:
-        return any(e.startswith(g) for e in self.reduced_words(w))
 
     # -- balls ------------------------------------------------------------
 
@@ -390,14 +394,6 @@ class Coxeter:
         """The minimal galleries from the identity to w, each its type
         word: the reduced words of w, sorted."""
         return tuple(sorted(self.reduced_words(self.normalize(w))))
-
-    def gallery_shift(self, s: str, g: str) -> str:
-        """The gallery sG; g must lie in Min_s of its endpoint."""
-        if self.has_left_descent(self.normalize(g), s):
-            if not g.startswith(s):
-                raise ValueError("gallery not in Min_s: type must start with s")
-            return g[1:]
-        return s + g
 
 
 _STANDARD: Coxeter | None = None

@@ -47,16 +47,23 @@ def verify_wordsincoxetergroup(ctx: Coxeter, radius: int,
         r, s, t = lab
         dihedral = [x for x in ctx.parabolic({s, t}) if len(x) >= 2]
         for w in ball:
-            if len(ctx.mult_gen(w, s)) != len(w) + 1:
+            ws = ctx.mult_gen(w, s)
+            if len(ws) != len(w) + 1:
                 continue
-            if len(ctx.mult_gen(w, t)) != len(w) + 1:
+            wt = ctx.mult_gen(w, t)
+            if len(wt) != len(w) + 1:
                 continue
+            # w w' one letter past w w'[:-1]: the dihedral list is sorted
+            # by length and ShortLex forms are closed under prefixes (F1
+            # in coxkit.coxeter), so w'[:-1] is s, t or an earlier w'
+            prefix = {s: ws, t: wt}
             for wp in dihedral:
-                base = ctx.mult(w, wp, r)
+                wwp = prefix[wp] = ctx.mult_gen(prefix[wp[:-1]], wp[-1])
+                base = ctx.mult_gen(wwp, r)
                 for f in ("", s, t):
                     rep.tuples_checked += 1
                     expect = len(w) + len(wp) + bump + len(f)
-                    got = len(ctx.mult(base, f))
+                    got = len(ctx.mult_gen(base, f) if f else base)
                     if got != expect:
                         rep.violations.append(
                             {"labeling": lab, "w": w, "w'": wp, "f": f,
@@ -77,13 +84,16 @@ def verify_not_both_down(ctx: Coxeter, radius: int,
     for lab in LABELINGS:
         r, s, t = lab
         for w in ball:
-            if len(ctx.mult_gen(w, s)) != len(w) + 1:
+            ws = ctx.mult_gen(w, s)
+            if len(ws) != len(w) + 1:
                 continue
-            if len(ctx.mult_gen(w, t)) != len(w) + 1:
+            wt = ctx.mult_gen(w, t)
+            if len(wt) != len(w) + 1:
                 continue
             rep.tuples_checked += 1
-            lsr = len(ctx.mult(w, s, r))
-            ltr = len(ctx.mult(w, t, r))
+            wsr = ctx.mult_gen(ws, r)
+            lsr = len(wsr)
+            ltr = len(ctx.mult_gen(wt, r))
             if mutant == "both_up":
                 ok = lsr == len(w) + 2 and ltr == len(w) + 2
             else:
@@ -94,10 +104,10 @@ def verify_not_both_down(ctx: Coxeter, radius: int,
                      "l(wsr)": lsr, "l(wtr)": ltr})
             if lsr == len(w):
                 rep.tuples_checked += 1
-                if len(ctx.mult(w, s, r, t)) != len(w) + 1:
+                lsrt = len(ctx.mult_gen(wsr, t))
+                if lsrt != len(w) + 1:
                     rep.violations.append(
-                        {"labeling": lab, "w": w, "clause": 2,
-                         "l(wsrt)": len(ctx.mult(w, s, r, t))})
+                        {"labeling": lab, "w": w, "clause": 2, "l(wsrt)": lsrt})
             else:
                 vacuous += 1
     rep.notes["clause2_vacuous"] = vacuous

@@ -1,6 +1,7 @@
-"""Minimal galleries for the tests: a checked constructor, the blueprint
-group along any minimal gallery, where the program builds groups along
-canonical galleries only, and the per-prefix inversion sequence that
+"""Minimal galleries for the tests: a checked constructor, left descents
+and the paper's shift sG of a gallery, the blueprint group along any
+minimal gallery, where the program builds groups along canonical
+galleries only, and the per-prefix inversion sequence that
 RootSystem.inversion_sequence replaced, kept as its oracle."""
 
 from coxkit.blueprint import BlueprintGroup
@@ -11,6 +12,21 @@ def gallery(ctx, word: str) -> str:
     if len(ctx.normalize(word)) != len(word):
         raise ValueError(f"gallery type {word!r} is not reduced")
     return word
+
+
+def has_left_descent(ctx, w: str, g: str) -> bool:
+    """Whether g is a left descent of w (canonical): some reduced word of
+    w starts with g."""
+    return any(e.startswith(g) for e in ctx.reduced_words(w))
+
+
+def gallery_shift(ctx, s: str, g: str) -> str:
+    """The gallery sG; g must lie in Min_s of its endpoint."""
+    if has_left_descent(ctx, ctx.normalize(g), s):
+        if not g.startswith(s):
+            raise ValueError("gallery not in Min_s: type must start with s")
+        return g[1:]
+    return s + g
 
 
 def group_along(cache, g: str) -> BlueprintGroup:

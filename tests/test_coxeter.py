@@ -6,7 +6,7 @@ from coxkit import coxeter, growth, lemmas, suites, wordops, zroot2
 from coxkit.coxeter import (ELEMENTARY_ROOTS, GENS, MAX_RADIUS, NEGATIVE, OUT,
                              REFLECTION_TABLE, Coxeter, KernelError, ResidueError,
                              ResourceLimit)
-from galleries import gallery
+from galleries import gallery, gallery_shift, has_left_descent
 
 
 def test_normalize_examples(ctx):
@@ -120,21 +120,21 @@ def test_galleries(ctx):
     with pytest.raises(ValueError):
         gallery(ctx, "ss")
     # the shift operation in both directions
-    assert ctx.gallery_shift("s", gallery(ctx, "st")) == "t"
-    assert ctx.gallery_shift("r", gallery(ctx, "st")) == "rst"
+    assert gallery_shift(ctx, "s", gallery(ctx, "st")) == "t"
+    assert gallery_shift(ctx, "r", gallery(ctx, "st")) == "rst"
     with pytest.raises(ValueError, match="not in Min_s"):
-        ctx.gallery_shift("t", gallery(ctx, "stst"))
+        gallery_shift(ctx, "t", gallery(ctx, "stst"))
     assert [g for g in ctx.min_galleries("stst") if g.startswith("s")] == ["stst"]
 
 
 def test_descents(ctx):
-    assert ctx.has_left_descent("stst", "t")
-    assert ctx.has_left_descent("stst", "s")
-    assert not ctx.has_left_descent("st", "t")
+    assert has_left_descent(ctx, "stst", "t")
+    assert has_left_descent(ctx, "stst", "s")
+    assert not has_left_descent(ctx, "st", "t")
     # right descents are the left descents of the inverse
-    assert ctx.has_left_descent(ctx.inv("stst"), "s")
-    assert ctx.has_left_descent(ctx.inv("stst"), "t")
-    assert not ctx.has_left_descent(ctx.inv("st"), "s")
+    assert has_left_descent(ctx, ctx.inv("stst"), "s")
+    assert has_left_descent(ctx, ctx.inv("stst"), "t")
+    assert not has_left_descent(ctx, ctx.inv("st"), "s")
 
 
 def _series_quotient(num, den, n):
@@ -198,7 +198,8 @@ def test_kernel_matches_the_braid_closure_oracle():
     for fn, radius in lemmas.SWEEPS.values():
         assert fn(fresh, radius).passed
     # every product the sweeps left in the memo, and ball(10) times a letter
-    pairs = set(fresh._mult_gen) | {(w, g) for w in fresh.ball(10) for g in GENS}
+    pairs = {(w, g) for g, row in fresh._right.items() for w in row} \
+        | {(w, g) for w in fresh.ball(10) for g in GENS}
     assert len(pairs) > 3 * len(fresh.ball(10))
     assert [p for p in pairs if fresh.mult_gen(*p) != _oracle_product(*p)] == []
     assert all(fresh.inv(w) == min(_braid_closure(w[::-1])) for w in fresh.ball(8))
@@ -375,12 +376,18 @@ def test_bad_words_stay_out_of_the_memo(method, args):
     cox = Coxeter()
     with pytest.raises(ValueError):
         getattr(cox, method)(*args)
-    for factors in (("x",), ("x", "s")):
+    # an unknown letter after a memo hit reaches mult_gen's refusal
+    for factors in (("x",), ("x", "s"), ("rs", "x"), ("rs", "tx")):
         with pytest.raises(ValueError):
             cox.mult(*factors)
     assert cox.mult("ss", "r") == "r" and cox.mult("tsst") == ""
     assert all(set(k) <= set(GENS) for k in cox._canon)
     assert all(len(cox.normalize(k)) == len(k) for k in cox._canon)
+    # one memo per generator, each keyed by canonical words only
+    assert set(cox._right) == set(GENS)
+    for row in cox._right.values():
+        assert all(set(w) <= set(GENS) and cox.canon_reduced(w) == w
+                   for w in list(row))
 
 
 def test_parabolic_memo_does_not_outlive_its_group():

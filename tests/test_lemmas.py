@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -75,6 +76,62 @@ def test_swap_containment_counterexamples_pinned(ctx):
         want = next(x for x in ball
                     if rs.member(x, gamma) and not rs.member(x, beta))
         assert v["ball_counterexample"] == want
+
+
+# sha256 of each report's to_dict() without elapsed, as sorted-key JSON:
+# every sweep at radius 8 and at its SWEEPS radius, every mutant at 4
+SWEEP_REPORT_SHA256 = {
+    "wordsincoxetergroup@6": "4de5e5d65b8c16a6a4658a72444a111b92ff59a57f6a436c0a0cc514d081641e",
+    "wordsincoxetergroup@8": "451d4becf91da81afedb69fc2c3b13a97de564976bb740c1d001f179cd97e439",
+    "wordsincoxetergroup:plus_two@4": "ec5551b9eb01edb1fbde94ef3d20a2991c1a0b7858a7873a96cec1a11a2df94a",
+    "not_both_down@7": "0d70e54cd3954dfcb92b81692272ed10efa6b7d7d97c1ed12ebac43429c9c008",
+    "not_both_down@8": "30df59e79f195eb6f3395800e3434928b02d8ae2e2542de9e4b46bb23d0ee05c",
+    "not_both_down:both_up@4": "64d53e0d916db8c0bc5f5a4bff54dd681f5d775c06a59079ec35a509e37bbcfa",
+    "mingallinrep@8": "f16f12c7d1736ec10220ac665e4759b111fd942530b7626728752bcc56c63df2",
+    "mingallinrep:swap_containment@4": "0681240b6c25c1425c5e04fc56d9db7bc39896568a1a7b5881a349b98f3e300e",
+    "subset_lemma@8": "87b428726891feaf657338d9fa69afd4570ea5ed21564d280084209842db76ac",
+    "subset_lemma@10": "aca978e7b08642b5c71c0a5c9ffe73dd2920403b41fd95fa8c819bdd9b4a5aec",
+    "subset_lemma:opposite_target@4": "15c4aa4f60b4eea96d947d7bbaecf2983977e93fb361dbd105012730a803043d",
+}
+
+
+def _report_sha256(rep) -> str:
+    doc = rep.to_dict()
+    doc.pop("elapsed")
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_sweep_reports_pinned():
+    # tuple counts, violations and notes, byte for byte, on a cold context
+    ctx = Coxeter()
+    got = {}
+    for name, (fn, radius) in lemmas.SWEEPS.items():
+        for r in sorted({8, radius}):
+            got[f"{name}@{r}"] = _report_sha256(fn(ctx, r))
+        for mutant in lemmas.MUTANTS[name]:
+            got[f"{name}:{mutant}@4"] = _report_sha256(fn(ctx, 4, mutant=mutant))
+    assert got == SWEEP_REPORT_SHA256
+
+
+def test_a_clause_2_violation_records_the_length_it_checked():
+    # a context that answers one product a letter too long, once: the
+    # violation record carries the length that failed the check
+    class OnceWrong(Coxeter):
+        lie = None
+
+        def mult_gen(self, w, g):
+            out = super().mult_gen(w, g)
+            if (w, g) == self.lie:
+                self.lie = None
+                return out + "?"
+            return out
+
+    ctx = OnceWrong()
+    ctx.ball(4)
+    ctx.lie = ("srs", "t")   # w s r t for w = rsr under the labeling rst
+    rep = lemmas.verify_not_both_down(ctx, 4)
+    assert rep.violations == [
+        {"labeling": "rst", "w": "rsr", "clause": 2, "l(wsrt)": 5}]
 
 
 def test_unknown_mutant_rejected(ctx):

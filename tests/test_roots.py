@@ -182,7 +182,7 @@ def test_each_crossing_table_walks_its_own_ball(ctx, monkeypatch):
 
 def test_root_is_a_tuple_key(ctx):
     # hash and equality are tuple's own; a Root never equals a gallery's
-    # type word or a (str, str) memo key
+    # type word, a product memo's key or a (word, letter) pair
     assert Root.__hash__ is tuple.__hash__ and Root.__eq__ is tuple.__eq__
     rs = root_system(ctx)
     a = rs.simple("s")
@@ -192,9 +192,11 @@ def test_root_is_a_tuple_key(ctx):
     for w in ctx.ball(4):
         for s in "rst":
             rs.root_from(w, s)
-    assert rs._vectors and rs._roots_from and ctx._mult_gen
+    pairs = {(w, g) for g, row in ctx._right.items() for w in row}
+    assert rs._vectors and rs._roots_from and pairs
     assert set(rs._roots_from).isdisjoint(rs._vectors)
-    assert set(ctx._mult_gen).isdisjoint(rs._vectors)
+    assert pairs.isdisjoint(rs._vectors)
+    assert {w for w, _ in pairs}.isdisjoint(rs._vectors)
     rs.inversion_sequence("stst")
     assert set(rs._inversions).isdisjoint(rs._vectors)
 

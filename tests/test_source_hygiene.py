@@ -8,8 +8,9 @@ which `python -O` strips; and that keep one builder of trees of groups
 (constructions.Builder.tree, over treeprod's edges), one builder of
 subgroups (the memo blueprint.GroupCache.root_subgroup), one root system
 per Coxeter context (roots.root_system), one caller of the braid closure
-(Coxeter.reduced_words) and roots named by what they are, not by where a
-group lists them."""
+(Coxeter.reduced_words), the Coxeter kernel's memo tables read by the
+kernel alone, and roots named by what they are, not by where a group
+lists them."""
 
 import ast
 import json
@@ -252,13 +253,79 @@ def test_braid_closure_guard_sees_calls_outside_reduced_words():
     assert calls_of(tree, "braid_closure") == [("reduced_words", 4), ("ball", 7)]
 
 
+# the private names of Coxeter that another module may take: the slot in
+# which roots.root_system keeps the context's one root system.  Every
+# other module multiplies through mult_gen and mult, which hold the
+# refusals, and never reads the kernel's memo tables
+COXETER_PRIVATE_ALLOWED = {("roots.py", "_root_system")}
+
+
+def private_members(tree, cls: str) -> set:
+    """The private names that class cls defines in tree: its methods and
+    the attributes its methods assign on self."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.add(sub.name)
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store) \
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                    found.add(sub.attr)
+    return {name for name in found
+            if name.startswith("_") and not name.endswith("__")}
+
+
+def foreign_reads(tree, names: set) -> list:
+    """(line, name) for each attribute of tree named in names and taken
+    on anything but self, as `x.name` or `getattr(x, "name")`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in names \
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" \
+                and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant) \
+                and node.args[1].value in names:
+            found.append((node.lineno, node.args[1].value))
+    return sorted(found)
+
+
+def test_only_the_kernel_reads_its_private_state():
+    private = private_members(ast.parse((SRC / "coxeter.py").read_text()), "Coxeter")
+    assert {"_right", "_canon", "_closure", "_step"} <= private
+    found = {(str(path.relative_to(SRC)), name)
+             for path in sorted(SRC.rglob("*.py")) if path.name != "coxeter.py"
+             for _, name in foreign_reads(ast.parse(path.read_text()), private)}
+    assert found == COXETER_PRIVATE_ALLOWED
+
+
+def test_private_state_guard_sees_reads_off_self():
+    kernel = ast.parse(
+        "class Coxeter:\n"
+        "    def __init__(self):\n"
+        "        self._memo = {}\n"
+        "        self._n: int = 0\n"
+        "        self.public = 1\n"
+        "    def _helper(self):\n"
+        "        return self._memo\n")
+    assert private_members(kernel, "Coxeter") == {"_memo", "_n", "_helper"}
+    other = ast.parse(
+        "def f(ctx):\n"
+        "    ctx._memo['x'] = 1\n"
+        "    return ctx._helper() + ctx.public\n"
+        "class Mine:\n"
+        "    def g(self, ctx):\n"
+        "        return self._memo, getattr(ctx, '_n')\n")
+    assert foreign_reads(other, {"_memo", "_n", "_helper"}) == [
+        (2, "_memo"), (3, "_helper"), (6, "_n")]
+
+
 # public functions and methods that nothing in src/coxkit calls, each with
 # the reason it stays
 KEPT_WITHOUT_PROGRAM_CALLER = {
     "export_table": "writes the table_stst.txt golden, the one byte pin "
                     "of a full group table",
-    "gallery_shift": "the paper's sG on galleries, for the blueprint's "
-                     "local Weyl-invariance test",
     "dump": "writes the twin-model golden",
     "collect_seq": "the benchmark pins its call count as never called; "
                    "removing it is a benchmark change",
@@ -421,8 +488,6 @@ def test_unset_defaults_reads_positions_keywords_and_classes():
 NOT_REACHED_ALLOWED = {
     "BlueprintGroup.export_table": KEPT_WITHOUT_PROGRAM_CALLER["export_table"],
     "TwinModel.dump": KEPT_WITHOUT_PROGRAM_CALLER["dump"],
-    "Coxeter.gallery_shift": KEPT_WITHOUT_PROGRAM_CALLER["gallery_shift"],
-    "Coxeter.has_left_descent": "called by gallery_shift alone",
     "TheoremSetup.enumerate_constrained":
         KEPT_WITHOUT_PROGRAM_CALLER["enumerate_constrained"],
     "collect_seq": KEPT_WITHOUT_PROGRAM_CALLER["collect_seq"],
