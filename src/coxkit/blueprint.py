@@ -349,13 +349,6 @@ class BlueprintGroup:
         self._certified = len(rels)
         return len(rels)
 
-    def export_table(self) -> str:
-        lines = [f"group w={self.w} gallery={self.gallery} "
-                 f"order={self.order}"]
-        for x in range(self.order):
-            lines.append(" ".join(str(self.mul(x, y)) for y in range(self.order)))
-        return "\n".join(lines) + "\n"
-
 
 class GroupCache:
     """Shared builder for the blueprint groups and their root subgroups,

@@ -27,6 +27,9 @@ from coxkit.coxeter import Coxeter, Residue, standard_coxeter
 from coxkit.treeprod import Edge, Subgroup, TreeOfGroups
 
 KINDS = ("V_R", "O_R", "V_Rs", "O_Rs", "H_R", "K_Rs")
+# each rank-2 type J, its letters sorted, with the third letter, in the
+# order the report lists its residues
+RANK2 = {("s", "t"): "r", ("r", "s"): "t", ("r", "t"): "s"}
 
 
 class PreconditionError(ValueError):
@@ -41,10 +44,10 @@ class ResidueClassTag:
 
 def residue_letters(R: Residue, s: str | None = None):
     """(s, t, d): the chosen type letter, the other one, the third letter."""
-    types = sorted(R.types)
+    types = tuple(sorted(R.types))
     if len(types) != 2:
         raise PreconditionError("constructions need rank-2 residues")
-    (d,) = set("rst") - set(types)
+    d = RANK2[types]
     if s is None:
         s, t = types
     else:
@@ -228,14 +231,10 @@ class Builder:
 # -- colimit data ------------------------------------------------------------
 
 
-def pair_labelings():
-    return (("s", "t"), ("r", "s"), ("r", "t"))
-
-
 def c_set_r(ctx: Coxeter, pair) -> frozenset:
     """C for the two-letter colimit of the pair {s,t}: prefixes of the
     longest elements of the two parabolic types containing the third letter."""
-    (d,) = set("rst") - set(pair)
+    d = RANK2[tuple(sorted(pair))]
     out = set()
     for x in pair:
         out |= ctx.prefix_set(ctx.longest({d, x}))
@@ -244,15 +243,14 @@ def c_set_r(ctx: Coxeter, pair) -> frozenset:
 
 def c_set_minus1(ctx: Coxeter) -> frozenset:
     out = set()
-    for pair in pair_labelings():
+    for pair in RANK2:
         out |= ctx.prefix_set(ctx.longest(set(pair)))
     return frozenset(out)
 
 
 def c_set_0(ctx: Coxeter) -> frozenset:
     out = set(c_set_minus1(ctx))
-    for pair in pair_labelings():
-        (d,) = set("rst") - set(pair)
+    for pair, d in RANK2.items():
         out |= ctx.prefix_set(ctx.mult(d, ctx.longest(set(pair))))
     return frozenset(out)
 
@@ -262,8 +260,7 @@ def d_set(ctx: Coxeter, C: frozenset) -> frozenset:
     as the elements w_R * r_J."""
     out = set()
     for w in C:
-        for pair in pair_labelings():
-            u, v = pair
+        for u, v in RANK2:
             wu, wv = ctx.mult(w, u), ctx.mult(w, v)
             if len(wu) == len(w) + 1 and len(wv) == len(w) + 1 \
                     and wu in C and wv in C:
@@ -291,7 +288,8 @@ def dset_certificate(cache: GroupCache) -> Certificate:
     ctx = cache.ctx
     cert = Certificate("colimit_generating_data")
     m = ctx.mult
-    r_st, r_rs, r_rt = ctx.longest("st"), ctx.longest("rs"), ctx.longest("rt")
+    r_J = {pair: ctx.longest(set(pair)) for pair in RANK2}
+    r_st, r_rs, r_rt = r_J.values()
     C_r = c_set_r(ctx, ("s", "t"))
     C_m1 = c_set_minus1(ctx)
     C_0 = c_set_0(ctx)
@@ -312,25 +310,18 @@ def dset_certificate(cache: GroupCache) -> Certificate:
     cert.check("the two-letter colimit has seven generators", n7 == 7, got=n7)
     n9 = len(roots_violated(cache, C_m1))
     cert.check("the middle colimit has nine generators", n9 == 9, got=n9)
-    pairs12 = sum(len(cache.phi(ctx.longest(set(p)))) for p in pair_labelings())
+    small = [cache.phi(r_J[pair]) for pair in RANK2]
+    big = [cache.phi(m(d, r_J[pair])) for pair, d in RANK2.items()]
+    pairs12 = sum(map(len, small))
     cert.check("twelve generators indexed by the r_J groups", pairs12 == 12,
                got=pairs12)
-    pairs15 = 0
-    for p in pair_labelings():
-        (d,) = set("rst") - set(p)
-        pairs15 += len(cache.phi(m(d, ctx.longest(set(p)))))
+    pairs15 = sum(map(len, big))
     cert.check("fifteen generators indexed by the r*r_J groups", pairs15 == 15,
                got=pairs15)
     n15 = len(roots_violated(cache, C_0))
     cert.check("fifteen roots do not contain all of C_0", n15 == 15, got=n15)
-    small = set()
-    for p in pair_labelings():
-        small |= set(cache.phi(ctx.longest(set(p))))
-    big = set()
-    for p in pair_labelings():
-        (d,) = set("rst") - set(p)
-        big |= set(cache.phi(m(d, ctx.longest(set(p)))))
-    cert.check("every r_J generator is also an r*r_J generator", small <= big)
+    cert.check("every r_J generator is also an r*r_J generator",
+               set().union(*small) <= set().union(*big))
     rels = harvest_relations(cache, C_0)
     gens = roots_violated(cache, C_0)
     ok = all(a in gens and b in gens and all(c in gens for c in mids)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate, timed
-from coxkit.constructions import (Builder, PreconditionError, classify_residue,
-                                  c_set_0, c_set_minus1, c_set_r, dset_certificate,
-                                  harvest_relations, pair_labelings,
+from coxkit.constructions import (RANK2, Builder, PreconditionError,
+                                  classify_residue, c_set_0, c_set_minus1,
+                                  c_set_r, dset_certificate, harvest_relations,
                                   residue_letters, roots_violated)
 from coxkit.coxeter import Residue
 from coxkit.treeprod import (TreeProduct, check_subtree_conditions, contract,
@@ -659,8 +659,7 @@ class Section4:
         # fresh generators per R_1 residue are pairwise distinct
         m1_roots = roots_violated(self.cache, C_m1)
         fresh = {}
-        for pair in pair_labelings():
-            (dd,) = set("rst") - set(pair)
+        for pair, dd in RANK2.items():
             T = ctx.residue(set(pair), dd)
             otT = b.construction("O_R", T)
             fresh[dd] = self.construction_roots(otT) - m1_roots
@@ -733,7 +732,7 @@ def section4_pipeline(cache: GroupCache | None = None,
     sec = Section4(Builder(cache))
     out = [dset_certificate(sec.cache), sec.cert_nested_intervals_empty()]
     if residues is None:
-        residues = [(pair, "") for pair in pair_labelings()]
+        residues = [(pair, "") for pair in RANK2]
     chosen = {}
     for types, gate in residues:
         R = sec.ctx.residue(set(types), gate)

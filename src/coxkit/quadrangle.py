@@ -576,27 +576,6 @@ class TwinModel:
                         {"letter": letter, "w": w, "half": "-"})
         return rep
 
-    def dump(self) -> str:
-        """Deterministic text dump: chambers, panels, distance table."""
-        lines = [f"twin model letters={self.letters[0]}{self.letters[1]} "
-                 f"group={len(self.elems)} borel={len(self.borel_plus)} "
-                 f"chambers={len(self.chambers(-1))} "
-                 f"panel={len(self.panel(self.c_minus, self.letters[0]))}"]
-        for sign, tag in ((1, "+"), (-1, "-")):
-            for c in self.chambers(sign):
-                for letter in self.letters:
-                    members = ",".join(str(d.coset) for d in self.panel(c, letter))
-                    lines.append(f"panel {tag}{c.coset} {letter} {members}")
-        for x in self.chambers(-1):
-            row = " ".join(self.weyl_distance(x, y) or "1"
-                           for y in self.chambers(-1))
-            lines.append(f"dist -{x.coset} {row}")
-        for x in self.chambers(1):
-            row = " ".join(self.codistance(x, y) or "1"
-                           for y in self.chambers(-1))
-            lines.append(f"codist +{x.coset} {row}")
-        return "\n".join(lines) + "\n"
-
 
 _MODELS: dict[tuple, TwinModel] = {}
 

@@ -11,9 +11,8 @@ s*alpha_r, t*alpha_r, r*alpha_t and the product of the last two, which
 commute) and the h letters elements of V = <u_s, u_t> given as masks of
 the ambient blueprint group at stst.  TheoremSetup.blocked is the one
 statement of the constraint clauses.  Construction tabulates it over
-the alphabet and V as _blocked, which constrained, reduce and
-allowed_after (so the trace automaton) read; enumerate_constrained
-calls it.
+the alphabet and V as _blocked, which constrained, reduce,
+enumerate_constrained and allowed_after (so the trace automaton) read.
 
 The replay is a fold: _trace_base turns the first pair into a counter
 and a state (kind, h), where kind = KIND[g] is A:s, A:t or B and h is
@@ -215,7 +214,7 @@ class TheoremSetup:
 
     def enumerate_constrained(self, max_pairs: int):
         """All constrained words g1 h1 ... gn hn (no leading h) with n <= max_pairs."""
-        V = sorted(self._v_words)
+        V, blocked = sorted(self._v_words), self._blocked
 
         def extend(pairs, n):
             if pairs:
@@ -223,7 +222,7 @@ class TheoremSetup:
             if n == 0:
                 return
             for g in G_LETTERS:
-                if pairs and self.blocked(*pairs[-1], g):
+                if pairs and (*pairs[-1], g) in blocked:
                     continue
                 for h in V:
                     yield from extend(pairs + [(g, h)], n - 1)
@@ -589,11 +588,7 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         raise ConstraintError("trace expects words without a leading V letter")
     if not pairs:
         raise ConstraintError("trace needs at least one g letter")
-    for g, h in pairs:
-        if g not in G_LETTERS:
-            raise ConstraintError(f"unknown g letter {g!r}")
-        if h not in setup._v_words:
-            raise ConstraintError(f"h letter {h!r} is not an element of V")
+    element = setup.eval_word(word)
     if not setup.constrained(word):
         raise ConstraintError("word violates the constraint clauses")
     table = setup.trace_table
@@ -607,7 +602,7 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
         counter += increment
         cases.append(case)
         counters.append(counter)
-    nontrivial = not setup.product.is_identity(setup.eval_word(word))
+    nontrivial = not setup.product.is_identity(element)
     cert = _TraceCertificate(path, [
         ("final distance counter > 0 (so the word is nontrivial)",
          counter > 0, {"counter": counter}),

@@ -36,13 +36,6 @@ nothing but its mul.  The walks are read from a hop table built with
 the product: for each ordered pair of vertices, the edges of the path
 between them, each with its table and the identities at its two ends.
 
-Multiplying two normal forms starts the pass with the right factor's
-letters as the stack and its carry pending at r, and walks the left
-factor's letters only while something can change: once the pending
-element is trivial and the stack top is not on the path to the next
-letter, the rest of the left factor is canonical as it stands, because
-a representative splits to itself with trivial edge part.
-
 Uniqueness, for every choice of root at once, by induction on the
 number of edges.  With one vertex the form is the carry alone.
 Otherwise take a leaf l != r, joined to p by an edge with group E; the
@@ -281,8 +274,9 @@ class TreeProduct:
     _tables[u, w] is the edge table of u -> w, seeded with the edge
     group's own coset.  _hops[u][t] lists the edges of the tree path from
     u to t in order, one (a, w, _tables[a, w], identity of G_a, identity
-    of G_w) per edge a -> w, and is empty when u = t; _path[u, t] is the
-    set of vertices of that path, both ends included.
+    of G_w) per edge a -> w, and is empty when u = t.  mul and inv
+    normalize a word: x's letters then y's, and the inverses of x's
+    letters in reverse order.
     """
 
     def __init__(self, tog: TreeOfGroups):
@@ -312,17 +306,15 @@ class TreeProduct:
                 self._tables[u, w] = {into_u[c]: (into_w[c], groups[u].identity)
                                       for c in e.group.elements()}
         self._hops: dict = {u: {} for u in groups}
-        self._path = {}
         for u in groups:
             for t in groups:
-                hops, walk = [], [u]
-                while walk[-1] != t:
-                    a, w = walk[-1], toward[walk[-1]][t]
+                hops, a = [], u
+                while a != t:
+                    w = toward[a][t]
                     hops.append((a, w, self._tables[a, w],
                                  self._one[a], self._one[w]))
-                    walk.append(w)
+                    a = w
                 self._hops[u][t] = tuple(hops)
-                self._path[u, t] = frozenset(walk)
         self._vertex_images: dict = {}
 
     def _split(self, u: str, w: str, x):
@@ -344,29 +336,15 @@ class TreeProduct:
             got = table[x]
         return got
 
-    def _normalize(self, letters, pending, stack: list, head=None) -> tuple:
-        """The normal form of letters * pending * stack, right to left:
-        pending lies in G_r and stack holds the letters of a normal form,
-        leftmost last.
-
-        head, when given, is an element of G_r standing left of letters,
-        which are then the letters of a normal form.  The walk stops as
-        soon as the pending element is trivial and the stack top is not
-        on the path to the next letter: nothing is left to absorb, and
-        each remaining letter, a representative, would split to itself
-        with trivial edge part.  The result's carry is then head itself.
-        """
-        root, mul, one = self.root, self._mul, self._one
-        hops, path = self._hops, self._path
-        at = root
+    def _normalize(self, letters) -> tuple:
+        """The normal form of the word letters, right to left: the stack
+        holds the finished letters, leftmost last."""
+        root, mul, one, hops = self.root, self._mul, self._one, self._hops
+        at, pending, stack = root, one[root], []
         # the stack top's vertex, None while the stack is empty
-        top = stack[-1][0] if stack else None
-        i = len(letters)
+        top = None
         # the last walk, to r, carries no letter
         for v, x in (*reversed(letters), (root, None)):
-            if head is not None and pending == one[at] \
-                    and top not in path[at, v]:
-                return (head, tuple(letters[:i]) + tuple(reversed(stack)))
             for a, w, table, one_a, one_w in hops[at][v]:
                 if top == a:
                     pending = mul[a](pending, stack.pop()[1])
@@ -385,32 +363,23 @@ class TreeProduct:
             if x is not None:
                 pending = mul[v](x, pending) if pending != one[v] else x
             at = v
-            i -= 1
-        if head is not None:
-            pending = mul[root](head, pending)
         return (pending, tuple(reversed(stack)))
 
     # -- elements ------------------------------------------------------------
 
     def include(self, vertex: str, x):
-        return self._normalize(((vertex, x),), self.identity[0], [])
+        return self._normalize(((vertex, x),))
 
     def eval_word(self, word):
-        return self._normalize(tuple(word), self.identity[0], [])
+        return self._normalize(tuple(word))
 
     def mul(self, x, y):
-        """x * y normalized at the junction: y's letters are already the
-        stack, and x's letters are walked leftwards only until nothing
-        more can change."""
-        cx, xl = x
-        cy, yl = y
-        return self._normalize(xl, cy, list(reversed(yl)), head=cx)
+        return self._normalize(self.flatten_word(x) + self.flatten_word(y))
 
     def inv(self, x):
-        carry, letters = x
         groups = self.tog.vertices
-        word = tuple((v, groups[v].inv(t)) for v, t in reversed(letters))
-        return self._normalize(word, groups[self.root].inv(carry), [])
+        return self._normalize([(v, groups[v].inv(t))
+                                for v, t in reversed(self.flatten_word(x))])
 
     def is_identity(self, x) -> bool:
         return x == self.identity

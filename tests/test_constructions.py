@@ -3,10 +3,10 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from coxkit import pipeline
-from coxkit.constructions import (KINDS, Builder, PreconditionError, c_set_0,
-                                  c_set_minus1, c_set_r, classify_residue,
-                                  d_set, dset_certificate, harvest_relations,
-                                  pair_labelings, roots_violated)
+from coxkit.constructions import (KINDS, RANK2, Builder, PreconditionError,
+                                  c_set_0, c_set_minus1, c_set_r,
+                                  classify_residue, d_set, dset_certificate,
+                                  harvest_relations, roots_violated)
 from coxkit.treeprod import TreeOfGroups, TreeProduct
 
 
@@ -114,7 +114,7 @@ def test_edge_groups_are_the_memoized_root_subgroups(ctx, builder):
     # every edge over one ambient group and root set carries one checked
     # Subgroup, the cache's own
     cache, edges = builder.cache, 0
-    for pair in pair_labelings():
+    for pair in RANK2:
         R = ctx.residue(set(pair), "")
         for kind in KINDS:
             for s in pair:
@@ -206,7 +206,7 @@ def test_dset_certificate(cache):
 
 
 def test_labelings_cover_all_pairs():
-    assert {frozenset(p) for p in pair_labelings()} == {
+    assert {frozenset(p) for p in RANK2} == {
         frozenset("st"), frozenset("rs"), frozenset("rt")}
 
 

@@ -7,7 +7,7 @@ import pytest
 from coxkit import treeprod
 from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate
-from coxkit.constructions import Builder, residue_letters
+from coxkit.constructions import RANK2, Builder, residue_letters
 from coxkit.pipeline import Section4, _family_check, section4_pipeline
 from coxkit.treeprod import TreeProduct
 from walks import random_word
@@ -62,6 +62,15 @@ def test_certificate_inventory(full_run):
         assert f"CCleftCright[{pair}@1]" in names
         assert f"GeneratingRemark[{pair}@1]" in names
     assert "OtoG0" in names and "MainApplicationCorollary" in names
+
+
+def test_rank2_table_runs_in_the_report_residue_order(full_run):
+    # each key is a sorted type whose letters and third letter are r, s, t
+    assert all(pair == tuple(sorted(pair)) and {*pair, d} == set("rst")
+               for pair, d in RANK2.items())
+    assert list(RANK2) == [("s", "t"), ("r", "s"), ("r", "t")]
+    remarks = [c.name for c in full_run if c.name.startswith("GeneratingRemark")]
+    assert remarks == [f"GeneratingRemark[{s}{t}@1]" for s, t in RANK2]
 
 
 def test_assumptions_are_exactly_colimit_steps(full_run):

@@ -194,6 +194,9 @@ REFUSALS = [
     ((1, ((SR, 1),)), None, "trace expects words without a leading V letter"),
     ((0, ()), None, "trace needs at least one g letter"),
     ((0, ((SR, 0), (SR, 1))), None, "word violates the constraint clauses"),
+    # letter errors come before the constraint error
+    ((0, ((SR, 0), (SR, 1), ("u_ss", 1))), "unknown g letter 'u_ss'",
+     "unknown g letter 'u_ss'"),
 ]
 
 

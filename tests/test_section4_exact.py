@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from coxkit.constructions import Builder, pair_labelings
+from coxkit.constructions import RANK2, Builder
 from coxkit.pipeline import Section4, _levels_coincide, _round_trip_is_identity
 from coxkit.treeprod import (Edge, TreeOfGroups, TreeProduct,
                              check_subtree_conditions, contract, family_embeds,
@@ -22,7 +22,7 @@ from walks import random_word
 
 SEED = 20240444
 SAMPLES = 400
-PAIRS = list(pair_labelings())
+PAIRS = list(RANK2)
 
 
 @pytest.fixture(scope="module")

@@ -324,9 +324,6 @@ def test_private_state_guard_sees_reads_off_self():
 # public functions and methods that nothing in src/coxkit calls, each with
 # the reason it stays
 KEPT_WITHOUT_PROGRAM_CALLER = {
-    "export_table": "writes the table_stst.txt golden, the one byte pin "
-                    "of a full group table",
-    "dump": "writes the twin-model golden",
     "collect_seq": "the benchmark pins its call count as never called; "
                    "removing it is a benchmark change",
     "enumerate_constrained": "the benchmark's trace workload and the "
@@ -486,8 +483,6 @@ def test_unset_defaults_reads_positions_keywords_and_classes():
 # public functions and methods that none of the commands below runs, each
 # with the reason it stays
 NOT_REACHED_ALLOWED = {
-    "BlueprintGroup.export_table": KEPT_WITHOUT_PROGRAM_CALLER["export_table"],
-    "TwinModel.dump": KEPT_WITHOUT_PROGRAM_CALLER["dump"],
     "TheoremSetup.enumerate_constrained":
         KEPT_WITHOUT_PROGRAM_CALLER["enumerate_constrained"],
     "collect_seq": KEPT_WITHOUT_PROGRAM_CALLER["collect_seq"],

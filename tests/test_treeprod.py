@@ -323,8 +323,9 @@ def test_junction_mul_matches_full_normalization(cache, theorem_tree):
     for label, P in _junction_products(cache, theorem_tree):
         N = NestedProduct(P.tog)
         pool = [_random_element(P, rng) for _ in range(16)]
-        # the same letters with trivial carry, so stops with nothing
-        # pending and stops beside an absorbed stack top both occur
+        # the same letters with trivial carry, so products of factors
+        # without a carry letter occur too; the first assertion restates
+        # mul, and the nested oracle, associativity and inverses check it
         pool += [(P.identity[0], el[1]) for el in pool]
         for x, y, z in ((rng.choice(pool), rng.choice(pool), rng.choice(pool))
                         for _ in range(120)):
