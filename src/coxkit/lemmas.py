@@ -126,28 +126,31 @@ def verify_mingallinrep(ctx: Coxeter, radius: int,
     if radius < 4:
         raise ValueError("radius must be >= 4")
     rep = SweepReport("mingallinrep", radius)
+    swap = mutant == "swap_containment"
     rs = root_system(ctx)
     ball = ctx.ball(radius)
     for lab in LABELINGS:
         r, s, t = lab
         for d0 in ctx.ball(radius - 4):
             beta = rs.root_from(d0, r)
+            in_beta = rs.halfspace(beta, radius)
             d2 = ctx.mult(d0, r, s)
             d3 = ctx.mult(d2, t)
             gammas = [rs.root_from(d2, t), rs.root_from(d3, r)]
             for which, gamma in enumerate(gammas):
                 rep.tuples_checked += 1
-                if mutant == "swap_containment":
-                    small, large = gamma, beta
-                else:
-                    small, large = beta, gamma
-                if small.refl == large.refl:
+                if gamma.refl == beta.refl:
                     rep.violations.append(
                         {"labeling": lab, "d0": d0, "gamma": which,
                          "reason": "walls coincide"})
                     continue
-                outside = (rs.halfspace(small, radius)
-                           & ~rs.halfspace(large, radius))
+                in_gamma = rs.halfspace(gamma, radius)
+                if swap:
+                    small, large = gamma, beta
+                    outside = in_gamma & ~in_beta
+                else:
+                    small, large = beta, gamma
+                    outside = in_beta & ~in_gamma
                 counterexample = next(ball_members(ball, outside), None)
                 pc = rs.pair_class(small, large)
                 form_nested = pc.kind == "nested" and pc.contained == small

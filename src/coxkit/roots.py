@@ -15,8 +15,13 @@ refuses a root the system never made); the vector of a positive root has
 nonnegative coordinates.  The scaled form B' = 2B from
 :mod:`coxkit.zroot2` decides everything: |B'| < 2 means the walls cross
 (finite dihedral order), B' >= 2 means nested half-spaces, B' <= -2
-means disjoint-or-covering; for non-crossing walls the orientation is
-read off the sign of B' at a time-like point on one wall.
+means disjoint-or-covering.  For non-crossing walls the orientation is
+the sign of B'(b, p) at the time-like point p = 2*tau - B'(tau, a)*a on
+the wall of a, tau = (-1, -1, -1); it has a closed form.  Summing the
+Gram matrix, B'(x, tau) = (2*sqrt(2) - 2)*sum(x), sum(x) the sum of x's
+coordinates, so with c = B'(a, b) the value B'(b, p) is
+(2*sqrt(2) - 2)*(2*sum(b) - sum(a)*c), and 2*sqrt(2) - 2 > 0: the sign is
+that of 2*sum(b) - sum(a)*c, exact in Z[sqrt(2)].
 
 A gallery is its type word, a reduced word (coxkit.coxeter).  Its
 inversion sequence grows from the prefix: that of g[:-1], then the one
@@ -37,16 +42,12 @@ independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from coxkit import zroot2 as z2
 from coxkit.coxeter import Coxeter
 
 _IDX = {"r": 0, "s": 1, "t": 2}
-
-# forward time-like reference: B'(e_i, tau) = 2*sqrt(2) - 2 > 0 for all i
-_TAU = ((-1, 0), (-1, 0), (-1, 0))
 
 
 def ball_members(ball: tuple[str, ...], mask: int):
@@ -75,8 +76,9 @@ class Root(NamedTuple):
         return f"Root({sign}{self.refl})"
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
+    """The geometry of a pair of distinct roots; a tuple, like Root."""
+
     kind: str              # "opposite" | "finite" | "nested" | "anti_nested"
     order: int | None = None     # o(r_a r_b) when finite
     contained: Root | None = None    # nested: contained half-space
@@ -116,16 +118,21 @@ class RootSystem:
         return vec
 
     def root_from(self, v: str, s: str) -> Root:
-        """The half-space v*alpha_s (it always contains v)."""
-        ctx = self.ctx
-        v = ctx.normalize(v)
+        """The half-space v*alpha_s (it always contains v).
+
+        The memo is keyed by canonical words only, so a canonical v is
+        read before any normalizing, and only a miss normalizes."""
         got = self._roots_from.get((v, s))
         if got is None:
-            refl = ctx.mult(v, s, ctx.inv(v))
-            positive = len(ctx.mult(v, s)) > len(v)
-            vec = self.act_vec(v, z2.basis(_IDX[s]))
-            got = self._register(Root(refl, positive), vec)
-            self._roots_from[v, s] = got
+            ctx = self.ctx
+            v = ctx.normalize(v)
+            got = self._roots_from.get((v, s))
+            if got is None:
+                refl = ctx.mult(v, s, ctx.inv(v))
+                positive = len(ctx.mult(v, s)) > len(v)
+                vec = self.act_vec(v, z2.basis(_IDX[s]))
+                got = self._register(Root(refl, positive), vec)
+                self._roots_from[v, s] = got
         return got
 
     def simple(self, s: str) -> Root:
@@ -215,11 +222,16 @@ class RootSystem:
 
         Exactly ``member``'s predicate; a wall the ball never crosses gives
         the whole ball or nothing."""
-        vec = self.vector(a)
+        vec = self._vectors.get(a)
+        if vec is None:
+            vec = self.vector(a)
+        crossed = self._crossed.get(radius)
+        if crossed is None:
+            crossed = self._crossings(radius)
         if not a.positive:
-            return self._crossings(radius).get(z2.vneg(vec), 0)
+            return crossed.get(z2.vneg(vec), 0)
         full = (1 << len(self.ctx.ball(radius))) - 1
-        return full & ~self._crossings(radius).get(vec, 0)
+        return full & ~crossed.get(vec, 0)
 
     def act(self, u: str, a: Root) -> Root:
         ctx = self.ctx
@@ -231,18 +243,13 @@ class RootSystem:
 
     # -- pair geometry ------------------------------------------------------
 
-    def _wall_point(self, a: Root) -> z2.Vector:
-        # time-like point on the wall of a, in the forward cone
-        va = self.vector(a)
-        c = z2.form(_TAU, va)
-        return z2.vsub(z2.vscale((2, 0), _TAU), z2.vscale(c, va))
-
     def pair_class(self, a: Root, b: Root) -> PairClass:
         if a == b:
             raise ValueError("pair_class requires distinct roots")
-        if b == Root(a.refl, not a.positive):
+        if a.refl == b.refl:
             return PairClass(kind="opposite")
-        c = z2.form(self.vector(a), self.vector(b))
+        va, vb = self.vector(a), self.vector(b)
+        c = z2.form(va, vb)
         csq_minus_4 = z2.sub(z2.mul(c, c), (4, 0))
         if z2.sign(csq_minus_4) < 0:
             if c == z2.ZERO:
@@ -250,7 +257,11 @@ class RootSystem:
             if c in ((0, 1), (0, -1)):
                 return PairClass(kind="finite", order=4)
             raise RootSystemError(f"impossible form value {c} in type (4,4,4)")
-        side = z2.sign(z2.form(self.vector(b), self._wall_point(a)))
+        # B'(b, p) at the wall point p of a, up to the factor 2*sqrt(2) - 2
+        # (module docstring): 2*sum(b) - sum(a)*c
+        sb0, sb1 = z2.vsum(vb)
+        sa_c0, sa_c1 = z2.mul(z2.vsum(va), c)
+        side = z2.sign((2 * sb0 - sa_c0, 2 * sb1 - sa_c1))
         if side == 0:
             raise RootSystemError(f"wall point of {a!r} landed on the wall of {b!r}")
         if z2.sign(c) > 0:

@@ -67,6 +67,12 @@ def vscale(c: Scalar, u: Vector) -> Vector:
     return (mul(c, u[0]), mul(c, u[1]), mul(c, u[2]))
 
 
+def vsum(u: Vector) -> Scalar:
+    """The sum of u's coordinates; B'(u, (-1, -1, -1)) = (2*sqrt(2) - 2)*vsum(u)."""
+    (a0, b0), (a1, b1), (a2, b2) = u
+    return (a0 + a1 + a2, b0 + b1 + b2)
+
+
 def form(u: Vector, v: Vector) -> Scalar:
     """B'(u, v) = 2*B(u, v) = 2S - sqrt(2)*T, exact in Z[sqrt(2)]:
     S = s0 + s1*sqrt(2) is the sum of the u_i*v_i, T = t0 + t1*sqrt(2) is
@@ -103,9 +109,9 @@ def vector_sign(v: Vector) -> int:
 
     Every root vector of the geometric representation is one or the other.
     """
-    signs = [sign(c) for c in v]
-    if all(s >= 0 for s in signs) and any(s > 0 for s in signs):
-        return 1
-    if all(s <= 0 for s in signs) and any(s < 0 for s in signs):
+    x, y, z = sign(v[0]), sign(v[1]), sign(v[2])
+    if x >= 0 and y >= 0 and z >= 0:
+        return 1 if x or y or z else 0
+    if x <= 0 and y <= 0 and z <= 0:
         return -1
     return 0

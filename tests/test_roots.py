@@ -7,8 +7,8 @@ from coxkit import zroot2 as z2
 from coxkit.blueprint import GroupCache, KacMoodyBlueprint
 from coxkit.cli import main
 from coxkit.coxeter import Coxeter
-from coxkit.roots import (Root, RootSystem, RootSystemError, ball_members,
-                          root_system)
+from coxkit.roots import (PairClass, Root, RootSystem, RootSystemError,
+                          ball_members, root_system)
 from galleries import gallery, inversions_by_prefixes
 
 
@@ -256,6 +256,79 @@ def test_ball_members_in_ball_order(ctx):
     ball = ctx.ball(2)
     assert list(ball_members(ball, 0b1011)) == [ball[0], ball[1], ball[3]]
     assert list(ball_members(ball, 0)) == []
+
+
+def test_pair_class_is_a_tuple_key(ctx):
+    # like Root, a pair class hashes and compares as its plain tuple
+    assert PairClass.__hash__ is tuple.__hash__
+    assert PairClass.__eq__ is tuple.__eq__
+    rs = root_system(ctx)
+    a, b = rs.simple("s"), rs.simple("t")
+    pc = rs.pair_class(a, b)
+    assert pc == ("finite", 4, None, None, None) and pc == PairClass("finite", 4)
+    assert {pc: 1}[("finite", 4, None, None, None)] == 1
+    assert rs.pair_class(a, rs.opposite(a)) == PairClass(kind="opposite")
+
+
+def test_root_from_hit_makes_no_product_and_keys_stay_canonical(ctx, monkeypatch):
+    rs = RootSystem(ctx)
+    calls = []
+    mult = Coxeter.mult
+    monkeypatch.setattr(Coxeter, "mult",
+                        lambda self, *words: calls.append(words) or
+                        mult(self, *words))
+    a = rs.root_from("rs", "t")
+    assert calls
+    del calls[:]
+    assert rs.root_from("rs", "t") is a and not calls
+    # a word that is not reduced (rsrs = srsr, so rsrsr = srs) gives the
+    # root of its canonical form and is stored under that form only
+    word = "rsrsr"
+    canon = ctx.normalize(word)
+    assert canon != word
+    got = rs.root_from(word, "s")
+    assert got == rs.root_from(canon, "s") == RootSystem(ctx).root_from(canon, "s")
+    assert (word, "s") not in rs._roots_from and (canon, "s") in rs._roots_from
+    assert all(ctx.normalize(v) == v for v, _ in rs._roots_from)
+
+
+def _wall_point(rs, a):
+    """A time-like point on the wall of a: 2*tau - B'(tau, a)*a, with
+    tau = (-1, -1, -1) in the forward cone."""
+    tau = ((-1, 0), (-1, 0), (-1, 0))
+    va = rs.vector(a)
+    return z2.vsub(z2.vscale((2, 0), tau), z2.vscale(z2.form(tau, va), va))
+
+
+def pair_class_by_wall_point(rs, a, b) -> tuple:
+    """pair_class with its orientation read off B'(b, p) at the wall
+    point p of a, computed as a vector: the closed form's oracle."""
+    if b == rs.opposite(a):
+        return PairClass(kind="opposite")
+    c = z2.form(rs.vector(a), rs.vector(b))
+    if z2.sign(z2.sub(z2.mul(c, c), (4, 0))) < 0:
+        return PairClass(kind="finite", order=2 if c == z2.ZERO else 4)
+    side = z2.sign(z2.form(rs.vector(b), _wall_point(rs, a)))
+    assert side != 0
+    if z2.sign(c) > 0:
+        small, large = (a, b) if side > 0 else (b, a)
+        return PairClass(kind="nested", contained=small, container=large)
+    return PairClass(kind="anti_nested",
+                     detail="cover" if side > 0 else "disjoint")
+
+
+def test_pair_class_closed_form_matches_the_wall_point_oracle(ctx):
+    rs = RootSystem(ctx)
+    roots = sorted({rs.root_from(w, g) for w in ctx.ball(5) for g in "rst"})
+    kinds = set()
+    for a in roots:
+        for b in roots:
+            if a != b:
+                got = rs.pair_class(a, b)
+                assert got == pair_class_by_wall_point(rs, a, b), (a, b)
+                kinds.add((got.kind, got.detail))
+    assert kinds == {("opposite", None), ("finite", None), ("nested", None),
+                     ("anti_nested", "cover"), ("anti_nested", "disjoint")}
 
 
 def test_action(ctx, rs):

@@ -1,6 +1,7 @@
 """The closed-form Z[sqrt 2] kernel against the Gram matrix summed entry
 by entry: 2 on the diagonal, -sqrt(2) off it."""
 
+import itertools
 import random
 
 import pytest
@@ -67,3 +68,32 @@ def test_reflect_is_the_gram_reflection_and_an_involution(root_vectors,
             image = zroot2.reflect(i, v)
             assert image == _reflect_by_gram(i, v), (i, v)
             assert zroot2.reflect(i, image) == v
+
+
+def _vector_sign_by_lists(v):
+    """The list-and-generator definition of vector_sign, kept as its oracle."""
+    signs = [zroot2.sign(c) for c in v]
+    if all(s >= 0 for s in signs) and any(s > 0 for s in signs):
+        return 1
+    if all(s <= 0 for s in signs) and any(s < 0 for s in signs):
+        return -1
+    return 0
+
+
+# per sign, scalars of that sign, mixed-sign pairs among them
+SCALARS_BY_SIGN = {1: [(1, 0), (0, 1), (3, -2), (-1, 1)],
+                   -1: [(-1, 0), (0, -1), (1, -1), (-3, 2)],
+                   0: [(0, 0)]}
+
+
+def test_vector_sign_matches_the_list_definition_on_every_sign_triple():
+    assert all(zroot2.sign(x) == sgn
+               for sgn, xs in SCALARS_BY_SIGN.items() for x in xs)
+    checked = 0
+    for signs in itertools.product((-1, 0, 1), repeat=3):
+        want = (1 if min(signs) >= 0 and max(signs) > 0 else
+                -1 if max(signs) <= 0 and min(signs) < 0 else 0)
+        for v in itertools.product(*(SCALARS_BY_SIGN[s] for s in signs)):
+            assert zroot2.vector_sign(v) == _vector_sign_by_lists(v) == want, v
+            checked += 1
+    assert checked == (4 + 4 + 1) ** 3
