@@ -11,7 +11,8 @@ x * y is the rows of x's letters applied to y, highest letter first, and
 x^-1 is the same rows applied to the identity, lowest letter first
 (collection from the left as a permutation action; Leedham-Green &
 Soicher 1990).  Up to TABLE_CAP elements the product table is composed
-from the rows on the first product, and a product is one table read.
+from the rows on first use, a product is one table read and left(x),
+the map y -> x * y, is x's table row.
 Collection itself grows the rows when the group is built, one pair
 product u_k * u_j per new generator (below).
 
@@ -62,6 +63,8 @@ generate U_w and injective because |U_h| <= |U_w| (gallery_independence).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from coxkit import wordops
 from coxkit import zroot2 as z2
@@ -248,8 +251,8 @@ class BlueprintGroup:
                     v = rows[a][v]
                 new[y] = low | v
             new += [v ^ top for v in new]
-        # the product table, composed from the rows by the first mul up to
-        # TABLE_CAP
+        # the product table, composed from the rows by the first mul or
+        # left up to TABLE_CAP
         self._table = None
         # the relation count of a successful certify_order
         self._certified = None
@@ -261,23 +264,37 @@ class BlueprintGroup:
 
     def mul(self, x: int, y: int) -> int:
         """x * y: a table read up to TABLE_CAP, the table composed from the
-        rows on the first product, else the rows of x's letters applied to
-        y, highest letter first."""
+        rows on first use, else the rows of x's letters applied to y,
+        highest letter first."""
         table = self._table
         if table is None:
-            rows = self.rows
             if self.order > TABLE_CAP:
+                rows = self.rows
                 for i in reversed(range(x.bit_length())):
                     if x >> i & 1:
                         y = rows[i][y]
                 return y
-            table = [list(range(self.order))]
-            for z in range(1, self.order):
-                low = (z & -z).bit_length() - 1
-                row = rows[low]
-                table.append([row[v] for v in table[z ^ (1 << low)]])
-            self._table = table
+            table = self._compose_table()
         return table[x][y]
+
+    def left(self, x: int):
+        """The map y -> x * y: the product-table row's __getitem__ up to
+        TABLE_CAP, else mul with x bound, with no table built."""
+        if self.order > TABLE_CAP:
+            return partial(self.mul, x)
+        return (self._table or self._compose_table())[x].__getitem__
+
+    def _compose_table(self) -> list:
+        """The product table, row z the rows of z's letters composed,
+        highest letter first; kept for every later product."""
+        rows = self.rows
+        table = [list(range(self.order))]
+        for z in range(1, self.order):
+            low = (z & -z).bit_length() - 1
+            row = rows[low]
+            table.append([row[v] for v in table[z ^ (1 << low)]])
+        self._table = table
+        return table
 
     def inv(self, x: int) -> int:
         """x^-1: the rows of x's letters applied to the identity, lowest

@@ -21,9 +21,15 @@ labels the Bruhat cells by chamber: the chambers of sign x in B_x w B_y
 are the chambers of weyl_rep(w)*b for b in B_y, 8 x 16 products per
 sign pair, and the 8 cells must partition the 45 chambers.  From those
 labels it makes one 45x45 table of Weyl words per sign pair, so
-weyl_distance, codistance and panel are table reads; a failed
-construction fact (group or Borel order, chamber count, a double-coset
-partition, panel size) raises CalibrationError.
+weyl_distance, codistance and panel are table reads.  The tables come
+from chamber permutations.  The Weyl distance is G-invariant
+(Abramenko & Brown, Buildings, GTM 248, ch. 6), so delta(x, y) is the
+cell label of the chamber x.rep(y)^-1; the build records each
+generator's right action on the 45 chambers of each half (450
+products), and the action of rep(y)^-1 is those actions composed along
+its closure word with bytes.translate.  A failed construction fact
+(group or Borel order, chamber count, a double-coset partition, panel
+size) raises CalibrationError.
 
 The two simple-root one-parameter groups each have a single nontrivial
 element over F2.  Which matrix node type carries which letter is not
@@ -51,10 +57,6 @@ from coxkit.treeprod import closure_words
 
 # 4x4 matrices over F2 as 16-bit ints, row-major, row i = bits 4i..4i+3.
 IDENT = 0x8421  # rows 1000 0100 0010 0001 -> bits: e_i in column i
-
-
-def _row(m: int, i: int) -> int:
-    return (m >> (4 * i)) & 0xF
 
 
 def _from_rows(rows) -> int:
@@ -115,15 +117,24 @@ PERM_A = _perm_matrix([1, 0, 3, 2])   # swaps e1<->e2, e3<->e4
 PERM_B = _perm_matrix([0, 2, 1, 3])   # swaps e2<->e3
 
 
+# the entries below (above) the diagonal: bit 4i + j for row i and a
+# column j < i (j > i)
+_BELOW = 0x7310
+_ABOVE = 0x08CE
+
+
 def _is_upper(m: int) -> bool:
-    return all((_row(m, i) & ((1 << i) - 1)) == 0 and _row(m, i) >> i & 1
-               for i in range(4))
+    """Ones on the diagonal and zeros below it."""
+    return m & (_BELOW | IDENT) == IDENT
 
 
 def _is_lower(m: int) -> bool:
-    return all((_row(m, i) >> (i + 1)) == 0 and _row(m, i) >> i & 1
-               for i in range(4))
+    """Ones on the diagonal and zeros above it."""
+    return m & (_ABOVE | IDENT) == IDENT
 
+
+# the chambers of a half in coset order: the identity permutation
+_CHAMBERS = bytes(range(45))
 
 # sign pair of (x, y) -> the Bruhat/Birkhoff label kind of x*y^-1
 _KINDS = {(-1, -1): "--", (1, 1): "++", (1, -1): "+-", (-1, 1): "-+"}
@@ -177,7 +188,8 @@ class TwinModel:
                 spanned = closure_words(mat_mul, IDENT, gens, limit=16)
         gens += [PERM_A, PERM_B]
         # a wrong kernel can generate a far larger group: stop past 720
-        self.elems = sorted(closure_words(mat_mul, IDENT, gens, limit=720))
+        self._words = closure_words(mat_mul, IDENT, gens, limit=720)
+        self.elems = sorted(self._words)
         if len(self.elems) != 720 or not all(map(is_symplectic, self.elems)):
             raise CalibrationError("the generators do not give Sp(4,2)")
         self.borel_plus = frozenset(m for m in self.elems if _is_upper(m))
@@ -198,6 +210,13 @@ class TwinModel:
                     reps.append(m)
             if len(reps) != 45:
                 raise CalibrationError(f"{len(reps)} chambers of sign {sign:+d}")
+        # _actions[sign][i][c]: the chamber c.gens[i] of that sign, as a
+        # bytes.translate table (the 45 chambers, then padding to 256)
+        pad = bytes(range(45, 256))
+        self._actions = {
+            sign: [bytes(ids[mat_mul(r, g)] for r in self._coset_rep[sign]) + pad
+                   for g in gens]
+            for sign, ids in self._coset_id.items()}
 
     # -- Weyl group of the model ---------------------------------------------
 
@@ -244,17 +263,27 @@ class TwinModel:
             if None in label:
                 raise CalibrationError(f"{kind} double cosets do not cover the group")
             self._label[kind] = label
-        # one 45x45 Weyl-word table per sign pair
-        inverses = {sign: [mat_inv(r) for r in reps]
-                    for sign, reps in self._coset_rep.items()}
-        self._delta = {
-            (sx, sy): [[self._label[kind][self._coset_id[sx][mat_mul(x, yi)]]
-                        for yi in inverses[sy]]
-                       for x in self._coset_rep[sx]]
-            for (sx, sy), kind in _KINDS.items()}
+        # one 45x45 Weyl-word table per sign pair.  delta is G-invariant,
+        # so delta(x, y) is the label of the chamber x.rep(y)^-1: column y
+        # holds the labels of the chambers as rep(y)^-1 moves them
+        words = {sign: [self._words[mat_inv(r)] for r in reps]
+                 for sign, reps in self._coset_rep.items()}
+        self._delta = {}
+        for (sx, sy), kind in _KINDS.items():
+            columns = (map(self._label[kind].__getitem__, self._move(sx, word))
+                       for word in words[sy])
+            self._delta[sx, sy] = [list(row) for row in zip(*columns)]
         if any(sum(w in ("", letter) for w in row) != 3 for letter in self.letters
                for sign in (1, -1) for row in self._delta[sign, sign]):
             raise CalibrationError("a panel does not have 3 chambers")
+
+    def _move(self, sign: int, word: tuple) -> bytes:
+        """Entry c is the chamber c.g of this sign, for the g whose
+        closure word this is: the generator actions composed along it."""
+        perm, actions = _CHAMBERS, self._actions[sign]
+        for i in word:
+            perm = perm.translate(actions[i])
+        return perm
 
     def _relabel(self, base: TwinModel) -> None:
         """Share base's group, chambers and calibration by reference; map

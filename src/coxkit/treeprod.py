@@ -1,7 +1,9 @@
 """Trees of finite groups and the word problem in their tree products.
 
-Vertex groups are "computable groups": objects with identity, mul, inv
-and, when finite, elements().  Their elements are canonical and hashable
+Vertex groups are "computable groups": objects with identity, mul, inv,
+left(x), the map y -> x * y, and, when finite, elements().  The subgroup,
+edge-map and family checks read products a row at a time through left.
+Their elements are canonical and hashable
 (ints for the blueprint groups and their subgroups, (carry, letters)
 pairs for tree products), so equal elements compare equal and every
 element is its own dict key.  Edge groups must be finite.
@@ -87,7 +89,7 @@ the certificates intersect and compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 __all__ = [
     "Subgroup", "closure_words", "Edge", "TreeOfGroups", "TreeProduct",
@@ -130,7 +132,7 @@ def closure_words(mul, identity, gens, limit: int | None = None) -> dict:
 
 class Subgroup(frozenset):
     """A finite subgroup of a computable group, itself a computable group:
-    the set of its elements, with the parent's mul, inv and identity.
+    the set of its elements, with the parent's mul, inv, left and identity.
 
     words maps each element to a shortest word for it over the generators
     the subgroup was closed from; its keys are the elements.  Construction
@@ -146,6 +148,7 @@ class Subgroup(frozenset):
         self.words = words
         self.mul = parent.mul
         self.inv = parent.inv
+        self.left = parent.left
         self.identity = parent.identity
         self._elems = tuple(sorted(self))
         if self.identity not in self:
@@ -153,9 +156,8 @@ class Subgroup(frozenset):
         for x in self._elems:
             if parent.inv(x) not in self:
                 raise TreeError(f"{self!r} is not closed under inverses")
-            for y in self._elems:
-                if parent.mul(x, y) not in self:
-                    raise TreeError(f"{self!r} is not closed under products")
+            if not self.issuperset(map(parent.left(x), self._elems)):
+                raise TreeError(f"{self!r} is not closed under products")
 
     @property
     def order(self) -> int:
@@ -251,19 +253,15 @@ class TreeOfGroups:
                     issues.append(f"boundary map {e.u}-{e.v} into {vertex}: "
                                   "domain mismatch")
                     continue
-                if len({mapping[c] for c in elems}) != len(elems):
+                images = [mapping[c] for c in elems]
+                if len(set(images)) != len(elems):
                     issues.append(f"boundary map into {vertex} not injective")
-                for c in elems:
-                    for d in elems:
-                        lhs = mapping[e.group.mul(c, d)]
-                        rhs = G.mul(mapping[c], mapping[d])
-                        if lhs != rhs:
-                            issues.append(
-                                f"boundary map into {vertex} not a homomorphism")
-                            break
-                    else:
-                        continue
-                    break
+                # row c of the edge group's table, mapped, against the row
+                # of mapping[c] in G's table read at the images
+                if any(list(map(mapping.__getitem__, map(e.group.left(c), elems)))
+                       != list(map(G.left(x), images))
+                       for c, x in zip(elems, images)):
+                    issues.append(f"boundary map into {vertex} not a homomorphism")
         return issues
 
 
@@ -375,6 +373,10 @@ class TreeProduct:
 
     def mul(self, x, y):
         return self._normalize(self.flatten_word(x) + self.flatten_word(y))
+
+    def left(self, x):
+        """The map y -> x * y: mul with x bound."""
+        return partial(self.mul, x)
 
     def inv(self, x):
         groups = self.tog.vertices
@@ -515,7 +517,7 @@ def check_subtree_conditions(tog: TreeOfGroups, members: dict,
     for v, G in tog.vertices.items():
         m = members[v]
         ok = ok and G.identity in m and all(
-            G.mul(x, y) in m for x in m for y in m)
+            m.issuperset(map(G.left(x), m)) for x in m)
     report = {"edges": []}
     for e in tog.edges:
         pre_u = {c for c in e.group.elements() if e.into_u[c] in members[e.u]}

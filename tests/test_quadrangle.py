@@ -366,6 +366,31 @@ def test_mat_mul_matches_row_oracle(st_model):
         assert mat_mul(a, b) == _oracle_mul(a, b)
 
 
+def test_borel_masks_match_the_row_definition():
+    # upper: row i has its bit i set and no bit j < i; lower: no bit j > i
+    def row(m, i):
+        return m >> 4 * i & 0xF
+
+    for m in range(1 << 16):
+        upper = all(row(m, i) >> i & 1 and row(m, i) & ((1 << i) - 1) == 0
+                    for i in range(4))
+        lower = all(row(m, i) >> i & 1 and row(m, i) >> (i + 1) == 0
+                    for i in range(4))
+        assert quadrangle._is_upper(m) == upper and quadrangle._is_lower(m) == lower, m
+
+
+def test_generator_actions_compose_along_closure_words(st_model):
+    # for every element g and both halves, the chamber permutation the
+    # distance tables read is c -> c.g, each image its own product
+    m = st_model
+    assert len(m._words) == 720
+    for sign in (1, -1):
+        for g, word in m._words.items():
+            assert list(m._move(sign, word)) == [
+                m.chamber(sign, mat_mul(m.rep(c), g)).coset
+                for c in m.chambers(sign)], (sign, g)
+
+
 def test_mat_transpose_matches_row_oracle():
     for a in range(1 << 16):
         rows = _bit_rows(a)
@@ -393,20 +418,35 @@ def test_flipped_kernel_entry_fails_the_construction(monkeypatch, entry):
     assert suites.run_quadrangle()["pass"] is False
 
 
-def test_wrong_group_fails_before_it_is_enumerated(monkeypatch):
-    # with this entry flipped the generators give a group far larger than
-    # Sp(4,2); the closure stops past 720 elements (a good build makes
-    # 32,364 products, the whole wrong group over a million)
-    table = [list(row) for row in quadrangle._PAIR]
-    table[2][0x84] ^= 1
-    monkeypatch.setattr(quadrangle, "_PAIR", table)
-    monkeypatch.setattr(quadrangle, "_MODELS", {})
+def _counted_mat_mul(monkeypatch) -> list:
     calls = []
 
     def counted(a, b, real=quadrangle.mat_mul):
         calls.append(1)
         return real(a, b)
     monkeypatch.setattr(quadrangle, "mat_mul", counted)
+    return calls
+
+
+def test_good_build_multiplies_no_table_entry_by_entry(monkeypatch):
+    # a good st build makes 7,924 products: the 450 generator actions on
+    # chambers give the distance tables, where reading each of the
+    # 4 x 45 x 45 entries off its own product would add 8,100
+    monkeypatch.setattr(quadrangle, "_MODELS", {})
+    calls = _counted_mat_mul(monkeypatch)
+    TwinModel(("s", "t"))
+    assert 0 < len(calls) < 10_000
+
+
+def test_wrong_group_fails_before_it_is_enumerated(monkeypatch):
+    # with this entry flipped the generators give a group far larger than
+    # Sp(4,2); the closure stops past 720 elements (a good build makes
+    # 7,924 products, the whole wrong group over a million)
+    table = [list(row) for row in quadrangle._PAIR]
+    table[2][0x84] ^= 1
+    monkeypatch.setattr(quadrangle, "_PAIR", table)
+    monkeypatch.setattr(quadrangle, "_MODELS", {})
+    calls = _counted_mat_mul(monkeypatch)
     with pytest.raises(quadrangle.CalibrationError, match="Sp"):
         TwinModel(("s", "t"))
     assert 0 < len(calls) < 50_000

@@ -46,6 +46,15 @@ def test_free_product_word(z2_free):
     assert not P.is_identity(el)
 
 
+def test_validate_rejects_an_injective_map_that_is_no_homomorphism(cache):
+    A, B, E = cache.group("st"), cache.group("sr"), cache.group("s")
+    # into_u swaps the two edge elements: injective, but 1 * 1 = 0 in E
+    # goes to 1 while the images multiply to 0 in A
+    bad = Edge("a", "b", E, {0: 1, 1: 0}, {0: 0, 1: B.root_mask(B.roots[0])})
+    issues = TreeOfGroups({"a": A, "b": B}, [bad]).validate()
+    assert issues == ["boundary map into a not a homomorphism"]
+
+
 def test_validate_rejects_kernel(cache):
     A = cache.group("st")
     B = cache.group("sr")
@@ -524,6 +533,55 @@ def test_check_subtree_conditions(theorem_tree, cache):
         {"0": frozenset({0}), "1": frozenset({0, us}), "2": frozenset({0})},
         edge_groups={frozenset(("0", "1")): frozenset({0, 1})})
     assert not bad["pass"]
+
+
+def _preimages_agree(report) -> bool:
+    return all(entry["preimages_equal"] for entry in report["edges"])
+
+
+def test_check_subtree_conditions_rejects_bad_members(theorem_tree):
+    # each family below has agreeing edge preimages, so only the vertex
+    # clause (identity and products) can fail it
+    tog, _ = theorem_tree
+    full = {v: frozenset(G.elements()) for v, G in tog.vertices.items()}
+    assert check_subtree_conditions(tog, full)["pass"]
+    # {0, 1, 2} in U_sr misses the product 1 * 2 = 3
+    assert tog.vertices["0"].mul(1, 2) == 3
+    open_set = check_subtree_conditions(tog, dict(full, **{"0": frozenset({0, 1, 2})}))
+    assert _preimages_agree(open_set) and not open_set["pass"]
+    # the empty family is closed under products but holds no identity
+    empty = check_subtree_conditions(tog, dict.fromkeys(tog.vertices, frozenset()))
+    assert _preimages_agree(empty) and not empty["pass"]
+
+
+def test_check_subtree_conditions_rejects_bad_members_at_a_contracted_vertex(
+        theorem_tree):
+    tog, _ = theorem_tree
+    tog2, name, sub = contract(tog, {"1", "2"})
+    V = tog.vertices["1"]
+    base = {"0": frozenset(tog.vertices["0"].elements()),
+            name: frozenset(sub.include("1", x) for x in V.elements())}
+    assert check_subtree_conditions(tog2, base)["pass"]
+    # a letter at vertex 2 joined to V's image: its products with V leave
+    # the set
+    t = max(tog.vertices["2"].elements())
+    grown = base[name] | {sub.include("2", t)}
+    open_set = check_subtree_conditions(tog2, dict(base, **{name: grown}))
+    assert _preimages_agree(open_set) and not open_set["pass"]
+    empty = check_subtree_conditions(tog2, dict.fromkeys(tog2.vertices, frozenset()))
+    assert _preimages_agree(empty) and not empty["pass"]
+
+
+def test_left_is_mul_with_its_first_factor_bound(theorem_tree, cache):
+    V = cache.v_subgroup("", "st")
+    for x in V.elements():
+        assert list(map(V.left(x), V.elements())) == \
+            [V.mul(x, y) for y in V.elements()]
+    _, P = theorem_tree
+    rng = random.Random(40)
+    pool = [_random_element(P, rng) for _ in range(30)]
+    for x in pool:
+        assert list(map(P.left(x), pool)) == [P.mul(x, y) for y in pool]
 
 
 def test_elements_not_enumerable(theorem_tree):
