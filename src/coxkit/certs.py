@@ -1,16 +1,18 @@
 """Verdict records and the one clock that times them.
 
 A Certificate itemizes the finite checks behind one tree-product lemma; a
-SweepReport lists the counterexample tuples of one exhaustive sweep.  The
-`elapsed` field of either record, and of a suite runner's dict, is set
-only by `timed`, which wraps the function that returns the record.
+SweepReport lists the counterexample tuples of one exhaustive sweep.  Both
+are plain mutable classes: each starts with empty lists and dicts and
+`elapsed` 0.0, the checks append to them, and two records are equal only
+when they are the same object.  The `elapsed` field of either record, and
+of a suite runner's dict, is set only by `timed`, which wraps the function
+that returns the record.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass, field
 
 clock = time.perf_counter
 
@@ -32,13 +34,13 @@ def timed(fn):
     return run
 
 
-@dataclass
 class Certificate:
-    name: str
-    checks: list = field(default_factory=list)
-    assumptions: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    elapsed: float = 0.0
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = []
+        self.assumptions = []
+        self.data = {}
+        self.elapsed = 0.0
 
     @property
     def passed(self) -> bool:
@@ -65,14 +67,14 @@ class Certificate:
         }
 
 
-@dataclass
 class SweepReport:
-    lemma: str
-    radius: int
-    tuples_checked: int = 0
-    violations: list = field(default_factory=list)
-    elapsed: float = 0.0
-    notes: dict = field(default_factory=dict)
+    def __init__(self, lemma: str, radius: int):
+        self.lemma = lemma
+        self.radius = radius
+        self.tuples_checked = 0
+        self.violations = []
+        self.elapsed = 0.0
+        self.notes = {}
 
     @property
     def passed(self) -> bool:

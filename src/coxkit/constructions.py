@@ -19,9 +19,9 @@ data plus the amalgam decompositions certified in coxkit.pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from coxkit.blueprint import BlueprintGroup, GroupCache
+from coxkit.blueprint import BlueprintError, BlueprintGroup, GroupCache
 from coxkit.certs import Certificate, timed
 from coxkit.coxeter import Coxeter, Residue, standard_coxeter
 from coxkit.treeprod import Edge, Subgroup, TreeOfGroups
@@ -36,8 +36,7 @@ class PreconditionError(ValueError):
     """A construction was requested for a residue outside its class."""
 
 
-@dataclass(frozen=True)
-class ResidueClassTag:
+class ResidueClassTag(NamedTuple):
     i: int
     in_T_i1: bool
 
@@ -65,8 +64,7 @@ def classify_residue(ctx: Coxeter, R: Residue) -> ResidueClassTag:
     return ResidueClassTag(i, in_t)
 
 
-@dataclass(frozen=True)
-class VertexSpec:
+class VertexSpec(NamedTuple):
     name: str
     label: str
     group: object
@@ -74,8 +72,7 @@ class VertexSpec:
     roots: frozenset
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     kind: str
     residue: Residue
     s: str
@@ -115,13 +112,19 @@ class Builder:
 
     def image_of_u(self, w: str, ambient: BlueprintGroup) -> Subgroup:
         """U_w as the subgroup of ambient at the roots Phi(w);
-        PreconditionError unless Phi(w) lies inside Phi(ambient)."""
+        PreconditionError unless Phi(w) lies inside Phi(ambient), and
+        BlueprintError unless the subgroup has U_w's order 2^l(w)."""
         roots = self.cache.phi(w)
         if not set(ambient.roots).issuperset(roots):
             raise PreconditionError(
                 f"Phi({w}) is not inside Phi({ambient.w}): U[{w}] is not "
                 f"a subgroup of U[{ambient.w}]")
-        return self.cache.root_subgroup(ambient, roots)
+        image = self.cache.root_subgroup(ambient, roots)
+        if image.order != 2 ** len(roots):
+            raise BlueprintError(
+                f"the roots Phi({w}) generate a subgroup of order "
+                f"{image.order} in U[{ambient.w}], not 2^{len(roots)}")
+        return image
 
     def image_of_v(self, gate: str, types, ambient: BlueprintGroup) -> Subgroup:
         return self.cache.root_subgroup(ambient, self.cache.v_roots(gate, types))

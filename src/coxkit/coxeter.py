@@ -103,7 +103,7 @@ KernelError instead of running on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from coxkit import growth, wordops, zroot2
 from coxkit.treeprod import closure_words
@@ -171,8 +171,7 @@ def _fixes_simple_root(w: str, g: str) -> bool:
     return i == start
 
 
-@dataclass(frozen=True)
-class Residue:
+class Residue(NamedTuple):
     """Spherical residue of the Coxeter building, keyed by type and gate."""
 
     types: frozenset

@@ -88,7 +88,6 @@ the certificates intersect and compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 __all__ = [
@@ -182,13 +181,12 @@ def _rank(x) -> str:
     return repr(x)
 
 
-@dataclass
 class Edge:
-    u: str
-    v: str
-    group: object              # finite computable group
-    into_u: dict               # edge elem -> G_u elem
-    into_v: dict               # edge elem -> G_v elem
+    def __init__(self, u: str, v: str, group, into_u: dict, into_v: dict):
+        self.u, self.v = u, v
+        self.group = group         # finite computable group
+        self.into_u = into_u       # edge elem -> G_u elem
+        self.into_v = into_v       # edge elem -> G_v elem
 
     def endpoint_map(self, vertex: str) -> dict:
         if vertex == self.u:

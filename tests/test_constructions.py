@@ -1,8 +1,7 @@
-from dataclasses import FrozenInstanceError
-
 import pytest
 
 from coxkit import pipeline
+from coxkit.blueprint import BlueprintError, GroupCache
 from coxkit.constructions import (KINDS, RANK2, Builder, PreconditionError,
                                   c_set_0, c_set_minus1, c_set_r,
                                   classify_residue, d_set, dset_certificate,
@@ -55,9 +54,20 @@ def test_construction_is_memoized_by_its_resolved_letter(ctx, builder):
     cons = builder.construction("K_Rs", R)
     assert builder.construction("K_Rs", R, "s") is cons
     assert builder.construction("K_Rs", R, "t") is not cons
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cons.specs = ()
     assert isinstance(cons.specs, tuple)
+
+
+def test_records_refuse_attribute_assignment(ctx, builder):
+    R = ctx.residue("st", "r")
+    records = [(R, "gate", "s"), (classify_residue(ctx, R), "in_T_i1", False),
+               (builder.u_spec("a", "sr"), "roots", frozenset())]
+    for record, field, value in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, value)
+    assert R.gate == "r" and classify_residue(ctx, R).in_T_i1
+    assert builder.u_spec("a", "sr").roots
 
 
 def test_section4_leaves_the_memoized_trees_as_built(cache, monkeypatch):
@@ -159,6 +169,17 @@ def test_image_of_u_refuses_a_group_outside_the_ambient(cache, builder):
                        match=r"^Phi\(rs\) is not inside Phi\(st\): "
                              r"U\[rs\] is not a subgroup of U\[st\]$"):
         builder.image_of_u("rs", cache.group("st"))
+
+
+def test_image_of_u_refuses_a_subgroup_of_the_wrong_order(cache, monkeypatch):
+    # the roots Phi(sr) made to generate the subgroup at one of them only
+    root_subgroup = GroupCache.root_subgroup
+    monkeypatch.setattr(GroupCache, "root_subgroup", lambda self, ambient, roots:
+                        root_subgroup(self, ambient, list(roots)[:1]))
+    with pytest.raises(BlueprintError,
+                       match=r"^the roots Phi\(sr\) generate a subgroup of "
+                             r"order 2 in U\[srs\], not 2\^2$"):
+        Builder(cache).image_of_u("sr", cache.group("srs"))
 
 
 def test_v_spec_index_two(ctx, builder):

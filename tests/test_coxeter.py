@@ -89,6 +89,16 @@ def test_residues_and_projection(ctx):
         assert len(ctx.mult(R.gate, u)) == len(R.gate) + 1
 
 
+def test_equal_residues_are_one_key(ctx):
+    # the st-residue of s is the one at the gate 1, built a second time
+    R, same = ctx.residue("st", ""), ctx.residue("ts", "s")
+    assert R is not same and R == same and hash(R) == hash(same)
+    assert {R: "found"}[same] == "found"
+    assert R != ctx.residue("st", "r")
+    # the text PreconditionError messages embed
+    assert str(R) == repr(R) == "Residue('st' at '')"
+
+
 def test_projection_gate_property(ctx):
     # delta(x, y) = delta(x, proj) * delta(proj, y), additively in length
     import itertools

@@ -95,6 +95,29 @@ def test_growth_series_imports_nothing_from_coxkit():
                 if m.startswith(".") or m.split(".")[0] == "coxkit"}
 
 
+# standard-library modules that importing the program must not load:
+# dataclasses writes each record's methods as source and execs it, and
+# with inspect it pulls in ast, dis and tokenize, which no run reads
+NOT_IMPORTED = {"dataclasses", "inspect"}
+
+
+def test_importing_the_program_generates_no_code():
+    # -S: no site hooks, so the modules loaded before the import are the
+    # interpreter's own and the ones added are the program's
+    snippet = ("import json, sys\n"
+               "before = set(sys.modules)\n"
+               "import coxkit.cli\n"
+               "print(json.dumps([sorted(before), sorted(sys.modules)]))\n")
+    done = subprocess.run([sys.executable, "-S", "-c", snippet],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          stdout=subprocess.PIPE, text=True, timeout=60,
+                          check=True)
+    before, after = map(set, json.loads(done.stdout))
+    assert {"coxkit.pipeline", "coxkit.reduction"} <= after - before
+    assert not before & NOT_IMPORTED
+    assert not (after - before) & NOT_IMPORTED, sorted(after - before)
+
+
 def test_no_assert_statements_in_the_program():
     found = [f"{path.relative_to(SRC)}:{node.lineno}"
              for path in sorted(SRC.rglob("*.py"))
