@@ -11,8 +11,7 @@ x * y is the rows of x's letters applied to y, highest letter first, and
 x^-1 is the same rows applied to the identity, lowest letter first
 (collection from the left as a permutation action; Leedham-Green &
 Soicher 1990).  Up to TABLE_CAP elements the product table is composed
-from the rows on first use, a product is one table read and left(x),
-the map y -> x * y, is x's table row.
+from the rows on first use, and a product is one table read.
 Collection itself grows the rows when the group is built, one pair
 product u_k * u_j per new generator (below).
 
@@ -63,8 +62,6 @@ generate U_w and injective because |U_h| <= |U_w| (gallery_independence).
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 from coxkit import wordops
 from coxkit import zroot2 as z2
@@ -251,8 +248,8 @@ class BlueprintGroup:
                     v = rows[a][v]
                 new[y] = low | v
             new += [v ^ top for v in new]
-        # the product table, composed from the rows by the first mul or
-        # left up to TABLE_CAP
+        # the product table, composed from the rows by the first mul up to
+        # TABLE_CAP
         self._table = None
         # the relation count of a successful certify_order
         self._certified = None
@@ -276,13 +273,6 @@ class BlueprintGroup:
                 return y
             table = self._compose_table()
         return table[x][y]
-
-    def left(self, x: int):
-        """The map y -> x * y: the product-table row's __getitem__ up to
-        TABLE_CAP, else mul with x bound, with no table built."""
-        if self.order > TABLE_CAP:
-            return partial(self.mul, x)
-        return (self._table or self._compose_table())[x].__getitem__
 
     def _compose_table(self) -> list:
         """The product table, row z the rows of z's letters composed,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from coxkit.blueprint import BlueprintError, BlueprintGroup, GroupCache
 from coxkit.certs import Certificate, timed
 from coxkit.coxeter import Coxeter, Residue, standard_coxeter
-from coxkit.treeprod import Edge, Subgroup, TreeOfGroups
+from coxkit.treeprod import Edge, Subgroup, TreeOfGroups, is_homomorphism
 
 KINDS = ("V_R", "O_R", "V_Rs", "O_Rs", "H_R", "K_Rs")
 # each rank-2 type J, its letters sorted, with the third letter, in the
@@ -111,9 +111,12 @@ class Builder:
                           self.cache.v_roots(gate, types))
 
     def image_of_u(self, w: str, ambient: BlueprintGroup) -> Subgroup:
-        """U_w as the subgroup of ambient at the roots Phi(w);
-        PreconditionError unless Phi(w) lies inside Phi(ambient), and
-        BlueprintError unless the subgroup has U_w's order 2^l(w)."""
+        """U_w as the subgroup of ambient at the roots Phi(w), the image of
+        the root-label map U_w -> ambient, which sends the generator of U_w
+        at each root to the ambient one; PreconditionError unless Phi(w)
+        lies inside Phi(ambient), and BlueprintError unless the map is a
+        homomorphism (checked on generators) and the subgroup has U_w's
+        order 2^l(w), which together make the map an isomorphism onto it."""
         roots = self.cache.phi(w)
         if not set(ambient.roots).issuperset(roots):
             raise PreconditionError(
@@ -124,6 +127,12 @@ class Builder:
             raise BlueprintError(
                 f"the roots Phi({w}) generate a subgroup of order "
                 f"{image.order} in U[{ambient.w}], not 2^{len(roots)}")
+        grp = self.cache.group(w)
+        label = {x: ambient.root_product(grp.word_of(x)) for x in grp.elements()}
+        if not is_homomorphism(grp, label, ambient):
+            raise BlueprintError(
+                f"the root-label map U[{grp.w}] -> U[{ambient.w}] is not a "
+                "homomorphism")
         return image
 
     def image_of_v(self, gate: str, types, ambient: BlueprintGroup) -> Subgroup:

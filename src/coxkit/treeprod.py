@@ -1,9 +1,9 @@
 """Trees of finite groups and the word problem in their tree products.
 
-Vertex groups are "computable groups": objects with identity, mul, inv,
-left(x), the map y -> x * y, and, when finite, elements().  The subgroup,
-edge-map and family checks read products a row at a time through left.
-Their elements are canonical and hashable
+Vertex groups are "computable groups": objects with identity, mul, inv
+and, when finite, elements().  The subgroup, edge-map and family checks
+multiply by generators alone (generators).  Their elements are canonical
+and hashable
 (ints for the blueprint groups and their subgroups, (carry, letters)
 pairs for tree products), so equal elements compare equal and every
 element is its own dict key.  Edge groups must be finite.
@@ -80,7 +80,8 @@ Reduced words of one element have equal length (Serre I.1, Theorem 1),
 so the count does not depend on which reduced word the pass leaves.
 
 closure_words enumerates a finite subgroup from generators, each element
-with a shortest word, and Subgroup makes that closure a computable group
+with a shortest word, generators finds generators for a finite set that
+is a subgroup, and Subgroup makes that closure a computable group
 of its own: a frozenset of the elements, so one object is at once a
 vertex or edge group, a member of a subgroup family and the set that
 the certificates intersect and compare.
@@ -88,12 +89,12 @@ the certificates intersect and compare.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 
 __all__ = [
-    "Subgroup", "closure_words", "Edge", "TreeOfGroups", "TreeProduct",
-    "contract", "cut", "fold", "check_subtree_conditions", "respects_edges",
-    "family_embeds", "TreeError",
+    "Subgroup", "closure_words", "generators", "is_homomorphism", "Edge",
+    "TreeOfGroups", "TreeProduct", "contract", "cut", "fold",
+    "check_subtree_conditions", "respects_edges", "family_embeds", "TreeError",
 ]
 
 
@@ -129,14 +130,63 @@ def closure_words(mul, identity, gens, limit: int | None = None) -> dict:
     return words
 
 
+def generators(elements, mul, identity) -> list | None:
+    """Generators of the finite set elements as a subgroup of the group
+    that mul multiplies in, or None when the set is not a subgroup.
+
+    In sorted order, each element that the closure of the generators so
+    far has not reached becomes a generator, and the closure is grown
+    again from the identity (closure_words, stopped past len(elements));
+    a set without the identity, or a closure that leaves the set, gives
+    None.  The last closure is the whole set, found with |S| * k products
+    for k generators instead of the |S|^2 of a product table, and k is at
+    most log2 |S|, since each closure at least doubles.
+
+    Subgroups.  Let S be a finite subset of a group that holds 1, and
+    g_1, ..., g_k elements of S with S * g_i inside S for every i and
+    every element of S reached from 1 by right multiplications with the
+    g_i.  Right multiplication by g_i is injective, so it permutes the
+    finite S and S * g_i^-1 = S as well; hence S = <g_1, ..., g_k>.
+
+    Homomorphisms.  A map phi on E = <g_1, ..., g_k> is a homomorphism
+    exactly when phi(x * g_i) = phi(x) * phi(g_i) for all x in E and all
+    i.  Then phi(g_1) = phi(1) * phi(g_1) gives phi(1) = 1 by
+    cancellation (the trivial group has no g_i, so is_homomorphism checks
+    phi(1) = 1 itself), and induction on the length of a word w over the
+    g_i gives phi(x * w) = phi(x) * phi(w): phi(x * w * g_i) =
+    phi(x * w) * phi(g_i) = phi(x) * phi(w) * phi(g_i) = phi(x) *
+    phi(w * g_i).  Every element of E is such a word.
+    """
+    members = frozenset(elements)
+    gens, reached = [], {identity: ()}
+    for x in sorted(members):
+        if x not in reached:
+            gens.append(x)
+            reached = closure_words(mul, identity, gens, limit=len(members))
+            if not reached.keys() <= members:
+                return None
+    return gens if identity in members else None
+
+
+def is_homomorphism(group, phi: dict, target) -> bool:
+    """Whether phi, a dict on the elements of the finite computable group
+    group, is a homomorphism into target: phi(1) = 1 and phi(x * g) =
+    phi(x) * phi(g) for every x and every generator g (generators)."""
+    gens = generators(phi, group.mul, group.identity)
+    return gens is not None and phi[group.identity] == target.identity and all(
+        phi[group.mul(x, g)] == target.mul(y, phi[g])
+        for x, y in phi.items() for g in gens)
+
+
 class Subgroup(frozenset):
     """A finite subgroup of a computable group, itself a computable group:
-    the set of its elements, with the parent's mul, inv, left and identity.
+    the set of its elements, with the parent's mul, inv and identity.
 
     words maps each element to a shortest word for it over the generators
     the subgroup was closed from; its keys are the elements.  Construction
-    checks that they hold the identity and are closed under inverses and
-    products, and raises TreeError otherwise.
+    checks that they hold the identity and are closed under inverses and,
+    on generators (generators), under products, and raises TreeError
+    otherwise.
     """
 
     def __new__(cls, parent, words: dict):
@@ -147,16 +197,14 @@ class Subgroup(frozenset):
         self.words = words
         self.mul = parent.mul
         self.inv = parent.inv
-        self.left = parent.left
         self.identity = parent.identity
         self._elems = tuple(sorted(self))
         if self.identity not in self:
             raise TreeError(f"{self!r} does not contain the identity")
-        for x in self._elems:
-            if parent.inv(x) not in self:
-                raise TreeError(f"{self!r} is not closed under inverses")
-            if not self.issuperset(map(parent.left(x), self._elems)):
-                raise TreeError(f"{self!r} is not closed under products")
+        if not self.issuperset(map(parent.inv, self._elems)):
+            raise TreeError(f"{self!r} is not closed under inverses")
+        if generators(self._elems, parent.mul, self.identity) is None:
+            raise TreeError(f"{self!r} is not closed under products")
 
     @property
     def order(self) -> int:
@@ -245,20 +293,13 @@ class TreeOfGroups:
             if e.u == e.v:
                 issues.append(f"self loop at {e.u}")
             for vertex, mapping in ((e.u, e.into_u), (e.v, e.into_v)):
-                G = self.vertices[vertex]
-                elems = list(e.group.elements())
-                if set(mapping) != set(elems):
+                if set(mapping) != set(e.group.elements()):
                     issues.append(f"boundary map {e.u}-{e.v} into {vertex}: "
                                   "domain mismatch")
                     continue
-                images = [mapping[c] for c in elems]
-                if len(set(images)) != len(elems):
+                if len(set(mapping.values())) != len(mapping):
                     issues.append(f"boundary map into {vertex} not injective")
-                # row c of the edge group's table, mapped, against the row
-                # of mapping[c] in G's table read at the images
-                if any(list(map(mapping.__getitem__, map(e.group.left(c), elems)))
-                       != list(map(G.left(x), images))
-                       for c, x in zip(elems, images)):
+                if not is_homomorphism(e.group, mapping, self.vertices[vertex]):
                     issues.append(f"boundary map into {vertex} not a homomorphism")
         return issues
 
@@ -371,10 +412,6 @@ class TreeProduct:
 
     def mul(self, x, y):
         return self._normalize(self.flatten_word(x) + self.flatten_word(y))
-
-    def left(self, x):
-        """The map y -> x * y: mul with x bound."""
-        return partial(self.mul, x)
 
     def inv(self, x):
         groups = self.tog.vertices
@@ -511,11 +548,8 @@ def check_subtree_conditions(tog: TreeOfGroups, members: dict,
     edge keys to the claimed edge subgroups, checked against the computed
     preimages.  Returns a dict report with per-edge preimage sizes.
     """
-    ok = True
-    for v, G in tog.vertices.items():
-        m = members[v]
-        ok = ok and G.identity in m and all(
-            m.issuperset(map(G.left(x), m)) for x in m)
+    ok = all(generators(members[v], G.mul, G.identity) is not None
+             for v, G in tog.vertices.items())
     report = {"edges": []}
     for e in tog.edges:
         pre_u = {c for c in e.group.elements() if e.into_u[c] in members[e.u]}

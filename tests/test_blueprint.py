@@ -255,8 +255,6 @@ def test_tables_match_direct_collection(ctx, cache):
         for x in g.elements():
             row = [wordops.collect_mul(x, y, g.k, g._comm) for y in g.elements()]
             assert [g.mul(x, y) for y in g.elements()] == row
-            # left(x) is the product-table row of x
-            assert list(map(g.left(x), g.elements())) == row
 
 
 def test_generator_rows_match_collection_for_report_groups(ctx, cache):
@@ -427,8 +425,7 @@ def test_insertion_table_rejects_three_letters_under_optimize(run_optimized):
 
 def test_collection_above_the_table_cap_agrees_with_the_certified_rows(ctx, cache):
     # order 512: mul reads the certified rows instead of a table, and
-    # collection is the oracle; left(x) is mul with x bound and builds no
-    # table either
+    # collection is the oracle
     w = next(w for w in ctx.ball(9) if len(w) == 9)
     g = cache.group(w)
     assert g.order == 512 > TABLE_CAP and g._table is None
@@ -438,8 +435,6 @@ def test_collection_above_the_table_cap_agrees_with_the_certified_rows(ctx, cach
         for y in ys:
             assert g.mul(x, y) == wordops.collect_mul(x, y, g.k, g._comm), (x, y)
         assert g.mul(g.inv(x), x) == g.mul(x, g.inv(x)) == 0, x
-        assert list(map(g.left(x), g.elements())) == \
-            [g.mul(x, y) for y in g.elements()], x
     assert g._table is None
 
 

@@ -182,6 +182,23 @@ def test_image_of_u_refuses_a_subgroup_of_the_wrong_order(cache, monkeypatch):
         Builder(cache).image_of_u("sr", cache.group("srs"))
 
 
+def test_image_of_u_refuses_a_root_label_map_that_is_no_homomorphism(
+        ctx, monkeypatch):
+    # U_stst with its first two roots listed in swapped order: the labels
+    # still generate the subgroup at Phi(stst), of order 16 = 2^4, but
+    # [u_0, u_3] = u_1 u_2 is sent to a relation that fails in U[ststr]
+    builder = Builder(GroupCache(ctx))
+    ambient = builder.cache.group("ststr")
+    assert builder.image_of_u("stst", ambient).order == 16
+    grp = builder.cache.group("stst")
+    first, second, *rest = grp.roots
+    monkeypatch.setattr(grp, "roots", (second, first, *rest))
+    with pytest.raises(BlueprintError,
+                       match=r"^the root-label map U\[stst\] -> U\[ststr\] is "
+                             r"not a homomorphism$"):
+        builder.image_of_u("stst", ambient)
+
+
 def test_v_spec_index_two(ctx, builder):
     sp = builder.v_spec("x", "r", "st")
     assert sp.group.order * 2 == sp.ambient.order

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coxkit import treeprod
-from coxkit.blueprint import GroupCache
+from coxkit.blueprint import TABLE_CAP, GroupCache
 from coxkit.certs import Certificate
 from coxkit.constructions import RANK2, Builder, residue_letters
 from coxkit.pipeline import Section4, _family_check, section4_pipeline
@@ -28,6 +28,21 @@ def test_all_certificates_pass(full_run):
                          if not ch["status"]]
                 for c in full_run if not c.passed}
     assert not failures, failures
+
+
+def test_residues_past_gate_one_pass(ctx):
+    # st at gate rstr and rs at gate trst read groups of order 1024, above
+    # TABLE_CAP: their products come from the rows, and every subgroup,
+    # boundary-map and family check runs there
+    cache = GroupCache(ctx)
+    certs = section4_pipeline(cache, [("st", "rstr"), ("rs", "trst")])
+    assert max(g.order for g in cache._groups.values()) == 1024 > TABLE_CAP
+    assert [sum(f"@{gate}" in c.name for c in certs)
+            for gate in ("rstr", "trst")] == [6, 6]
+    failures = {c.name: [ch["description"] for ch in c.checks
+                         if not ch["status"]]
+                for c in certs if not c.passed}
+    assert len(certs) == 16 and not failures, failures
 
 
 def test_certificate_bytes_pinned(full_run):

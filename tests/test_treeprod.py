@@ -7,8 +7,9 @@ import pytest
 from coxkit.constructions import Builder
 from coxkit.pipeline import Section4
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
-                             TreeProduct, check_subtree_conditions, contract,
-                             cut, fold)
+                             TreeProduct, check_subtree_conditions,
+                             closure_words, contract, cut, fold, generators,
+                             is_homomorphism)
 from galleries import gallery, group_along
 from nested_oracle import NestedProduct
 from walks import random_word
@@ -572,16 +573,47 @@ def test_check_subtree_conditions_rejects_bad_members_at_a_contracted_vertex(
     assert _preimages_agree(empty) and not empty["pass"]
 
 
-def test_left_is_mul_with_its_first_factor_bound(theorem_tree, cache):
-    V = cache.v_subgroup("", "st")
-    for x in V.elements():
-        assert list(map(V.left(x), V.elements())) == \
-            [V.mul(x, y) for y in V.elements()]
-    _, P = theorem_tree
-    rng = random.Random(40)
-    pool = [_random_element(P, rng) for _ in range(30)]
-    for x in pool:
-        assert list(map(P.left(x), pool)) == [P.mul(x, y) for y in pool]
+def test_generators_decide_closure_as_the_product_table_does(cache):
+    # every subset of U_stst (order 16) that holds the identity, against
+    # the |S|^2 definition; the generators found close to the set itself
+    G = cache.group("stst")
+    table = [[G.mul(x, y) for y in G.elements()] for x in G.elements()]
+    subgroups = 0
+    for bits in range(1 << 15):
+        S = frozenset([0] + [i + 1 for i in range(15) if bits >> i & 1])
+        closed = all(table[x][y] in S for x in S for y in S)
+        gens = generators(S, G.mul, G.identity)
+        assert (gens is not None) == closed, sorted(S)
+        if closed:
+            subgroups += 1
+            assert closure_words(G.mul, G.identity, gens).keys() == S
+            assert len(gens) <= len(S).bit_length() - 1
+        assert generators(S - {0}, G.mul, G.identity) is None
+    assert subgroups == 35
+
+
+def test_homomorphisms_on_generators_as_on_the_product_table(cache):
+    # all 256 maps of U_st (the Klein four-group) to itself, and the 4,096
+    # maps into the nonabelian U_stst that send 0 to 0, against the |E|^2
+    # definition: the 16 endomorphisms, and the 112 images of the two
+    # generators that commute and square to 0, pass.  Into U_st a map that
+    # respects one generator respects both, so the second family is the
+    # one that needs every generator checked
+    E = cache.group("st")
+    for Q, first, count in ((E, E.elements(), 16),
+                            (cache.group("stst"), [0], 112)):
+        homs = 0
+        for images in itertools.product(first, *[Q.elements()] * 3):
+            phi = dict(zip(E.elements(), images))
+            by_table = all(phi[E.mul(x, y)] == Q.mul(phi[x], phi[y])
+                           for x in E.elements() for y in E.elements())
+            assert is_homomorphism(E, phi, Q) == by_table, images
+            homs += by_table
+        assert homs == count
+    # the trivial group has no generators, so phi(1) = 1 is checked alone
+    trivial = Subgroup(E, {0: ()})
+    assert is_homomorphism(trivial, {0: 0}, E)
+    assert not is_homomorphism(trivial, {0: 1}, E)
 
 
 def test_elements_not_enumerable(theorem_tree):
