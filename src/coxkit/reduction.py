@@ -11,8 +11,9 @@ s*alpha_r, t*alpha_r, r*alpha_t and the product of the last two, which
 commute) and the h letters elements of V = <u_s, u_t> given as masks of
 the ambient blueprint group at stst.  TheoremSetup.blocked is the one
 statement of the constraint clauses.  Construction tabulates it over
-the alphabet and V as _blocked, which constrained, reduce,
-enumerate_constrained and allowed_after (so the trace automaton) read.
+the alphabet and V as _blocked, which constrained, reduce, allowed_after
+(so the trace automaton) and enumerate_constrained (through its table
+of the g letters allowed after each pair) read.
 
 The replay is a fold: _trace_base turns the first pair into a counter
 and a state (kind, h), where kind = KIND[g] is A:s, A:t or B and h is
@@ -213,21 +214,18 @@ class TheoremSetup:
         return out, steps
 
     def enumerate_constrained(self, max_pairs: int):
-        """All constrained words g1 h1 ... gn hn (no leading h) with n <= max_pairs."""
+        """All constrained words g1 h1 ... gn hn (no leading h) with n <= max_pairs,
+        each before its extensions.  An iterator over a list built eagerly
+        by _walk from after, the g letters that _blocked allows after each
+        pair (g, h)."""
         V, blocked = sorted(self._v_words), self._blocked
-
-        def extend(pairs, n):
-            if pairs:
-                yield (0, tuple(pairs))
-            if n == 0:
-                return
-            for g in G_LETTERS:
-                if pairs and (*pairs[-1], g) in blocked:
-                    continue
-                for h in V:
-                    yield from extend(pairs + [(g, h)], n - 1)
-
-        yield from extend([], max_pairs)
+        after = {(g, h): tuple(g2 for g2 in G_LETTERS
+                               if (g, h, g2) not in blocked)
+                 for g in G_LETTERS for h in V}
+        words = []
+        if max_pairs > 0:
+            _walk(words, after, V, (), G_LETTERS, max_pairs)
+        return iter(words)
 
     def parse(self, text: str):
         """Comma-separated word: tokens u_sr / u_tr / u_rt / u_rt*u_tr are g
@@ -272,6 +270,25 @@ class TheoremSetup:
             out.append(g)
             out.append("*".join("u_" + ch for ch in self.v_word(h)) if h else "1")
         return ",".join(out) if out else "1"
+
+
+def _walk(words, after, V, prefix, g_letters, n):
+    """Append (0, prefix + ((g, h),)) for each g in g_letters and h in V,
+    each word followed by its extensions by up to n - 1 more pairs.
+
+    A module-level function: a nested one that calls itself sits in a
+    reference cycle through its closure cell, which keeps the list alive
+    until a collection.  Each word holds its own pairs tuple and last
+    pair: a walk that shares them leaves fewer tracked objects, which
+    moves the process's first full collection (in CPython 3.11, about ten
+    gen-1 collections after start-up) out of the set-up and into the
+    work that reads the words."""
+    for g in g_letters:
+        for h in V:
+            pairs = prefix + ((g, h),)
+            words.append((0, pairs))
+            if n > 1:
+                _walk(words, after, V, pairs, after[g, h], n - 1)
 
 
 def _trace_base(setup: TheoremSetup, cert: Certificate, g: str, h: int):

@@ -172,7 +172,13 @@ def is_homomorphism(group, phi: dict, target) -> bool:
     """Whether phi, a dict on the elements of the finite computable group
     group, is a homomorphism into target: phi(1) = 1 and phi(x * g) =
     phi(x) * phi(g) for every x and every generator g (generators)."""
-    gens = generators(phi, group.mul, group.identity)
+    return _maps_products(group, generators(phi, group.mul, group.identity),
+                          phi, target)
+
+
+def _maps_products(group, gens, phi: dict, target) -> bool:
+    """is_homomorphism on generators gens of group found beforehand; None
+    (elements that are no subgroup) gives False."""
     return gens is not None and phi[group.identity] == target.identity and all(
         phi[group.mul(x, g)] == target.mul(y, phi[g])
         for x, y in phi.items() for g in gens)
@@ -292,14 +298,19 @@ class TreeOfGroups:
         for e in self.edges:
             if e.u == e.v:
                 issues.append(f"self loop at {e.u}")
+            group = e.group
+            members = set(group.elements())
+            # both boundary maps are checked on the same generators
+            gens = generators(members, group.mul, group.identity)
             for vertex, mapping in ((e.u, e.into_u), (e.v, e.into_v)):
-                if set(mapping) != set(e.group.elements()):
+                if set(mapping) != members:
                     issues.append(f"boundary map {e.u}-{e.v} into {vertex}: "
                                   "domain mismatch")
                     continue
                 if len(set(mapping.values())) != len(mapping):
                     issues.append(f"boundary map into {vertex} not injective")
-                if not is_homomorphism(e.group, mapping, self.vertices[vertex]):
+                if not _maps_products(group, gens, mapping,
+                                      self.vertices[vertex]):
                     issues.append(f"boundary map into {vertex} not a homomorphism")
         return issues
 

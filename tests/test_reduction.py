@@ -116,6 +116,51 @@ def test_constrained_enumeration_counts(theorem_setup):
     assert all(s.constrained(w) for w in words)
 
 
+def _constrained_by_generators(s, max_pairs):
+    """The oracle: the recursive generator that enumerate_constrained was
+    before it became a table walk."""
+    V, blocked = sorted(s._v_words), s._blocked
+
+    def extend(pairs, n):
+        if pairs:
+            yield (0, tuple(pairs))
+        if n == 0:
+            return
+        for g in G_LETTERS:
+            if pairs and (*pairs[-1], g) in blocked:
+                continue
+            for h in V:
+                yield from extend(pairs + [(g, h)], n - 1)
+
+    yield from extend([], max_pairs)
+
+
+def test_enumeration_walk_matches_the_generator_oracle(cache, theorem_setup):
+    """The same words in the same order for n = 0...3, also under one
+    more clause; the n = 3 order is pinned by the sha256 of the reprs."""
+    for n, count in enumerate((0, 32, 896, 24320)):
+        words = list(theorem_setup.enumerate_constrained(n))
+        assert len(words) == count
+        assert words == list(_constrained_by_generators(theorem_setup, n))
+    digest = hashlib.sha256()
+    for word in words:
+        digest.update(repr(word).encode())
+    assert digest.hexdigest().startswith("b67ea600")
+    x = _ExtraClause(cache)
+    assert (list(x.enumerate_constrained(2))
+            == list(_constrained_by_generators(x, 2)))
+
+
+def test_enumeration_leaves_no_reference_cycle(theorem_setup):
+    """A walk that ties the word list into a cycle (a nested function that
+    calls itself through its closure) keeps it alive until a collection,
+    which raised trace's peak RSS past its bound."""
+    gc.collect()
+    words = list(theorem_setup.enumerate_constrained(3))
+    del words
+    assert gc.collect() == 0
+
+
 def test_trace_base_cases(theorem_setup):
     s = theorem_setup
     cert = trace_word(s, s.parse("u_sr,u_s"))

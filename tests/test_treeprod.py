@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coxkit import treeprod
 from coxkit.constructions import Builder
 from coxkit.pipeline import Section4
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
@@ -54,6 +55,20 @@ def test_validate_rejects_an_injective_map_that_is_no_homomorphism(cache):
     bad = Edge("a", "b", E, {0: 1, 1: 0}, {0: 0, 1: B.root_mask(B.roots[0])})
     issues = TreeOfGroups({"a": A, "b": B}, [bad]).validate()
     assert issues == ["boundary map into a not a homomorphism"]
+
+
+def test_validate_finds_each_edge_groups_generators_once(theorem_setup,
+                                                         monkeypatch):
+    calls = []
+
+    def counted(elements, mul, identity):
+        calls.append(frozenset(elements))
+        return generators(elements, mul, identity)
+
+    monkeypatch.setattr(treeprod, "generators", counted)
+    tog = theorem_setup.tog
+    assert tog.validate() == []
+    assert calls == [frozenset(e.group.elements()) for e in tog.edges]
 
 
 def test_validate_rejects_kernel(cache):
