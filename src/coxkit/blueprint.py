@@ -67,7 +67,7 @@ from coxkit import wordops
 from coxkit import zroot2 as z2
 from coxkit.coxeter import GENS, Coxeter
 from coxkit.roots import Root, RootSystem, RootSystemError, root_system
-from coxkit.treeprod import Subgroup, closure_words
+from coxkit.treeprod import Subgroup
 
 TABLE_CAP = 256
 
@@ -218,6 +218,8 @@ class BlueprintGroup:
         self.k = len(self.roots)
         self.order = 1 << self.k
         self.identity = 0
+        # the root generators, which generate U_w
+        self.gens = tuple(1 << i for i in range(self.k))
         self._pos = {root: i for i, root in enumerate(self.roots)}
         self._comm = prefix._comm + insertion_column(blueprint, gallery) \
             if prefix else b""
@@ -391,16 +393,14 @@ class GroupCache:
         roots, its words mapping each element to a shortest word over
         roots, the first in breadth-first order with the roots taken by
         (refl, positive).  Memoized by the ambient group and the root set,
-        so each such subgroup is built, and checked closed, once."""
+        so each such subgroup is closed from its root generators once."""
         roots = frozenset(roots)
         key = (ambient, roots)
         got = self._subgroups.get(key)
         if got is None:
             gens = sorted(roots, key=lambda root: (root.refl, root.positive))
-            words = closure_words(ambient.mul, ambient.identity,
-                                  [ambient.root_mask(root) for root in gens])
-            got = self._subgroups[key] = Subgroup(ambient, {
-                x: tuple(gens[i] for i in word) for x, word in words.items()})
+            got = self._subgroups[key] = Subgroup(
+                ambient, {root: ambient.root_mask(root) for root in gens})
         return got
 
     def v_subgroup(self, gate: str, types) -> Subgroup:

@@ -7,7 +7,7 @@ common generating roots of adjacent vertices, with boundary maps matched
 root-by-root, which is exactly the hat-star convention.  That subgroup is
 GroupCache.root_subgroup of the first vertex's ambient group, so every
 edge over one ambient group and root set, in any tree, carries one
-memoized Subgroup, checked closed once.  Builder.tree
+memoized Subgroup, closed once from its root generators.  Builder.tree
 builds every tree of such groups: the constructions, the `coxkit nf`
 tree files and the subgroup theorem's U_sr * V * U_trt.
 

@@ -1,9 +1,9 @@
 """Trees of finite groups and the word problem in their tree products.
 
 Vertex groups are "computable groups": objects with identity, mul, inv
-and, when finite, elements().  The subgroup, edge-map and family checks
-multiply by generators alone (generators).  Their elements are canonical
-and hashable
+and, when finite, elements() and gens, generating elements.  The
+edge-map checks multiply by those generators alone (is_homomorphism).
+Their elements are canonical and hashable
 (ints for the blueprint groups and their subgroups, (carry, letters)
 pairs for tree products), so equal elements compare equal and every
 element is its own dict key.  Edge groups must be finite.
@@ -80,11 +80,12 @@ Reduced words of one element have equal length (Serre I.1, Theorem 1),
 so the count does not depend on which reduced word the pass leaves.
 
 closure_words enumerates a finite subgroup from generators, each element
-with a shortest word, generators finds generators for a finite set that
-is a subgroup, and Subgroup makes that closure a computable group
-of its own: a frozenset of the elements, so one object is at once a
-vertex or edge group, a member of a subgroup family and the set that
-the certificates intersect and compare.
+with a shortest word, and Subgroup makes that closure a computable group
+of its own, generators kept: a frozenset of the elements, so one object
+is at once a vertex or edge group, a member of a subgroup family and the
+set that the certificates intersect and compare.  generators decides
+whether an arbitrary finite set is a subgroup, for the members of a
+subgroup family (check_subtree_conditions), which come as bare sets.
 """
 
 from __future__ import annotations
@@ -146,7 +147,9 @@ def generators(elements, mul, identity) -> list | None:
     g_1, ..., g_k elements of S with S * g_i inside S for every i and
     every element of S reached from 1 by right multiplications with the
     g_i.  Right multiplication by g_i is injective, so it permutes the
-    finite S and S * g_i^-1 = S as well; hence S = <g_1, ..., g_k>.
+    finite S and S * g_i^-1 = S as well; hence S = <g_1, ..., g_k>.  In
+    particular the closure of g_1, ..., g_k under right multiplication by
+    them, when finite, is the subgroup they generate.
 
     Homomorphisms.  A map phi on E = <g_1, ..., g_k> is a homomorphism
     exactly when phi(x * g_i) = phi(x) * phi(g_i) for all x in E and all
@@ -171,46 +174,39 @@ def generators(elements, mul, identity) -> list | None:
 def is_homomorphism(group, phi: dict, target) -> bool:
     """Whether phi, a dict on the elements of the finite computable group
     group, is a homomorphism into target: phi(1) = 1 and phi(x * g) =
-    phi(x) * phi(g) for every x and every generator g (generators)."""
-    return _maps_products(group, generators(phi, group.mul, group.identity),
-                          phi, target)
-
-
-def _maps_products(group, gens, phi: dict, target) -> bool:
-    """is_homomorphism on generators gens of group found beforehand; None
-    (elements that are no subgroup) gives False."""
-    return gens is not None and phi[group.identity] == target.identity and all(
+    phi(x) * phi(g) for every x and every g in group.gens (the
+    homomorphism argument of generators)."""
+    return phi[group.identity] == target.identity and all(
         phi[group.mul(x, g)] == target.mul(y, phi[g])
-        for x, y in phi.items() for g in gens)
+        for x, y in phi.items() for g in group.gens)
 
 
 class Subgroup(frozenset):
-    """A finite subgroup of a computable group, itself a computable group:
-    the set of its elements, with the parent's mul, inv and identity.
+    """The subgroup of the finite computable group parent that gens
+    generates, itself a computable group: the set of its elements, with
+    the parent's mul, inv and identity.
 
-    words maps each element to a shortest word for it over the generators
-    the subgroup was closed from; its keys are the elements.  Construction
-    checks that they hold the identity and are closed under inverses and,
-    on generators (generators), under products, and raises TreeError
-    otherwise.
+    gens maps a label to each generating element.  The elements are the
+    closure of the generators under right multiplication (closure_words),
+    which is the subgroup they generate (the subgroup lemma of
+    generators), so construction checks nothing.  self.gens keeps the
+    generating elements in order, and words maps each element to its
+    first shortest word in breadth-first order, a tuple of labels.
     """
 
-    def __new__(cls, parent, words: dict):
-        return super().__new__(cls, words)
-
-    def __init__(self, parent, words: dict):
+    def __new__(cls, parent, gens: dict):
+        labels, elems = tuple(gens), tuple(gens.values())
+        words = closure_words(parent.mul, parent.identity, elems)
+        self = super().__new__(cls, words)
         self.parent = parent
-        self.words = words
+        self.gens = elems
+        self.words = {x: tuple(labels[i] for i in word)
+                      for x, word in words.items()}
         self.mul = parent.mul
         self.inv = parent.inv
         self.identity = parent.identity
         self._elems = tuple(sorted(self))
-        if self.identity not in self:
-            raise TreeError(f"{self!r} does not contain the identity")
-        if not self.issuperset(map(parent.inv, self._elems)):
-            raise TreeError(f"{self!r} is not closed under inverses")
-        if generators(self._elems, parent.mul, self.identity) is None:
-            raise TreeError(f"{self!r} is not closed under products")
+        return self
 
     @property
     def order(self) -> int:
@@ -300,8 +296,6 @@ class TreeOfGroups:
                 issues.append(f"self loop at {e.u}")
             group = e.group
             members = set(group.elements())
-            # both boundary maps are checked on the same generators
-            gens = generators(members, group.mul, group.identity)
             for vertex, mapping in ((e.u, e.into_u), (e.v, e.into_v)):
                 if set(mapping) != members:
                     issues.append(f"boundary map {e.u}-{e.v} into {vertex}: "
@@ -309,8 +303,7 @@ class TreeOfGroups:
                     continue
                 if len(set(mapping.values())) != len(mapping):
                     issues.append(f"boundary map into {vertex} not injective")
-                if not _maps_products(group, gens, mapping,
-                                      self.vertices[vertex]):
+                if not is_homomorphism(group, mapping, self.vertices[vertex]):
                     issues.append(f"boundary map into {vertex} not a homomorphism")
         return issues
 
@@ -536,7 +529,7 @@ def fold(tog: TreeOfGroups, a: str, b: str, H, new_vertex: str):
     edge toward b carries the old edge group.
     """
     e = tog.edge_between(a, b)
-    if not set(e.endpoint_map(a).values()) <= set(H.elements()):
+    if not set(e.endpoint_map(a).values()) <= H:
         raise TreeError("H does not contain the edge-group image")
     vertices = dict(tog.vertices)
     vertices[new_vertex] = H

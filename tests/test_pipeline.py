@@ -56,12 +56,12 @@ def test_certificate_bytes_pinned(full_run):
 
 def test_one_subgroup_is_built_per_memo_entry(ctx, monkeypatch):
     built = []
-    init = treeprod.Subgroup.__init__
+    new = treeprod.Subgroup.__new__
 
-    def counting(self, *args):
-        built.append(self)
-        init(self, *args)
-    monkeypatch.setattr(treeprod.Subgroup, "__init__", counting)
+    def counting(cls, *args):
+        built.append(new(cls, *args))
+        return built[-1]
+    monkeypatch.setattr(treeprod.Subgroup, "__new__", counting)
     cache = GroupCache(ctx)
     assert all(c.passed for c in section4_pipeline(cache))
     assert len(built) == len(cache._subgroups) == 84

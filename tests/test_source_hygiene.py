@@ -7,7 +7,8 @@ one value in use; that keep verification out of assert statements,
 which `python -O` strips; and that keep one builder of trees of groups
 (constructions.Builder.tree, over treeprod's edges), one builder of
 subgroups (the memo blueprint.GroupCache.root_subgroup), one root system
-per Coxeter context (roots.root_system), one caller of the braid closure
+per Coxeter context (roots.root_system), one generator search (for the
+members of a subgroup family), one caller of the braid closure
 (Coxeter.reduced_words), the Coxeter kernel's memo tables read by the
 kernel alone, and roots named by what they are, not by where a group
 lists them."""
@@ -240,8 +241,18 @@ def callers_in_src(name: str) -> set:
 SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup")}
 
 
+# the one place that searches a set for generators: a subgroup family's
+# members come as bare sets; every Subgroup and blueprint group carries
+# the generators it was built from (gens), so no check searches for them
+GENERATOR_SEARCHERS = {("treeprod.py", "check_subtree_conditions")}
+
+
 def test_subgroups_are_built_only_by_the_root_subgroup_memo():
     assert callers_in_src("Subgroup") == SUBGROUP_BUILDERS
+
+
+def test_generators_are_searched_only_for_family_members():
+    assert callers_in_src("generators") == GENERATOR_SEARCHERS
 
 
 def test_root_systems_are_built_only_by_the_context_accessor():

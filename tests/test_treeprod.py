@@ -20,7 +20,7 @@ from walks import random_word
 def z2_free(cache):
     A = group_along(cache, gallery(cache.ctx, "s"))
     B = group_along(cache, gallery(cache.ctx, "t"))
-    triv = Subgroup(A, {0: ()})
+    triv = Subgroup(A, {})
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0})])
     return tog, TreeProduct(tog)
@@ -57,18 +57,17 @@ def test_validate_rejects_an_injective_map_that_is_no_homomorphism(cache):
     assert issues == ["boundary map into a not a homomorphism"]
 
 
-def test_validate_finds_each_edge_groups_generators_once(theorem_setup,
-                                                         monkeypatch):
-    calls = []
+def test_edge_maps_are_checked_without_a_generator_search(theorem_setup,
+                                                          monkeypatch):
+    # every edge group is a Subgroup and U_w a BlueprintGroup, and both
+    # carry their generators, so neither check searches for any
+    def refuse(elements, mul, identity):
+        raise AssertionError("generators searched again")
 
-    def counted(elements, mul, identity):
-        calls.append(frozenset(elements))
-        return generators(elements, mul, identity)
-
-    monkeypatch.setattr(treeprod, "generators", counted)
-    tog = theorem_setup.tog
-    assert tog.validate() == []
-    assert calls == [frozenset(e.group.elements()) for e in tog.edges]
+    monkeypatch.setattr(treeprod, "generators", refuse)
+    assert theorem_setup.tog.validate() == []
+    cache = theorem_setup.cache
+    assert Builder(cache).image_of_u("sr", cache.group("srs")).order == 4
 
 
 def test_validate_rejects_kernel(cache):
@@ -125,7 +124,7 @@ def test_cut_keeps_the_edges_inside(theorem_tree):
 
 def test_validate_rejects_cycles(cache):
     A, B = group_along(cache, gallery(cache.ctx, "s")), cache.group("t")
-    triv = Subgroup(A, {0: ()})
+    triv = Subgroup(A, {})
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0}),
                         Edge("b", "a", triv, {0: 0}, {0: 0})])
@@ -491,7 +490,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
         assert H.eval_word(back) == el
     # fold the first edge at its own edge-group image (redundant vertex)
     U_sr = tog.vertices["0"]
-    Hsub = Subgroup(U_sr, {0: (), U_sr.root_mask(U_sr.roots[0]): U_sr.roots[:1]})
+    Hsub = Subgroup(U_sr, {U_sr.roots[0]: U_sr.root_mask(U_sr.roots[0])})
     tog3 = fold(tog, "0", "1", Hsub, "x")
     assert not tog3.validate()
     P3 = TreeProduct(tog3)
@@ -508,7 +507,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
 def test_fold_counts_match(z2_free, cache):
     tog, P = z2_free
     A = tog.vertices["a"]
-    Hsub = Subgroup(A, {0: (), 1: A.roots})
+    Hsub = Subgroup(A, {A.roots[0]: 1})
     tog2 = fold(tog, "a", "b", Hsub, "x")
     P2 = TreeProduct(tog2)
     bound = 4
@@ -520,7 +519,7 @@ def test_fold_counts_match(z2_free, cache):
 def test_fold_requires_intermediate(theorem_tree, cache):
     tog, _ = theorem_tree
     U_sr = tog.vertices["0"]
-    bad = Subgroup(U_sr, {0: ()})
+    bad = Subgroup(U_sr, {})
     with pytest.raises(TreeError):
         fold(tog, "0", "1", bad, "x")
 
@@ -607,6 +606,45 @@ def test_generators_decide_closure_as_the_product_table_does(cache):
     assert subgroups == 35
 
 
+def test_subgroup_is_the_closure_of_its_generators_by_the_product_table(cache):
+    # every subset of U_stst's four root generators, and a few sets with
+    # other elements (the identity among them), against the fixpoint of
+    # the |S|^2 product table; each word multiplies out to its element and
+    # is as long as the element's distance from 1 in the generators'
+    # Cayley graph, both read off the table
+    G = cache.group("stst")
+    table = [[G.mul(x, y) for y in G.elements()] for x in G.elements()]
+    roots = {root: G.root_mask(root) for root in G.roots}
+    families = [{root: roots[root] for root in subset}
+                for n in range(len(roots) + 1)
+                for subset in itertools.combinations(G.roots, n)]
+    families += [{"a": 3}, {"a": 5, "b": 10}, {"a": 15}, {"a": 6, "b": 9},
+                 {"one": 0, "a": 12}]
+    for gens in families:
+        H = Subgroup(G, gens)
+        S = {0, *gens.values()}
+        while True:
+            grown = S | {table[x][y] for x in S for y in S}
+            if grown == S:
+                break
+            S = grown
+        assert set(H) == S and H.words.keys() == S, gens
+        assert H.gens == tuple(gens.values())
+        assert H.elements() == tuple(sorted(S)) and H.order == len(S)
+        dist, reached, n = {0: 0}, {0}, 0
+        while len(reached) < len(S):
+            n += 1
+            reached = reached | {table[x][g] for x in reached
+                                 for g in gens.values()}
+            for x in reached:
+                dist.setdefault(x, n)
+        for x, word in H.words.items():
+            y = G.identity
+            for label in word:
+                y = table[y][gens[label]]
+            assert y == x and len(word) == dist[x], (gens, x, word)
+
+
 def test_homomorphisms_on_generators_as_on_the_product_table(cache):
     # all 256 maps of U_st (the Klein four-group) to itself, and the 4,096
     # maps into the nonabelian U_stst that send 0 to 0, against the |E|^2
@@ -626,7 +664,7 @@ def test_homomorphisms_on_generators_as_on_the_product_table(cache):
             homs += by_table
         assert homs == count
     # the trivial group has no generators, so phi(1) = 1 is checked alone
-    trivial = Subgroup(E, {0: ()})
+    trivial = Subgroup(E, {})
     assert is_homomorphism(trivial, {0: 0}, E)
     assert not is_homomorphism(trivial, {0: 1}, E)
 
@@ -651,7 +689,7 @@ def test_subproduct_value_full_edge(cache):
     # a segment whose edge group is everything: the two sides coincide
     A = group_along(cache, gallery(cache.ctx, "s"))
     B = group_along(cache, gallery(cache.ctx, "t"))
-    full = Subgroup(A, {0: (), 1: A.roots})
+    full = Subgroup(A, {A.roots[0]: 1})
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", full, {0: 0, 1: 1}, {0: 0, 1: 1})])
     P = TreeProduct(tog)
@@ -660,19 +698,20 @@ def test_subproduct_value_full_edge(cache):
 
 
 # {0, 1, 2} in U_sr (order 4) misses the product 1 * 2 = 3; under -O an
-# assert would let the non-subgroup through
+# assert would let the non-subgroup through.  A Subgroup is a closure, so
+# it cannot be handed such a set: the family members are where a bare set
+# is decided
 SUBGROUP_UNDER_O = """
 from coxkit.blueprint import GroupCache
 from coxkit.coxeter import standard_coxeter
-from coxkit.treeprod import Subgroup, TreeError
+from coxkit.treeprod import TreeOfGroups, check_subtree_conditions
 cache = GroupCache(standard_coxeter())
-try:
-    Subgroup(cache.group("sr"), dict.fromkeys((0, 1, 2), ()))
-except TreeError:
-    print("raised")
+tog = TreeOfGroups({"0": cache.group("sr")}, [])
+for members in ((0, 1, 2), (0, 1, 2, 3)):
+    print(check_subtree_conditions(tog, {"0": frozenset(members)})["pass"])
 """
 
 
 def test_subgroup_check_survives_optimize(run_optimized):
     out = run_optimized(SUBGROUP_UNDER_O)
-    assert out.returncode == 0 and out.stdout.strip() == "raised"
+    assert out.returncode == 0 and out.stdout.split() == ["False", "True"]
