@@ -210,33 +210,32 @@ class Builder:
 
     def construction(self, kind: str, R: Residue, s: str | None = None) -> Construction:
         """The tree of groups of the named construction at the rank-2
-        residue R, with s its chosen type letter (the least one when None).
+        residue R, with s its chosen type letter (residue_letters' choice
+        when None).
 
-        Memoized on this builder by (kind, R, s) with s resolved, so s=None
-        and the explicit least letter share one entry; the entry is shared,
+        The letter is resolved first, by residue_letters, and the memo on
+        this builder is keyed by (kind, R, resolved letter), so s=None and
+        the letter it resolves to share one entry; the entry is shared,
         and nothing in it may be changed.  Only a construction that passes
         every precondition is memoized: a refused one raises
         PreconditionError on every call."""
-        key = (kind, R, min(R.types, default=None) if s is None else s)
+        s, _, d = residue_letters(R, s)
+        key = (kind, R, s)
         got = self._constructions.get(key)
         if got is not None:
             return got
         ctx = self.ctx
-        tag = classify_residue(ctx, R)
-        if not tag.in_T_i1:
+        if not classify_residue(ctx, R).in_T_i1:
             raise PreconditionError(
                 f"{R} violates l(w_R s r) = l(w_R)+2 = l(w_R t r)")
-        s_chosen, plan = self.vertex_plan(kind, R, s)
-        if kind in ("V_Rs", "O_Rs", "K_Rs"):
-            s2, t2, d2 = residue_letters(R, s_chosen)
-            if kind in ("V_Rs", "O_Rs") and \
-                    len(ctx.mult(R.gate, s2, d2, s2)) != len(R.gate) + 3:
-                raise PreconditionError(
-                    f"{R} with s={s_chosen} violates l(w_R srs) = l(w_R)+3")
+        plan = self.vertex_plan(kind, R, s)[1]
+        if kind in ("V_Rs", "O_Rs") and \
+                len(ctx.mult(R.gate, s, d, s)) != len(R.gate) + 3:
+            raise PreconditionError(
+                f"{R} with s={s} violates l(w_R srs) = l(w_R)+3")
         names = [f"v{idx}" for idx in range(len(plan))]
         specs, tog = self.tree(zip(names, plan), zip(names, names[1:]))
-        got = self._constructions[kind, R, s_chosen] = Construction(
-            kind, R, s_chosen, specs, tog)
+        got = self._constructions[key] = Construction(kind, R, s, specs, tog)
         return got
 
 

@@ -125,6 +125,34 @@ class Section4:
         U_w inside the ambient group of the edge's first vertex."""
         return edge.group == self.b.image_of_u(w, cons.spec(edge.u).ambient)
 
+    def _cap_check(self, cert, ambient: str, *operands) -> bool:
+        """Check the displayed equality A cap B = C inside U[ambient] and
+        record it with its ambient.  The operands A, B, C are each a word w
+        for the image of U_w or a pair (gate, types) for the image of V at
+        that gate, labelled with its types in the order given."""
+        amb = self.cache.group(ambient)
+
+        def image(op):
+            if isinstance(op, str):
+                return self.b.image_of_u(op, amb), f"U[{op}]"
+            gate, types = op
+            return (self.b.image_of_v(gate, types, amb),
+                    f"V[{gate or '1'}|{types}]")
+        (A, label_a), (B, label_b), (C, label_c) = map(image, operands)
+        return cert.check(f"{label_a} cap {label_b} = {label_c} in U[{amb.w}]",
+                          A & B == C, ambient=amb.w)
+
+    def _fold_contract(self, cert, desc: str, tog, edge: tuple, H, sub,
+                       expected) -> tuple:
+        """Fold tog at H on edge (a, b), the new vertex named x, contract the
+        vertex set sub, and check that the contracted product's sorted
+        vertex orders are those of expected, recording them under desc;
+        returns contract's (tree, vertex name, product)."""
+        contracted = contract(fold(tog, *edge, H, "x"), sub)
+        got = sorted(G.order for G in contracted[2].tog.vertices.values())
+        cert.check(desc, got == sorted(expected), got=got)
+        return contracted
+
     # -- Lemma: V_R -> O_R is injective -------------------------------------
 
     @timed
@@ -137,39 +165,21 @@ class Section4:
         cert.data["V_R"] = [sp.label for sp in vr.specs]
         cert.data["O_R"] = [sp.label for sp in orr.specs]
         # vertex containments
-        amb0 = orr.specs[0].ambient
-        img = b.image_of_u(m(g, s, d), amb0)
-        cert.check(f"U[{m(g, s, d)}] <= {orr.specs[0].label}",
-                   img <= orr.specs[0].group)
-        amb2 = orr.specs[2].ambient
-        img2 = b.image_of_u(m(g, t, d), amb2)
-        cert.check(f"U[{m(g, t, d)}] <= {orr.specs[2].label}",
-                   img2 <= orr.specs[2].group)
+        for sp, w in ((orr.specs[0], m(g, s, d)), (orr.specs[2], m(g, t, d))):
+            cert.check(f"U[{w}] <= {sp.label}",
+                       b.image_of_u(w, sp.ambient) <= sp.group)
         # displayed equalities, each with its ambient recorded
-        ambA = self.cache.group(m(g, s, ctx.longest({d, t})))
-        lhs = b.image_of_u(m(g, s, d), ambA) & b.image_of_u(m(g, s, t), ambA)
-        cert.check(f"U[{m(g,s,d)}] cap U[{m(g,s,t)}] = U[{m(g,s)}] "
-                   f"in U[{ambA.w}]", lhs == b.image_of_u(m(g, s), ambA),
-                   ambient=ambA.w)
-        ambB = self.cache.group(m(g, ctx.longest({s, t})))
-        vset = b.image_of_v(g, (s, t), ambB)
-        cert.check(f"V[{g or '1'}|{s}{t}] cap U[{m(g,s,t)}] = U[{m(g,s)}] "
-                   f"in U[{ambB.w}]",
-                   vset & b.image_of_u(m(g, s, t), ambB)
-                   == b.image_of_u(m(g, s), ambB), ambient=ambB.w)
-        cert.check(f"V[{g or '1'}|{s}{t}] cap U[{m(g,t,s)}] = U[{m(g,t)}] "
-                   f"in U[{ambB.w}]",
-                   vset & b.image_of_u(m(g, t, s), ambB)
-                   == b.image_of_u(m(g, t), ambB), ambient=ambB.w)
-        ambC = self.cache.group(m(g, t, ctx.longest({d, s})))
-        lhs = b.image_of_u(m(g, t, d), ambC) & b.image_of_u(m(g, t, s), ambC)
-        cert.check(f"U[{m(g,t,d)}] cap U[{m(g,t,s)}] = U[{m(g,t)}] "
-                   f"in U[{ambC.w}]", lhs == b.image_of_u(m(g, t), ambC),
-                   ambient=ambC.w)
+        r_J = ctx.longest({s, t})
+        self._cap_check(cert, m(g, s, ctx.longest({d, t})),
+                        m(g, s, d), m(g, s, t), m(g, s))
+        self._cap_check(cert, m(g, r_J), (g, s + t), m(g, s, t), m(g, s))
+        self._cap_check(cert, m(g, r_J), (g, s + t), m(g, t, s), m(g, t))
+        self._cap_check(cert, m(g, t, ctx.longest({d, s})),
+                        m(g, t, d), m(g, t, s), m(g, t))
         # subgroup-family conditions over O_R
         members = self.family_from_roots(orr, self.construction_roots(vr))
         claimed = {
-            frozenset(("v0", "v1")): b.image_of_u(m(g, s), amb0),
+            frozenset(("v0", "v1")): b.image_of_u(m(g, s), orr.specs[0].ambient),
             frozenset(("v1", "v2")): b.image_of_u(m(g, t), orr.specs[1].ambient),
         }
         _family_check(cert, "subgroup-family conditions (i)-(iii) over O_R "
@@ -214,12 +224,9 @@ class Section4:
             for c in vrs.tog.edges[0].group.elements())
         cert.check("fold V_Rs at U[w_R sr]: edge image inside H",
                    edge_img <= H)
-        tog2 = fold(vrs.tog, "v0", "v1", H, "x")
-        tog3, name, sub = contract(tog2, {"x", "v1", "v2"})
-        cert.check("contract the folded tail of V_Rs to a V_R-shaped product",
-                   sorted(gg.order for gg in sub.tog.vertices.values())
-                   == sorted(vr.orders()),
-                   got=sorted(gg.order for gg in sub.tog.vertices.values()))
+        tog3, name, sub = self._fold_contract(
+            cert, "contract the folded tail of V_Rs to a V_R-shaped product",
+            vrs.tog, ("v0", "v1"), H, {"x", "v1", "v2"}, vr.orders())
         home = {id(sp.group): sp.name for sp in vrs.specs}
         home[id(H)] = "v0"
 
@@ -232,12 +239,10 @@ class Section4:
                    "the round trip fixes every vertex group)", ok, **counts)
         # chain B for O_{R,s}
         H2 = b.image_of_u(m(g, s, d), ors.specs[0].group)
-        tog2b = fold(ors.tog, "v0", "v1", H2, "x")
-        subb = contract(tog2b, {"x", "v1", "v2", "v3"})[2]
-        cert.check("contract the folded tail of O_Rs to an O_R-shaped product",
-                   sorted(gg.order for gg in subb.tog.vertices.values())
-                   == sorted((H2.order,) + orr.orders()),
-                   got=sorted(gg.order for gg in subb.tog.vertices.values()))
+        self._fold_contract(
+            cert, "contract the folded tail of O_Rs to an O_R-shaped product",
+            ors.tog, ("v0", "v1"), H2, {"x", "v1", "v2", "v3"},
+            (H2.order,) + orr.orders())
         # segment-level injectivity data: U[w_R sr]-preimage of V_R in O_R,
         # read at v0 by the vertex lemma of coxkit.treeprod
         vr_v0 = self.family_from_roots(orr, self.construction_roots(vr))["v0"]
@@ -261,11 +266,8 @@ class Section4:
         krt = b.construction("K_Rs", R, t)
         orr = b.construction("O_R", R)
         # displayed equality, s side
-        ambA = self.cache.group(m(g, s, ctx.longest({d, t})))
-        cert.check(
-            f"V[{m(g,s)}|{d}{t}] cap U[{m(g,s,t,d)}] = U[{m(g,s,t)}] in U[{ambA.w}]",
-            b.image_of_v(m(g, s), (d, t), ambA) & b.image_of_u(m(g, s, t, d), ambA)
-            == b.image_of_u(m(g, s, t), ambA), ambient=ambA.w)
+        self._cap_check(cert, m(g, s, ctx.longest({d, t})),
+                        (m(g, s), d + t), m(g, s, t, d), m(g, s, t))
         # C0 edge group identity inside K_{R,s}
         middle = krs.tog.edges[1]
         cert.check(f"K_Rs middle edge: edge {krs.specs[1].label}^"
@@ -417,20 +419,13 @@ class Section4:
         sts_img = b.image_of_u(m(g, s, t, s), amb2)
         cert.check("U[w_R st] <= U[w_R sts] inside U[w_R r_J]",
                    b.image_of_u(m(g, s, t), amb2) <= sts_img)
-        tog2 = fold(ors.tog, "v2", "v1", sts_img, "x")
-        vtsub = contract(tog2, {"v0", "v1", "x"})[2]
-        cert.check("contracting the folded head of O_Rs gives a V_T-shaped "
-                   "product",
-                   sorted(gg.order for gg in vtsub.tog.vertices.values())
-                   == sorted(vt.orders()),
-                   got=sorted(gg.order for gg in vtsub.tog.vertices.values()))
+        self._fold_contract(
+            cert, "contracting the folded head of O_Rs gives a V_T-shaped "
+            "product", ors.tog, ("v2", "v1"), sts_img, {"v0", "v1", "x"},
+            vt.orders())
         # displayed equalities
-        ambZ = self.cache.group(m(g, s, d, ctx.longest({s, t})))
-        lhs = (b.image_of_u(m(g, s, d, s), ambZ)
-               & b.image_of_u(m(g, s, d, t), ambZ))
-        cert.check(f"U[{m(g,s,d,s)}] cap U[{m(g,s,d,t)}] = U[{m(g,s,d)}] "
-                   f"in U[{ambZ.w}]",
-                   lhs == b.image_of_u(m(g, s, d), ambZ), ambient=ambZ.w)
+        self._cap_check(cert, m(g, s, d, ctx.longest({s, t})),
+                        m(g, s, d, s), m(g, s, d, t), m(g, s, d))
         # O_R cap U[w_R srt] = U[w_R sr], computed inside K_{R,s}
         or_family = self.family_from_roots(krs, self.construction_roots(orr))
         decidable = _family_check(
@@ -716,9 +711,8 @@ class Section4:
         return cert
 
 
-def section4_pipeline(cache: GroupCache | None = None,
-                      residues: list | None = None) -> list:
-    """Run the full certificate battery.
+def section4_pipeline(cache: GroupCache, residues: list | None = None) -> list:
+    """Run the full certificate battery over the groups of cache.
 
     residues, when given, is a list of (types, gate-word) pairs for the
     residue-parameterized lemmas; the default is the three gate-1 rank-2

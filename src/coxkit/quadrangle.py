@@ -162,7 +162,11 @@ BASE_LETTERS = ("s", "t")
 
 
 class TwinModel:
-    def __init__(self, letters: tuple[str, str] = BASE_LETTERS):
+    """The twin building labelled by letters, a pair of distinct type
+    letters: built and calibrated for BASE_LETTERS, a letter map over
+    build_model(BASE_LETTERS) for any other pair."""
+
+    def __init__(self, letters: tuple[str, str]):
         if len(letters) != 2 or letters[0] == letters[1]:
             raise ValueError("need two distinct letters")
         self.letters = letters
@@ -609,7 +613,8 @@ class TwinModel:
 _MODELS: dict[tuple, TwinModel] = {}
 
 
-def build_model(letters: tuple[str, str] = ("s", "t")) -> TwinModel:
+def build_model(letters: tuple[str, str]) -> TwinModel:
+    """The TwinModel labelled by letters, built once per process."""
     if letters not in _MODELS:
         _MODELS[letters] = TwinModel(letters)
     return _MODELS[letters]

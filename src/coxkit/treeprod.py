@@ -34,9 +34,9 @@ the top's edge it stands on without reaching the top's vertex and
 absorbing the top.  The table of u -> w maps x in G_u to (e, t), e the
 edge part as an element of G_w; it is filled one coset at a time on
 first use, so a vertex that is itself a tree product (contract) needs
-nothing but its mul.  The walks are read from a hop table built with
-the product: for each ordered pair of vertices, the edges of the path
-between them, each with its table and the identities at its two ends.
+nothing but its mul.  The walks are the tree's paths
+(TreeOfGroups.paths), read from a hop table built with the product that
+gives each edge of a path its table and the identities at its two ends.
 
 Uniqueness, for every choice of root at once, by induction on the
 number of edges.  With one vertex the form is the carry alone.
@@ -251,8 +251,10 @@ class Edge:
 
 class TreeOfGroups:
     """A tree of finite groups.  It is not changed once built, so it is
-    checked once: `issues` holds validate's findings from its first read,
-    and Builder.tree and TreeProduct both read it."""
+    checked once and walked once: `issues` holds validate's findings from
+    its first read, and Builder.tree and TreeProduct both read it;
+    `paths` holds the walks between its vertices, which validate reads
+    for connectivity and TreeProduct for its hops."""
 
     def __init__(self, vertices: dict, edges: list):
         self.vertices = dict(vertices)
@@ -261,6 +263,23 @@ class TreeOfGroups:
     @cached_property
     def issues(self) -> tuple:
         return tuple(self.validate())
+
+    @cached_property
+    def paths(self) -> dict:
+        """paths[u][t]: the walk from u to t, one (a, w) step per edge
+        a -> w, empty when u = t, for every vertex t that u reaches; one
+        depth-first search from each vertex.  In a tree it is the path."""
+        paths = {}
+        for u in self.vertices:
+            walks, frontier = {u: ()}, [u]
+            while frontier:
+                a = frontier.pop()
+                for w in self.neighbors(a):
+                    if w not in walks:
+                        walks[w] = walks[a] + ((a, w),)
+                        frontier.append(w)
+            paths[u] = walks
+        return paths
 
     def neighbors(self, v: str):
         return [e.other(v) for e in self.edges if v in (e.u, e.v)]
@@ -281,15 +300,7 @@ class TreeOfGroups:
             issues.append("vertex groups must be distinct objects")
         if len(self.edges) != len(names) - 1:
             issues.append("edge count is not |V| - 1")
-        reach = {names[0]}
-        frontier = [names[0]]
-        while frontier:
-            v = frontier.pop()
-            for w in self.neighbors(v):
-                if w not in reach:
-                    reach.add(w)
-                    frontier.append(w)
-        if reach != set(names):
+        if self.paths[names[0]].keys() != set(names):
             issues.append("underlying graph is not connected")
         for e in self.edges:
             if e.u == e.v:
@@ -313,11 +324,10 @@ class TreeProduct:
     form of the module docstring.
 
     _tables[u, w] is the edge table of u -> w, seeded with the edge
-    group's own coset.  _hops[u][t] lists the edges of the tree path from
-    u to t in order, one (a, w, _tables[a, w], identity of G_a, identity
-    of G_w) per edge a -> w, and is empty when u = t.  mul and inv
-    normalize a word: x's letters then y's, and the inverses of x's
-    letters in reverse order.
+    group's own coset.  _hops[u][t] is the tree path tog.paths[u][t] with
+    one (a, w, _tables[a, w], identity of G_a, identity of G_w) per edge
+    a -> w, and is empty when u = t.  mul and inv normalize a word: x's
+    letters then y's, and the inverses of x's letters in reverse order.
     """
 
     def __init__(self, tog: TreeOfGroups):
@@ -329,15 +339,6 @@ class TreeProduct:
         self.identity = (groups[self.root].identity, ())
         self._mul = {v: G.mul for v, G in groups.items()}
         self._one = {v: G.identity for v, G in groups.items()}
-        toward: dict = {v: {} for v in groups}
-        for t in groups:
-            frontier = [t]
-            while frontier:
-                w = frontier.pop()
-                for u in tog.neighbors(w):
-                    if u != t and t not in toward[u]:
-                        toward[u][t] = w
-                        frontier.append(u)
         self._edges: dict = {}
         self._tables: dict = {}
         for e in tog.edges:
@@ -346,16 +347,10 @@ class TreeProduct:
                 self._edges[u, w] = (e.group, into_u, into_w)
                 self._tables[u, w] = {into_u[c]: (into_w[c], groups[u].identity)
                                       for c in e.group.elements()}
-        self._hops: dict = {u: {} for u in groups}
-        for u in groups:
-            for t in groups:
-                hops, a = [], u
-                while a != t:
-                    w = toward[a][t]
-                    hops.append((a, w, self._tables[a, w],
-                                 self._one[a], self._one[w]))
-                    a = w
-                self._hops[u][t] = tuple(hops)
+        self._hops = {u: {t: tuple((a, w, self._tables[a, w], self._one[a],
+                                    self._one[w]) for a, w in walk)
+                          for t, walk in walks.items()}
+                      for u, walks in tog.paths.items()}
         self._vertex_images: dict = {}
 
     def _split(self, u: str, w: str, x):

@@ -1,6 +1,6 @@
 import pytest
 
-from coxkit import pipeline
+from coxkit import constructions, pipeline
 from coxkit.blueprint import BlueprintError, GroupCache
 from coxkit.constructions import (KINDS, RANK2, Builder, PreconditionError,
                                   c_set_0, c_set_minus1, c_set_r,
@@ -44,6 +44,9 @@ def test_vrs_precondition(ctx, builder):
         # outside the residue class entirely
         with pytest.raises(PreconditionError, match="violates l.w_R s r"):
             builder.construction("V_R", ctx.residue("st", ctx.normalize("rsr")))
+        # a letter outside the type is refused first, by residue_letters
+        with pytest.raises(PreconditionError, match="^'r' is not in the type"):
+            builder.construction("V_R", ctx.residue("st", ctx.normalize("rsr")), "r")
         # in the class, but l(w_R srs) = l(w_R)+3 fails for this s
         with pytest.raises(PreconditionError, match="with s=s violates"):
             builder.construction("V_Rs", ctx.residue("st", ctx.normalize("sr")), "s")
@@ -57,6 +60,23 @@ def test_construction_is_memoized_by_its_resolved_letter(ctx, builder):
     with pytest.raises(AttributeError):
         cons.specs = ()
     assert isinstance(cons.specs, tuple)
+
+
+def test_the_letter_s_is_chosen_once(ctx, cache, monkeypatch):
+    # with residue_letters made to take the second type letter when s is
+    # None, s=None and s="t" are one memo entry, built once: construction
+    # keys its memo on the letter that residue_letters returns
+    residue_letters = constructions.residue_letters
+    monkeypatch.setattr(constructions, "residue_letters", lambda R, s=None:
+                        residue_letters(R, sorted(R.types)[1] if s is None else s))
+    tree, built = Builder.tree, []
+    monkeypatch.setattr(Builder, "tree", lambda self, vertices, edges:
+                        built.append(1) or tree(self, vertices, edges))
+    builder, R = Builder(cache), ctx.residue("st", "")
+    got = [builder.construction("V_R", R), builder.construction("V_R", R),
+           builder.construction("V_R", R, "t")]
+    assert got[0] is got[1] is got[2] and got[0].s == "t"
+    assert len(built) == 1
 
 
 def test_records_refuse_attribute_assignment(ctx, builder):

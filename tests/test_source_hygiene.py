@@ -5,8 +5,9 @@ calls (or that no command runs) is code kept alive by its tests alone,
 and a defaulted parameter that no program call sets is an option with
 one value in use; that keep verification out of assert statements,
 which `python -O` strips; and that keep one builder of trees of groups
-(constructions.Builder.tree, over treeprod's edges), one builder of
-subgroups (the memo blueprint.GroupCache.root_subgroup), one root system
+(constructions.Builder.tree, over treeprod's edges), one walk of a tree
+(TreeOfGroups.paths), one builder of subgroups (the memo
+blueprint.GroupCache.root_subgroup), one root system
 per Coxeter context (roots.root_system), one generator search (for the
 members of a subgroup family), one caller of the braid closure
 (Coxeter.reduced_words), the Coxeter kernel's memo tables read by the
@@ -247,12 +248,21 @@ SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup")}
 GENERATOR_SEARCHERS = {("treeprod.py", "check_subtree_conditions")}
 
 
+# the one walk of a tree of groups: its paths, one search from each vertex,
+# which validate reads for connectivity and TreeProduct for its hops
+TREE_WALKERS = {("treeprod.py", "paths")}
+
+
 def test_subgroups_are_built_only_by_the_root_subgroup_memo():
     assert callers_in_src("Subgroup") == SUBGROUP_BUILDERS
 
 
 def test_generators_are_searched_only_for_family_members():
     assert callers_in_src("generators") == GENERATOR_SEARCHERS
+
+
+def test_trees_are_walked_only_by_their_paths():
+    assert callers_in_src("neighbors") == TREE_WALKERS
 
 
 def test_root_systems_are_built_only_by_the_context_accessor():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coxkit import treeprod
-from coxkit.constructions import Builder
+from coxkit.constructions import KINDS, RANK2, Builder
 from coxkit.pipeline import Section4
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions,
@@ -129,6 +129,58 @@ def test_validate_rejects_cycles(cache):
                        [Edge("a", "b", triv, {0: 0}, {0: 0}),
                         Edge("b", "a", triv, {0: 0}, {0: 0})])
     assert tog.validate()
+
+
+def vertex_walk(tog, u, t) -> list:
+    """The vertices from u to t in the tree tog, by a breadth-first search
+    over its edge list that keeps each vertex's parent."""
+    parent, frontier = {u: None}, [u]
+    while frontier:
+        reached = []
+        for a in frontier:
+            for e in tog.edges:
+                for x, w in ((e.u, e.v), (e.v, e.u)):
+                    if x == a and w not in parent:
+                        parent[w] = a
+                        reached.append(w)
+        frontier = reached
+    walk = [t]
+    while walk[-1] != u:
+        walk.append(parent[walk[-1]])
+    return walk[::-1]
+
+
+def test_paths_are_the_tree_walks(cache, theorem_setup):
+    # the theorem tree, every construction tree at the three gate-1
+    # residues and one contracted tree
+    builder = Builder(cache)
+    trees = [theorem_setup.tog]
+    for pair in RANK2:
+        R = cache.ctx.residue(set(pair), "")
+        trees += [builder.construction(kind, R, s).tog
+                  for kind in KINDS for s in pair]
+    trees.append(contract(trees[1], {"v0", "v1"})[0])
+    for tog in trees:
+        edges = {frozenset((e.u, e.v)) for e in tog.edges}
+        assert tog.paths.keys() == tog.vertices.keys()
+        for u in tog.vertices:
+            assert tog.paths[u].keys() == tog.vertices.keys()
+            for t, path in tog.paths[u].items():
+                walk = [u] + [w for _, w in path]
+                assert [a for a, _ in path] == walk[:-1]
+                assert walk[-1] == t and len(set(walk)) == len(walk)
+                assert all(frozenset(step) in edges for step in path)
+                assert walk == vertex_walk(tog, u, t)
+
+
+def test_a_forest_is_walked_within_its_components(cache):
+    groups = {v: cache.group(w) for v, w in zip("abcd", ("s", "t", "r", "sr"))}
+    triv = Subgroup(groups["a"], {})
+    forest = TreeOfGroups(groups, [Edge("a", "b", triv, {0: 0}, {0: 0}),
+                                   Edge("c", "d", triv, {0: 0}, {0: 0})])
+    assert {u: set(walks) for u, walks in forest.paths.items()} == {
+        "a": {"a", "b"}, "b": {"a", "b"}, "c": {"c", "d"}, "d": {"c", "d"}}
+    assert "underlying graph is not connected" in forest.validate()
 
 
 @pytest.mark.parametrize("gate, letters, pairs", [("", 13, 48), ("r", 29, 192)],
