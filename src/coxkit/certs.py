@@ -1,7 +1,9 @@
 """Verdict records and the one clock that times them.
 
 A Certificate itemizes the finite checks behind one tree-product lemma; a
-SweepReport lists the counterexample tuples of one exhaustive sweep.  Both
+SweepReport lists the counterexample tuples of one exhaustive sweep, one
+item at a time through `require` (count the item, record its violation
+unless it holds) or `expect` (a named value against its expected one).  Both
 are plain mutable classes: each starts with empty lists and dicts and
 `elapsed` 0.0, the checks append to them, and two records are equal only
 when they are the same object.  The `elapsed` field of either record, and
@@ -80,13 +82,17 @@ class SweepReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def expect(self, name: str, got, want) -> None:
-        """One named item: count it, note its value and record a violation
-        when it differs from the expected one."""
+    def require(self, ok: bool, **violation) -> None:
+        """One item: count it and record violation unless ok."""
         self.tuples_checked += 1
+        if not ok:
+            self.violations.append(violation)
+
+    def expect(self, name: str, got, want) -> None:
+        """One named item: note its value and require it to equal the
+        expected one."""
         self.notes[name] = got
-        if got != want:
-            self.violations.append({"item": name, "expected": want, "got": got})
+        self.require(got == want, item=name, expected=want, got=got)
 
     def to_dict(self) -> dict:
         return {

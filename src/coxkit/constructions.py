@@ -181,31 +181,29 @@ class Builder:
 
     # -- the constructions ---------------------------------------------------
 
-    def vertex_plan(self, kind: str, R: Residue, s: str | None = None):
-        ctx = self.ctx
-        s, t, d = residue_letters(R, s)
-        g = R.gate
-        m = ctx.mult
-        r_J = ctx.longest({s, t})
-        r_dt = ctx.longest({d, t})
-        r_ds = ctx.longest({d, s})
+    def vertex_plan(self, kind: str, g: str, s: str, t: str, d: str) -> list:
+        """The vertices of the named construction, in path order, at the
+        gate g with the letters (s, t, d) that residue_letters resolved."""
+        m = self.ctx.mult
+        r_J = self.ctx.longest({s, t})
+        r_dt = self.ctx.longest({d, t})
+        r_ds = self.ctx.longest({d, s})
         if kind == "V_R":
-            return s, [("U", m(g, s, d)), ("V", g, (s, t)), ("U", m(g, t, d))]
+            return [("U", m(g, s, d)), ("V", g, (s, t)), ("U", m(g, t, d))]
         if kind == "O_R":
-            return s, [("V", m(g, s), (d, t)), ("U", m(g, r_J)),
-                       ("V", m(g, t), (d, s))]
+            return [("V", m(g, s), (d, t)), ("U", m(g, r_J)), ("V", m(g, t), (d, s))]
         if kind == "V_Rs":
-            return s, [("U", m(g, s, d, s)), ("V", g, (s, t)), ("U", m(g, t, d))]
+            return [("U", m(g, s, d, s)), ("V", g, (s, t)), ("U", m(g, t, d))]
         if kind == "O_Rs":
-            return s, [("U", m(g, s, d, s)), ("V", m(g, s), (d, t)),
-                       ("U", m(g, r_J)), ("V", m(g, t), (d, s))]
+            return [("U", m(g, s, d, s)), ("V", m(g, s), (d, t)),
+                    ("U", m(g, r_J)), ("V", m(g, t), (d, s))]
         if kind == "H_R":
-            return s, [("U", m(g, s, r_dt)), ("V", m(g, s, t), (d, s)),
-                       ("U", m(g, r_J)), ("V", m(g, t, s), (d, t)),
-                       ("U", m(g, t, r_ds))]
+            return [("U", m(g, s, r_dt)), ("V", m(g, s, t), (d, s)),
+                    ("U", m(g, r_J)), ("V", m(g, t, s), (d, t)),
+                    ("U", m(g, t, r_ds))]
         if kind == "K_Rs":
-            return s, [("U", m(g, s, r_dt)), ("V", m(g, s, t), (d, s)),
-                       ("U", m(g, r_J)), ("V", m(g, t), (d, s))]
+            return [("U", m(g, s, r_dt)), ("V", m(g, s, t), (d, s)),
+                    ("U", m(g, r_J)), ("V", m(g, t), (d, s))]
         raise PreconditionError(f"unknown construction kind {kind!r}")
 
     def construction(self, kind: str, R: Residue, s: str | None = None) -> Construction:
@@ -219,7 +217,7 @@ class Builder:
         and nothing in it may be changed.  Only a construction that passes
         every precondition is memoized: a refused one raises
         PreconditionError on every call."""
-        s, _, d = residue_letters(R, s)
+        s, t, d = residue_letters(R, s)
         key = (kind, R, s)
         got = self._constructions.get(key)
         if got is not None:
@@ -228,7 +226,7 @@ class Builder:
         if not classify_residue(ctx, R).in_T_i1:
             raise PreconditionError(
                 f"{R} violates l(w_R s r) = l(w_R)+2 = l(w_R t r)")
-        plan = self.vertex_plan(kind, R, s)[1]
+        plan = self.vertex_plan(kind, R.gate, s, t, d)
         if kind in ("V_Rs", "O_Rs") and \
                 len(ctx.mult(R.gate, s, d, s)) != len(R.gate) + 3:
             raise PreconditionError(

@@ -62,7 +62,7 @@ def _round_trip_is_identity(full: TreeProduct, outer: TreeProduct, translate,
     of edge-group elements and vertex elements it was decided on.
 
     translate maps a letter (v, x) of full to a letter of outer; home maps
-    id() of each group that outer's deep flattening yields letters in to
+    each leaf vertex that outer's deep flattening names its letters by to
     the vertex of full whose group holds those elements.
 
     Criterion.  The round trip is the identity when (a) the forward maps
@@ -86,15 +86,14 @@ def _round_trip_is_identity(full: TreeProduct, outer: TreeProduct, translate,
         return outer.eval_word([translate(v, x)])
 
     def back(el):
-        return full.eval_word([(home[id(G)], y)
-                               for G, y in outer.flatten(el)])
+        return full.eval_word([(home[v], y) for v, y in outer.flatten(el)])
 
-    def leaf(G):
-        return lambda v, x: full.include(home[id(G.tog.vertices[v])], x)
+    def leaf(v, x):
+        return full.include(home[v], x)
 
     trees = [(full.tog, forward),
              (outer.tog, lambda v, x: back(outer.include(v, x)))]
-    trees += [(G.tog, leaf(G)) for G in outer.tog.vertices.values()
+    trees += [(G.tog, leaf) for G in outer.tog.vertices.values()
               if isinstance(G, TreeProduct)]
     broken = [e for tog, image in trees for e in respects_edges(tog, image)]
     moved = [(v, x) for v, G in full.tog.vertices.items()
@@ -227,8 +226,8 @@ class Section4:
         tog3, name, sub = self._fold_contract(
             cert, "contract the folded tail of V_Rs to a V_R-shaped product",
             vrs.tog, ("v0", "v1"), H, {"x", "v1", "v2"}, vr.orders())
-        home = {id(sp.group): sp.name for sp in vrs.specs}
-        home[id(H)] = "v0"
+        home = {sp.name: sp.name for sp in vrs.specs}
+        home["x"] = "v0"
 
         def translate(v, x):
             return (name, sub.include(v, x)) if v in ("v1", "v2") else (v, x)

@@ -6,8 +6,9 @@ antidiagonal alternating form: 720 elements, Borel subgroups of order 16
 3.  Chambers are right cosets of the Borels with the group acting on the
 right, so c.g composes the way the diagram labels read.  The Weyl
 distance of a pair is the Bruhat class of a*b^-1 and the codistance the
-Birkhoff class; the building and twinning axioms are checked
-exhaustively by the test suite, not assumed.
+Birkhoff class.  The building and twinning axioms are not assumed:
+verify_axioms checks them exhaustively in every report, and the
+chamber-walking sweep in tests/test_quadrangle.py is its oracle.
 
 Matrices are 16-bit ints, row-major, 4 bits a row.  Products and
 transposes are table reads: the row-combination ("Four Russians") method
@@ -385,13 +386,17 @@ class TwinModel:
 
     @timed
     def verify_axioms(self) -> SweepReport:
-        """(Bu1)-(Bu3) on both halves and (Tw1)-(Tw3), exhaustively.
+        """(Bu1)-(Bu3) on both halves and (Tw1)-(Tw3), exhaustively: one
+        panel scan per sign pair (x, y) in (+, +), (-, -), (+, -).
 
         Every tuple is read off the distance tables by coset index:
         mates[sign][letter][y] lists the cosets z != y with
         delta(y, z) in {"", letter} (y's letter-panel without y), and
-        step[letter][w] holds w*letter with whether the length rises or
-        falls.  Chambers are named only in a recorded violation."""
+        rules[twin, letter][w] holds ws = w*letter, the axiom a chamber z
+        of that panel breaks when delta(x, z) = w ("Bu2+" if l(ws) > l(w)
+        on one half, "Tw2" if l(ws) < l(w) across), and the one it breaks
+        at any other distance but ws ("Bu2" on one half, the same as at w
+        across).  Chambers are named only in a recorded violation."""
         rep = SweepReport("building_and_twinning_axioms", 0)
         ctx, delta = self.ctx, self._delta
         mates = {sign: {letter: [[z for z, w in enumerate(row)
@@ -399,31 +404,37 @@ class TwinModel:
                                  for y, row in enumerate(delta[sign, sign])]
                         for letter in self.letters}
                  for sign in (1, -1)}
-        # every word that stands as w below: the same-sign distances and
-        # the codistances from the + half
-        words = {w for pair in ((1, 1), (-1, -1), (1, -1))
-                 for row in delta[pair] for w in row}
-        step = {letter: {} for letter in self.letters}
-        for letter, table in step.items():
+        pairs = ((1, 1), (-1, -1), (1, -1))
+        # every word that stands as w below
+        words = {w for pair in pairs for row in delta[pair] for w in row}
+        rules = {}
+        for letter in self.letters:
+            same, across = rules[False, letter], rules[True, letter] = {}, {}
             for w in words:
                 ws = ctx.mult(w, letter)
-                table[w] = (ws, len(ws) == len(w) + 1, len(ws) == len(w) - 1)
+                tw2 = "Tw2" if len(ws) < len(w) else None
+                same[w] = (ws, "Bu2+" if len(ws) > len(w) else None, "Bu2")
+                across[w] = (ws, tw2, tw2)
         inverse = {w: ctx.inv(w) for row in delta[1, -1] for w in row}
 
         def name(sign: int, coset: int) -> str:
             return str(TwinChamber(sign, coset))
 
-        for sign in (1, -1):
-            panels = [(letter, step[letter], mates[sign][letter])
+        for sx, sy in pairs:
+            twin = sx != sy
+            first, miss = ("Tw1", "Tw3") if twin else ("Bu1", "Bu3")
+            back = delta[sy, sx]
+            panels = [(letter, rules[twin, letter], mates[sy][letter])
                       for letter in self.letters]
-            for x, row in enumerate(delta[sign, sign]):
+            for x, row in enumerate(delta[sx, sy]):
                 for y, w in enumerate(row):
                     rep.tuples_checked += 1
-                    if (w == "") != (x == y):
+                    if (back[y][x] != inverse[w]) if twin else \
+                            (w == "") != (x == y):
                         rep.violations.append(
-                            {"axiom": "Bu1", "x": name(sign, x), "y": name(sign, y)})
-                    for letter, row_step, panel in panels:
-                        ws, up, _ = row_step[w]
+                            {"axiom": first, "x": name(sx, x), "y": name(sy, y)})
+                    for letter, rule, panel in panels:
+                        ws, at_w, elsewhere = rule[w]
                         hit = False
                         others = panel[y]
                         rep.tuples_checked += len(others) + 1
@@ -431,43 +442,14 @@ class TwinModel:
                             dxz = row[z]
                             if dxz == ws:
                                 hit = True
-                            elif dxz != w:
+                            elif axiom := (at_w if dxz == w else elsewhere):
                                 rep.violations.append(
-                                    {"axiom": "Bu2", "x": name(sign, x),
-                                     "y": name(sign, y), "z": name(sign, z)})
-                            elif up:
-                                rep.violations.append(
-                                    {"axiom": "Bu2+", "x": name(sign, x),
-                                     "y": name(sign, y), "z": name(sign, z)})
+                                    {"axiom": axiom, "x": name(sx, x),
+                                     "y": name(sy, y), "z": name(sy, z)})
                         if not hit:
                             rep.violations.append(
-                                {"axiom": "Bu3", "x": name(sign, x),
-                                 "y": name(sign, y), "letter": letter})
-        back = delta[-1, 1]
-        panels = [(letter, step[letter], mates[-1][letter])
-                  for letter in self.letters]
-        for x, row in enumerate(delta[1, -1]):
-            for y, w in enumerate(row):
-                rep.tuples_checked += 1
-                if back[y][x] != inverse[w]:
-                    rep.violations.append(
-                        {"axiom": "Tw1", "x": name(1, x), "y": name(-1, y)})
-                for letter, row_step, panel in panels:
-                    ws, _, down = row_step[w]
-                    hit = False
-                    others = panel[y]
-                    rep.tuples_checked += len(others) + 1
-                    for z in others:
-                        if row[z] == ws:
-                            hit = True
-                        elif down:
-                            rep.violations.append(
-                                {"axiom": "Tw2", "x": name(1, x),
-                                 "y": name(-1, y), "z": name(-1, z)})
-                    if not hit:
-                        rep.violations.append(
-                            {"axiom": "Tw3", "x": name(1, x),
-                             "y": name(-1, y), "letter": letter})
+                                {"axiom": miss, "x": name(sx, x),
+                                 "y": name(sy, y), "letter": letter})
         return rep
 
     @timed
@@ -476,15 +458,10 @@ class TwinModel:
         s, t = self.letters
         us, ut = self._u0, self._u1
         v_order = len(self.v_group_words())
-        rep.tuples_checked += 1
-        if v_order != 8:
-            rep.violations.append({"check": "order of <u_s,u_t>",
-                                   "got": v_order})
+        rep.require(v_order == 8, check="order of <u_s,u_t>", got=v_order)
         w1 = mat_mul(mat_mul(ut, us), mat_mul(ut, us))
         w2 = mat_mul(mat_mul(us, ut), mat_mul(us, ut))
-        rep.tuples_checked += 1
-        if w1 != w2:
-            rep.violations.append({"check": "utusutus == usutusut"})
+        rep.require(w1 == w2, check="utusutus == usutusut")
         c = self.c_minus
         cs, ct = self.c_adjacent(s), self.c_adjacent(t)
 
@@ -495,30 +472,22 @@ class TwinModel:
                  c, at(c, t), at(c, s + t), at(c, t + s + t), at(c, s + t + s + t)]
         upper = [at(ct, s + t + s), at(cs, t + s), at(ct, s), cs,
                  ct, at(cs, t), at(ct, s + t), at(cs, t + s + t)]
-        rep.tuples_checked += 1
-        if lower[0] != lower[8]:
-            rep.violations.append({"check": "left and right lower corners agree"})
+        rep.require(lower[0] == lower[8],
+                    check="left and right lower corners agree")
         labeled = set(lower) | set(upper)
-        rep.tuples_checked += 1
-        if len(labeled) != 16:
-            rep.violations.append({"check": "sixteen distinct chambers",
-                                   "got": len(labeled)})
+        rep.require(len(labeled) == 16, check="sixteen distinct chambers",
+                    got=len(labeled))
         panel_types = [t, s, t, s, t, s, t, s]
         for i, ptype in enumerate(panel_types):
             tri = {lower[i], lower[i + 1], upper[i]}
-            rep.tuples_checked += 1
-            if len(tri) != 3 or set(self.panel(lower[i], ptype)) != tri:
-                rep.violations.append({"check": f"triangle {i} is the {ptype}-panel"})
+            rep.require(len(tri) == 3 and set(self.panel(lower[i], ptype)) == tri,
+                        check=f"triangle {i} is the {ptype}-panel")
         for d in lower:
-            rep.tuples_checked += 1
-            if self.codistance(self.c_plus, d) != "":
-                rep.violations.append({"check": "lower chamber opposite c_+",
-                                       "chamber": str(d)})
+            rep.require(self.codistance(self.c_plus, d) == "",
+                        check="lower chamber opposite c_+", chamber=str(d))
         for d in upper:
-            rep.tuples_checked += 1
-            if len(self.codistance(self.c_plus, d)) != 1:
-                rep.violations.append({"check": "upper chamber at codistance 1",
-                                       "chamber": str(d)})
+            rep.require(len(self.codistance(self.c_plus, d)) == 1,
+                        check="upper chamber at codistance 1", chamber=str(d))
         return rep
 
     @timed
@@ -537,31 +506,22 @@ class TwinModel:
         for h in V:
             hw = words[h]
             if h not in (IDENT, us):
-                rep.tuples_checked += 1
-                if ell(cs, self.act(cs, h)) < 3:
-                    rep.violations.append({"assertion": "a", "h": hw})
-            rep.tuples_checked += 1
-            if ell(cs, self.act(ct, h)) < 2:
-                rep.violations.append({"assertion": "b", "h": hw})
+                rep.require(ell(cs, self.act(cs, h)) >= 3, assertion="a", h=hw)
+            rep.require(ell(cs, self.act(ct, h)) >= 2, assertion="b", h=hw)
             for p in self.panel(c, t):
                 if h not in (IDENT, ut):
-                    rep.tuples_checked += 1
-                    if ell(self.act(ct, h), p) < 2:
-                        rep.violations.append({"assertion": "c", "h": hw, "p": str(p)})
-                rep.tuples_checked += 1
-                if not (ell(self.act(cs, h), p) >= 2
-                        or self.weyl_distance(self.act(cs, h), p) == s):
-                    rep.violations.append({"assertion": "d", "h": hw, "p": str(p)})
+                    rep.require(ell(self.act(ct, h), p) >= 2,
+                                assertion="c", h=hw, p=str(p))
+                rep.require(ell(self.act(cs, h), p) >= 2
+                            or self.weyl_distance(self.act(cs, h), p) == s,
+                            assertion="d", h=hw, p=str(p))
             for p in self.panel(self.act(c, h), t):
                 if h not in (IDENT, ut):
                     for q in self.panel(c, t):
-                        rep.tuples_checked += 1
-                        if not (ell(p, q) >= 2 or self.weyl_distance(p, q) == s):
-                            rep.violations.append(
-                                {"assertion": "e", "h": hw, "p": str(p), "q": str(q)})
-                rep.tuples_checked += 1
-                if not (ell(p, cs) >= 2 or self.weyl_distance(p, cs) == s):
-                    rep.violations.append({"assertion": "f", "h": hw, "p": str(p)})
+                        rep.require(ell(p, q) >= 2 or self.weyl_distance(p, q) == s,
+                                    assertion="e", h=hw, p=str(p), q=str(q))
+                rep.require(ell(p, cs) >= 2 or self.weyl_distance(p, cs) == s,
+                            assertion="f", h=hw, p=str(p))
         items = {
             "a.i l(c_s, c_s.u_t)": (ell(cs, self.act_word(cs, [ut])), 3),
             "a.ii l(c_s, c_s.u_tu_s)": (ell(cs, self.act_word(cs, [ut, us])), 3),
@@ -600,13 +560,10 @@ class TwinModel:
                 in_alpha = len(self.ctx.mult(w, letter)) > len(w)
                 plus = self.chamber(1, self.weyl_rep(w))
                 minus = self.chamber(-1, self.weyl_rep(w))
-                rep.tuples_checked += 2
-                if (self.act(plus, u) == plus) != in_alpha:
-                    rep.violations.append(
-                        {"letter": letter, "w": w, "half": "+"})
-                if (self.act(minus, u) == minus) != (not in_alpha):
-                    rep.violations.append(
-                        {"letter": letter, "w": w, "half": "-"})
+                rep.require((self.act(plus, u) == plus) == in_alpha,
+                            letter=letter, w=w, half="+")
+                rep.require((self.act(minus, u) == minus) != in_alpha,
+                            letter=letter, w=w, half="-")
         return rep
 
 

@@ -291,13 +291,11 @@ class TreeOfGroups:
         raise KeyError((a, b))
 
     def validate(self) -> list:
-        """Tree-ness, distinct vertex groups, boundary maps injective homs."""
+        """Tree-ness and boundary maps injective homs."""
         names = list(self.vertices)
         if not names:
             return ["the tree has no vertices"]
         issues = []
-        if len({id(g) for g in self.vertices.values()}) != len(names):
-            issues.append("vertex groups must be distinct objects")
         if len(self.edges) != len(names) - 1:
             issues.append("edge count is not |V| - 1")
         if self.paths[names[0]].keys() != set(names):
@@ -433,16 +431,16 @@ class TreeProduct:
         return head + list(letters)
 
     def flatten(self, el):
-        """The nontrivial (vertex group, element) letters of el's normal
-        form, left to right, whose product is el: a letter at a vertex
-        that is itself a tree product is expanded into its own letters,
-        down to the leaves."""
+        """The nontrivial (vertex, element) letters of el's normal form,
+        left to right, whose product is el: a letter at a vertex that is
+        itself a tree product is expanded into its own letters, down to
+        the leaves, each named by its vertex in the innermost tree."""
         for vertex, x in self.flatten_word(el):
             G = self.tog.vertices[vertex]
             if isinstance(G, TreeProduct):
                 yield from G.flatten(x)
             else:
-                yield G, x
+                yield vertex, x
 
     def syllables(self, el) -> int:
         """The number of letters of a reduced word for el, one letter per

@@ -65,3 +65,21 @@ def test_elapsed_keeps_the_clock_resolution(monkeypatch):
     spans = [certificate().to_dict()["elapsed"], sweep().to_dict()["elapsed"],
              suite()["elapsed"]]
     assert spans == [pytest.approx(0.0004, rel=1e-9)] * 3
+
+
+def test_require_counts_every_item_and_records_the_failing_ones():
+    rep = certs.SweepReport("lemma", 0)
+    for i in range(5):
+        rep.require(i % 2 == 0, item=i, parity="odd")
+    assert rep.tuples_checked == 5 and not rep.passed
+    assert rep.violations == [{"item": 1, "parity": "odd"},
+                              {"item": 3, "parity": "odd"}]
+
+
+def test_expect_notes_its_value_and_records_a_mismatch():
+    rep = certs.SweepReport("lemma", 0)
+    rep.expect("holds", 3, 3)
+    rep.expect("fails", [1, 2], [2, 3])
+    assert rep.tuples_checked == 2 and rep.notes == {"holds": 3, "fails": [1, 2]}
+    assert rep.violations == [{"item": "fails", "expected": [2, 3], "got": [1, 2]}]
+    assert list(rep.violations[0]) == ["item", "expected", "got"]

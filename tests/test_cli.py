@@ -178,6 +178,15 @@ def test_nf_syllables_count_no_inserted_letter(tmp_path, capsys):
     assert doc["identity"] is False and doc["syllables"] == 2
 
 
+def test_nf_accepts_one_group_at_two_vertices(tmp_path, capsys):
+    tree = tmp_path / "tree.txt"
+    tree.write_text("vertex v0 U sr\nvertex v1 V :st\nvertex v2 U sr\n"
+                    "edge v0 v1\nedge v1 v2\n")
+    assert run_cli(["nf", "--tree", str(tree), "--word", "u_sr,u_s,u_sr"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["identity"] is False and doc["letters"] == [["v0", "u(s)"]]
+
+
 BAD_TREES = {
     "unknown-generator": "vertex v0 U sq\n",
     "unknown-v-type": "vertex v1 V :sx\n",

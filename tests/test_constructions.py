@@ -164,7 +164,7 @@ def test_edge_groups_are_the_memoized_root_subgroups(ctx, builder):
 def test_tree_builds_the_construction_path(ctx, builder):
     R = ctx.residue("st", "")
     cons = builder.construction("O_R", R)
-    _, plan = builder.vertex_plan("O_R", R)
+    plan = builder.vertex_plan("O_R", R.gate, *constructions.residue_letters(R))
     specs, tog = builder.tree([("v0", plan[0]), ("v1", plan[1]), ("v2", plan[2])],
                               [("v0", "v1"), ("v1", "v2")])
     assert [sp.label for sp in specs] == [sp.label for sp in cons.specs]

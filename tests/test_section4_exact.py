@@ -64,14 +64,14 @@ def test_family_battery_agrees_with_family_embeds(sec, pair):
 def _chain_a(sec, pair):
     """V_{R,s} folded at U[w_R sr] and its tail contracted: the full
     product, the outer product, the letter translation and the map from
-    flattened groups back to V_{R,s} vertices."""
+    flattened leaf vertices back to V_{R,s} vertices."""
     R, (s, t, d, g, m) = _residue(sec, pair)
     vrs = sec.b.construction("V_Rs", R, s)
     H = sec.b.image_of_u(m(g, s, d), vrs.specs[0].group)
     tog3, name, sub = contract(fold(vrs.tog, "v0", "v1", H, "x"),
                                {"x", "v1", "v2"})
-    home = {id(sp.group): sp.name for sp in vrs.specs}
-    home[id(H)] = "v0"
+    home = {sp.name: sp.name for sp in vrs.specs}
+    home["x"] = "v0"
 
     def translate(v, x):
         return (name, sub.include(v, x)) if v in ("v1", "v2") else (v, x)
@@ -84,7 +84,7 @@ def sampled_round_trip(full, outer, translate, home) -> bool:
         word = random_word(full, rng, rng.randint(1, 4))
         el = full.eval_word(word)
         el2 = outer.eval_word([translate(v, x) for v, x in word])
-        back = [(home[id(grp)], val) for grp, val in outer.flatten(el2)]
+        back = [(home[v], val) for v, val in outer.flatten(el2)]
         if full.eval_word(back) != el:
             return False
     return True

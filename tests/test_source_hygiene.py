@@ -12,7 +12,8 @@ per Coxeter context (roots.root_system), one generator search (for the
 members of a subgroup family), one caller of the braid closure
 (Coxeter.reduced_words), the Coxeter kernel's memo tables read by the
 kernel alone, and roots named by what they are, not by where a group
-lists them."""
+lists them; and that keep sweep items counted through the report and no
+new certificate check with the constant status True."""
 
 import ast
 import json
@@ -214,21 +215,21 @@ ROOT_SYSTEM_BUILDERS = {("roots.py", "root_system")}
 BRAID_CLOSURE_CALLERS = {("coxeter.py", "reduced_words")}
 
 
+def scoped_nodes(tree, fn=None):
+    """(innermost enclosing function or None, node) for each node below
+    tree, in source order."""
+    for child in ast.iter_child_nodes(tree):
+        yield fn, child
+        yield from scoped_nodes(child, child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+
 def calls_of(tree, name: str) -> list:
     """(innermost enclosing function or None, line) for each call of name
     in tree, by name or as an attribute."""
-    found = []
-
-    def visit(node, fn):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
-                found.append((fn, child.lineno))
-            visit(child, child.name if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
-    visit(tree, None)
-    return found
+    return [(fn, node.lineno) for fn, node in scoped_nodes(tree)
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))]
 
 
 def callers_in_src(name: str) -> set:
@@ -363,6 +364,85 @@ def test_private_state_guard_sees_reads_off_self():
         "        return self._memo, getattr(ctx, '_n')\n")
     assert foreign_reads(other, {"_memo", "_n", "_helper"}) == [
         (2, "_memo"), (3, "_helper"), (6, "_n")]
+
+
+# the functions outside certs.py that count sweep items by hand: the four
+# lemmas sweeps and the axiom scan, whose per-item loops the benchmark
+# times.  Every other sweep counts through SweepReport.require or expect,
+# and this list may only shrink
+HAND_COUNTED_SWEEPS = {
+    ("lemmas.py", "verify_wordsincoxetergroup"),
+    ("lemmas.py", "verify_not_both_down"),
+    ("lemmas.py", "verify_mingallinrep"),
+    ("lemmas.py", "verify_subset_lemma"),
+    ("quadrangle.py", "verify_axioms"),
+}
+
+# the certificate checks whose status is the literal True, counted by
+# function: passes that rest on nothing computed where they are recorded.
+# This list may only shrink
+CONSTANT_STATUS_ALLOWED = {
+    ("pipeline.py", "cert_ccleftcright"): 1,
+    ("pipeline.py", "cert_otog0"): 1,
+    ("pipeline.py", "cert_main_application"): 1,
+    ("reduction.py", "_trace_step"): 4,
+}
+
+
+def counter_stores(tree) -> list:
+    """(innermost enclosing function or None, line) for each assignment,
+    plain or augmented, to a `.tuples_checked` attribute."""
+    return [(fn, node.lineno) for fn, node in scoped_nodes(tree)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            and any(isinstance(target, ast.Attribute)
+                    and target.attr == "tuples_checked"
+                    for target in (node.targets if isinstance(node, ast.Assign)
+                                   else [node.target]))]
+
+
+def constant_status_checks(tree) -> list:
+    """(innermost enclosing function or None, line) for each `.check` call
+    whose status, its second argument or the keyword, is the literal True."""
+    def literal_true(node):
+        return isinstance(node, ast.Constant) and node.value is True
+    return [(fn, node.lineno) for fn, node in scoped_nodes(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "check"
+            and (len(node.args) > 1 and literal_true(node.args[1])
+                 or any(k.arg == "status" and literal_true(k.value)
+                        for k in node.keywords))]
+
+
+def test_sweep_items_are_counted_through_the_report():
+    found = {(str(path.relative_to(SRC)), fn)
+             for path in sorted(SRC.rglob("*.py")) if path.name != "certs.py"
+             for fn, _ in counter_stores(ast.parse(path.read_text()))}
+    assert found == HAND_COUNTED_SWEEPS, sorted(found ^ HAND_COUNTED_SWEEPS)
+
+
+def test_no_new_check_has_a_constant_status():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for fn, _ in constant_status_checks(ast.parse(path.read_text())):
+            key = (str(path.relative_to(SRC)), fn)
+            found[key] = found.get(key, 0) + 1
+    assert found == CONSTANT_STATUS_ALLOWED
+
+
+def test_count_and_status_guards_see_every_form():
+    tree = ast.parse(
+        "rep.tuples_checked = 0\n"
+        "def sweep(rep, cert, ok):\n"
+        "    rep.tuples_checked += 1\n"
+        "    rep.require(ok)\n"
+        "    cert.check('a', True)\n"
+        "    cert.check('b', ok)\n"
+        "    def inner():\n"
+        "        cert.check('c', status=True)\n"
+        "        rep.tuples_checked: int = 2\n"
+        "    cert.check('d', 1)\n")
+    assert counter_stores(tree) == [(None, 1), ("sweep", 3), ("inner", 9)]
+    assert constant_status_checks(tree) == [("sweep", 5), ("inner", 8)]
 
 
 # public functions and methods that nothing in src/coxkit calls, each with
