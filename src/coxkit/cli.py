@@ -2,7 +2,8 @@
 
 Subcommands: verify coxeter|blueprint|quadrangle|section4, reduce, trace,
 nf, report.  Exit code 0 means every selected check passed, 1 means some
-violation or failed certificate, 2 is a usage error.
+violation or failed certificate, a computed group or boundary map that
+fails its check included (BlueprintError, TreeError), 2 is a usage error.
 
 Word specifications are comma-separated letters.  The g alphabet is
 u_sr, u_tr, u_rt and u_rt*u_tr; V letters are 1 or * products of u_s and
@@ -19,8 +20,10 @@ import json
 import sys
 
 from coxkit import suites
+from coxkit.blueprint import BlueprintError
 from coxkit.constructions import PreconditionError
 from coxkit.coxeter import MAX_RADIUS, standard_coxeter
+from coxkit.treeprod import TreeError
 
 MAX_BLUEPRINT_LENGTH = 8
 DEFAULT_SUITES = ("coxeter", "blueprint", "quadrangle", "section4")
@@ -208,6 +211,8 @@ def cmd_nf(args) -> int:
     try:
         builder, specs, product = _parse_tree_file(args.tree)
         letters = _parse_nf_word(builder, specs, args.word)
+    except (BlueprintError, TreeError):   # computed defects: main's exit 1
+        raise
     except (ValueError, OSError, KeyError) as exc:   # UsageError, bad tree files
         return _usage_error(exc)
     el = product.eval_word(letters)
@@ -266,6 +271,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (BlueprintError, TreeError) as exc:   # a computed defect
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:   # noqa: BLE001 - fail loudly but with exit 1
         print(f"internal failure: {exc}", file=sys.stderr)
         raise

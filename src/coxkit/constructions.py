@@ -24,7 +24,8 @@ from typing import NamedTuple
 from coxkit.blueprint import BlueprintError, BlueprintGroup, GroupCache
 from coxkit.certs import Certificate, timed
 from coxkit.coxeter import Coxeter, Residue, standard_coxeter
-from coxkit.treeprod import Edge, Subgroup, TreeOfGroups, is_homomorphism
+from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
+                             is_homomorphism)
 
 KINDS = ("V_R", "O_R", "V_Rs", "O_Rs", "H_R", "K_Rs")
 # each rank-2 type J, its letters sorted, with the third letter, in the
@@ -87,6 +88,11 @@ class Construction(NamedTuple):
 
     def orders(self) -> tuple:
         return tuple(sp.group.order for sp in self.specs)
+
+    @property
+    def roots(self) -> frozenset:
+        """The root support: every vertex's generating roots."""
+        return frozenset().union(*(sp.roots for sp in self.specs))
 
 
 class Builder:
@@ -162,7 +168,10 @@ class Builder:
         that gate, edges lists the pairs of names glued along their common
         roots (edge).  Returns the vertex specs, in the given order, and
         the validated tree; PreconditionError on a duplicate or unknown
-        vertex name or an invalid tree, the empty one included."""
+        vertex name or a graph that is not a tree, the empty one
+        included.  A boundary map that fails validate raises TreeError:
+        edge computes it from root labels, so the groups are at fault,
+        not the request."""
         specs, edges = {}, list(edges)
         for name, (kind, *data) in vertices:
             if name in specs:
@@ -175,7 +184,8 @@ class Builder:
         tog = TreeOfGroups({name: sp.group for name, sp in specs.items()},
                            [self.edge(specs[a], specs[b]) for a, b in edges])
         if tog.issues:
-            raise PreconditionError(
+            defect = any(i.startswith("boundary map") for i in tog.issues)
+            raise (TreeError if defect else PreconditionError)(
                 "invalid tree of groups: " + "; ".join(tog.issues))
         return tuple(specs.values()), tog
 

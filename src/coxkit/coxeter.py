@@ -89,16 +89,18 @@ Cross-check.  Tits' solution to the word problem, the braid-move closure
 of a reduced word being the complete set of its reduced expressions and
 xg being shorter than x exactly when one of them ends with g, shares no
 code with the four rules.  reduced_words computes it lazily, and ball()
-and parabolic() check it on every new element v: the closure of v is all
-reduced, its least word is v, and its last letters are exactly the right
-descents of v by the kernel.  In ball() those are the letters g by which
-the kernel reaches v as wg from the sphere below, in parabolic() the g
-with mult_gen(v, g) shorter than v.  A disagreement raises KernelError.
+checks it on every new element v: the closure of v is all reduced, its
+least word is v, and its last letters are exactly the right descents of
+v by the kernel, the letters g by which the kernel reaches v as wg from
+the sphere below.  A disagreement raises KernelError.
 
 Ball sizes are checked against Steinberg's growth series (coxkit.growth),
-which shares no code with either solver.  A spherical parabolic subgroup
-whose enumeration passes the order the Coxeter matrix gives it raises
-KernelError instead of running on.
+which shares no code with either solver.  parabolic() reads the spherical
+parabolic subgroup <J> off the ball: its elements are those of
+ball(l(r_J)) whose canonical word uses only letters of J, 0, 1 and 4
+letters deep for |J| = 0, 1 and 2, so each is cross-checked there.  A
+count other than the order the Coxeter matrix gives <J> raises
+KernelError.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from coxkit import growth, wordops, zroot2
-from coxkit.treeprod import closure_words
 
 GENS = "rst"
 MAX_RADIUS = 10
@@ -340,19 +341,17 @@ class Coxeter:
         got = self._parabolics.get(types)
         if got is not None:
             return got
+        if not types <= set(GENS):
+            raise ValueError(f"unknown generator {min(types - set(GENS))!r}")
         if len(types) >= 3:
             raise ValueError("full parabolic is not spherical in type (4,4,4)")
-        # the trivial group, order 2, or dihedral of order 2m with m = 4
-        order = (1, 2, 8)[len(types)]
-        # a wrong kernel can make the group infinite: stop past its order
-        elems = closure_words(self.mult_gen, "", sorted(types), limit=order)
-        if len(elems) != order:
+        # the trivial group, order 2, or dihedral of order 2m with m = 4,
+        # and the length of its longest element r_J
+        order, depth = ((1, 0), (2, 1), (8, 4))[len(types)]
+        got = tuple(w for w in self.ball(depth) if types.issuperset(w))
+        if len(got) != order:
             raise KernelError(f"<{''.join(sorted(types))}> does not have "
                               f"{order} elements")
-        got = tuple(sorted(elems, key=lambda x: (len(x), x)))
-        for v in got:
-            down = {g for g in GENS if len(self.mult_gen(v, g)) < len(v)}
-            self._cross_check(v, down)
         self._parabolics[types] = got
         return got
 

@@ -114,8 +114,8 @@ class Section4:
     # -- small helpers -----------------------------------------------------
 
     def _frame(self, R: Residue):
-        """(s, t, d, gate, mult): the residue letters of R, s the first type
-        letter, its gate and the Coxeter product."""
+        """(s, t, d, gate, mult): the residue letters of R, s the letter
+        `residue_letters` chooses, its gate and the Coxeter product."""
         s, t, d = residue_letters(R)
         return s, t, d, R.gate, self.ctx.mult
 
@@ -176,7 +176,7 @@ class Section4:
         self._cap_check(cert, m(g, t, ctx.longest({d, s})),
                         m(g, t, d), m(g, t, s), m(g, t))
         # subgroup-family conditions over O_R
-        members = self.family_from_roots(orr, self.construction_roots(vr))
+        members = self.family_from_roots(orr, vr.roots)
         claimed = {
             frozenset(("v0", "v1")): b.image_of_u(m(g, s), orr.specs[0].ambient),
             frozenset(("v1", "v2")): b.image_of_u(m(g, t), orr.specs[1].ambient),
@@ -191,10 +191,6 @@ class Section4:
                    "and two-letter base cases)", rep["pass"],
                    letters=rep["letters"], pairs=rep["pairs"])
         return cert
-
-    @staticmethod
-    def construction_roots(cons) -> frozenset:
-        return frozenset().union(*(sp.roots for sp in cons.specs))
 
     def family_from_roots(self, cons, roots) -> dict:
         """Per-vertex subgroups generated by the family's root support:
@@ -218,11 +214,8 @@ class Section4:
                    len(m(g, s, d, s)) == len(g) + 3)
         # chain A: fold V_{R,s} at U[w_R sr], contract the rest to V_R
         H = b.image_of_u(m(g, s, d), vrs.specs[0].group)
-        edge_img = frozenset(
-            vrs.tog.edges[0].into_u[c]
-            for c in vrs.tog.edges[0].group.elements())
         cert.check("fold V_Rs at U[w_R sr]: edge image inside H",
-                   edge_img <= H)
+                   frozenset(vrs.tog.edges[0].into_u.values()) <= H)
         tog3, name, sub = self._fold_contract(
             cert, "contract the folded tail of V_Rs to a V_R-shaped product",
             vrs.tog, ("v0", "v1"), H, {"x", "v1", "v2"}, vr.orders())
@@ -244,7 +237,7 @@ class Section4:
             (H2.order,) + orr.orders())
         # segment-level injectivity data: U[w_R sr]-preimage of V_R in O_R,
         # read at v0 by the vertex lemma of coxkit.treeprod
-        vr_v0 = self.family_from_roots(orr, self.construction_roots(vr))["v0"]
+        vr_v0 = self.family_from_roots(orr, vr.roots)["v0"]
         img = b.image_of_u(m(g, s, d), orr.specs[0].ambient)
         cert.check("U[w_R sr] lies inside the V_R family of O_R "
                    "(edge condition of the segment criterion)", img <= vr_v0)
@@ -279,16 +272,12 @@ class Section4:
                       "K_Rt": contract(krt.tog, {"v1", "v2"})}
         c0prod = contracted["K_Rs"][2]
         amb1 = krs.specs[1].ambient
-        got = set()
-        for x in b.image_of_u(m(g, s, t, d), amb1):
-            el = c0prod.include("v1", x)
-            val = c0prod.vertex_value(el, "v2")
-            if val is not None:
-                got.add(x)
+        got = {x for x in b.image_of_u(m(g, s, t, d), amb1)
+               if c0prod.vertex_value(c0prod.include("v1", x), "v2") is not None}
         cert.check(
             f"U[{m(g,s,t,d)}] cap U[{m(g, ctx.longest({s,t}))}] "
             f"= U[{m(g,s,t)}] inside the contracted middle of K_Rs",
-            frozenset(got) == b.image_of_u(m(g, s, t), amb1))
+            got == b.image_of_u(m(g, s, t), amb1))
         # chain replay: seven steps
         steps = []
         steps.append(cert.check(
@@ -318,10 +307,9 @@ class Section4:
         # O_R family conditions inside contracted K_{R,s} and K_{R,t}; the
         # contracted vertex's member is the union of its two vertices'
         # members, which the family check confirms is a subgroup
-        or_roots = self.construction_roots(orr)
         for kname, kons in (("K_Rs", krs), ("K_Rt", krt)):
             tog2, cname, c0sub = contracted[kname]
-            family = self.family_from_roots(kons, or_roots)
+            family = self.family_from_roots(kons, orr.roots)
             members = {"v0": family["v0"], "v3": family["v3"],
                        cname: frozenset(c0sub.include(v, x) for v in ("v1", "v2")
                                         for x in family[v])}
@@ -388,7 +376,7 @@ class Section4:
                    not sub_tog.issues)
         # the V_T family over the subtree: U[w_R tsts], V[w_R ts|dt] and
         # U[w_R tsrs]
-        members = self.family_from_roots(hr, self.construction_roots(vt))
+        members = self.family_from_roots(hr, vt.roots)
         cert.check("U[w_R tsts] is all of U[w_R r_J]",
                    members["v2"] == frozenset(hr.specs[2].group.elements()))
         cert.check("V_T's middle vertex group is H_R's fourth vertex group",
@@ -426,7 +414,7 @@ class Section4:
         self._cap_check(cert, m(g, s, d, ctx.longest({s, t})),
                         m(g, s, d, s), m(g, s, d, t), m(g, s, d))
         # O_R cap U[w_R srt] = U[w_R sr], computed inside K_{R,s}
-        or_family = self.family_from_roots(krs, self.construction_roots(orr))
+        or_family = self.family_from_roots(krs, orr.roots)
         decidable = _family_check(
             cert, "O_R family conditions over the four K_Rs vertices "
             "(so membership is letter-decidable)", krs.tog, or_family)
@@ -489,6 +477,21 @@ class Section4:
 
     # -- Lemma: K_{R,s} cap G_{-1} = O_R (finite parts) -------------------------
 
+    def _levels_check(self, cert, cons, where: str, y_name: str, vt_roots,
+                      y_roots, vertices, claim: str) -> None:
+        """Check the family conditions of the V_T family and of its part
+        Y over cons, each given by its root support, then record claim:
+        membership in the two agrees on the subproduct over vertices
+        (_levels_coincide), with the per-vertex family sizes."""
+        vt = self.family_from_roots(cons, vt_roots)
+        y = self.family_from_roots(cons, y_roots)
+        vt_ok = _family_check(cert, f"V_T family conditions inside {where}",
+                              cons.tog, vt)
+        y_ok = _family_check(cert, f"{y_name} family conditions inside {where}",
+                             cons.tog, y)
+        ok, sizes = _levels_coincide(y, vt, vertices)
+        cert.check(claim, vt_ok and y_ok and ok, sizes=sizes)
+
     @timed
     def cert_krs_gminus1(self, R: Residue) -> Certificate:
         b, ctx = self.b, self.ctx
@@ -507,34 +510,19 @@ class Section4:
         gst = m(g, s, t)
         x_roots = self.cache.v_roots(gst, (s, d))
         x_outer = next(sp.name for sp in ot.specs if sp.roots == x_roots)
-        x_vertices = {"v1", x_outer}
-        vt_roots = self.construction_roots(vt)
-        vt_members = self.family_from_roots(ot, vt_roots)
-        vt_ok = _family_check(cert, "V_T family conditions inside O_T",
-                              ot.tog, vt_members)
         # Y = V[s|dt] * U[sts]: the V_T part supported away from U[srs]
         y_roots = (frozenset(self.cache.phi(m(g, s, d)))
                    | frozenset(self.cache.phi(m(g, s, t)))
                    | frozenset(self.cache.phi(m(g, s, t, s))))
-        y_members = self.family_from_roots(ot, y_roots)
-        y_ok = _family_check(cert, "Y = V[s|dt] * U[sts] family conditions "
-                             "inside O_T", ot.tog, y_members)
-        ok, sizes = _levels_coincide(y_members, vt_members, x_vertices)
-        cert.check("X elements: membership in V_T agrees with membership in "
-                   "Y (Y and V_T agree at every X vertex)",
-                   vt_ok and y_ok and ok, sizes=sizes)
+        self._levels_check(
+            cert, ot, "O_T", "Y = V[s|dt] * U[sts]", vt.roots, y_roots,
+            {"v1", x_outer}, "X elements: membership in V_T agrees with "
+            "membership in Y (Y and V_T agree at every X vertex)")
         # O_R cap V_T = Y inside O_{R,s}; O_R is the subtree {v1, v2, v3}
-        vts_members = self.family_from_roots(ors, vt_roots)
-        ys_members = self.family_from_roots(ors, y_roots)
-        vt_ok = _family_check(cert, "V_T family conditions inside O_Rs",
-                              ors.tog, vts_members)
-        y_ok = _family_check(cert, "Y family conditions inside O_Rs", ors.tog,
-                             ys_members)
-        ok, sizes = _levels_coincide(ys_members, vts_members,
-                                     {"v1", "v2", "v3"})
-        cert.check("O_R elements: membership in V_T agrees with membership "
-                   "in Y (so O_R cap V_T = Y; Y and V_T agree at every O_R "
-                   "vertex)", vt_ok and y_ok and ok, sizes=sizes)
+        self._levels_check(
+            cert, ors, "O_Rs", "Y", vt.roots, y_roots, {"v1", "v2", "v3"},
+            "O_R elements: membership in V_T agrees with membership in Y (so "
+            "O_R cap V_T = Y; Y and V_T agree at every O_R vertex)")
         # X *_Y O_R ~ K_{R,s} chain
         cert.check("edge of O_T between U[s r_dt] and V[st|ds] is U[w_R std]",
                    self._edge_is_u(ot, ot.tog.edge_between("v1", x_outer),
@@ -563,7 +551,6 @@ class Section4:
         rsys = self.cache.rsys
         cert = Certificate("nested_intervals_empty_over_C0")
         pairs = 0
-        ok = True
         failures = []
         for w in sorted(c_set_0(ctx)):
             seq = rsys.inversion_sequence(w)
@@ -574,24 +561,24 @@ class Section4:
                     pairs += 1
                     good, _ = rsys.emptiness_certificate(a, b, w, RADIUS)
                     if not good:
-                        ok = False
                         failures.append((w, repr(a), repr(b)))
         cert.check("every nested pair inside Phi(w), w in C_0, has an empty "
-                   f"open interval (witnesses at radius {RADIUS})", ok,
+                   f"open interval (witnesses at radius {RADIUS})", not failures,
                    pairs=pairs, failures=failures)
         return cert
 
     @timed
-    def cert_otog_minus1(self, pair) -> Certificate:
+    def cert_otog_minus1(self, R: Residue) -> Certificate:
         b, ctx = self.b, self.ctx
-        R = ctx.residue(set(pair), "")
-        s, t, d, _, m = self._frame(R)
+        s, t, d, g, m = self._frame(R)
+        if g:
+            raise PreconditionError("this lemma is stated for gate 1 residues")
         cert = Certificate(f"OtoG-1[{s}{t}]")
         C_r = c_set_r(ctx, (s, t))
         cert.check(f"srs and tr lie in C_r: {m(s,d,s)!r}, {m(t,d)!r}",
                    m(s, d, s) in C_r and m(t, d) in C_r)
         ors = b.construction("O_Rs", R)
-        ors_roots = self.construction_roots(ors)
+        ors_roots = ors.roots
         cert.check("O_{R,s} has seven generating roots", len(ors_roots) == 7,
                    got=len(ors_roots))
         gst_roots = roots_violated(self.cache, C_r)
@@ -613,22 +600,17 @@ class Section4:
                 root_home.setdefault(root, (sp.name, sp.ambient.root_mask(root)))
         ws = set(ctx.prefix_set(m(s, d, s))) | set(ctx.prefix_set(m(t, d)))
         rels = harvest_relations(self.cache, ws)
-        ok = True
-        for a, bb, mids in sorted(rels, key=repr):
-            if a not in root_home or bb not in root_home:
-                ok = False
-                break
-            ea = prod.include(*root_home[a])
-            eb = prod.include(*root_home[bb])
-            lhs = prod.mul(prod.mul(ea, eb), prod.mul(ea, eb))
-            rhs = prod.identity
-            for c in mids:
-                rhs = prod.mul(rhs, prod.include(*root_home[c]))
-            if lhs != rhs:
-                ok = False
-                break
+
+        def holds(a, bb, mids) -> bool:
+            # (u_a u_b)^2 = the product of the u_c, c in mids, in O_{R,s}
+            if not root_home.keys() >= {a, bb, *mids}:
+                return False
+            ab = prod.eval_word((root_home[a], root_home[bb]))
+            return prod.mul(ab, ab) == prod.eval_word(root_home[c] for c in mids)
         cert.check("every harvested relation of the U_w, w <= srs or tr, "
-                   "holds in O_{R,s}", ok, relations=len(rels))
+                   "holds in O_{R,s}",
+                   all(holds(*rel) for rel in sorted(rels, key=repr)),
+                   relations=len(rels))
         cert.assume("G_{-1} ~ G_{s,t} *_{V_{R,s}} O_{R,s} is an isomorphism of "
                     "colimits; only its generator bookkeeping is checked here")
         cert.assume("injectivity of V_{R,s} -> G_{s,t} descends from the "
@@ -654,7 +636,7 @@ class Section4:
         for pair, dd in RANK2.items():
             T = ctx.residue(set(pair), dd)
             otT = b.construction("O_R", T)
-            fresh[dd] = self.construction_roots(otT) - m1_roots
+            fresh[dd] = otT.roots - m1_roots
         names = sorted(fresh)
         ok = all(not (fresh[a] & fresh[bb])
                  for i, a in enumerate(names) for bb in names[i + 1:])
@@ -732,7 +714,6 @@ def section4_pipeline(cache: GroupCache, residues: list | None = None) -> list:
                 f"{gate!r} is not the gate of {R!r}; its gate is {R.gate!r}")
         chosen[R] = None
     for R in chosen:
-        s, t = residue_letters(R)[:2]
         out.append(sec.cert_generating_remark(R))
         out.append(sec.cert_vr_to_or(R))
         out.append(sec.cert_vrs_ors(R))
@@ -741,7 +722,7 @@ def section4_pipeline(cache: GroupCache, residues: list | None = None) -> list:
         out.append(sec.cert_cleftcright_isos(R))
         if not R.gate:
             out.append(sec.cert_krs_gminus1(R))
-            out.append(sec.cert_otog_minus1((s, t)))
+            out.append(sec.cert_otog_minus1(R))
             out.append(sec.cert_main_application(R))
     out.append(sec.cert_otog0())
     out.append(sec.cert_corollary())

@@ -502,13 +502,11 @@ class _TraceCertificate(Certificate):
 
     def __init__(self, path: list, own: list):
         super().__init__("normal_form_trace")
-        del self.checks
+        del self.checks   # Certificate's empty list would hide the property
         self._path, self._own = path, own
 
-    def __getattr__(self, name):
-        # reached only while `checks` is not yet written out
-        if name != "checks":
-            raise AttributeError(name)
+    @cached_property
+    def checks(self) -> list:
         base, *steps = self._path
         checks = [_check_entry(*check) for check in base]
         for n, step in enumerate(steps, start=2):
@@ -516,7 +514,6 @@ class _TraceCertificate(Certificate):
             checks += [_check_entry(head + index.join(parts), status, data)
                        for parts, status, data in step]
         checks += [_check_entry(*check) for check in self._own]
-        self.checks = checks
         return checks
 
     @property

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from coxkit.blueprint import BlueprintGroup
 from coxkit.cli import main
 
 TREE_FILE = """\
@@ -204,6 +205,35 @@ def test_nf_bad_tree_file(tmp_path, capsys, name):
     assert run_cli(["nf", "--tree", str(tree), "--word", "u_s"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def _swap_newest_row(monkeypatch, w):
+    """Build U_w with entries 1 <-> 2 and h+1 <-> h+2 (h half its order)
+    swapped in its newest generator row."""
+    build = BlueprintGroup.__init__
+
+    def swapped(self, *args):
+        build(self, *args)
+        if self.w == w:
+            row, h = self.rows[-1], self.order >> 1
+            for a, b in ((1, 2), (h + 1, h + 2)):
+                row[a], row[b] = row[b], row[a]
+    monkeypatch.setattr(BlueprintGroup, "__init__", swapped)
+
+
+# U[rstrsr] is read at rs@rst, U[strsrs] is the first group of length 6
+# the default residues build
+@pytest.mark.parametrize("w, residue", [
+    ("rstrsr", ["--residue", "rst:rs"]), ("strsrs", [])])
+def test_a_corrupted_group_exits_1_without_a_traceback(monkeypatch, capsys,
+                                                       w, residue):
+    # a boundary map that is not a homomorphism is a defect of the computed
+    # groups: a violation, not a usage error and not an internal failure
+    _swap_newest_row(monkeypatch, w)
+    assert run_cli(["verify", "section4", *residue]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid tree of groups: boundary map into v2 not a "
+        "homomorphism\n")
 
 
 def test_report_requires_out(capsys):

@@ -380,7 +380,8 @@ def test_mult_starts_at_known_left_factor(ctx):
 @pytest.mark.parametrize("method, args", [
     ("mult_gen", ("", "x")), ("reduced_words", ("x",)), ("canon_reduced", ("x",)),
     ("mult_gen", ("st", "")), ("mult_gen", ("ss", "s")),
-    ("reduced_words", ("rr",)), ("canon_reduced", ("tsst",))])
+    ("reduced_words", ("rr",)), ("canon_reduced", ("tsst",)),
+    ("parabolic", ("xs",))])
 def test_bad_words_stay_out_of_the_memo(method, args):
     # a word the memo stored would be a known left factor to mult
     cox = Coxeter()
@@ -398,6 +399,20 @@ def test_bad_words_stay_out_of_the_memo(method, args):
     for row in cox._right.values():
         assert all(set(w) <= set(GENS) and cox.canon_reduced(w) == w
                    for w in list(row))
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda ball: tuple(w for w in ball if w != "stst"),
+    lambda ball: ball + ("st",)], ids=["missing", "extra"])
+def test_parabolic_refuses_a_ball_with_the_wrong_count(monkeypatch, wrong):
+    # <st> is read off ball(4): one element too few or too many there is
+    # a kernel fault, and nothing is memoized
+    fresh = Coxeter()
+    ball = fresh.ball(4)
+    monkeypatch.setattr(fresh, "ball", lambda radius: wrong(ball))
+    with pytest.raises(KernelError, match="<st> does not have 8 elements"):
+        fresh.parabolic("st")
+    assert frozenset("st") not in fresh._parabolics
 
 
 def test_parabolic_memo_does_not_outlive_its_group():

@@ -118,10 +118,11 @@ def test_vr_to_or_at_deeper_residue(sec, ctx):
     assert cert.passed
 
 
-def test_krs_gminus1_requires_gate_one(sec, ctx):
+@pytest.mark.parametrize("cert", ["cert_krs_gminus1", "cert_otog_minus1"])
+def test_gate_one_certificates_require_gate_one(sec, ctx, cert):
     from coxkit.constructions import PreconditionError
-    with pytest.raises(PreconditionError):
-        sec.cert_krs_gminus1(ctx.residue("st", "r"))
+    with pytest.raises(PreconditionError, match="gate 1 residues"):
+        getattr(sec, cert)(ctx.residue("st", "r"))
 
 
 @pytest.mark.parametrize("kind", ["O_R", "K_Rs"])
@@ -151,7 +152,7 @@ def test_family_walker_stays_in_the_family(sec, ctx):
     R = ctx.residue("st", "")
     orr = sec.b.construction("O_R", R, "s")
     members = sec.family_from_roots(
-        orr, sec.construction_roots(sec.b.construction("V_R", R, "s")))
+        orr, sec.b.construction("V_R", R, "s").roots)
     product = TreeProduct(orr.tog)
     rng = random.Random(7)
     letters = 0
@@ -174,7 +175,7 @@ def test_family_check_fails_on_a_broken_family(sec, ctx):
     R = ctx.residue("st", "")
     orr = sec.b.construction("O_R", R, "s")
     members = sec.family_from_roots(
-        orr, sec.construction_roots(sec.b.construction("V_R", R, "s")))
+        orr, sec.b.construction("V_R", R, "s").roots)
     cert = Certificate("broken")
     assert _family_check(cert, "intact", orr.tog, members)
     broken = dict(members, v1=members["v1"] - {orr.tog.vertices["v1"].identity})
@@ -227,5 +228,5 @@ def test_root_support_families_match_the_paper_listings(sec, ctx, pair, gate,
     R = ctx.residue(set(pair), gate)
     s = sorted(pair)[first]
     for name, cons, support, listing in paper_listings(sec, R, s):
-        family = sec.family_from_roots(cons, sec.construction_roots(support))
+        family = sec.family_from_roots(cons, support.roots)
         assert {v: family[v] for v in listing} == listing, name

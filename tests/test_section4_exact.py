@@ -40,7 +40,7 @@ def _or_product(sec, pair):
     R, (s, *_) = _residue(sec, pair)
     orr = sec.b.construction("O_R", R, s)
     members = sec.family_from_roots(
-        orr, sec.construction_roots(sec.b.construction("V_R", R, s)))
+        orr, sec.b.construction("V_R", R, s).roots)
     return TreeProduct(orr.tog), members
 
 
@@ -120,7 +120,7 @@ def _levels_data(sec, pair):
     T = ctx.residue({d, t}, s)
     ot, vt = b.construction("O_R", T), b.construction("V_R", T)
     ors = b.construction("O_Rs", R, s)
-    vt_roots = sec.construction_roots(vt)
+    vt_roots = vt.roots
     y_roots = frozenset().union(*(sec.cache.phi(m(g, *w))
                                   for w in ((s, d), (s, t), (s, t, s))))
     x_outer = next(sp.name for sp in ot.specs
@@ -177,7 +177,7 @@ def _z_data(sec, pair):
     b = sec.b
     krs = b.construction("K_Rs", R, s)
     or_family = sec.family_from_roots(
-        krs, sec.construction_roots(b.construction("O_R", R, s)))
+        krs, b.construction("O_R", R, s).roots)
     kprod = TreeProduct(krs.tog)
     vsd = b.v_spec("w", m(g, s, d), (s, t))
     edge = b.edge(krs.specs[0], vsd)
@@ -241,7 +241,7 @@ def test_vertex_lemma_agrees_with_the_nested_oracle(sec):
         for outer, inner in (("O_R", "V_R"), ("K_Rs", "O_R")):
             cons = sec.b.construction(outer, R)
             family = sec.family_from_roots(
-                cons, sec.construction_roots(sec.b.construction(inner, R)))
+                cons, sec.b.construction(inner, R).roots)
             assert check_subtree_conditions(cons.tog, family)["pass"]
             N = NestedProduct(cons.tog, family)
             for v, G in cons.tog.vertices.items():

@@ -215,7 +215,7 @@ def test_syllables_count_reduced_letters(cache, gate, letters, pairs):
     R = b.ctx.residue("st", gate)
     orr = b.construction("O_R", R, "s")
     members = Section4(b).family_from_roots(
-        orr, Section4.construction_roots(b.construction("V_R", R, "s")))
+        orr, b.construction("V_R", R, "s").roots)
     P = TreeProduct(orr.tog)
     singles = [P.include(v, a) for v, G in orr.tog.vertices.items()
                for a in members[v] if a != G.identity]
