@@ -2,8 +2,9 @@
 
 Subcommands: verify coxeter|blueprint|quadrangle|section4, reduce, trace,
 nf, report.  Exit code 0 means every selected check passed, 1 means some
-violation or failed certificate, a computed group or boundary map that
-fails its check included (BlueprintError, TreeError), 2 is a usage error.
+violation or failed certificate, a computed group, boundary map, word
+rewriting or trace that fails its check included (BlueprintError,
+TreeError, ReductionError, TraceError), 2 is a usage error.
 
 Word specifications are comma-separated letters.  The g alphabet is
 u_sr, u_tr, u_rt and u_rt*u_tr; V letters are 1 or * products of u_s and
@@ -23,6 +24,7 @@ from coxkit import suites
 from coxkit.blueprint import BlueprintError
 from coxkit.constructions import PreconditionError
 from coxkit.coxeter import MAX_RADIUS, standard_coxeter
+from coxkit.reduction import ReductionError, TraceError
 from coxkit.treeprod import TreeError
 
 MAX_BLUEPRINT_LENGTH = 8
@@ -271,7 +273,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BlueprintError, TreeError) as exc:   # a computed defect
+    except (BlueprintError, TreeError, ReductionError,
+            TraceError) as exc:   # a computed defect
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:   # noqa: BLE001 - fail loudly but with exit 1

@@ -26,16 +26,18 @@ _trace_base once on each of the 32 first pairs and _trace_step once on
 each of the 82 allowed (state, g) steps, which give the 656 allowed
 (state, pair) transitions, trace_automaton certifies that table for
 constrained words of every length, and trace_word folds a word through
-the recorded entries.  A trace_word certificate keeps the word's path
-through the table and the two checks it makes per word, the final
-counter and the tree-product normal form; its passed verdict reads the
-statuses along that path, and its checks are written out as fresh dicts
-only when they are first read.
+the recorded entries.  The table keeps each entry's counter or
+increment, case, next state and the statuses of its checks, not the
+checks.  A trace_word certificate keeps the word's pairs, the status
+tuples along its path through the table and the values of the two
+checks it makes per word, the final counter and the tree-product normal
+form; its passed verdict reads those, and its checks are made only when
+they are first read, by running the proof steps again at the word's own
+positions.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import cached_property
 from typing import NamedTuple
 
@@ -414,9 +416,6 @@ def _trace_step(setup: TheoremSetup, cert: Certificate, n: int, state, g: str):
     return "c.iii", 2
 
 
-# the step index at which the table records _trace_step's checks; the
-# fold relabels "step {n}" and "h_{n-1}" in each copied description
-_TABLE_STEP = 2
 _REPLAY_HEADER = (
     "proof replay: this certificate re-verifies the finite ingredients "
     "of the inductive argument, it is not an independent verification "
@@ -425,13 +424,11 @@ _REPLAY_HEADER = (
 
 class TraceTable(NamedTuple):
     """The trace automaton.  base maps each first pair (g, h) to
-    (counter, state, checks) and steps maps each of the 656 allowed
-    (state, (g, h)) to (case, increment, next state, checks); the 8
+    (counter, state, statuses) and steps maps each of the 656 allowed
+    (state, (g, h)) to (case, increment, next state, statuses); the 8
     transitions of one (state, g) step share its case, increment and
-    check list.  A check is (description, status, data or None) as
-    recorded; in steps, recorded at _TABLE_STEP, the description is kept
-    as the fragments around its "h_{n-1}", with the "step {n}" prefix
-    removed."""
+    statuses.  The statuses are the tuple of the proof step's check
+    statuses, in order; the checks themselves are not kept."""
     base: dict
     steps: dict
 
@@ -444,24 +441,20 @@ def _build_trace_table(setup: TheoremSetup) -> TraceTable:
     """_trace_base on each of the 32 base entries, then _trace_step once
     on each of the 82 (state, g) steps that TheoremSetup.allowed_after
     admits from the states those entries reach, each into a fresh
-    Certificate.  The base entries already reach all 24 states (3 kinds
-    times 8 V letters), so no step leads to a new state and no search is
-    needed; trace_automaton checks that closure.  A step's case,
-    increment and checks do not depend on the next V letter h, so its 8
-    transitions (state, (g, h)), one per h, share one check list and
-    differ only in the next state (KIND[g], h): 656 transitions in all.
-    Nothing is checked here; trace_automaton checks the result and
-    trace_word refuses a zero increment.  The description strings repeat
-    across entries and are interned."""
-    letters = _letters(setup)
+    Certificate whose check statuses the entry keeps.  The base entries
+    already reach all 24 states (3 kinds times 8 V letters), so no step
+    leads to a new state and no search is needed; trace_automaton checks
+    that closure.  A step's case, increment and statuses do not depend on
+    the next V letter h (its position n only labels its checks), so its
+    8 transitions (state, (g, h)), one per h, share them and differ only
+    in the next state (KIND[g], h): 656 transitions in all.  Nothing is
+    checked here; trace_automaton checks the result and trace_word
+    refuses a zero increment."""
     base = {}
-    for pair in letters:
+    for pair in _letters(setup):
         cert = Certificate("trace_base")
         counter, state = _trace_base(setup, cert, *pair)
-        base[pair] = (counter, state, [
-            (sys.intern(c["description"]), c["status"], c.get("data"))
-            for c in cert.checks])
-    head, index = f"step {_TABLE_STEP}", f"h_{_TABLE_STEP - 1}"
+        base[pair] = (counter, state, tuple(c["status"] for c in cert.checks))
     v_letters = sorted(setup._v_words)
     steps = {}
     for state in sorted({state for _, state, _ in base.values()}):
@@ -469,59 +462,48 @@ def _build_trace_table(setup: TheoremSetup) -> TraceTable:
             if not setup.allowed_after(state, g):
                 continue
             cert = Certificate("trace_step")
-            case, increment = _trace_step(setup, cert, _TABLE_STEP, state, g)
-            checks = [
-                (tuple(map(sys.intern,
-                           c["description"].removeprefix(head).split(index))),
-                 c["status"], c.get("data"))
-                for c in cert.checks]
+            case, increment = _trace_step(setup, cert, 2, state, g)
+            statuses = tuple(c["status"] for c in cert.checks)
             for h in v_letters:
-                steps[state, (g, h)] = (case, increment, (KIND[g], h), checks)
+                steps[state, (g, h)] = (case, increment, (KIND[g], h), statuses)
     return TraceTable(base, steps)
 
 
-def _check_entry(description: str, status: bool, data) -> dict:
-    """A fresh certificate check, made when a trace_word certificate's
-    checks are first read (_TraceCertificate); the table's data values are
-    strings, integers and flat lists of immutable values, so copying each
-    list leaves nothing shared with the table."""
-    entry = {"description": description, "status": status}
-    if data is not None:
-        entry["data"] = {k: list(v) if isinstance(v, list) else v
-                         for k, v in data.items()}
-    return entry
-
-
 class _TraceCertificate(Certificate):
-    """A trace_word certificate.  It keeps the word's path through the
-    trace table, the base entry's checks and then each later pair's
-    transition checks, followed by the checks of its own; `checks` is
-    written out (_check_entry, "step {n}" and "h_{n-1}" filled in) on its
-    first read, and `passed` reads the statuses along the path until
-    then."""
+    """A trace_word certificate.  It keeps the word's pairs, the status
+    tuples along its path through the trace table and the values of its
+    own two checks; `passed` reads those until `checks` is first read,
+    which replays _trace_base on the first pair and _trace_step on each
+    later pair at its position, into one fresh Certificate, followed by
+    its own checks."""
 
-    def __init__(self, path: list, own: list):
+    def __init__(self, setup: TheoremSetup, pairs, path: list, counter: int,
+                 nontrivial: bool):
         super().__init__("normal_form_trace")
         del self.checks   # Certificate's empty list would hide the property
-        self._path, self._own = path, own
+        self._setup, self._pairs, self._path = setup, pairs, path
+        self._counter, self._nontrivial = counter, nontrivial
 
     @cached_property
     def checks(self) -> list:
-        base, *steps = self._path
-        checks = [_check_entry(*check) for check in base]
-        for n, step in enumerate(steps, start=2):
-            head, index = f"step {n}", f"h_{n - 1}"
-            checks += [_check_entry(head + index.join(parts), status, data)
-                       for parts, status, data in step]
-        checks += [_check_entry(*check) for check in self._own]
-        return checks
+        setup, (first, *rest) = self._setup, self._pairs
+        cert = Certificate(self.name)
+        _, state = _trace_base(setup, cert, *first)
+        for n, (g, h) in enumerate(rest, start=2):
+            _trace_step(setup, cert, n, state, g)
+            state = (KIND[g], h)
+        cert.check("final distance counter > 0 (so the word is nontrivial)",
+                   self._counter > 0, counter=self._counter)
+        cert.check("independent check: tree-product normal form is nontrivial",
+                   self._nontrivial)
+        return cert.checks
 
     @property
     def passed(self) -> bool:
         if "checks" in vars(self):
             return super().passed
-        return all(status for checks in (*self._path, self._own)
-                   for _, status, _ in checks)
+        return (self._counter > 0 and self._nontrivial
+                and all(map(all, self._path)))
 
 
 @timed
@@ -543,11 +525,10 @@ def trace_automaton(setup: TheoremSetup) -> Certificate:
     cert = Certificate("trace_automaton")
     cert.data["header"] = _REPLAY_HEADER
     table = setup.trace_table
-    entries = [(["base", *pair], counter, [status for _, status, _ in checks])
-               for pair, (counter, _, checks) in table.base.items()]
-    entries += [(["step", *state, *pair], increment,
-                 [status for _, status, _ in checks])
-                for (state, pair), (_, increment, _, checks)
+    entries = [(["base", *pair], counter, statuses)
+               for pair, (counter, _, statuses) in table.base.items()]
+    entries += [(["step", *state, *pair], increment, statuses)
+                for (state, pair), (_, increment, _, statuses)
                 in table.steps.items()]
     reached = ({state for _, state, _ in table.base.values()}
                | {nxt for _, _, nxt, _ in table.steps.values()})
@@ -592,10 +573,10 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
     The entries are read from setup.trace_table, which runs each base
     case once and each proof step once per (state, g letter), whatever
     the next V letter (trace_automaton certifies the table for every
-    length); the certificate keeps the word's path through the table, and
-    its checks are written out on first read.  The final counter and the
-    independent tree-product normal-form check, which is not finite-state,
-    run per word.
+    length); no proof step runs here.  The certificate keeps the status
+    tuples along the word's path, and its checks replay the proof steps
+    on first read.  The final counter and the independent tree-product
+    normal-form check, which is not finite-state, run per word.
     """
     h0, pairs = word
     if h0 != 0:
@@ -606,22 +587,18 @@ def trace_word(setup: TheoremSetup, word) -> Certificate:
     if not setup.constrained(word):
         raise ConstraintError("word violates the constraint clauses")
     table = setup.trace_table
-    counter, state, checks = table.base[pairs[0]]
-    path, counters, cases = [checks], [counter], []
+    counter, state, statuses = table.base[pairs[0]]
+    path, counters, cases = [statuses], [counter], []
     for n, pair in enumerate(pairs[1:], start=2):
-        case, increment, state, checks = table.steps[state, pair]
+        case, increment, state, statuses = table.steps[state, pair]
         if increment <= 0:
             raise TraceError(f"distance counter failed to increase at step {n}")
-        path.append(checks)
+        path.append(statuses)
         counter += increment
         cases.append(case)
         counters.append(counter)
     nontrivial = not setup.product.is_identity(element)
-    cert = _TraceCertificate(path, [
-        ("final distance counter > 0 (so the word is nontrivial)",
-         counter > 0, {"counter": counter}),
-        ("independent check: tree-product normal form is nontrivial",
-         nontrivial, None)])
+    cert = _TraceCertificate(setup, pairs, path, counter, nontrivial)
     cert.data["header"] = _REPLAY_HEADER
     cert.data["counters"] = counters
     if cases:

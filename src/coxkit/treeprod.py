@@ -291,7 +291,8 @@ class TreeOfGroups:
         raise KeyError((a, b))
 
     def validate(self) -> list:
-        """Tree-ness and boundary maps injective homs."""
+        """Tree-ness, edges between named vertices and boundary maps
+        injective homs."""
         names = list(self.vertices)
         if not names:
             return ["the tree has no vertices"]
@@ -303,6 +304,10 @@ class TreeOfGroups:
         for e in self.edges:
             if e.u == e.v:
                 issues.append(f"self loop at {e.u}")
+            missing = sorted({e.u, e.v} - self.vertices.keys())
+            issues += [f"edge {e.u}-{e.v} names no vertex {x}" for x in missing]
+            if missing:
+                continue
             group = e.group
             members = set(group.elements())
             for vertex, mapping in ((e.u, e.into_u), (e.v, e.into_v)):

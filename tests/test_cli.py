@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from coxkit import reduction
 from coxkit.blueprint import BlueprintGroup
 from coxkit.cli import main
 
@@ -234,6 +235,28 @@ def test_a_corrupted_group_exits_1_without_a_traceback(monkeypatch, capsys,
     assert capsys.readouterr().err == (
         "error: invalid tree of groups: boundary map into v2 not a "
         "homomorphism\n")
+
+
+def test_a_reduction_defect_exits_1_without_a_traceback(monkeypatch, capsys):
+    def broken(self, word):
+        raise reduction.ReductionError("reduction changed the element")
+    monkeypatch.setattr(reduction.TheoremSetup, "reduce", broken)
+    assert run_cli(["reduce", "--word", "u_sr,1,u_sr,u_t"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: reduction changed the element\n"
+
+
+def test_a_trace_defect_exits_1_without_a_traceback(monkeypatch, capsys):
+    def broken(setup, word):
+        raise reduction.TraceError(
+            "distance counter failed to increase at step 2")
+    monkeypatch.setattr(reduction, "trace_word", broken)
+    assert run_cli(["trace", "--word", "u_rt,u_t"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: distance counter failed to increase at step 2\n")
 
 
 def test_report_requires_out(capsys):

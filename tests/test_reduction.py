@@ -636,22 +636,32 @@ def test_trace_verdict_reads_the_checks_of_its_own(monkeypatch,
 
 def test_trace_checks_are_written_out_on_first_read(monkeypatch,
                                                     theorem_setup):
+    """trace_word runs no proof step; the first read of checks runs one
+    base case and one step per later pair, at its position; a second read
+    runs none and returns the same list."""
     s = theorem_setup
-    real = reduction._check_entry
+    s.trace_table
     calls = []
+    for name in ("_trace_base", "_trace_step"):
+        real = getattr(reduction, name)
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(reduction, "_check_entry", counting)
+        def counting(setup, cert, *args, _real=real, _name=name):
+            calls.append((_name, *args))
+            return _real(setup, cert, *args)
+        monkeypatch.setattr(reduction, name, counting)
     words = list(s.enumerate_constrained(2)) + _four_pair_sample(s)
     certs = [trace_word(s, word) for word in words]
     assert all(cert.passed for cert in certs) and calls == []
-    for cert in certs:
-        before = len(calls)
+    for (_, pairs), cert in zip(words, certs):
         checks = cert.checks
-        assert len(calls) - before == len(checks) > 2
-        assert cert.checks is checks and len(calls) - before == len(checks)
+        state = (KIND[pairs[0][0]], pairs[0][1])
+        want = [("_trace_base", *pairs[0])]
+        for n, (g, h) in enumerate(pairs[1:], start=2):
+            want.append(("_trace_step", n, state, g))
+            state = (KIND[g], h)
+        assert calls == want and len(checks) > 2
+        calls.clear()
+        assert cert.checks is checks and calls == []
 
 
 # passed read before the checks agrees with the checks written out, on a

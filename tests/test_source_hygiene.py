@@ -12,8 +12,9 @@ per Coxeter context (roots.root_system), one generator search (for the
 members of a subgroup family), one caller of the braid closure
 (Coxeter.reduced_words), the Coxeter kernel's memo tables read by the
 kernel alone, and roots named by what they are, not by where a group
-lists them; and that keep sweep items counted through the report and no
-new certificate check with the constant status True."""
+lists them; and that keep sweep items counted through the report, no
+new certificate check with the constant status True and no new raise of
+PreconditionError."""
 
 import ast
 import json
@@ -443,6 +444,78 @@ def test_count_and_status_guards_see_every_form():
         "    cert.check('d', 1)\n")
     assert counter_stores(tree) == [(None, 1), ("sweep", 3), ("inner", 9)]
     assert constant_status_checks(tree) == [("sweep", 5), ("inner", 8)]
+
+
+# the raises of PreconditionError, counted by function: each refuses a
+# request outside the class of residues, groups or trees that a statement
+# of the paper is made for.  This list may only shrink
+PRECONDITION_RAISES = {
+    # R has rank 2, and a chosen letter s is one of its type letters
+    ("constructions.py", "residue_letters"): 2,
+    # V at the gate has index 2 in its parent U
+    ("constructions.py", "v_spec"): 1,
+    # Phi(w) lies inside Phi(ambient), so U_w is a subgroup of the ambient
+    ("constructions.py", "image_of_u"): 1,
+    # two glued vertex groups share a generating root, and the edge group
+    # lies inside both
+    ("constructions.py", "edge"): 2,
+    # vertex names are declared once and every edge names declared
+    # vertices; the graph is a tree (the third raise picks TreeError for a
+    # boundary-map defect)
+    ("constructions.py", "tree"): 3,
+    # the construction kind is one of the paper's six
+    ("constructions.py", "vertex_plan"): 1,
+    # R lies in T_{i,1}, and for V_Rs and O_Rs, l(w_R srs) = l(w_R)+3
+    ("constructions.py", "construction"): 2,
+    # the lemma is stated for gate-1 residues
+    ("pipeline.py", "cert_krs_gminus1"): 1,
+    ("pipeline.py", "cert_otog_minus1"): 1,
+    # each requested gate word is the gate of its residue
+    ("pipeline.py", "section4_pipeline"): 1,
+}
+
+
+def precondition_raises(tree) -> list:
+    """(innermost enclosing function or None, line) for each raise of
+    PreconditionError, by name or as an attribute, called or not, or
+    picked by a conditional expression."""
+    def named(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.IfExp):
+            return named(node.body) or named(node.orelse)
+        return "PreconditionError" in (getattr(node, "id", None),
+                                       getattr(node, "attr", None))
+    return [(fn, node.lineno) for fn, node in scoped_nodes(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and named(node.exc)]
+
+
+def test_precondition_errors_are_raised_only_where_listed():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for fn, _ in precondition_raises(ast.parse(path.read_text())):
+            key = (str(path.relative_to(SRC)), fn)
+            found[key] = found.get(key, 0) + 1
+    assert found == PRECONDITION_RAISES
+
+
+def test_precondition_guard_sees_both_raise_shapes():
+    tree = ast.parse(
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise PreconditionError('a')\n"
+        "    raise (TreeError if x else PreconditionError)('b')\n"
+        "class B:\n"
+        "    def g(self):\n"
+        "        raise constructions.PreconditionError\n"
+        "    def h(self):\n"
+        "        raise (PreconditionError if self else TreeError)('c')\n"
+        "    def k(self):\n"
+        "        raise TreeError('d')\n"
+        "raise PreconditionError('e')\n")
+    assert precondition_raises(tree) == [
+        ("f", 3), ("f", 4), ("g", 7), ("h", 9), (None, 12)]
 
 
 # public functions and methods that nothing in src/coxkit calls, each with

@@ -90,6 +90,17 @@ def test_tree_product_refuses_an_invalid_tree(cache):
     assert tog.issues == tuple(tog.validate())
 
 
+def test_validate_reports_an_edge_that_names_no_vertex(cache):
+    U = cache.group("s")
+    edge = Edge("a", "b", U, {0: 0, 1: 1}, {0: 0, 1: 1})
+    tog = TreeOfGroups({"a": U}, [edge])
+    assert tog.issues == ("edge count is not |V| - 1",
+                          "underlying graph is not connected",
+                          "edge a-b names no vertex b")
+    with pytest.raises(TreeError, match="edge a-b names no vertex b"):
+        TreeProduct(tog)
+
+
 def test_validate_reports_an_empty_tree():
     assert TreeOfGroups({}, []).validate() == ["the tree has no vertices"]
 
