@@ -52,6 +52,9 @@ holds on them, they generate a quotient of U_w of order >= 2^k, so
 |U_w| = 2^k (certify_order).  Along the prefix tree the certificate of
 U_w is that of U_w', rows checked grown from it, the new row an
 involution, and the relations of w that w' does not have holding.
+GroupCache.group certifies each group as it builds it, from a prefix it
+certified before, and keeps only the groups that pass: every group a
+cache hands out is certified.
 
 Corollary (von Dyck; Sims, Computation with Finitely Presented Groups,
 1994, ch. 2).  If every M-letter of a minimal gallery h lies strictly
@@ -253,8 +256,6 @@ class BlueprintGroup:
         # the product table, composed from the rows by the first mul up to
         # TABLE_CAP
         self._table = None
-        # the relation count of a successful certify_order
-        self._certified = None
 
     def __repr__(self) -> str:
         return f"U({self.w!r} via {self.gallery!r}, order {self.order})"
@@ -317,22 +318,19 @@ class BlueprintGroup:
     # -- certification ------------------------------------------------------
 
     def certify_order(self) -> int:
-        """The module's order theorem along the prefix tree: the prefix
-        certifies, the rows are grown from its rows, the new generator row
-        is an involution, and every relation of every minimal gallery of w
-        that the prefix has not certified holds on the rows.  Returns the
-        number of relations of w; BlueprintError on any failure.  A
-        success is kept and answered again: the rows do not change once
-        built."""
-        if self._certified is not None:
-            return self._certified
+        """The module's order theorem along the prefix tree, the prefix
+        certified (GroupCache.group certifies each group as it builds it,
+        the prefix first): the rows are grown from the prefix's rows, the
+        new generator row is an involution, and every relation of every
+        minimal gallery of w that the prefix does not have holds on the
+        rows.  Returns the number of relations of w; BlueprintError on any
+        failure."""
         rows = self.rows
         rels = self.blueprint.harvest(self.w)
         new = rels
         identity = list(range(self.order))
         prefix = self.prefix
         if prefix is not None:
-            prefix.certify_order()
             new = rels - self.blueprint.harvest(prefix.w)
             half = self.order >> 1
             for i, old in enumerate(prefix.rows):
@@ -355,7 +353,6 @@ class BlueprintGroup:
             if lhs != rhs:
                 raise BlueprintError(
                     f"relation [u_{a}, u_{b}] = {mids} fails in U_{self.w}")
-        self._certified = len(rels)
         return len(rels)
 
 
@@ -373,15 +370,19 @@ class GroupCache:
 
     def group(self, w: str) -> BlueprintGroup:
         """U_w along the canonical gallery, the least reduced word of w,
-        which is its canonical form; memoized.  Canonical galleries are
-        prefix-closed, so each group is grown from the memoized group of
-        its gallery without the last letter."""
+        which is its canonical form, certified.  Canonical galleries are
+        prefix-closed, so each group is grown from the group of its
+        gallery without the last letter, which this cache built and
+        certified first; the new group's certify_order then completes its
+        certificate, and it is memoized only once that passes.
+        BlueprintError if it fails, here or at a prefix."""
         w = self.ctx.normalize(w)
         got = self._groups.get(w)
         if got is None:
             prefix = self.group(w[:-1]) if w else None
-            got = self._groups[w] = BlueprintGroup(
-                self.ctx, self.rsys, w, self.blueprint, prefix)
+            got = BlueprintGroup(self.ctx, self.rsys, w, self.blueprint, prefix)
+            got.certify_order()
+            self._groups[w] = got
         return got
 
     def phi(self, w: str) -> tuple[Root, ...]:
@@ -428,15 +429,15 @@ def gallery_independence(cache: GroupCache, w: str) -> bool:
     map (the module's von Dyck corollary): each gallery's M-letters lie
     strictly between their pair in its crossing order, checked one column
     per prefix of the gallery, and the relations of every minimal gallery
-    hold on the generator rows of U_w.  The group's own gallery passed
-    that check when its table was built."""
-    grp = cache.group(w)
+    hold on the generator rows of U_w, which the cache certified when it
+    built the group.  The group's own gallery passed the column check when
+    its table was built."""
     try:
+        grp = cache.group(w)
         for h in cache.ctx.min_galleries(grp.w):
             if h != grp.gallery:
                 for n in range(1, len(h) + 1):
                     insertion_column(cache.blueprint, h[:n])
-        grp.certify_order()
     except BlueprintError:
         return False
     return True

@@ -22,11 +22,10 @@ from coxkit.treeprod import (TreeProduct, check_subtree_conditions, contract,
 RADIUS = 8
 
 
-def _family_check(cert, label: str, tog, members: dict,
-                  claimed: dict | None = None) -> bool:
+def _family_check(cert, label: str, tog, members: dict) -> bool:
     """Check the subgroup-family conditions of members over every vertex
     of tog and record the verdict under label with its per-edge report."""
-    rep = check_subtree_conditions(tog, members, claimed)
+    rep = check_subtree_conditions(tog, members)
     return cert.check(label, rep["pass"], edges=rep["edges"])
 
 
@@ -181,11 +180,12 @@ class Section4:
             frozenset(("v0", "v1")): b.image_of_u(m(g, s), orr.specs[0].ambient),
             frozenset(("v1", "v2")): b.image_of_u(m(g, t), orr.specs[1].ambient),
         }
-        _family_check(cert, "subgroup-family conditions (i)-(iii) over O_R "
-                      "hold with edge groups U[w_R s], U[w_R t]",
-                      orr.tog, members, claimed)
+        conditions = check_subtree_conditions(orr.tog, members, claimed)
+        cert.check("subgroup-family conditions (i)-(iii) over O_R hold with "
+                   "edge groups U[w_R s], U[w_R t]", conditions["pass"],
+                   edges=conditions["edges"])
         # the V_R family's tree product injects into O_R
-        rep = family_embeds(TreeProduct(orr.tog), members)
+        rep = family_embeds(TreeProduct(orr.tog), members, conditions)
         cert.check("V_R inside O_R: reduced family words are reduced in O_R, "
                    "so nontrivial (subgroups with equal edge preimages; one- "
                    "and two-letter base cases)", rep["pass"],

@@ -472,10 +472,11 @@ def _build_trace_table(setup: TheoremSetup) -> TraceTable:
 class _TraceCertificate(Certificate):
     """A trace_word certificate.  It keeps the word's pairs, the status
     tuples along its path through the trace table and the values of its
-    own two checks; `passed` reads those until `checks` is first read,
-    which replays _trace_base on the first pair and _trace_step on each
-    later pair at its position, into one fresh Certificate, followed by
-    its own checks."""
+    own two checks, which are its verdict.  `checks` is computed on first
+    read: it replays _trace_base on the first pair and _trace_step on each
+    later pair at its position, each into a fresh Certificate as the table
+    was built, followed by its own checks; TraceError unless each replayed
+    step's statuses are the tuple the path keeps for it."""
 
     def __init__(self, setup: TheoremSetup, pairs, path: list, counter: int,
                  nontrivial: bool):
@@ -486,12 +487,19 @@ class _TraceCertificate(Certificate):
 
     @cached_property
     def checks(self) -> list:
-        setup, (first, *rest) = self._setup, self._pairs
-        cert = Certificate(self.name)
-        _, state = _trace_base(setup, cert, *first)
-        for n, (g, h) in enumerate(rest, start=2):
-            _trace_step(setup, cert, n, state, g)
+        cert, state = Certificate(self.name), None
+        steps = zip(self._pairs, self._path)
+        for n, ((g, h), kept) in enumerate(steps, start=1):
+            step = Certificate(self.name)
+            if state is None:
+                _trace_base(self._setup, step, g, h)
+            else:
+                _trace_step(self._setup, step, n, state, g)
             state = (KIND[g], h)
+            if tuple(c["status"] for c in step.checks) != kept:
+                raise TraceError(
+                    f"replayed checks of step {n} differ from the trace table")
+            cert.checks += step.checks
         cert.check("final distance counter > 0 (so the word is nontrivial)",
                    self._counter > 0, counter=self._counter)
         cert.check("independent check: tree-product normal form is nontrivial",
@@ -500,8 +508,6 @@ class _TraceCertificate(Certificate):
 
     @property
     def passed(self) -> bool:
-        if "checks" in vars(self):
-            return super().passed
         return (self._counter > 0 and self._nontrivial
                 and all(map(all, self._path)))
 

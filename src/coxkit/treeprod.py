@@ -582,9 +582,12 @@ def respects_edges(tog: TreeOfGroups, image) -> list:
                    for c in e.group.elements())]
 
 
-def family_embeds(product: TreeProduct, members: dict) -> dict:
+def family_embeds(product: TreeProduct, members: dict,
+                  conditions: dict) -> dict:
     """Decide, on the finite groups, that the tree product of a subgroup
-    family A_v <= G_v (members: vertex -> frozenset) injects into product.
+    family A_v <= G_v (members: vertex -> frozenset) injects into product,
+    given conditions, the check_subtree_conditions report of members over
+    product's tree (claimed edge groups it checked only make it stricter).
 
     Criterion.  Suppose every A_v is a subgroup of G_v and on every edge
     e = uv the preimages of A_u and A_v in E_e agree; call them D_e.
@@ -607,17 +610,16 @@ def family_embeds(product: TreeProduct, members: dict) -> dict:
     definition of D_e; so reduced words of A are reduced, hence
     nontrivial, in the product.
 
-    Computed here: the subgroup and edge-preimage hypotheses at every
-    vertex and edge (check_subtree_conditions), membership of each A_v
-    in G_v, and the base cases of the induction on the engine's normal
-    forms: every nontrivial family letter is a one-syllable element (it
-    lies in G_v and is not the identity), and every reduced two-letter
-    family word across an edge, in either direction, lies in no vertex
-    group (two syllables).
+    Read from conditions: the subgroup and edge-preimage hypotheses at
+    every vertex and edge.  Computed here: membership of each A_v in G_v,
+    and the base cases of the induction on the engine's normal forms:
+    every nontrivial family letter is a one-syllable element (it lies in
+    G_v and is not the identity), and every reduced two-letter family
+    word across an edge, in either direction, lies in no vertex group
+    (two syllables).
     """
     tog = product.tog
-    report = check_subtree_conditions(tog, members)
-    ok = report["pass"] and all(
+    ok = conditions["pass"] and all(
         members[v] <= frozenset(G.elements()) for v, G in tog.vertices.items())
     include = product.include
     letters = 0
@@ -641,5 +643,4 @@ def family_embeds(product: TreeProduct, members: dict) -> dict:
                     el = product.mul(x, y)
                     ok = ok and all(product.vertex_value(el, w) is None
                                     for w in tog.vertices)
-    report.update({"pass": ok, "letters": letters, "pairs": pairs})
-    return report
+    return {**conditions, "pass": ok, "letters": letters, "pairs": pairs}

@@ -31,13 +31,17 @@ def gallery_shift(ctx, s: str, g: str) -> str:
 
 def group_along(cache, g: str) -> BlueprintGroup:
     """U_w along the minimal gallery g, not memoized, grown from the
-    groups along its prefixes; a canonical prefix is the cache's group."""
+    groups along its prefixes and certified at each step, as the cache
+    certifies the groups it builds; a canonical prefix is the cache's
+    group.  BlueprintError if a certificate fails."""
     prefix = None
     if g:
         head = g[:-1]
         prefix = cache.group(head) if cache.ctx.normalize(head) == head \
             else group_along(cache, head)
-    return BlueprintGroup(cache.ctx, cache.rsys, g, cache.blueprint, prefix)
+    grp = BlueprintGroup(cache.ctx, cache.rsys, g, cache.blueprint, prefix)
+    grp.certify_order()
+    return grp
 
 
 def inversions_by_prefixes(rs, g: str) -> tuple:

@@ -16,8 +16,9 @@ and prints the total and one line per caller chain, most calls first:
 A caller chain names the function that called mul, its caller and
 theirs, comprehension frames skipped, so the mul calls of closure_words
 are told apart by who asked for the closure.  The wrapper slows the
-command down; the wall time printed is the wrapped run's.  Not a test
-module: pytest does not collect it.
+command down; the wall time printed is the wrapped run's.  When the
+reader closes the pipe (`| head`), it stops with exit 1 and no
+traceback.  Not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import io
+import os
 import sys
 import time
 
@@ -71,4 +73,11 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    try:
+        main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): stop without a traceback,
+        # stdout pointed at devnull so that the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -153,16 +153,15 @@ def _gallery_independence_by_monos(cache, w):
     """The per-gallery check gallery_independence replaced, kept as its
     oracle: build U_h for every other minimal gallery h and check the
     generator-identity map U_h -> U_w as a GroupMono, |U_h|^2 products."""
-    base = cache.group(w)
-    for h in cache.ctx.min_galleries(base.w):
-        if h == base.gallery:
-            continue
-        try:
-            other = group_along(cache, h)
-            GroupMono(other, base, {x: base.root_product(other.word_of(x))
-                                    for x in other.elements()})
-        except BlueprintError:
-            return False
+    try:
+        base = cache.group(w)
+        for h in cache.ctx.min_galleries(base.w):
+            if h != base.gallery:
+                other = group_along(cache, h)
+                GroupMono(other, base, {x: base.root_product(other.word_of(x))
+                                        for x in other.elements()})
+    except BlueprintError:
+        return False
     return True
 
 
@@ -183,7 +182,7 @@ def _mutated_cache(cache, mutate):
             return mids
         return mutate(seq, a, b, mids)
     fresh.blueprint.value = wrapped
-    assert fresh.group("stst").gallery == "stst"
+    assert fresh.ctx.normalize("tsts") == "stst"
     return fresh
 
 
@@ -340,37 +339,51 @@ def test_canonical_prefix_inclusion_is_the_identity_on_bitmasks(ctx):
         assert mono.images == {x: x for x in mono.source.elements()}, w
 
 
-def _tampered(ctx, w, i, y):
-    """A fresh cache in which entry y of row i of U_w is changed, before
-    anything is certified."""
-    fresh = GroupCache(ctx)
-    fresh.group(w).rows[i][y] ^= 1
-    return fresh
+def _tampered_builds(monkeypatch, w) -> list:
+    """Patch the group build: from here on U_w is built with entry y of
+    row i changed, for the last (i, y) appended to the list returned,
+    before the cache that builds it certifies it."""
+    tamper = []
+    build = BlueprintGroup.__init__
+
+    def tampered(self, *args):
+        build(self, *args)
+        if self.w == w:
+            i, y = tamper[-1]
+            self.rows[i][y] ^= 1
+    monkeypatch.setattr(BlueprintGroup, "__init__", tampered)
+    return tamper
 
 
-def test_tampered_prefix_rows_fail_the_extension(ctx, cache):
+def test_tampered_prefix_rows_fail_the_extension(ctx, cache, monkeypatch):
     # every single-entry change to the rows of U_stst makes its canonical
-    # extension ststr fail: old rows are checked grown from U_sts, the new
-    # row an involution
+    # extension ststr fail: a fresh cache certifies U_stst before it grows
+    # ststr from it, old rows checked grown from U_sts, the new row an
+    # involution
     grp = cache.group("stst")
+    tamper = _tampered_builds(monkeypatch, "stst")
     for i in range(grp.k):
         for y in grp.elements():
-            ext = _tampered(ctx, "stst", i, y).group("ststr")
+            tamper.append((i, y))
             with pytest.raises(BlueprintError, match=r"in U_stst|U_stst is"):
-                ext.certify_order()
+                GroupCache(ctx).group("ststr")
 
 
 # run under -O, where an assert would be stripped: tampered prefix rows
-# must still fail the extension's certificate
+# must still fail the extension's build
 TAMPER_UNDER_O = """
-from coxkit.blueprint import BlueprintError, GroupCache
+from coxkit.blueprint import BlueprintError, BlueprintGroup, GroupCache
 from coxkit.coxeter import standard_coxeter
 ctx = standard_coxeter()
+build = BlueprintGroup.__init__
 for i, y in ((0, 5), (3, 9)):
-    fresh = GroupCache(ctx)
-    fresh.group("stst").rows[i][y] ^= 1
+    def tampered(self, *args, i=i, y=y):
+        build(self, *args)
+        if self.w == "stst":
+            self.rows[i][y] ^= 1
+    BlueprintGroup.__init__ = tampered
     try:
-        fresh.group("ststr").certify_order()
+        GroupCache(ctx).group("ststr")
     except BlueprintError as exc:
         print("raised", exc)
 """
@@ -440,15 +453,21 @@ def test_collection_above_the_table_cap_agrees_with_the_certified_rows(ctx, cach
 
 def test_abelian_table_fails_certification(ctx, monkeypatch):
     # rows grown with every insertion dropped present the abelian group
-    # of the same order; the certificate, not the build, rejects them
+    # of the same order; the certificate rejects them, so neither the
+    # cache nor group_along hands the group out
     column = blueprint.insertion_column
     monkeypatch.setattr(blueprint, "insertion_column",
                         lambda bp, g: bytes(len(column(bp, g))))
-    g = group_along(GroupCache(ctx), gallery(ctx, "stst"))
+    fresh = GroupCache(ctx)
+    g = BlueprintGroup(ctx, fresh.rsys, "stst", fresh.blueprint,
+                       fresh.group("sts"))
     assert not any(g._comm)
     assert all(g.mul(x, y) == x ^ y for x in g.elements() for y in g.elements())
-    with pytest.raises(BlueprintError, match=r"relation \[u_0, u_3\] = \(1, 2\) fails"):
-        g.certify_order()
+    failure = r"relation \[u_0, u_3\] = \(1, 2\) fails in U_stst"
+    for build in (g.certify_order, lambda: fresh.group("stst"),
+                  lambda: group_along(fresh, gallery(ctx, "stst"))):
+        with pytest.raises(BlueprintError, match=failure):
+            build()
 
 
 def test_certification_composes_no_table(ctx, cache):
@@ -484,8 +503,9 @@ def test_phi_is_the_group_roots_and_builds_no_group(ctx, monkeypatch):
 
 def test_blueprint_suite_counts_only_the_groups_that_certify(ctx, monkeypatch):
     # a group whose certification fails is a problem, not a certified
-    # group, and so is every group grown from it: tstr's certificate
-    # starts with that of its prefix tst, and its error names tst
+    # group, and so is every group grown from it: the cache keeps no
+    # uncertified tst, so building tstr certifies its prefix tst again,
+    # and its error names tst
     ball = ctx.ball(4)
     broken = ball[len(ball) // 2]
     assert broken == "tst"
@@ -545,30 +565,38 @@ def test_gallery_independence(ctx, cache):
 
 
 def test_gallery_independence_rejects_a_dropped_insertion(cache):
-    # [u_a, u_d] = u_b on tsts, where the blueprint says u_b u_c
+    # [u_a, u_d] = u_b on tsts, where the blueprint says u_b u_c: a
+    # relation of a minimal gallery of stst, so the cache refuses U_stst
     bad = _mutated_cache(cache, lambda seq, a, b, mids: mids[:1])
+    a, b, c, d = (cache.group("stst")._pos[root] for root in
+                  cache.rsys.inversion_sequence(gallery(cache.ctx, "tsts")))
+    with pytest.raises(BlueprintError, match=re.escape(
+            f"relation [u_{a}, u_{d}] = ({b},) fails in U_stst")):
+        bad.group("stst")
     assert not gallery_independence(bad, "stst")
     assert not _gallery_independence_by_monos(bad, "stst")
-    grp = bad.group("stst")
-    a, b, c, d = (grp._pos[root] for root in
-                  cache.rsys.inversion_sequence(gallery(cache.ctx, "tsts")))
-    with pytest.raises(BlueprintError,
-                       match=re.escape(f"relation [u_{a}, u_{d}] = ({b},) fails")):
-        grp.certify_order()
 
 
-@pytest.mark.parametrize("insertion", [
-    # [u_a, u_c] = u_d on tsts with d crossed after both a and c
-    lambda seq: ((seq[0], seq[2]), (seq[3],)),
+@pytest.mark.parametrize("insertion, holds", [
+    # [u_a, u_c] = u_d on tsts with d crossed after both a and c: it
+    # fails on the rows, so the cache refuses U_stst
+    (lambda seq: ((seq[0], seq[2]), (seq[3],)), False),
     # [u_a, u_d] = u_a u_a u_b u_c: the relation still holds on the rows,
     # but the bound |U_h| <= 2^k no longer follows from collection along h
-    lambda seq: ((seq[0], seq[3]), (seq[0], seq[0], seq[1], seq[2])),
+    (lambda seq: ((seq[0], seq[3]), (seq[0], seq[0], seq[1], seq[2])), True),
 ], ids=["after-pair", "cancelling"])
-def test_gallery_independence_rejects_an_insertion_outside_its_pair(cache, insertion):
+def test_gallery_independence_rejects_an_insertion_outside_its_pair(
+        cache, insertion, holds):
     def outside(seq, a, b, mids):
         pair, mids_out = insertion(seq)
         return mids_out if (a, b) == pair else mids
     bad = _mutated_cache(cache, outside)
+    if holds:
+        assert bad.group("stst").order == 16
+    else:
+        with pytest.raises(BlueprintError,
+                           match=r"\[u_3, u_1\] = \(0,\) fails in U_stst"):
+            bad.group("stst")
     assert not gallery_independence(bad, "stst")
     assert not _gallery_independence_by_monos(bad, "stst")
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -155,6 +156,21 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+MUL_CENSUS = pathlib.Path(__file__).with_name("mul_census.py")
+
+
+def test_mul_census_stops_quietly_when_its_reader_closes_the_pipe():
+    # as under `| head`: the reader is gone before the census prints
+    proc = subprocess.Popen(
+        [sys.executable, str(MUL_CENSUS), "verify", "blueprint",
+         "--max-length", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_nf_command(tmp_path, capsys):
     tree = tmp_path / "tree.txt"
     tree.write_text(TREE_FILE)
@@ -222,19 +238,20 @@ def _swap_newest_row(monkeypatch, w):
     monkeypatch.setattr(BlueprintGroup, "__init__", swapped)
 
 
-# U[rstrsr] is read at rs@rst, U[strsrs] is the first group of length 6
-# the default residues build
+# U[rstrsr] is read at rs@rst and at st@rstr, U[strsrs] is the first
+# group of length 6 the default residues build
 @pytest.mark.parametrize("w, residue", [
-    ("rstrsr", ["--residue", "rst:rs"]), ("strsrs", [])])
+    ("rstrsr", ["--residue", "rst:rs"]), ("strsrs", []),
+    ("rstrsr", ["--residue", "rstr:st"])])
 def test_a_corrupted_group_exits_1_without_a_traceback(monkeypatch, capsys,
                                                        w, residue):
-    # a boundary map that is not a homomorphism is a defect of the computed
-    # groups: a violation, not a usage error and not an internal failure
+    # the cache certifies every group it builds, so the swapped row fails
+    # U_w's certificate whatever the residue reads of it: a violation, not
+    # a usage error and not an internal failure
     _swap_newest_row(monkeypatch, w)
     assert run_cli(["verify", "section4", *residue]) == 1
     assert capsys.readouterr().err == (
-        "error: invalid tree of groups: boundary map into v2 not a "
-        "homomorphism\n")
+        f"error: relation [u_0, u_5] = () fails in U_{w}\n")
 
 
 def test_a_reduction_defect_exits_1_without_a_traceback(monkeypatch, capsys):

@@ -634,6 +634,19 @@ def test_trace_verdict_reads_the_checks_of_its_own(monkeypatch,
     assert all(c["status"] for c in cert.checks[:-2])
 
 
+def test_trace_verdict_stays_when_the_replay_disagrees(monkeypatch, cache):
+    """A table built with a failed check on the step from ("B", 0) on
+    u_sr, then replayed by the true step: the verdict reads the kept
+    statuses and stays False, and the first read of the checks raises
+    TraceError instead of giving a second verdict."""
+    mutant = _mutant_setup(monkeypatch, cache, (("B", 0), SR), _flip_one_check)
+    cert = trace_word(mutant, mutant.parse("u_rt,1,u_sr,1"))
+    assert not cert.passed
+    with pytest.raises(TraceError, match="step 2 differ"):
+        cert.checks
+    assert not cert.passed
+
+
 def test_trace_checks_are_written_out_on_first_read(monkeypatch,
                                                     theorem_setup):
     """trace_word runs no proof step; the first read of checks runs one

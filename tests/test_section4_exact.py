@@ -55,7 +55,8 @@ def sampled_family_words_nontrivial(product, members) -> bool:
 @pytest.mark.parametrize("pair", PAIRS)
 def test_family_battery_agrees_with_family_embeds(sec, pair):
     product, members = _or_product(sec, pair)
-    report = family_embeds(product, members)
+    report = family_embeds(product, members,
+                           check_subtree_conditions(product.tog, members))
     assert report["pass"] is sampled_family_words_nontrivial(product, members) \
         is True
     assert (report["letters"], report["pairs"]) == (13, 48)
@@ -276,6 +277,7 @@ def test_family_mutant_turns_the_exact_check_red(sec, mutate, sampled_caught):
     product, members = _or_product(sec, ("s", "t"))
     mutant = mutate(product, members)
     assert mutant != members
-    assert family_embeds(product, mutant)["pass"] is False
+    conditions = check_subtree_conditions(product.tog, mutant)
+    assert family_embeds(product, mutant, conditions)["pass"] is False
     # what the 400-word sample that this check replaces made of it
     assert sampled_family_words_nontrivial(product, mutant) is not sampled_caught

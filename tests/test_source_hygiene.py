@@ -244,6 +244,12 @@ def callers_in_src(name: str) -> set:
 SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup")}
 
 
+# the one place in src/coxkit that certifies a blueprint group: the cache,
+# as it builds the group from a prefix it certified first, so every group
+# a cache hands out is certified and no caller certifies one by hand
+GROUP_CERTIFIERS = {("blueprint.py", "group")}
+
+
 # the one place that searches a set for generators: a subgroup family's
 # members come as bare sets; every Subgroup and blueprint group carries
 # the generators it was built from (gens), so no check searches for them
@@ -257,6 +263,10 @@ TREE_WALKERS = {("treeprod.py", "paths")}
 
 def test_subgroups_are_built_only_by_the_root_subgroup_memo():
     assert callers_in_src("Subgroup") == SUBGROUP_BUILDERS
+
+
+def test_groups_are_certified_only_where_the_cache_builds_them():
+    assert callers_in_src("certify_order") == GROUP_CERTIFIERS
 
 
 def test_generators_are_searched_only_for_family_members():
