@@ -62,6 +62,25 @@ between its pair in h's crossing order, h's collection group U_h has
 order <= 2^k; if h's relations also hold on the rows, the generator-
 identity map U_h -> U_w is a homomorphism, onto because its images
 generate U_w and injective because |U_h| <= |U_w| (gallery_independence).
+
+Embedding (von Dyck, as above).  Let Phi(w) lie inside Phi(a).  The
+root-label map U_w -> U_a, the generator of U_w at each root to the
+generator of U_a at that root, is then an isomorphism onto the subgroup
+of U_a generated by the root generators at Phi(w), once that subgroup
+has order 2^l(w) (Builder.image_of_u):
+1. Phi(w) inside Phi(a) makes w a prefix of a, a = wv with l(a) = l(w) +
+   l(v) (Bjorner & Brenti, GTM 231, 3.1.3), so every minimal gallery of w
+   extends to one of a and harvest(w) lies inside harvest(a).  The
+   inclusion is checked rather than assumed.
+2. U_a's certificate holds every relation of harvest(a) on its rows, and
+   its rows are involutions.  So the group presented by involutions at
+   Phi(w) and the relations harvest(w) maps by root labels onto that
+   subgroup.
+3. The presented group has order <= 2^l(w): its relations include those
+   of the canonical gallery of w, whose insertion columns (built with
+   U_w) make collection terminate.  The image has order 2^l(w), so the
+   presented group maps isomorphically onto it; U_w, of order 2^l(w) with
+   harvest(w) holding on its rows, is that presented group too.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ Subgroup or a TreeProduct, then keep the wrapper), runs coxkit.cli.main
 with the given arguments in this interpreter, its own output discarded,
 and prints the total and one line per caller chain, most calls first:
 
-    249662 BlueprintGroup.mul calls (exit 0, 0.30 s)
+    202840 BlueprintGroup.mul calls (exit 0, 0.59 s)
        77776  is_homomorphism < validate < issues
-       47650  closure_words < generators < check_subtree_conditions
+       44828  closure_words < generators < check_subtree_conditions
     ...
 
 A caller chain names the function that called mul, its caller and

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -291,6 +292,22 @@ def test_report_digest_pinned(tmp_path, capsys):
     text = json.dumps(without_elapsed(json.loads(out.read_text())),
                       sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGEST
+
+
+def test_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # one report per process, under two string-hash seeds: no set or dict
+    # iteration order may reach the document
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    docs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"report{seed}.json"
+        subprocess.run([sys.executable, "-m", "coxkit.cli", "report",
+                        "--out", str(out)], check=True, timeout=120,
+                       stdout=subprocess.DEVNULL,
+                       env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
+        docs.append(without_elapsed(json.loads(out.read_text())))
+    assert docs[0] == docs[1]
 
 
 def test_verify_quadrangle_and_report_determinism(tmp_path, capsys):

@@ -1,12 +1,12 @@
 import pytest
 
 from coxkit import constructions, pipeline
-from coxkit.blueprint import BlueprintError, GroupCache
+from coxkit.blueprint import BlueprintError, BlueprintGroup, GroupCache
 from coxkit.constructions import (KINDS, RANK2, Builder, PreconditionError,
                                   c_set_0, c_set_minus1, c_set_r,
                                   classify_residue, d_set, dset_certificate,
                                   harvest_relations, roots_violated)
-from coxkit.treeprod import TreeOfGroups, TreeProduct
+from coxkit.treeprod import TreeOfGroups, TreeProduct, is_homomorphism
 
 
 @pytest.fixture(scope="module")
@@ -202,21 +202,53 @@ def test_image_of_u_refuses_a_subgroup_of_the_wrong_order(cache, monkeypatch):
         Builder(cache).image_of_u("sr", cache.group("srs"))
 
 
-def test_image_of_u_refuses_a_root_label_map_that_is_no_homomorphism(
+def test_image_of_u_refuses_an_ambient_without_a_relation_of_u(
         ctx, monkeypatch):
-    # U_stst with its first two roots listed in swapped order: the labels
-    # still generate the subgroup at Phi(stst), of order 16 = 2^4, but
-    # [u_0, u_3] = u_1 u_2 is sent to a relation that fails in U[ststr]
+    # U[ststr]'s harvest made to lack one relation of U[stst]: the roots
+    # Phi(stst) still generate a subgroup of order 16 = 2^4, but the
+    # certificate of U[ststr] no longer holds that relation
     builder = Builder(GroupCache(ctx))
     ambient = builder.cache.group("ststr")
     assert builder.image_of_u("stst", ambient).order == 16
-    grp = builder.cache.group("stst")
-    first, second, *rest = grp.roots
-    monkeypatch.setattr(grp, "roots", (second, first, *rest))
+    harvests = builder.cache.blueprint._harvests
+    dropped = min(harvests["stst"])
+    monkeypatch.setitem(harvests, "ststr", harvests["ststr"] - {dropped})
     with pytest.raises(BlueprintError,
-                       match=r"^the root-label map U\[stst\] -> U\[ststr\] is "
-                             r"not a homomorphism$"):
+                       match=r"^a relation of U\[stst\] is not a relation of "
+                             r"U\[ststr\]$"):
         builder.image_of_u("stst", ambient)
+
+
+def test_image_of_u_on_built_groups_multiplies_nothing(ctx, monkeypatch):
+    # the embedding reads the two certificates: once the groups and the
+    # subgroup are built, a call makes no product in any group
+    builder = Builder(GroupCache(ctx))
+    ambient = builder.cache.group("ststr")
+    first = builder.image_of_u("stst", ambient)
+    calls = []
+    mul = BlueprintGroup.mul
+    monkeypatch.setattr(BlueprintGroup, "mul",
+                        lambda self, x, y: calls.append(x) or mul(self, x, y))
+    assert builder.image_of_u("stst", ambient) is first
+    assert calls == []
+
+
+def test_image_of_u_agrees_with_the_root_label_map_oracle(ctx, cache, builder):
+    # every a in ball(7) and every prefix w of a: the root-label map
+    # U_w -> U_a, built element by element, is a homomorphism whose values
+    # are exactly the subgroup image_of_u returns
+    pairs = 0
+    for a in ctx.ball(7):
+        ambient = cache.group(a)
+        for w in sorted(ctx.prefix_set(a)):
+            image = builder.image_of_u(w, ambient)
+            grp = cache.group(w)
+            label = {x: ambient.root_product(grp.word_of(x))
+                     for x in grp.elements()}
+            assert is_homomorphism(grp, label, ambient), (w, a)
+            assert frozenset(label.values()) == image, (w, a)
+            pairs += 1
+    assert pairs == 1879
 
 
 def test_v_spec_index_two(ctx, builder):

@@ -250,6 +250,12 @@ SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup")}
 GROUP_CERTIFIERS = {("blueprint.py", "group")}
 
 
+# the one place in src/coxkit that checks a map as a homomorphism: a tree
+# of groups' boundary maps; a subgroup embedding U_w -> U_a is read off the
+# two groups' certificates (the blueprint module's embedding corollary)
+HOMOMORPHISM_CHECKERS = {("treeprod.py", "validate")}
+
+
 # the one place that searches a set for generators: a subgroup family's
 # members come as bare sets; every Subgroup and blueprint group carries
 # the generators it was built from (gens), so no check searches for them
@@ -267,6 +273,10 @@ def test_subgroups_are_built_only_by_the_root_subgroup_memo():
 
 def test_groups_are_certified_only_where_the_cache_builds_them():
     assert callers_in_src("certify_order") == GROUP_CERTIFIERS
+
+
+def test_maps_are_checked_as_homomorphisms_only_by_validate():
+    assert callers_in_src("is_homomorphism") == HOMOMORPHISM_CHECKERS
 
 
 def test_generators_are_searched_only_for_family_members():
@@ -466,9 +476,9 @@ PRECONDITION_RAISES = {
     ("constructions.py", "v_spec"): 1,
     # Phi(w) lies inside Phi(ambient), so U_w is a subgroup of the ambient
     ("constructions.py", "image_of_u"): 1,
-    # two glued vertex groups share a generating root, and the edge group
-    # lies inside both
-    ("constructions.py", "edge"): 2,
+    # two glued vertex groups share a generating root (the edge group then
+    # lies inside both: each vertex group is the closure of its roots)
+    ("constructions.py", "edge"): 1,
     # vertex names are declared once and every edge names declared
     # vertices; the graph is a tree (the third raise picks TreeError for a
     # boundary-map defect)
