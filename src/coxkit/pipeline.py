@@ -305,14 +305,18 @@ class Section4:
             self._edge_is_u(krs, krs.tog.edges[2], m(g, t, s))))
         cert.data["chain_steps"] = len(steps)
         # O_R family conditions inside contracted K_{R,s} and K_{R,t}; the
-        # contracted vertex's member is the union of its two vertices'
-        # members, which the family check confirms is a subgroup
+        # contracted vertex's member is the union of the images of its two
+        # vertices' members.  A union of two subgroups is a subgroup exactly
+        # when one contains the other (else h in H - K and k in K - H give
+        # hk in neither), so it is the larger image, or a bare set that the
+        # family check refuses
         for kname, kons in (("K_Rs", krs), ("K_Rt", krt)):
             tog2, cname, c0sub = contracted[kname]
             family = self.family_from_roots(kons, orr.roots)
+            small, big = sorted((c0sub.image(v, family[v]) for v in ("v1", "v2")),
+                                key=len)
             members = {"v0": family["v0"], "v3": family["v3"],
-                       cname: frozenset(c0sub.include(v, x) for v in ("v1", "v2")
-                                        for x in family[v])}
+                       cname: big if small <= big else small | big}
             _family_check(cert, f"subgroup-family conditions for O_R inside "
                           f"{kname}", tog2, members)
         cert.data["conclusion"] = "H_R ~ K_Rs *_{O_R} K_Rt"

@@ -83,9 +83,12 @@ closure_words enumerates a finite subgroup from generators, each element
 with a shortest word, and Subgroup makes that closure a computable group
 of its own, generators kept: a frozenset of the elements, so one object
 is at once a vertex or edge group, a member of a subgroup family and the
-set that the certificates intersect and compare.  generators decides
-whether an arbitrary finite set is a subgroup, for the members of a
-subgroup family (check_subtree_conditions), which come as bare sets.
+set that the certificates intersect and compare.  A Subgroup is a
+subgroup by construction, so a family member is one exactly when it is a
+Subgroup with its vertex group's product (check_subtree_conditions), and
+no check searches a set for generators.  TreeProduct.image closes a
+vertex subgroup's image in the product, for the member at a contracted
+vertex.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from __future__ import annotations
 from functools import cached_property
 
 __all__ = [
-    "Subgroup", "closure_words", "generators", "is_homomorphism", "Edge",
+    "Subgroup", "closure_words", "is_homomorphism", "Edge",
     "TreeOfGroups", "TreeProduct", "contract", "cut", "fold",
     "check_subtree_conditions", "respects_edges", "family_embeds", "TreeError",
 ]
@@ -131,51 +134,20 @@ def closure_words(mul, identity, gens, limit: int | None = None) -> dict:
     return words
 
 
-def generators(elements, mul, identity) -> list | None:
-    """Generators of the finite set elements as a subgroup of the group
-    that mul multiplies in, or None when the set is not a subgroup.
-
-    In sorted order, each element that the closure of the generators so
-    far has not reached becomes a generator, and the closure is grown
-    again from the identity (closure_words, stopped past len(elements));
-    a set without the identity, or a closure that leaves the set, gives
-    None.  The last closure is the whole set, found with |S| * k products
-    for k generators instead of the |S|^2 of a product table, and k is at
-    most log2 |S|, since each closure at least doubles.
-
-    Subgroups.  Let S be a finite subset of a group that holds 1, and
-    g_1, ..., g_k elements of S with S * g_i inside S for every i and
-    every element of S reached from 1 by right multiplications with the
-    g_i.  Right multiplication by g_i is injective, so it permutes the
-    finite S and S * g_i^-1 = S as well; hence S = <g_1, ..., g_k>.  In
-    particular the closure of g_1, ..., g_k under right multiplication by
-    them, when finite, is the subgroup they generate.
+def is_homomorphism(group, phi: dict, target) -> bool:
+    """Whether phi, a dict on the elements of the finite computable group
+    group, is a homomorphism into target: phi(1) = 1 and phi(x * g) =
+    phi(x) * phi(g) for every x and every g in group.gens.
 
     Homomorphisms.  A map phi on E = <g_1, ..., g_k> is a homomorphism
     exactly when phi(x * g_i) = phi(x) * phi(g_i) for all x in E and all
     i.  Then phi(g_1) = phi(1) * phi(g_1) gives phi(1) = 1 by
-    cancellation (the trivial group has no g_i, so is_homomorphism checks
-    phi(1) = 1 itself), and induction on the length of a word w over the
-    g_i gives phi(x * w) = phi(x) * phi(w): phi(x * w * g_i) =
+    cancellation (the trivial group has no g_i, so phi(1) = 1 is checked
+    on its own), and induction on the length of a word w over the g_i
+    gives phi(x * w) = phi(x) * phi(w): phi(x * w * g_i) =
     phi(x * w) * phi(g_i) = phi(x) * phi(w) * phi(g_i) = phi(x) *
     phi(w * g_i).  Every element of E is such a word.
     """
-    members = frozenset(elements)
-    gens, reached = [], {identity: ()}
-    for x in sorted(members):
-        if x not in reached:
-            gens.append(x)
-            reached = closure_words(mul, identity, gens, limit=len(members))
-            if not reached.keys() <= members:
-                return None
-    return gens if identity in members else None
-
-
-def is_homomorphism(group, phi: dict, target) -> bool:
-    """Whether phi, a dict on the elements of the finite computable group
-    group, is a homomorphism into target: phi(1) = 1 and phi(x * g) =
-    phi(x) * phi(g) for every x and every g in group.gens (the
-    homomorphism argument of generators)."""
     return phi[group.identity] == target.identity and all(
         phi[group.mul(x, g)] == target.mul(y, phi[g])
         for x, y in phi.items() for g in group.gens)
@@ -188,10 +160,19 @@ class Subgroup(frozenset):
 
     gens maps a label to each generating element.  The elements are the
     closure of the generators under right multiplication (closure_words),
-    which is the subgroup they generate (the subgroup lemma of
-    generators), so construction checks nothing.  self.gens keeps the
-    generating elements in order, and words maps each element to its
-    first shortest word in breadth-first order, a tuple of labels.
+    which is the subgroup they generate, so construction checks nothing.
+    self.gens keeps the generating elements in order, and words maps each
+    element to its first shortest word in breadth-first order, a tuple of
+    labels.
+
+    Subgroups.  Let S be a finite subset of a group that holds 1, and
+    g_1, ..., g_k elements of S with S * g_i inside S for every i and
+    every element of S reached from 1 by right multiplications with the
+    g_i.  Right multiplication by g_i is injective, so it permutes the
+    finite S and S * g_i^-1 = S as well; hence S = <g_1, ..., g_k>.  In
+    particular the closure of g_1, ..., g_k under right multiplication by
+    them, when finite, is the subgroup they generate: it holds 1 and is
+    closed under the parent's product.
     """
 
     def __new__(cls, parent, gens: dict):
@@ -409,6 +390,14 @@ class TreeProduct:
     def include(self, vertex: str, x):
         return self._normalize(((vertex, x),))
 
+    def image(self, vertex: str, H) -> Subgroup:
+        """The Subgroup of this product closed from include(vertex, g) for
+        g in H.gens, H a subgroup of G_vertex that carries its gens, each
+        generator labelled by its element of H.  include is injective on G_vertex (the normal
+        form is unique) and a homomorphism, so the image is a copy of H,
+        finite, of order |H|."""
+        return Subgroup(self, {g: self.include(vertex, g) for g in H.gens})
+
     def eval_word(self, word):
         return self._normalize(tuple(word))
 
@@ -544,13 +533,16 @@ def check_subtree_conditions(tog: TreeOfGroups, members: dict,
                              edge_groups: dict | None = None) -> dict:
     """The injectivity conditions for a subgroup family over a tree.
 
-    members maps every vertex to a frozenset of its group's elements:
-    each must be a subgroup, and on every edge the preimages of the two
-    endpoint members must agree.  edge_groups, when given, maps frozenset
-    edge keys to the claimed edge subgroups, checked against the computed
-    preimages.  Returns a dict report with per-edge preimage sizes.
+    members maps every vertex to a subgroup of its group: each must be a
+    Subgroup with the vertex group's mul, which holds 1 and is closed
+    under that product by construction (the subgroup lemma of Subgroup),
+    so the vertex clause multiplies nothing; a bare set is refused.  On
+    every edge the preimages of the two endpoint members must agree.
+    edge_groups, when given, maps frozenset edge keys to the claimed edge
+    subgroups, checked against the computed preimages.  Returns a dict
+    report with per-edge preimage sizes.
     """
-    ok = all(generators(members[v], G.mul, G.identity) is not None
+    ok = all(isinstance(members[v], Subgroup) and members[v].mul == G.mul
              for v, G in tog.vertices.items())
     report = {"edges": []}
     for e in tog.edges:
@@ -585,7 +577,7 @@ def respects_edges(tog: TreeOfGroups, image) -> list:
 def family_embeds(product: TreeProduct, members: dict,
                   conditions: dict) -> dict:
     """Decide, on the finite groups, that the tree product of a subgroup
-    family A_v <= G_v (members: vertex -> frozenset) injects into product,
+    family A_v <= G_v (members: vertex -> Subgroup) injects into product,
     given conditions, the check_subtree_conditions report of members over
     product's tree (claimed edge groups it checked only make it stricter).
 

@@ -8,14 +8,18 @@ Subgroup or a TreeProduct, then keep the wrapper), runs coxkit.cli.main
 with the given arguments in this interpreter, its own output discarded,
 and prints the total and one line per caller chain, most calls first:
 
-    202840 BlueprintGroup.mul calls (exit 0, 0.59 s)
+    158298 BlueprintGroup.mul calls (exit 0, 0.36 s)
        77776  is_homomorphism < validate < issues
-       44828  closure_words < generators < check_subtree_conditions
+       36980  closure_words < __new__ < root_subgroup
+       25183  _normalize < mul < family_embeds
+        7764  _normalize < mul < closure_words
     ...
 
 A caller chain names the function that called mul, its caller and
 theirs, comprehension frames skipped, so the mul calls of closure_words
-are told apart by who asked for the closure.  The wrapper slows the
+are told apart by who asked for the closure: a root subgroup's closure
+calls mul itself, and the closure of a tree-product image (the member at
+a contracted vertex) reaches it through the product's normal form.  The wrapper slows the
 command down; the wall time printed is the wrapped run's.  When the
 reader closes the pipe (`| head`), it stops with exit 1 and no
 traceback.  Not a test module: pytest does not collect it.

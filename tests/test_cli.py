@@ -10,7 +10,9 @@ import pytest
 from coxkit import reduction
 from coxkit.blueprint import BlueprintGroup
 from coxkit.cli import main
+from report_diff import without_elapsed
 
+REPORT_DIFF = pathlib.Path(__file__).with_name("report_diff.py")
 TREE_FILE = """\
 # the subgroup theorem tree product
 vertex v0 U sr
@@ -25,13 +27,10 @@ def run_cli(args):
     return main(args)
 
 
-def without_elapsed(doc):
-    """doc with every elapsed field dropped, at any depth."""
-    if isinstance(doc, dict):
-        return {k: without_elapsed(v) for k, v in doc.items() if k != "elapsed"}
-    if isinstance(doc, list):
-        return [without_elapsed(v) for v in doc]
-    return doc
+def report_diff(a, b) -> subprocess.CompletedProcess:
+    """tests/report_diff.py run on the documents at the paths a and b."""
+    return subprocess.run([sys.executable, str(REPORT_DIFF), str(a), str(b)],
+                          stdout=subprocess.PIPE, text=True, timeout=60)
 
 
 def test_reduce_command(capsys):
@@ -299,15 +298,42 @@ def test_report_does_not_depend_on_the_hash_seed(tmp_path):
     # iteration order may reach the document
     src = str(pathlib.Path(__file__).parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    docs = []
-    for seed in ("0", "1"):
-        out = tmp_path / f"report{seed}.json"
+    outs = [tmp_path / f"report{seed}.json" for seed in ("0", "1")]
+    for seed, out in zip(("0", "1"), outs):
         subprocess.run([sys.executable, "-m", "coxkit.cli", "report",
                         "--out", str(out)], check=True, timeout=120,
                        stdout=subprocess.DEVNULL,
                        env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
-        docs.append(without_elapsed(json.loads(out.read_text())))
-    assert docs[0] == docs[1]
+    got = report_diff(*outs)
+    assert (got.returncode, got.stdout) == (0, "")
+
+
+def _certificate(name, data):
+    return {"name": name, "pass": True, "assumptions": [], "data": {},
+            "elapsed": 0.5,
+            "checks": [{"description": "one", "status": True},
+                       {"description": "two", "status": True, "data": data}]}
+
+
+def test_report_diff_names_changed_checks_and_records(tmp_path):
+    # B drops certificate C, changes the data of A's check 1 and every
+    # elapsed: one line for each of the first two, none for the third
+    def doc(a_data, names, elapsed):
+        return {"pass": True, "tool": "coxkit", "suites": {"section4": {
+            "suite": "section4", "pass": True, "elapsed": elapsed,
+            "certificates": [_certificate(n, a_data if n == "A" else {})
+                             for n in names]}}}
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(json.dumps(doc({"order": 8}, "ABC", 1.0)))
+    paths[1].write_text(json.dumps(doc({"order": 16}, "AB", 2.0)))
+    got = report_diff(*paths)
+    assert got.returncode == 1
+    assert got.stdout.splitlines() == [
+        "suite section4",
+        "  - certificate C",
+        '  ~ certificate A check 1 data: {"order": 8} -> {"order": 16}']
+    same = report_diff(paths[0], paths[0])
+    assert (same.returncode, same.stdout) == (0, "")
 
 
 def test_verify_quadrangle_and_report_determinism(tmp_path, capsys):

@@ -1,11 +1,12 @@
+import collections
 import hashlib
 import json
 import random
 
 import pytest
 
-from coxkit import treeprod
-from coxkit.blueprint import TABLE_CAP, GroupCache
+from coxkit import pipeline, treeprod
+from coxkit.blueprint import TABLE_CAP, BlueprintGroup, GroupCache
 from coxkit.certs import Certificate
 from coxkit.constructions import RANK2, Builder, residue_letters
 from coxkit.pipeline import Section4, _family_check, section4_pipeline
@@ -64,8 +65,38 @@ def test_one_subgroup_is_built_per_memo_entry(ctx, monkeypatch):
     monkeypatch.setattr(treeprod.Subgroup, "__new__", counting)
     cache = GroupCache(ctx)
     assert all(c.passed for c in section4_pipeline(cache))
-    assert len(built) == len(cache._subgroups) == 84
-    assert {id(g) for g in built} == {id(g) for g in cache._subgroups.values()}
+    # over a blueprint group only the memo builds; the others are the
+    # images that close the contracted members of CCleftCright
+    over = {kind: [g for g in built if isinstance(g.parent, kind)]
+            for kind in (BlueprintGroup, TreeProduct)}
+    assert len(over[BlueprintGroup]) == len(cache._subgroups) == 84
+    assert {id(g) for g in over[BlueprintGroup]} \
+        == {id(g) for g in cache._subgroups.values()}
+    assert len(over[TreeProduct]) == 12 and len(built) == 96
+
+
+def test_family_checks_multiply_nothing(ctx, monkeypatch):
+    # every member is a Subgroup, closed by construction, so the family
+    # checks of the default section 4 make no product in a blueprint group
+    mul, check = BlueprintGroup.mul, pipeline.check_subtree_conditions
+    calls = collections.Counter()
+
+    def counted_mul(self, x, y):
+        calls["inside" if calls["depth"] else "outside"] += 1
+        return mul(self, x, y)
+
+    def counted_check(*args):
+        calls["checks"] += 1
+        calls["depth"] += 1
+        try:
+            return check(*args)
+        finally:
+            calls["depth"] -= 1
+    monkeypatch.setattr(BlueprintGroup, "mul", counted_mul)
+    monkeypatch.setattr(pipeline, "check_subtree_conditions", counted_check)
+    assert all(c.passed for c in section4_pipeline(GroupCache(ctx)))
+    assert calls["checks"] > 0 and calls["outside"] > 0
+    assert calls["inside"] == 0
 
 
 def test_certificate_inventory(full_run):

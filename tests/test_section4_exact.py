@@ -4,8 +4,9 @@ Each of the five checks that once passed on 400 seeded random words is
 now decided on the finite vertex and edge groups.  Here each sample runs
 again, with the seed and the words of the program that sampled, as a
 cross-check: on every gate-1 residue the sampled verdict and the exact
-verdict agree.  The mutants at the end break the V_R family inside O_R
-and show what each kind of check sees.
+verdict agree.  The mutants at the end break the V_R family inside O_R,
+and the O_R family at the contracted middle of K_Rs, and show what each
+kind of check sees.
 """
 
 import random
@@ -14,7 +15,8 @@ import pytest
 
 from coxkit.constructions import RANK2, Builder
 from coxkit.pipeline import Section4, _levels_coincide, _round_trip_is_identity
-from coxkit.treeprod import (Edge, TreeOfGroups, TreeProduct,
+from coxkit.roots import Root
+from coxkit.treeprod import (Edge, Subgroup, TreeOfGroups, TreeProduct,
                              check_subtree_conditions, contract, family_embeds,
                              fold)
 from nested_oracle import NestedProduct
@@ -254,30 +256,79 @@ def test_vertex_lemma_agrees_with_the_nested_oracle(sec):
 
 
 # -- mutants of the V_R family inside O_R ---------------------------------
+# The bare-set mutants are no Subgroup, so the family check refuses them
+# by type alone; the root-subgroup mutants are subgroups, and fail on the
+# edge preimages that the check computes.
 
 
-def _dropped_member(product, members):
+def _dropped_member(sec, product, members):
     vertex = "v1"
     G = product.tog.vertices[vertex]
     x = max(a for a in members[vertex] if a != G.identity)
     return dict(members, **{vertex: members[vertex] - {x}})
 
 
-def _added_non_member(product, members):
+def _added_non_member(sec, product, members):
     vertex = "v1"
     G = product.tog.vertices[vertex]
     x = min(a for a in G.elements() if a not in members[vertex])
     return dict(members, **{vertex: members[vertex] | {x}})
 
 
+def _root_mutant(root: Root):
+    """The mutant whose member at v1 is the root subgroup of the member's
+    roots with root dropped, or added when the member lacks it."""
+    def mutate(sec, product, members):
+        H = members["v1"]
+        roots = frozenset(H.words[g][0] for g in H.gens)
+        roots = roots - {root} if root in roots else roots | {root}
+        return dict(members, v1=sec.cache.root_subgroup(H.parent, roots))
+    return mutate
+
+
 @pytest.mark.parametrize("mutate, sampled_caught", [
-    (_dropped_member, False), (_added_non_member, False)],
-    ids=["dropped-member", "added-non-member"])
+    (_dropped_member, False), (_added_non_member, False),
+    (_root_mutant(Root("s", True)), False),
+    (_root_mutant(Root("sts", True)), False)],
+    ids=["dropped-member", "added-non-member", "dropped-root-s",
+         "added-root-sts"])
 def test_family_mutant_turns_the_exact_check_red(sec, mutate, sampled_caught):
     product, members = _or_product(sec, ("s", "t"))
-    mutant = mutate(product, members)
+    mutant = mutate(sec, product, members)
     assert mutant != members
     conditions = check_subtree_conditions(product.tog, mutant)
+    if isinstance(mutant["v1"], Subgroup):
+        assert mutant["v1"].mul == product.tog.vertices["v1"].mul
+        assert not all(e["preimages_equal"] for e in conditions["edges"])
+    else:
+        assert not conditions["pass"]
     assert family_embeds(product, mutant, conditions)["pass"] is False
     # what the 400-word sample that this check replaces made of it
     assert sampled_family_words_nontrivial(product, mutant) is not sampled_caught
+
+
+def test_contracted_union_mutant_turns_the_family_check_red(cache):
+    """At st@1 the O_R member at v1 of K_Rs becomes all of G_v1: its
+    image in the contracted middle (order 32) and the v2 member's image
+    (order 16) do not contain each other, so their union is no subgroup
+    and the contracted family check of CCleftCright is red, the K_Rt one
+    still green."""
+    sec = Section4(Builder(cache))
+    R, (s, *_) = _residue(sec, ("s", "t"))
+    krs = sec.b.construction("K_Rs", R, s)
+    G1 = krs.tog.vertices["v1"]
+    family_from_roots = sec.family_from_roots
+
+    def mutated(cons, roots):
+        family = family_from_roots(cons, roots)
+        return dict(family, v1=G1) if cons is krs else family
+    sec.family_from_roots = mutated
+    family = mutated(krs, sec.b.construction("O_R", R, s).roots)
+    sub = contract(krs.tog, {"v1", "v2"})[2]
+    images = [sub.image(v, family[v]) for v in ("v1", "v2")]
+    assert [len(x) for x in images] == [32, 16]
+    assert not images[0] <= images[1] and not images[1] <= images[0]
+    status = {c["description"]: c["status"]
+              for c in sec.cert_ccleftcright(R).checks}
+    assert status["subgroup-family conditions for O_R inside K_Rs"] is False
+    assert status["subgroup-family conditions for O_R inside K_Rt"] is True

@@ -239,9 +239,11 @@ def callers_in_src(name: str) -> set:
             for fn, _ in calls_of(ast.parse(path.read_text()), name)}
 
 
-# the one place in src/coxkit that builds a Subgroup: the memo of root
-# subgroups, so that one ambient group and root set is one checked object
-SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup")}
+# the two places in src/coxkit that build a Subgroup: the memo of root
+# subgroups, the only builder over a blueprint group, so that one ambient
+# group and root set is one object; and a tree product's image of a vertex
+# subgroup, the member at a contracted vertex of a subgroup family
+SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup"), ("treeprod.py", "image")}
 
 
 # the one place in src/coxkit that certifies a blueprint group: the cache,
@@ -256,18 +258,12 @@ GROUP_CERTIFIERS = {("blueprint.py", "group")}
 HOMOMORPHISM_CHECKERS = {("treeprod.py", "validate")}
 
 
-# the one place that searches a set for generators: a subgroup family's
-# members come as bare sets; every Subgroup and blueprint group carries
-# the generators it was built from (gens), so no check searches for them
-GENERATOR_SEARCHERS = {("treeprod.py", "check_subtree_conditions")}
-
-
 # the one walk of a tree of groups: its paths, one search from each vertex,
 # which validate reads for connectivity and TreeProduct for its hops
 TREE_WALKERS = {("treeprod.py", "paths")}
 
 
-def test_subgroups_are_built_only_by_the_root_subgroup_memo():
+def test_subgroups_are_built_only_by_the_memo_and_product_images():
     assert callers_in_src("Subgroup") == SUBGROUP_BUILDERS
 
 
@@ -277,10 +273,6 @@ def test_groups_are_certified_only_where_the_cache_builds_them():
 
 def test_maps_are_checked_as_homomorphisms_only_by_validate():
     assert callers_in_src("is_homomorphism") == HOMOMORPHISM_CHECKERS
-
-
-def test_generators_are_searched_only_for_family_members():
-    assert callers_in_src("generators") == GENERATOR_SEARCHERS
 
 
 def test_trees_are_walked_only_by_their_paths():

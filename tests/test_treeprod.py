@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from coxkit import treeprod
+from coxkit.blueprint import BlueprintGroup, GroupCache
 from coxkit.constructions import KINDS, RANK2, Builder
 from coxkit.pipeline import Section4
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions,
-                             closure_words, contract, cut, fold, generators,
-                             is_homomorphism)
+                             contract, cut, fold, is_homomorphism)
 from galleries import gallery, group_along
 from nested_oracle import NestedProduct
 from walks import random_word
@@ -57,17 +56,25 @@ def test_validate_rejects_an_injective_map_that_is_no_homomorphism(cache):
     assert issues == ["boundary map into a not a homomorphism"]
 
 
-def test_edge_maps_are_checked_without_a_generator_search(theorem_setup,
-                                                          monkeypatch):
-    # every edge group is a Subgroup and U_w a BlueprintGroup, and both
-    # carry their generators, so neither check searches for any
-    def refuse(elements, mul, identity):
-        raise AssertionError("generators searched again")
+def test_edge_maps_are_checked_without_a_generator_search(ctx, monkeypatch):
+    # every edge group is a Subgroup and carries its generators, so
+    # validate multiplies by them alone: |E| * k products in E and as many
+    # in the vertex group, at each end of each edge, and none to find gens
+    calls = []
+    mul = BlueprintGroup.mul
 
-    monkeypatch.setattr(treeprod, "generators", refuse)
-    assert theorem_setup.tog.validate() == []
-    cache = theorem_setup.cache
-    assert Builder(cache).image_of_u("sr", cache.group("srs")).order == 4
+    def counted(self, x, y):
+        calls.append(None)
+        return mul(self, x, y)
+    monkeypatch.setattr(BlueprintGroup, "mul", counted)
+    b = Builder(GroupCache(ctx))
+    _, built = b.tree([("0", ("U", "sr")), ("1", ("V", "", "st")),
+                       ("2", ("U", "trt"))], [("0", "1"), ("1", "2")])
+    tog = TreeOfGroups(built.vertices, built.edges)
+    calls.clear()
+    assert tog.validate() == []
+    assert len(calls) == sum(4 * e.group.order * len(e.group.gens)
+                             for e in tog.edges) > 0
 
 
 def test_validate_rejects_kernel(cache):
@@ -614,21 +621,29 @@ def test_fold_with_full_vertex(theorem_tree, cache):
     assert not tog2.validate()
 
 
+def _full_family(cache, tog) -> dict:
+    """Each vertex group of U_sr * V * U_trt as a Subgroup: V is one, and
+    each U_w is the root subgroup of all its roots."""
+    U_sr, U_trt = tog.vertices["0"], tog.vertices["2"]
+    return {"0": cache.root_subgroup(U_sr, U_sr.roots), "1": tog.vertices["1"],
+            "2": cache.root_subgroup(U_trt, U_trt.roots)}
+
+
 def test_check_subtree_conditions(theorem_tree, cache):
     tog, _ = theorem_tree
     amb = cache.group("stst")
-    us, ut = amb.root_mask(amb.roots[0]), amb.root_mask(amb.roots[3])
-    ok = check_subtree_conditions(
-        tog,
-        {"0": frozenset(cache.group("sr").elements()),
-         "1": frozenset(cache.v_subgroup("", "st").elements()),
-         "2": frozenset(cache.group("trt").elements())})
-    assert ok["pass"]
+    full = _full_family(cache, tog)
+    assert {v: set(m) for v, m in full.items()} \
+        == {v: set(G.elements()) for v, G in tog.vertices.items()}
+    assert check_subtree_conditions(tog, full)["pass"]
     # deliberately enlarged edge subgroup fails condition (iii)
     bad = check_subtree_conditions(
         tog,
-        {"0": frozenset({0}), "1": frozenset({0, us}), "2": frozenset({0})},
+        {"0": cache.root_subgroup(tog.vertices["0"], ()),
+         "1": cache.root_subgroup(amb, amb.roots[:1]),
+         "2": cache.root_subgroup(tog.vertices["2"], ())},
         edge_groups={frozenset(("0", "1")): frozenset({0, 1})})
+    assert bad["edges"][0]["matches_claimed_edge_group"] is False
     assert not bad["pass"]
 
 
@@ -636,29 +651,43 @@ def _preimages_agree(report) -> bool:
     return all(entry["preimages_equal"] for entry in report["edges"])
 
 
-def test_check_subtree_conditions_rejects_bad_members(theorem_tree):
+def test_check_subtree_conditions_rejects_bad_members(theorem_tree, cache):
     # each family below has agreeing edge preimages, so only the vertex
-    # clause (identity and products) can fail it
+    # clause can fail it: a member must be a Subgroup with its vertex
+    # group's product, and a bare set, even the whole vertex group, is not
     tog, _ = theorem_tree
-    full = {v: frozenset(G.elements()) for v, G in tog.vertices.items()}
+    full = _full_family(cache, tog)
     assert check_subtree_conditions(tog, full)["pass"]
+    bare = {v: frozenset(G.elements()) for v, G in tog.vertices.items()}
+    for members in (bare, dict(full, **{"0": bare["0"]})):
+        report = check_subtree_conditions(tog, members)
+        assert _preimages_agree(report) and not report["pass"]
     # {0, 1, 2} in U_sr misses the product 1 * 2 = 3
     assert tog.vertices["0"].mul(1, 2) == 3
     open_set = check_subtree_conditions(tog, dict(full, **{"0": frozenset({0, 1, 2})}))
     assert _preimages_agree(open_set) and not open_set["pass"]
-    # the empty family is closed under products but holds no identity
     empty = check_subtree_conditions(tog, dict.fromkeys(tog.vertices, frozenset()))
     assert _preimages_agree(empty) and not empty["pass"]
+    # U_srs holds U_sr's four masks, but it multiplies them as U_srs does
+    other = cache.group("srs")
+    assert set(full["0"]) <= set(other.elements())
+    foreign = Subgroup(other, {x: x for x in full["0"].gens})
+    assert set(foreign) == set(full["0"]) and foreign.mul != full["0"].mul
+    report = check_subtree_conditions(tog, dict(full, **{"0": foreign}))
+    assert _preimages_agree(report) and not report["pass"]
 
 
 def test_check_subtree_conditions_rejects_bad_members_at_a_contracted_vertex(
-        theorem_tree):
+        theorem_tree, cache):
     tog, _ = theorem_tree
     tog2, name, sub = contract(tog, {"1", "2"})
     V = tog.vertices["1"]
-    base = {"0": frozenset(tog.vertices["0"].elements()),
-            name: frozenset(sub.include("1", x) for x in V.elements())}
+    base = {"0": _full_family(cache, tog)["0"], name: sub.image("1", V)}
     assert check_subtree_conditions(tog2, base)["pass"]
+    # the same elements as a bare set are refused
+    as_set = dict(base, **{name: frozenset(base[name])})
+    report = check_subtree_conditions(tog2, as_set)
+    assert _preimages_agree(report) and not report["pass"]
     # a letter at vertex 2 joined to V's image: its products with V leave
     # the set
     t = max(tog.vertices["2"].elements())
@@ -669,23 +698,35 @@ def test_check_subtree_conditions_rejects_bad_members_at_a_contracted_vertex(
     assert _preimages_agree(empty) and not empty["pass"]
 
 
-def test_generators_decide_closure_as_the_product_table_does(cache):
-    # every subset of U_stst (order 16) that holds the identity, against
-    # the |S|^2 definition; the generators found close to the set itself
-    G = cache.group("stst")
-    table = [[G.mul(x, y) for y in G.elements()] for x in G.elements()]
-    subgroups = 0
-    for bits in range(1 << 15):
-        S = frozenset([0] + [i + 1 for i in range(15) if bits >> i & 1])
-        closed = all(table[x][y] in S for x in S for y in S)
-        gens = generators(S, G.mul, G.identity)
-        assert (gens is not None) == closed, sorted(S)
-        if closed:
-            subgroups += 1
-            assert closure_words(G.mul, G.identity, gens).keys() == S
-            assert len(gens) <= len(S).bit_length() - 1
-        assert generators(S - {0}, G.mul, G.identity) is None
-    assert subgroups == 35
+@pytest.mark.parametrize("pair", list(RANK2), ids="".join)
+def test_image_is_the_included_subgroup(cache, pair):
+    # at the contracted middle {v1, v2} of K_Rs and K_Rt, the image of
+    # each vertex group and of the O_R family's member there is a copy:
+    # order |H|, the set of included elements
+    sec = Section4(Builder(cache))
+    R = sec.ctx.residue(set(pair), "")
+    s, t, *_ = sec._frame(R)
+    orr = sec.b.construction("O_R", R)
+    for side in (s, t):
+        kons = sec.b.construction("K_Rs", R, side)
+        _, _, sub = contract(kons.tog, {"v1", "v2"})
+        family = sec.family_from_roots(kons, orr.roots)
+        for v in ("v1", "v2"):
+            for H in (family[v], kons.tog.vertices[v]):
+                image = sub.image(v, H)
+                assert isinstance(image, Subgroup) and image.mul == sub.mul
+                assert image.order == len(set(H.elements()))
+                assert image == {sub.include(v, x) for x in H.elements()}
+
+
+def _table_closure(table, S) -> frozenset:
+    """The least superset of S closed under the product table."""
+    S = frozenset(S)
+    while True:
+        grown = S | {table[x][y] for x in S for y in S}
+        if grown == S:
+            return S
+        S = grown
 
 
 def test_subgroup_is_the_closure_of_its_generators_by_the_product_table(cache):
@@ -704,12 +745,7 @@ def test_subgroup_is_the_closure_of_its_generators_by_the_product_table(cache):
                  {"one": 0, "a": 12}]
     for gens in families:
         H = Subgroup(G, gens)
-        S = {0, *gens.values()}
-        while True:
-            grown = S | {table[x][y] for x in S for y in S}
-            if grown == S:
-                break
-            S = grown
+        S = _table_closure(table, {0, *gens.values()})
         assert set(H) == S and H.words.keys() == S, gens
         assert H.gens == tuple(gens.values())
         assert H.elements() == tuple(sorted(S)) and H.order == len(S)
@@ -725,6 +761,24 @@ def test_subgroup_is_the_closure_of_its_generators_by_the_product_table(cache):
             for label in word:
                 y = table[y][gens[label]]
             assert y == x and len(word) == dist[x], (gens, x, word)
+
+
+def test_generators_decide_closure_as_the_product_table_does(cache):
+    # every subset of U_stst (order 16) that holds the identity, against
+    # the |S|^2 definition: the Subgroup closed from the elements of S is
+    # S itself exactly when S is closed, and always holds the identity
+    G = cache.group("stst")
+    table = [[G.mul(x, y) for y in G.elements()] for x in G.elements()]
+    subgroups = 0
+    for bits in range(1 << 15):
+        S = frozenset([0] + [i + 1 for i in range(15) if bits >> i & 1])
+        closed = all(table[x][y] in S for x in S for y in S)
+        H = Subgroup(G, {x: x for x in sorted(S)})
+        assert (H == S) == closed, sorted(S)
+        assert H == _table_closure(table, S)
+        subgroups += closed
+        assert H != S - {0}
+    assert subgroups == 35
 
 
 def test_homomorphisms_on_generators_as_on_the_product_table(cache):
@@ -779,18 +833,18 @@ def test_subproduct_value_full_edge(cache):
             for x in A.elements()] == [0, 1]
 
 
-# {0, 1, 2} in U_sr (order 4) misses the product 1 * 2 = 3; under -O an
-# assert would let the non-subgroup through.  A Subgroup is a closure, so
-# it cannot be handed such a set: the family members are where a bare set
-# is decided
+# a bare set, even all of U_sr, is no family member, and the root
+# subgroup of U_sr's roots is; under -O an assert would let any set
+# through, so the verdict must not rest on one
 SUBGROUP_UNDER_O = """
 from coxkit.blueprint import GroupCache
 from coxkit.coxeter import standard_coxeter
 from coxkit.treeprod import TreeOfGroups, check_subtree_conditions
 cache = GroupCache(standard_coxeter())
-tog = TreeOfGroups({"0": cache.group("sr")}, [])
-for members in ((0, 1, 2), (0, 1, 2, 3)):
-    print(check_subtree_conditions(tog, {"0": frozenset(members)})["pass"])
+U = cache.group("sr")
+tog = TreeOfGroups({"0": U}, [])
+for members in (frozenset((0, 1, 2, 3)), cache.root_subgroup(U, U.roots)):
+    print(check_subtree_conditions(tog, {"0": members})["pass"])
 """
 
 
