@@ -10,9 +10,15 @@ edge over one ambient group and root set, in any tree, carries one
 memoized Subgroup, closed once from its root generators.  Every vertex
 group is the closure of its own generating roots (u_spec and v_spec make
 every spec), so an edge group and its root-label image lie inside both
-vertex groups, and Builder.edge checks no containment.  Builder.tree
-builds every tree of such groups: the constructions, the `coxkit nf`
-tree files and the subgroup theorem's U_sr * V * U_trt.
+vertex groups, and Builder.edge checks no containment.  Builder.edge
+checks the one map it computes from data, the root-label map into the
+second vertex, as an injective homomorphism (is_homomorphism), and
+raises TreeError naming both vertices when it is not one.  The first
+side needs no check: the edge group is a closure under the first
+ambient group's product of roots that the first vertex group holds, so
+its identity map is an injective homomorphism into that vertex group.
+Builder.tree builds every tree of such groups: the constructions, the
+`coxkit nf` tree files and the subgroup theorem's U_sr * V * U_trt.
 
 The colimit side computes the prefix sets C and gate sets D that define
 the three direct limits, their generator roots and commutator relations;
@@ -27,7 +33,8 @@ from typing import NamedTuple
 from coxkit.blueprint import BlueprintError, BlueprintGroup, GroupCache
 from coxkit.certs import Certificate, timed
 from coxkit.coxeter import Coxeter, Residue, standard_coxeter
-from coxkit.treeprod import Edge, Subgroup, TreeError, TreeOfGroups
+from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
+                             is_homomorphism)
 
 KINDS = ("V_R", "O_R", "V_Rs", "O_Rs", "H_R", "K_Rs")
 # each rank-2 type J, its letters sorted, with the third letter, in the
@@ -158,6 +165,10 @@ class Builder:
         into_a = {x: x for x in group.elements()}
         into_b = {x: b.ambient.root_product(group.words[x])
                   for x in group.elements()}
+        if len(set(into_b.values())) != len(into_b) \
+                or not is_homomorphism(group, into_b, b.group):
+            raise TreeError(f"the root-label map from {a.label} into "
+                            f"{b.label} is not an injective homomorphism")
         return Edge(a.name, b.name, group, into_a, into_b)
 
     def tree(self, vertices, edges) -> tuple[tuple, TreeOfGroups]:
@@ -167,9 +178,11 @@ class Builder:
         roots (edge).  Returns the vertex specs, in the given order, and
         the validated tree; PreconditionError on a duplicate or unknown
         vertex name or a graph that is not a tree, the empty one
-        included.  A boundary map that fails validate raises TreeError:
-        edge computes it from root labels, so the groups are at fault,
-        not the request."""
+        included.  A root-label map that is not an injective homomorphism
+        raises TreeError (edge): the groups are at fault, not the
+        request.  Every boundary map edge returns is defined on its whole
+        edge group and injective, so validate finds nothing but shape
+        issues here."""
         specs, edges = {}, list(edges)
         for name, (kind, *data) in vertices:
             if name in specs:
@@ -182,8 +195,7 @@ class Builder:
         tog = TreeOfGroups({name: sp.group for name, sp in specs.items()},
                            [self.edge(specs[a], specs[b]) for a, b in edges])
         if tog.issues:
-            defect = any(i.startswith("boundary map") for i in tog.issues)
-            raise (TreeError if defect else PreconditionError)(
+            raise PreconditionError(
                 "invalid tree of groups: " + "; ".join(tog.issues))
         return tuple(specs.values()), tog
 

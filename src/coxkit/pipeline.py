@@ -272,8 +272,9 @@ class Section4:
                       "K_Rt": contract(krt.tog, {"v1", "v2"})}
         c0prod = contracted["K_Rs"][2]
         amb1 = krs.specs[1].ambient
+        in_v2 = {c0prod.include("v2", y) for y in krs.specs[2].group.elements()}
         got = {x for x in b.image_of_u(m(g, s, t, d), amb1)
-               if c0prod.vertex_value(c0prod.include("v1", x), "v2") is not None}
+               if c0prod.include("v1", x) in in_v2}
         cert.check(
             f"U[{m(g,s,t,d)}] cap U[{m(g, ctx.longest({s,t}))}] "
             f"= U[{m(g,s,t)}] inside the contracted middle of K_Rs",

@@ -1,9 +1,9 @@
 """Trees of finite groups and the word problem in their tree products.
 
 Vertex groups are "computable groups": objects with identity, mul, inv
-and, when finite, elements() and gens, generating elements.  The
-edge-map checks multiply by those generators alone (is_homomorphism).
-Their elements are canonical and hashable
+and, when finite, elements() and gens, generating elements; a map is
+checked as a homomorphism by multiplying by those generators alone
+(is_homomorphism).  Their elements are canonical and hashable
 (ints for the blueprint groups and their subgroups, (carry, letters)
 pairs for tree products), so equal elements compare equal and every
 element is its own dict key.  Edge groups must be finite.
@@ -235,7 +235,15 @@ class TreeOfGroups:
     checked once and walked once: `issues` holds validate's findings from
     its first read, and Builder.tree and TreeProduct both read it;
     `paths` holds the walks between its vertices, which validate reads
-    for connectivity and TreeProduct for its hops."""
+    for connectivity and TreeProduct for its hops.
+
+    Every boundary map must be a homomorphism, and its maker establishes
+    that where the map is computed: Builder.edge checks the root-label
+    map it computes from data (is_homomorphism) and glues the other side
+    by an identity into a group with the edge group's product; fold's
+    identity maps include a Subgroup in its vertex group; contract
+    composes maps already built with include, an injective homomorphism
+    by the normal-form theorem; cut keeps the edges it is given."""
 
     def __init__(self, vertices: dict, edges: list):
         self.vertices = dict(vertices)
@@ -272,8 +280,10 @@ class TreeOfGroups:
         raise KeyError((a, b))
 
     def validate(self) -> list:
-        """Tree-ness, edges between named vertices and boundary maps
-        injective homs."""
+        """Tree-ness, edges between named vertices, and boundary maps
+        defined on the whole edge group and injective: set operations
+        alone, with no product.  That a map is a homomorphism is its
+        maker's to establish (see the class docstring)."""
         names = list(self.vertices)
         if not names:
             return ["the tree has no vertices"]
@@ -289,8 +299,7 @@ class TreeOfGroups:
             issues += [f"edge {e.u}-{e.v} names no vertex {x}" for x in missing]
             if missing:
                 continue
-            group = e.group
-            members = set(group.elements())
+            members = set(e.group.elements())
             for vertex, mapping in ((e.u, e.into_u), (e.v, e.into_v)):
                 if set(mapping) != members:
                     issues.append(f"boundary map {e.u}-{e.v} into {vertex}: "
@@ -298,8 +307,6 @@ class TreeOfGroups:
                     continue
                 if len(set(mapping.values())) != len(mapping):
                     issues.append(f"boundary map into {vertex} not injective")
-                if not is_homomorphism(group, mapping, self.vertices[vertex]):
-                    issues.append(f"boundary map into {vertex} not a homomorphism")
         return issues
 
 
@@ -335,7 +342,6 @@ class TreeProduct:
                                     self._one[w]) for a, w in walk)
                           for t, walk in walks.items()}
                       for u, walks in tog.paths.items()}
-        self._vertex_images: dict = {}
 
     def _split(self, u: str, w: str, x):
         """(e, t) with x = e * t in G_u, t the representative of x's coset
@@ -456,15 +462,6 @@ class TreeProduct:
                 cur, at = t, v
         return count + (cur != self._one[at])
 
-    def vertex_value(self, el, vertex: str):
-        """The G_vertex element equal to el, or None (finite groups only)."""
-        images = self._vertex_images.get(vertex)
-        if images is None:
-            G = self.tog.vertices[vertex]
-            images = {self.include(vertex, x): x for x in G.elements()}
-            self._vertex_images[vertex] = images
-        return images.get(el)
-
 
 def cut(tog: TreeOfGroups, sub) -> TreeOfGroups:
     """The vertices of tog in sub and the edges of tog between two of
@@ -478,7 +475,10 @@ def contract(tog: TreeOfGroups, sub):
 
     Returns (new tree, new vertex name, sub product); the new vertex is
     named after the subtree's vertices, as in "(v1+v2)".  Boundary maps of
-    crossing edges compose with the inclusion into the sub product.
+    crossing edges compose with the inclusion into the sub product,
+    include, which is injective (the normal form is unique) and a
+    homomorphism, so the composites are injective homomorphisms when the
+    maps of tog are.
     """
     sub = frozenset(sub)
     keep = [v for v in tog.vertices if v not in sub]
@@ -513,9 +513,17 @@ def fold(tog: TreeOfGroups, a: str, b: str, H, new_vertex: str):
 
     H is a Subgroup of G_a containing the a-side image of the edge group;
     the new vertex carries H, its edge toward a carries H itself and its
-    edge toward b carries the old edge group.
+    edge toward b carries the old edge group.  TreeError unless H is a
+    Subgroup with G_a's product whose elements lie in G_a: then the two
+    identity maps of the edge toward a are homomorphisms, and the old
+    a-side map, a homomorphism into G_a with its image in H, is one into
+    H.
     """
     e = tog.edge_between(a, b)
+    G = tog.vertices[a]
+    if not (isinstance(H, Subgroup) and H.mul == G.mul
+            and H <= frozenset(G.elements())):
+        raise TreeError(f"H is not a Subgroup of the group at {a}")
     if not set(e.endpoint_map(a).values()) <= H:
         raise TreeError("H does not contain the edge-group image")
     vertices = dict(tog.vertices)
@@ -603,25 +611,25 @@ def family_embeds(product: TreeProduct, members: dict,
     nontrivial, in the product.
 
     Read from conditions: the subgroup and edge-preimage hypotheses at
-    every vertex and edge.  Computed here: membership of each A_v in G_v,
-    and the base cases of the induction on the engine's normal forms:
-    every nontrivial family letter is a one-syllable element (it lies in
-    G_v and is not the identity), and every reduced two-letter family
-    word across an edge, in either direction, lies in no vertex group
-    (two syllables).
+    every vertex and edge.  Read from product's tree: its boundary maps
+    are injective homomorphisms, which validate and the tree's makers
+    establish (TreeOfGroups).  Computed here: membership of each A_v in
+    G_v, and the base cases of the induction on the engine's normal
+    forms, counted by syllables: every nontrivial family letter is one
+    syllable (it lies in G_v and is not the identity), and every reduced
+    two-letter family word across an edge, in either direction, is two
+    (it lies in no vertex group).
     """
     tog = product.tog
     ok = conditions["pass"] and all(
         members[v] <= frozenset(G.elements()) for v, G in tog.vertices.items())
-    include = product.include
+    include, syllables = product.include, product.syllables
     letters = 0
     for v, G in tog.vertices.items():
         for a in members[v]:
             if a != G.identity:
                 letters += 1
-                el = include(v, a)
-                ok = ok and el != product.identity \
-                    and product.vertex_value(el, v) == a
+                ok = ok and syllables(include(v, a)) == 1
     pairs = 0
     for e in tog.edges:
         reduced = {}
@@ -632,7 +640,5 @@ def family_embeds(product: TreeProduct, members: dict,
             for x in reduced[u]:
                 for y in reduced[v]:
                     pairs += 1
-                    el = product.mul(x, y)
-                    ok = ok and all(product.vertex_value(el, w) is None
-                                    for w in tog.vertices)
+                    ok = ok and syllables(product.mul(x, y)) == 2
     return {**conditions, "pass": ok, "letters": letters, "pairs": pairs}

@@ -8,11 +8,11 @@ Subgroup or a TreeProduct, then keep the wrapper), runs coxkit.cli.main
 with the given arguments in this interpreter, its own output discarded,
 and prints the total and one line per caller chain, most calls first:
 
-    158298 BlueprintGroup.mul calls (exit 0, 0.36 s)
-       77776  is_homomorphism < validate < issues
+    118748 BlueprintGroup.mul calls (exit 0, 0.59 s)
        36980  closure_words < __new__ < root_subgroup
+       26664  is_homomorphism < edge < tree
        25183  _normalize < mul < family_embeds
-        7764  _normalize < mul < closure_words
+       10400  syllables < family_embeds < cert_vr_to_or
     ...
 
 A caller chain names the function that called mul, its caller and

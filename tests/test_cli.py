@@ -8,8 +8,11 @@ import sys
 import pytest
 
 from coxkit import reduction
-from coxkit.blueprint import BlueprintGroup
+from coxkit.blueprint import BlueprintGroup, GroupCache
 from coxkit.cli import main
+from coxkit.constructions import Builder
+from coxkit.coxeter import standard_coxeter
+from coxkit.treeprod import TreeError
 from report_diff import without_elapsed
 
 REPORT_DIFF = pathlib.Path(__file__).with_name("report_diff.py")
@@ -171,6 +174,33 @@ def test_mul_census_stops_quietly_when_its_reader_closes_the_pipe():
     assert err == b""
 
 
+RESIDUE_SWEEP = pathlib.Path(__file__).with_name("residue_sweep.py")
+# the rank-2 residues of gate length <= 3 that section 4 passes; the other
+# twelve are refused by a precondition of the constructions
+SWEEP_PASSES = ("st@1 rs@1 rt@1 st@r rt@s rs@t rs@st st@tr rt@ts rs@rst "
+                "rt@rts st@str").split()
+SWEEP_DIGEST = "4cd721496fb1425895d38c56156e7bf2c203306e92cf9a237878d4af8085c52a"
+
+
+def test_residue_sweep_to_gate_length_3():
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(RESIDUE_SWEEP), "--gate-length", "3"],
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
+        text=True, timeout=120)
+    assert proc.returncode == 0
+    *rows, summary, digest = proc.stdout.splitlines()
+    outcomes = dict(row.split(maxsplit=1) for row in rows)
+    assert len(outcomes) == len(rows) == 24
+    assert [label for label, got in outcomes.items() if got == "pass"] \
+        == SWEEP_PASSES
+    assert all(got.startswith("refused: ") for label, got in outcomes.items()
+               if label not in SWEEP_PASSES)
+    assert summary.startswith("24 residues: 12 pass, 0 FAIL, 12 refused; ")
+    assert digest == f"sha256 {SWEEP_DIGEST}"
+
+
 def test_nf_command(tmp_path, capsys):
     tree = tmp_path / "tree.txt"
     tree.write_text(TREE_FILE)
@@ -252,6 +282,36 @@ def test_a_corrupted_group_exits_1_without_a_traceback(monkeypatch, capsys,
     assert run_cli(["verify", "section4", *residue]) == 1
     assert capsys.readouterr().err == (
         f"error: relation [u_0, u_5] = () fails in U_{w}\n")
+
+
+def test_an_edge_map_that_is_no_homomorphism_exits_1(monkeypatch, capsys,
+                                                    tmp_path):
+    # U_trt's root products swap the identity with the generator at
+    # alpha_t, so the root-label map of the edge V -> U_trt, on an edge
+    # group of order 2, is injective but sends 1 to u_t: Builder.edge
+    # refuses it, naming both vertices, and `nf` exits 1
+    product = BlueprintGroup.root_product
+
+    def swapped(self, roots):
+        x = product(self, roots)
+        if self.w != "trt":
+            return x
+        u_t = self.root_mask(self.roots[0])
+        return {self.identity: u_t, u_t: self.identity}.get(x, x)
+    monkeypatch.setattr(BlueprintGroup, "root_product", swapped)
+    message = ("the root-label map from V[|st] into U[trt] is not an "
+               "injective homomorphism")
+    vertices = [("v0", ("U", "sr")), ("v1", ("V", "", "st")),
+                ("v2", ("U", "trt"))]
+    with pytest.raises(TreeError) as refused:
+        Builder(GroupCache(standard_coxeter())).tree(
+            vertices, [("v0", "v1"), ("v1", "v2")])
+    assert str(refused.value) == message
+    tree = tmp_path / "tree.txt"
+    tree.write_text(TREE_FILE)
+    assert run_cli(["nf", "--tree", str(tree), "--word", "u_sr"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_a_reduction_defect_exits_1_without_a_traceback(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from coxkit.constructions import (KINDS, RANK2, Builder, PreconditionError,
                                   c_set_0, c_set_minus1, c_set_r,
                                   classify_residue, d_set, dset_certificate,
                                   harvest_relations, roots_violated)
+from coxkit.reduction import TheoremSetup
 from coxkit.treeprod import TreeOfGroups, TreeProduct, is_homomorphism
 
 
@@ -128,6 +129,55 @@ def test_section4_validates_each_tree_once(cache, monkeypatch):
     assert all(c.passed for c in pipeline.section4_pipeline(cache))
     assert len({id(tog) for tog in checked}) == len(checked)
     assert {id(tog) for tog in products} <= {id(tog) for tog in checked}
+
+
+def test_every_boundary_map_is_an_injective_homomorphism(cache, monkeypatch):
+    # validate multiplies nothing, so each map rests on its maker:
+    # Builder.edge checks the root-label map it computes, and fold,
+    # contract and cut build from checked maps.  The oracle checks both
+    # maps of every edge of every tree that the default section 4 and the
+    # theorem set-up build, each edge once however many trees share it
+    trees = []
+    monkeypatch.setattr(TreeOfGroups, "__init__",
+                        lambda self, vertices, edges, _init=TreeOfGroups.__init__:
+                        trees.append(self) or _init(self, vertices, edges))
+    assert all(c.passed for c in pipeline.section4_pipeline(cache))
+    TheoremSetup(cache)
+    seen = {}
+    for tog in trees:
+        for e in tog.edges:
+            for vertex in (e.u, e.v):
+                seen[id(e), vertex] = (e.group, e.endpoint_map(vertex),
+                                       tog.vertices[vertex])
+    for group, phi, target in seen.values():
+        assert phi.keys() == set(group.elements())
+        assert len(set(phi.values())) == len(phi)
+        assert is_homomorphism(group, phi, target)
+    # 75 trees with 120 distinct edges, each checked at both ends
+    assert (len(trees), len(seen)) == (75, 240)
+
+
+def test_validate_multiplies_nothing(ctx, monkeypatch):
+    # every test validate makes is a set operation: over the default
+    # section 4, on a cache built under the counter, it makes no product
+    inside, calls = [], []
+    mul, validate = BlueprintGroup.mul, TreeOfGroups.validate
+
+    def counted(self, x, y):
+        if inside:
+            calls.append(None)
+        return mul(self, x, y)
+
+    def watched(tog):
+        inside.append(tog)
+        try:
+            return validate(tog)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(BlueprintGroup, "mul", counted)
+    monkeypatch.setattr(TreeOfGroups, "validate", watched)
+    assert all(c.passed for c in pipeline.section4_pipeline(GroupCache(ctx)))
+    assert len(calls) == 0
 
 
 def test_edge_groups_are_common_root_subgroups(ctx, builder):

@@ -252,10 +252,13 @@ SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup"), ("treeprod.py", "image")
 GROUP_CERTIFIERS = {("blueprint.py", "group")}
 
 
-# the one place in src/coxkit that checks a map as a homomorphism: a tree
-# of groups' boundary maps; a subgroup embedding U_w -> U_a is read off the
-# two groups' certificates (the blueprint module's embedding corollary)
-HOMOMORPHISM_CHECKERS = {("treeprod.py", "validate")}
+# the one place in src/coxkit that checks a map as a homomorphism: the
+# root-label map that Builder.edge computes from data; every other
+# boundary map is an identity into a group with the edge group's product
+# or is built from checked maps (fold, contract, cut), and a subgroup
+# embedding U_w -> U_a is read off the two groups' certificates (the
+# blueprint module's embedding corollary)
+HOMOMORPHISM_CHECKERS = {("constructions.py", "edge")}
 
 
 # the one walk of a tree of groups: its paths, one search from each vertex,
@@ -271,7 +274,7 @@ def test_groups_are_certified_only_where_the_cache_builds_them():
     assert callers_in_src("certify_order") == GROUP_CERTIFIERS
 
 
-def test_maps_are_checked_as_homomorphisms_only_by_validate():
+def test_maps_are_checked_as_homomorphisms_only_by_builder_edge():
     assert callers_in_src("is_homomorphism") == HOMOMORPHISM_CHECKERS
 
 
@@ -472,8 +475,8 @@ PRECONDITION_RAISES = {
     # lies inside both: each vertex group is the closure of its roots)
     ("constructions.py", "edge"): 1,
     # vertex names are declared once and every edge names declared
-    # vertices; the graph is a tree (the third raise picks TreeError for a
-    # boundary-map defect)
+    # vertices; the graph is a tree (edge checks the boundary maps, so
+    # every issue validate finds in a Builder tree is one of shape)
     ("constructions.py", "tree"): 3,
     # the construction kind is one of the paper's six
     ("constructions.py", "vertex_plan"): 1,

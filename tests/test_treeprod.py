@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coxkit import constructions
 from coxkit.blueprint import BlueprintGroup, GroupCache
 from coxkit.constructions import KINDS, RANK2, Builder
 from coxkit.pipeline import Section4
@@ -47,19 +48,11 @@ def test_free_product_word(z2_free):
     assert not P.is_identity(el)
 
 
-def test_validate_rejects_an_injective_map_that_is_no_homomorphism(cache):
-    A, B, E = cache.group("st"), cache.group("sr"), cache.group("s")
-    # into_u swaps the two edge elements: injective, but 1 * 1 = 0 in E
-    # goes to 1 while the images multiply to 0 in A
-    bad = Edge("a", "b", E, {0: 1, 1: 0}, {0: 0, 1: B.root_mask(B.roots[0])})
-    issues = TreeOfGroups({"a": A, "b": B}, [bad]).validate()
-    assert issues == ["boundary map into a not a homomorphism"]
-
-
 def test_edge_maps_are_checked_without_a_generator_search(ctx, monkeypatch):
     # every edge group is a Subgroup and carries its generators, so
-    # validate multiplies by them alone: |E| * k products in E and as many
-    # in the vertex group, at each end of each edge, and none to find gens
+    # Builder.edge checks its root-label map by multiplying by them alone:
+    # |E| * k products in E and as many in the vertex group, per edge, and
+    # none to find gens; validate then multiplies nothing
     calls = []
     mul = BlueprintGroup.mul
 
@@ -67,14 +60,23 @@ def test_edge_maps_are_checked_without_a_generator_search(ctx, monkeypatch):
         calls.append(None)
         return mul(self, x, y)
     monkeypatch.setattr(BlueprintGroup, "mul", counted)
+    checked = []
+
+    def check(group, phi, target):
+        before = len(calls)
+        ok = is_homomorphism(group, phi, target)
+        checked.append(len(calls) - before)
+        return ok
+    monkeypatch.setattr(constructions, "is_homomorphism", check)
     b = Builder(GroupCache(ctx))
     _, built = b.tree([("0", ("U", "sr")), ("1", ("V", "", "st")),
                        ("2", ("U", "trt"))], [("0", "1"), ("1", "2")])
+    assert checked == [2 * e.group.order * len(e.group.gens)
+                       for e in built.edges]
+    assert all(checked)
     tog = TreeOfGroups(built.vertices, built.edges)
     calls.clear()
-    assert tog.validate() == []
-    assert len(calls) == sum(4 * e.group.order * len(e.group.gens)
-                             for e in tog.edges) > 0
+    assert tog.validate() == [] and calls == []
 
 
 def test_validate_rejects_kernel(cache):
@@ -613,6 +615,20 @@ def test_fold_requires_intermediate(theorem_tree, cache):
         fold(tog, "0", "1", bad, "x")
 
 
+def test_fold_refuses_a_subgroup_of_another_group(theorem_tree, cache):
+    # the root subgroup of U_stst at its first root holds the edge image
+    # at 0 as a set of masks, but its product is U_stst's: the identity
+    # maps of the folded edge would be no homomorphisms into U_sr, so fold
+    # refuses it, and a bare set with it
+    tog, _ = theorem_tree
+    other = cache.group("stst")
+    H = cache.root_subgroup(other, other.roots[:1])
+    assert set(tog.edges[0].into_u.values()) <= H
+    for bad in (H, frozenset(H)):
+        with pytest.raises(TreeError, match="not a Subgroup of the group at 0"):
+            fold(tog, "0", "1", bad, "x")
+
+
 def test_fold_with_full_vertex(theorem_tree, cache):
     tog, H = theorem_tree
     U_sr = tog.vertices["0"]
@@ -816,8 +832,8 @@ def test_subproduct_value_vertex_intersection(theorem_tree, cache):
     tog, P = theorem_tree
     amb = cache.group("stst")
     us = amb.root_mask(amb.roots[0])
-    got = {P.include("0", x) for x in tog.vertices["0"].elements()
-           if P.vertex_value(P.include("0", x), "1") is not None}
+    in_1 = {P.include("1", x) for x in tog.vertices["1"].elements()}
+    got = {P.include("0", x) for x in tog.vertices["0"].elements()} & in_1
     assert got == {P.include("1", x) for x in (0, us)}
 
 
@@ -829,8 +845,8 @@ def test_subproduct_value_full_edge(cache):
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", full, {0: 0, 1: 1}, {0: 0, 1: 1})])
     P = TreeProduct(tog)
-    assert [P.vertex_value(P.include("a", x), "b")
-            for x in A.elements()] == [0, 1]
+    in_b = {P.include("b", y): y for y in B.elements()}
+    assert [in_b.get(P.include("a", x)) for x in A.elements()] == [0, 1]
 
 
 # a bare set, even all of U_sr, is no family member, and the root
