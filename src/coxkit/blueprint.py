@@ -410,17 +410,16 @@ class GroupCache:
 
     def root_subgroup(self, ambient: BlueprintGroup, roots) -> Subgroup:
         """The subgroup of ambient generated by the root generators at
-        roots, its words mapping each element to a shortest word over
-        roots, the first in breadth-first order with the roots taken by
-        (refl, positive).  Memoized by the ambient group and the root set,
-        so each such subgroup is closed from its root generators once."""
+        roots, its gens in the order of their roots by (refl, positive).
+        Memoized by the ambient group and the root set, so each such
+        subgroup is closed from its root generators once."""
         roots = frozenset(roots)
         key = (ambient, roots)
         got = self._subgroups.get(key)
         if got is None:
             gens = sorted(roots, key=lambda root: (root.refl, root.positive))
             got = self._subgroups[key] = Subgroup(
-                ambient, {root: ambient.root_mask(root) for root in gens})
+                ambient, [ambient.root_mask(root) for root in gens])
         return got
 
     def v_subgroup(self, gate: str, types) -> Subgroup:

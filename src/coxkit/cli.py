@@ -22,10 +22,11 @@ import sys
 
 from coxkit import suites
 from coxkit.blueprint import BlueprintError
-from coxkit.constructions import PreconditionError
+from coxkit.constructions import Builder, PreconditionError
 from coxkit.coxeter import MAX_RADIUS, standard_coxeter
-from coxkit.reduction import ReductionError, TraceError
-from coxkit.treeprod import TreeError
+from coxkit.reduction import (ConstraintError, ReductionError, TheoremSetup,
+                              TraceError, trace_word)
+from coxkit.treeprod import TreeError, TreeProduct
 
 MAX_BLUEPRINT_LENGTH = 8
 DEFAULT_SUITES = ("coxeter", "blueprint", "quadrangle", "section4")
@@ -131,7 +132,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from coxkit.reduction import ConstraintError, TheoremSetup
     setup = TheoremSetup()
     try:
         word = setup.parse(args.word)
@@ -144,7 +144,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from coxkit.reduction import ConstraintError, TheoremSetup, trace_word
     setup = TheoremSetup()
     try:
         word = setup.parse(args.word)
@@ -160,8 +159,6 @@ def cmd_trace(args) -> int:
 
 
 def _parse_tree_file(path: str):
-    from coxkit.constructions import Builder
-    from coxkit.treeprod import TreeProduct
     vertices, edges = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -11,12 +11,28 @@ memoized Subgroup, closed once from its root generators.  Every vertex
 group is the closure of its own generating roots (u_spec and v_spec make
 every spec), so an edge group and its root-label image lie inside both
 vertex groups, and Builder.edge checks no containment.  Builder.edge
-checks the one map it computes from data, the root-label map into the
-second vertex, as an injective homomorphism (is_homomorphism), and
-raises TreeError naming both vertices when it is not one.  The first
-side needs no check: the edge group is a closure under the first
-ambient group's product of roots that the first vertex group holds, so
-its identity map is an injective homomorphism into that vertex group.
+computes the one map it reads from data, the root-label map into the
+second vertex, by one closure that also proves it an injective
+homomorphism, and raises TreeError naming both vertices when it is not
+one.  The first side needs no check: the edge group is a closure under
+the first ambient group's product of roots that the first vertex group
+holds, so its identity map is an injective homomorphism into that
+vertex group.
+
+Graph lemma.  Let E = <g_1, ..., g_k> <= G_a, let h_1, ..., h_k lie in
+G_b, and let Gamma be the subgroup of G_a x G_b generated by the pairs
+(g_i, h_i).  The first projection maps Gamma onto E.  The map g_i -> h_i
+extends to a homomorphism phi: E -> G_b exactly when |Gamma| = |E|, and
+Gamma is then the graph of phi.  If phi exists, its graph is a subgroup
+of order |E| that holds every (g_i, h_i), so it contains Gamma, which
+projects onto E: the two agree.  If |Gamma| = |E|, the projection is a
+bijection, so Gamma is the graph of a map phi with phi(g_i) = h_i, and
+phi is a homomorphism because Gamma is closed under the product.  phi is
+injective exactly when the second coordinates of Gamma are distinct.
+Builder.edge closes the pairs of root generators at the common roots
+(closure_words) and stops at |E| + 1 elements, so a wrong map costs no
+more than a right one.
+
 Builder.tree builds every tree of such groups: the constructions, the
 `coxkit nf` tree files and the subgroup theorem's U_sr * V * U_trt.
 
@@ -34,7 +50,7 @@ from coxkit.blueprint import BlueprintError, BlueprintGroup, GroupCache
 from coxkit.certs import Certificate, timed
 from coxkit.coxeter import Coxeter, Residue, standard_coxeter
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
-                             is_homomorphism)
+                             closure_words)
 
 KINDS = ("V_R", "O_R", "V_Rs", "O_Rs", "H_R", "K_Rs")
 # each rank-2 type J, its letters sorted, with the third letter, in the
@@ -162,14 +178,21 @@ class Builder:
             raise PreconditionError(
                 f"no common generating roots between {a.label} and {b.label}")
         group = self.cache.root_subgroup(a.ambient, common)
-        into_a = {x: x for x in group.elements()}
-        into_b = {x: b.ambient.root_product(group.words[x])
-                  for x in group.elements()}
-        if len(set(into_b.values())) != len(into_b) \
-                or not is_homomorphism(group, into_b, b.group):
+        # the graph of the root-label map (graph lemma): each generator of
+        # group, a's root generator at a common root, paired with b's
+        mul_a, mul_b = a.ambient.mul, b.ambient.mul
+        graph = closure_words(
+            lambda x, y: (mul_a(x[0], y[0]), mul_b(x[1], y[1])),
+            (a.ambient.identity, b.ambient.identity),
+            [(g, b.ambient.root_mask(a.ambient.word_of(g)[0]))
+             for g in group.gens],
+            limit=group.order)
+        into_b = dict(list(graph))
+        if len(graph) != group.order \
+                or len(set(into_b.values())) != len(into_b):
             raise TreeError(f"the root-label map from {a.label} into "
                             f"{b.label} is not an injective homomorphism")
-        return Edge(a.name, b.name, group, into_a, into_b)
+        return Edge(a.name, b.name, group, {x: x for x in group}, into_b)
 
     def tree(self, vertices, edges) -> tuple[tuple, TreeOfGroups]:
         """The tree of groups with these vertices and edges: vertices lists

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from coxkit.blueprint import GroupCache
 from coxkit.certs import Certificate, timed
-from coxkit.constructions import (RANK2, Builder, PreconditionError,
+from coxkit.constructions import (KINDS, RANK2, Builder, PreconditionError,
                                   classify_residue, c_set_0, c_set_minus1,
                                   c_set_r, dset_certificate, harvest_relations,
                                   residue_letters, roots_violated)
@@ -704,9 +704,10 @@ def section4_pipeline(cache: GroupCache, residues: list | None = None) -> list:
     residue-parameterized lemmas; the default is the three gate-1 rank-2
     residues, as in the application.  Each residue runs once, however
     many pairs name it.  A gate word that is not the gate of its residue
-    raises PreconditionError.  The gate-1 certificates
-    (K_{R,s} cap G_{-1}, O to G_{-1} and the main application) run when
-    the residue's gate is 1."""
+    raises PreconditionError, and so does a residue that a construction
+    refuses, before any certificate of that residue runs.  The gate-1
+    certificates (K_{R,s} cap G_{-1}, O to G_{-1} and the main
+    application) run when the residue's gate is 1."""
     sec = Section4(Builder(cache))
     out = [dset_certificate(sec.cache), sec.cert_nested_intervals_empty()]
     if residues is None:
@@ -719,6 +720,9 @@ def section4_pipeline(cache: GroupCache, residues: list | None = None) -> list:
                 f"{gate!r} is not the gate of {R!r}; its gate is {R.gate!r}")
         chosen[R] = None
     for R in chosen:
+        # every certificate builds all six, and the builder keeps them
+        for kind in KINDS:
+            sec.b.construction(kind, R)
         out.append(sec.cert_generating_remark(R))
         out.append(sec.cert_vr_to_or(R))
         out.append(sec.cert_vrs_ors(R))

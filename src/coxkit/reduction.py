@@ -46,7 +46,7 @@ from coxkit.certs import Certificate, timed
 from coxkit.constructions import Builder
 from coxkit.coxeter import standard_coxeter
 from coxkit.quadrangle import build_model, mat_mul
-from coxkit.treeprod import TreeProduct
+from coxkit.treeprod import TreeProduct, closure_words
 
 SR, TR, RT, RTTR = "u_sr", "u_tr", "u_rt", "u_rt*u_tr"
 G_LETTERS = (SR, TR, RT, RTTR)
@@ -104,9 +104,11 @@ class TheoremSetup:
         self._g_letters = {SR: ("0", self.u_sr), TR: ("2", self.u_tr),
                            RT: ("2", self.u_rt),
                            RTTR: ("2", self.U_trt.mul(self.u_rt, self.u_tr))}
-        # a simple root's reflection is its letter
-        self._v_words = {m: "".join(root.refl for root in word)
-                         for m, word in self.V.words.items()}
+        # each element of V by its first shortest word over u_s, u_t
+        self._v_words = {m: "".join("st"[i] for i in word)
+                         for m, word in closure_words(
+                             self.V.mul, self.V.identity,
+                             (self.us, self.ut)).items()}
         # the tree-product letter of each V letter, None for the identity
         self._h_letters = {m: ("1", m) if m else None for m in self._v_words}
         self._blocked = frozenset(

@@ -1,12 +1,11 @@
 """Trees of finite groups and the word problem in their tree products.
 
 Vertex groups are "computable groups": objects with identity, mul, inv
-and, when finite, elements() and gens, generating elements; a map is
-checked as a homomorphism by multiplying by those generators alone
-(is_homomorphism).  Their elements are canonical and hashable
-(ints for the blueprint groups and their subgroups, (carry, letters)
-pairs for tree products), so equal elements compare equal and every
-element is its own dict key.  Edge groups must be finite.
+and, when finite, elements() and gens, generating elements.  Their
+elements are canonical and hashable (ints for the blueprint groups and
+their subgroups, (carry, letters) pairs for tree products), so equal
+elements compare equal and every element is its own dict key.  Edge
+groups must be finite.
 
 Normal form (J.-P. Serre, Trees, ch. I §1 and §4).  Fix the root r, the
 least vertex name.  An element of a tree product is a pair (carry,
@@ -81,14 +80,15 @@ so the count does not depend on which reduced word the pass leaves.
 
 closure_words enumerates a finite subgroup from generators, each element
 with a shortest word, and Subgroup makes that closure a computable group
-of its own, generators kept: a frozenset of the elements, so one object
-is at once a vertex or edge group, a member of a subgroup family and the
-set that the certificates intersect and compare.  A Subgroup is a
-subgroup by construction, so a family member is one exactly when it is a
-Subgroup with its vertex group's product (check_subtree_conditions), and
-no check searches a set for generators.  TreeProduct.image closes a
-vertex subgroup's image in the product, for the member at a contracted
-vertex.
+of its own, generators kept: the frozenset of its elements, with no
+words and no other copy, so one object is at once a vertex or edge
+group, a member of a subgroup family and the set that the certificates
+intersect and compare.  Builder.edge closes the graph of a boundary map
+with it (coxkit.constructions).  A Subgroup is a subgroup by
+construction, so a family member is one exactly when it is a Subgroup
+with its vertex group's product (check_subtree_conditions), and no check
+searches a set for generators.  TreeProduct.image closes a vertex
+subgroup's image in the product, for the member at a contracted vertex.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ from __future__ import annotations
 from functools import cached_property
 
 __all__ = [
-    "Subgroup", "closure_words", "is_homomorphism", "Edge",
+    "Subgroup", "closure_words", "Edge",
     "TreeOfGroups", "TreeProduct", "contract", "cut", "fold",
     "check_subtree_conditions", "respects_edges", "family_embeds", "TreeError",
 ]
@@ -134,36 +134,15 @@ def closure_words(mul, identity, gens, limit: int | None = None) -> dict:
     return words
 
 
-def is_homomorphism(group, phi: dict, target) -> bool:
-    """Whether phi, a dict on the elements of the finite computable group
-    group, is a homomorphism into target: phi(1) = 1 and phi(x * g) =
-    phi(x) * phi(g) for every x and every g in group.gens.
-
-    Homomorphisms.  A map phi on E = <g_1, ..., g_k> is a homomorphism
-    exactly when phi(x * g_i) = phi(x) * phi(g_i) for all x in E and all
-    i.  Then phi(g_1) = phi(1) * phi(g_1) gives phi(1) = 1 by
-    cancellation (the trivial group has no g_i, so phi(1) = 1 is checked
-    on its own), and induction on the length of a word w over the g_i
-    gives phi(x * w) = phi(x) * phi(w): phi(x * w * g_i) =
-    phi(x * w) * phi(g_i) = phi(x) * phi(w) * phi(g_i) = phi(x) *
-    phi(w * g_i).  Every element of E is such a word.
-    """
-    return phi[group.identity] == target.identity and all(
-        phi[group.mul(x, g)] == target.mul(y, phi[g])
-        for x, y in phi.items() for g in group.gens)
-
-
 class Subgroup(frozenset):
     """The subgroup of the finite computable group parent that gens
     generates, itself a computable group: the set of its elements, with
     the parent's mul, inv and identity.
 
-    gens maps a label to each generating element.  The elements are the
-    closure of the generators under right multiplication (closure_words),
-    which is the subgroup they generate, so construction checks nothing.
-    self.gens keeps the generating elements in order, and words maps each
-    element to its first shortest word in breadth-first order, a tuple of
-    labels.
+    gens lists the generating elements, which self.gens keeps in order.
+    The elements are the closure of the generators under right
+    multiplication (closure_words), which is the subgroup they generate,
+    so construction checks nothing, and elements() is the set itself.
 
     Subgroups.  Let S be a finite subset of a group that holds 1, and
     g_1, ..., g_k elements of S with S * g_i inside S for every i and
@@ -175,18 +154,15 @@ class Subgroup(frozenset):
     closed under the parent's product.
     """
 
-    def __new__(cls, parent, gens: dict):
-        labels, elems = tuple(gens), tuple(gens.values())
-        words = closure_words(parent.mul, parent.identity, elems)
-        self = super().__new__(cls, words)
+    def __new__(cls, parent, gens):
+        gens = tuple(gens)
+        self = super().__new__(
+            cls, closure_words(parent.mul, parent.identity, gens))
         self.parent = parent
-        self.gens = elems
-        self.words = {x: tuple(labels[i] for i in word)
-                      for x, word in words.items()}
+        self.gens = gens
         self.mul = parent.mul
         self.inv = parent.inv
         self.identity = parent.identity
-        self._elems = tuple(sorted(self))
         return self
 
     @property
@@ -194,7 +170,7 @@ class Subgroup(frozenset):
         return len(self)
 
     def elements(self):
-        return self._elems
+        return self
 
     def __repr__(self) -> str:
         return f"Subgroup(order {self.order})"
@@ -238,8 +214,9 @@ class TreeOfGroups:
     for connectivity and TreeProduct for its hops.
 
     Every boundary map must be a homomorphism, and its maker establishes
-    that where the map is computed: Builder.edge checks the root-label
-    map it computes from data (is_homomorphism) and glues the other side
+    that where the map is computed: Builder.edge computes the root-label
+    map from data as the closure of its graph, which proves it one (the
+    graph lemma of coxkit.constructions), and glues the other side
     by an identity into a group with the edge group's product; fold's
     identity maps include a Subgroup in its vertex group; contract
     composes maps already built with include, an injective homomorphism
@@ -398,11 +375,11 @@ class TreeProduct:
 
     def image(self, vertex: str, H) -> Subgroup:
         """The Subgroup of this product closed from include(vertex, g) for
-        g in H.gens, H a subgroup of G_vertex that carries its gens, each
-        generator labelled by its element of H.  include is injective on G_vertex (the normal
-        form is unique) and a homomorphism, so the image is a copy of H,
-        finite, of order |H|."""
-        return Subgroup(self, {g: self.include(vertex, g) for g in H.gens})
+        g in H.gens, in that order, H a subgroup of G_vertex that carries
+        its gens.  include is injective on G_vertex (the normal form is
+        unique) and a homomorphism, so the image is a copy of H, finite,
+        of order |H|."""
+        return Subgroup(self, [self.include(vertex, g) for g in H.gens])
 
     def eval_word(self, word):
         return self._normalize(tuple(word))

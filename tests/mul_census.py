@@ -8,9 +8,9 @@ Subgroup or a TreeProduct, then keep the wrapper), runs coxkit.cli.main
 with the given arguments in this interpreter, its own output discarded,
 and prints the total and one line per caller chain, most calls first:
 
-    118748 BlueprintGroup.mul calls (exit 0, 0.59 s)
+    111650 BlueprintGroup.mul calls (exit 0, 0.45 s)
        36980  closure_words < __new__ < root_subgroup
-       26664  is_homomorphism < edge < tree
+       28456  <lambda> < closure_words < edge
        25183  _normalize < mul < family_embeds
        10400  syllables < family_embeds < cert_vr_to_or
     ...
@@ -18,8 +18,10 @@ and prints the total and one line per caller chain, most calls first:
 A caller chain names the function that called mul, its caller and
 theirs, comprehension frames skipped, so the mul calls of closure_words
 are told apart by who asked for the closure: a root subgroup's closure
-calls mul itself, and the closure of a tree-product image (the member at
-a contracted vertex) reaches it through the product's normal form.  The wrapper slows the
+calls mul itself, Builder.edge's closure of a boundary map's graph
+calls it through its pairwise product (the lambda), and the closure of a
+tree-product image (the member at a contracted vertex) reaches it
+through the product's normal form.  The wrapper slows the
 command down; the wall time printed is the wrapped run's.  When the
 reader closes the pipe (`| head`), it stops with exit 1 and no
 traceback.  Not a test module: pytest does not collect it.

@@ -615,23 +615,18 @@ def test_v_subgroup_listing(cache):
 
 
 def test_root_subgroup_is_one_memoized_closure(cache):
-    """Shortest words over the roots, in (refl, positive) order whatever
-    order the roots come in, computed once per ambient group and root
-    set; V reads the same closure."""
+    """The root generators in (refl, positive) order whatever order the
+    roots come in, closed once per ambient group and root set; V reads
+    the same closure."""
     g = cache.group("stst")
     alpha_s, alpha_t = cache.rsys.simple("s"), cache.rsys.simple("t")
     sub = cache.root_subgroup(g, (alpha_t, alpha_s))
     assert cache.root_subgroup(g, [alpha_s, alpha_t]) is sub
-    words = sub.words
-    assert set(words) == sub
-    assert len(words) == 8 and max(map(len, words.values())) == 4
-    for x, word in words.items():
-        assert g.root_product(word) == x
-    top = max(words, key=lambda x: len(words[x]))
-    assert words[top] == (alpha_s, alpha_t, alpha_s, alpha_t)
+    assert sub.gens == (g.root_mask(alpha_s), g.root_mask(alpha_t))
+    assert sub.order == 8
     v = cache.v_subgroup("", "st")
     assert cache.v_subgroup("", "ts") is v
-    assert set(v.elements()) == set(words)
+    assert set(v.elements()) == sub
 
 
 def test_v_subgroup_general_gate(ctx, cache):
@@ -678,7 +673,7 @@ def test_intersections(ctx, cache):
                       for w in ("sr", "st", "s"))
     assert ea & eb == expect
     trivial = cache.root_subgroup(amb, [])
-    assert trivial == {0} and trivial.words == {0: ()}
+    assert trivial == {0} and trivial.gens == ()
 
 
 def test_group_mono_rejects_non_hom(cache):

@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
-from coxkit import reduction
+from coxkit import cli, reduction
 from coxkit.blueprint import BlueprintGroup, GroupCache
 from coxkit.cli import main
 from coxkit.constructions import Builder
 from coxkit.coxeter import standard_coxeter
+from coxkit.roots import Root
 from coxkit.treeprod import TreeError
 from report_diff import without_elapsed
 
@@ -284,23 +285,19 @@ def test_a_corrupted_group_exits_1_without_a_traceback(monkeypatch, capsys,
         f"error: relation [u_0, u_5] = () fails in U_{w}\n")
 
 
-def test_an_edge_map_that_is_no_homomorphism_exits_1(monkeypatch, capsys,
-                                                    tmp_path):
-    # U_trt's root products swap the identity with the generator at
-    # alpha_t, so the root-label map of the edge V -> U_trt, on an edge
-    # group of order 2, is injective but sends 1 to u_t: Builder.edge
-    # refuses it, naming both vertices, and `nf` exits 1
-    product = BlueprintGroup.root_product
+def _mutate_root_mask(monkeypatch, w, root, mask):
+    """Send U_w's root generator at root to mask, leaving every other
+    root generator of every group as it is."""
+    real = BlueprintGroup.root_mask
 
-    def swapped(self, roots):
-        x = product(self, roots)
-        if self.w != "trt":
-            return x
-        u_t = self.root_mask(self.roots[0])
-        return {self.identity: u_t, u_t: self.identity}.get(x, x)
-    monkeypatch.setattr(BlueprintGroup, "root_product", swapped)
-    message = ("the root-label map from V[|st] into U[trt] is not an "
-               "injective homomorphism")
+    def mutant(self, r):
+        return mask if (self.w, r) == (w, root) else real(self, r)
+    monkeypatch.setattr(BlueprintGroup, "root_mask", mutant)
+
+
+def _assert_the_edge_is_refused(capsys, tmp_path, message):
+    """Builder.tree refuses the subgroup theorem's tree with message, and
+    `nf` on the same tree exits 1 with it."""
     vertices = [("v0", ("U", "sr")), ("v1", ("V", "", "st")),
                 ("v2", ("U", "trt"))]
     with pytest.raises(TreeError) as refused:
@@ -312,6 +309,31 @@ def test_an_edge_map_that_is_no_homomorphism_exits_1(monkeypatch, capsys,
     assert run_cli(["nf", "--tree", str(tree), "--word", "u_sr"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_an_edge_map_that_is_no_homomorphism_exits_1(monkeypatch, capsys,
+                                                    tmp_path):
+    # U_stst's generator at alpha_s becomes u_s * u_t (mask 9), of order
+    # 4; V = <u_s u_t, u_t> is the same group of order 8, but the
+    # root-label map of the edge U_sr -> V sends the involution u_s to
+    # it, so the closure of its graph outgrows the edge group of order 2
+    # and Builder.edge refuses it, naming both vertices
+    _mutate_root_mask(monkeypatch, "stst", Root("s", True), 9)
+    _assert_the_edge_is_refused(
+        capsys, tmp_path, "the root-label map from U[sr] into V[|st] is "
+        "not an injective homomorphism")
+
+
+def test_an_edge_map_that_is_not_injective_exits_1(monkeypatch, capsys,
+                                                  tmp_path):
+    # U_trt's generator at alpha_t becomes the identity, so the
+    # root-label map of the edge V -> U_trt is the trivial homomorphism on
+    # an edge group of order 2: its graph closes at |E| elements with one
+    # second coordinate, and Builder.edge refuses it
+    _mutate_root_mask(monkeypatch, "trt", Root("t", True), 0)
+    _assert_the_edge_is_refused(
+        capsys, tmp_path, "the root-label map from V[|st] into U[trt] is "
+        "not an injective homomorphism")
 
 
 def test_a_reduction_defect_exits_1_without_a_traceback(monkeypatch, capsys):
@@ -328,7 +350,7 @@ def test_a_trace_defect_exits_1_without_a_traceback(monkeypatch, capsys):
     def broken(setup, word):
         raise reduction.TraceError(
             "distance counter failed to increase at step 2")
-    monkeypatch.setattr(reduction, "trace_word", broken)
+    monkeypatch.setattr(cli, "trace_word", broken)
     assert run_cli(["trace", "--word", "u_rt,u_t"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

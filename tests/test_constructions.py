@@ -7,7 +7,8 @@ from coxkit.constructions import (KINDS, RANK2, Builder, PreconditionError,
                                   classify_residue, d_set, dset_certificate,
                                   harvest_relations, roots_violated)
 from coxkit.reduction import TheoremSetup
-from coxkit.treeprod import TreeOfGroups, TreeProduct, is_homomorphism
+from coxkit.treeprod import TreeOfGroups, TreeProduct
+from homomorphisms import is_homomorphism
 
 
 @pytest.fixture(scope="module")

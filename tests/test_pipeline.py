@@ -8,7 +8,8 @@ import pytest
 from coxkit import pipeline, treeprod
 from coxkit.blueprint import TABLE_CAP, BlueprintGroup, GroupCache
 from coxkit.certs import Certificate
-from coxkit.constructions import RANK2, Builder, residue_letters
+from coxkit.constructions import (RANK2, Builder, PreconditionError,
+                                  residue_letters)
 from coxkit.pipeline import Section4, _family_check, section4_pipeline
 from coxkit.treeprod import TreeProduct
 from walks import random_word
@@ -44,6 +45,29 @@ def test_residues_past_gate_one_pass(ctx):
                          if not ch["status"]]
                 for c in certs if not c.passed}
     assert len(certs) == 16 and not failures, failures
+
+
+def test_a_refused_residue_runs_no_certificate(ctx, monkeypatch):
+    # rt at gate rs has l(w_R srs) != l(w_R)+3: the V_Rs construction
+    # refuses it before any of its certificates runs, and only the two
+    # residue-free certificates, which come first, have run
+    ran = []
+
+    def logged(name, cert):
+        def run(*args):
+            ran.append(name)
+            return cert(*args)
+        return run
+    for name in dir(Section4):
+        if name.startswith("cert_"):
+            monkeypatch.setattr(Section4, name,
+                                logged(name, getattr(Section4, name)))
+    monkeypatch.setattr(pipeline, "dset_certificate", logged(
+        "dset_certificate", pipeline.dset_certificate))
+    with pytest.raises(PreconditionError,
+                       match=r"l\(w_R srs\) = l\(w_R\)\+3"):
+        section4_pipeline(GroupCache(ctx), [("rt", "rs")])
+    assert ran == ["dset_certificate", "cert_nested_intervals_empty"]
 
 
 def test_certificate_bytes_pinned(full_run):
@@ -151,7 +175,6 @@ def test_vr_to_or_at_deeper_residue(sec, ctx):
 
 @pytest.mark.parametrize("cert", ["cert_krs_gminus1", "cert_otog_minus1"])
 def test_gate_one_certificates_require_gate_one(sec, ctx, cert):
-    from coxkit.constructions import PreconditionError
     with pytest.raises(PreconditionError, match="gate 1 residues"):
         getattr(sec, cert)(ctx.residue("st", "r"))
 

@@ -280,7 +280,7 @@ def _root_mutant(root: Root):
     roots with root dropped, or added when the member lacks it."""
     def mutate(sec, product, members):
         H = members["v1"]
-        roots = frozenset(H.words[g][0] for g in H.gens)
+        roots = frozenset(H.parent.word_of(g)[0] for g in H.gens)
         roots = roots - {root} if root in roots else roots | {root}
         return dict(members, v1=sec.cache.root_subgroup(H.parent, roots))
     return mutate

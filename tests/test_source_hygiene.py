@@ -6,12 +6,13 @@ and a defaulted parameter that no program call sets is an option with
 one value in use; that keep verification out of assert statements,
 which `python -O` strips; and that keep one builder of trees of groups
 (constructions.Builder.tree, over treeprod's edges), one walk of a tree
-(TreeOfGroups.paths), one builder of subgroups (the memo
-blueprint.GroupCache.root_subgroup), one root system
-per Coxeter context (roots.root_system), one generator search (for the
-members of a subgroup family), one caller of the braid closure
-(Coxeter.reduced_words), the Coxeter kernel's memo tables read by the
-kernel alone, and roots named by what they are, not by where a group
+(TreeOfGroups.paths), two builders of subgroups (the memo
+blueprint.GroupCache.root_subgroup and TreeProduct.image), a list that only shrinks of
+callers of the one subgroup closure (treeprod.closure_words, which also
+proves Builder.edge's maps, so no module defines a homomorphism check),
+one root system per Coxeter context (roots.root_system), one caller of
+the braid closure (Coxeter.reduced_words), the Coxeter kernel's memo
+tables read by the kernel alone, and roots named by what they are, not by where a group
 lists them; and that keep sweep items counted through the report, no
 new certificate check with the constant status True and no new raise of
 PreconditionError."""
@@ -87,16 +88,28 @@ def test_dead_locals_sees_plain_assignments_only():
     assert dead_locals(tree) == [("f", "unused")]
 
 
-def test_growth_series_imports_nothing_from_coxkit():
-    # the ball oracle must share no code with the kernel it checks
+def coxkit_imports(path) -> set:
+    """The modules that path imports from coxkit, relative imports
+    included."""
     imported = set()
-    for node in ast.walk(ast.parse((SRC / "growth.py").read_text())):
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
-    assert not {m for m in imported
-                if m.startswith(".") or m.split(".")[0] == "coxkit"}
+    return {m for m in imported
+            if m.startswith(".") or m.split(".")[0] == "coxkit"}
+
+
+def test_growth_series_imports_nothing_from_coxkit():
+    # the ball oracle must share no code with the kernel it checks
+    assert not coxkit_imports(SRC / "growth.py")
+
+
+def test_the_homomorphism_oracle_imports_nothing_from_coxkit():
+    # nor the boundary-map oracle with Builder.edge
+    assert not coxkit_imports(pathlib.Path(__file__).with_name(
+        "homomorphisms.py"))
 
 
 # standard-library modules that importing the program must not load:
@@ -252,13 +265,18 @@ SUBGROUP_BUILDERS = {("blueprint.py", "root_subgroup"), ("treeprod.py", "image")
 GROUP_CERTIFIERS = {("blueprint.py", "group")}
 
 
-# the one place in src/coxkit that checks a map as a homomorphism: the
-# root-label map that Builder.edge computes from data; every other
-# boundary map is an identity into a group with the edge group's product
-# or is built from checked maps (fold, contract, cut), and a subgroup
-# embedding U_w -> U_a is read off the two groups' certificates (the
-# blueprint module's embedding corollary)
-HOMOMORPHISM_CHECKERS = {("constructions.py", "edge")}
+# every caller in src/coxkit of the one subgroup-closure routine: a
+# Subgroup closed from its generators; Builder.edge, which closes the
+# graph of its root-label map and so proves it an injective homomorphism
+# (no other program code checks a map as one: every other boundary map
+# is an identity into a group with the edge group's product or is built
+# from checked maps, and a subgroup embedding U_w -> U_a is read off the
+# two groups' certificates); TheoremSetup's words for the letters of V;
+# and the twin models' groups and V words.  The set may only shrink
+CLOSURE_CALLERS = {("treeprod.py", "__new__"), ("constructions.py", "edge"),
+                   ("reduction.py", "__init__"),
+                   ("quadrangle.py", "_build_group"),
+                   ("quadrangle.py", "v_group_words")}
 
 
 # the one walk of a tree of groups: its paths, one search from each vertex,
@@ -274,8 +292,12 @@ def test_groups_are_certified_only_where_the_cache_builds_them():
     assert callers_in_src("certify_order") == GROUP_CERTIFIERS
 
 
-def test_maps_are_checked_as_homomorphisms_only_by_builder_edge():
-    assert callers_in_src("is_homomorphism") == HOMOMORPHISM_CHECKERS
+def test_closures_are_computed_only_by_the_listed_callers():
+    assert callers_in_src("closure_words") == CLOSURE_CALLERS
+    defined = {node.name for path in SRC.rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "is_homomorphism" not in defined
 
 
 def test_trees_are_walked_only_by_their_paths():

@@ -10,8 +10,9 @@ from coxkit.constructions import KINDS, RANK2, Builder
 from coxkit.pipeline import Section4
 from coxkit.treeprod import (Edge, Subgroup, TreeError, TreeOfGroups,
                              TreeProduct, check_subtree_conditions,
-                             contract, cut, fold, is_homomorphism)
+                             closure_words, contract, cut, fold)
 from galleries import gallery, group_along
+from homomorphisms import is_homomorphism
 from nested_oracle import NestedProduct
 from walks import random_word
 
@@ -20,7 +21,7 @@ from walks import random_word
 def z2_free(cache):
     A = group_along(cache, gallery(cache.ctx, "s"))
     B = group_along(cache, gallery(cache.ctx, "t"))
-    triv = Subgroup(A, {})
+    triv = Subgroup(A, [])
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0})])
     return tog, TreeProduct(tog)
@@ -50,9 +51,10 @@ def test_free_product_word(z2_free):
 
 def test_edge_maps_are_checked_without_a_generator_search(ctx, monkeypatch):
     # every edge group is a Subgroup and carries its generators, so
-    # Builder.edge checks its root-label map by multiplying by them alone:
-    # |E| * k products in E and as many in the vertex group, per edge, and
-    # none to find gens; validate then multiplies nothing
+    # Builder.edge proves its root-label map by closing the graph of the
+    # map from their pairs: |E| * k pair products, each one product in
+    # the edge group's ambient and one in the vertex group's, per edge,
+    # and none to find gens; validate then multiplies nothing
     calls = []
     mul = BlueprintGroup.mul
 
@@ -60,20 +62,20 @@ def test_edge_maps_are_checked_without_a_generator_search(ctx, monkeypatch):
         calls.append(None)
         return mul(self, x, y)
     monkeypatch.setattr(BlueprintGroup, "mul", counted)
-    checked = []
+    closed = []
 
-    def check(group, phi, target):
+    def closure(*args, **kwargs):
         before = len(calls)
-        ok = is_homomorphism(group, phi, target)
-        checked.append(len(calls) - before)
-        return ok
-    monkeypatch.setattr(constructions, "is_homomorphism", check)
+        graph = closure_words(*args, **kwargs)
+        closed.append(len(calls) - before)
+        return graph
+    monkeypatch.setattr(constructions, "closure_words", closure)
     b = Builder(GroupCache(ctx))
     _, built = b.tree([("0", ("U", "sr")), ("1", ("V", "", "st")),
                        ("2", ("U", "trt"))], [("0", "1"), ("1", "2")])
-    assert checked == [2 * e.group.order * len(e.group.gens)
-                       for e in built.edges]
-    assert all(checked)
+    assert closed == [2 * e.group.order * len(e.group.gens)
+                      for e in built.edges]
+    assert all(closed)
     tog = TreeOfGroups(built.vertices, built.edges)
     calls.clear()
     assert tog.validate() == [] and calls == []
@@ -166,7 +168,7 @@ def test_cut_keeps_the_edges_inside(theorem_tree):
 
 def test_validate_rejects_cycles(cache):
     A, B = group_along(cache, gallery(cache.ctx, "s")), cache.group("t")
-    triv = Subgroup(A, {})
+    triv = Subgroup(A, [])
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", triv, {0: 0}, {0: 0}),
                         Edge("b", "a", triv, {0: 0}, {0: 0})])
@@ -217,7 +219,7 @@ def test_paths_are_the_tree_walks(cache, theorem_setup):
 
 def test_a_forest_is_walked_within_its_components(cache):
     groups = {v: cache.group(w) for v, w in zip("abcd", ("s", "t", "r", "sr"))}
-    triv = Subgroup(groups["a"], {})
+    triv = Subgroup(groups["a"], [])
     forest = TreeOfGroups(groups, [Edge("a", "b", triv, {0: 0}, {0: 0}),
                                    Edge("c", "d", triv, {0: 0}, {0: 0})])
     assert {u: set(walks) for u, walks in forest.paths.items()} == {
@@ -582,7 +584,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
         assert H.eval_word(P2.flatten(el2)) == el
     # fold the first edge at its own edge-group image (redundant vertex)
     U_sr = tog.vertices["0"]
-    Hsub = Subgroup(U_sr, {U_sr.roots[0]: U_sr.root_mask(U_sr.roots[0])})
+    Hsub = Subgroup(U_sr, [U_sr.root_mask(U_sr.roots[0])])
     tog3 = fold(tog, "0", "1", Hsub, "x")
     assert not tog3.validate()
     P3 = TreeProduct(tog3)
@@ -598,7 +600,7 @@ def test_contract_and_fold_round_trip(theorem_tree, cache):
 def test_fold_counts_match(z2_free, cache):
     tog, P = z2_free
     A = tog.vertices["a"]
-    Hsub = Subgroup(A, {A.roots[0]: 1})
+    Hsub = Subgroup(A, [1])
     tog2 = fold(tog, "a", "b", Hsub, "x")
     P2 = TreeProduct(tog2)
     bound = 4
@@ -610,7 +612,7 @@ def test_fold_counts_match(z2_free, cache):
 def test_fold_requires_intermediate(theorem_tree, cache):
     tog, _ = theorem_tree
     U_sr = tog.vertices["0"]
-    bad = Subgroup(U_sr, {})
+    bad = Subgroup(U_sr, [])
     with pytest.raises(TreeError):
         fold(tog, "0", "1", bad, "x")
 
@@ -687,7 +689,7 @@ def test_check_subtree_conditions_rejects_bad_members(theorem_tree, cache):
     # U_srs holds U_sr's four masks, but it multiplies them as U_srs does
     other = cache.group("srs")
     assert set(full["0"]) <= set(other.elements())
-    foreign = Subgroup(other, {x: x for x in full["0"].gens})
+    foreign = Subgroup(other, full["0"].gens)
     assert set(foreign) == set(full["0"]) and foreign.mul != full["0"].mul
     report = check_subtree_conditions(tog, dict(full, **{"0": foreign}))
     assert _preimages_agree(report) and not report["pass"]
@@ -748,34 +750,33 @@ def _table_closure(table, S) -> frozenset:
 def test_subgroup_is_the_closure_of_its_generators_by_the_product_table(cache):
     # every subset of U_stst's four root generators, and a few sets with
     # other elements (the identity among them), against the fixpoint of
-    # the |S|^2 product table; each word multiplies out to its element and
-    # is as long as the element's distance from 1 in the generators'
-    # Cayley graph, both read off the table
+    # the |S|^2 product table; each closure word multiplies out to its
+    # element and is as long as the element's distance from 1 in the
+    # generators' Cayley graph, both read off the table
     G = cache.group("stst")
     table = [[G.mul(x, y) for y in G.elements()] for x in G.elements()]
-    roots = {root: G.root_mask(root) for root in G.roots}
-    families = [{root: roots[root] for root in subset}
-                for n in range(len(roots) + 1)
+    families = [[G.root_mask(root) for root in subset]
+                for n in range(len(G.roots) + 1)
                 for subset in itertools.combinations(G.roots, n)]
-    families += [{"a": 3}, {"a": 5, "b": 10}, {"a": 15}, {"a": 6, "b": 9},
-                 {"one": 0, "a": 12}]
+    families += [[3], [5, 10], [15], [6, 9], [0, 12]]
     for gens in families:
         H = Subgroup(G, gens)
-        S = _table_closure(table, {0, *gens.values()})
-        assert set(H) == S and H.words.keys() == S, gens
-        assert H.gens == tuple(gens.values())
-        assert H.elements() == tuple(sorted(S)) and H.order == len(S)
+        S = _table_closure(table, {0, *gens})
+        assert set(H) == S, gens
+        assert H.gens == tuple(gens)
+        assert H.elements() == S and H.order == len(S)
         dist, reached, n = {0: 0}, {0}, 0
         while len(reached) < len(S):
             n += 1
-            reached = reached | {table[x][g] for x in reached
-                                 for g in gens.values()}
+            reached = reached | {table[x][g] for x in reached for g in gens}
             for x in reached:
                 dist.setdefault(x, n)
-        for x, word in H.words.items():
+        words = closure_words(G.mul, G.identity, gens)
+        assert words.keys() == S, gens
+        for x, word in words.items():
             y = G.identity
-            for label in word:
-                y = table[y][gens[label]]
+            for i in word:
+                y = table[y][gens[i]]
             assert y == x and len(word) == dist[x], (gens, x, word)
 
 
@@ -789,7 +790,7 @@ def test_generators_decide_closure_as_the_product_table_does(cache):
     for bits in range(1 << 15):
         S = frozenset([0] + [i + 1 for i in range(15) if bits >> i & 1])
         closed = all(table[x][y] in S for x in S for y in S)
-        H = Subgroup(G, {x: x for x in sorted(S)})
+        H = Subgroup(G, sorted(S))
         assert (H == S) == closed, sorted(S)
         assert H == _table_closure(table, S)
         subgroups += closed
@@ -816,7 +817,7 @@ def test_homomorphisms_on_generators_as_on_the_product_table(cache):
             homs += by_table
         assert homs == count
     # the trivial group has no generators, so phi(1) = 1 is checked alone
-    trivial = Subgroup(E, {})
+    trivial = Subgroup(E, [])
     assert is_homomorphism(trivial, {0: 0}, E)
     assert not is_homomorphism(trivial, {0: 1}, E)
 
@@ -841,7 +842,7 @@ def test_subproduct_value_full_edge(cache):
     # a segment whose edge group is everything: the two sides coincide
     A = group_along(cache, gallery(cache.ctx, "s"))
     B = group_along(cache, gallery(cache.ctx, "t"))
-    full = Subgroup(A, {A.roots[0]: 1})
+    full = Subgroup(A, [1])
     tog = TreeOfGroups({"a": A, "b": B},
                        [Edge("a", "b", full, {0: 0, 1: 1}, {0: 0, 1: 1})])
     P = TreeProduct(tog)
