@@ -10,10 +10,14 @@ x = u_low * x' with low the lowest set bit of x is already a normal form,
 x * y is the rows of x's letters applied to y, highest letter first, and
 x^-1 is the same rows applied to the identity, lowest letter first
 (collection from the left as a permutation action; Leedham-Green &
-Soicher 1990).  Up to TABLE_CAP elements the product table is composed
-from the rows on first use, and a product is one table read.
-Collection itself grows the rows when the group is built, one pair
-product u_k * u_j per new generator (below).
+Soicher 1990).  Up to TABLE_CAP = 256 elements a row is a byte
+permutation of all 256 points, the identity past the order (the padding
+lemma below), so composing two rows is one bytes.translate; larger
+groups keep list rows.  Up to TABLE_CAP the product table is composed
+from the rows on first use, each table row one translate of another,
+and a product is one table read.  Collection itself grows the rows when
+the group is built, one pair product u_k * u_j per new generator
+(below).
 
 Every group is grown from its prefix: for the gallery h = h'x, U_w' is
 the group along h', with w' the element of h'.  Canonical galleries (the
@@ -56,6 +60,18 @@ GroupCache.group certifies each group as it builds it, from a prefix it
 certified before, and keeps only the groups that pass: every group a
 cache hands out is certified.
 
+Padding.  A byte row has 256 entries and the group's points are the y <
+order; the entries past order are the padding, built as the identity.
+Every row is checked either grown from the prefix over all 256 entries,
+padding included, or to be an involution of all 256 points that fixes
+the padding.  An involution is a bijection, so one that fixes every
+point past order maps the points below order onto themselves.  So no
+value at a y < order ever reaches the padding, and an entry >= order
+below it fails the involution check, while a relation holds on all 256
+points exactly when it holds on the group, both sides being the
+identity on the padding.  List rows have no padding; their new row is
+checked in range before it is composed.
+
 Corollary (von Dyck; Sims, Computation with Finitely Presented Groups,
 1994, ch. 2).  If every M-letter of a minimal gallery h lies strictly
 between its pair in h's crossing order, h's collection group U_h has
@@ -92,6 +108,9 @@ from coxkit.roots import Root, RootSystem, RootSystemError, root_system
 from coxkit.treeprod import Subgroup
 
 TABLE_CAP = 256
+# the identity byte row; bytes.translate takes 256-entry tables, so
+# TABLE_CAP is also the largest order with byte rows
+IDENTITY = bytes(range(TABLE_CAP))
 
 # B'(a, b) = 2cos(135 degrees) of two roots whose open interval holds two
 # roots (KacMoodyBlueprint.value)
@@ -225,6 +244,18 @@ def insertion_column(blueprint: KacMoodyBlueprint, gallery: str) -> bytes:
     return bytes(column)
 
 
+def _identity_row(order: int):
+    """The identity row of a group of this order: IDENTITY, padding
+    included, up to TABLE_CAP, else a list."""
+    return IDENTITY if order <= TABLE_CAP else list(range(order))
+
+
+def _then(q, p):
+    """The row y -> p[q[y]], q followed by p: one translate for byte
+    rows, a list for list rows."""
+    return [p[v] for v in q] if type(q) is list else q.translate(p)
+
+
 class BlueprintGroup:
     """The collection group U_w for one gallery (its type word) and one
     blueprint, grown from prefix, the group along the gallery without its
@@ -245,33 +276,44 @@ class BlueprintGroup:
         self._pos = {root: i for i, root in enumerate(self.roots)}
         self._comm = prefix._comm + insertion_column(blueprint, gallery) \
             if prefix else b""
-        # the generator rows: rows[i][y] = u_i * y for every normal form y.
-        # The prefix's rows doubled (the module's rows lemma), then the
-        # new row u_top * y.  On the lower half it is filled in increasing
-        # y: with j the lowest letter of y, y = u_j * y' and u_top * u_j =
-        # u_j * z for a normal form z with letters in (j, top], so
-        # u_top * y = u_j * (z * y'), the rows of z's letters, highest
-        # first, applied to y' < y; z comes from one collection of the
-        # pair (top, j).  On the upper half y = x * u_top, and a normal
-        # form times u_top toggles the top bit.
+        # the generator rows: rows[i][y] = u_i * y for every normal form y,
+        # up to TABLE_CAP bytearrays of 256 entries, the identity past
+        # order (the module's padding lemma), and lists above.  The
+        # prefix's rows doubled (the module's rows lemma), then the new row
+        # u_top * y.  On the lower half, with j the lowest letter of y, y =
+        # u_j * y' for the normal form y' = y minus u_j, so u_top * y = p *
+        # y' for p the normal form of the pair product u_top * u_j, one
+        # collection: the rows of p's letters, which lie in [j, top],
+        # highest first, applied to y'.  y' is 0 or has its lowest letter
+        # above j, so the row is filled one class (the y of lowest letter
+        # j) at a time, from high j to low, and the first of p's rows, the
+        # new row itself, is read at a y' filled before: a class's y' are a
+        # strided slice of the identity, composed with p's rows and stored
+        # at a strided slice of the row.  On the upper half y = x * u_top,
+        # and a normal form times u_top toggles the top bit.
         self.rows = rows = []
         if prefix is not None:
-            k = self.k
+            k, order = self.k, self.order
             top = 1 << (k - 1)
-            rows += [row + [v | top for v in row] for row in prefix.rows]
-            tails = []
-            for j in range(k - 1):
-                z = wordops.collect_mul(top, 1 << j, k, self._comm) ^ (1 << j)
-                tails.append([a for a in range(k - 1, j, -1) if z >> a & 1])
-            new = [top] * top
+            ident = _identity_row(order)
+            mutable = bytearray if ident is IDENTITY else list
+            # v ^ top below order, which is v | top on the prefix's values
+            flip = ident[top:order] + ident[:top] + ident[order:]
+            for row in prefix.rows:
+                old = mutable(row[:top])
+                rows.append(old + _then(old, flip) + ident[order:])
+            new = mutable(ident)
+            new[0] = top
             rows.append(new)
-            for y in range(1, top):
-                low = y & -y
-                v = y ^ low
-                for a in tails[low.bit_length() - 1]:
-                    v = rows[a][v]
-                new[y] = low | v
-            new += [v ^ top for v in new]
+            for j in reversed(range(k - 1)):
+                pair = wordops.collect_mul(top, 1 << j, k, self._comm)
+                step = 2 << j
+                v = ident[:top:step]
+                for a in range(k - 1, j - 1, -1):
+                    if pair >> a & 1:
+                        v = _then(v, rows[a])
+                new[1 << j:top:step] = v
+            new[top:order] = _then(new[:top], flip)
         # the product table, composed from the rows by the first mul up to
         # TABLE_CAP
         self._table = None
@@ -300,11 +342,10 @@ class BlueprintGroup:
         """The product table, row z the rows of z's letters composed,
         highest letter first; kept for every later product."""
         rows = self.rows
-        table = [list(range(self.order))]
+        table = [IDENTITY[:self.order]]
         for z in range(1, self.order):
-            low = (z & -z).bit_length() - 1
-            row = rows[low]
-            table.append([row[v] for v in table[z ^ (1 << low)]])
+            low = z & -z
+            table.append(table[z ^ low].translate(rows[low.bit_length() - 1]))
         self._table = table
         return table
 
@@ -339,36 +380,42 @@ class BlueprintGroup:
     def certify_order(self) -> int:
         """The module's order theorem along the prefix tree, the prefix
         certified (GroupCache.group certifies each group as it builds it,
-        the prefix first): the rows are grown from the prefix's rows, the
-        new generator row is an involution, and every relation of every
-        minimal gallery of w that the prefix does not have holds on the
-        rows.  Returns the number of relations of w; BlueprintError on any
-        failure."""
+        the prefix first): the rows are grown from the prefix's rows,
+        padding included, the new generator row is an involution (of all
+        256 points, fixing the padding, for a byte row; of points in range
+        for a list row), and every relation of every minimal gallery of w
+        that the prefix does not have holds on the rows.  Returns the
+        number of relations of w; BlueprintError on any failure."""
         rows = self.rows
+        order = self.order
+        ident = _identity_row(order)
         rels = self.blueprint.harvest(self.w)
         new = rels
-        identity = list(range(self.order))
         prefix = self.prefix
         if prefix is not None:
             new = rels - self.blueprint.harvest(prefix.w)
-            half = self.order >> 1
+            half = order >> 1
+            flip = ident[half:order] + ident[:half] + ident[order:]
             for i, old in enumerate(prefix.rows):
-                row = rows[i]
-                if row[:half] != old or row[half:] != [v | half for v in old]:
+                low = type(ident)(old[:half])
+                if rows[i] != low + _then(low, flip) + ident[order:]:
                     raise BlueprintError(
                         f"row {i} of U_{self.w} is not grown from U_{prefix.w}")
             top = rows[-1]
-            if [top[y] for y in top] != identity:
+            if (top[order:] != ident[order:]
+                    or order > TABLE_CAP
+                    and not all(0 <= y < order for y in top)
+                    or _then(top, top) != ident):
                 raise BlueprintError(
                     f"generator {self.k - 1} is not an involution in U_{self.w}")
         pos = self._pos
         for a, b, mids in sorted((pos[a], pos[b], tuple(pos[m] for m in mids))
                                  for a, b, mids in new):
             pa, pb = rows[a], rows[b]
-            lhs = [pa[pb[pa[y]]] for y in pb]
-            rhs = identity
+            lhs = _then(_then(_then(pb, pa), pb), pa)
+            rhs = ident
             for m in reversed(mids):
-                rhs = [rows[m][x] for x in rhs]
+                rhs = _then(rhs, rows[m])
             if lhs != rhs:
                 raise BlueprintError(
                     f"relation [u_{a}, u_{b}] = {mids} fails in U_{self.w}")

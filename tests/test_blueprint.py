@@ -261,22 +261,27 @@ def test_generator_rows_match_collection_for_report_groups(ctx, cache):
     # galleries, whose rows certify_order and gallery_independence read
     for g in (cache.group(w) for w in ctx.ball(7)):
         for i in range(g.k):
-            assert g.rows[i] == [wordops.collect_mul(1 << i, y, g.k, g._comm)
-                                 for y in g.elements()], (g, i)
+            assert list(g.rows[i][:g.order]) == [
+                wordops.collect_mul(1 << i, y, g.k, g._comm)
+                for y in g.elements()], (g, i)
 
 
 def test_grown_rows_and_counts_match_the_full_oracle(ctx):
     # the grown rows and the certificate along the prefix tree against the
     # whole-row recurrence and the full certification: every group of
-    # ball(7), and the groups along every minimal gallery of stst and ststr
+    # ball(7), the groups along every minimal gallery of stst and ststr,
+    # and the groups of order 256 (byte rows) and 512 (list rows) along
+    # the first gallery of length 9 in ball(9), as in the table-cap test
     fresh = GroupCache(ctx)
     groups = [fresh.group(w) for w in ctx.ball(7)]
     groups += [group_along(fresh, h) for w in ("stst", "ststr")
                for h in ctx.min_galleries(w)]
     assert len(groups) == 250 + 2 + 2
+    w = next(w for w in ctx.ball(9) if len(w) == 9)
+    groups += [fresh.group(w[:-1]), fresh.group(w)]
     for g in groups:
         rows = rows_by_recurrence(g)
-        assert g.rows == rows, g
+        assert [list(row[:g.order]) for row in g.rows] == rows, g
         assert g.certify_order() == certify_in_full(ctx, g, rows), g
 
 
@@ -389,6 +394,23 @@ for i, y in ((0, 5), (3, 9)):
 """
 
 
+@pytest.mark.parametrize("w", ["stst", "rsrstrsrs"])
+def test_a_row_entry_past_the_order_fails_certification(ctx, monkeypatch, w):
+    # entry 5 of the newest row of U_stst (byte rows) and of a group of
+    # order 512 (list rows) set to the order: a typed failure, not an
+    # IndexError, whether the identity padding or the range check sees it
+    build = BlueprintGroup.__init__
+
+    def tampered(self, *args):
+        build(self, *args)
+        if self.w == w:
+            self.rows[-1][5] = self.order
+    monkeypatch.setattr(BlueprintGroup, "__init__", tampered)
+    failure = f"generator {len(w) - 1} is not an involution in U_{w}"
+    with pytest.raises(BlueprintError, match=re.escape(failure)):
+        GroupCache(ctx).group(w)
+
+
 def test_tampered_prefix_rows_fail_under_optimize(run_optimized):
     out = run_optimized(TAMPER_UNDER_O)
     assert out.returncode == 0
@@ -437,17 +459,19 @@ def test_insertion_table_rejects_three_letters_under_optimize(run_optimized):
 
 
 def test_collection_above_the_table_cap_agrees_with_the_certified_rows(ctx, cache):
-    # order 512: mul reads the certified rows instead of a table, and
+    # order 512: mul reads the certified rows instead of a table; order
+    # 256, its prefix: mul reads the table translated from the byte rows;
     # collection is the oracle
     w = next(w for w in ctx.ball(9) if len(w) == 9)
     g = cache.group(w)
     assert g.order == 512 > TABLE_CAP and g._table is None
-    g.certify_order()
-    ys = random.Random(9).sample(range(g.order), 12) + [0, g.order - 1]
-    for x in g.elements():
-        for y in ys:
-            assert g.mul(x, y) == wordops.collect_mul(x, y, g.k, g._comm), (x, y)
-        assert g.mul(g.inv(x), x) == g.mul(x, g.inv(x)) == 0, x
+    for h in (g.prefix, g):
+        h.certify_order()
+        ys = random.Random(9).sample(range(h.order), 12) + [0, h.order - 1]
+        for x in h.elements():
+            for y in ys:
+                assert h.mul(x, y) == wordops.collect_mul(x, y, h.k, h._comm), (x, y)
+            assert h.mul(h.inv(x), x) == h.mul(x, h.inv(x)) == 0, x
     assert g._table is None
 
 
